@@ -274,9 +274,10 @@ class IndexBuilder:
         self, batches: dict[str, SeqList], stats: UpdateStats
     ) -> list[_TraceWork]:
         work_items: list[_TraceWork] = []
-        last_checked_cache: dict[tuple[str, str], dict[str, float]] = {}
-        for trace_id, new_seq in batches.items():
-            old_seq = self.tables.get_sequence(trace_id)
+        # Per work item, the pairs that can gain matches from this batch.
+        candidates: list[list[tuple[str, str]]] = []
+        old_seqs = self.tables.get_sequences(list(batches))
+        for (trace_id, new_seq), old_seq in zip(batches.items(), old_seqs):
             if old_seq and new_seq[0][1] <= old_seq[-1][1]:
                 raise TraceOrderError(
                     f"trace {trace_id!r}: new events start at {new_seq[0][1]!r} "
@@ -286,24 +287,29 @@ class IndexBuilder:
             if not old_seq:
                 stats.new_traces += 1
             stats.events_indexed += len(new_seq)
-            work = _TraceWork(trace_id, old_seq, new_seq)
+            work_items.append(_TraceWork(trace_id, old_seq, new_seq))
+            pairs: list[tuple[str, str]] = []
             if old_seq and self.method is not PairMethod.STRICT:
-                # Algorithm 1 line 3: join LastChecked with the batch traces.
                 new_types = {activity for activity, _ in new_seq}
                 all_types = {activity for activity, _ in old_seq} | new_types
-                for a in all_types:
-                    for b in all_types:
-                        if a not in new_types and b not in new_types:
-                            continue
-                        pair = (a, b)
-                        if pair not in last_checked_cache:
-                            last_checked_cache[pair] = self.tables.get_last_checked(
-                                pair
-                            )
-                        completion = last_checked_cache[pair].get(trace_id)
-                        if completion is not None:
-                            work.last_checked[pair] = completion
-            work_items.append(work)
+                pairs = [
+                    (a, b)
+                    for a in all_types
+                    for b in all_types
+                    if a in new_types or b in new_types
+                ]
+            candidates.append(pairs)
+        if any(candidates):
+            # Algorithm 1 line 3: join LastChecked with the batch traces, as
+            # one batched read over the union of the candidate pairs.
+            checked = self.tables.get_last_checked_many(
+                [pair for pairs in candidates for pair in pairs]
+            )
+            for work, pairs in zip(work_items, candidates):
+                for pair in pairs:
+                    completion = checked[pair].get(work.trace_id)
+                    if completion is not None:
+                        work.last_checked[pair] = completion
         return work_items
 
     def _write_results(

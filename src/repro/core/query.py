@@ -219,13 +219,12 @@ class QueryProcessor:
         self.sequence_cache = sequence_cache
         self._generation = generation if generation is not None else lambda: 0
         self.planner_enabled = planner_enabled
-        # Decoded Count rows keyed (generation, first_event).  Decoding a
-        # Count document is O(|alphabet|) -- too expensive to repeat per
-        # plan() -- while the rows themselves are bounded by the alphabet,
-        # so the planner keeps them warm per write generation (the key
-        # embeds the generation, exactly like the postings cache, so an
-        # index update invalidates by construction).
-        self._count_rows: dict[tuple[int, str], dict] = {}
+        # Decoded Count rows of one write generation: (generation, {first
+        # event: row}).  Decoding a Count document is O(|alphabet|) -- too
+        # expensive to repeat per plan() -- while the rows themselves are
+        # bounded by the alphabet.  A row of an older generation can never be
+        # read again, so the rows are dropped as soon as the generation moves.
+        self._count_rows: tuple[int, dict[str, dict]] = (0, {})
 
     def _bump(self, name: str, amount: int = 1) -> None:
         metrics = getattr(self.tables.store, "metrics", None)
@@ -384,19 +383,21 @@ class QueryProcessor:
     def _cardinalities(self, pairs: tuple[tuple[str, str], ...]) -> tuple[int, ...]:
         """Exact completion counts per pair, through the Count-row cache."""
         generation = self._generation()
-        missing = [
-            first
+        cached_generation, cache = self._count_rows
+        if cached_generation != generation:
+            cache = {}
+            self._count_rows = (generation, cache)
+        rows = {
+            first: cache.get(first)
             for first in dict.fromkeys(first for first, _ in pairs)
-            if (generation, first) not in self._count_rows
-        ]
+        }
+        missing = [first for first, row in rows.items() if row is None]
         if missing:
-            if len(self._count_rows) > 4096:  # dead generations age out here
-                self._count_rows.clear()
             for first, row in self.tables.get_count_rows(missing).items():
-                self._count_rows[(generation, first)] = row
+                rows[first] = cache[first] = row
         out = []
         for first, second in pairs:
-            stats = self._count_rows[(generation, first)].get(second)
+            stats = rows[first].get(second)
             out.append(int(stats[1]) if stats is not None else 0)
         return tuple(out)
 

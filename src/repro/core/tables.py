@@ -146,6 +146,11 @@ class IndexTables:
     def get_sequence(self, trace_id: str) -> list[tuple[str, float]]:
         return [tuple(item) for item in self.store.get(SEQ, trace_id, [])]
 
+    def get_sequences(self, trace_ids: list[str]) -> list[list[tuple[str, float]]]:
+        """Stored sequences of many traces (empty when unknown), one batched read."""
+        rows = self._multi_get(SEQ, trace_ids, [])
+        return [[tuple(item) for item in row] for row in rows]
+
     def iter_sequences(self) -> Iterator[tuple[str, list[tuple[str, float]]]]:
         for key, value in self.store.scan(SEQ):
             yield key[0], [tuple(item) for item in value]
@@ -290,8 +295,10 @@ class IndexTables:
     ) -> dict[tuple[str, str], dict[str, float]]:
         """LastChecked documents for many pairs in one batched read."""
         unique = list(dict.fromkeys(pairs))
-        rows = self._multi_get(LAST_CHECKED, unique, {})
-        return {pair: dict(raw) for pair, raw in zip(unique, rows)}
+        # The store hands out caller-owned documents; only the shared default
+        # of the missing pairs must not be handed on.
+        rows = self._multi_get(LAST_CHECKED, unique, None)
+        return {pair: {} if raw is None else raw for pair, raw in zip(unique, rows)}
 
     def get_last_completion(self, pair: tuple[str, str]) -> float | None:
         """Most recent completion of ``pair`` across all traces."""

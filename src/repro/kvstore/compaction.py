@@ -31,12 +31,9 @@ from __future__ import annotations
 
 import heapq
 import threading
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
-from repro.kvstore.encoding import decode_value, encode_value
-from repro.kvstore.merge import MergeOperator
-from repro.kvstore.sstable import SSTableReader
-from repro.kvstore.wal import KIND_DELETE, KIND_MERGE, KIND_PUT
+from repro.kvstore.merge import MergeOperator, collapse_records
 
 
 class CompactionPlan:
@@ -257,46 +254,44 @@ def plan_leveled(
     return None
 
 
-def _resolve_key(
-    records_newest_first: list[tuple[int, bytes]],
-    operator: MergeOperator | None,
-    finalize: bool,
-) -> tuple[int, bytes] | None:
-    """Collapse one key's records; ``None`` means the key can be dropped."""
-    pending: list[bytes] = []  # newest first
-    for kind, value in records_newest_first:
-        if kind == KIND_MERGE:
-            pending.append(value)
-            continue
-        if kind == KIND_PUT:
-            if not pending:
-                return KIND_PUT, value
-            deltas = [decode_value(d) for d in reversed(pending)]
-            merged = _require(operator).full_merge(decode_value(value), deltas)
-            return KIND_PUT, encode_value(merged)
-        # KIND_DELETE: history below the tombstone is dead.
-        if pending:
-            deltas = [decode_value(d) for d in reversed(pending)]
-            merged = _require(operator).full_merge(None, deltas)
-            return KIND_PUT, encode_value(merged)
-        return None if finalize else (KIND_DELETE, b"")
-    # Only merge deltas were found in this run.
-    deltas = [decode_value(d) for d in reversed(pending)]
-    if finalize:
-        merged = _require(operator).full_merge(None, deltas)
-        return KIND_PUT, encode_value(merged)
-    partial = _require(operator).partial_merge(deltas)
-    return KIND_MERGE, encode_value(partial)
+def group_records(
+    sources_oldest_first: Iterable[Iterable[tuple[bytes, int, bytes]]],
+    stop: bytes | None = None,
+) -> Iterator[tuple[bytes, list[tuple[int, bytes]]]]:
+    """K-way merge sorted sources into ``(key, records newest first)``.
 
-
-def _require(operator: MergeOperator | None) -> MergeOperator:
-    if operator is None:
-        raise ValueError("merge deltas present but no merge operator registered")
-    return operator
+    A source is an SSTable reader or any iterable of ``(key, kind, value)``
+    in key order; one that holds several records for a key lists them
+    newest first.  The merge ends before the first key ``>= stop``.
+    """
+    # rank 0 = newest source, so tuples (key, rank) sort ties newest-first.
+    heap: list[tuple[bytes, int, int, bytes, Iterator[tuple[bytes, int, bytes]]]] = []
+    for rank, source in enumerate(reversed(list(sources_oldest_first))):
+        iterator = iter(source)
+        first = next(iterator, None)
+        if first is not None:
+            key, kind, value = first
+            heap.append((key, rank, kind, value, iterator))
+    heapq.heapify(heap)
+    while heap:
+        key = heap[0][0]
+        if stop is not None and key >= stop:
+            return
+        records: list[tuple[int, bytes]] = []
+        while heap and heap[0][0] == key:
+            _, rank, kind, value, iterator = heap[0]
+            records.append((kind, value))
+            nxt = next(iterator, None)
+            if nxt is not None:
+                nkey, nkind, nvalue = nxt
+                heapq.heapreplace(heap, (nkey, rank, nkind, nvalue, iterator))
+            else:
+                heapq.heappop(heap)
+        yield key, records
 
 
 def merge_records(
-    readers_oldest_first: list[SSTableReader],
+    readers_oldest_first: Iterable[Iterable[tuple[bytes, int, bytes]]],
     operator_for_key: Callable[[bytes], MergeOperator | None],
     finalize: bool,
 ) -> Iterator[tuple[int, bytes, bytes]]:
@@ -305,26 +300,8 @@ def merge_records(
     ``finalize`` indicates the run includes the oldest table, allowing
     tombstone dropping and baseless-delta finalisation.
     """
-    # rank 0 = newest source, so tuples (key, rank) sort ties newest-first.
-    sources = list(reversed(readers_oldest_first))
-    heap: list[tuple[bytes, int, int, bytes, Iterator[tuple[bytes, int, bytes]]]] = []
-    for rank, reader in enumerate(sources):
-        iterator = iter(reader)
-        first = next(iterator, None)
-        if first is not None:
-            key, kind, value = first
-            heapq.heappush(heap, (key, rank, kind, value, iterator))
-    while heap:
-        key = heap[0][0]
-        records: list[tuple[int, bytes]] = []
-        while heap and heap[0][0] == key:
-            _, rank, kind, value, iterator = heapq.heappop(heap)
-            records.append((kind, value))
-            nxt = next(iterator, None)
-            if nxt is not None:
-                nkey, nkind, nvalue = nxt
-                heapq.heappush(heap, (nkey, rank, nkind, nvalue, iterator))
-        resolved = _resolve_key(records, operator_for_key(key), finalize)
+    for key, records in group_records(readers_oldest_first):
+        resolved = collapse_records(records, operator_for_key(key), finalize)
         if resolved is not None:
             kind, value = resolved
             yield kind, key, value

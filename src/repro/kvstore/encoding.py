@@ -18,6 +18,10 @@ range scans work without decoding every key.  The scheme follows the classic
 Values use a compact self-describing format (a small msgpack work-alike)
 supporting ``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``,
 ``list``, ``tuple`` and ``dict``.  Tuples decode as tuples, lists as lists.
+A ``dict`` whose keys are all ``str`` and whose values are all ``int`` (within
+int64) or all ``float`` is written under a *packed* tag -- keys joined into one
+utf-8 blob, values one ``struct.pack`` -- so such documents encode and decode
+without a Python-level walk (DESIGN.md section 11 has the layouts).
 """
 
 from __future__ import annotations
@@ -194,9 +198,19 @@ _V_BYTES = 0xC4  # u32 length + raw
 _V_LIST = 0xDD  # u32 count + items
 _V_TUPLE = 0xDE  # u32 count + items
 _V_DICT = 0xDF  # u32 count + alternating key/value items
+# Packed maps: u32 count + u32 key-blob length + keys joined by NUL (utf-8)
+# + count big-endian 8-byte values.  Only dicts of exact-``str`` keys (none
+# holding a NUL) and exact-``int``/exact-``float`` values qualify, so a
+# round trip preserves every type.
+_V_MAP_STR_I64 = 0xE0
+_V_MAP_STR_F64 = 0xE1
+_PACKED_FORMATS = {_V_MAP_STR_I64: "q", _V_MAP_STR_F64: "d"}
+_PACKED_TAGS = {int: _V_MAP_STR_I64, float: _V_MAP_STR_F64}
+_KEY_JOIN = "\x00"
 _V_SMALL_INT_BASE = 0x00  # 0x00..0x7f encode 0..127 inline
 
 _U32 = struct.Struct(">I")
+_U32_PAIR = struct.Struct(">II")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 
@@ -249,6 +263,8 @@ def _encode_value_into(out: bytearray, obj: Any) -> None:
         for item in obj:
             _encode_value_into(out, item)
     elif isinstance(obj, dict):
+        if obj and _encode_packed_map_into(out, obj):
+            return
         out.append(_V_DICT)
         out.extend(_U32.pack(len(obj)))
         for key, value in obj.items():
@@ -258,11 +274,52 @@ def _encode_value_into(out: bytearray, obj: Any) -> None:
         raise ValueEncodingError(f"unsupported value type: {type(obj)!r}")
 
 
+def _encode_packed_map_into(out: bytearray, obj: dict) -> bool:
+    """Append ``obj`` under a packed tag; ``False`` when it does not qualify."""
+    value_types = set(map(type, obj.values()))
+    if len(value_types) != 1 or set(map(type, obj)) != {str}:
+        return False
+    tag = _PACKED_TAGS.get(value_types.pop())
+    if tag is None:
+        return False
+    joined = _KEY_JOIN.join(obj)
+    if joined.count(_KEY_JOIN) != len(obj) - 1:
+        return False  # a key holds the join character
+    try:
+        packed = struct.pack(f">{len(obj)}{_PACKED_FORMATS[tag]}", *obj.values())
+    except struct.error:
+        return False  # an int outside int64
+    keys = joined.encode("utf-8")
+    out.append(tag)
+    out.extend(_U32_PAIR.pack(len(obj), len(keys)))
+    out.extend(keys)
+    out.extend(packed)
+    return True
+
+
 def encode_value(obj: Any) -> bytes:
     """Serialize a Python value into the store's binary format."""
     out = bytearray()
     _encode_value_into(out, obj)
     return bytes(out)
+
+
+def concat_encoded_lists(parts: list[bytes]) -> bytes | None:
+    """Splice encoded lists/tuples into one encoded list, items untouched.
+
+    Equal to ``encode_value`` of the concatenated decoded sequences, at the
+    cost of a header rewrite and a ``bytes.join``.  Returns ``None`` when a
+    part is not a list or tuple, so the caller can fall back to decoding.
+    """
+    total = 0
+    for part in parts:
+        if len(part) < 5 or part[0] not in (_V_LIST, _V_TUPLE):
+            return None
+        total += _U32.unpack_from(part, 1)[0]
+    if len(parts) == 1 and parts[0][0] == _V_LIST:
+        return parts[0]
+    header = bytes((_V_LIST,)) + _U32.pack(total)
+    return b"".join([header, *(memoryview(part)[5:] for part in parts)])
 
 
 def _decode_value_from(buf: bytes, pos: int) -> tuple[Any, int]:
@@ -312,7 +369,31 @@ def _decode_value_from(buf: bytes, pos: int) -> tuple[Any, int]:
             value, pos = _decode_value_from(buf, pos)
             result[key] = value
         return result, pos
+    if tag in _PACKED_FORMATS:
+        return _decode_packed_map(buf, pos, _PACKED_FORMATS[tag])
     raise ValueEncodingError(f"unknown value tag {tag:#x}")
+
+
+def _decode_packed_map(buf: bytes, pos: int, fmt: str) -> tuple[dict, int]:
+    """Strict decode of a packed map body starting at ``pos``."""
+    if pos + 8 > len(buf):
+        raise ValueEncodingError("truncated packed map header")
+    count, keys_len = _U32_PAIR.unpack_from(buf, pos)
+    values_at = pos + 8 + keys_len
+    end = values_at + 8 * count
+    if end > len(buf):
+        raise ValueEncodingError("truncated packed map")
+    try:
+        keys = str(buf[pos + 8 : values_at], "utf-8").split(_KEY_JOIN)
+    except UnicodeDecodeError as exc:
+        raise ValueEncodingError(f"packed map keys are not utf-8: {exc}") from None
+    result = dict(zip(keys, struct.unpack_from(f">{count}{fmt}", buf, values_at)))
+    if len(keys) != count or len(result) != count:
+        raise ValueEncodingError(
+            f"packed map declares {count} entries but holds {len(keys)} keys "
+            f"({len(result)} distinct)"
+        )
+    return result, end
 
 
 def decode_value(buf: bytes) -> Any:

@@ -47,7 +47,6 @@ Concurrency model (thread-safe since the serving-layer rework):
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import re
@@ -69,6 +68,7 @@ from repro.kvstore.compaction import (
     BackgroundCompactor,
     LeveledConfig,
     LeveledPlan,
+    group_records,
     merge_records,
     plan_leveled,
     plan_size_tiered,
@@ -77,19 +77,18 @@ from repro.kvstore.encoding import (
     Key,
     KeyPart,
     decode_key,
-    decode_value,
     encode_key,
     encode_value,
 )
 from repro.kvstore import blockcodec
 from repro.kvstore.locks import RWLock
-from repro.kvstore.memtable import (
-    BASE_DELETE,
-    BASE_PUT,
-    TOMBSTONE,
-    Memtable,
+from repro.kvstore.memtable import TOMBSTONE, Memtable
+from repro.kvstore.merge import (
+    MergeOperator,
+    collapse_records,
+    read_value,
+    resolve_merge_operator,
 )
-from repro.kvstore.merge import MergeOperator, resolve_merge_operator
 from repro.kvstore.sstable import SSTableReader, SSTableWriter
 from repro.kvstore.wal import KIND_DELETE, KIND_MERGE, KIND_PUT, WriteAheadLog
 from repro.obs.registry import REGISTRY, store_samples
@@ -550,31 +549,14 @@ class LSMStore(KeyValueStore):
             self._check_open()
             full_key = self._full_key(table, key)
             operator = self._operator_for_full_key(full_key)
-            pending: list[Any] = []  # merge deltas, newest first
+            records: list[tuple[int, bytes]] = []  # newest first
             for memtable in (self._memtable, self._immutable):
-                if memtable is None:
-                    continue
-                entry = memtable.lookup(full_key)
+                entry = memtable.lookup(full_key) if memtable is not None else None
                 if entry is None:
                     continue
-                pending.extend(decode_value(d) for d in reversed(entry.deltas))
-                if entry.base_kind == BASE_PUT:
-                    base = (
-                        decode_value(entry.base_value)
-                        if entry.base_value is not None
-                        else None
-                    )
-                    if not pending:
-                        return base
-                    return _require_op(operator).full_merge(
-                        base, list(reversed(pending))
-                    )
-                if entry.base_kind == BASE_DELETE:
-                    if not pending:
-                        return default
-                    return _require_op(operator).full_merge(
-                        None, list(reversed(pending))
-                    )
+                records.extend(entry.records())
+                if entry.is_self_contained():
+                    return read_value(records, operator, default)
             for reader in reversed(self._sstables):
                 if not reader.may_contain(full_key):
                     self.metrics.bump("bloom_skips")
@@ -583,17 +565,10 @@ class LSMStore(KeyValueStore):
                 record = reader.get(full_key)
                 if record is None:
                     continue
-                kind, raw = record
-                if kind == KIND_MERGE:
-                    pending.append(decode_value(raw))
-                    continue
-                base = decode_value(raw) if kind == KIND_PUT else None
-                if not pending:
-                    return base if kind == KIND_PUT else default
-                return _require_op(operator).full_merge(base, list(reversed(pending)))
-            if not pending:
-                return default
-            return _require_op(operator).full_merge(None, list(reversed(pending)))
+                records.append(record)
+                if record[0] != KIND_MERGE:
+                    break
+            return read_value(records, operator, default)
 
     def multi_get(
         self,
@@ -624,11 +599,12 @@ class LSMStore(KeyValueStore):
                 norm_keys.append(norm)
                 if norm not in full_by_norm:
                     full_by_norm[norm] = self._full_key(table, norm)
-            # Per unique key: accumulated merge deltas (newest first) until a
-            # base record resolves it, mirroring get()'s layered resolution.
-            pending: dict[bytes, list[Any]] = {fk: [] for fk in full_by_norm.values()}
-            resolved: dict[bytes, Any] = {}
-            unresolved = set(pending)
+            # Per unique key: its records, newest first, gathered layer by
+            # layer until a base write closes the history, as in get().
+            records: dict[bytes, list[tuple[int, bytes]]] = {
+                fk: [] for fk in full_by_norm.values()
+            }
+            unresolved = set(records)
             for memtable in (self._memtable, self._immutable):
                 if memtable is None or not unresolved:
                     continue
@@ -636,32 +612,10 @@ class LSMStore(KeyValueStore):
                     entry = memtable.lookup(full_key)
                     if entry is None:
                         continue
-                    deltas = pending[full_key]
-                    deltas.extend(decode_value(d) for d in reversed(entry.deltas))
-                    if entry.base_kind == BASE_PUT:
-                        base = (
-                            decode_value(entry.base_value)
-                            if entry.base_value is not None
-                            else None
-                        )
-                        resolved[full_key] = (
-                            base
-                            if not deltas
-                            else _require_op(operator).full_merge(
-                                base, list(reversed(deltas))
-                            )
-                        )
+                    records[full_key].extend(entry.records())
+                    if entry.is_self_contained():
                         unresolved.discard(full_key)
-                    elif entry.base_kind == BASE_DELETE:
-                        resolved[full_key] = (
-                            default
-                            if not deltas
-                            else _require_op(operator).full_merge(
-                                None, list(reversed(deltas))
-                            )
-                        )
-                        unresolved.discard(full_key)
-            memtable_resolved = len(resolved)
+            memtable_resolved = len(records) - len(unresolved)
             for reader in reversed(self._sstables):
                 if not unresolved:
                     break
@@ -677,33 +631,14 @@ class LSMStore(KeyValueStore):
                 candidates.sort()
                 self.metrics.bump("sstable_reads", len(candidates))
                 sstable_probes += len(candidates)
-                records = reader.get_many(candidates)
-                for full_key in candidates:
-                    record = records.get(full_key)
-                    if record is None:
-                        continue
-                    kind, raw = record
-                    deltas = pending[full_key]
-                    if kind == KIND_MERGE:
-                        deltas.append(decode_value(raw))
-                        continue
-                    base = decode_value(raw) if kind == KIND_PUT else None
-                    if not deltas:
-                        resolved[full_key] = base if kind == KIND_PUT else default
-                    else:
-                        resolved[full_key] = _require_op(operator).full_merge(
-                            base, list(reversed(deltas))
-                        )
-                    unresolved.discard(full_key)
-            for full_key in unresolved:
-                deltas = pending[full_key]
-                resolved[full_key] = (
-                    default
-                    if not deltas
-                    else _require_op(operator).full_merge(
-                        None, list(reversed(deltas))
-                    )
-                )
+                for full_key, record in reader.get_many(candidates).items():
+                    records[full_key].append(record)
+                    if record[0] != KIND_MERGE:
+                        unresolved.discard(full_key)
+            resolved = {
+                full_key: read_value(found, operator, default)
+                for full_key, found in records.items()
+            }
             if span.enabled:
                 span.add("keys", len(key_list))
                 span.add("unique_keys", len(full_by_norm))
@@ -756,39 +691,16 @@ class LSMStore(KeyValueStore):
         self, low: bytes, high: bytes | None, operator: MergeOperator | None
     ) -> Iterator[tuple[Key, Any]]:
         """Merge-scan all sources; caller holds (at least) the read lock."""
-        sources: list[Iterator[tuple[bytes, int, bytes]]] = []
-        for memtable in (self._memtable, self._immutable):
-            if memtable is None:
-                continue
-            mem_records = [
-                (key, entry)
-                for key, entry in memtable.iter_sorted()
-                if key >= low
-            ]
-            sources.append(_memtable_source(mem_records))
-        for reader in reversed(self._sstables):
-            sources.append(reader.iter_from_key(low))
-        heap: list[tuple[bytes, int, int, bytes, Iterator[tuple[bytes, int, bytes]]]] = []
-        for rank, source in enumerate(sources):
-            first = next(source, None)
-            if first is not None:
-                key, kind, value = first
-                heapq.heappush(heap, (key, rank, kind, value, source))
-        while heap:
-            key = heap[0][0]
-            if high is not None and key >= high:
-                break
-            records: list[tuple[int, bytes]] = []
-            while heap and heap[0][0] == key:
-                _, rank, kind, value, source = heapq.heappop(heap)
-                records.append((kind, value))
-                nxt = next(source, None)
-                if nxt is not None:
-                    nkey, nkind, nvalue = nxt
-                    heapq.heappush(heap, (nkey, rank, nkind, nvalue, source))
-            value_obj = _resolve_read(records, operator)
-            if value_obj is not TOMBSTONE:
-                yield decode_key(key[_TABLE_PREFIX.size :]), value_obj
+        sources: list[Iterable[tuple[bytes, int, bytes]]] = [
+            reader.iter_from_key(low) for reader in self._sstables
+        ]
+        for memtable in (self._immutable, self._memtable):
+            if memtable is not None:
+                sources.append(_memtable_source(memtable, low))
+        for key, records in group_records(sources, stop=high):
+            value = read_value(records, operator, TOMBSTONE)
+            if value is not TOMBSTONE:
+                yield decode_key(key[_TABLE_PREFIX.size :]), value
 
     # -- flush & compaction -----------------------------------------------------------
 
@@ -893,10 +805,11 @@ class LSMStore(KeyValueStore):
         try:
             with span:
                 for key, entry in sealed.iter_sorted():
-                    record = _flush_entry(entry, self._operator_for_full_key(key))
+                    record = collapse_records(
+                        entry.records(), self._operator_for_full_key(key), False
+                    )
                     if record is not None:
-                        kind, value = record
-                        writer.add(key, kind, value)
+                        writer.add(key, *record)
                 reader = writer.finish(
                     cache=self._block_cache, use_mmap=self._mmap, metrics=self.metrics
                 )
@@ -1464,101 +1377,11 @@ def _prefix_successor(prefix: bytes) -> bytes | None:
 
 
 def _memtable_source(
-    records: list[tuple[bytes, Any]]
+    memtable: Memtable, low: bytes
 ) -> Iterator[tuple[bytes, int, bytes]]:
-    """Adapt memtable entries into (key, kind, value) records for merging.
-
-    A memtable entry may carry both a base and deltas; encode it as the
-    single record an SSTable flush would have produced, except that merges
-    stay merges (resolution happens in ``_resolve_read``).
-    """
-    from repro.kvstore.memtable import BASE_ABSENT
-
-    for key, entry in records:
-        if entry.base_kind == BASE_ABSENT:
-            yield key, _MEM_MERGE_BUNDLE, encode_value([d for d in entry.deltas])
-        elif entry.base_kind == BASE_PUT:
-            yield key, _MEM_PUT_BUNDLE, encode_value(
-                [entry.base_value, [d for d in entry.deltas]]
-            )
-        elif entry.base_kind == BASE_DELETE:
-            yield key, _MEM_DELETE_BUNDLE, encode_value([d for d in entry.deltas])
-
-
-# Synthetic record kinds used only between _memtable_source and _resolve_read.
-_MEM_MERGE_BUNDLE = 100
-_MEM_PUT_BUNDLE = 101
-_MEM_DELETE_BUNDLE = 102
-
-
-def _resolve_read(
-    records_newest_first: list[tuple[int, bytes]], operator: MergeOperator | None
-) -> Any:
-    """Collapse one key's records (newest first) into a value or TOMBSTONE."""
-    pending: list[Any] = []  # newest first
-    for kind, raw in records_newest_first:
-        if kind == KIND_MERGE:
-            pending.append(decode_value(raw))
-            continue
-        if kind == _MEM_MERGE_BUNDLE:
-            deltas = [decode_value(d) for d in decode_value(raw)]
-            pending.extend(reversed(deltas))
-            continue
-        if kind == _MEM_PUT_BUNDLE:
-            base_raw, delta_raws = decode_value(raw)
-            base = decode_value(base_raw)
-            deltas = [decode_value(d) for d in delta_raws]
-            pending.extend(reversed(deltas))
-            if not pending:
-                return base
-            return _require_op(operator).full_merge(base, list(reversed(pending)))
-        if kind == _MEM_DELETE_BUNDLE:
-            deltas = [decode_value(d) for d in decode_value(raw)]
-            pending.extend(reversed(deltas))
-            if not pending:
-                return TOMBSTONE
-            return _require_op(operator).full_merge(None, list(reversed(pending)))
-        if kind == KIND_PUT:
-            base = decode_value(raw)
-            if not pending:
-                return base
-            return _require_op(operator).full_merge(base, list(reversed(pending)))
-        if kind == KIND_DELETE:
-            if not pending:
-                return TOMBSTONE
-            return _require_op(operator).full_merge(None, list(reversed(pending)))
-        raise ValueError(f"unknown record kind {kind}")
-    if not pending:
-        return TOMBSTONE
-    return _require_op(operator).full_merge(None, list(reversed(pending)))
-
-
-def _flush_entry(entry: Any, operator: MergeOperator | None) -> tuple[int, bytes] | None:
-    """Turn a memtable entry into the single SSTable record representing it."""
-    from repro.kvstore.memtable import BASE_ABSENT
-
-    if entry.base_kind == BASE_PUT:
-        base = decode_value(entry.base_value)
-        if entry.deltas:
-            deltas = [decode_value(d) for d in entry.deltas]
-            base = _require_op(operator).full_merge(base, deltas)
-        return KIND_PUT, encode_value(base)
-    if entry.base_kind == BASE_DELETE:
-        if entry.deltas:
-            deltas = [decode_value(d) for d in entry.deltas]
-            merged = _require_op(operator).full_merge(None, deltas)
-            return KIND_PUT, encode_value(merged)
-        return KIND_DELETE, b""
-    if entry.base_kind == BASE_ABSENT:
-        if not entry.deltas:
-            return None
-        deltas = [decode_value(d) for d in entry.deltas]
-        partial = _require_op(operator).partial_merge(deltas)
-        return KIND_MERGE, encode_value(partial)
-    raise ValueError(f"unknown base kind {entry.base_kind}")
-
-
-def _require_op(operator: MergeOperator | None) -> MergeOperator:
-    if operator is None:
-        raise ValueError("merge deltas present but table has no merge operator")
-    return operator
+    """A memtable's entries from ``low`` on as sorted ``(key, kind, value)``
+    records, each key's newest first (what ``group_records`` consumes)."""
+    for key, entry in memtable.iter_sorted():
+        if key >= low:
+            for kind, value in entry.records():
+                yield key, kind, value

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro.kvstore.encoding import decode_value
-from repro.kvstore.merge import MergeOperator
+from repro.kvstore.merge import MergeOperator, read_value
 from repro.kvstore.wal import KIND_DELETE, KIND_MERGE, KIND_PUT
 
 BASE_ABSENT = 0
@@ -57,6 +56,15 @@ class MemEntry:
     def is_self_contained(self) -> bool:
         """True when a read never needs older SSTables for this key."""
         return self.base_kind != BASE_ABSENT
+
+    def records(self) -> list[tuple[int, bytes]]:
+        """This entry as WAL-kind ``(kind, value)`` records, newest first."""
+        records = [(KIND_MERGE, delta) for delta in reversed(self.deltas)]
+        if self.base_kind == BASE_PUT:
+            records.append((KIND_PUT, self.base_value))
+        elif self.base_kind == BASE_DELETE:
+            records.append((KIND_DELETE, b""))
+        return records
 
 
 class Memtable:
@@ -115,23 +123,9 @@ class Memtable:
         :data:`TOMBSTONE` to distinguish deletion from a stored ``None``.
         """
         entry = self._entries.get(key)
-        if entry is None:
+        if entry is None or not entry.is_self_contained():
             return False, None
-        if not entry.is_self_contained():
-            return False, None
-        if entry.base_kind == BASE_DELETE and not entry.deltas:
-            return True, TOMBSTONE
-        base = (
-            decode_value(entry.base_value)
-            if entry.base_kind == BASE_PUT and entry.base_value is not None
-            else None
-        )
-        if not entry.deltas:
-            return True, base
-        if operator is None:
-            raise ValueError("merge deltas present but table has no merge operator")
-        deltas = [decode_value(d) for d in entry.deltas]
-        return True, operator.full_merge(base, deltas)
+        return True, read_value(entry.records(), operator, TOMBSTONE)
 
     def iter_sorted(self) -> Iterator[tuple[bytes, MemEntry]]:
         """Yield entries in key order (used by flush and scans)."""

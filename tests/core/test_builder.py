@@ -185,6 +185,49 @@ class TestIncremental:
         assert set(grouped) == {"t1", "t2"}
 
 
+class _CountingStore(InMemoryStore):
+    """Counts point ``get`` and batched ``multi_get`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.get_calls = 0
+        self.multi_get_calls = 0
+
+    def get(self, table, key, default=None):
+        self.get_calls += 1
+        return super().get(table, key, default)
+
+    def multi_get(self, table, keys, default=None):
+        self.multi_get_calls += 1
+        return super().multi_get(table, keys, default)
+
+
+class TestBatchedReads:
+    @staticmethod
+    def _incremental_update_reads(alphabet: str, traces: int):
+        store = _CountingStore()
+        builder = IndexBuilder(store)
+        ids = [f"t{n}" for n in range(traces)]
+        builder.update(EventLog.from_dict({tid: list(alphabet) for tid in ids}))
+        before = store.get_calls, store.multi_get_calls
+        builder.update(
+            [
+                Event(tid, activity, 100 + i)
+                for tid in ids
+                for i, activity in enumerate(alphabet)
+            ]
+        )
+        return store.get_calls - before[0], store.multi_get_calls - before[1]
+
+    def test_point_reads_do_not_grow_with_pairs_or_traces(self):
+        # 2 traces x 4 candidate pairs against 6 traces x 64: the incremental
+        # path reads Seq and LastChecked in one batch each, whatever the size.
+        small = self._incremental_update_reads("AB", traces=2)
+        large = self._incremental_update_reads("ABCDEFGH", traces=6)
+        assert small == large
+        assert large[1] == 2
+
+
 class TestParallelParity:
     @pytest.mark.parametrize("backend", ("thread", "process"))
     def test_parallel_equals_serial(self, paper_log, backend):

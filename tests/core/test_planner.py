@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.engine import SequenceIndex
 from repro.core.errors import EmptyPatternError
-from repro.core.model import EventLog
+from repro.core.model import Event, EventLog
 from repro.core.pairs import reference_stnm_pairs, strict_pairs
 from repro.core.policies import Policy
 
@@ -148,6 +148,22 @@ class TestPlanObject:
         assert plan.pairs == tuple(zip(pattern, pattern[1:]))
         assert plan.cardinalities == tuple(row.completions for row in stats.pairs)
         assert plan.estimated_cost == min(plan.cardinalities)
+
+    def test_count_row_cache_survives_many_generations(self):
+        # Regression: rows of dead write generations used to pile up until a
+        # 4 096-row limit cleared the cache -- after the planner had worked
+        # out which rows it was missing, so a query that found part of its
+        # rows cached then failed with KeyError.  Enough generations to pass
+        # that limit, each with a partly cached query.
+        index = self._index()
+        for generation in range(2100):
+            index.update([Event("t9", "ABC"[generation % 3], 100 + generation)])
+            index.explain(["A", "B"])  # caches the row of "A" only
+            plan = index.explain(["A", "B", "C"])  # "A" cached, "B" missing
+        stats = index.statistics(["A", "B", "C"])
+        assert plan.cardinalities == tuple(row.completions for row in stats.pairs)
+        _, rows = index.query._count_rows
+        assert set(rows) == {"A", "B"}  # one generation's rows, nothing older
 
     def test_starts_at_rarest_pair(self):
         index = self._index()
