@@ -1,13 +1,18 @@
-"""Docs lint: dead links and CLI commands that drifted from the parser.
+"""Docs lint: dead links, drifted CLI commands, undocumented format tags.
 
-Two classes of documentation rot this catches mechanically:
+Three classes of documentation rot this catches mechanically:
 
 * **dead relative links** -- every ``[text](target)`` markdown link whose
   target is a repo path must resolve from the linking file's directory;
 * **stale CLI examples** -- every ``repro <subcommand>`` invocation inside
   a fenced code block must name a subcommand the real
   :func:`repro.cli.build_parser` knows, so renaming or removing a
-  subcommand without sweeping the docs fails CI.
+  subcommand without sweeping the docs fails CI;
+* **undocumented format tags** -- every chunk-tag constant of
+  :mod:`repro.core.postings` and value-tag constant of
+  :mod:`repro.kvstore.encoding` must appear (as ``0xNN``) in the tag tables
+  of DESIGN.md's on-disk-layout section, so a new on-disk byte cannot ship
+  without its layout being written down.
 
 Runs standalone (``python -m repro.bench.docscheck``, exit 1 on findings)
 and inside tier-1 via ``tests/test_docs.py``.
@@ -107,6 +112,39 @@ def check_cli_commands(
     return findings
 
 
+#: where the on-disk tag tables live: (document, heading prefix of the section)
+TAG_TABLES = ("DESIGN.md", "## 11.")
+
+
+def format_tags() -> dict[str, int]:
+    """Every on-disk tag constant: ``{"module.NAME": byte}``."""
+    from repro.core import postings
+    from repro.kvstore import encoding
+
+    tags = {}
+    for module, prefix in ((postings, "TAG_"), (encoding, "_V_")):
+        for name, value in vars(module).items():
+            if name.startswith(prefix) and isinstance(value, int):
+                tags[f"{module.__name__}.{name}"] = value
+    return tags
+
+
+def check_format_tags(doc: str, text: str, tags: dict[str, int]) -> list[str]:
+    """Tag constants missing from the tag-table section of ``doc``."""
+    section = re.search(
+        rf"^{re.escape(TAG_TABLES[1])}.*?(?=^## |\Z)", text, re.MULTILINE | re.DOTALL
+    )
+    if section is None:
+        return [f"{doc}: no section {TAG_TABLES[1]!r} to hold the tag tables"]
+    documented = {int(tag, 16) for tag in re.findall(r"`0x([0-9A-Fa-f]{2})`", section[0])}
+    return [
+        f"{doc}: tag 0x{value:02X} ({name}) is missing from the section "
+        f"{TAG_TABLES[1]!r} tag tables"
+        for name, value in sorted(tags.items())
+        if value not in documented
+    ]
+
+
 def run_docscheck(root: str | None = None) -> list[str]:
     """All findings across the documented surface (empty means healthy)."""
     root = root or repo_root()
@@ -121,6 +159,8 @@ def run_docscheck(root: str | None = None) -> list[str]:
             text = fh.read()
         findings.extend(check_links(root, doc, text))
         findings.extend(check_cli_commands(doc, text, subcommands))
+        if doc == TAG_TABLES[0]:
+            findings.extend(check_format_tags(doc, text, format_tags()))
     return findings
 
 

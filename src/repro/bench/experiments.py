@@ -687,242 +687,6 @@ def exp_pattern_language(
     return result
 
 
-def exp_postings_compression(
-    scale: float,
-    dataset: str = "max_10000",
-    length: int = 10,
-    patterns_per_config: int = 15,
-    repeats: int = 3,
-    point_reads: int = 2000,
-) -> ExperimentResult:
-    """Ablation: postings codec x block compression x mmap reads.
-
-    Not a paper experiment.  Builds the ``dataset`` index once per storage
-    configuration -- postings delta/varint codec on/off, SSTable block
-    compression none/zlib, ``mmap`` reads on/off -- and measures bytes on
-    disk, postings decode throughput (full scan-and-splice of the Index
-    partitions), the Table 8 rare-pair query latency on the best read
-    path, and warm-cache point reads (block cache disabled, so mmap and
-    pread each serve every block physically).  Also writes a
-    ``BENCH_postings_compression.json`` perf-trajectory snapshot.
-    """
-    import json
-    import os
-    import shutil
-    import tempfile
-
-    from repro.bench.workloads import rare_pair_patterns
-    from repro.core.engine import SequenceIndex
-    from repro.core.postings import decode_index_value
-    from repro.kvstore import LSMStore
-
-    result = ExperimentResult(
-        "postings_compression",
-        f"Postings-codec/block-compression/mmap ablation ({dataset}, "
-        f"length {length})",
-        [
-            "postings codec",
-            "compression",
-            "mmap",
-            "disk bytes",
-            "ratio",
-            "decode MB/s",
-            "s per query",
-            "point read us",
-        ],
-    )
-    log = prepared_dataset(dataset, scale)
-    grid = [
-        (codec, compression, use_mmap)
-        for codec in (False, True)
-        for compression in (None, "zlib")
-        for use_mmap in (False, True)
-    ]
-    # Build every configuration first, then interleave the measurement
-    # rounds across configurations (taking the per-config minimum), so
-    # machine drift over the run hits all configurations alike instead
-    # of biasing whichever happened to run last.
-    built = []
-    try:
-        for codec, compression, use_mmap in grid:
-            workdir = tempfile.mkdtemp(prefix="repro-postings-compression-")
-            store = LSMStore(
-                workdir,
-                memtable_flush_bytes=256 * 1024,
-                compression=compression,
-                mmap=use_mmap,
-            )
-            index = SequenceIndex(
-                store, query_cache_size=0, postings_codec=codec
-            )
-            index.update(log)
-            store.flush()
-            patterns = rare_pair_patterns(
-                log, index, length=length, count=patterns_per_config
-            )
-            built.append(
-                {
-                    "codec": codec,
-                    "compression": compression,
-                    "mmap": use_mmap,
-                    "workdir": workdir,
-                    "store": store,
-                    "index": index,
-                    "patterns": patterns,
-                    "stats": store.storage_stats(),
-                    "decode_s": float("inf"),
-                    "query_s": float("inf"),
-                    "point_s": float("inf"),
-                }
-            )
-
-        def decode_all(store):
-            tables = [
-                t for t in store.list_tables() if t.split(":")[0] == "index"
-            ]
-            entries = 0
-            for table in tables:
-                for _, value in store.scan(table):
-                    entries += len(decode_index_value(value))
-            return entries
-
-        for cfg in built:  # warm-up: block cache / page cache / postings LRU
-            cfg["entries"] = decode_all(cfg["store"])
-            for pattern in cfg["patterns"]:
-                cfg["index"].detect(pattern)
-        for _ in range(max(1, repeats)):
-            for cfg in built:
-                elapsed, _ = timed(lambda s=cfg["store"]: decode_all(s))
-                cfg["decode_s"] = min(cfg["decode_s"], elapsed)
-            for cfg in built:
-                elapsed, _ = timed(
-                    lambda c=cfg: [c["index"].detect(p) for p in c["patterns"]]
-                )
-                cfg["query_s"] = min(cfg["query_s"], elapsed)
-
-        # Warm-cache point reads with the block cache off: every get
-        # physically loads its block, so this isolates mmap vs pread.
-        for cfg in built:
-            trace_ids = cfg["index"].trace_ids()
-            cfg["probes"] = [
-                trace_ids[i % len(trace_ids)] for i in range(point_reads)
-            ]
-            cfg["index"].close()
-            cfg["reopened"] = LSMStore(
-                cfg["workdir"], block_cache_bytes=0, mmap=cfg["mmap"]
-            )
-            for trace_id in cfg["probes"]:  # warm the page cache
-                cfg["reopened"].get("seq", trace_id)
-        for _ in range(5):  # min-of-5: point reads are noise-sensitive
-            for cfg in built:
-                elapsed, _ = timed(
-                    lambda c=cfg: [
-                        c["reopened"].get("seq", t) for t in c["probes"]
-                    ]
-                )
-                cfg["point_s"] = min(cfg["point_s"], elapsed)
-        for cfg in built:
-            cfg["reopened"].close()
-    finally:
-        for cfg in built:
-            shutil.rmtree(cfg["workdir"], ignore_errors=True)
-
-    configs = []
-    for cfg in built:
-        stats = cfg["stats"]
-        disk_bytes = stats["file_bytes"]
-        decode_mb_s = (
-            stats["data_bytes"] / cfg["decode_s"] / 1e6 if cfg["decode_s"] else 0.0
-        )
-        per_query = cfg["query_s"] / max(1, len(cfg["patterns"]))
-        point_us = cfg["point_s"] / max(1, point_reads) * 1e6
-        result.add(
-            "on" if cfg["codec"] else "off",
-            cfg["compression"] or "none",
-            "on" if cfg["mmap"] else "off",
-            disk_bytes,
-            stats["compression_ratio"],
-            decode_mb_s,
-            per_query,
-            point_us,
-        )
-        configs.append(
-            {
-                "postings_codec": cfg["codec"],
-                "compression": cfg["compression"] or "none",
-                "mmap": cfg["mmap"],
-                "bytes_on_disk": disk_bytes,
-                "compression_ratio": stats["compression_ratio"],
-                "index_entries": cfg["entries"],
-                "decode_mb_per_s": decode_mb_s,
-                "decode_entries_per_s": cfg["entries"] / cfg["decode_s"]
-                if cfg["decode_s"]
-                else 0.0,
-                "seconds_per_query": per_query,
-                "point_read_us": point_us,
-            }
-        )
-
-    def _pick(codec, compression, use_mmap):
-        for cfg in configs:
-            if (
-                cfg["postings_codec"] is codec
-                and cfg["compression"] == compression
-                and cfg["mmap"] is use_mmap
-            ):
-                return cfg
-        raise KeyError((codec, compression, use_mmap))
-
-    baseline = _pick(False, "none", False)
-    best_bytes = min(configs, key=lambda c: c["bytes_on_disk"])
-    packed = _pick(True, "zlib", False)
-    # mmap vs pread compared on uncompressed files: with zlib every
-    # physical load decompresses, which dwarfs the syscall difference.
-    mmap_on = _pick(True, "none", True)
-    pread = _pick(True, "none", False)
-    snapshot = {
-        "experiment": "postings_compression",
-        "dataset": dataset,
-        "scale": scale,
-        "pattern_length": length,
-        "patterns": patterns_per_config,
-        "repeats": repeats,
-        "point_reads": point_reads,
-        "baseline_bytes_on_disk": baseline["bytes_on_disk"],
-        "best_bytes_on_disk": best_bytes["bytes_on_disk"],
-        "bytes_reduction": baseline["bytes_on_disk"] / best_bytes["bytes_on_disk"]
-        if best_bytes["bytes_on_disk"]
-        else float("inf"),
-        "baseline_decode_entries_per_s": baseline["decode_entries_per_s"],
-        "packed_decode_entries_per_s": packed["decode_entries_per_s"],
-        "decode_speedup": packed["decode_entries_per_s"]
-        / baseline["decode_entries_per_s"]
-        if baseline["decode_entries_per_s"]
-        else float("inf"),
-        "baseline_seconds_per_query": baseline["seconds_per_query"],
-        "packed_seconds_per_query": packed["seconds_per_query"],
-        "mmap_point_read_us": mmap_on["point_read_us"],
-        "pread_point_read_us": pread["point_read_us"],
-        "configs": configs,
-    }
-    if os.path.exists("BENCH_query_planner.json"):
-        with open("BENCH_query_planner.json", encoding="utf-8") as fh:
-            planner = json.load(fh)
-        reference = planner.get("best_seconds_per_query")
-        if reference:
-            snapshot["planner_best_seconds_per_query"] = reference
-            snapshot["latency_vs_planner_best"] = (
-                packed["seconds_per_query"] / reference
-            )
-    with open("BENCH_postings_compression.json", "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2)
-        fh.write("\n")
-    result.note("baseline: codec off, no compression, pread")
-    result.note("point reads: block cache off, page cache warm")
-    result.note("snapshot: BENCH_postings_compression.json")
-    return result
-
-
 def exp_sharded_service(
     scale: float,
     dataset: str = "max_10000",
@@ -1385,7 +1149,6 @@ ALL_EXPERIMENTS: dict[str, Callable[[float], ExperimentResult]] = {
     "ablation_cache": exp_ablation_cache,
     "ablation_planner": exp_ablation_planner,
     "pattern_language": exp_pattern_language,
-    "postings_compression": exp_postings_compression,
     "sharded_service": exp_sharded_service,
     "leveled_compaction": exp_leveled_compaction,
 }

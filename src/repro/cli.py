@@ -35,6 +35,7 @@ from repro.core.engine import SequenceIndex
 from repro.core.errors import PatternSyntaxError
 from repro.core.pattern import parse_pattern
 from repro.core.policies import PairMethod, Policy
+from repro.core.tables import IndexTables
 from repro.executor import ParallelExecutor
 from repro.kvstore import LSMStore
 from repro.logs.csv_log import read_csv_log, write_csv_log
@@ -226,9 +227,10 @@ def _store_stats(args: argparse.Namespace) -> int:
         args.store, compression=_compression_arg(args), mmap=getattr(args, "mmap", False)
     ) as store:
         print(f"store {args.store}")
+        formats = IndexTables(store).format_stats()
         for name in sorted(store.list_tables()):
             count = sum(1 for _ in store.scan(name))
-            print(f"  {name}: {count} records")
+            print(f"  {name}: {count} records" + _format_summary(formats.get(name)))
         stats = store.storage_stats()
         print(
             f"  sstables: {len(stats['sstables'])} "
@@ -250,6 +252,20 @@ def _store_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _format_summary(formats: dict[str, dict[str, int]] | None) -> str:
+    """``" [columnar: 12 chunks/340 entries; plain: 7 entries]"`` for a list
+    table -- the migration state of its rows -- and ``""`` for any other."""
+    if not formats:
+        return ""
+    parts = [
+        f"{name}: "
+        + (f"{slot['chunks']} chunks/" if slot["chunks"] else "")
+        + f"{slot['entries']} entries"
+        for name, slot in sorted(formats.items())
+    ]
+    return f" [{'; '.join(parts)}]"
+
+
 def _sharded_store_stats(args: argparse.Namespace) -> int:
     """Aggregate storage accounting across every shard of a sharded store."""
     with _open_index(args) as index:
@@ -268,6 +284,8 @@ def _sharded_store_stats(args: argparse.Namespace) -> int:
             f"  totals: {totals['sstables']} sstables, "
             f"{totals['records']} records"
         )
+        for name, formats in sorted(index.format_stats().items()):
+            print(f"  {name} formats:{_format_summary(formats)}")
         print(
             f"  raw bytes: {totals['raw_data_bytes']}  "
             f"on-disk bytes: {totals['data_bytes']}  "

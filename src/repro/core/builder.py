@@ -55,7 +55,8 @@ class _TraceWork:
     """Input to the per-trace pair computation (picklable for process pools)."""
 
     trace_id: str
-    old_seq: SeqList
+    old_activities: list[str]
+    old_stamps: list[float]
     new_seq: SeqList
     last_checked: dict[tuple[str, str], float] = field(default_factory=dict)
 
@@ -64,23 +65,22 @@ def _compute_trace_pairs(
     work: _TraceWork, method: PairMethod
 ) -> tuple[str, PairDict]:
     """Pure per-trace pair creation (Algorithm 1 lines 5-13)."""
-    if not work.old_seq:
-        activities = [activity for activity, _ in work.new_seq]
-        timestamps = [ts for _, ts in work.new_seq]
+    activities = [activity for activity, _ in work.new_seq]
+    timestamps = [ts for _, ts in work.new_seq]
+    if not work.old_activities:
         return work.trace_id, create_pairs(activities, timestamps, method)
     if method is PairMethod.STRICT:
         # SC pairs gained by the batch: the boundary pair plus consecutive
         # new pairs.  LastChecked is not needed -- adjacency is local.
         pairs: PairDict = {}
-        boundary = [work.old_seq[-1]] + work.new_seq
+        boundary = [(work.old_activities[-1], work.old_stamps[-1])] + work.new_seq
         for (act_a, ts_a), (act_b, ts_b) in zip(boundary, boundary[1:]):
             pairs.setdefault((act_a, act_b), []).append((ts_a, ts_b))
         return work.trace_id, pairs
-    full_seq = work.old_seq + work.new_seq
     occurrences = occurrence_lists(
-        [activity for activity, _ in full_seq], [ts for _, ts in full_seq]
+        work.old_activities + activities, work.old_stamps + timestamps
     )
-    new_types = {activity for activity, _ in work.new_seq}
+    new_types = set(activities)
     all_types = set(occurrences)
     pairs = {}
     for a in all_types:
@@ -277,21 +277,23 @@ class IndexBuilder:
         # Per work item, the pairs that can gain matches from this batch.
         candidates: list[list[tuple[str, str]]] = []
         old_seqs = self.tables.get_sequences(list(batches))
-        for (trace_id, new_seq), old_seq in zip(batches.items(), old_seqs):
-            if old_seq and new_seq[0][1] <= old_seq[-1][1]:
+        for (trace_id, new_seq), (old_activities, old_stamps) in zip(
+            batches.items(), old_seqs
+        ):
+            if old_stamps and new_seq[0][1] <= old_stamps[-1]:
                 raise TraceOrderError(
                     f"trace {trace_id!r}: new events start at {new_seq[0][1]!r} "
-                    f"but the indexed sequence already ends at {old_seq[-1][1]!r}"
+                    f"but the indexed sequence already ends at {old_stamps[-1]!r}"
                 )
             stats.traces_seen += 1
-            if not old_seq:
+            if not old_stamps:
                 stats.new_traces += 1
             stats.events_indexed += len(new_seq)
-            work_items.append(_TraceWork(trace_id, old_seq, new_seq))
+            work_items.append(_TraceWork(trace_id, old_activities, old_stamps, new_seq))
             pairs: list[tuple[str, str]] = []
-            if old_seq and self.method is not PairMethod.STRICT:
+            if old_stamps and self.method is not PairMethod.STRICT:
                 new_types = {activity for activity, _ in new_seq}
-                all_types = {activity for activity, _ in old_seq} | new_types
+                all_types = set(old_activities) | new_types
                 pairs = [
                     (a, b)
                     for a in all_types

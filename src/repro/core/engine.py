@@ -60,15 +60,13 @@ class SequenceIndex:
     of the LRU.  Set ``query_cache_size=0`` to disable.
 
     A second, lower-level **decoded-postings cache** memoizes per-pair
-    posting lists after decode/group (keyed by ``(generation, partition,
-    pair)``), so repeated detections sharing pairs skip re-decoding even
-    when the full query differs.  Set ``postings_cache_size=0`` to disable.
+    :class:`~repro.core.postings.Postings` (keyed by ``(generation,
+    partition, pair)``), so repeated detections sharing pairs skip the store
+    read and the chunk-dictionary parse even when the full query differs.
+    Set ``postings_cache_size=0`` to disable.
     ``planner`` and ``batched_reads`` toggle the selectivity-driven join
     reordering and the batched ``multi_get`` read path; both exist for the
     planner ablation benchmark and should stay on otherwise.
-    ``postings_codec`` toggles the delta/varint packing of new Index
-    writes (:mod:`repro.core.postings`); reads always understand both
-    formats, and decode happens once per postings-cache fill either way.
 
     Every query API call is timed; with ``slow_query_threshold`` set (in
     seconds, or via the ``REPRO_SLOW_QUERY_MS`` environment variable) calls
@@ -90,14 +88,12 @@ class SequenceIndex:
         sequence_cache_size: int = 256,
         planner: bool = True,
         batched_reads: bool = True,
-        postings_codec: bool = True,
         slow_query_threshold: float | None = None,
     ) -> None:
         self.store = store if store is not None else InMemoryStore()
         self.builder = IndexBuilder(self.store, policy, method, executor)
         self.tables = self.builder.tables
         self.tables.batched_reads = batched_reads
-        self.tables.postings_codec = postings_codec
         self._postings_cache = (
             LRUCache(postings_cache_size) if postings_cache_size > 0 else None
         )
@@ -241,9 +237,8 @@ class SequenceIndex:
         the generation bump happens after the mutation.
         """
         try:
-            seq = self.tables.get_sequence(trace_id)
-            alphabet = {activity for activity, _ in seq}
-            self.tables.prune_trace(trace_id, alphabet)
+            activities, _ = self.tables.get_sequence(trace_id)
+            self.tables.prune_trace(trace_id, set(activities))
         finally:
             self._generation += 1
 
@@ -543,7 +538,7 @@ class SequenceIndex:
 
     def get_trace(self, trace_id: str) -> list[tuple[str, float]]:
         """The indexed ``(activity, timestamp)`` sequence of one trace."""
-        return self.tables.get_sequence(trace_id)
+        return list(zip(*self.tables.get_sequence(trace_id)))
 
     def indexed_tail(self, trace_id: str) -> float | None:
         """Timestamp of the trace's last indexed event (``None`` if unknown).
@@ -553,8 +548,7 @@ class SequenceIndex:
         pruned via :meth:`prune_trace` reads as unknown again, matching the
         builder's refusal to append to pruned traces.
         """
-        seq = self.tables.get_sequence(trace_id)
-        return seq[-1][1] if seq else None
+        return self.tables.get_sequence_tail(trace_id)
 
     def top_pairs(self, k: int = 10) -> list[tuple[tuple[str, str], int]]:
         """The ``k`` most frequent event pairs, from the Count table.

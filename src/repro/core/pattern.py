@@ -54,6 +54,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from repro.core.errors import PatternSyntaxError
@@ -104,7 +105,9 @@ class Pattern:
     """A composite sequence pattern with an optional WITHIN window.
 
     Hashable (frozen, tuple fields), so patterns key the engine's
-    query-result cache exactly like plain activity tuples do.
+    query-result cache exactly like plain activity tuples do.  The derived
+    views below are computed once per pattern (``cached_property`` writes to
+    the instance ``__dict__``, which neither hash nor equality look at).
     """
 
     elements: tuple[PatternElement, ...]
@@ -126,12 +129,12 @@ class Pattern:
         """Build from element strings: ``Pattern.of("A", "!B", "(C|D)+")``."""
         return cls(tuple(_parse_element(raw) for raw in elements), within)
 
-    @property
+    @cached_property
     def positive_indices(self) -> tuple[int, ...]:
         """Indices of the non-negated elements, in pattern order."""
         return tuple(i for i, e in enumerate(self.elements) if not e.negated)
 
-    @property
+    @cached_property
     def has_operators(self) -> bool:
         """True when any element uses alternation, Kleene or negation."""
         return any(
@@ -143,9 +146,8 @@ class Pattern:
         """True for a bare sequence: no operators and no window."""
         return not self.has_operators and self.within is None
 
-    def negation_scopes(self) -> tuple[tuple[int, int, int | None], ...]:
-        """``(element_index, prev_positive_ordinal, next_positive_ordinal)``
-        per negated element; ``next`` is ``None`` for trailing negations."""
+    @cached_property
+    def _negation_scopes(self) -> tuple[tuple[int, int, int | None], ...]:
         positives = self.positive_indices
         scopes: list[tuple[int, int, int | None]] = []
         for i, elem in enumerate(self.elements):
@@ -155,6 +157,11 @@ class Pattern:
             following = [j for j, p in enumerate(positives) if p > i]
             scopes.append((i, prev_ord, following[0] if following else None))
         return tuple(scopes)
+
+    def negation_scopes(self) -> tuple[tuple[int, int, int | None], ...]:
+        """``(element_index, prev_positive_ordinal, next_positive_ordinal)``
+        per negated element; ``next`` is ``None`` for trailing negations."""
+        return self._negation_scopes
 
     def activities(self) -> tuple[str, ...]:
         """The flat activity list of a plain pattern."""

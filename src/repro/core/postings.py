@@ -1,82 +1,117 @@
-"""Delta/varint codec for Index-table postings lists.
+"""Columnar chunk codec for the two list tables: Index postings and Seq rows.
 
-Postings -- the ``(trace_id, ts_a, ts_b)`` rows of the paper's Index table
--- dominate bytes on disk: the generic value encoding spends a tag plus a
-full-width payload per field, while the rows themselves are highly
-regular (few distinct trace ids, timestamps clustered per trace, ``ts_b``
-near ``ts_a``).  This module packs one batch of rows into a single
-*chunk*: a trace-id dictionary followed by per-entry varints holding the
-trace index, the delta of ``ts_a`` against the previous ``ts_a`` of the
-same trace, and ``ts_b - ts_a``.  Signed deltas use zigzag coding so
-small negative gaps stay small; unsigned varints are LEB128.
+Both tables hold ``list_append``-merged values, and both are regular: an
+Index row is ``(trace_id, ts_a, ts_b)`` with few distinct trace ids and
+``ts_b`` near ``ts_a``; a Seq row is ``(activity, ts)`` with few distinct
+activities.  One append batch becomes one *chunk*, a ``bytes`` item of the
+stored list: an id dictionary plus fixed-width columns, so a chunk decodes
+with one ``str.split`` and a ``struct.unpack_from`` per column -- no
+Python-level loop per byte or per field -- and its dictionary alone answers
+"which traces does this chunk mention".
 
-Chunks are *versioned by a leading format tag* and stored as ``bytes``
-items inside the Index value, which is merged with ``list_append`` --
-exactly like the legacy tuple entries.  A store can therefore hold a mix
-of legacy entry lists and encoded chunks (old stores keep opening, new
-writes append chunks), and :func:`decode_index_value` transparently
-splices both back into plain tuples.
+Chunk layout (tags ``0x04`` POSTINGS and ``0x05`` SEQUENCE)::
 
-Format tags
------------
+    u8       tag
+    u8       packed: bits 0-1 index mode (0 = identity: row i uses id i,
+             no index column; 1/2/3 = u8/u16/u32 index column),
+             bits 2-3 width code of column 1, bits 4-5 width code of
+             column 2 (codes 0-3 = 1/2/4/8 bytes; 0 when absent),
+             bits 6-7 timestamp kind (0 INT, 1 INTFLOAT, 2 FLOAT)
+    uvarint  n, the number of rows
+    uvarint  byte length of the id dictionary
+    uvarint  zigzag(base), base = min of column 1     (kinds INT, INTFLOAT)
+    ids              the distinct ids in first-appearance order, utf-8,
+                     joined by ``0x00``
+    n x u8/u16/u32   index column          (index mode != 0 only)
+    n x column 1     ``ts_a`` / ``ts`` minus base, unsigned little-endian
+    n x column 2     ``ts_b - ts_a``, signed little-endian  (POSTINGS only)
 
-``0x00`` RAW
-    Fallback: payload is the generic value encoding of the entry list.
-    Chosen whenever the rows do not fit a compact format (non-string
-    trace ids, exotic timestamp types); guarantees exact round-trips for
-    *any* input, so the codec never silently alters data.
-``0x01`` INT
-    All timestamps are Python ints; deltas round-trip exactly at any
-    magnitude (LEB128 is unbounded, so ``2**63 - 1`` is not special).
-``0x02`` INTFLOAT
-    All timestamps are integral floats with ``|v| <= 2**53``; stored as
-    int deltas, decoded back to ``float``.
-``0x03`` FLOAT
-    All timestamps are floats; trace-dictionary header plus raw IEEE-754
-    doubles (no delta coding -- exact for every double, including
-    non-finite values).
+The header fixes the length of everything after it, and a decoder accepts a
+chunk only at exactly that length.
 
-Decoding is strict: a truncated varint, an unknown tag or trailing bytes
-raise :class:`CorruptPostingsError` -- corrupt input is never decoded
-into silently wrong rows.
+Kind FLOAT stores raw little-endian doubles (``ts_b`` itself in column 2,
+width codes 0): exact for every double, non-finite included.  INTFLOAT is
+for integral floats with ``|v| <= 2**53``, stored as ints and decoded back
+to ``float``.  Rows that fit no kind -- non-``str`` ids, ids holding
+``U+0000``, bool or mixed timestamps, ints whose offsets leave 64 bits --
+are never altered: a postings batch falls back to a ``0x00`` RAW chunk (the
+generic value encoding of the rows) and a Seq batch to plain ``(activity,
+ts)`` items.
+
+Read compatibility: the varint chunk tags ``0x01``-``0x03`` written before
+this layout, RAW chunks, legacy tuple entries and plain Seq items all keep
+decoding, in any mix inside one stored value; only the layouts above are
+written.  Decoding is strict: a truncated chunk, a bad width or kind, an
+index past the dictionary or trailing bytes raise
+:class:`CorruptPostingsError`, never a wrong row.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
+from operator import add, sub
+from typing import Iterable, Iterator
 
 from repro.kvstore.encoding import decode_value, encode_value
 
 __all__ = [
     "CorruptPostingsError",
+    "Postings",
     "encode_postings",
     "decode_postings",
-    "decode_index_value",
+    "encode_sequence",
+    "decode_sequence",
+    "item_formats",
 ]
 
 TAG_RAW = 0x00
-TAG_INT = 0x01
+TAG_INT = 0x01  # varint layouts: read-only
 TAG_INTFLOAT = 0x02
 TAG_FLOAT = 0x03
+TAG_POSTINGS = 0x04
+TAG_SEQUENCE = 0x05
+
+KIND_INT = 0
+KIND_INTFLOAT = 1
+KIND_FLOAT = 2
 
 #: largest integer a float holds exactly; beyond it INTFLOAT would round
 _MAX_EXACT_FLOAT = 2**53
 
-_F64 = struct.Struct(">d")
+_UNSIGNED = "BHIQ"
+_SIGNED = "bhiq"
+_INDEX_WIDTH = (0, 1, 2, 4)
+#: bytes a column value needs (0-8) -> width code
+_CODE_OF_BYTES = (0, 0, 1, 2, 2, 3, 3, 3, 3)
+
+
+@lru_cache(maxsize=4096)
+def _column(n: int, code: str) -> struct.Struct:
+    """The packer of one ``n``-row little-endian column."""
+    return struct.Struct(f"<{n}{code}")
+
+Completions = list[tuple[float, float]]
+
+#: what a chunk arrives as (the store hands out ``bytes``)
+_CHUNK_TYPES = (bytes, bytearray, memoryview)
 
 
 class CorruptPostingsError(Exception):
-    """An encoded postings chunk failed to decode (truncated or corrupt)."""
+    """An encoded chunk failed to decode (truncated or corrupt)."""
 
 
 # -- varint primitives -----------------------------------------------------
 
 
-def _write_uvarint(out: bytearray, value: int) -> None:
-    while value > 0x7F:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
+def _uvarints(*values: int) -> bytearray:
+    out = bytearray()
+    for value in values:
+        while value > 0x7F:
+            out.append((value & 0x7F) | 0x80)
+            value >>= 7
+        out.append(value)
+    return out
 
 
 def _read_uvarint(buf, pos: int) -> tuple[int, int]:
@@ -85,7 +120,7 @@ def _read_uvarint(buf, pos: int) -> tuple[int, int]:
     total = len(buf)
     while True:
         if pos >= total:
-            raise CorruptPostingsError("truncated varint in postings chunk")
+            raise CorruptPostingsError("truncated varint in chunk")
         byte = buf[pos]
         pos += 1
         result |= (byte & 0x7F) << shift
@@ -93,96 +128,220 @@ def _read_uvarint(buf, pos: int) -> tuple[int, int]:
             return result, pos
         shift += 7
         if shift > 70:  # > 10 continuation bytes: corrupt, not just large
-            raise CorruptPostingsError("overlong varint in postings chunk")
-
-
-def _zigzag(value: int) -> int:
-    return (value << 1) if value >= 0 else ((-value << 1) - 1)
+            raise CorruptPostingsError("overlong varint in chunk")
 
 
 def _unzigzag(value: int) -> int:
     return (value >> 1) if not value & 1 else -((value + 1) >> 1)
 
 
-# -- format selection ------------------------------------------------------
-
-
-def _pick_format(entries: list) -> int:
-    """Choose the tightest tag that round-trips ``entries`` exactly."""
-    all_int = True
-    all_float = True
-    all_integral_float = True
-    for entry in entries:
-        if len(entry) != 3 or type(entry[0]) is not str:
-            return TAG_RAW
-        for ts in (entry[1], entry[2]):
-            kind = type(ts)
-            if kind is int:
-                all_float = all_integral_float = False
-            elif kind is float:
-                all_int = False
-                if not (ts == int(ts) if -_MAX_EXACT_FLOAT <= ts <= _MAX_EXACT_FLOAT else False):
-                    all_integral_float = False
-            else:
-                return TAG_RAW
-    if all_int:
-        return TAG_INT
-    if all_integral_float:
-        return TAG_INTFLOAT
-    if all_float:
-        return TAG_FLOAT
-    return TAG_RAW  # mixed int/float: preserve per-field types exactly
-
-
 # -- encode ----------------------------------------------------------------
+
+
+def _unsigned_code(maximum: int) -> int | None:
+    """Width code of an unsigned column whose largest value is ``maximum``."""
+    size = (maximum.bit_length() + 7) >> 3
+    return _CODE_OF_BYTES[size] if size <= 8 else None
+
+
+def _signed_code(low: int, high: int) -> int | None:
+    """Width code of a two's-complement column spanning ``low..high``."""
+    bits = max((~low if low < 0 else low).bit_length(), (~high if high < 0 else high).bit_length())
+    size = (bits + 8) >> 3  # one more bit for the sign
+    return _CODE_OF_BYTES[size] if size <= 8 else None
+
+
+def _timestamp_kind(stamps: tuple) -> int | None:
+    """The tightest kind that round-trips every timestamp, type included."""
+    types = set(map(type, stamps))
+    if types == {int}:
+        return KIND_INT
+    if types != {float}:
+        return None  # bool, mixed int/float, anything exotic
+    if (
+        all(map(float.is_integer, stamps))  # false for every non-finite value
+        and -_MAX_EXACT_FLOAT <= min(stamps)
+        and max(stamps) <= _MAX_EXACT_FLOAT
+    ):
+        return KIND_INTFLOAT
+    return KIND_FLOAT
+
+
+def _encode_chunk(tag: int, ids: tuple, first: tuple, second: tuple | None) -> bytes | None:
+    """One columnar chunk, or ``None`` when the rows do not fit the layout."""
+    n = len(ids)
+    kind = _timestamp_kind(first if second is None else first + second)
+    if kind is None or set(map(type, ids)) != {str}:
+        return None
+    dictionary = dict.fromkeys(ids)
+    joined = "\x00".join(dictionary)
+    if joined.count("\x00") != len(dictionary) - 1:
+        return None  # an id holds the separator
+    blob = joined.encode("utf-8")
+    index_mode = 0
+    index_column = b""
+    if len(dictionary) != n:
+        index_mode = 1 + _unsigned_code(len(dictionary) - 1)
+        if index_mode > 3:
+            return None
+        position = {key: i for i, key in enumerate(dictionary)}
+        index_column = _column(n, _UNSIGNED[index_mode - 1]).pack(
+            *map(position.__getitem__, ids)
+        )
+    if kind == KIND_FLOAT:
+        header = _uvarints(n, len(blob))
+        code_first = code_second = 0
+        columns = _column(n, "d").pack(*first)
+        if second is not None:
+            columns += _column(n, "d").pack(*second)
+    else:
+        if kind == KIND_INTFLOAT:
+            first = tuple(map(int, first))
+            second = tuple(map(int, second)) if second is not None else None
+        base = min(first)
+        if not -(1 << 63) <= base < 1 << 63:
+            return None
+        offsets = [ts - base for ts in first] if base else first
+        code_first = _unsigned_code(max(offsets))
+        if code_first is None:
+            return None
+        header = _uvarints(n, len(blob), (base << 1) if base >= 0 else ((-base << 1) - 1))
+        columns = _column(n, _UNSIGNED[code_first]).pack(*offsets)
+        code_second = 0
+        if second is not None:
+            deltas = tuple(map(sub, second, first))
+            code_second = _signed_code(min(deltas), max(deltas))
+            if code_second is None:
+                return None
+            columns += _column(n, _SIGNED[code_second]).pack(*deltas)
+    packed = index_mode | code_first << 2 | code_second << 4 | kind << 6
+    return b"".join((bytes((tag, packed)), header, blob, index_column, columns))
+
+
+def _columns(rows: list, width: int) -> tuple | None:
+    """``rows`` transposed into ``width`` columns; ``None`` when ragged/empty."""
+    try:
+        columns = tuple(zip(*rows, strict=True))
+    except ValueError:
+        return None
+    return columns if len(columns) == width else None
 
 
 def encode_postings(entries: list) -> bytes:
     """Encode one batch of ``(trace_id, ts_a, ts_b)`` rows into a chunk.
 
-    Entry order is preserved exactly; ``decode_postings`` returns the same
-    rows (as tuples) in the same order, whatever the input types were.
+    Row order and every field's type survive the round trip; rows the
+    columnar layout cannot hold exactly go into a RAW chunk instead.
     """
-    entries = [tuple(entry) for entry in entries]
-    tag = _pick_format(entries)
-    if tag == TAG_RAW:
+    columns = _columns(entries, 3)
+    chunk = _encode_chunk(TAG_POSTINGS, *columns) if columns is not None else None
+    if chunk is None:
         return bytes((TAG_RAW,)) + encode_value([list(entry) for entry in entries])
-    out = bytearray((tag,))
-    # trace dictionary, in first-appearance order
-    trace_ids: dict[str, int] = {}
-    for trace_id, _, _ in entries:
-        if trace_id not in trace_ids:
-            trace_ids[trace_id] = len(trace_ids)
-    _write_uvarint(out, len(entries))
-    _write_uvarint(out, len(trace_ids))
-    for trace_id in trace_ids:
-        raw = trace_id.encode("utf-8")
-        _write_uvarint(out, len(raw))
-        out.extend(raw)
-    if tag == TAG_FLOAT:
-        for trace_id, ts_a, ts_b in entries:
-            _write_uvarint(out, trace_ids[trace_id])
-            out.extend(_F64.pack(ts_a))
-            out.extend(_F64.pack(ts_b))
-        return bytes(out)
-    prev_a = [0] * len(trace_ids)  # per-trace ts_a predictor
-    for trace_id, ts_a, ts_b in entries:
-        idx = trace_ids[trace_id]
-        int_a, int_b = int(ts_a), int(ts_b)
-        _write_uvarint(out, idx)
-        _write_uvarint(out, _zigzag(int_a - prev_a[idx]))
-        _write_uvarint(out, _zigzag(int_b - int_a))
-        prev_a[idx] = int_a
-    return bytes(out)
+    return chunk
+
+
+def encode_sequence(events: list) -> list:
+    """The Seq-table merge delta for one batch of ``(activity, ts)`` events:
+    a one-chunk list, or the events themselves when they fit no chunk.
+
+    A single event stays itself too: a one-row chunk is no smaller than the
+    plain item and costs twice as much to write and to read back, and a
+    streamed trace arrives as mostly such batches.
+    """
+    if len(events) < 2:
+        return events
+    columns = _columns(events, 2)
+    chunk = _encode_chunk(TAG_SEQUENCE, *columns, None) if columns is not None else None
+    return [chunk] if chunk is not None else events
 
 
 # -- decode ----------------------------------------------------------------
 
 
-def decode_postings(chunk) -> list[tuple]:
-    """Decode one chunk back to its exact ``(trace_id, ts_a, ts_b)`` rows."""
-    if not len(chunk):
-        raise CorruptPostingsError("empty postings chunk")
+def _open_chunk(chunk) -> tuple[list[str], int, int, int, int]:
+    """Parse a columnar chunk's header and dictionary, validating its length.
+
+    Returns ``(ids, n, packed, base, pos)`` with ``pos`` the offset of the
+    first column; after this every column read is known to be in bounds.
+    """
+    try:
+        packed = chunk[1]
+        n = chunk[2]
+        pos = 3
+        if n > 0x7F:
+            n, pos = _read_uvarint(chunk, 2)
+        ids_len = chunk[pos]
+        pos += 1
+        if ids_len > 0x7F:
+            ids_len, pos = _read_uvarint(chunk, pos - 1)
+        kind = packed >> 6
+        base = 0
+        if kind == KIND_FLOAT:
+            if packed & 0x3C:
+                raise CorruptPostingsError("float chunk with integer widths")
+            row_width = 8 if chunk[0] == TAG_SEQUENCE else 16
+        elif kind > KIND_FLOAT:
+            raise CorruptPostingsError(f"unknown timestamp kind {kind}")
+        else:
+            base = chunk[pos]
+            pos += 1
+            if base > 0x7F:
+                base, pos = _read_uvarint(chunk, pos - 1)
+            base = _unzigzag(base)
+            row_width = 1 << (packed >> 2 & 3)
+            if chunk[0] == TAG_POSTINGS:
+                row_width += 1 << (packed >> 4 & 3)
+            elif packed & 0x30:
+                raise CorruptPostingsError("sequence chunk with a second column")
+    except IndexError:
+        raise CorruptPostingsError("truncated chunk header") from None
+    columns = pos + ids_len
+    if columns + n * (_INDEX_WIDTH[packed & 3] + row_width) != len(chunk):
+        raise CorruptPostingsError("chunk length does not match its header")
+    if not n and ids_len:
+        raise CorruptPostingsError("chunk without rows holds a dictionary")
+    try:
+        ids = str(chunk[pos:columns], "utf-8").split("\x00") if n else []
+    except UnicodeDecodeError as exc:
+        raise CorruptPostingsError(f"corrupt id dictionary: {exc}") from None
+    if not packed & 3 and len(ids) != n:
+        raise CorruptPostingsError(
+            f"chunk holds {n} rows but its dictionary {len(ids)} ids"
+        )
+    return ids, n, packed, base, columns
+
+
+def _read_columns(chunk, n: int, packed: int, base: int, pos: int, n_ids: int):
+    """``(index column or None, column 1, column 2 or None)`` as decoded values."""
+    index_mode = packed & 3
+    index = None
+    if index_mode:
+        index = _column(n, _UNSIGNED[index_mode - 1]).unpack_from(chunk, pos)
+        pos += n * _INDEX_WIDTH[index_mode]
+        if n and max(index) >= n_ids:
+            raise CorruptPostingsError("dictionary index out of range in chunk")
+    paired = chunk[0] == TAG_POSTINGS
+    kind = packed >> 6
+    if kind == KIND_FLOAT:
+        first = _column(n, "d").unpack_from(chunk, pos)
+        second = _column(n, "d").unpack_from(chunk, pos + 8 * n) if paired else None
+        return index, first, second
+    code = packed >> 2 & 3
+    first = _column(n, _UNSIGNED[code]).unpack_from(chunk, pos)
+    if base:
+        first = [base + offset for offset in first]
+    second = None
+    if paired:
+        deltas = _column(n, _SIGNED[packed >> 4 & 3]).unpack_from(chunk, pos + (n << code))
+        second = map(add, first, deltas)
+    if kind == KIND_INTFLOAT:
+        first = list(map(float, first))
+        second = map(float, second) if paired else None
+    return index, first, second
+
+
+def _decode_older_rows(chunk) -> list[tuple]:
+    """Rows of a chunk in one of the read-only layouts (tags ``0x00``-``0x03``)."""
     tag = chunk[0]
     if tag == TAG_RAW:
         try:
@@ -210,7 +369,7 @@ def decode_postings(chunk) -> list[tuple]:
         pos += length
     entries: list[tuple] = []
     if tag == TAG_FLOAT:
-        unpack = _F64.unpack_from
+        unpack = struct.Struct(">d").unpack_from
         for _ in range(n_entries):
             idx, pos = _read_uvarint(chunk, pos)
             if idx >= n_traces:
@@ -242,17 +401,135 @@ def decode_postings(chunk) -> list[tuple]:
     return entries
 
 
-def decode_index_value(raw: list) -> list[tuple]:
-    """Splice a stored Index value into plain entry tuples.
+class Postings:
+    """One pair's stored Index value, decoded on demand.
 
-    The value is a ``list_append``-merged list whose items are either
-    legacy entries (lists/tuples, pre-codec stores) or encoded chunks
-    (``bytes``); both decode to the same tuples, preserving order.
+    ``items`` is the ``list_append``-merged value as stored (several
+    partitions' values concatenated when a read unions them): columnar
+    chunks, and whatever older formats the row still holds.  Opening parses
+    chunk headers and dictionaries only; :meth:`trace_ids` answers from
+    those, and :meth:`grouped` unpacks the columns of just the chunks that
+    mention a wanted trace.  The decoded-postings LRU holds these objects,
+    so a hot pair pays the store read and the dictionary parse once.
     """
-    entries: list[tuple] = []
-    for item in raw:
-        if isinstance(item, (bytes, bytearray)):
-            entries.extend(decode_postings(item))
+
+    __slots__ = ("entries", "_chunks", "_older")
+
+    def __init__(self, items: Iterable) -> None:
+        #: number of ``(trace_id, ts_a, ts_b)`` rows in the value
+        self.entries = 0
+        # (ids as a set, ids in order, chunk, n, packed, base, column offset)
+        self._chunks: list[tuple] = []
+        # rows of every older format, already grouped (order is not needed:
+        # each trace's completions are sorted on the way out)
+        self._older: dict[str, Completions] = {}
+        for item in items:
+            if isinstance(item, _CHUNK_TYPES):
+                if not len(item):
+                    raise CorruptPostingsError("empty postings chunk")
+                if item[0] == TAG_POSTINGS:
+                    ids, n, packed, base, pos = _open_chunk(item)
+                    self._chunks.append((frozenset(ids), ids, item, n, packed, base, pos))
+                    self.entries += n
+                    continue
+                rows = _decode_older_rows(item)
+            else:
+                rows = (item,)
+            try:
+                for trace_id, ts_a, ts_b in rows:
+                    self._older.setdefault(trace_id, []).append((ts_a, ts_b))
+            except (TypeError, ValueError):
+                raise CorruptPostingsError("index entry is not a 3-tuple") from None
+            self.entries += len(rows)
+
+    def trace_ids(self) -> set[str]:
+        """Every trace with at least one completion, from dictionaries alone."""
+        traces = set(self._older)
+        for chunk in self._chunks:
+            traces |= chunk[0]
+        return traces
+
+    def grouped(self, restrict: set[str] | None = None) -> dict[str, Completions]:
+        """``{trace_id: [(ts_a, ts_b), ...]}``, each trace's list time-ordered.
+
+        With ``restrict`` only those traces are grouped, and a chunk whose
+        dictionary shares no id with it is skipped without touching its
+        columns.  Every call builds fresh lists.
+        """
+        grouped: dict[str, Completions] = {}
+        for id_set, ids, chunk, n, packed, base, pos in self._chunks:
+            if restrict is not None and restrict.isdisjoint(id_set):
+                continue
+            index, ts_a, ts_b = _read_columns(chunk, n, packed, base, pos, len(ids))
+            if index is not None:
+                ids = map(ids.__getitem__, index)
+            for trace_id, completion in zip(ids, zip(ts_a, ts_b)):
+                if restrict is None or trace_id in restrict:
+                    completions = grouped.get(trace_id)
+                    if completions is None:
+                        grouped[trace_id] = [completion]
+                    else:
+                        completions.append(completion)
+        for trace_id, completions in self._older.items():
+            if restrict is None or trace_id in restrict:
+                grouped.setdefault(trace_id, []).extend(completions)
+        for completions in grouped.values():
+            if len(completions) > 1:
+                completions.sort()
+        return grouped
+
+    def rows(self) -> list[tuple[str, float, float]]:
+        """Flat ``(trace_id, ts_a, ts_b)`` rows, in :meth:`grouped` order."""
+        return [
+            (trace_id, ts_a, ts_b)
+            for trace_id, completions in self.grouped().items()
+            for ts_a, ts_b in completions
+        ]
+
+
+def decode_postings(chunk) -> dict[str, Completions]:
+    """One chunk of any layout, decoded to the per-trace grouped form."""
+    return Postings((chunk,)).grouped()
+
+
+def decode_sequence(items: Iterable) -> tuple[list[str], list[float]]:
+    """A stored Seq value as ``(activities, timestamps)`` columns.
+
+    ``items`` mixes SEQUENCE chunks with plain ``(activity, ts)`` items (rows
+    written before the chunk layout, or batches that fit no chunk).
+    """
+    activities: list[str] = []
+    stamps: list[float] = []
+    for item in items:
+        if isinstance(item, _CHUNK_TYPES):
+            if not len(item) or item[0] != TAG_SEQUENCE:
+                raise CorruptPostingsError("not a sequence chunk")
+            ids, n, packed, base, pos = _open_chunk(item)
+            index, ts, _ = _read_columns(item, n, packed, base, pos, len(ids))
+            activities.extend(ids if index is None else map(ids.__getitem__, index))
+            stamps.extend(ts)
         else:
-            entries.append(tuple(item))
-    return entries
+            try:
+                activity, ts = item
+            except (TypeError, ValueError):
+                raise CorruptPostingsError("sequence item is not a pair") from None
+            activities.append(activity)
+            stamps.append(ts)
+    return activities, stamps
+
+
+def item_formats(items: Iterable) -> Iterator[tuple[str, int]]:
+    """``(format name, rows held)`` of every item of a stored list value.
+
+    Names: ``columnar``, ``varint``, ``raw`` for chunks, ``plain`` for an
+    item that is itself one row (a legacy Index tuple, a generic Seq event).
+    """
+    for item in items:
+        if not isinstance(item, _CHUNK_TYPES):
+            yield "plain", 1
+        elif len(item) and item[0] in (TAG_POSTINGS, TAG_SEQUENCE):
+            yield "columnar", _open_chunk(item)[1]
+        elif len(item) and item[0] == TAG_RAW:
+            yield "raw", len(_decode_older_rows(item))
+        else:
+            yield "varint", len(_decode_older_rows(item))

@@ -14,11 +14,13 @@ is built first from the exact per-pair cardinalities the ``Count`` table
 stores anyway (one batched read): the join starts at the *rarest* pair and
 extends bidirectionally, cheapest adjacent pair next, so the intermediate
 chain set is bounded by the smallest posting list instead of the first one.
-Posting lists are fetched with one batched ``multi_get`` per Index table,
-per-trace candidate sets are intersected *before* any posting list is
-decoded and grouped, and grouping is lazy -- restricted to surviving traces,
-skipped entirely for pairs after the chain set empties, and memoized in an
-optional decoded-postings LRU (see :class:`repro.core.engine.SequenceIndex`).
+Posting lists are fetched with one batched ``multi_get`` per Index table as
+:class:`~repro.core.postings.Postings`; per-trace candidate sets come from
+the chunk dictionaries alone and are intersected *before* any column is
+decoded, and grouping is lazy -- restricted to surviving traces (chunks
+mentioning none of them are never unpacked) and skipped entirely for pairs
+after the chain set empties.  An optional decoded-postings LRU (see
+:class:`repro.core.engine.SequenceIndex`) keeps the fetched ``Postings``.
 The join order never changes the result: extension is unique per chain, so
 the planner's output is byte-identical to left-to-right evaluation
 (property-tested against it and against a brute-force oracle).
@@ -48,6 +50,7 @@ from repro.core.matches import (
 )
 from repro.core.pattern import Pattern, find_matches
 from repro.core.policies import Policy
+from repro.core.postings import Completions, Postings
 from repro.core.tables import IndexTables
 from repro.obs.trace import current_tracer
 
@@ -59,10 +62,10 @@ _MISS = object()
 class _PlannedPostings:
     """Posting-list access for one planned query: batch-fetch, lazy group.
 
-    Raw entry lists for all uncached pairs are fetched in one batched read;
-    decoding/grouping into per-trace sorted completion lists happens only on
-    demand (and only for surviving traces when no postings cache is
-    attached, since a partial grouping must not be memoized).
+    The :class:`~repro.core.postings.Postings` of all pairs come from one
+    batched read (through the postings cache where attached); grouping into
+    per-trace sorted completion lists happens only on demand and only for
+    the traces still alive when a pair is first needed.
 
     ``within`` pushes a WITHIN window into pruning: completions whose own
     span exceeds the window are dropped from every grouping and trace set
@@ -71,8 +74,9 @@ class _PlannedPostings:
     duration <= tau itself spans <= tau, and dropping entries can never
     *create* a chain -- but unsound for composite verification, where the
     STNM matcher may retry from a later occurrence than the greedy pair
-    recorded (see DESIGN.md).  Only the filtered *view* is per-query; the
-    shared postings cache always stores unfiltered groupings.
+    recorded (see DESIGN.md).  A window needs the timestamps, so with one
+    the trace sets come from a full filtered grouping instead of the chunk
+    dictionaries.
     """
 
     def __init__(
@@ -81,127 +85,47 @@ class _PlannedPostings:
         plan: QueryPlan,
         within: float | None = None,
     ) -> None:
-        self._query = query
-        self._pairs = plan.pairs
-        self._partition = plan.partition
         self._within = within
-        self._grouped: dict[int, dict[str, list[tuple[float, float]]]] = {}
-        self._full: dict[int, dict[str, list[tuple[float, float]]]] = {}
-        self._raw: dict[int, list[tuple[str, float, float]]] = {}
-        self._trace_sets: dict[int, set[str]] = {}
-        span = current_tracer().span("fetch_postings")
-        with span:
-            missing: list[int] = []
-            for i, pair in enumerate(self._pairs):
-                hit = query._postings_cache_get(pair, self._partition)
-                if hit is not None:
-                    self._full[i] = hit
-                else:
-                    missing.append(i)
-            if missing:
-                fetched = query.tables.get_index_many(
-                    [self._pairs[i] for i in missing], self._partition
-                )
-                for i in missing:
-                    self._raw[i] = fetched[self._pairs[i]]
-            if span.enabled:
-                span.add("pairs", len(self._pairs))
-                span.add("cache_hits", len(self._pairs) - len(missing))
-                span.add("fetched", len(missing))
-                span.add("entries", sum(len(raw) for raw in self._raw.values()))
-                if within is not None:
-                    span.add("within_pushdown", 1)
+        fetched = query._fetch_postings(plan.pairs, plan.partition)
+        self._postings = [fetched[pair] for pair in plan.pairs]
+        self._grouped: dict[int, dict[str, Completions]] = {}
 
     def trace_set(self, i: int) -> set[str]:
         """Trace ids holding at least one in-window completion of pair ``i``."""
-        cached = self._trace_sets.get(i)
-        if cached is None:
-            within = self._within
-            full = self._full.get(i)
-            if full is not None:
-                if within is None:
-                    cached = set(full)
-                else:
-                    cached = {
-                        trace_id
-                        for trace_id, completions in full.items()
-                        if any(ts_b - ts_a <= within for ts_a, ts_b in completions)
-                    }
-            elif within is None:
-                cached = {entry[0] for entry in self._raw[i]}
-            else:
-                cached = {
-                    trace_id
-                    for trace_id, ts_a, ts_b in self._raw[i]
-                    if ts_b - ts_a <= within
-                }
-            self._trace_sets[i] = cached
-        return cached
+        if self._within is None:
+            return self._postings[i].trace_ids()
+        return set(self.group(i, None))
 
-    def group(
-        self, i: int, restrict: set[str]
-    ) -> dict[str, list[tuple[float, float]]]:
+    def group(self, i: int, restrict: set[str] | None) -> dict[str, Completions]:
         """Per-trace sorted (window-surviving) completions of pair ``i``.
 
-        With a postings cache attached the full unfiltered grouping is built
-        once and memoized (hot pairs skip re-decode/re-group on later
-        queries); without one only ``restrict`` traces are decoded.
+        Grouped once per query: ``restrict`` is the set of traces alive at
+        the first request, and later requests only ever ask for a subset.
         """
         grouped = self._grouped.get(i)
-        if grouped is not None:
-            return grouped
-        full = self._full.get(i)
-        if full is None:
-            raw = self._raw[i]
-            if self._query.postings_cache is not None:
-                full = _group_entries(raw, None)
-                self._query._postings_cache_put(self._pairs[i], self._partition, full)
-                self._full[i] = full
-            else:
-                grouped = _group_entries(raw, restrict, self._within)
-                self._grouped[i] = grouped
-                return grouped
-        if self._within is None:
-            grouped = full
-        else:
+        if grouped is None:
+            grouped = self._postings[i].grouped(restrict)
             within = self._within
-            grouped = {}
-            for trace_id, completions in full.items():
-                kept = [c for c in completions if c[1] - c[0] <= within]
-                if kept:
-                    grouped[trace_id] = kept
-        self._grouped[i] = grouped
+            if within is not None:
+                grouped = {
+                    trace_id: kept
+                    for trace_id, completions in grouped.items()
+                    if (kept := [c for c in completions if c[1] - c[0] <= within])
+                }
+            self._grouped[i] = grouped
         return grouped
-
-
-def _group_entries(
-    entries: list[tuple[str, float, float]],
-    restrict: set[str] | None,
-    within: float | None = None,
-) -> dict[str, list[tuple[float, float]]]:
-    """Group raw index entries per trace (each list time-ordered)."""
-    grouped: dict[str, list[tuple[float, float]]] = {}
-    for trace_id, ts_a, ts_b in entries:
-        if restrict is not None and trace_id not in restrict:
-            continue
-        if within is not None and ts_b - ts_a > within:
-            continue
-        grouped.setdefault(trace_id, []).append((ts_a, ts_b))
-    for completions in grouped.values():
-        completions.sort()
-    return grouped
 
 
 class QueryProcessor:
     """Executes pattern queries against the index tables.
 
-    ``postings_cache`` is an optional LRU of decoded/grouped posting lists
-    keyed by ``(generation, partition, pair)``; ``generation`` supplies the
-    owning index's write generation so a batch update invalidates by
-    construction.  ``sequence_cache`` is the same idea for decoded Seq-table
-    rows, keyed ``(generation, trace_id)`` -- composite-pattern verification
-    re-reads the same candidate traces across queries, and decoding a long
-    sequence document dominates the verify stage when served cold.
+    ``postings_cache`` is an optional LRU of fetched
+    :class:`~repro.core.postings.Postings` keyed by ``(generation, partition,
+    pair)``; ``generation`` supplies the owning index's write generation so
+    a batch update invalidates by construction.  ``sequence_cache`` is the
+    same idea for decoded Seq-table rows (``(activities, timestamps)``
+    columns), keyed ``(generation, trace_id)`` -- composite-pattern
+    verification re-reads the same candidate traces across queries.
     ``planner_enabled=False`` pins every detection to naive left-to-right
     evaluation (the ablation baseline and the prefix path).
     """
@@ -231,33 +155,50 @@ class QueryProcessor:
         if metrics is not None:
             metrics.bump(name, amount)
 
-    # -- postings cache ----------------------------------------------------------
+    # -- generation-keyed LRUs ---------------------------------------------------
 
-    def _postings_cache_get(self, pair, partition):
-        if self.postings_cache is None:
-            return None
-        key = (self._generation(), partition, pair)
-        hit = self.postings_cache.get(key, _MISS)
-        if hit is _MISS:
-            self._bump("postings_cache_misses")
-            return None
-        self._bump("postings_cache_hits")
-        return hit
+    def _through_cache(self, cache, counter: str, scope: tuple, keys: list, fetch):
+        """``({key: value}, missing keys)``: the LRU's entries of this write
+        generation, plus one ``fetch(missing) -> {key: value}`` for the rest
+        (which the LRU then keeps).  ``cache=None`` fetches everything."""
+        prefix = (self._generation(), *scope)
+        found: dict = {}
+        missing = keys
+        if cache is not None:
+            for key in keys:
+                hit = cache.get(prefix + (key,), _MISS)
+                if hit is not _MISS:
+                    found[key] = hit
+            missing = [key for key in keys if key not in found]
+            self._bump(f"{counter}_hits", len(found))
+            self._bump(f"{counter}_misses", len(missing))
+        if missing:
+            fetched = fetch(missing)
+            found.update(fetched)
+            if cache is not None:
+                for key, value in fetched.items():
+                    cache.put(prefix + (key,), value)
+        return found, missing
 
-    def _postings_cache_put(self, pair, partition, grouped) -> None:
-        if self.postings_cache is not None:
-            self.postings_cache.put((self._generation(), partition, pair), grouped)
-
-    def _grouped_full(
-        self, pair: tuple[str, str], partition: str | None
-    ) -> dict[str, list[tuple[float, float]]]:
-        """Fully grouped postings of one pair, through the cache if attached."""
-        hit = self._postings_cache_get(pair, partition)
-        if hit is not None:
-            return hit
-        grouped = self.tables.get_index_grouped(pair, partition)
-        self._postings_cache_put(pair, partition, grouped)
-        return grouped
+    def _fetch_postings(
+        self, pairs: Sequence[tuple[str, str]], partition: str | None
+    ) -> dict[tuple[str, str], Postings]:
+        """The postings of ``pairs``: cache hits plus one batched read."""
+        span = current_tracer().span("fetch_postings")
+        with span:
+            found, missing = self._through_cache(
+                self.postings_cache,
+                "postings_cache",
+                (partition,),
+                list(dict.fromkeys(pairs)),
+                lambda pairs: self.tables.get_index_many(pairs, partition),
+            )
+            if span.enabled:
+                span.add("pairs", len(found))
+                span.add("cache_hits", len(found) - len(missing))
+                span.add("fetched", len(missing))
+                span.add("entries", sum(found[pair].entries for pair in missing))
+            return found
 
     # -- statistics (§3.2.1 "Statistics") ---------------------------------------
 
@@ -472,10 +413,8 @@ class QueryProcessor:
             # Single events span zero time, so any non-negative window keeps
             # them all; count occurrences straight off the Seq table.
             return sum(
-                1
-                for _, seq in self.tables.iter_sequences()
-                for activity, _ in seq
-                if activity == pattern[0]
+                activities.count(pattern[0])
+                for _, (activities, _) in self.tables.iter_sequences()
             )
         chains = self._chain(pattern, partition, within=within, plan=plan)
         if within is None:
@@ -525,8 +464,8 @@ class QueryProcessor:
         if len(pattern) == 1:
             return sorted(
                 trace_id
-                for trace_id, seq in self.tables.iter_sequences()
-                if any(activity == pattern[0] for activity, _ in seq)
+                for trace_id, (activities, _) in self.tables.iter_sequences()
+                if pattern[0] in activities
             )
         if plan is None:
             plan = self.plan(pattern, partition)
@@ -699,12 +638,10 @@ class QueryProcessor:
         with span:
             matches: list[PatternMatch] = []
             scanned = 0
-            for trace_id, seq in self._candidate_sequences(candidates):
+            for trace_id, (activities, stamps) in self._candidate_sequences(candidates):
                 budget = None if max_matches is None else max_matches - len(matches)
                 if budget is not None and budget <= 0:
                     break
-                activities = [activity for activity, _ in seq]
-                stamps = [ts for _, ts in seq]
                 for span_ts in find_matches(activities, stamps, pattern, budget):
                     matches.append(PatternMatch(trace_id, span_ts))
                 scanned += 1
@@ -735,9 +672,7 @@ class QueryProcessor:
         if candidates is not None and not candidates:
             return 0
         total = 0
-        for _, seq in self._candidate_sequences(candidates):
-            activities = [activity for activity, _ in seq]
-            stamps = [ts for _, ts in seq]
+        for _, (activities, stamps) in self._candidate_sequences(candidates):
             total += len(find_matches(activities, stamps, pattern))
         return total
 
@@ -761,9 +696,7 @@ class QueryProcessor:
         if candidates is not None and not candidates:
             return []
         found: list[str] = []
-        for trace_id, seq in self._candidate_sequences(candidates):
-            activities = [activity for activity, _ in seq]
-            stamps = [ts for _, ts in seq]
+        for trace_id, (activities, stamps) in self._candidate_sequences(candidates):
             if find_matches(activities, stamps, pattern, max_matches=1):
                 found.append(trace_id)
         return found
@@ -773,40 +706,22 @@ class QueryProcessor:
 
         Posting lists of every group pair are fetched in one batched read
         (through the decoded-postings cache where attached), each group's
-        trace set is the union of its branch pairs' sets (alternation),
-        and groups intersect in plan order -- cheapest first -- with an
-        empty-set early exit.
+        trace set is the union of its branch pairs' chunk dictionaries
+        (alternation) -- no column is decoded -- and groups intersect in
+        plan order, cheapest first, with an empty-set early exit.
         """
         if not plan.groups:
             return None
-        pair_sets: dict[tuple[str, str], set[str]] = {}
-        span = current_tracer().span("fetch_postings")
-        with span:
-            unique = list(
-                dict.fromkeys(pair for group in plan.groups for pair in group)
-            )
-            missing: list[tuple[str, str]] = []
-            for pair in unique:
-                hit = self._postings_cache_get(pair, plan.partition)
-                if hit is not None:
-                    pair_sets[pair] = set(hit)
-                else:
-                    missing.append(pair)
-            if missing:
-                fetched = self.tables.get_index_many(missing, plan.partition)
-                for pair in missing:
-                    pair_sets[pair] = {entry[0] for entry in fetched[pair]}
-            if span.enabled:
-                span.add("pairs", len(unique))
-                span.add("cache_hits", len(unique) - len(missing))
-                span.add("fetched", len(missing))
+        postings = self._fetch_postings(
+            [pair for group in plan.groups for pair in group], plan.partition
+        )
         span = current_tracer().span("intersect")
         with span:
             survivors: set[str] | None = None
             for idx in plan.order:
                 traces: set[str] = set()
                 for pair in plan.groups[idx]:
-                    traces |= pair_sets[pair]
+                    traces |= postings[pair].trace_ids()
                 survivors = traces if survivors is None else survivors & traces
                 if not survivors:
                     survivors = set()
@@ -818,34 +733,30 @@ class QueryProcessor:
             return result
 
     def _candidate_sequences(self, candidates: set[str] | None):
-        """Stored ``(trace_id, sequence)`` rows for verification, id-ordered."""
-        if candidates is None:
-            yield from sorted(self.tables.iter_sequences())
-        else:
-            for trace_id in sorted(candidates):
-                yield trace_id, self._get_sequence(trace_id)
+        """``(trace_id, (activities, timestamps))`` rows to verify, id-ordered.
 
-    def _get_sequence(self, trace_id: str):
-        """One decoded Seq-table row, through the sequence cache if attached."""
-        if self.sequence_cache is None:
-            return self.tables.get_sequence(trace_id)
-        key = (self._generation(), trace_id)
-        hit = self.sequence_cache.get(key, _MISS)
-        if hit is not _MISS:
-            self._bump("sequence_cache_hits")
-            return hit
-        self._bump("sequence_cache_misses")
-        seq = self.tables.get_sequence(trace_id)
-        self.sequence_cache.put(key, seq)
-        return seq
+        Rows missing from the sequence cache are read with one batched
+        ``multi_get``, not a point read per candidate.
+        """
+        if candidates is None:
+            return self.tables.iter_sequences()
+        ordered = sorted(candidates)
+        found, _ = self._through_cache(
+            self.sequence_cache,
+            "sequence_cache",
+            (),
+            ordered,
+            lambda ids: dict(zip(ids, self.tables.get_sequences(ids))),
+        )
+        return ((trace_id, found[trace_id]) for trace_id in ordered)
 
     # -- internals ---------------------------------------------------------------------
 
     def _detect_single(self, activity: str) -> list[PatternMatch]:
         """Length-1 patterns: scan the Seq table (no pair exists to look up)."""
         matches: list[PatternMatch] = []
-        for trace_id, seq in self.tables.iter_sequences():
-            for act, ts in seq:
+        for trace_id, (activities, stamps) in self.tables.iter_sequences():
+            for act, ts in zip(activities, stamps):
                 if act == activity:
                     matches.append(PatternMatch(trace_id, (ts,)))
         return matches
@@ -873,7 +784,7 @@ class QueryProcessor:
 
         Starting from the rarest pair's trace set keeps every intermediate
         intersection no larger than the smallest one seen so far, and an
-        empty result aborts before any posting list is decoded or grouped.
+        empty result aborts before any posting column is decoded.
         """
         span = current_tracer().span("intersect")
         with span:
@@ -882,7 +793,7 @@ class QueryProcessor:
                 range(len(plan.pairs)), key=lambda i: (plan.cardinalities[i], i)
             ):
                 traces = postings.trace_set(i)
-                survivors = set(traces) if survivors is None else survivors & traces
+                survivors = traces if survivors is None else survivors & traces
                 if not survivors:
                     survivors = set()
                     break
@@ -926,7 +837,7 @@ class QueryProcessor:
             for trace_id in survivors:
                 entries = grouped.get(trace_id)
                 if entries:
-                    chains[trace_id] = [tuple(entry) for entry in entries]
+                    chains[trace_id] = entries  # this query's own lists
             left = right = start
             for idx in order[1:]:
                 if not chains:
@@ -992,8 +903,9 @@ class QueryProcessor:
         partition: str | None,
         snapshots: dict[int, list[PatternMatch]] | None = None,
     ) -> dict[str, list[Chain]]:
-        first_pair = (pattern[0], pattern[1])
-        grouped = self._grouped_full(first_pair, partition)
+        pairs = list(zip(pattern, pattern[1:]))
+        postings = self._fetch_postings(pairs, partition)
+        grouped = postings[pairs[0]].grouped()
         previous: dict[str, list[Chain]] = {
             trace_id: [(ts_a, ts_b) for ts_a, ts_b in entries]
             for trace_id, entries in grouped.items()
@@ -1005,8 +917,7 @@ class QueryProcessor:
                     for trace_id, trace_chains in sorted(previous.items())
                     for chain in trace_chains
                 ]
-            pair = (pattern[i], pattern[i + 1])
-            grouped = self._grouped_full(pair, partition)
+            grouped = postings[pairs[i]].grouped(set(previous))
             extended: dict[str, list[Chain]] = {}
             for trace_id, chains in previous.items():
                 completions = grouped.get(trace_id)
@@ -1035,10 +946,9 @@ class QueryProcessor:
         """Skip-till-any-match via index pruning + per-trace enumeration."""
         candidates = self._candidate_traces(pattern, partition)
         matches: list[PatternMatch] = []
-        for trace_id in candidates:
-            seq = self.tables.get_sequence(trace_id)
+        for trace_id, (activities, stamps) in self._candidate_sequences(candidates):
             budget = None if max_matches is None else max_matches - len(matches)
-            for chain in _enumerate_stam(seq, pattern, budget):
+            for chain in _enumerate_stam(activities, stamps, pattern, budget):
                 matches.append(PatternMatch(trace_id, chain))
             if max_matches is not None and len(matches) >= max_matches:
                 break
@@ -1090,23 +1000,23 @@ def _rarest_first_order(cardinalities: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _enumerate_stam(
-    seq: list[tuple[str, float]],
+    activities: list[str],
+    timestamps: list[float],
     pattern: Sequence[str],
     max_matches: int | None,
 ) -> list[Chain]:
-    """All (possibly overlapping) embeddings of ``pattern`` in ``seq``.
+    """All (possibly overlapping) embeddings of ``pattern`` in one trace.
 
     Depth-first over per-activity occurrence positions; ``max_matches``
     bounds the output because the embedding count can be combinatorial.
     """
     positions: dict[str, list[int]] = {}
-    for idx, (activity, _) in enumerate(seq):
+    for idx, activity in enumerate(activities):
         positions.setdefault(activity, []).append(idx)
     for activity in pattern:
         if activity not in positions:
             return []
     results: list[Chain] = []
-    timestamps = [ts for _, ts in seq]
 
     def extend(step: int, last_index: int, chain: tuple[float, ...]) -> bool:
         if step == len(pattern):

@@ -5,8 +5,8 @@ Each table wraps one logical key-value table with the paper's schema:
 =============  ==========================  =========================================
 Table          Key                         Value
 =============  ==========================  =========================================
-Seq            trace_id                    [(activity, ts), ...] (append-merged)
-Index          (ev_a, ev_b)                [(trace_id, ts_a, ts_b), ...] (append)
+Seq            trace_id                    [(activity, ts), ...] (append, chunked)
+Index          (ev_a, ev_b)                [(trace_id, ts_a, ts_b), ...] (append, chunked)
 Count          ev_a                        {ev_b: [sum_duration, completions]}
 ReverseCount   ev_b                        {ev_a: [sum_duration, completions]}
 LastChecked    (ev_a, ev_b)                {trace_id: last_completion_ts} (max)
@@ -14,7 +14,12 @@ Meta           "meta"                      {policy, method, ...}
 =============  ==========================  =========================================
 
 Values are written exclusively through merge operators, so index batches are
-blind appends -- the Cassandra pattern the paper's scalability rests on.
+blind appends -- the Cassandra pattern the paper's scalability rests on.  The
+two list tables store each appended batch as one columnar chunk
+(:mod:`repro.core.postings`); this module is the only place outside that
+codec that sees a stored list value, and everything above it works on the
+decoded forms: ``(activities, timestamps)`` columns for a Seq row, a
+:class:`~repro.core.postings.Postings` for an Index row.
 
 The optional ``partition`` argument implements the paper's §3.1.3 note that
 "a separate index table can be used for different periods": every partition
@@ -28,7 +33,13 @@ from typing import Iterator
 
 from repro.core.errors import IndexStateError
 from repro.core.policies import PairMethod, Policy
-from repro.core.postings import decode_index_value, encode_postings
+from repro.core.postings import (
+    Postings,
+    decode_sequence,
+    encode_postings,
+    encode_sequence,
+    item_formats,
+)
 from repro.kvstore.api import KeyValueStore
 
 SEQ = "seq"
@@ -53,23 +64,11 @@ class IndexTables:
     bloom/block work per batch); disabling it falls back to a loop of
     point ``get`` calls with identical results -- the knob exists for the
     planner ablation benchmark, not for production tuning.
-
-    ``postings_codec`` stores Index entries as delta/varint-packed chunks
-    (:mod:`repro.core.postings`) instead of raw tuples.  Reads decode both
-    representations transparently, so the knob only affects *new* writes;
-    disabling it keeps the legacy tuple format (ablation benchmarks, or
-    writing stores an old reader must parse byte-for-byte).
     """
 
-    def __init__(
-        self,
-        store: KeyValueStore,
-        batched_reads: bool = True,
-        postings_codec: bool = True,
-    ) -> None:
+    def __init__(self, store: KeyValueStore, batched_reads: bool = True) -> None:
         self.store = store
         self.batched_reads = batched_reads
-        self.postings_codec = postings_codec
 
     def _multi_get(self, table: str, keys: list, default) -> list:
         """Batched (or, for ablations, looped) point reads on one table."""
@@ -141,19 +140,30 @@ class IndexTables:
     def append_sequence(
         self, trace_id: str, events: list[tuple[str, float]]
     ) -> None:
-        self.store.merge(SEQ, trace_id, events)
+        self.store.merge(SEQ, trace_id, encode_sequence(events))
 
-    def get_sequence(self, trace_id: str) -> list[tuple[str, float]]:
-        return [tuple(item) for item in self.store.get(SEQ, trace_id, [])]
+    def get_sequence(self, trace_id: str) -> tuple[list[str], list[float]]:
+        """One trace's ``(activities, timestamps)`` columns (empty when unknown)."""
+        return decode_sequence(self.store.get(SEQ, trace_id, ()))
 
-    def get_sequences(self, trace_ids: list[str]) -> list[list[tuple[str, float]]]:
+    def get_sequence_tail(self, trace_id: str) -> float | None:
+        """Timestamp of the trace's last stored event (``None`` when unknown).
+
+        Decodes the row's last item only: a trace is append-only in time.
+        """
+        _, stamps = decode_sequence(self.store.get(SEQ, trace_id, ())[-1:])
+        return stamps[-1] if stamps else None
+
+    def get_sequences(
+        self, trace_ids: list[str]
+    ) -> list[tuple[list[str], list[float]]]:
         """Stored sequences of many traces (empty when unknown), one batched read."""
-        rows = self._multi_get(SEQ, trace_ids, [])
-        return [[tuple(item) for item in row] for row in rows]
+        return [decode_sequence(row) for row in self._multi_get(SEQ, trace_ids, ())]
 
-    def iter_sequences(self) -> Iterator[tuple[str, list[tuple[str, float]]]]:
+    def iter_sequences(self) -> Iterator[tuple[str, tuple[list[str], list[float]]]]:
+        """``(trace_id, (activities, timestamps))`` of every trace, id-ordered."""
         for key, value in self.store.scan(SEQ):
-            yield key[0], [tuple(item) for item in value]
+            yield key[0], decode_sequence(value)
 
     def delete_sequence(self, trace_id: str) -> None:
         self.store.delete(SEQ, trace_id)
@@ -166,13 +176,10 @@ class IndexTables:
         entries: list[tuple[str, float, float]],
         partition: str = _DEFAULT_PARTITION,
     ) -> None:
-        if self.postings_codec and entries:
-            # One chunk per append batch: the list_append merge makes the
-            # stored value a list of chunks (possibly mixed with legacy
-            # tuples from before the codec), spliced back on read.
+        # One chunk per append batch: the list_append merge makes the stored
+        # value a list of chunks (possibly after items of older formats).
+        if entries:
             self.store.merge(_index_table(partition), pair, [encode_postings(entries)])
-        else:
-            self.store.merge(_index_table(partition), pair, entries)
 
     def _index_tables_for(self, partition: str | None) -> list[str]:
         """Physical Index tables a read targets, in union (partition) order.
@@ -194,41 +201,64 @@ class IndexTables:
     def get_index(
         self, pair: tuple[str, str], partition: str | None = _DEFAULT_PARTITION
     ) -> list[tuple[str, float, float]]:
-        """Index entries for ``pair``; ``partition=None`` unions all partitions."""
-        return self.get_index_many([pair], partition)[pair]
+        """Index entries for ``pair`` as flat rows, grouped per trace and
+        time-ordered within one; ``partition=None`` unions all partitions."""
+        return self.get_index_many([pair], partition)[pair].rows()
 
     def get_index_many(
         self,
         pairs: list[tuple[str, str]],
         partition: str | None = _DEFAULT_PARTITION,
-    ) -> dict[tuple[str, str], list[tuple[str, float, float]]]:
-        """Index entries for many pairs, fetched as one batch per table.
+    ) -> dict[tuple[str, str], Postings]:
+        """The postings of many pairs, fetched as one batch per table.
 
         One :meth:`~repro.kvstore.api.KeyValueStore.multi_get` per physical
-        Index table replaces a point read per (pair, partition); the result
-        maps every requested pair to its (possibly empty) entry list, with
-        ``partition=None`` unioning partitions in registration order.
+        Index table replaces a point read per (pair, partition); every
+        requested pair maps to a (possibly empty)
+        :class:`~repro.core.postings.Postings`, with ``partition=None``
+        unioning partitions in registration order.  Nothing past the chunk
+        dictionaries is decoded here.
         """
         unique = list(dict.fromkeys(pairs))
-        merged: dict[tuple[str, str], list[tuple[str, float, float]]] = {
-            pair: [] for pair in unique
-        }
+        rows: list[list] = [[] for _ in unique]
         for table in self._index_tables_for(partition):
-            rows = self._multi_get(table, unique, [])
-            for pair, raw in zip(unique, rows):
-                merged[pair].extend(decode_index_value(raw))
-        return merged
+            for merged, row in zip(rows, self._multi_get(table, unique, ())):
+                merged.extend(row)
+        return {pair: Postings(row) for pair, row in zip(unique, rows)}
 
-    def get_index_grouped(
-        self, pair: tuple[str, str], partition: str | None = _DEFAULT_PARTITION
-    ) -> dict[str, list[tuple[float, float]]]:
-        """Index entries grouped per trace, each trace's list in time order."""
-        grouped: dict[str, list[tuple[float, float]]] = {}
-        for trace_id, ts_a, ts_b in self.get_index(pair, partition):
-            grouped.setdefault(trace_id, []).append((ts_a, ts_b))
-        for entries in grouped.values():
-            entries.sort()
-        return grouped
+    def _stored_index_tables(self) -> list[str]:
+        """Every physical Index table in the store, registered or not."""
+        return [
+            table
+            for table in self.store.list_tables()
+            if table == INDEX or table.startswith(INDEX + ":")
+        ]
+
+    def iter_index(self) -> Iterator[tuple[str, tuple[str, str], Postings]]:
+        """``(partition, pair, postings)`` of every stored Index row."""
+        for table in self._stored_index_tables():
+            for pair, row in self.store.scan(table):
+                yield table[len(INDEX) + 1 :], tuple(pair), Postings(row)
+
+    def format_stats(self) -> dict[str, dict[str, dict[str, int]]]:
+        """Per list table, chunks and rows held in each storage format.
+
+        ``{table: {format: {"chunks": c, "entries": e}}}`` with the format
+        names of :func:`repro.core.postings.item_formats`; a ``plain`` item
+        is one row outside any chunk (a legacy Index tuple, a generic Seq
+        event, a single-event Seq append).  A full scan: the migration state
+        of a store written by older code, for an operator report.
+        """
+        stats: dict[str, dict[str, dict[str, int]]] = {}
+        seq = [SEQ] if self.store.has_table(SEQ) else []
+        for table in seq + self._stored_index_tables():
+            formats = stats[table] = {}
+            for _, row in self.store.scan(table):
+                for name, entries in item_formats(row):
+                    slot = formats.setdefault(name, {"chunks": 0, "entries": 0})
+                    slot["chunks"] += name != "plain"
+                    slot["entries"] += entries
+        return stats
 
     # -- Count / ReverseCount ------------------------------------------------------
 

@@ -25,20 +25,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.postings import decode_index_value
-
 __all__ = ["index_snapshot"]
-
-_INDEX_PREFIX = "index"
-
-
-def _partition_of(table_name: str) -> str | None:
-    """Map a physical table name to its Index partition, or ``None``."""
-    if table_name == _INDEX_PREFIX:
-        return ""
-    if table_name.startswith(_INDEX_PREFIX + ":"):
-        return table_name.split(":", 1)[1]
-    return None
 
 
 def index_snapshot(engine: Any) -> dict[str, Any]:
@@ -47,7 +34,7 @@ def index_snapshot(engine: Any) -> dict[str, Any]:
     ``engine`` is a :class:`~repro.core.engine.SequenceIndex` or a
     :class:`~repro.shard.index.ShardedSequenceIndex`; snapshots of engines
     holding the same logical index compare equal regardless of batch
-    grouping, storage codec, compression or shard count.
+    grouping, chunk format, compression or shard count.
     """
     shards = list(getattr(engine, "shards", None) or [engine])
     seq: dict[str, tuple] = {}
@@ -57,15 +44,10 @@ def index_snapshot(engine: Any) -> dict[str, Any]:
     checked: dict[tuple[str, str], dict[str, float]] = {}
     for shard in shards:
         store = shard.store
-        for trace_id, events in shard.tables.iter_sequences():
-            seq[trace_id] = tuple(events)
-        for table in store.list_tables():
-            partition = _partition_of(table)
-            if partition is None:
-                continue
-            for pair, raw in store.scan(table):
-                entries = [tuple(entry) for entry in decode_index_value(raw)]
-                index.setdefault((partition, tuple(pair)), []).extend(entries)
+        for trace_id, (activities, stamps) in shard.tables.iter_sequences():
+            seq[trace_id] = tuple(zip(activities, stamps))
+        for partition, pair, postings in shard.tables.iter_index():
+            index.setdefault((partition, pair), []).extend(postings.rows())
         for key, per_second in store.scan("count"):
             for second, (duration, completions) in per_second.items():
                 slot = counts.setdefault((key[0], second), [0.0, 0])

@@ -180,8 +180,7 @@ class IndexingPipeline:
         fresh: list[Event] = []
         for event in events:
             if event.trace_id not in tails:
-                seq = self.index.tables.get_sequence(event.trace_id)
-                tails[event.trace_id] = seq[-1][1] if seq else None
+                tails[event.trace_id] = self.index.indexed_tail(event.trace_id)
             tail = tails[event.trace_id]
             if tail is None or event.timestamp > tail:
                 fresh.append(event)

@@ -772,5 +772,22 @@ class ShardedSequenceIndex:
             "totals": totals,
         }
 
+    def format_stats(self) -> dict[str, dict[str, dict[str, int]]]:
+        """Every shard's :meth:`IndexTables.format_stats`, summed.
+
+        A full scan of the list tables -- an operator report, which is why
+        it is not part of :meth:`storage_stats` (the service's ``stats`` op).
+        """
+        merged: dict[str, dict[str, dict[str, int]]] = {}
+        for shard in self.shards:
+            for table, formats in shard.tables.format_stats().items():
+                for name, slot in formats.items():
+                    total = merged.setdefault(table, {}).setdefault(
+                        name, {"chunks": 0, "entries": 0}
+                    )
+                    total["chunks"] += slot["chunks"]
+                    total["entries"] += slot["entries"]
+        return merged
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShardedSequenceIndex(num_shards={len(self.shards)})"

@@ -129,6 +129,5 @@ class TestRegistryCompleteness:
             "ablation_planner",
             "leveled_compaction",
             "pattern_language",
-            "postings_compression",
             "sharded_service",
         }

@@ -33,7 +33,7 @@ class TestFullBuild:
 
     def test_seq_table_filled(self, paper_log):
         builder, _ = _build(paper_log)
-        assert builder.tables.get_sequence("t2") == [("A", 0), ("B", 1), ("C", 2)]
+        assert builder.tables.get_sequence("t2") == (["A", "B", "C"], [0, 1, 2])
 
     def test_index_matches_pair_creation(self, paper_log):
         from repro.core.pairs import indexing_pairs
@@ -42,7 +42,7 @@ class TestFullBuild:
         trace = paper_log.trace("t1")
         expected = indexing_pairs(trace.activities, trace.timestamps)
         for pair, ts_pairs in expected.items():
-            grouped = builder.tables.get_index_grouped(pair)
+            grouped = builder.tables.get_index_many([pair])[pair].grouped()
             assert grouped.get("t1") == ts_pairs
 
     def test_counts_and_durations(self):
@@ -181,7 +181,7 @@ class TestIncremental:
         index.update([Event("t1", "A", 1), Event("t1", "B", 2)])
         stats = index.update([Event("t2", "A", 1), Event("t2", "B", 2)])
         assert stats.new_traces == 1
-        grouped = index.tables.get_index_grouped(("A", "B"))
+        grouped = index.tables.get_index_many([("A", "B")])[("A", "B")].grouped()
         assert set(grouped) == {"t1", "t2"}
 
 

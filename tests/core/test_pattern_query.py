@@ -86,9 +86,9 @@ class TestPatternPlanner:
         with SequenceIndex(policy=Policy.STNM, query_cache_size=0) as index:
             index.update(log)
             reads = []
-            original = index.tables.get_sequence
-            index.tables.get_sequence = lambda tid: (
-                reads.append(tid) or original(tid)
+            original = index.tables.get_sequences
+            index.tables.get_sequences = lambda tids: (
+                reads.append(tids) or original(tids)
             )
             assert index.detect("SEQ(A, Z)") == []
             assert index.count("SEQ(A, Z)") == 0

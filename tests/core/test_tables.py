@@ -32,10 +32,14 @@ class TestSeq:
     def test_append_and_get(self, tables):
         tables.append_sequence("t1", [("A", 1.0), ("B", 2.0)])
         tables.append_sequence("t1", [("C", 3.0)])
-        assert tables.get_sequence("t1") == [("A", 1.0), ("B", 2.0), ("C", 3.0)]
+        assert tables.get_sequence("t1") == (["A", "B", "C"], [1.0, 2.0, 3.0])
+        assert tables.get_sequences(["t1", "nope"]) == [
+            (["A", "B", "C"], [1.0, 2.0, 3.0]),
+            ([], []),
+        ]
 
     def test_missing_trace_is_empty(self, tables):
-        assert tables.get_sequence("nope") == []
+        assert tables.get_sequence("nope") == ([], [])
 
     def test_iter_sequences_sorted_by_trace(self, tables):
         tables.append_sequence("b", [("X", 1.0)])
@@ -45,19 +49,23 @@ class TestSeq:
     def test_delete(self, tables):
         tables.append_sequence("t", [("A", 1.0)])
         tables.delete_sequence("t")
-        assert tables.get_sequence("t") == []
+        assert tables.get_sequence("t") == ([], [])
 
 
 class TestIndex:
     def test_append_and_group(self, tables):
         tables.append_index(("A", "B"), [("t1", 1.0, 2.0), ("t2", 5.0, 6.0)])
         tables.append_index(("A", "B"), [("t1", 3.0, 4.0)])
-        grouped = tables.get_index_grouped(("A", "B"))
-        assert grouped == {"t1": [(1.0, 2.0), (3.0, 4.0)], "t2": [(5.0, 6.0)]}
+        postings = tables.get_index_many([("A", "B")])[("A", "B")]
+        assert postings.entries == 3
+        assert postings.trace_ids() == {"t1", "t2"}
+        assert postings.grouped({"t2"}) == {"t2": [(5.0, 6.0)]}
+        assert postings.grouped() == {"t1": [(1.0, 2.0), (3.0, 4.0)], "t2": [(5.0, 6.0)]}
 
     def test_missing_pair_empty(self, tables):
         assert tables.get_index(("X", "Y")) == []
-        assert tables.get_index_grouped(("X", "Y")) == {}
+        missing = tables.get_index_many([("X", "Y")])[("X", "Y")]
+        assert missing.grouped() == {} and missing.trace_ids() == set()
 
     def test_partitions_isolate_and_union(self, tables):
         tables.ensure_partition("p1")
@@ -109,5 +117,5 @@ class TestLastChecked:
         tables.append_sequence("t1", [("A", 1.0), ("B", 2.0)])
         tables.update_last_checked(("A", "B"), {"t1": 2.0, "t2": 7.0})
         tables.prune_trace("t1", {"A", "B"})
-        assert tables.get_sequence("t1") == []
+        assert tables.get_sequence("t1") == ([], [])
         assert tables.get_last_checked(("A", "B")) == {"t2": 7.0}

@@ -248,6 +248,26 @@ class TestStoreStats:
         assert "index:" in out  # per-table record counts
         assert "raw bytes:" in out
         assert "compression ratio:" in out
+        # list tables also report the storage format of their rows
+        index_line = next(l for l in out.splitlines() if l.startswith("  index:"))
+        seq_line = next(l for l in out.splitlines() if l.startswith("  seq:"))
+        assert "[columnar: " in index_line and " chunks/" in index_line
+        assert "[columnar: " in seq_line and seq_line.endswith("entries]")
+        assert "[" not in next(l for l in out.splitlines() if l.startswith("  count:"))
+
+    def test_stats_shows_the_migration_state_of_an_old_store(self, tmp_path, capsys):
+        import os
+        import shutil
+
+        fixture = os.path.join(os.path.dirname(__file__), "data", "legacy_store", "store")
+        store = str(tmp_path / "ix")
+        shutil.copytree(fixture, store)
+        assert main(["stats", "--store", store]) == 0
+        out = capsys.readouterr().out
+        index_line = next(l for l in out.splitlines() if l.startswith("  index:"))
+        assert "plain: " in index_line and "varint: " in index_line
+        assert "columnar" not in out
+        assert "  seq: " in out and "[plain: " in out
 
     def test_stats_with_pattern_still_works(self, store_dir, capsys):
         assert main(["stats", "A,C", "--store", store_dir, "--mmap"]) == 0
@@ -310,6 +330,8 @@ class TestSharded:
         assert "shard 01:" in out
         assert "totals:" in out
         assert "compression ratio:" in out
+        assert "index formats: [columnar: " in out
+        assert "seq formats: [columnar: " in out
 
     def test_pattern_stats_on_sharded_store(self, sharded_store, capsys):
         assert main(["stats", "A,B", "--store", sharded_store]) == 0

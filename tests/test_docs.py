@@ -160,7 +160,28 @@ def test_every_cli_subcommand_documented():
 
 
 def test_docscheck_is_clean():
-    """The docs lint (dead links, stale CLI examples) has no findings."""
+    """The docs lint (dead links, stale CLI examples, undocumented on-disk
+    tags) has no findings."""
     from repro.bench.docscheck import run_docscheck
 
     assert run_docscheck(REPO_ROOT) == []
+
+
+def test_docscheck_fails_on_an_undocumented_format_tag():
+    from repro.bench.docscheck import check_format_tags, format_tags
+
+    tags = format_tags()
+    assert tags["repro.core.postings.TAG_POSTINGS"] == 0x04
+    assert tags["repro.kvstore.encoding._V_MAP_STR_I64"] == 0xE0
+    with open(os.path.join(REPO_ROOT, "DESIGN.md"), encoding="utf-8") as fh:
+        design = fh.read()
+    assert check_format_tags("DESIGN.md", design, tags) == []
+    # a tag nobody wrote down, and a tag documented only outside section 11
+    findings = check_format_tags("DESIGN.md", design, {**tags, "new.TAG_X": 0x3F})
+    assert findings == [
+        "DESIGN.md: tag 0x3F (new.TAG_X) is missing from the section '## 11.' "
+        "tag tables"
+    ]
+    elsewhere = "## 1. Intro\n`0x04`\n## 11. Layout\n`0x05`\n## 12. Next\n`0x04`\n"
+    assert len(check_format_tags("D.md", elsewhere, {"a.TAG_A": 4, "a.TAG_B": 5})) == 1
+    assert "no section" in check_format_tags("D.md", "## 1. Intro\n", tags)[0]
