@@ -38,7 +38,6 @@ from repro.core import (
     Pattern,
     PatternElement,
     PatternMatch,
-    PatternPlan,
     PatternSyntaxError,
     Policy,
     PolicyMismatchError,
@@ -64,7 +63,6 @@ __all__ = [
     "PatternElement",
     "parse_pattern",
     "PatternMatch",
-    "PatternPlan",
     "Completion",
     "PairStats",
     "ContinuationProposal",

@@ -1,6 +1,7 @@
-"""Docs lint: dead links, drifted CLI commands, undocumented format tags.
+"""Docs lint: dead links, drifted CLI commands, undocumented format tags,
+deleted constructor keywords.
 
-Three classes of documentation rot this catches mechanically:
+Four classes of documentation rot this catches mechanically:
 
 * **dead relative links** -- every ``[text](target)`` markdown link whose
   target is a repo path must resolve from the linking file's directory;
@@ -12,7 +13,11 @@ Three classes of documentation rot this catches mechanically:
   :mod:`repro.core.postings` and value-tag constant of
   :mod:`repro.kvstore.encoding` must appear (as ``0xNN``) in the tag tables
   of DESIGN.md's on-disk-layout section, so a new on-disk byte cannot ship
-  without its layout being written down.
+  without its layout being written down;
+* **deleted constructor keywords** -- every keyword shown in a
+  ``SequenceIndex(``, ``LSMStore(`` or ``ShardedSequenceIndex.open(`` call
+  inside a code block of docs/OPERATIONS.md must exist in the live
+  signature, so a removed knob cannot linger in the operator guide.
 
 Runs standalone (``python -m repro.bench.docscheck``, exit 1 on findings)
 and inside tier-1 via ``tests/test_docs.py``.
@@ -145,6 +150,62 @@ def check_format_tags(doc: str, text: str, tags: dict[str, int]) -> list[str]:
     ]
 
 
+#: the operator guide, whose constructor calls must match the live signatures
+KNOBS_DOC = "docs/OPERATIONS.md"
+_CONSTRUCTOR_CALL = re.compile(
+    r"(?<![\w.])(ShardedSequenceIndex\.open|SequenceIndex|LSMStore)\("
+)
+_KEYWORD = re.compile(r"\s*([A-Za-z_]\w*)\s*=(?!=)")
+
+
+def constructor_keywords() -> dict[str, set[str]]:
+    """Parameter names of the documented constructors, from the live code."""
+    import inspect
+
+    from repro.core.engine import SequenceIndex
+    from repro.kvstore import LSMStore
+    from repro.shard import ShardedSequenceIndex
+
+    engine = set(inspect.signature(SequenceIndex).parameters)
+    return {
+        "SequenceIndex": engine,
+        "LSMStore": set(inspect.signature(LSMStore).parameters),
+        # ``**engine_kwargs`` reach every shard's ``SequenceIndex``
+        "ShardedSequenceIndex.open": engine
+        | set(inspect.signature(ShardedSequenceIndex.open).parameters),
+    }
+
+
+def check_constructor_keywords(
+    doc: str, text: str, keywords: dict[str, set[str]]
+) -> list[str]:
+    """Keywords of fenced constructor calls that the signature lacks."""
+    fenced = list(_fenced_lines(text))
+    code = "\n".join(line for _, line in fenced)
+    findings = []
+    for call in _CONSTRUCTOR_CALL.finditer(code):
+        name = call.group(1)
+        line = fenced[code.count("\n", 0, call.start())][0]
+        # Split the call's own arguments: commas at nesting depth 1.
+        depth, start, arguments = 1, call.end(), []
+        for pos in range(call.end(), len(code)):
+            char = code[pos]
+            depth += (char in "([{") - (char in ")]}")
+            if depth == 0 or (depth == 1 and char == ","):
+                arguments.append(code[start:pos])
+                start = pos + 1
+            if depth == 0:
+                break
+        for argument in arguments:
+            keyword = _KEYWORD.match(argument)
+            if keyword and keyword.group(1) not in keywords[name]:
+                findings.append(
+                    f"{doc}:{line}: {name}() takes no keyword "
+                    f"{keyword.group(1)!r}"
+                )
+    return findings
+
+
 def run_docscheck(root: str | None = None) -> list[str]:
     """All findings across the documented surface (empty means healthy)."""
     root = root or repo_root()
@@ -161,6 +222,10 @@ def run_docscheck(root: str | None = None) -> list[str]:
         findings.extend(check_cli_commands(doc, text, subcommands))
         if doc == TAG_TABLES[0]:
             findings.extend(check_format_tags(doc, text, format_tags()))
+        if doc == KNOBS_DOC:
+            findings.extend(
+                check_constructor_keywords(doc, text, constructor_keywords())
+            )
     return findings
 
 

@@ -462,111 +462,6 @@ def exp_ablation_cache(
     return result
 
 
-def exp_ablation_planner(
-    scale: float,
-    dataset: str = "max_10000",
-    length: int = 10,
-    patterns_per_config: int = 15,
-    repeats: int = 3,
-) -> ExperimentResult:
-    """Ablation: query planner x batched reads x postings cache.
-
-    Not a paper experiment.  Runs the Table 8 STNM query workload
-    (length-10 patterns containing at least one rare pair) against an
-    LSM-backed index under every combination of the three read-path
-    optimisations; the all-off configuration is the naive left-to-right
-    loop-of-gets baseline.  Also writes a ``BENCH_query_planner.json``
-    perf-trajectory snapshot next to the CSV's directory.
-    """
-    import json
-    import shutil
-    import tempfile
-
-    from repro.bench.workloads import rare_pair_patterns
-    from repro.core.engine import SequenceIndex
-    from repro.kvstore import LSMStore
-
-    result = ExperimentResult(
-        "ablation_planner",
-        f"Planner/multi_get/postings-cache ablation ({dataset}, length {length})",
-        ["planner", "batched reads", "postings cache", "s per query", "speedup"],
-    )
-    log = prepared_dataset(dataset, scale)
-    workdir = tempfile.mkdtemp(prefix="repro-planner-ablation-")
-    snapshot_configs = []
-    try:
-        store = LSMStore(workdir, memtable_flush_bytes=256 * 1024)
-        base_index = SequenceIndex(store, query_cache_size=0)
-        base_index.update(log)
-        store.flush()
-        patterns = rare_pair_patterns(
-            log, base_index, length=length, count=patterns_per_config
-        )
-        queries = max(1, len(patterns) * repeats)
-        timings: list[tuple[tuple[bool, bool, bool], float]] = []
-        for planner in (False, True):
-            for batched in (False, True):
-                for cache in (False, True):
-                    index = SequenceIndex(
-                        store,
-                        query_cache_size=0,
-                        postings_cache_size=64 if cache else 0,
-                        planner=planner,
-                        batched_reads=batched,
-                    )
-                    for pattern in patterns:  # warm-up (block/postings caches)
-                        index.detect(pattern)
-                    elapsed, _ = timed(
-                        lambda: [
-                            index.detect(p)
-                            for _ in range(repeats)
-                            for p in patterns
-                        ]
-                    )
-                    timings.append(((planner, batched, cache), elapsed / queries))
-        baseline = timings[0][1]  # planner off, batched off, cache off
-        for (planner, batched, cache), per_query in timings:
-            result.add(
-                "on" if planner else "off",
-                "on" if batched else "off",
-                "on" if cache else "off",
-                per_query,
-                baseline / per_query if per_query else float("inf"),
-            )
-            snapshot_configs.append(
-                {
-                    "planner": planner,
-                    "batched_reads": batched,
-                    "postings_cache": cache,
-                    "seconds_per_query": per_query,
-                }
-            )
-        store.close()
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-    best = min(snapshot_configs, key=lambda c: c["seconds_per_query"])
-    snapshot = {
-        "experiment": "query_planner",
-        "dataset": dataset,
-        "scale": scale,
-        "pattern_length": length,
-        "patterns": patterns_per_config,
-        "repeats": repeats,
-        "baseline_seconds_per_query": baseline,
-        "best_seconds_per_query": best["seconds_per_query"],
-        "speedup": baseline / best["seconds_per_query"]
-        if best["seconds_per_query"]
-        else float("inf"),
-        "configs": snapshot_configs,
-    }
-    with open("BENCH_query_planner.json", "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2)
-        fh.write("\n")
-    result.note("baseline: planner off, loop-of-gets, no postings cache")
-    result.note("snapshot: BENCH_query_planner.json")
-    return result
-
-
 def exp_pattern_language(
     scale: float,
     dataset: str = "max_10000",
@@ -1147,7 +1042,6 @@ ALL_EXPERIMENTS: dict[str, Callable[[float], ExperimentResult]] = {
     "fig6": exp_fig6,
     "fig7": exp_fig7,
     "ablation_cache": exp_ablation_cache,
-    "ablation_planner": exp_ablation_planner,
     "pattern_language": exp_pattern_language,
     "sharded_service": exp_sharded_service,
     "leveled_compaction": exp_leveled_compaction,

@@ -150,43 +150,28 @@ def cmd_detect(args: argparse.Namespace) -> int:
             "detect needs a pattern: positional A,B,C or --pattern 'SEQ(...)'"
         )
     with _open_index(args) as index:
-        policy = Policy.STAM if args.stam else None
-        partition = args.partition if args.partition else None
+        try:
+            answer = index.detect(
+                pattern,
+                partition=args.partition if args.partition else None,
+                policy=Policy.STAM if args.stam else None,
+                max_matches=args.limit,
+                within=args.within,
+                explain=args.explain,
+                explain_profile=args.profile,
+            )
+        except ValueError as exc:  # --limit / --within out of range
+            raise SystemExit(f"detect: {exc}") from None
+        matches = answer
+        if args.explain or args.profile:
+            matches, plan = answer[:2]
+            print("plan:")
+            for line in plan.describe().splitlines():
+                print(f"  {line}")
         if args.profile:
-            matches, plan, profile = index.detect(
-                pattern,
-                partition=partition,
-                policy=policy,
-                max_matches=args.limit,
-                within=args.within,
-                explain_profile=True,
-            )
-            print("plan:")
-            for line in plan.describe().splitlines():
-                print(f"  {line}")
             print("profile:")
-            for line in profile.describe().splitlines():
+            for line in answer[2].describe().splitlines():
                 print(f"  {line}")
-        elif args.explain:
-            matches, plan = index.detect(
-                pattern,
-                partition=partition,
-                policy=policy,
-                max_matches=args.limit,
-                within=args.within,
-                explain=True,
-            )
-            print("plan:")
-            for line in plan.describe().splitlines():
-                print(f"  {line}")
-        else:
-            matches = index.detect(
-                pattern,
-                partition=partition,
-                policy=policy,
-                max_matches=args.limit,
-                within=args.within,
-            )
         print(f"{len(matches)} completions of {pattern}")
         for match in matches[: args.show]:
             stamps = ", ".join(f"{ts:g}" for ts in match.timestamps)
@@ -298,12 +283,6 @@ def _sharded_store_stats(args: argparse.Namespace) -> int:
 def cmd_continue(args: argparse.Namespace) -> int:
     pattern = _pattern(args.pattern)
     with _open_index(args) as index:
-        if getattr(index, "num_shards", None):
-            raise SystemExit(
-                "continue requires a single-store index: continuation "
-                "ranking walks prefix state the sharded coordinator "
-                "does not maintain"
-            )
         proposals = index.continuations(
             pattern, mode=args.mode, top_k=args.top_k, within=args.within
         )
@@ -357,8 +336,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         service.start()
         host, port = service.address
-        shards = getattr(index, "num_shards", 1)
-        print(f"serving {args.store} ({shards} shard(s)) on {host}:{port}")
+        print(
+            f"serving {args.store} ({index.num_shards} shard(s)) on {host}:{port}"
+        )
         sys.stdout.flush()
         try:
             if args.duration is not None:

@@ -26,7 +26,6 @@ from repro.core.matches import (
     ContinuationProposal,
     PairStats,
     PatternMatch,
-    PatternPlan,
 )
 from repro.core.model import Event, EventLog, Trace
 from repro.core.pairs import PairMethod, create_pairs
@@ -45,7 +44,6 @@ __all__ = [
     "PatternElement",
     "parse_pattern",
     "PatternMatch",
-    "PatternPlan",
     "Completion",
     "PairStats",
     "ContinuationProposal",

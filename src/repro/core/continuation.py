@@ -18,12 +18,13 @@ Extension (§7): :meth:`ContinuationExplorer.explore_at` proposes an event to
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core.errors import EmptyPatternError
 from repro.core.matches import ContinuationProposal, PatternMatch
-from repro.core.query import QueryProcessor
-from repro.core.tables import IndexTables
+
+#: ``{other event: (sum_duration, completions)}`` of one Count/ReverseCount key
+CountRow = dict[str, tuple[float, int]]
 
 
 def _sorted_proposals(
@@ -34,11 +35,26 @@ def _sorted_proposals(
 
 
 class ContinuationExplorer:
-    """Implements the three continuation-exploration alternatives."""
+    """Implements the three continuation-exploration alternatives.
 
-    def __init__(self, tables: IndexTables, query: QueryProcessor) -> None:
-        self.tables = tables
-        self.query = query
+    The explorer needs three things of an engine, and nothing else:
+    ``detect(pattern, partition)`` for exact completions, and the ``Count``
+    / ``ReverseCount`` rows of one event (``count_row(first)`` maps every
+    follower of ``first`` to ``(sum_duration, completions)``,
+    ``reverse_count_row(second)`` every predecessor of ``second``).  The
+    single-store engine reads its own tables; the sharded engine hands in
+    its scatter-gather detect and rows summed across shards.
+    """
+
+    def __init__(
+        self,
+        detect: Callable[[Sequence[str], "str | None"], list[PatternMatch]],
+        count_row: Callable[[str], CountRow],
+        reverse_count_row: Callable[[str], CountRow],
+    ) -> None:
+        self._detect = detect
+        self._count_row = count_row
+        self._reverse_count_row = reverse_count_row
 
     # -- Algorithm 3 ------------------------------------------------------------
 
@@ -60,7 +76,7 @@ class ContinuationExplorer:
         """
         if not pattern:
             raise EmptyPatternError("continuation needs a non-empty pattern")
-        followers = self.tables.get_counts(pattern[-1])
+        followers = self._count_row(pattern[-1])
         if candidates is None:
             evaluated = sorted(followers)
         else:
@@ -68,7 +84,7 @@ class ContinuationExplorer:
         proposals: list[ContinuationProposal] = []
         for event in evaluated:
             extended = list(pattern) + [event]
-            matches = self.query.detect(extended, partition)
+            matches = self._detect(extended, partition)
             if within is not None:
                 matches = [
                     match
@@ -102,12 +118,12 @@ class ContinuationExplorer:
             raise EmptyPatternError("continuation needs a non-empty pattern")
         max_completions = None
         for first, second in zip(pattern, pattern[1:]):
-            _, completions = self.tables.get_pair_count((first, second))
+            _, completions = self._count_row(first).get(second, (0.0, 0))
             if max_completions is None or completions < max_completions:
                 max_completions = completions
         proposals: list[ContinuationProposal] = []
         for event, (total_duration, completions) in sorted(
-            self.tables.get_counts(pattern[-1]).items()
+            self._count_row(pattern[-1]).items()
         ):
             bounded = (
                 completions
@@ -167,17 +183,17 @@ class ContinuationExplorer:
         if position == len(pattern):
             return self.accurate(pattern, partition=partition)
         if position == 0:
-            candidates = set(self.tables.get_reverse_counts(pattern[0]))
+            candidates = set(self._reverse_count_row(pattern[0]))
         else:
-            followers = set(self.tables.get_counts(pattern[position - 1]))
-            predecessors = set(self.tables.get_reverse_counts(pattern[position]))
+            followers = set(self._count_row(pattern[position - 1]))
+            predecessors = set(self._reverse_count_row(pattern[position]))
             candidates = followers & predecessors
         proposals: list[ContinuationProposal] = []
         gap_index = position if position > 0 else 1
         for event in sorted(candidates):
             extended = list(pattern)
             extended.insert(position, event)
-            matches = self.query.detect(extended, partition)
+            matches = self._detect(extended, partition)
             completions = len(matches)
             if completions:
                 total_gap = sum(

@@ -13,6 +13,12 @@ This is the class downstream users interact with::
 
 The store argument accepts any :class:`~repro.kvstore.api.KeyValueStore`;
 omitting it uses an in-memory store (useful for exploration and tests).
+
+The query half of that surface lives in :class:`QueryEngine`, which the
+sharded :class:`~repro.shard.index.ShardedSequenceIndex` shares: input
+coercion, argument validation, the result memo, slow-query timing and
+``explain`` are written once, and an engine only says where cardinalities
+come from, where a plan runs and how partial results combine.
 """
 
 from __future__ import annotations
@@ -27,14 +33,13 @@ from repro.core.errors import PolicyMismatchError
 from repro.core.matches import (
     ContinuationProposal,
     PatternMatch,
-    PatternPlan,
     PatternStats,
     QueryPlan,
 )
 from repro.core.model import Event, EventLog
-from repro.core.pattern import Pattern, parse_pattern
+from repro.core.pattern import Pattern
 from repro.core.policies import PairMethod, Policy
-from repro.core.query import QueryProcessor
+from repro.core.query import QueryProcessor, as_query, check_deadline, check_limits
 from repro.executor import ParallelExecutor
 from repro.kvstore import InMemoryStore
 from repro.kvstore.cache import LRUCache
@@ -48,7 +53,340 @@ _MODES = ("accurate", "fast", "hybrid")
 _MISS = object()
 
 
-class SequenceIndex:
+class QueryEngine:
+    """The query surface of an index engine, single-store or sharded.
+
+    Everything in front of a query's execution is here, once: the pattern
+    is coerced (list of activities, :class:`~repro.core.pattern.Pattern` or
+    expression string), the arguments are validated, the answer is looked
+    up in the generation-keyed **query-result cache**, the call is timed
+    for the slow-query log, and ``explain``/``explain_profile`` return the
+    plan (and stage profile) of a real execution.  An engine supplies:
+
+    * :attr:`policy`, :attr:`num_shards` and :meth:`_epoch` (the memo's
+      invalidation key: every write moves it);
+    * :meth:`_plan` -- where cardinalities come from (own ``Count`` rows,
+      or summed over shards);
+    * :meth:`_execute` -- where the plan runs (here, or fanned out) and how
+      partial results combine;
+    * :meth:`_statistics`, and an :attr:`explorer` built over
+      :meth:`_detect_uncached` and its ``Count`` / ``ReverseCount`` row
+      readers -- the same for the statistics tables (counts are additive
+      across shards because a trace lives on exactly one).
+
+    Every query method takes an absolute ``deadline``
+    (``time.monotonic()`` instant): it is checked between query stages --
+    and cancels a pending shard fan-out -- raising
+    :class:`~repro.core.errors.DeadlineExceeded`.
+
+    Every query call is timed; with ``slow_query_threshold`` set (in
+    seconds, or via the ``REPRO_SLOW_QUERY_MS`` environment variable) calls
+    at or above the threshold land in :attr:`slow_query_log`.
+    """
+
+    policy: Policy
+    num_shards: int
+    explorer: ContinuationExplorer
+
+    def __init__(
+        self, query_cache_size: int, slow_query_threshold: float | None = None
+    ) -> None:
+        self._query_cache = LRUCache(query_cache_size) if query_cache_size > 0 else None
+        if slow_query_threshold is None:
+            env_ms = os.environ.get("REPRO_SLOW_QUERY_MS", "").strip()
+            if env_ms:
+                slow_query_threshold = float(env_ms) / 1e3
+        self.slow_query_log = (
+            SlowQueryLog(slow_query_threshold)
+            if slow_query_threshold is not None
+            else None
+        )
+
+    # -- supplied by the engine ------------------------------------------------------
+
+    def _epoch(self) -> Hashable:
+        raise NotImplementedError
+
+    def _plan(
+        self,
+        query: tuple[str, ...] | Pattern,
+        partition: str | None,
+        policy: Policy | None,
+    ) -> QueryPlan:
+        raise NotImplementedError
+
+    def _execute(
+        self, op: str, plan: QueryPlan, deadline: float | None, **limits: Any
+    ) -> Any:
+        """Run ``plan`` for ``op`` (``detect``/``count``/``contains``)."""
+        raise NotImplementedError
+
+    def _statistics(
+        self, pattern: Sequence[str], all_pairs: bool, deadline: float | None
+    ) -> PatternStats:
+        raise NotImplementedError
+
+    # -- the shared front half -------------------------------------------------------
+
+    def query_cache_stats(self) -> dict[str, int]:
+        """Hit/miss/eviction counters of the query-result cache."""
+        return self._query_cache.stats() if self._query_cache is not None else {}
+
+    def slow_queries(self) -> list[SlowQueryEntry]:
+        """Recent slow queries (empty when no threshold is configured)."""
+        return self.slow_query_log.entries if self.slow_query_log is not None else []
+
+    def _observe_query(
+        self, kind: str, detail: str, compute: Callable[[], Any]
+    ) -> Any:
+        """Run one query call under a span and the slow-query timer."""
+        span = current_tracer().span(kind)
+        start = time.perf_counter()
+        try:
+            with span:
+                return compute()
+        finally:
+            if self.slow_query_log is not None:
+                self.slow_query_log.observe(
+                    kind, detail, time.perf_counter() - start
+                )
+
+    def _cached(self, key: tuple[Hashable, ...], compute: Callable[[], Any]) -> Any:
+        """Memoize ``compute()`` under the current write epoch.
+
+        List results are stored as tuples and returned as fresh lists, so a
+        caller reordering/extending its list cannot poison later cache hits.
+        The elements themselves (:class:`PatternMatch`, :class:`PatternStats`,
+        :class:`ContinuationProposal`, plain strings/ints) are shared between
+        the cache and every caller -- safe because they are all immutable
+        (frozen dataclasses with tuple fields).
+        """
+        if self._query_cache is None:
+            return compute()
+        full_key = (self._epoch(),) + key
+        cached = self._query_cache.get(full_key, _MISS)
+        if cached is not _MISS:
+            return list(cached) if isinstance(cached, tuple) else cached
+        result = compute()
+        self._query_cache.put(
+            full_key, tuple(result) if isinstance(result, list) else result
+        )
+        return result
+
+    def _check_arguments(
+        self,
+        query: tuple[str, ...] | Pattern,
+        policy: Policy | None = None,
+        max_matches: int | None = None,
+        within: float | None = None,
+    ) -> None:
+        """Reject out-of-range limits and, for a composite pattern,
+        unsupported arguments.
+
+        Composite semantics are skip-till-next-match by definition and the
+        pair-index pruning is sound only over STNM pairs (an SC index
+        records strictly-contiguous pairs, so a trace can match a composite
+        pattern while holding none of its index pairs).  The window lives
+        in the expression (``WITHIN``), not in the ``within=`` post-filter.
+        """
+        check_limits(max_matches, within)
+        if not isinstance(query, Pattern):
+            return
+        if policy is not None:
+            raise ValueError(
+                "composite patterns fix the skip-till-next-match strategy; "
+                "the policy argument applies to plain sequence patterns only"
+            )
+        if within is not None:
+            raise ValueError(
+                "composite patterns carry their window inside the expression "
+                "(WITHIN ...); the within= argument applies to plain "
+                "sequence patterns only"
+            )
+        if self.policy is not Policy.STNM:
+            raise PolicyMismatchError(
+                "composite pattern queries need an index built with "
+                f"Policy.STNM; this index uses {self.policy.value!r}, whose "
+                "pairs cannot prune skip-till-next-match candidates soundly"
+            )
+
+    def _answer(
+        self,
+        op: str,
+        pattern: Sequence[str] | Pattern | str,
+        partition: str | None,
+        policy: Policy | None,
+        deadline: float | None,
+        explain: bool = False,
+        **limits: Any,
+    ) -> Any:
+        """One ``detect``/``count``/``contains`` call, front to back.
+
+        With ``explain`` the memo is bypassed, so the plan always reflects
+        a real execution, and ``(answer, plan)`` is returned.
+        """
+        query = as_query(pattern)
+        self._check_arguments(query, policy, **limits)
+        check_deadline(deadline)
+
+        def run() -> tuple[Any, QueryPlan]:
+            plan = self._plan(query, partition, policy)
+            return self._execute(op, plan, deadline, **limits), plan
+
+        shown = str(query) if isinstance(query, Pattern) else list(query)
+        return self._observe_query(
+            f"query.{op}",
+            f"pattern={shown!r} partition={partition!r}",
+            run
+            if explain
+            else lambda: self._cached(
+                (op, query, partition, policy, *limits.values()),
+                lambda: run()[0],
+            ),
+        )
+
+    def _detect_uncached(
+        self, pattern: Sequence[str], partition: str | None
+    ) -> list[PatternMatch]:
+        """Plan and execute one detection, no memo (the explorer's probes)."""
+        plan = self._plan(as_query(pattern), partition, None)
+        return self._execute("detect", plan, None)
+
+    # -- queries ----------------------------------------------------------------------
+
+    def detect(
+        self,
+        pattern: Sequence[str] | Pattern | str,
+        partition: str | None = "",
+        policy: Policy | None = None,
+        max_matches: int | None = None,
+        within: float | None = None,
+        explain: bool = False,
+        explain_profile: bool = False,
+        deadline: float | None = None,
+    ) -> (
+        list[PatternMatch]
+        | tuple[list[PatternMatch], QueryPlan]
+        | tuple[list[PatternMatch], QueryPlan, QueryProfile]
+    ):
+        """All completions of ``pattern`` (Algorithm 2).
+
+        ``pattern`` may also be a :class:`~repro.core.pattern.Pattern` or a
+        pattern expression string -- e.g. ``"SEQ(A, !B, (C|D)+) WITHIN 10"``
+        -- which is finished by verification instead of the chain join
+        (requires a STNM index; ``policy``/``within`` must stay unset).
+        ``max_matches`` caps the result; negative values raise
+        ``ValueError``.
+
+        With ``explain=True`` the return value is ``(matches, plan)`` where
+        ``plan`` records the group cardinalities, the order and the
+        finisher the planner chose; explain calls bypass the query-result
+        cache so the plan always reflects a real execution.
+        ``explain_profile=True`` (implies ``explain``) additionally runs
+        the detection under a fresh tracer and returns ``(matches, plan,
+        profile)``, where ``profile`` breaks the call into stages (plan /
+        fetch_postings / intersect / join / materialize or verify; the
+        sharded engine reports shard.plan / shard.fanout / shard.merge).
+        """
+        limits = {"max_matches": max_matches, "within": within}
+        if explain_profile:
+            tracer = Tracer()
+            with activate(tracer):
+                matches, plan = self._answer(
+                    "detect", pattern, partition, policy, deadline, True, **limits
+                )
+            return matches, plan, profile_from_tracer(tracer, "query.detect")
+        return self._answer(
+            "detect", pattern, partition, policy, deadline, explain, **limits
+        )
+
+    def explain(
+        self,
+        pattern: Sequence[str] | Pattern | str,
+        partition: str | None = "",
+        policy: Policy | None = None,
+    ) -> QueryPlan:
+        """The execution plan a detection of ``pattern`` would use."""
+        query = as_query(pattern)
+        self._check_arguments(query, policy)
+        return self._plan(query, partition, policy)
+
+    def count(
+        self,
+        pattern: Sequence[str] | Pattern | str,
+        partition: str | None = "",
+        within: float | None = None,
+        deadline: float | None = None,
+    ) -> int:
+        """Number of completions of ``pattern``."""
+        return self._answer("count", pattern, partition, None, deadline, within=within)
+
+    def contains(
+        self,
+        pattern: Sequence[str] | Pattern | str,
+        partition: str | None = "",
+        deadline: float | None = None,
+    ) -> list[str]:
+        """Sorted ids of traces containing ``pattern``."""
+        return self._answer("contains", pattern, partition, None, deadline)
+
+    def statistics(
+        self,
+        pattern: Sequence[str],
+        all_pairs: bool = False,
+        deadline: float | None = None,
+    ) -> PatternStats:
+        """Pairwise statistics of ``pattern`` (constant-time per pair).
+
+        ``all_pairs=True`` also reads every non-adjacent pattern pair for a
+        tighter completions bound (§3.2.1's accuracy/time trade-off).
+        """
+        check_deadline(deadline)
+        return self._observe_query(
+            "query.statistics",
+            f"pattern={list(pattern)!r} all_pairs={all_pairs}",
+            lambda: self._cached(
+                ("statistics", tuple(pattern), all_pairs),
+                lambda: self._statistics(pattern, all_pairs, deadline),
+            ),
+        )
+
+    def continuations(
+        self,
+        pattern: Sequence[str],
+        mode: str = "hybrid",
+        top_k: int = 5,
+        within: float | None = None,
+        partition: str | None = "",
+    ) -> list[ContinuationProposal]:
+        """Ranked candidate next events (Algorithms 3-5, Equation 1)."""
+        if mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+
+        def compute() -> list[ContinuationProposal]:
+            if mode == "accurate":
+                return self.explorer.accurate(pattern, within, partition)
+            if mode == "fast":
+                return self.explorer.fast(pattern)
+            return self.explorer.hybrid(pattern, top_k, within, partition)
+
+        return self._observe_query(
+            "query.continuations",
+            f"pattern={list(pattern)!r} mode={mode!r} top_k={top_k}",
+            lambda: self._cached(
+                ("continuations", tuple(pattern), mode, top_k, within, partition),
+                compute,
+            ),
+        )
+
+    def explore_at(
+        self, pattern: Sequence[str], position: int, partition: str | None = ""
+    ) -> list[ContinuationProposal]:
+        """Propose insertions at arbitrary pattern positions (§7 extension)."""
+        return self.explorer.explore_at(pattern, position, partition)
+
+
+class SequenceIndex(QueryEngine):
     """Inverted event-pair index over an event log collection.
 
     Read queries (``detect``/``count``/``contains``/``statistics``/
@@ -64,18 +402,14 @@ class SequenceIndex:
     partition, pair)``), so repeated detections sharing pairs skip the store
     read and the chunk-dictionary parse even when the full query differs.
     Set ``postings_cache_size=0`` to disable.
-    ``planner`` and ``batched_reads`` toggle the selectivity-driven join
-    reordering and the batched ``multi_get`` read path; both exist for the
-    planner ablation benchmark and should stay on otherwise.
 
-    Every query API call is timed; with ``slow_query_threshold`` set (in
-    seconds, or via the ``REPRO_SLOW_QUERY_MS`` environment variable) calls
-    at or above the threshold land in :attr:`slow_query_log`.  The engine
-    also registers its caches and write generation with the process-wide
-    metrics registry (``python -m repro metrics``), and
-    ``detect(..., explain_profile=True)`` returns a per-stage
-    :class:`~repro.obs.profile.QueryProfile` alongside the plan.
+    The engine registers its caches and write generation with the
+    process-wide metrics registry (``python -m repro metrics``); the query
+    surface itself -- slow-query log and ``explain_profile`` included -- is
+    :class:`QueryEngine`'s.
     """
+
+    num_shards = 1
 
     def __init__(
         self,
@@ -86,14 +420,12 @@ class SequenceIndex:
         query_cache_size: int = 128,
         postings_cache_size: int = 64,
         sequence_cache_size: int = 256,
-        planner: bool = True,
-        batched_reads: bool = True,
         slow_query_threshold: float | None = None,
     ) -> None:
+        super().__init__(query_cache_size, slow_query_threshold)
         self.store = store if store is not None else InMemoryStore()
         self.builder = IndexBuilder(self.store, policy, method, executor)
         self.tables = self.builder.tables
-        self.tables.batched_reads = batched_reads
         self._postings_cache = (
             LRUCache(postings_cache_size) if postings_cache_size > 0 else None
         )
@@ -105,20 +437,13 @@ class SequenceIndex:
             postings_cache=self._postings_cache,
             sequence_cache=self._sequence_cache,
             generation=lambda: self._generation,
-            planner_enabled=planner,
         )
-        self.explorer = ContinuationExplorer(self.tables, self.query)
-        self._query_cache = LRUCache(query_cache_size) if query_cache_size > 0 else None
+        self.explorer = ContinuationExplorer(
+            self._detect_uncached,
+            self.tables.get_counts,
+            self.tables.get_reverse_counts,
+        )
         self._generation = 0
-        if slow_query_threshold is None:
-            env_ms = os.environ.get("REPRO_SLOW_QUERY_MS", "").strip()
-            if env_ms:
-                slow_query_threshold = float(env_ms) / 1e3
-        self.slow_query_log = (
-            SlowQueryLog(slow_query_threshold)
-            if slow_query_threshold is not None
-            else None
-        )
         self._obs_handle = REGISTRY.register(
             {"index": getattr(self.store, "obs_name", "index")},
             self._collect_obs_metrics,
@@ -137,10 +462,6 @@ class SequenceIndex:
         """Monotonic counter of index mutations (query-cache epoch)."""
         return self._generation
 
-    def query_cache_stats(self) -> dict[str, int]:
-        """Hit/miss/eviction counters of the query-result cache."""
-        return self._query_cache.stats() if self._query_cache is not None else {}
-
     def postings_cache_stats(self) -> dict[str, int]:
         """Hit/miss/eviction counters of the decoded-postings cache."""
         return self._postings_cache.stats() if self._postings_cache is not None else {}
@@ -148,10 +469,6 @@ class SequenceIndex:
     def sequence_cache_stats(self) -> dict[str, int]:
         """Hit/miss/eviction counters of the decoded-sequence cache."""
         return self._sequence_cache.stats() if self._sequence_cache is not None else {}
-
-    def slow_queries(self) -> list[SlowQueryEntry]:
-        """Recent slow queries (empty when no threshold is configured)."""
-        return self.slow_query_log.entries if self.slow_query_log is not None else []
 
     def _collect_obs_metrics(self) -> dict[str, float]:
         """Metrics-registry collector: engine caches, generation, slowlog."""
@@ -172,43 +489,35 @@ class SequenceIndex:
             samples["repro_slow_queries_total"] = self.slow_query_log.stats()["slow"]
         return samples
 
-    def _observe_query(
-        self, kind: str, detail: str, compute: Callable[[], Any]
+    # -- what this engine supplies to QueryEngine -----------------------------------
+
+    def _epoch(self) -> int:
+        return self._generation
+
+    def _plan(
+        self,
+        query: tuple[str, ...] | Pattern,
+        partition: str | None,
+        policy: Policy | None,
+    ) -> QueryPlan:
+        return self.query.plan(query, partition, policy=policy)
+
+    def _execute(
+        self, op: str, plan: QueryPlan, deadline: float | None, **limits: Any
     ) -> Any:
-        """Run one query call under a span and the slow-query timer."""
-        span = current_tracer().span(kind)
-        start = time.perf_counter()
-        try:
-            with span:
-                return compute()
-        finally:
-            if self.slow_query_log is not None:
-                self.slow_query_log.observe(
-                    kind, detail, time.perf_counter() - start
-                )
+        run = getattr(self.query, op)
+        return run(plan.pattern, plan.partition, plan=plan, deadline=deadline, **limits)
 
-    def _cached(self, key: tuple[Hashable, ...], compute: Callable[[], Any]) -> Any:
-        """Memoize ``compute()`` under the current write generation.
+    def _statistics(
+        self, pattern: Sequence[str], all_pairs: bool, deadline: float | None
+    ) -> PatternStats:
+        return self.query.statistics(pattern, all_pairs)  # one read: no stage to stop at
 
-        List results are stored as tuples and returned as fresh lists, so a
-        caller reordering/extending its list cannot poison later cache hits.
-        The elements themselves (:class:`PatternMatch`, :class:`PatternStats`,
-        :class:`ContinuationProposal`, plain strings/ints) are shared between
-        the cache and every caller -- safe because they are all immutable
-        (frozen dataclasses with tuple fields).
-        """
-        if self._query_cache is None:
-            return compute()
-        full_key = (self._generation,) + key
-        sentinel = _MISS
-        cached = self._query_cache.get(full_key, sentinel)
-        if cached is not sentinel:
-            return list(cached) if isinstance(cached, tuple) else cached
-        result = compute()
-        self._query_cache.put(
-            full_key, tuple(result) if isinstance(result, list) else result
-        )
-        return result
+    def detect_with_prefixes(
+        self, pattern: Sequence[str], partition: str | None = ""
+    ) -> dict[int, list[PatternMatch]]:
+        """Completions of the pattern and every prefix (free by-product)."""
+        return self.query.detect_with_prefixes(pattern, partition)
 
     # -- pre-processing -----------------------------------------------------------
 
@@ -256,280 +565,6 @@ class SequenceIndex:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- queries ----------------------------------------------------------------------
-
-    def _composite(self, pattern: object) -> Pattern | None:
-        """Route :class:`Pattern` objects and expression strings.
-
-        Plain lists/tuples of activities keep the Algorithm 2 chain-join
-        path; a :class:`~repro.core.pattern.Pattern` or a pattern
-        expression string (``"SEQ(A, !B, (C|D)+) WITHIN 10"``) takes the
-        composite prune-then-verify path.
-        """
-        if isinstance(pattern, Pattern):
-            return pattern
-        if isinstance(pattern, str):
-            return parse_pattern(pattern)
-        return None
-
-    def _check_composite(
-        self, policy: Policy | None = None, within: float | None = None
-    ) -> None:
-        """Guard composite-pattern queries against unsupported arguments.
-
-        Composite semantics are skip-till-next-match by definition and the
-        pair-index pruning is sound only over STNM pairs (an SC index
-        records strictly-contiguous pairs, so a trace can match a composite
-        pattern while holding none of its index pairs).  The window lives
-        in the expression (``WITHIN``), not in the ``within=`` post-filter.
-        """
-        if policy is not None:
-            raise ValueError(
-                "composite patterns fix the skip-till-next-match strategy; "
-                "the policy argument applies to plain sequence patterns only"
-            )
-        if within is not None:
-            raise ValueError(
-                "composite patterns carry their window inside the expression "
-                "(WITHIN ...); the within= argument applies to plain "
-                "sequence patterns only"
-            )
-        if self.policy is not Policy.STNM:
-            raise PolicyMismatchError(
-                "composite pattern queries need an index built with "
-                f"Policy.STNM; this index uses {self.policy.value!r}, whose "
-                "pairs cannot prune skip-till-next-match candidates soundly"
-            )
-
-    def detect(
-        self,
-        pattern: Sequence[str] | Pattern | str,
-        partition: str | None = "",
-        policy: Policy | None = None,
-        max_matches: int | None = None,
-        within: float | None = None,
-        explain: bool = False,
-        explain_profile: bool = False,
-    ) -> (
-        list[PatternMatch]
-        | tuple[list[PatternMatch], QueryPlan | PatternPlan]
-        | tuple[list[PatternMatch], QueryPlan | PatternPlan, QueryProfile]
-    ):
-        """All completions of ``pattern`` (Algorithm 2).
-
-        ``pattern`` may also be a :class:`~repro.core.pattern.Pattern` or a
-        pattern expression string -- e.g. ``"SEQ(A, !B, (C|D)+) WITHIN 10"``
-        -- which routes to the composite prune-then-verify path (requires a
-        STNM index; ``policy``/``within`` must stay unset).
-
-        With ``explain=True`` the return value is ``(matches, plan)`` where
-        ``plan`` records the pair cardinalities and join order the planner
-        chose; explain calls bypass the query-result cache so the plan
-        always reflects a real execution.  ``explain_profile=True``
-        (implies ``explain``) additionally runs the detection under a fresh
-        tracer and returns ``(matches, plan, profile)``, where ``profile``
-        breaks the call into stages (plan / fetch_postings / intersect /
-        join / materialize -- or plan / fetch_postings / intersect / verify
-        on the composite path).
-        """
-        composite = self._composite(pattern)
-        if composite is not None:
-            self._check_composite(policy, within)
-            detail = f"pattern={str(composite)!r} partition={partition!r}"
-            if explain_profile:
-                tracer = Tracer()
-                with activate(tracer):
-                    matches = self._observe_query(
-                        "query.detect",
-                        detail,
-                        lambda: self.query.detect_pattern(
-                            composite, partition, max_matches
-                        ),
-                    )
-                plan = self.query.plan_pattern(composite, partition)
-                profile = profile_from_tracer(tracer, "query.detect")
-                return matches, plan, profile
-            if explain:
-                plan = self.query.plan_pattern(composite, partition)
-                matches = self._observe_query(
-                    "query.detect",
-                    detail,
-                    lambda: self.query.detect_pattern(
-                        composite, partition, max_matches
-                    ),
-                )
-                return matches, plan
-            return self._observe_query(
-                "query.detect",
-                detail,
-                lambda: self._cached(
-                    ("detect", composite, partition, max_matches),
-                    lambda: self.query.detect_pattern(
-                        composite, partition, max_matches
-                    ),
-                ),
-            )
-        detail = f"pattern={list(pattern)!r} partition={partition!r}"
-        if explain_profile:
-            tracer = Tracer()
-            with activate(tracer):
-                matches = self._observe_query(
-                    "query.detect",
-                    detail,
-                    lambda: self.query.detect(
-                        pattern, partition, policy, max_matches, within
-                    ),
-                )
-            plan = self.explain(pattern, partition)
-            profile = profile_from_tracer(tracer, "query.detect")
-            return matches, plan, profile
-        if explain:
-            plan = self.explain(pattern, partition)
-            matches = self._observe_query(
-                "query.detect",
-                detail,
-                lambda: self.query.detect(
-                    pattern, partition, policy, max_matches, within
-                ),
-            )
-            return matches, plan
-        return self._observe_query(
-            "query.detect",
-            detail,
-            lambda: self._cached(
-                ("detect", tuple(pattern), partition, policy, max_matches, within),
-                lambda: self.query.detect(
-                    pattern, partition, policy, max_matches, within
-                ),
-            ),
-        )
-
-    def explain(
-        self, pattern: Sequence[str] | Pattern | str, partition: str | None = ""
-    ) -> QueryPlan | PatternPlan:
-        """The execution plan a detection of ``pattern`` would use."""
-        composite = self._composite(pattern)
-        if composite is not None:
-            self._check_composite()
-            return self.query.plan_pattern(composite, partition)
-        if len(pattern) < 2:
-            # Length-0/1 patterns never reach the join; report a trivial plan.
-            return QueryPlan(
-                pattern=tuple(pattern),
-                pairs=(),
-                cardinalities=(),
-                order=(),
-                reordered=False,
-                partition=partition,
-            )
-        return self.query.plan(pattern, partition)
-
-    def count(
-        self,
-        pattern: Sequence[str] | Pattern | str,
-        partition: str | None = "",
-        within: float | None = None,
-    ) -> int:
-        """Number of completions of ``pattern``."""
-        composite = self._composite(pattern)
-        if composite is not None:
-            self._check_composite(within=within)
-            return self._observe_query(
-                "query.count",
-                f"pattern={str(composite)!r} partition={partition!r}",
-                lambda: self._cached(
-                    ("count", composite, partition),
-                    lambda: self.query.count_pattern(composite, partition),
-                ),
-            )
-        return self._observe_query(
-            "query.count",
-            f"pattern={list(pattern)!r} partition={partition!r}",
-            lambda: self._cached(
-                ("count", tuple(pattern), partition, within),
-                lambda: self.query.count(pattern, partition, within),
-            ),
-        )
-
-    def detect_with_prefixes(
-        self, pattern: Sequence[str], partition: str | None = ""
-    ) -> dict[int, list[PatternMatch]]:
-        """Completions of the pattern and every prefix (free by-product)."""
-        return self.query.detect_with_prefixes(pattern, partition)
-
-    def contains(
-        self, pattern: Sequence[str] | Pattern | str, partition: str | None = ""
-    ) -> list[str]:
-        """Ids of traces containing ``pattern``."""
-        composite = self._composite(pattern)
-        if composite is not None:
-            self._check_composite()
-            return self._observe_query(
-                "query.contains",
-                f"pattern={str(composite)!r} partition={partition!r}",
-                lambda: self._cached(
-                    ("contains", composite, partition),
-                    lambda: self.query.contains_pattern(composite, partition),
-                ),
-            )
-        return self._observe_query(
-            "query.contains",
-            f"pattern={list(pattern)!r} partition={partition!r}",
-            lambda: self._cached(
-                ("contains", tuple(pattern), partition),
-                lambda: self.query.contains(pattern, partition),
-            ),
-        )
-
-    def statistics(self, pattern: Sequence[str], all_pairs: bool = False) -> PatternStats:
-        """Pairwise statistics of ``pattern`` (constant-time per pair).
-
-        ``all_pairs=True`` also reads every non-adjacent pattern pair for a
-        tighter completions bound (§3.2.1's accuracy/time trade-off).
-        """
-        return self._observe_query(
-            "query.statistics",
-            f"pattern={list(pattern)!r} all_pairs={all_pairs}",
-            lambda: self._cached(
-                ("statistics", tuple(pattern), all_pairs),
-                lambda: self.query.statistics(pattern, all_pairs),
-            ),
-        )
-
-    def continuations(
-        self,
-        pattern: Sequence[str],
-        mode: str = "hybrid",
-        top_k: int = 5,
-        within: float | None = None,
-        partition: str | None = "",
-    ) -> list[ContinuationProposal]:
-        """Ranked candidate next events (Algorithms 3-5, Equation 1)."""
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-        def compute() -> list[ContinuationProposal]:
-            if mode == "accurate":
-                return self.explorer.accurate(pattern, within, partition)
-            if mode == "fast":
-                return self.explorer.fast(pattern)
-            return self.explorer.hybrid(pattern, top_k, within, partition)
-
-        return self._observe_query(
-            "query.continuations",
-            f"pattern={list(pattern)!r} mode={mode!r} top_k={top_k}",
-            lambda: self._cached(
-                ("continuations", tuple(pattern), mode, top_k, within, partition),
-                compute,
-            ),
-        )
-
-    def explore_at(
-        self, pattern: Sequence[str], position: int, partition: str | None = ""
-    ) -> list[ContinuationProposal]:
-        """Propose insertions at arbitrary pattern positions (§7 extension)."""
-        return self.explorer.explore_at(pattern, position, partition)
-
     # -- introspection -------------------------------------------------------------------
 
     def trace_ids(self) -> list[str]:
@@ -576,3 +611,11 @@ class SequenceIndex:
             alphabet.add(key[0])
             alphabet.update(value)
         return alphabet
+
+    def storage_stats(self) -> dict[str, Any]:
+        """The store's storage accounting (empty for in-memory backends)."""
+        return self.store.storage_stats()
+
+    def format_stats(self) -> dict[str, dict[str, dict[str, int]]]:
+        """Chunks and rows per storage format (:meth:`IndexTables.format_stats`)."""
+        return self.tables.format_stats()

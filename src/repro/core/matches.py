@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.core.pattern import Pattern
+
 
 @dataclass(frozen=True)
 class PatternMatch:
@@ -129,68 +131,42 @@ class ContinuationProposal:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """How the query processor decided to execute one detection.
+    """How the query processor decided to execute one query.
 
-    ``pairs[i]`` is the pattern's ``i``-th consecutive pair and
-    ``cardinalities[i]`` its exact global completion count from the
-    ``Count`` table (exact because greedy non-overlapping matching inserts
-    one Count increment per indexed pair entry).  ``order`` lists pair
-    indices in the join order actually executed: the planner starts at the
-    rarest pair and extends to adjacent pairs, cheapest side first, so the
-    intermediate chain set is never larger than the rarest posting list.
-    ``reordered`` is ``False`` when that order coincides with naive
-    left-to-right evaluation (or when reordering was disabled).
+    Every query runs the same stages -- ``plan -> fetch_postings ->
+    intersect`` and then one *finisher* -- so there is one plan type.
+    ``groups[i]`` holds the index pairs of the ``i``-th adjacency of
+    *positive* pattern elements: one pair per combination of the two
+    elements' alternation branches, so a plain sequence is the case where
+    every group holds exactly one pair.  ``cardinalities[i]`` is the **sum
+    of the group's branch-pair counts** from the ``Count`` table (exact per
+    pair, because greedy non-overlapping matching inserts one Count
+    increment per indexed pair entry; an upper bound on the traces holding
+    the adjacency).  Every group is a positive requirement, so a group with
+    cardinality zero proves the whole query empty.  Negated elements never
+    prune (a zero-count forbidden pair would otherwise wrongly empty the
+    query); they appear only in ``negated``, for display.
+
+    ``finisher`` is what runs on the traces that survive the intersection,
+    selected by the input:
+
+    * ``"join"`` -- a list of activities: the Algorithm 2 chain join over
+      the fetched postings.  ``order`` is the join order: it starts at the
+      rarest pair and extends to adjacent pairs, cheapest side first, so the
+      intermediate chain set is never larger than the rarest posting list.
+    * ``"verify"`` -- a :class:`~repro.core.pattern.Pattern`:
+      :func:`~repro.core.pattern.find_matches` over each survivor's stored
+      sequence.  ``order`` is the pruning order, cheapest group first.
+    * ``"enumerate"`` -- a list under ``Policy.STAM``, or a single activity
+      (one event has no pair, and every policy agrees on it): exhaustive
+      per-trace enumeration, pruned like ``"verify"``.
+
+    ``reordered`` is ``False`` when ``order`` coincides with left-to-right
+    evaluation.
     """
 
-    pattern: tuple[str, ...]
-    pairs: tuple[tuple[str, str], ...]
-    cardinalities: tuple[int, ...]
-    order: tuple[int, ...]
-    reordered: bool
-    partition: str | None = ""
-
-    @property
-    def estimated_cost(self) -> int:
-        """Planner cost proxy: the rarest pair bounds the chain frontier."""
-        return min(self.cardinalities, default=0)
-
-    def describe(self) -> str:
-        """One line per join step, for ``detect --explain`` output."""
-        lines = []
-        for step, idx in enumerate(self.order):
-            first, second = self.pairs[idx]
-            lines.append(
-                f"step {step}: pair {idx} ({first} -> {second}) "
-                f"cardinality={self.cardinalities[idx]}"
-            )
-        lines.append(
-            f"order={'reordered' if self.reordered else 'left-to-right'} "
-            f"bound={self.estimated_cost} completions"
-        )
-        return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class PatternPlan:
-    """How the query processor decided to execute one composite-pattern query.
-
-    Composite patterns (alternation, Kleene, negation, WITHIN -- see
-    :mod:`repro.core.pattern`) are executed as *prune-then-verify*: the
-    pair index intersects candidate traces, then the pattern evaluator
-    verifies each survivor.  ``groups[i]`` holds the index pairs derived
-    from the ``i``-th adjacency of *positive* elements -- one pair per
-    combination of the two elements' alternation branches, so a group's
-    ``cardinalities[i]`` is the **sum of its branch-pair counts** (an
-    upper bound on traces holding the adjacency).  Negated elements are
-    skipped when deriving adjacencies: a negation must never prune (a
-    zero-count forbidden pair would otherwise wrongly empty the query),
-    so they appear only in ``negated`` for display.  ``order`` is the
-    pruning order (cheapest group first under the planner); a group with
-    cardinality zero proves the whole query empty -- but only because
-    every group is a *positive* requirement.
-    """
-
-    pattern: "object"
+    pattern: tuple[str, ...] | Pattern
+    finisher: str
     groups: tuple[tuple[tuple[str, str], ...], ...]
     cardinalities: tuple[int, ...]
     order: tuple[int, ...]
@@ -199,13 +175,28 @@ class PatternPlan:
     partition: str | None = ""
 
     @property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        """Every index pair the plan reads (a plain sequence's consecutive pairs)."""
+        return tuple(pair for group in self.groups for pair in group)
+
+    @property
     def estimated_cost(self) -> int:
         """Planner cost proxy: the rarest group bounds the candidate set."""
         return min(self.cardinalities, default=0)
 
+    @property
+    def proves_empty(self) -> bool:
+        """True when some positive adjacency never completed anywhere."""
+        return 0 in self.cardinalities
+
     def describe(self) -> str:
-        """One line per pruning step, for ``detect --pattern --explain``."""
-        lines = [f"pattern {self.pattern}"]
+        """One line per step, for ``detect --explain`` output."""
+        text = (
+            str(self.pattern)
+            if isinstance(self.pattern, Pattern)
+            else ", ".join(self.pattern)
+        )
+        lines = [f"pattern {text}"]
         for step, idx in enumerate(self.order):
             branches = " | ".join(f"{a} -> {b}" for a, b in self.groups[idx])
             lines.append(
@@ -213,12 +204,13 @@ class PatternPlan:
                 f"cardinality={self.cardinalities[idx]}"
             )
         if not self.groups:
-            lines.append("no positive adjacency: full sequence scan")
+            lines.append("no pair to prune with: full sequence scan")
         for name in self.negated:
             lines.append(f"negated element {name}: verification only, no pruning")
         lines.append(
+            f"finisher={self.finisher} "
             f"order={'reordered' if self.reordered else 'left-to-right'} "
-            f"bound={self.estimated_cost} candidate completions"
+            f"bound={self.estimated_cost} completions"
         )
         return "\n".join(lines)
 

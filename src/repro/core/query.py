@@ -1,62 +1,136 @@
 """The query processor component (§3.2): statistics and pattern detection.
 
 *Statistics* queries read only the ``Count`` and ``LastChecked`` tables --
-constant work per pattern pair, fetched as one batched read.  *Pattern
-detection* (Algorithm 2) fetches the inverted-index entries of every
-consecutive pattern pair and chains them per trace by joining on the shared
-event's timestamp.  Because the index's pairs are greedy and
-non-overlapping, a chain extends in at most one way, so the join is a hash
-lookup per partial chain.
+constant work per pattern pair, fetched as one batched read.
 
-Since the selectivity-driven planner rework, detection no longer evaluates
-pairs left-to-right unconditionally.  A :class:`~repro.core.matches.QueryPlan`
-is built first from the exact per-pair cardinalities the ``Count`` table
-stores anyway (one batched read): the join starts at the *rarest* pair and
-extends bidirectionally, cheapest adjacent pair next, so the intermediate
-chain set is bounded by the smallest posting list instead of the first one.
-Posting lists are fetched with one batched ``multi_get`` per Index table as
-:class:`~repro.core.postings.Postings`; per-trace candidate sets come from
-the chunk dictionaries alone and are intersected *before* any column is
-decoded, and grouping is lazy -- restricted to surviving traces (chunks
-mentioning none of them are never unpacked) and skipped entirely for pairs
-after the chain set empties.  An optional decoded-postings LRU (see
-:class:`repro.core.engine.SequenceIndex`) keeps the fetched ``Postings``.
-The join order never changes the result: extension is unique per chain, so
-the planner's output is byte-identical to left-to-right evaluation
-(property-tested against it and against a brute-force oracle).
+*Pattern detection* is one procedure for every kind of query -- a list of
+activities (Algorithm 2), a list under skip-till-any-match, a composite
+:class:`~repro.core.pattern.Pattern` (alternation, Kleene, negation,
+WITHIN) -- because they all prune the same way and differ only in how a
+surviving trace is finished:
+
+1. **plan** -- one :class:`~repro.core.matches.QueryPlan` from the exact
+   per-pair cardinalities the ``Count`` table stores anyway (one batched
+   read, or handed in by a coordinator that summed them over shards).  Each
+   adjacency of positive elements is a pruning *group* of index pairs (one
+   pair for a plain sequence, one per branch combination under
+   alternation); a zero-cardinality group proves the result empty before
+   any posting list is read.
+2. **fetch_postings** -- the posting lists of every group pair in one
+   batched ``multi_get`` per Index table, as
+   :class:`~repro.core.postings.Postings`, through the optional
+   decoded-postings LRU (see :class:`repro.core.engine.SequenceIndex`).
+3. **intersect** -- per-group trace sets come from the chunk dictionaries
+   alone and are intersected cheapest group first *before* any column is
+   decoded, with an empty-set early exit.
+4. the plan's **finisher** on the survivors:
+
+   * ``join`` (+ ``materialize``) for a list: consecutive pair entries are
+     chained per trace by joining on the shared event's timestamp, starting
+     at the *rarest* pair and extending bidirectionally, cheapest adjacent
+     pair next, so the intermediate chain set is bounded by the smallest
+     posting list.  Because the index's pairs are greedy and
+     non-overlapping, a chain extends in at most one way, so the join is a
+     hash lookup per partial chain and the join order never changes the
+     result (property-tested against left-to-right evaluation and a
+     brute-force oracle).  Grouping is lazy -- restricted to surviving
+     traces (chunks mentioning none of them are never unpacked) and skipped
+     for pairs after the chain set empties.  The join needs no Seq row.
+   * ``verify`` for a ``Pattern``: each survivor's stored sequence is
+     checked with :func:`repro.core.pattern.find_matches`, which enforces
+     windows and negations from the indexed timestamps.  Semantics match
+     the SASE oracle (:class:`repro.baselines.sase.nfa.PatternNfa`) exactly
+     -- the differential suite holds the two byte-identical.
+   * ``enumerate`` for skip-till-any-match (STAM, §7 future work) and for a
+     single activity: any STAM match implies the corresponding STNM pairs
+     exist, so the pruning is sound, and the stored sequence is enumerated
+     exhaustively per survivor.
+
+The finishers stay apart on purpose: the chain join reports exactly the
+completions the pair index recorded, while STNM-greedy verification may
+retry from a later occurrence than the greedy pair did, so the two disagree
+on some patterns (DESIGN.md).  ``deadline`` (an absolute
+``time.monotonic()`` instant) is checked between stages.
 
 The detection by-product the paper mentions -- matches of every pattern
 *prefix* -- is available through :meth:`QueryProcessor.detect_with_prefixes`,
-which keeps the old left-to-right order as an explicit plan (prefix
-snapshots only exist in that order).
-
-Skip-till-any-match (STAM, §7 future work) is supported as an extension:
-the pair index prunes to candidate traces (any STAM match implies the
-corresponding STNM pairs exist), then the stored sequence is enumerated
-exhaustively per candidate.
+which keeps the left-to-right order as an explicit plan (prefix snapshots
+only exist in that order); it is also the reference the planner property
+tests compare against.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Sequence
 
-from repro.core.errors import EmptyPatternError
-from repro.core.matches import (
-    PairStats,
-    PatternMatch,
-    PatternPlan,
-    PatternStats,
-    QueryPlan,
-)
-from repro.core.pattern import Pattern, find_matches
+from repro.core.errors import DeadlineExceeded, EmptyPatternError
+from repro.core.matches import PairStats, PatternMatch, PatternStats, QueryPlan
+from repro.core.pattern import Pattern, find_matches, parse_pattern
 from repro.core.policies import Policy
 from repro.core.postings import Completions, Postings
 from repro.core.tables import IndexTables
 from repro.obs.trace import current_tracer
 
 Chain = tuple[float, ...]
+Groups = tuple[tuple[tuple[str, str], ...], ...]
 
 _MISS = object()
+
+
+def as_query(pattern: Sequence[str] | Pattern | str) -> tuple[str, ...] | Pattern:
+    """The canonical (hashable) form of a query input.
+
+    A :class:`~repro.core.pattern.Pattern` or a pattern expression string
+    (``"SEQ(A, !B, (C|D)+) WITHIN 10"``) is a composite pattern; any other
+    sequence is a plain list of activities.
+    """
+    if isinstance(pattern, Pattern):
+        return pattern
+    if isinstance(pattern, str):
+        return parse_pattern(pattern)
+    query = tuple(pattern)
+    if not query:
+        raise EmptyPatternError("cannot detect an empty pattern")
+    return query
+
+
+def pruning_groups(query: tuple[str, ...] | Pattern) -> Groups:
+    """The pruning groups of ``query`` (deterministic, plan-free).
+
+    Each adjacency of *positive* elements becomes one group holding every
+    branch pair of the two elements' alternation sets.  Negated elements
+    are skipped entirely -- a forbidden pair with zero count must not prune
+    the query -- and Kleene elements prune like their plain selves (a
+    single occurrence satisfies ``+``, so only the base pair is required).
+    A list of activities has one single-pair group per consecutive pair.
+    """
+    if not isinstance(query, Pattern):
+        return tuple(((a, b),) for a, b in zip(query, query[1:]))
+    elements = query.elements
+    positives = query.positive_indices
+    return tuple(
+        tuple(
+            (a, b)
+            for a in elements[left].types
+            for b in elements[right].types
+        )
+        for left, right in zip(positives, positives[1:])
+    )
+
+
+def check_limits(max_matches: int | None, within: float | None) -> None:
+    """Reject out-of-range result limits (both arrive from outside)."""
+    if max_matches is not None and max_matches < 0:
+        raise ValueError("max_matches must be non-negative")
+    if within is not None and within < 0:
+        raise ValueError("within must be non-negative")
+
+
+def check_deadline(deadline: float | None) -> None:
+    """Raise :class:`DeadlineExceeded` once ``deadline`` has passed."""
+    if deadline is not None and time.monotonic() >= deadline:
+        raise DeadlineExceeded("deadline expired between query stages")
 
 
 class _PlannedPostings:
@@ -72,11 +146,11 @@ class _PlannedPostings:
     this query sees.  That is exact for the plain chain join -- a chain's
     timestamps are monotonic, so every pair completion inside a chain of
     duration <= tau itself spans <= tau, and dropping entries can never
-    *create* a chain -- but unsound for composite verification, where the
-    STNM matcher may retry from a later occurrence than the greedy pair
-    recorded (see DESIGN.md).  A window needs the timestamps, so with one
-    the trace sets come from a full filtered grouping instead of the chunk
-    dictionaries.
+    *create* a chain -- but unsound for the other finishers, where the
+    matcher may use a later occurrence than the greedy pair recorded (see
+    DESIGN.md), so only the join passes one.  A window needs the
+    timestamps, so with one the trace sets come from a full filtered
+    grouping instead of the chunk dictionaries.
     """
 
     def __init__(
@@ -86,25 +160,34 @@ class _PlannedPostings:
         within: float | None = None,
     ) -> None:
         self._within = within
-        fetched = query._fetch_postings(plan.pairs, plan.partition)
-        self._postings = [fetched[pair] for pair in plan.pairs]
+        self._groups = plan.groups
+        self._postings = query._fetch_postings(plan.pairs, plan.partition)
         self._grouped: dict[int, dict[str, Completions]] = {}
 
     def trace_set(self, i: int) -> set[str]:
-        """Trace ids holding at least one in-window completion of pair ``i``."""
-        if self._within is None:
-            return self._postings[i].trace_ids()
-        return set(self.group(i, None))
+        """Trace ids holding an in-window completion of any pair of group ``i``.
+
+        Alternation makes a group's set the union of its branch pairs'.
+        """
+        if self._within is not None:
+            return set(self.group(i, None))
+        first, *others = self._groups[i]
+        traces = self._postings[first].trace_ids()  # a fresh set per call
+        for pair in others:
+            traces |= self._postings[pair].trace_ids()
+        return traces
 
     def group(self, i: int, restrict: set[str] | None) -> dict[str, Completions]:
-        """Per-trace sorted (window-surviving) completions of pair ``i``.
+        """Per-trace sorted (window-surviving) completions of the one pair
+        of group ``i`` (the join's groups are single pairs).
 
         Grouped once per query: ``restrict`` is the set of traces alive at
         the first request, and later requests only ever ask for a subset.
         """
         grouped = self._grouped.get(i)
         if grouped is None:
-            grouped = self._postings[i].grouped(restrict)
+            (pair,) = self._groups[i]
+            grouped = self._postings[pair].grouped(restrict)
             within = self._within
             if within is not None:
                 grouped = {
@@ -124,10 +207,8 @@ class QueryProcessor:
     pair)``; ``generation`` supplies the owning index's write generation so
     a batch update invalidates by construction.  ``sequence_cache`` is the
     same idea for decoded Seq-table rows (``(activities, timestamps)``
-    columns), keyed ``(generation, trace_id)`` -- composite-pattern
-    verification re-reads the same candidate traces across queries.
-    ``planner_enabled=False`` pins every detection to naive left-to-right
-    evaluation (the ablation baseline and the prefix path).
+    columns), keyed ``(generation, trace_id)`` -- verification re-reads the
+    same candidate traces across queries.
     """
 
     def __init__(
@@ -136,13 +217,11 @@ class QueryProcessor:
         postings_cache=None,
         sequence_cache=None,
         generation: Callable[[], int] | None = None,
-        planner_enabled: bool = True,
     ) -> None:
         self.tables = tables
         self.postings_cache = postings_cache
         self.sequence_cache = sequence_cache
         self._generation = generation if generation is not None else lambda: 0
-        self.planner_enabled = planner_enabled
         # Decoded Count rows of one write generation: (generation, {first
         # event: row}).  Decoding a Count document is O(|alphabet|) -- too
         # expensive to repeat per plan() -- while the rows themselves are
@@ -241,88 +320,80 @@ class QueryProcessor:
             extra_pairs=tuple(row(pair) for pair in extras),
         )
 
-    def _pair_stats(self, first: str, second: str) -> PairStats:
-        total_duration, completions = self.tables.get_pair_count((first, second))
-        last = self.tables.get_last_completion((first, second))
-        return PairStats(
-            pair=(first, second),
-            completions=completions,
-            total_duration=total_duration,
-            last_completion=last,
-        )
-
     # -- planning ----------------------------------------------------------------
 
     def plan(
-        self, pattern: Sequence[str], partition: str | None = ""
+        self,
+        pattern: Sequence[str] | Pattern | str,
+        partition: str | None = "",
+        cardinalities: Sequence[int] | None = None,
+        policy: Policy | None = None,
     ) -> QueryPlan:
-        """Build the execution plan for a detection of ``pattern``.
+        """Build the execution plan for a query on ``pattern``.
 
-        One batched ``Count`` read yields every consecutive pair's exact
-        global completion count (exact even per partition as an upper
-        bound: statistics tables are global, so zero means zero
-        everywhere).  The join order starts at the rarest pair and grows
-        the covered window towards whichever adjacent pair is cheaper.
+        One batched ``Count`` read yields every pruning pair's exact global
+        completion count (exact even per partition as an upper bound:
+        statistics tables are global, so zero means zero everywhere); a
+        group's cardinality is the sum over its branch pairs (alternation
+        cardinality is additive).  ``cardinalities`` supplies the per-pair
+        counts instead -- one per pair of :func:`pruning_groups`, flattened
+        -- for the scatter-gather coordinator, which sums every shard's
+        :meth:`cardinalities` and hands all shards the same plan.  The
+        join order starts at the rarest pair and grows the covered window
+        towards whichever adjacent pair is cheaper; the other finishers
+        only prune, cheapest group first.
         """
-        if len(pattern) < 2:
-            raise EmptyPatternError("planning needs a pattern of length >= 2")
+        query = as_query(pattern)
+        groups = pruning_groups(query)
+        negated: tuple[str, ...] = ()
+        if isinstance(query, Pattern):
+            finisher = "verify"
+            negated = tuple(str(e) for e in query.elements if e.negated)
+        elif policy is Policy.STAM or len(query) == 1:
+            finisher = "enumerate"
+        else:
+            finisher = "join"
         span = current_tracer().span("plan")
         with span:
-            pairs = tuple(zip(pattern, pattern[1:]))
-            cardinalities = self._cardinalities(pairs)
-            natural = tuple(range(len(pairs)))
-            order = (
-                _rarest_first_order(cardinalities) if self.planner_enabled else natural
-            )
+            pairs = tuple(pair for group in groups for pair in group)
+            if cardinalities is None:
+                per_pair = self.cardinalities(pairs)
+            else:
+                per_pair = tuple(int(c) for c in cardinalities)
+                if len(per_pair) != len(pairs):
+                    raise ValueError("need one cardinality per pruning pair")
+            folded, offset = [], 0
+            for group in groups:
+                folded.append(sum(per_pair[offset : offset + len(group)]))
+                offset += len(group)
+            cards = tuple(folded)
+            natural = tuple(range(len(groups)))
+            if finisher == "join":
+                order = _rarest_first_order(cards)
+            else:
+                order = tuple(sorted(natural, key=lambda i: (cards[i], i)))
             if span.enabled:
+                span.add("groups", len(groups))
                 span.add("pairs", len(pairs))
-                span.add("min_cardinality", min(cardinalities, default=0))
+                span.add("min_cardinality", min(cards, default=0))
             return QueryPlan(
-                pattern=tuple(pattern),
-                pairs=pairs,
-                cardinalities=cardinalities,
+                pattern=query,
+                finisher=finisher,
+                groups=groups,
+                cardinalities=cards,
                 order=order,
                 reordered=order != natural,
+                negated=negated,
                 partition=partition,
             )
 
-    def cardinalities(
-        self, pairs: Sequence[tuple[str, str]]
-    ) -> tuple[int, ...]:
-        """Exact ``Count``-table completion counts for arbitrary pairs.
+    def cardinalities(self, pairs: Sequence[tuple[str, str]]) -> tuple[int, ...]:
+        """Exact ``Count``-table completion counts per pair, through the
+        Count-row cache.
 
         Public for the scatter-gather coordinator, which sums each shard's
         cardinalities into the merged counts a global plan is built from.
         """
-        return self._cardinalities(tuple(pairs))
-
-    def plan_from_cardinalities(
-        self,
-        pattern: Sequence[str],
-        cardinalities: Sequence[int],
-        partition: str | None = "",
-    ) -> QueryPlan:
-        """Build a plan from externally supplied (e.g. cluster-wide merged)
-        cardinalities instead of this store's own ``Count`` rows."""
-        if len(pattern) < 2:
-            raise EmptyPatternError("planning needs a pattern of length >= 2")
-        pairs = tuple(zip(pattern, pattern[1:]))
-        if len(cardinalities) != len(pairs):
-            raise ValueError("need one cardinality per consecutive pair")
-        cards = tuple(int(c) for c in cardinalities)
-        natural = tuple(range(len(pairs)))
-        order = _rarest_first_order(cards) if self.planner_enabled else natural
-        return QueryPlan(
-            pattern=tuple(pattern),
-            pairs=pairs,
-            cardinalities=cards,
-            order=order,
-            reordered=order != natural,
-            partition=partition,
-        )
-
-    def _cardinalities(self, pairs: tuple[tuple[str, str], ...]) -> tuple[int, ...]:
-        """Exact completion counts per pair, through the Count-row cache."""
         generation = self._generation()
         cached_generation, cache = self._count_rows
         if cached_generation != generation:
@@ -342,42 +413,47 @@ class QueryProcessor:
             out.append(int(stats[1]) if stats is not None else 0)
         return tuple(out)
 
-    # -- pattern detection (Algorithm 2) ------------------------------------------
+    # -- pattern detection: plan -> fetch_postings -> intersect -> finisher ----
 
     def detect(
         self,
-        pattern: Sequence[str],
+        pattern: Sequence[str] | Pattern | str,
         partition: str | None = "",
         policy: Policy | None = None,
         max_matches: int | None = None,
         within: float | None = None,
         plan: QueryPlan | None = None,
+        deadline: float | None = None,
     ) -> list[PatternMatch]:
         """All completions of ``pattern``, one match per completion.
 
         ``partition=""`` queries the default index partition, a name queries
         that period's partition, and ``None`` unions all partitions.  With
         ``policy=Policy.STAM`` the relaxed overlapping semantics are used
-        (see the module docstring); ``max_matches`` caps STAM explosion.
-        ``within`` keeps only matches whose end-to-end span is at most that
-        long (a CEP-style WITHIN window); the window is also pushed into the
-        planned chain join, where per-completion span filtering is exact.
-        ``plan`` overrides planning with a precomputed
+        (see the module docstring).  ``max_matches`` caps the result (and
+        bounds STAM explosion and verification work).  ``within`` keeps
+        only matches whose end-to-end span is at most that long (a
+        CEP-style WITHIN window); the window is also pushed into the chain
+        join, where per-completion span filtering is exact.  ``plan``
+        overrides planning with a precomputed
         :class:`~repro.core.matches.QueryPlan` (the scatter-gather
         coordinator plans once from merged cardinalities and hands every
         shard the same plan); the plan never changes the result, only the
-        join order.
+        order of work.
         """
-        if len(pattern) == 0:
-            raise EmptyPatternError("cannot detect an empty pattern")
-        if within is not None and within < 0:
-            raise ValueError("within must be non-negative")
-        if policy is Policy.STAM:
-            matches = self._detect_stam(pattern, partition, max_matches)
-        elif len(pattern) == 1:
-            matches = self._detect_single(pattern[0])
-        else:
-            chains = self._chain(pattern, partition, within=within, plan=plan)
+        check_limits(max_matches, within)
+        if plan is None:
+            plan = self.plan(pattern, partition, policy=policy)
+        if plan.proves_empty or max_matches == 0:
+            # Count is global and exact: a zero-cardinality group has no
+            # postings in any partition, so the query is dead on arrival.
+            return []
+        postings, survivors = self._prune(plan, within, deadline)
+        if survivors is not None and not survivors:
+            return []
+        if plan.finisher == "join":
+            chains = self._join(plan, postings, survivors)
+            check_deadline(deadline)
             span = current_tracer().span("materialize")
             with span:
                 matches = [
@@ -387,43 +463,49 @@ class QueryProcessor:
                 ]
                 if span.enabled:
                     span.add("matches", len(matches))
+        else:
+            matches = self._verify(plan, survivors, max_matches)
         if within is not None:
             matches = [m for m in matches if m.duration <= within]
-        if max_matches is not None and policy is not Policy.STAM:
+        if max_matches is not None:
             matches = matches[:max_matches]
         return matches
 
     def count(
         self,
-        pattern: Sequence[str],
+        pattern: Sequence[str] | Pattern | str,
         partition: str | None = "",
         within: float | None = None,
         plan: QueryPlan | None = None,
+        deadline: float | None = None,
     ) -> int:
         """Number of completions of ``pattern``.
 
-        Counts the chains directly -- no :class:`PatternMatch` object is
-        materialized per completion.
+        Counts the chains (or the verifier's matches) directly -- no
+        :class:`PatternMatch` object is materialized per completion.
         """
-        if len(pattern) == 0:
-            raise EmptyPatternError("cannot detect an empty pattern")
-        if within is not None and within < 0:
-            raise ValueError("within must be non-negative")
-        if len(pattern) == 1:
-            # Single events span zero time, so any non-negative window keeps
-            # them all; count occurrences straight off the Seq table.
+        check_limits(None, within)
+        if plan is None:
+            plan = self.plan(pattern, partition)
+        if plan.proves_empty:
+            return 0
+        postings, survivors = self._prune(plan, within, deadline)
+        if survivors is not None and not survivors:
+            return 0
+        if plan.finisher == "join":
+            chains = self._join(plan, postings, survivors)
+            if within is None:
+                return sum(len(trace_chains) for trace_chains in chains.values())
             return sum(
-                activities.count(pattern[0])
-                for _, (activities, _) in self.tables.iter_sequences()
+                1
+                for trace_chains in chains.values()
+                for chain in trace_chains
+                if chain[-1] - chain[0] <= within
             )
-        chains = self._chain(pattern, partition, within=within, plan=plan)
-        if within is None:
-            return sum(len(trace_chains) for trace_chains in chains.values())
+        matcher = _MATCHERS[plan.finisher]
         return sum(
-            1
-            for trace_chains in chains.values()
-            for chain in trace_chains
-            if chain[-1] - chain[0] <= within
+            len(matcher(activities, stamps, plan.pattern, None))
+            for _, (activities, stamps) in self._candidate_sequences(survivors)
         )
 
     def detect_with_prefixes(
@@ -449,33 +531,34 @@ class QueryProcessor:
 
     def contains(
         self,
-        pattern: Sequence[str],
+        pattern: Sequence[str] | Pattern | str,
         partition: str | None = "",
         plan: QueryPlan | None = None,
+        deadline: float | None = None,
     ) -> list[str]:
         """Ids of traces containing ``pattern`` at least once.
 
         Short-circuits per trace: candidate traces are intersected from the
         pair index first, then each candidate stops at its first chain that
-        survives every join step -- no match set is materialized.
+        survives every join step (or its first verified match) -- no match
+        set is materialized.
         """
-        if len(pattern) == 0:
-            raise EmptyPatternError("cannot detect an empty pattern")
-        if len(pattern) == 1:
-            return sorted(
-                trace_id
-                for trace_id, (activities, _) in self.tables.iter_sequences()
-                if pattern[0] in activities
-            )
         if plan is None:
             plan = self.plan(pattern, partition)
-            if 0 in plan.cardinalities:
-                return []
-        self._note_executed(plan)
-        postings = _PlannedPostings(self, plan)
-        survivors = self._intersect_candidates(plan, postings)
-        if not survivors:
+        if plan.proves_empty:
             return []
+        postings, survivors = self._prune(plan, None, deadline)
+        if survivors is not None and not survivors:
+            return []
+        if plan.finisher != "join":
+            matcher = _MATCHERS[plan.finisher]
+            return [
+                trace_id
+                for trace_id, (activities, stamps) in self._candidate_sequences(
+                    survivors
+                )
+                if matcher(activities, stamps, plan.pattern, 1)
+            ]
         order = plan.order
         start = order[0]
         start_grouped = postings.group(start, survivors)
@@ -520,269 +603,32 @@ class QueryProcessor:
                     break
         return found
 
-    # -- composite patterns (prune-then-verify) ----------------------------------
+    # -- stages -------------------------------------------------------------------
 
-    def plan_pattern(
-        self, pattern: Pattern, partition: str | None = ""
-    ) -> PatternPlan:
-        """Build the pruning plan for a composite-pattern query.
-
-        Each adjacency of *positive* elements becomes one pruning group
-        holding every branch pair of the two elements' alternation sets;
-        the group's cardinality is the sum of its branch-pair ``Count``
-        entries (alternation cardinality is additive).  Negated elements
-        are skipped entirely -- a forbidden pair with zero count must not
-        prune the query -- and Kleene elements prune like their plain
-        selves (a single occurrence satisfies ``+``, so only the base
-        pair is required).  Groups intersect cheapest-first under the
-        planner, exactly like pair posting lists in :meth:`plan`.
+    def _prune(
+        self, plan: QueryPlan, within: float | None, deadline: float | None
+    ) -> tuple[_PlannedPostings | None, set[str] | None]:
+        """``fetch_postings -> intersect``: the fetched postings and the
+        traces holding every group.  ``(None, None)`` = nothing to prune
+        with (no positive adjacency), so every stored trace is a candidate.
         """
-        span = current_tracer().span("plan")
-        with span:
-            groups = self.pattern_groups(pattern)
-            flat = tuple(pair for group in groups for pair in group)
-            flat_cards = self._cardinalities(flat) if flat else ()
-            cardinalities: list[int] = []
-            offset = 0
-            for group in groups:
-                cardinalities.append(sum(flat_cards[offset : offset + len(group)]))
-                offset += len(group)
-            natural = tuple(range(len(groups)))
-            if self.planner_enabled:
-                order = tuple(
-                    sorted(natural, key=lambda i: (cardinalities[i], i))
-                )
-            else:
-                order = natural
-            if span.enabled:
-                span.add("groups", len(groups))
-                span.add("min_cardinality", min(cardinalities, default=0))
-            return PatternPlan(
-                pattern=pattern,
-                groups=tuple(groups),
-                cardinalities=tuple(cardinalities),
-                order=order,
-                reordered=order != natural,
-                negated=tuple(str(e) for e in pattern.elements if e.negated),
-                partition=partition,
-            )
-
-    def pattern_groups(
-        self, pattern: Pattern
-    ) -> tuple[tuple[tuple[str, str], ...], ...]:
-        """The pruning groups of ``pattern`` (deterministic, plan-free)."""
-        elements = pattern.elements
-        positives = pattern.positive_indices
-        return tuple(
-            tuple(
-                (a, b)
-                for a in elements[left].types
-                for b in elements[right].types
-            )
-            for left, right in zip(positives, positives[1:])
-        )
-
-    def plan_pattern_from_cardinalities(
-        self,
-        pattern: Pattern,
-        cardinalities: Sequence[int],
-        partition: str | None = "",
-    ) -> PatternPlan:
-        """Build a composite plan from externally merged group cardinalities."""
-        groups = self.pattern_groups(pattern)
-        if len(cardinalities) != len(groups):
-            raise ValueError("need one cardinality per pruning group")
-        cards = tuple(int(c) for c in cardinalities)
-        natural = tuple(range(len(groups)))
-        if self.planner_enabled:
-            order = tuple(sorted(natural, key=lambda i: (cards[i], i)))
-        else:
-            order = natural
-        return PatternPlan(
-            pattern=pattern,
-            groups=groups,
-            cardinalities=cards,
-            order=order,
-            reordered=order != natural,
-            negated=tuple(str(e) for e in pattern.elements if e.negated),
-            partition=partition,
-        )
-
-    def detect_pattern(
-        self,
-        pattern: Pattern,
-        partition: str | None = "",
-        max_matches: int | None = None,
-        plan: PatternPlan | None = None,
-    ) -> list[PatternMatch]:
-        """All matches of a composite ``pattern`` (STNM-greedy semantics).
-
-        The pair index prunes: a zero-cardinality *positive* adjacency
-        proves the result empty before any posting list is read, and the
-        surviving groups' trace sets are intersected cheapest-first.
-        Candidates are then verified against their stored sequences with
-        :func:`repro.core.pattern.find_matches`, enforcing windows and
-        negations from the indexed timestamps.  Semantics match the SASE
-        oracle (:class:`repro.baselines.sase.nfa.PatternNfa`) exactly --
-        the differential suite holds the two paths byte-identical.
-        """
-        if plan is None:
-            plan = self.plan_pattern(pattern, partition)
-            if plan.groups and 0 in plan.cardinalities:
-                return []
-        self._note_executed(plan)
-        candidates = self._pattern_candidates(plan)
-        if candidates is not None and not candidates:
-            return []
-        span = current_tracer().span("verify")
-        with span:
-            matches: list[PatternMatch] = []
-            scanned = 0
-            for trace_id, (activities, stamps) in self._candidate_sequences(candidates):
-                budget = None if max_matches is None else max_matches - len(matches)
-                if budget is not None and budget <= 0:
-                    break
-                for span_ts in find_matches(activities, stamps, pattern, budget):
-                    matches.append(PatternMatch(trace_id, span_ts))
-                scanned += 1
-            if span.enabled:
-                span.add("traces", scanned)
-                span.add("matches", len(matches))
-            return matches
-
-    def count_pattern(
-        self,
-        pattern: Pattern,
-        partition: str | None = "",
-        plan: PatternPlan | None = None,
-    ) -> int:
-        """Number of matches of a composite ``pattern``.
-
-        Same pruning as :meth:`detect_pattern`; no
-        :class:`PatternMatch` is materialized per completion, and a
-        zero-cardinality positive group short-circuits before any trace
-        sequence is fetched.
-        """
-        if plan is None:
-            plan = self.plan_pattern(pattern, partition)
-            if plan.groups and 0 in plan.cardinalities:
-                return 0
-        self._note_executed(plan)
-        candidates = self._pattern_candidates(plan)
-        if candidates is not None and not candidates:
-            return 0
-        total = 0
-        for _, (activities, stamps) in self._candidate_sequences(candidates):
-            total += len(find_matches(activities, stamps, pattern))
-        return total
-
-    def contains_pattern(
-        self,
-        pattern: Pattern,
-        partition: str | None = "",
-        plan: PatternPlan | None = None,
-    ) -> list[str]:
-        """Ids of traces with at least one match of a composite ``pattern``.
-
-        Short-circuits per trace at the first match that survives every
-        window and negation check.
-        """
-        if plan is None:
-            plan = self.plan_pattern(pattern, partition)
-            if plan.groups and 0 in plan.cardinalities:
-                return []
-        self._note_executed(plan)
-        candidates = self._pattern_candidates(plan)
-        if candidates is not None and not candidates:
-            return []
-        found: list[str] = []
-        for trace_id, (activities, stamps) in self._candidate_sequences(candidates):
-            if find_matches(activities, stamps, pattern, max_matches=1):
-                found.append(trace_id)
-        return found
-
-    def _pattern_candidates(self, plan: PatternPlan) -> set[str] | None:
-        """Traces surviving pair-index pruning; ``None`` = nothing to prune.
-
-        Posting lists of every group pair are fetched in one batched read
-        (through the decoded-postings cache where attached), each group's
-        trace set is the union of its branch pairs' chunk dictionaries
-        (alternation) -- no column is decoded -- and groups intersect in
-        plan order, cheapest first, with an empty-set early exit.
-        """
-        if not plan.groups:
-            return None
-        postings = self._fetch_postings(
-            [pair for group in plan.groups for pair in group], plan.partition
-        )
-        span = current_tracer().span("intersect")
-        with span:
-            survivors: set[str] | None = None
-            for idx in plan.order:
-                traces: set[str] = set()
-                for pair in plan.groups[idx]:
-                    traces |= postings[pair].trace_ids()
-                survivors = traces if survivors is None else survivors & traces
-                if not survivors:
-                    survivors = set()
-                    break
-            result = survivors if survivors is not None else set()
-            if span.enabled:
-                span.add("sets", len(plan.groups))
-                span.add("survivors", len(result))
-            return result
-
-    def _candidate_sequences(self, candidates: set[str] | None):
-        """``(trace_id, (activities, timestamps))`` rows to verify, id-ordered.
-
-        Rows missing from the sequence cache are read with one batched
-        ``multi_get``, not a point read per candidate.
-        """
-        if candidates is None:
-            return self.tables.iter_sequences()
-        ordered = sorted(candidates)
-        found, _ = self._through_cache(
-            self.sequence_cache,
-            "sequence_cache",
-            (),
-            ordered,
-            lambda ids: dict(zip(ids, self.tables.get_sequences(ids))),
-        )
-        return ((trace_id, found[trace_id]) for trace_id in ordered)
-
-    # -- internals ---------------------------------------------------------------------
-
-    def _detect_single(self, activity: str) -> list[PatternMatch]:
-        """Length-1 patterns: scan the Seq table (no pair exists to look up)."""
-        matches: list[PatternMatch] = []
-        for trace_id, (activities, stamps) in self.tables.iter_sequences():
-            for act, ts in zip(activities, stamps):
-                if act == activity:
-                    matches.append(PatternMatch(trace_id, (ts,)))
-        return matches
-
-    def _chain(
-        self,
-        pattern: Sequence[str],
-        partition: str | None,
-        within: float | None = None,
-        plan: QueryPlan | None = None,
-    ) -> dict[str, list[Chain]]:
-        """Algorithm 2: join consecutive pair entries on shared timestamps."""
-        if not self.planner_enabled and plan is None:
-            return self._chain_left_to_right(pattern, partition)
-        return self._chain_planned(pattern, partition, within=within, plan=plan)
-
-    def _note_executed(self, plan: QueryPlan) -> None:
         if plan.reordered:
             self._bump("planner_reorders")
+        check_deadline(deadline)
+        if not plan.groups:
+            return None, None
+        postings = _PlannedPostings(
+            self, plan, within if plan.finisher == "join" else None
+        )
+        check_deadline(deadline)
+        survivors = self._intersect(plan, postings)
+        check_deadline(deadline)
+        return postings, survivors
 
-    def _intersect_candidates(
-        self, plan: QueryPlan, postings: _PlannedPostings
-    ) -> set[str]:
-        """Traces holding every pair, intersected cheapest set first.
+    def _intersect(self, plan: QueryPlan, postings: _PlannedPostings) -> set[str]:
+        """Traces holding every group, intersected cheapest set first.
 
-        Starting from the rarest pair's trace set keeps every intermediate
+        Starting from the rarest group's trace set keeps every intermediate
         intersection no larger than the smallest one seen so far, and an
         empty result aborts before any posting column is decoded.
         """
@@ -790,44 +636,29 @@ class QueryProcessor:
         with span:
             survivors: set[str] | None = None
             for i in sorted(
-                range(len(plan.pairs)), key=lambda i: (plan.cardinalities[i], i)
+                range(len(plan.groups)), key=lambda i: (plan.cardinalities[i], i)
             ):
                 traces = postings.trace_set(i)
                 survivors = traces if survivors is None else survivors & traces
                 if not survivors:
                     survivors = set()
                     break
-            result = survivors or set()
             if span.enabled:
-                span.add("sets", len(plan.pairs))
-                span.add("survivors", len(result))
-            return result
+                span.add("sets", len(plan.groups))
+                span.add("survivors", len(survivors))
+            return survivors
 
-    def _chain_planned(
-        self,
-        pattern: Sequence[str],
-        partition: str | None,
-        within: float | None = None,
-        plan: QueryPlan | None = None,
+    def _join(
+        self, plan: QueryPlan, postings: _PlannedPostings, survivors: set[str]
     ) -> dict[str, list[Chain]]:
-        """Planner execution: rarest pair first, bidirectional extension.
+        """Algorithm 2: join consecutive pair entries on shared timestamps,
+        rarest pair first, extending bidirectionally.
 
         Produces exactly the left-to-right result (greedy non-overlapping
         pairs make both endpoints of a completion unique within a trace, so
         chains extend uniquely in either direction); each trace's chains are
         sorted, which is the order left-to-right evaluation emits.
         """
-        if plan is None:
-            plan = self.plan(pattern, partition)
-            if 0 in plan.cardinalities:
-                # Count is global and exact: a zero-cardinality pair has no
-                # postings in any partition, so the chain is dead on arrival.
-                return {}
-        self._note_executed(plan)
-        postings = _PlannedPostings(self, plan, within=within)
-        survivors = self._intersect_candidates(plan, postings)
-        if not survivors:
-            return {}
         span = current_tracer().span("join")
         with span:
             order = plan.order
@@ -884,6 +715,46 @@ class QueryProcessor:
                 )
             return chains
 
+    def _verify(
+        self, plan: QueryPlan, candidates: set[str] | None, max_matches: int | None
+    ) -> list[PatternMatch]:
+        """Run the plan's per-trace matcher over every candidate's stored
+        sequence, id-ordered, stopping once ``max_matches`` are found."""
+        matcher = _MATCHERS[plan.finisher]
+        span = current_tracer().span("verify")
+        with span:
+            matches: list[PatternMatch] = []
+            scanned = 0
+            for trace_id, (activities, stamps) in self._candidate_sequences(candidates):
+                budget = None if max_matches is None else max_matches - len(matches)
+                if budget is not None and budget <= 0:
+                    break
+                for chain in matcher(activities, stamps, plan.pattern, budget):
+                    matches.append(PatternMatch(trace_id, chain))
+                scanned += 1
+            if span.enabled:
+                span.add("traces", scanned)
+                span.add("matches", len(matches))
+            return matches
+
+    def _candidate_sequences(self, candidates: set[str] | None):
+        """``(trace_id, (activities, timestamps))`` rows to verify, id-ordered.
+
+        Rows missing from the sequence cache are read with one batched
+        ``multi_get``, not a point read per candidate.
+        """
+        if candidates is None:
+            return self.tables.iter_sequences()
+        ordered = sorted(candidates)
+        found, _ = self._through_cache(
+            self.sequence_cache,
+            "sequence_cache",
+            (),
+            ordered,
+            lambda ids: dict(zip(ids, self.tables.get_sequences(ids))),
+        )
+        return ((trace_id, found[trace_id]) for trace_id in ordered)
+
     def _chain_left_to_right(
         self,
         pattern: Sequence[str],
@@ -895,82 +766,39 @@ class QueryProcessor:
         if span.enabled:
             span.tag(order="left_to_right")
         with span:
-            return self._chain_left_to_right_inner(pattern, partition, snapshots)
-
-    def _chain_left_to_right_inner(
-        self,
-        pattern: Sequence[str],
-        partition: str | None,
-        snapshots: dict[int, list[PatternMatch]] | None = None,
-    ) -> dict[str, list[Chain]]:
-        pairs = list(zip(pattern, pattern[1:]))
-        postings = self._fetch_postings(pairs, partition)
-        grouped = postings[pairs[0]].grouped()
-        previous: dict[str, list[Chain]] = {
-            trace_id: [(ts_a, ts_b) for ts_a, ts_b in entries]
-            for trace_id, entries in grouped.items()
-        }
-        for i in range(1, len(pattern) - 1):
-            if snapshots is not None:
-                snapshots[i + 1] = [
-                    PatternMatch(trace_id, chain)
-                    for trace_id, trace_chains in sorted(previous.items())
-                    for chain in trace_chains
-                ]
-            grouped = postings[pairs[i]].grouped(set(previous))
-            extended: dict[str, list[Chain]] = {}
-            for trace_id, chains in previous.items():
-                completions = grouped.get(trace_id)
-                if not completions:
-                    continue
-                # Non-overlapping pairs make ts_a unique within a trace.
-                by_first = {ts_a: ts_b for ts_a, ts_b in completions}
-                new_chains = []
-                for chain in chains:
-                    ts_b = by_first.get(chain[-1])
-                    if ts_b is not None:
-                        new_chains.append(chain + (ts_b,))
-                if new_chains:
-                    extended[trace_id] = new_chains
-            previous = extended
-            if not previous:
-                break
-        return previous
-
-    def _detect_stam(
-        self,
-        pattern: Sequence[str],
-        partition: str | None,
-        max_matches: int | None,
-    ) -> list[PatternMatch]:
-        """Skip-till-any-match via index pruning + per-trace enumeration."""
-        candidates = self._candidate_traces(pattern, partition)
-        matches: list[PatternMatch] = []
-        for trace_id, (activities, stamps) in self._candidate_sequences(candidates):
-            budget = None if max_matches is None else max_matches - len(matches)
-            for chain in _enumerate_stam(activities, stamps, pattern, budget):
-                matches.append(PatternMatch(trace_id, chain))
-            if max_matches is not None and len(matches) >= max_matches:
-                break
-        return matches
-
-    def _candidate_traces(
-        self, pattern: Sequence[str], partition: str | None
-    ) -> list[str]:
-        """Traces containing every consecutive pair of the pattern.
-
-        Sound for STAM pruning: if a trace holds a STAM match then each
-        consecutive pair occurs in order, so the greedy STNM index has an
-        entry for it.  Posting lists are fetched in one batch and the
-        intersection runs cheapest set first with early exit.
-        """
-        if len(pattern) == 1:
-            return sorted({m.trace_id for m in self._detect_single(pattern[0])})
-        plan = self.plan(pattern, partition)
-        if 0 in plan.cardinalities:
-            return []
-        postings = _PlannedPostings(self, plan)
-        return sorted(self._intersect_candidates(plan, postings))
+            pairs = list(zip(pattern, pattern[1:]))
+            postings = self._fetch_postings(pairs, partition)
+            grouped = postings[pairs[0]].grouped()
+            previous: dict[str, list[Chain]] = {
+                trace_id: [(ts_a, ts_b) for ts_a, ts_b in entries]
+                for trace_id, entries in grouped.items()
+            }
+            for i in range(1, len(pattern) - 1):
+                if snapshots is not None:
+                    snapshots[i + 1] = [
+                        PatternMatch(trace_id, chain)
+                        for trace_id, trace_chains in sorted(previous.items())
+                        for chain in trace_chains
+                    ]
+                grouped = postings[pairs[i]].grouped(set(previous))
+                extended: dict[str, list[Chain]] = {}
+                for trace_id, chains in previous.items():
+                    completions = grouped.get(trace_id)
+                    if not completions:
+                        continue
+                    # Non-overlapping pairs make ts_a unique within a trace.
+                    by_first = {ts_a: ts_b for ts_a, ts_b in completions}
+                    new_chains = []
+                    for chain in chains:
+                        ts_b = by_first.get(chain[-1])
+                        if ts_b is not None:
+                            new_chains.append(chain + (ts_b,))
+                    if new_chains:
+                        extended[trace_id] = new_chains
+                previous = extended
+                if not previous:
+                    break
+            return previous
 
 
 def _rarest_first_order(cardinalities: tuple[int, ...]) -> tuple[int, ...]:
@@ -1031,3 +859,8 @@ def _enumerate_stam(
 
     extend(0, -1, ())
     return results
+
+
+#: per-trace matcher of the two finishers that read Seq rows; both take
+#: ``(activities, timestamps, pattern, max_matches)``
+_MATCHERS = {"verify": find_matches, "enumerate": _enumerate_stam}

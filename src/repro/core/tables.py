@@ -59,22 +59,13 @@ def _index_table(partition: str) -> str:
 class IndexTables:
     """Typed accessors over the store tables used by builder and queries.
 
-    ``batched_reads`` routes multi-key accessors through the store's
+    Multi-key accessors go through the store's
     :meth:`~repro.kvstore.api.KeyValueStore.multi_get` (one snapshot, shared
-    bloom/block work per batch); disabling it falls back to a loop of
-    point ``get`` calls with identical results -- the knob exists for the
-    planner ablation benchmark, not for production tuning.
+    bloom/block work per batch).
     """
 
-    def __init__(self, store: KeyValueStore, batched_reads: bool = True) -> None:
+    def __init__(self, store: KeyValueStore) -> None:
         self.store = store
-        self.batched_reads = batched_reads
-
-    def _multi_get(self, table: str, keys: list, default) -> list:
-        """Batched (or, for ablations, looped) point reads on one table."""
-        if self.batched_reads:
-            return self.store.multi_get(table, keys, default)
-        return [self.store.get(table, key, default) for key in keys]
 
     # -- schema ------------------------------------------------------------
 
@@ -158,7 +149,7 @@ class IndexTables:
         self, trace_ids: list[str]
     ) -> list[tuple[list[str], list[float]]]:
         """Stored sequences of many traces (empty when unknown), one batched read."""
-        return [decode_sequence(row) for row in self._multi_get(SEQ, trace_ids, ())]
+        return [decode_sequence(row) for row in self.store.multi_get(SEQ, trace_ids, ())]
 
     def iter_sequences(self) -> Iterator[tuple[str, tuple[list[str], list[float]]]]:
         """``(trace_id, (activities, timestamps))`` of every trace, id-ordered."""
@@ -222,7 +213,7 @@ class IndexTables:
         unique = list(dict.fromkeys(pairs))
         rows: list[list] = [[] for _ in unique]
         for table in self._index_tables_for(partition):
-            for merged, row in zip(rows, self._multi_get(table, unique, ())):
+            for merged, row in zip(rows, self.store.multi_get(table, unique, ())):
                 merged.extend(row)
         return {pair: Postings(row) for pair, row in zip(unique, rows)}
 
@@ -288,7 +279,7 @@ class IndexTables:
     def get_count_rows(self, firsts: list[str]) -> dict[str, dict]:
         """Raw Count documents for many first events, in one batched read."""
         unique = list(dict.fromkeys(firsts))
-        rows = self._multi_get(COUNT, unique, {})
+        rows = self.store.multi_get(COUNT, unique, {})
         return dict(zip(unique, rows))
 
     def get_pair_counts(
@@ -327,7 +318,7 @@ class IndexTables:
         unique = list(dict.fromkeys(pairs))
         # The store hands out caller-owned documents; only the shared default
         # of the missing pairs must not be handed on.
-        rows = self._multi_get(LAST_CHECKED, unique, None)
+        rows = self.store.multi_get(LAST_CHECKED, unique, None)
         return {pair: {} if raw is None else raw for pair, raw in zip(unique, rows)}
 
     def get_last_completion(self, pair: tuple[str, str]) -> float | None:

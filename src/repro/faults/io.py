@@ -12,9 +12,8 @@ tests swap in ``FaultyIO(schedule)`` without monkeypatching.
 
 ``fault_point(name, path)`` is the named-protocol-point seam (e.g.
 ``compaction.pre_swap``): a no-op on :class:`RealIO`, a schedule lookup
-under ``point:<name>`` on :class:`FaultyIO`.  It replaces the bespoke
-``compaction_pre_swap_hook`` with a first-class, seed-reproducible
-mechanism.
+under ``point:<name>`` on :class:`FaultyIO` -- a first-class,
+seed-reproducible way to hit one instant of a protocol.
 """
 
 from __future__ import annotations

@@ -37,8 +37,7 @@ Fault kinds
     seal, WAL rotation).
 ``truncate_crash`` / ``corrupt``
     Named-point faults: truncate the target file to half its size and
-    crash, or silently overwrite four bytes mid-file.  These subsume the
-    bespoke ``compaction_pre_swap_hook`` tests.
+    crash, or silently overwrite four bytes mid-file.
 
 After any crash-kind fault fires the schedule goes inert (the simulated
 process is dead); cleanup code running during unwind performs real I/O

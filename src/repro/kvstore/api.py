@@ -158,6 +158,10 @@ class KeyValueStore:
         """Block-cache counters, empty when the backend has no cache."""
         return {}
 
+    def storage_stats(self) -> dict[str, Any]:
+        """On-disk storage accounting, empty when nothing is on disk."""
+        return {}
+
     # -- conveniences shared by both backends --------------------------------
 
     def __enter__(self) -> "KeyValueStore":

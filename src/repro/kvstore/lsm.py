@@ -52,7 +52,7 @@ import os
 import re
 import struct
 import threading
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.faults.io import REAL_IO
 from repro.kvstore.api import (
@@ -278,10 +278,6 @@ class LSMStore(KeyValueStore):
             if block_cache_bytes > 0
             else None
         )
-        #: test seam: called with the merged SSTable path after the output is
-        #: sealed but before the manifest swap (fault injection of the
-        #: compaction protocol's vulnerable window).
-        self.compaction_pre_swap_hook: Callable[[str], None] | None = None
         self._tables: dict[str, int] = {}
         self._merge_ops: dict[int, MergeOperator | None] = {}
         self._merge_op_names: dict[str, str | None] = {}
@@ -943,10 +939,6 @@ class LSMStore(KeyValueStore):
             # window (output sealed, manifest not yet swapped); a scheduled
             # ``point:compaction.pre_swap`` fault fires here.
             self._io.fault_point("compaction.pre_swap", merged.path)
-            if self.compaction_pre_swap_hook is not None:
-                # Legacy test seam, kept for older fault-injection tests;
-                # new code should schedule the fault point above instead.
-                self.compaction_pre_swap_hook(merged.path)
         except BaseException:
             # Simulated kill between output and swap: leave the orphan
             # file on disk exactly as a real crash would.
@@ -1146,8 +1138,6 @@ class LSMStore(KeyValueStore):
                 # Named fault point for the vulnerable window (outputs
                 # sealed, manifest not yet swapped), one per output.
                 self._io.fault_point("compaction.pre_swap", merged.path)
-                if self.compaction_pre_swap_hook is not None:
-                    self.compaction_pre_swap_hook(merged.path)
         except BaseException:
             for merged in outputs:
                 merged.close()

@@ -1,11 +1,11 @@
 """The multi-client query server.
 
 ``SequenceService`` accepts TCP connections and serves the protocol of
-:mod:`repro.service.protocol` over any engine exposing the
-``detect``/``count``/``contains``/``update`` surface -- the single-store
-:class:`~repro.core.engine.SequenceIndex` and the sharded
-:class:`~repro.shard.index.ShardedSequenceIndex` both qualify, so the
-benchmark can run the exact same traffic against either.
+:mod:`repro.service.protocol` over an index engine -- the single-store
+:class:`~repro.core.engine.SequenceIndex` or the sharded
+:class:`~repro.shard.index.ShardedSequenceIndex`, which share one query
+surface (:class:`~repro.core.engine.QueryEngine`), so the benchmark can run
+the exact same traffic against either.
 
 Control planes:
 
@@ -15,10 +15,10 @@ Control planes:
   never queue unboundedly behind slow queries.
 * **per-request deadlines** -- ``deadline_ms`` (or the server default) is
   converted to an absolute instant when the request is admitted.  Expired
-  deadlines short-circuit before execution; a sharded engine receives the
-  instant and cancels its shard fan-out mid-flight
-  (:class:`~repro.core.errors.DeadlineExceeded` maps to the ``deadline``
-  error code).
+  deadlines short-circuit before execution; the engine receives the
+  instant, checks it between query stages and cancels a pending shard
+  fan-out (:class:`~repro.core.errors.DeadlineExceeded` maps to the
+  ``deadline`` error code).
 * **ingest backpressure** -- writes take a separate, smaller token pool
   (``max_ingest_inflight``) with a bounded wait (``ingest_wait_s``): a
   write burst slows producers down instead of starving reads, and waits
@@ -28,15 +28,14 @@ Control planes:
   every connection thread and closes every socket; no thread or fd leaks
   (the tier-1 smoke test counts both).
 
-Single-store engines serialize ``update()`` calls under a server-side lock
+A one-shard engine serializes ``update()`` calls under a server-side lock
 (the incremental builder's read-modify-write bookkeeping is not safe under
-concurrent batches); the sharded engine already serializes per shard and
+concurrent batches); a sharded engine already serializes per shard and
 ingests cross-shard batches concurrently.
 """
 
 from __future__ import annotations
 
-import inspect
 import socket
 import threading
 import time
@@ -127,14 +126,9 @@ class SequenceService:
         self._ingest_slots = threading.BoundedSemaphore(max_ingest_inflight)
         self._ingest_wait_s = ingest_wait_s
         self._default_deadline_ms = default_deadline_ms
-        self._supports_deadline = (
-            "deadline" in inspect.signature(engine.detect).parameters
-        )
-        # The sharded engine serializes ingest per shard itself; single-store
-        # engines need one writer at a time.
-        self._ingest_lock = (
-            None if getattr(engine, "num_shards", None) else threading.Lock()
-        )
+        # A sharded engine serializes ingest per shard itself; one store
+        # needs one writer at a time.
+        self._ingest_lock = threading.Lock() if engine.num_shards == 1 else None
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._conn_lock = threading.Lock()
@@ -322,8 +316,8 @@ class SequenceService:
                 self.metrics.bump("errors")
                 return _error(request_id, "internal", f"{type(exc).__name__}: {exc}")
             if deadline is not None and time.monotonic() > deadline:
-                # The engine finished after the instant (e.g. single-store
-                # engines cannot cancel mid-join); report the miss honestly.
+                # The engine finished after the instant (deadlines are checked
+                # between stages, never inside one); report the miss honestly.
                 self.metrics.bump("deadline_exceeded")
                 return _error(request_id, "deadline", "deadline expired")
             return {"id": request_id, "ok": True, "result": result}
@@ -336,16 +330,8 @@ class SequenceService:
     ) -> Any:
         pattern = request.get("pattern")
         partition = request.get("partition", "")
-        kwargs: dict[str, Any] = {}
-        if self._supports_deadline:
-            kwargs["deadline"] = deadline
         if op == "stats":
-            stats_fn = getattr(self.engine, "storage_stats", None)
-            if stats_fn is None:
-                store = getattr(self.engine, "store", None)
-                stats_fn = getattr(store, "storage_stats", None)
-            # In-memory backends keep no storage accounting; report shape only.
-            return stats_fn() if stats_fn is not None else {}
+            return self.engine.storage_stats()
         if not isinstance(pattern, (str, list)):
             raise ValueError("pattern must be a list of activities or an expression")
         if op == "detect":
@@ -354,7 +340,7 @@ class SequenceService:
                 partition,
                 max_matches=_opt_int(request.get("max_matches")),
                 within=_opt_float(request.get("within")),
-                **kwargs,
+                deadline=deadline,
             )
             return [
                 {"trace_id": m.trace_id, "timestamps": list(m.timestamps)}
@@ -362,9 +348,12 @@ class SequenceService:
             ]
         if op == "count":
             return self.engine.count(
-                pattern, partition, within=_opt_float(request.get("within")), **kwargs
+                pattern,
+                partition,
+                within=_opt_float(request.get("within")),
+                deadline=deadline,
             )
-        return self.engine.contains(pattern, partition, **kwargs)
+        return self.engine.contains(pattern, partition, deadline=deadline)
 
     def _handle_ingest(
         self, request_id: Any, request: dict[str, Any]

@@ -6,19 +6,24 @@ by :func:`~repro.shard.hashing.shard_for_trace`, so one trace's Seq row,
 Index postings, Count contributions and LastChecked bookkeeping all live on
 the same shard and per-trace pruning never crosses a shard boundary.
 
-Reads run scatter-gather:
+The query surface is :class:`~repro.core.engine.QueryEngine`'s -- the same
+front half (coercion, validation, result memo, slow-query timing, explain)
+the single-store engine uses; what this engine supplies is the
+scatter-gather back half:
 
 1. **plan once** -- per-pair cardinalities are summed across shards (each
    shard answers from its Count rows, served warm by its planner cache) and
    one global :class:`~repro.core.matches.QueryPlan` is built from the
-   merged counts; a globally-zero pair proves the result empty before any
-   posting list is touched;
-2. **fan out** -- every shard executes the same plan concurrently on the
-   shared :class:`~repro.executor.ParallelExecutor` (persistent thread
-   pool), each against its own generation-keyed postings/sequence caches;
+   merged counts, whatever the query's finisher; a globally-zero group
+   proves the result empty before any posting list is touched;
+2. **fan out** -- every shard's query processor executes the same plan
+   concurrently on the shared :class:`~repro.executor.ParallelExecutor`
+   (persistent thread pool), each against its own generation-keyed
+   postings/sequence caches;
 3. **merge** -- per-shard results are disjoint by construction (traces do
    not span shards), so merging is concatenation + a stable sort by trace
-   id, byte-identical to the single-store engine's output order.
+   id (a sum for ``count``, a sorted union for ``contains``),
+   byte-identical to the single-store engine's output.
 
 Writes fan out the same way: the batch is split by trace shard and each
 sub-batch applies under that shard's ingest lock, so only the written
@@ -36,26 +41,25 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.builder import UpdateStats
-from repro.core.engine import SequenceIndex
-from repro.core.errors import DeadlineExceeded, EmptyPatternError
-from repro.core.matches import PairStats, PatternMatch, PatternStats
+from repro.core.continuation import ContinuationExplorer
+from repro.core.engine import QueryEngine, SequenceIndex
+from repro.core.errors import DeadlineExceeded
+from repro.core.matches import PairStats, PatternMatch, PatternStats, QueryPlan
 from repro.core.model import Event, EventLog
-from repro.core.pattern import Pattern, parse_pattern
+from repro.core.pattern import Pattern
 from repro.core.policies import Policy
+from repro.core.query import pruning_groups
 from repro.executor import ParallelExecutor
-from repro.kvstore.cache import LRUCache
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import current_tracer
 from repro.shard.hashing import HASH_NAME, shard_for_trace
 
 MANIFEST_NAME = "SHARDS.json"
 _MANIFEST_VERSION = 1
-_MISS = object()
 
 
 def write_manifest(root: str | Path, num_shards: int) -> None:
@@ -124,18 +128,28 @@ class _ShardMetrics:
             }
 
 
-class ShardedSequenceIndex:
-    """Scatter-gather facade over N single-store engine shards.
+def _sum_rows(
+    rows: Iterable[dict[str, tuple[float, int]]]
+) -> dict[str, tuple[float, int]]:
+    """Sum ``{event: (sum_duration, completions)}`` rows element-wise."""
+    merged: dict[str, tuple[float, int]] = {}
+    for row in rows:
+        for event, (duration, completions) in row.items():
+            total, count = merged.get(event, (0.0, 0))
+            merged[event] = (total + duration, count + completions)
+    return merged
 
-    Mirrors the read/write surface of :class:`~repro.core.engine.SequenceIndex`
-    (``update``/``detect``/``count``/``contains``/``statistics``/``prune_trace``
-    plus the introspection helpers); ``continuations`` and prefix detection
-    are not distributed yet and raise :class:`NotImplementedError`.
 
-    Query methods accept an optional absolute ``deadline``
-    (``time.monotonic()`` instant); on expiry the pending shard fan-out is
-    cancelled and :class:`~repro.core.errors.DeadlineExceeded` propagates --
-    the serving layer maps it to a ``deadline`` error response.
+class ShardedSequenceIndex(QueryEngine):
+    """Scatter-gather engine over N single-store engine shards.
+
+    Same read/write surface as :class:`~repro.core.engine.SequenceIndex`
+    (the single-store engine is the 1-shard case of it), answering every
+    query byte-identically on the same data.
+
+    On ``deadline`` expiry the pending shard fan-out is cancelled and
+    :class:`~repro.core.errors.DeadlineExceeded` propagates -- the serving
+    layer maps it to a ``deadline`` error response.
     """
 
     def __init__(
@@ -147,6 +161,7 @@ class ShardedSequenceIndex:
     ) -> None:
         if not shards:
             raise ValueError("need at least one shard")
+        super().__init__(query_cache_size)
         self.shards = list(shards)
         if executor is None:
             executor = ParallelExecutor(
@@ -159,7 +174,15 @@ class ShardedSequenceIndex:
             self._owns_executor = False
         self.executor = executor
         self._ingest_locks = [threading.Lock() for _ in self.shards]
-        self._query_cache = LRUCache(query_cache_size) if query_cache_size > 0 else None
+        # Count / ReverseCount rows summed across shards: a trace lives on
+        # exactly one shard, so durations and completions are both additive.
+        self.explorer = ContinuationExplorer(
+            self._detect_uncached,
+            lambda first: _sum_rows(s.tables.get_counts(first) for s in self.shards),
+            lambda second: _sum_rows(
+                s.tables.get_reverse_counts(second) for s in self.shards
+            ),
+        )
         self.metrics = _ShardMetrics(len(self.shards))
         self._obs_handle = REGISTRY.register(
             {"index": name}, self.metrics.collect
@@ -336,38 +359,21 @@ class ShardedSequenceIndex:
                 self.metrics.bump("deadline_exceeded")
                 raise
 
-    def _cached(
-        self, key: tuple[Hashable, ...], compute: Callable[[], Any]
-    ) -> Any:
-        """Coordinator query-result memo, keyed by all shard generations."""
-        if self._query_cache is None:
-            return compute()
-        full_key = (self.write_generations,) + key
-        cached = self._query_cache.get(full_key, _MISS)
-        if cached is not _MISS:
-            return list(cached) if isinstance(cached, tuple) else cached
-        result = compute()
-        self._query_cache.put(
-            full_key, tuple(result) if isinstance(result, list) else result
-        )
-        return result
+    # -- what this engine supplies to QueryEngine -----------------------------------
 
-    def _composite(self, pattern: object) -> Pattern | None:
-        if isinstance(pattern, Pattern):
-            return pattern
-        if isinstance(pattern, str):
-            return parse_pattern(pattern)
-        return None
+    def _epoch(self) -> tuple[int, ...]:
+        return self.write_generations
 
-    def _merged_plan(self, pattern: Sequence[str], partition: str | None):
-        """One global plan from summed per-shard Count cardinalities.
-
-        Returns ``None`` when some pair has zero completions on *every*
-        shard -- the global zero-cardinality early exit.
-        """
+    def _plan(
+        self,
+        query: tuple[str, ...] | Pattern,
+        partition: str | None,
+        policy: Policy | None,
+    ) -> QueryPlan:
+        """One global plan from summed per-shard Count cardinalities."""
         span = current_tracer().span("shard.plan")
         with span:
-            pairs = tuple(zip(pattern, pattern[1:]))
+            pairs = tuple(pair for group in pruning_groups(query) for pair in group)
             per_shard = self._gather(
                 [
                     (lambda s=shard: s.query.cardinalities(pairs))
@@ -376,46 +382,38 @@ class ShardedSequenceIndex:
                 deadline=None,
             )
             merged = tuple(sum(cards) for cards in zip(*per_shard))
+            plan = self.shards[0].query.plan(query, partition, merged, policy)
             if span.enabled:
                 span.add("pairs", len(pairs))
-                span.add("min_cardinality", min(merged, default=0))
-            if 0 in merged:
-                return None
-            return self.shards[0].query.plan_from_cardinalities(
-                pattern, merged, partition
-            )
+                span.add("min_cardinality", plan.estimated_cost)
+            return plan
 
-    def _merged_pattern_plan(self, pattern: Pattern, partition: str | None):
-        """Global composite plan from summed per-shard group cardinalities.
-
-        Returns ``None`` when a positive adjacency is empty on every shard.
-        """
-        span = current_tracer().span("shard.plan")
-        with span:
-            query0 = self.shards[0].query
-            groups = query0.pattern_groups(pattern)
-            flat = tuple(pair for group in groups for pair in group)
+    def _execute(
+        self, op: str, plan: QueryPlan, deadline: float | None, **limits: Any
+    ) -> Any:
+        """Fan ``plan`` out to every shard's query processor and merge."""
+        per_shard: list[Any] = []
+        if not plan.proves_empty:  # a globally-zero group: no shard can match
             per_shard = self._gather(
                 [
-                    (lambda s=shard: s.query.cardinalities(flat))
+                    (
+                        lambda run=getattr(shard.query, op): run(
+                            plan.pattern,
+                            plan.partition,
+                            plan=plan,
+                            deadline=deadline,
+                            **limits,
+                        )
+                    )
                     for shard in self.shards
                 ],
-                deadline=None,
+                deadline,
             )
-            flat_merged = [sum(cards) for cards in zip(*per_shard)]
-            merged: list[int] = []
-            offset = 0
-            for group in groups:
-                merged.append(sum(flat_merged[offset : offset + len(group)]))
-                offset += len(group)
-            if span.enabled:
-                span.add("groups", len(groups))
-                span.add("min_cardinality", min(merged, default=0))
-            if groups and 0 in merged:
-                return None
-            return query0.plan_pattern_from_cardinalities(
-                pattern, merged, partition
-            )
+        if op == "count":
+            return sum(per_shard)
+        if op == "contains":
+            return sorted(trace_id for found in per_shard for trace_id in found)
+        return self._merge_matches(per_shard, limits.get("max_matches"))
 
     @staticmethod
     def _merge_matches(
@@ -438,210 +436,8 @@ class ShardedSequenceIndex:
                 span.add("matches", len(merged))
             return merged
 
-    # -- reads --------------------------------------------------------------------
-
-    def detect(
-        self,
-        pattern: Sequence[str] | Pattern | str,
-        partition: str | None = "",
-        policy: Policy | None = None,
-        max_matches: int | None = None,
-        within: float | None = None,
-        deadline: float | None = None,
-    ) -> list[PatternMatch]:
-        """All completions of ``pattern``, byte-identical to the single-store
-        engine's result on the same data."""
-        composite = self._composite(pattern)
-        if composite is not None:
-            self._check_composite(policy, within)
-            return self._cached(
-                ("detect", composite, partition, max_matches),
-                lambda: self._detect_composite(
-                    composite, partition, max_matches, deadline
-                ),
-            )
-        if len(pattern) == 0:
-            raise EmptyPatternError("cannot detect an empty pattern")
-        key = ("detect", tuple(pattern), partition, policy, max_matches, within)
-        return self._cached(
-            key,
-            lambda: self._detect_plain(
-                pattern, partition, policy, max_matches, within, deadline
-            ),
-        )
-
-    def _detect_plain(
-        self,
-        pattern: Sequence[str],
-        partition: str | None,
-        policy: Policy | None,
-        max_matches: int | None,
-        within: float | None,
-        deadline: float | None,
-    ) -> list[PatternMatch]:
-        plan = None
-        if policy is not Policy.STAM and len(pattern) >= 2:
-            plan = self._merged_plan(pattern, partition)
-            if plan is None:
-                return []
-        per_shard = self._gather(
-            [
-                (
-                    lambda s=shard: s.query.detect(
-                        pattern, partition, policy, max_matches, within, plan
-                    )
-                )
-                for shard in self.shards
-            ],
-            deadline,
-        )
-        return self._merge_matches(per_shard, max_matches)
-
-    def _detect_composite(
-        self,
-        pattern: Pattern,
-        partition: str | None,
-        max_matches: int | None,
-        deadline: float | None,
-    ) -> list[PatternMatch]:
-        plan = self._merged_pattern_plan(pattern, partition)
-        if plan is None:
-            return []
-        per_shard = self._gather(
-            [
-                (
-                    lambda s=shard: s.query.detect_pattern(
-                        pattern, partition, max_matches, plan
-                    )
-                )
-                for shard in self.shards
-            ],
-            deadline,
-        )
-        return self._merge_matches(per_shard, max_matches)
-
-    def count(
-        self,
-        pattern: Sequence[str] | Pattern | str,
-        partition: str | None = "",
-        within: float | None = None,
-        deadline: float | None = None,
-    ) -> int:
-        """Number of completions of ``pattern`` across all shards."""
-        composite = self._composite(pattern)
-        if composite is not None:
-            self._check_composite(within=within)
-            return self._cached(
-                ("count", composite, partition),
-                lambda: self._count_composite(composite, partition, deadline),
-            )
-        if len(pattern) == 0:
-            raise EmptyPatternError("cannot detect an empty pattern")
-        return self._cached(
-            ("count", tuple(pattern), partition, within),
-            lambda: self._count_plain(pattern, partition, within, deadline),
-        )
-
-    def _count_plain(
-        self,
-        pattern: Sequence[str],
-        partition: str | None,
-        within: float | None,
-        deadline: float | None,
-    ) -> int:
-        plan = None
-        if len(pattern) >= 2:
-            plan = self._merged_plan(pattern, partition)
-            if plan is None:
-                return 0
-        per_shard = self._gather(
-            [
-                (lambda s=shard: s.query.count(pattern, partition, within, plan))
-                for shard in self.shards
-            ],
-            deadline,
-        )
-        return sum(per_shard)
-
-    def _count_composite(
-        self, pattern: Pattern, partition: str | None, deadline: float | None
-    ) -> int:
-        plan = self._merged_pattern_plan(pattern, partition)
-        if plan is None:
-            return 0
-        per_shard = self._gather(
-            [
-                (lambda s=shard: s.query.count_pattern(pattern, partition, plan))
-                for shard in self.shards
-            ],
-            deadline,
-        )
-        return sum(per_shard)
-
-    def contains(
-        self,
-        pattern: Sequence[str] | Pattern | str,
-        partition: str | None = "",
-        deadline: float | None = None,
-    ) -> list[str]:
-        """Sorted ids of traces containing ``pattern``."""
-        composite = self._composite(pattern)
-        if composite is not None:
-            self._check_composite()
-            return self._cached(
-                ("contains", composite, partition),
-                lambda: self._contains_compute(
-                    lambda s, plan: s.query.contains_pattern(
-                        composite, partition, plan
-                    ),
-                    lambda: self._merged_pattern_plan(composite, partition),
-                    deadline,
-                ),
-            )
-        if len(pattern) == 0:
-            raise EmptyPatternError("cannot detect an empty pattern")
-        if len(pattern) == 1:
-            return self._cached(
-                ("contains", tuple(pattern), partition),
-                lambda: self._contains_compute(
-                    lambda s, plan: s.query.contains(pattern, partition),
-                    None,
-                    deadline,
-                ),
-            )
-        return self._cached(
-            ("contains", tuple(pattern), partition),
-            lambda: self._contains_compute(
-                lambda s, plan: s.query.contains(pattern, partition, plan),
-                lambda: self._merged_plan(pattern, partition),
-                deadline,
-            ),
-        )
-
-    def _contains_compute(
-        self,
-        run: Callable[[SequenceIndex, Any], list[str]],
-        make_plan: Callable[[], Any] | None,
-        deadline: float | None,
-    ) -> list[str]:
-        plan = None
-        if make_plan is not None:
-            plan = make_plan()
-            if plan is None:
-                return []
-        span_input = self._gather(
-            [(lambda s=shard: run(s, plan)) for shard in self.shards],
-            deadline,
-        )
-        merged = [trace_id for found in span_input for trace_id in found]
-        merged.sort()
-        return merged
-
-    def statistics(
-        self,
-        pattern: Sequence[str],
-        all_pairs: bool = False,
-        deadline: float | None = None,
+    def _statistics(
+        self, pattern: Sequence[str], all_pairs: bool, deadline: float | None
     ) -> PatternStats:
         """Pairwise statistics merged across shards (sums and max)."""
         per_shard = self._gather(
@@ -673,35 +469,25 @@ class ShardedSequenceIndex:
             ),
         )
 
-    def continuations(self, *args: Any, **kwargs: Any) -> Any:
-        raise NotImplementedError(
-            "continuation exploration is not distributed yet; open each "
-            "shard as a single-store SequenceIndex for shard-local proposals"
+    def detect_with_prefixes(
+        self, pattern: Sequence[str], partition: str | None = ""
+    ) -> dict[int, list[PatternMatch]]:
+        """Completions of the pattern and every prefix, merged per length."""
+        per_shard = self._gather(
+            [
+                (lambda s=shard: s.query.detect_with_prefixes(pattern, partition))
+                for shard in self.shards
+            ],
+            deadline=None,
         )
-
-    def detect_with_prefixes(self, *args: Any, **kwargs: Any) -> Any:
-        raise NotImplementedError(
-            "prefix detection snapshots only exist under single-store "
-            "left-to-right evaluation"
-        )
-
-    def _check_composite(
-        self, policy: Policy | None = None, within: float | None = None
-    ) -> None:
-        if policy is not None:
-            raise ValueError(
-                "composite patterns fix the skip-till-next-match strategy; "
-                "the policy argument applies to plain sequence patterns only"
+        # A shard's join stops snapshotting once its chains run out, so a
+        # prefix length is present iff some shard still held chains there.
+        return {
+            length: self._merge_matches(
+                [found.get(length, []) for found in per_shard], None
             )
-        if within is not None:
-            raise ValueError(
-                "composite patterns carry their window inside the expression "
-                "(WITHIN ...); the within= argument applies to plain "
-                "sequence patterns only"
-            )
-        # Per-shard engines re-validate the policy; check eagerly so the
-        # error surfaces before any fan-out.
-        self.shards[0]._check_composite()
+            for length in sorted(set().union(*per_shard))
+        }
 
     # -- introspection ------------------------------------------------------------
 
@@ -757,8 +543,7 @@ class ShardedSequenceIndex:
             "file_bytes": 0,
         }
         for i, shard in enumerate(self.shards):
-            stats_fn = getattr(shard.store, "storage_stats", None)
-            stats = stats_fn() if stats_fn is not None else {}
+            stats = shard.store.storage_stats()
             per_shard.append({"shard": i, **stats})
             totals["sstables"] += len(stats.get("sstables", ()))
             for name in ("records", "data_bytes", "raw_data_bytes", "file_bytes"):

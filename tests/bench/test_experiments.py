@@ -126,7 +126,6 @@ class TestRegistryCompleteness:
         # so the runner exposes them.
         assert set(ALL_EXPERIMENTS) - paper_artifacts == {
             "ablation_cache",
-            "ablation_planner",
             "leveled_compaction",
             "pattern_language",
             "sharded_service",

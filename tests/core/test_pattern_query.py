@@ -18,9 +18,9 @@ import pytest
 from repro.baselines.sase.engine import SaseEngine
 from repro.core.engine import SequenceIndex
 from repro.core.errors import PolicyMismatchError
-from repro.core.matches import PatternPlan
+from repro.core.matches import QueryPlan
 from repro.core.model import EventLog
-from repro.core.pattern import parse_pattern
+from repro.core.pattern import find_matches, parse_pattern
 from repro.core.policies import Policy
 from repro.logs.csv_log import read_csv_log
 
@@ -77,7 +77,7 @@ class TestPatternPlanner:
         with SequenceIndex(policy=Policy.STNM) as index:
             index.update(log)
             plan = index.explain("SEQ(A, (B|C))")
-            assert isinstance(plan, PatternPlan)
+            assert isinstance(plan, QueryPlan) and plan.finisher == "verify"
             assert plan.groups == ((("A", "B"), ("A", "C")),)
             assert plan.cardinalities == (3,)  # 2x (A,B) + 1x (A,C)
 
@@ -116,25 +116,25 @@ class TestPatternPlanner:
             assert plan.negated == ("!Z",)
             assert "no pruning" in plan.describe()
 
-    def test_planner_disabled_keeps_natural_group_order(self):
-        # (A,B) completes 3x, (B,C) once: the planner would flip the order.
-        log = EventLog.from_dict({"t1": ["A", "B", "A", "B", "A", "B", "C"]})
-        planned = SequenceIndex(policy=Policy.STNM)
-        naive = SequenceIndex(policy=Policy.STNM, planner=False)
-        try:
-            planned.update(log)
-            naive.update(log)
-            nat = naive.explain("SEQ(A, B, C)")
-            assert nat.order == (0, 1)
-            assert not nat.reordered
-            a = planned.detect("SEQ(A, B, C)")
-            b = naive.detect("SEQ(A, B, C)")
-            assert {(m.trace_id, m.timestamps) for m in a} == {
-                (m.trace_id, m.timestamps) for m in b
+    def test_reordered_groups_do_not_change_the_result(self):
+        # (A,B) completes 3x, (B,C) once: the planner prunes with (B,C) first.
+        log = EventLog.from_dict(
+            {"t1": ["A", "B", "A", "B", "A", "B", "C"], "t2": ["A", "B"]}
+        )
+        pattern = parse_pattern("SEQ(A, B, C)")
+        with SequenceIndex(policy=Policy.STNM) as index:
+            index.update(log)
+            plan = index.explain(pattern)
+            assert plan.order == (1, 0)
+            assert plan.reordered
+            unpruned = {
+                (trace.trace_id, span)
+                for trace in log
+                for span in find_matches(trace.activities, trace.timestamps, pattern)
             }
-        finally:
-            planned.close()
-            naive.close()
+            assert {
+                (m.trace_id, m.timestamps) for m in index.detect(pattern)
+            } == unpruned
 
     def test_planner_orders_groups_cheapest_first(self):
         # (A,B) completes 3x, (B,C) once: pruning must start at (B,C).

@@ -3,7 +3,8 @@
 The selectivity-driven planner must be *unobservable* through results: for
 any log, pattern, policy, partition layout and cache configuration,
 planner-ordered detection returns byte-identical matches to naive
-left-to-right evaluation and to a brute-force per-trace oracle.  These
+left-to-right evaluation (the explicit plan behind ``detect_with_prefixes``)
+and to a brute-force per-trace oracle.  These
 properties pin that down, alongside sanity checks of the plan object and
 its metrics/CLI surface.
 """
@@ -58,10 +59,9 @@ class TestPlannerEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_planner_equals_naive_equals_oracle(self, log, pattern, policy):
         planned = _build(log, policy, query_cache_size=0)
-        naive = _build(log, policy, query_cache_size=0, planner=False,
-                       postings_cache_size=0, batched_reads=False)
+        naive = _build(log, policy, query_cache_size=0, postings_cache_size=0)
         got_planned = planned.detect(pattern)
-        got_naive = naive.detect(pattern)
+        got_naive = naive.detect_with_prefixes(pattern)[len(pattern)]
         assert got_planned == got_naive
         assert [(m.trace_id, m.timestamps) for m in got_planned] == _oracle_matches(
             log, pattern, policy
@@ -108,18 +108,18 @@ class TestPlannerEquivalence:
                 )
 
         planned = SequenceIndex(query_cache_size=0)
-        naive = SequenceIndex(
-            query_cache_size=0, planner=False, postings_cache_size=0,
-            batched_reads=False,
-        )
+        naive = SequenceIndex(query_cache_size=0, postings_cache_size=0)
         spread(planned)
         spread(naive)
-        assert planned.detect(pattern, partition=None) == naive.detect(
-            pattern, partition=None
+        n = len(pattern)
+        assert (
+            planned.detect(pattern, partition=None)
+            == naive.detect_with_prefixes(pattern, partition=None)[n]
         )
         if len(log) >= 2:  # "p1" only exists once a second trace was spread
-            assert planned.detect(pattern, partition="p1") == naive.detect(
-                pattern, partition="p1"
+            assert (
+                planned.detect(pattern, partition="p1")
+                == naive.detect_with_prefixes(pattern, partition="p1")[n]
             )
 
 
@@ -179,29 +179,42 @@ class TestPlanObject:
             plan = index.explain(pattern)
             assert plan.reordered == (plan.order != tuple(range(len(plan.pairs))))
 
-    def test_planner_disabled_keeps_natural_order(self):
-        index = _build({"t1": list("ABCABC")}, planner=False)
-        plan = index.explain(["A", "B", "C"])
-        assert plan.order == (0, 1)
-        assert not plan.reordered
+    def test_finisher_follows_the_input(self):
+        index = self._index()
+        assert index.explain(["A", "B", "C"]).finisher == "join"
+        assert index.explain("SEQ(A, B, C)").finisher == "verify"
+        assert index.explain(["A", "B"], policy=Policy.STAM).finisher == "enumerate"
 
     def test_trivial_plan_for_short_patterns(self):
         index = self._index()
         plan = index.explain(["A"])
         assert plan.pairs == () and plan.order == ()
+        assert plan.finisher == "enumerate"
         assert "left-to-right" in plan.describe()
+        assert "full sequence scan" in plan.describe()
 
     def test_describe_lists_every_step(self):
         index = self._index()
         plan = index.explain(["A", "B", "C"])
         lines = plan.describe().splitlines()
-        assert len(lines) == len(plan.pairs) + 1
-        assert all("cardinality=" in line for line in lines[:-1])
+        assert lines[0] == "pattern A, B, C"
+        assert len(lines) == len(plan.pairs) + 2
+        assert all("cardinality=" in line for line in lines[1:-1])
+        assert lines[-1].startswith("finisher=join ")
 
-    def test_plan_requires_pairs(self):
+    def test_plan_requires_a_pattern(self):
         index = self._index()
         with pytest.raises(EmptyPatternError):
-            index.query.plan(["A"])
+            index.query.plan([])
+        with pytest.raises(EmptyPatternError):
+            index.explain([])
+
+    def test_external_cardinalities_need_one_per_pair(self):
+        index = self._index()
+        plan = index.query.plan(["A", "B", "C"], cardinalities=[7, 2])
+        assert plan.cardinalities == (7, 2) and plan.order == (1, 0)
+        with pytest.raises(ValueError):
+            index.query.plan(["A", "B", "C"], cardinalities=[7])
 
 
 class TestExplainSurface:
@@ -255,10 +268,8 @@ class TestExplainSurface:
         matches = index.detect(["A", "B", "C"])
         assert sorted(m.trace_id for m in matches) == ["t1", "t9"]
 
-    def test_prefixes_unaffected_by_planner(self):
+    def test_prefixes_agree_with_planned_detection(self):
         log = {"t1": list("ABCABC"), "t2": list("ACBCA")}
-        planned = _build(log)
-        naive = _build(log, planner=False, postings_cache_size=0)
-        assert planned.detect_with_prefixes(["A", "B", "C"]) == naive.detect_with_prefixes(
-            ["A", "B", "C"]
-        )
+        prefixes = _build(log).detect_with_prefixes(["A", "B", "C"])
+        assert prefixes[3] == _build(log).detect(["A", "B", "C"])
+        assert prefixes[2] == _build(log).detect(["A", "B"])

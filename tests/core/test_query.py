@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import SequenceIndex
-from repro.core.errors import EmptyPatternError
+from repro.core.errors import DeadlineExceeded, EmptyPatternError
 from repro.core.model import EventLog
 from repro.core.pairs import reference_stnm_pairs
 from repro.core.policies import Policy
@@ -106,6 +108,34 @@ class TestDetection:
         index = _index(paper_log)
         with pytest.raises(EmptyPatternError):
             index.detect_with_prefixes(["A"])
+
+
+class TestDeadline:
+    def test_deadline_is_checked_between_stages(self, paper_log, monkeypatch):
+        # The deadline passes while the postings are fetched: the query
+        # stops at the next stage boundary, before the join starts.
+        index = _index(paper_log)
+        query = index.query
+        fetch = query._fetch_postings
+
+        def slow_fetch(pairs, partition):
+            time.sleep(0.05)
+            return fetch(pairs, partition)
+
+        joined = []
+        monkeypatch.setattr(query, "_fetch_postings", slow_fetch)
+        monkeypatch.setattr(query, "_join", lambda *args: joined.append(args))
+        with pytest.raises(DeadlineExceeded):
+            query.detect(["A", "B"], deadline=time.monotonic() + 0.02)
+        with pytest.raises(DeadlineExceeded):
+            index.count(["A", "B"], deadline=time.monotonic() + 0.02)
+        assert joined == []
+
+    def test_a_deadline_in_the_future_changes_nothing(self, paper_log):
+        index = _index(paper_log)
+        late = time.monotonic() + 60.0
+        assert index.detect(["A", "B"], deadline=late) == index.detect(["A", "B"])
+        assert index.contains("SEQ(A, B)", deadline=late) == index.contains(["A", "B"])
 
 
 class TestWithinAndCount:

@@ -8,6 +8,14 @@ import time
 
 import pytest
 
+from repro.faults import (
+    CORRUPT,
+    TRUNCATE_CRASH,
+    Fault,
+    FaultSchedule,
+    FaultyIO,
+    SimulatedCrash,
+)
 from repro.kvstore import LSMStore
 from repro.kvstore.api import CorruptionError
 
@@ -216,6 +224,14 @@ class TestFlushFaults:
         reopened.close()
 
 
+def _pre_swap_fault(kind: str) -> FaultyIO:
+    """An I/O layer whose only fault fires once, between a compaction's
+    sealed output and the manifest swap: ``CORRUPT`` overwrites four bytes
+    in the middle of the merged SSTable, ``TRUNCATE_CRASH`` halves it and
+    kills the compaction."""
+    return FaultyIO(FaultSchedule([Fault(kind, "point:compaction.pre_swap")]))
+
+
 def _multi_table_store(path, **kwargs) -> LSMStore:
     """A store with several similarly-sized SSTables, ripe for compaction."""
     store = LSMStore(path, auto_compact=False, compaction_min_tables=2, **kwargs)
@@ -231,18 +247,11 @@ class TestCompactionFaults:
     """Faults injected between compaction output and the manifest swap."""
 
     def test_corrupt_compaction_output_aborts_swap(self, tmp_path):
-        store = _multi_table_store(str(tmp_path / "db"))
+        store = _multi_table_store(str(tmp_path / "db"), io=_pre_swap_fault(CORRUPT))
         before_tables = store.sstable_count
         before_values = {key: value for key, value in store.scan("t")}
 
-        def corrupt(path: str) -> None:
-            with open(path, "r+b") as fh:
-                fh.seek(12)  # inside the first data record
-                fh.write(b"\xde\xad\xbe\xef")
-
-        store.compaction_pre_swap_hook = corrupt
         assert store.compact() is False  # verify() flags it, swap refused
-        store.compaction_pre_swap_hook = None
 
         assert store.metrics.compaction_aborts == 1
         assert store.metrics.compactions == 0
@@ -254,19 +263,10 @@ class TestCompactionFaults:
 
     def test_killed_compaction_recovers_on_reopen(self, tmp_path):
         path = str(tmp_path / "db")
-        store = _multi_table_store(path)
+        store = _multi_table_store(path, io=_pre_swap_fault(TRUNCATE_CRASH))
         before_values = {key: value for key, value in store.scan("t")}
 
-        class Killed(RuntimeError):
-            pass
-
-        def kill(sst_path: str) -> None:
-            with open(sst_path, "r+b") as fh:
-                fh.truncate(os.path.getsize(sst_path) // 2)
-            raise Killed
-
-        store.compaction_pre_swap_hook = kill
-        with pytest.raises(Killed):
+        with pytest.raises(SimulatedCrash):
             store.compact()
         store.close()
 
@@ -356,21 +356,16 @@ class TestCloseIdempotency:
 class TestBackgroundCompactionFaults:
     def test_background_compaction_survives_corrupt_output(self, tmp_path):
         store = _multi_table_store(
-            str(tmp_path / "db2"), background_compaction=True
+            str(tmp_path / "db2"),
+            background_compaction=True,
+            io=_pre_swap_fault(CORRUPT),
         )
         before_values = {key: value for key, value in store.scan("t")}
 
-        def corrupt(path: str) -> None:
-            with open(path, "r+b") as fh:
-                fh.seek(12)
-                fh.write(b"\xde\xad\xbe\xef")
-
-        store.compaction_pre_swap_hook = corrupt
         store._compactor.trigger()
         deadline = time.time() + 5.0
         while store.metrics.compaction_aborts == 0 and time.time() < deadline:
             time.sleep(0.01)
-        store.compaction_pre_swap_hook = None
 
         assert store.metrics.compaction_aborts >= 1
         assert {key: value for key, value in store.scan("t")} == before_values

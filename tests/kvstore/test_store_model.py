@@ -11,7 +11,6 @@ references must be ignored and the pre-compaction tables stay authoritative.
 
 from __future__ import annotations
 
-import os
 import tempfile
 
 from hypothesis import settings
@@ -24,6 +23,7 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
+from repro.faults import TRUNCATE_CRASH, Fault, FaultSchedule, FaultyIO, SimulatedCrash
 from repro.kvstore import InMemoryStore, LSMStore
 from repro.kvstore.merge import ListAppendMerge
 
@@ -46,7 +46,11 @@ class StoreModelMachine(RuleBasedStateMachine):
         self.dir = tempfile.mkdtemp(prefix="lsm-model-")
         # Tiny flush threshold and aggressive compaction exercise the full
         # write path constantly, not just the memtable.
-        self.lsm = LSMStore(self.dir, memtable_flush_bytes=256, compaction_min_tables=2)
+        # No fault is scheduled until the killed-compaction rule arms one.
+        self.io = FaultyIO(FaultSchedule())
+        self.lsm = LSMStore(
+            self.dir, memtable_flush_bytes=256, compaction_min_tables=2, io=self.io
+        )
         self.mem = InMemoryStore()
         for store in (self.lsm, self.mem):
             store.create_table("plain")
@@ -99,20 +103,17 @@ class StoreModelMachine(RuleBasedStateMachine):
         background worker's vulnerable window leaves behind; every later
         rule (reads, scans, reopen) must be oblivious to it.
         """
-
-        def kill(path: str) -> None:
-            with open(path, "r+b") as fh:
-                fh.truncate(os.path.getsize(path) // 2)
-            raise _KilledCompaction
-
         self.lsm.flush()
-        self.lsm.compaction_pre_swap_hook = kill
+        # TRUNCATE_CRASH halves the merged SSTable and raises SimulatedCrash.
+        self.io.schedule = FaultSchedule(
+            [Fault(TRUNCATE_CRASH, "point:compaction.pre_swap")]
+        )
         try:
             self.lsm.compact_all()
-        except _KilledCompaction:
+        except SimulatedCrash:
             pass
         finally:
-            self.lsm.compaction_pre_swap_hook = None
+            self.io.schedule = FaultSchedule()
 
     @rule()
     def verify_integrity(self):
@@ -123,7 +124,7 @@ class StoreModelMachine(RuleBasedStateMachine):
     def reopen(self):
         self.lsm.close()
         self.lsm = LSMStore(
-            self.dir, memtable_flush_bytes=256, compaction_min_tables=2
+            self.dir, memtable_flush_bytes=256, compaction_min_tables=2, io=self.io
         )
 
     @rule(key=KEYS)
@@ -165,10 +166,6 @@ class StoreModelMachine(RuleBasedStateMachine):
         for store in (self.lsm, self.mem):
             assert {k: v for k, v in store.scan("plain")} == model_plain
             assert {k: v for k, v in store.scan("idx")} == model_idx
-
-
-class _KilledCompaction(RuntimeError):
-    """Raised by the fault-injection hook to simulate a mid-compaction kill."""
 
 
 def _norm(key):

@@ -136,7 +136,11 @@ class TestSmoke:
             with pytest.raises(ServiceError) as exc_info:
                 client.detect([])
             assert exc_info.value.code == "bad_request"
-            # The connection survived all three failures.
+            with pytest.raises(ServiceError) as exc_info:
+                client.detect(["A", "B"], max_matches=-1)
+            assert exc_info.value.code == "bad_request"
+            assert "max_matches" in str(exc_info.value)
+            # The connection survived every failure.
             assert client.ping() == "pong"
 
     def test_expired_deadline_is_reported(self, service):
@@ -150,7 +154,7 @@ class TestSmoke:
         host, port = service.address
         with ServiceClient(host, port) as client:
             stats = client.stats()
-        if getattr(service.engine, "num_shards", None):
+        if service.engine.num_shards > 1:
             assert stats["num_shards"] == service.engine.num_shards
             assert len(stats["shards"]) == service.engine.num_shards
 
@@ -202,11 +206,15 @@ class TestAdmissionControl:
     class _SlowEngine:
         """Duck-typed engine whose detect blocks until released."""
 
+        num_shards = 1
+
         def __init__(self):
             self.release = threading.Event()
             self.entered = threading.Event()
 
-        def detect(self, pattern, partition="", max_matches=None, within=None):
+        def detect(
+            self, pattern, partition="", max_matches=None, within=None, deadline=None
+        ):
             self.entered.set()
             self.release.wait(timeout=10.0)
             return []

@@ -253,17 +253,6 @@ class TestCoordinator:
             single.close()
             sharded.close()
 
-    def test_continuations_unsupported(self):
-        single, sharded = _make_pair(2)
-        try:
-            with pytest.raises(NotImplementedError):
-                sharded.continuations(["A", "B"])
-            with pytest.raises(NotImplementedError):
-                sharded.detect_with_prefixes(["A", "B"])
-        finally:
-            single.close()
-            sharded.close()
-
     def test_storage_stats_aggregates(self):
         single, sharded = _make_pair(3)
         try:

@@ -337,9 +337,32 @@ class TestSharded:
         assert main(["stats", "A,B", "--store", sharded_store]) == 0
         assert "A -> B" in capsys.readouterr().out
 
-    def test_continue_is_refused(self, sharded_store):
-        with pytest.raises(SystemExit, match="single-store"):
-            main(["continue", "A,B", "--store", sharded_store])
+    def test_continue_matches_single_store(self, sharded_store, store_dir, capsys):
+        assert main(["continue", "A,B", "--store", sharded_store]) == 0
+        sharded_out = capsys.readouterr().out
+        assert main(["continue", "A,B", "--store", store_dir]) == 0
+        assert capsys.readouterr().out == sharded_out
+        assert "completions=" in sharded_out
+
+    def test_detect_explain_profile(self, sharded_store, store_dir, capsys):
+        # Crashed at the parent: the sharded detect took no explain keywords.
+        assert main(
+            ["detect", "A,B", "--store", sharded_store, "--explain", "--profile"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "plan:" in out and "finisher=join" in out
+        assert "profile:" in out and "shard.fanout" in out
+        assert "1 completions" in out
+        # The plan text is the single-store engine's.
+        assert main(["detect", "A,B", "--store", store_dir, "--explain"]) == 0
+        single_out = capsys.readouterr().out
+        plan = [line for line in out.splitlines() if "step " in line]
+        assert plan and all(line in single_out for line in plan)
+
+    def test_detect_rejects_negative_limit(self, sharded_store, store_dir):
+        for store in (sharded_store, store_dir):
+            with pytest.raises(SystemExit, match="max_matches"):
+                main(["detect", "A,B", "--store", store, "--limit", "-1"])
 
     def test_metrics_exposes_shard_gauges(self, sharded_store, capsys):
         assert main(

@@ -185,3 +185,31 @@ def test_docscheck_fails_on_an_undocumented_format_tag():
     elsewhere = "## 1. Intro\n`0x04`\n## 11. Layout\n`0x05`\n## 12. Next\n`0x04`\n"
     assert len(check_format_tags("D.md", elsewhere, {"a.TAG_A": 4, "a.TAG_B": 5})) == 1
     assert "no section" in check_format_tags("D.md", "## 1. Intro\n", tags)[0]
+
+
+def test_docscheck_fails_on_a_deleted_constructor_keyword():
+    from repro.bench.docscheck import (
+        check_constructor_keywords,
+        constructor_keywords,
+    )
+
+    keywords = constructor_keywords()
+    assert "query_cache_size" in keywords["SequenceIndex"]
+    assert "removed_knob" not in keywords["SequenceIndex"]
+    # ShardedSequenceIndex.open forwards **engine_kwargs to every shard
+    assert {"num_shards", "policy"} <= keywords["ShardedSequenceIndex.open"]
+    guide = (
+        "prose SequenceIndex(removed_knob=True) outside a block is not checked\n"
+        "```python\n"
+        "index = SequenceIndex(store,\n"
+        "                      query_cache_size=128,\n"
+        "                      removed_knob=True)\n"
+        "LSMStore(path, leveled=LeveledConfig(fanout=10), sync_wal=False)\n"
+        "ShardedSequenceIndex.open(root, factory, num_shards=4, other_gone=True)\n"
+        "ShardedSequenceIndex(shards, whatever=1)  # not a documented constructor\n"
+        "```\n"
+    )
+    assert check_constructor_keywords("G.md", guide, keywords) == [
+        "G.md:3: SequenceIndex() takes no keyword 'removed_knob'",
+        "G.md:7: ShardedSequenceIndex.open() takes no keyword 'other_gone'",
+    ]
