@@ -1,7 +1,7 @@
 """Docs lint: dead links, drifted CLI commands, undocumented format tags,
-deleted constructor keywords.
+deleted constructor keywords, deleted methods.
 
-Four classes of documentation rot this catches mechanically:
+Five classes of documentation rot this catches mechanically:
 
 * **dead relative links** -- every ``[text](target)`` markdown link whose
   target is a repo path must resolve from the linking file's directory;
@@ -17,7 +17,13 @@ Four classes of documentation rot this catches mechanically:
 * **deleted constructor keywords** -- every keyword shown in a
   ``SequenceIndex(``, ``LSMStore(`` or ``ShardedSequenceIndex.open(`` call
   inside a code block of docs/OPERATIONS.md must exist in the live
-  signature, so a removed knob cannot linger in the operator guide.
+  signature, so a removed knob cannot linger in the operator guide;
+* **deleted methods** -- every backticked ``Class.attribute`` in DESIGN.md
+  or ``docs/*.md`` whose class lives in ``core/query.py``,
+  ``core/postings.py``, ``core/engine.py`` or ``kvstore/lsm.py``, and every
+  backticked ``core.query.function`` (module path spelled out), must name a
+  live attribute, so the design text cannot describe a method that a
+  refactor removed.
 
 Runs standalone (``python -m repro.bench.docscheck``, exit 1 on findings)
 and inside tier-1 via ``tests/test_docs.py``.
@@ -206,10 +212,70 @@ def check_constructor_keywords(
     return findings
 
 
+#: modules whose classes and functions the design docs name member by member
+API_MODULES = (
+    "repro.core.query",
+    "repro.core.postings",
+    "repro.core.engine",
+    "repro.kvstore.lsm",
+)
+_API_DOCS = ("DESIGN.md", "docs/")
+_REFERENCE = re.compile(r"`([A-Za-z_][\w.]*)\.([A-Za-z_]\w*)\b[^`]*`")
+
+
+def api_owners() -> dict[str, object]:
+    """What a checked reference may start with: the classes defined in
+    :data:`API_MODULES` by bare name, and the modules themselves by dotted
+    path (``core.query``, ``repro.core.query``).  A bare last component
+    (``query``, ``lsm``) is not an owner: the docs use those as span-name
+    prefixes (``lsm.multi_get``)."""
+    import importlib
+    import inspect
+
+    owners: dict[str, object] = {}
+    for name in API_MODULES:
+        module = importlib.import_module(name)
+        owners[name] = owners[name.removeprefix("repro.")] = module
+        for attribute, value in vars(module).items():
+            if inspect.isclass(value) and value.__module__ == name:
+                owners[attribute] = value
+    return owners
+
+
+def _has_member(owner: object, name: str) -> bool:
+    """Whether ``owner`` has ``name``: as an attribute, a declared field, or
+    an instance attribute some method of the class assigns."""
+    import inspect
+
+    if hasattr(owner, name):
+        return True
+    if not inspect.isclass(owner):
+        return False
+    for klass in owner.__mro__[:-1]:
+        if name in getattr(klass, "__annotations__", {}):
+            return True
+        if re.search(rf"\bself\.{name}\b[^=\n]*=[^=]", inspect.getsource(klass)):
+            return True
+    return False
+
+
+def check_api_references(doc: str, text: str, owners: dict[str, object]) -> list[str]:
+    """Backticked ``Owner.member`` references whose member no longer exists."""
+    findings = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        for owner, member in _REFERENCE.findall(line):
+            if owner in owners and not _has_member(owners[owner], member):
+                findings.append(
+                    f"{doc}:{number}: `{owner}.{member}` names no live attribute"
+                )
+    return findings
+
+
 def run_docscheck(root: str | None = None) -> list[str]:
     """All findings across the documented surface (empty means healthy)."""
     root = root or repo_root()
     subcommands = known_subcommands()
+    owners = api_owners()
     findings: list[str] = []
     for doc in DOC_FILES:
         path = os.path.join(root, doc)
@@ -226,6 +292,8 @@ def run_docscheck(root: str | None = None) -> list[str]:
             findings.extend(
                 check_constructor_keywords(doc, text, constructor_keywords())
             )
+        if doc.startswith(_API_DOCS):
+            findings.extend(check_api_references(doc, text, owners))
     return findings
 
 

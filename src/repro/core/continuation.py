@@ -24,6 +24,7 @@ from repro.core.errors import EmptyPatternError
 from repro.core.matches import ContinuationProposal, PatternMatch
 
 #: ``{other event: (sum_duration, completions)}`` of one Count/ReverseCount key
+#: (rows may be shared with a cache: the explorer only reads them)
 CountRow = dict[str, tuple[float, int]]
 
 

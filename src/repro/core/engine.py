@@ -440,8 +440,8 @@ class SequenceIndex(QueryEngine):
         )
         self.explorer = ContinuationExplorer(
             self._detect_uncached,
-            self.tables.get_counts,
-            self.tables.get_reverse_counts,
+            self.query.count_row,
+            self.query.reverse_count_row,
         )
         self._generation = 0
         self._obs_handle = REGISTRY.register(

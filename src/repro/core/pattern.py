@@ -135,6 +135,11 @@ class Pattern:
         return tuple(i for i, e in enumerate(self.elements) if not e.negated)
 
     @cached_property
+    def alphabet(self) -> frozenset[str]:
+        """Every activity the pattern names, negated elements included."""
+        return frozenset(name for e in self.elements for name in e.types)
+
+    @cached_property
     def has_operators(self) -> bool:
         """True when any element uses alternation, Kleene or negation."""
         return any(
@@ -314,6 +319,19 @@ def _parse_element(raw: str) -> PatternElement:
 # -- indexed-side evaluator ----------------------------------------------------
 
 
+def occurrence_positions(
+    activities: Sequence[str], alphabet: frozenset[str] | set[str]
+) -> dict[str, list[int]]:
+    """Ascending positions of each activity of ``alphabet`` occurring in
+    ``activities``.  A pattern names a handful of the activities a trace
+    holds, so no list is built for the rest."""
+    positions: dict[str, list[int]] = {}
+    for idx, activity in enumerate(activities):
+        if activity in alphabet:
+            positions.setdefault(activity, []).append(idx)
+    return positions
+
+
 def find_matches(
     activities: Sequence[str],
     timestamps: Sequence[float],
@@ -333,9 +351,7 @@ def find_matches(
     tuples may be longer than the pattern's positive element count.
     """
     n = len(activities)
-    positions: dict[str, list[int]] = {}
-    for idx, activity in enumerate(activities):
-        positions.setdefault(activity, []).append(idx)
+    positions = occurrence_positions(activities, pattern.alphabet)
 
     def next_of(types: tuple[str, ...], cursor: int) -> int | None:
         """Earliest occurrence of any of ``types`` at or after ``cursor``."""

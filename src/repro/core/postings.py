@@ -408,8 +408,8 @@ class Postings:
     partitions' values concatenated when a read unions them): columnar
     chunks, and whatever older formats the row still holds.  Opening parses
     chunk headers and dictionaries only; :meth:`trace_ids` answers from
-    those, and :meth:`grouped` unpacks the columns of just the chunks that
-    mention a wanted trace.  The decoded-postings LRU holds these objects,
+    those, and :meth:`columns` unpacks just the chunks that mention a wanted
+    trace, as whole columns.  The decoded-postings LRU holds these objects,
     so a hot pair pays the store read and the dictionary parse once.
     """
 
@@ -418,78 +418,84 @@ class Postings:
     def __init__(self, items: Iterable) -> None:
         #: number of ``(trace_id, ts_a, ts_b)`` rows in the value
         self.entries = 0
-        # (ids as a set, ids in order, chunk, n, packed, base, column offset)
+        # (dictionary ids in order, chunk, n, packed, base, column offset)
         self._chunks: list[tuple] = []
-        # rows of every older format, already grouped (order is not needed:
-        # each trace's completions are sorted on the way out)
-        self._older: dict[str, Completions] = {}
+        # rows of every older format, transposed once: (ids, ts_a, ts_b)
+        older: list[tuple] = []
         for item in items:
             if isinstance(item, _CHUNK_TYPES):
                 if not len(item):
                     raise CorruptPostingsError("empty postings chunk")
                 if item[0] == TAG_POSTINGS:
                     ids, n, packed, base, pos = _open_chunk(item)
-                    self._chunks.append((frozenset(ids), ids, item, n, packed, base, pos))
+                    self._chunks.append((ids, item, n, packed, base, pos))
                     self.entries += n
                     continue
-                rows = _decode_older_rows(item)
+                older.extend(_decode_older_rows(item))
             else:
-                rows = (item,)
-            try:
-                for trace_id, ts_a, ts_b in rows:
-                    self._older.setdefault(trace_id, []).append((ts_a, ts_b))
-            except (TypeError, ValueError):
-                raise CorruptPostingsError("index entry is not a 3-tuple") from None
-            self.entries += len(rows)
+                older.append(item)
+        try:
+            columns = _columns(older, 3) if older else ((), (), ())
+        except TypeError:  # a legacy item that is no sequence at all
+            columns = None
+        if columns is None:
+            raise CorruptPostingsError("index entry is not a 3-tuple")
+        self._older = columns
+        self.entries += len(older)
 
     def trace_ids(self) -> set[str]:
         """Every trace with at least one completion, from dictionaries alone."""
-        traces = set(self._older)
+        traces = set(self._older[0])
         for chunk in self._chunks:
-            traces |= chunk[0]
+            traces.update(chunk[0])
         return traces
 
-    def grouped(self, restrict: set[str] | None = None) -> dict[str, Completions]:
-        """``{trace_id: [(ts_a, ts_b), ...]}``, each trace's list time-ordered.
+    def columns(self, restrict: set[str] | None = None) -> Iterator[tuple]:
+        """``(trace ids, ts_a, ts_b)`` parallel columns, one triple per chunk
+        in stored order, then one for the rows of every older format.
 
-        With ``restrict`` only those traces are grouped, and a chunk whose
-        dictionary shares no id with it is skipped without touching its
-        columns.  Every call builds fresh lists.
+        With ``restrict``, a triple mentioning none of those traces is
+        skipped -- a chunk by its dictionary, without touching its columns --
+        while a yielded triple still holds all of its rows.  Each column is
+        iterable once.
         """
-        grouped: dict[str, Completions] = {}
-        for id_set, ids, chunk, n, packed, base, pos in self._chunks:
-            if restrict is not None and restrict.isdisjoint(id_set):
+        for ids, chunk, n, packed, base, pos in self._chunks:
+            if restrict is not None and restrict.isdisjoint(ids):
                 continue
             index, ts_a, ts_b = _read_columns(chunk, n, packed, base, pos, len(ids))
             if index is not None:
                 ids = map(ids.__getitem__, index)
-            for trace_id, completion in zip(ids, zip(ts_a, ts_b)):
-                if restrict is None or trace_id in restrict:
-                    completions = grouped.get(trace_id)
-                    if completions is None:
-                        grouped[trace_id] = [completion]
-                    else:
-                        completions.append(completion)
-        for trace_id, completions in self._older.items():
-            if restrict is None or trace_id in restrict:
-                grouped.setdefault(trace_id, []).extend(completions)
-        for completions in grouped.values():
-            if len(completions) > 1:
-                completions.sort()
-        return grouped
+            yield ids, ts_a, ts_b
+        older = self._older
+        if older[0] and (restrict is None or not restrict.isdisjoint(older[0])):
+            yield older
 
     def rows(self) -> list[tuple[str, float, float]]:
-        """Flat ``(trace_id, ts_a, ts_b)`` rows, in :meth:`grouped` order."""
+        """Flat ``(trace_id, ts_a, ts_b)`` rows, grouped per trace (first
+        stored appearance first) and time-ordered within one."""
         return [
             (trace_id, ts_a, ts_b)
-            for trace_id, completions in self.grouped().items()
+            for trace_id, completions in _grouped(self.columns()).items()
             for ts_a, ts_b in completions
         ]
 
 
+def _grouped(triples: Iterable[tuple]) -> dict[str, Completions]:
+    """Column triples as ``{trace_id: [(ts_a, ts_b), ...]}``, each trace's
+    list time-ordered: the per-entry form of the operator views and the
+    tests, which no query builds."""
+    grouped: dict[str, Completions] = {}
+    for ids, ts_a, ts_b in triples:
+        for trace_id, completion in zip(ids, zip(ts_a, ts_b)):
+            grouped.setdefault(trace_id, []).append(completion)
+    for completions in grouped.values():
+        completions.sort()
+    return grouped
+
+
 def decode_postings(chunk) -> dict[str, Completions]:
     """One chunk of any layout, decoded to the per-trace grouped form."""
-    return Postings((chunk,)).grouped()
+    return _grouped(Postings((chunk,)).columns())
 
 
 def decode_sequence(items: Iterable) -> tuple[list[str], list[float]]:

@@ -26,16 +26,18 @@ surviving trace is finished:
 4. the plan's **finisher** on the survivors:
 
    * ``join`` (+ ``materialize``) for a list: consecutive pair entries are
-     chained per trace by joining on the shared event's timestamp, starting
-     at the *rarest* pair and extending bidirectionally, cheapest adjacent
-     pair next, so the intermediate chain set is bounded by the smallest
-     posting list.  Because the index's pairs are greedy and
-     non-overlapping, a chain extends in at most one way, so the join is a
-     hash lookup per partial chain and the join order never changes the
-     result (property-tested against left-to-right evaluation and a
-     brute-force oracle).  Grouping is lazy -- restricted to surviving
-     traces (chunks mentioning none of them are never unpacked) and skipped
-     for pairs after the chain set empties.  The join needs no Seq row.
+     chained by joining on the shared event's timestamp, starting at the
+     *rarest* pair and extending bidirectionally, cheapest adjacent pair
+     next, so the intermediate chain set is bounded by the smallest posting
+     list.  Because the index's pairs are greedy and non-overlapping, both
+     endpoints of a completion are unique within a trace: a chain extends
+     in at most one way, the join order never changes the result
+     (property-tested against left-to-right evaluation and a brute-force
+     oracle), and one hash table keyed ``(trace_id, timestamp)`` serves all
+     traces of a step.  The table is filled straight from the posting
+     columns of the chunks that mention a surviving trace -- no per-entry
+     regrouping -- and probed once per live chain.  The join needs no Seq
+     row.
    * ``verify`` for a ``Pattern``: each survivor's stored sequence is
      checked with :func:`repro.core.pattern.find_matches`, which enforces
      windows and negations from the indexed timestamps.  Semantics match
@@ -54,9 +56,9 @@ on some patterns (DESIGN.md).  ``deadline`` (an absolute
 
 The detection by-product the paper mentions -- matches of every pattern
 *prefix* -- is available through :meth:`QueryProcessor.detect_with_prefixes`,
-which keeps the left-to-right order as an explicit plan (prefix snapshots
-only exist in that order); it is also the reference the planner property
-tests compare against.
+which runs the same join in left-to-right order (prefix snapshots only
+exist in that order); it is also the reference the planner property tests
+compare against.
 """
 
 from __future__ import annotations
@@ -64,11 +66,17 @@ from __future__ import annotations
 import time
 from typing import Callable, Sequence
 
+from repro.core.continuation import CountRow
 from repro.core.errors import DeadlineExceeded, EmptyPatternError
 from repro.core.matches import PairStats, PatternMatch, PatternStats, QueryPlan
-from repro.core.pattern import Pattern, find_matches, parse_pattern
+from repro.core.pattern import (
+    Pattern,
+    find_matches,
+    occurrence_positions,
+    parse_pattern,
+)
 from repro.core.policies import Policy
-from repro.core.postings import Completions, Postings
+from repro.core.postings import Postings
 from repro.core.tables import IndexTables
 from repro.obs.trace import current_tracer
 
@@ -133,72 +141,6 @@ def check_deadline(deadline: float | None) -> None:
         raise DeadlineExceeded("deadline expired between query stages")
 
 
-class _PlannedPostings:
-    """Posting-list access for one planned query: batch-fetch, lazy group.
-
-    The :class:`~repro.core.postings.Postings` of all pairs come from one
-    batched read (through the postings cache where attached); grouping into
-    per-trace sorted completion lists happens only on demand and only for
-    the traces still alive when a pair is first needed.
-
-    ``within`` pushes a WITHIN window into pruning: completions whose own
-    span exceeds the window are dropped from every grouping and trace set
-    this query sees.  That is exact for the plain chain join -- a chain's
-    timestamps are monotonic, so every pair completion inside a chain of
-    duration <= tau itself spans <= tau, and dropping entries can never
-    *create* a chain -- but unsound for the other finishers, where the
-    matcher may use a later occurrence than the greedy pair recorded (see
-    DESIGN.md), so only the join passes one.  A window needs the
-    timestamps, so with one the trace sets come from a full filtered
-    grouping instead of the chunk dictionaries.
-    """
-
-    def __init__(
-        self,
-        query: "QueryProcessor",
-        plan: QueryPlan,
-        within: float | None = None,
-    ) -> None:
-        self._within = within
-        self._groups = plan.groups
-        self._postings = query._fetch_postings(plan.pairs, plan.partition)
-        self._grouped: dict[int, dict[str, Completions]] = {}
-
-    def trace_set(self, i: int) -> set[str]:
-        """Trace ids holding an in-window completion of any pair of group ``i``.
-
-        Alternation makes a group's set the union of its branch pairs'.
-        """
-        if self._within is not None:
-            return set(self.group(i, None))
-        first, *others = self._groups[i]
-        traces = self._postings[first].trace_ids()  # a fresh set per call
-        for pair in others:
-            traces |= self._postings[pair].trace_ids()
-        return traces
-
-    def group(self, i: int, restrict: set[str] | None) -> dict[str, Completions]:
-        """Per-trace sorted (window-surviving) completions of the one pair
-        of group ``i`` (the join's groups are single pairs).
-
-        Grouped once per query: ``restrict`` is the set of traces alive at
-        the first request, and later requests only ever ask for a subset.
-        """
-        grouped = self._grouped.get(i)
-        if grouped is None:
-            (pair,) = self._groups[i]
-            grouped = self._postings[pair].grouped(restrict)
-            within = self._within
-            if within is not None:
-                grouped = {
-                    trace_id: kept
-                    for trace_id, completions in grouped.items()
-                    if (kept := [c for c in completions if c[1] - c[0] <= within])
-                }
-            self._grouped[i] = grouped
-        return grouped
-
-
 class QueryProcessor:
     """Executes pattern queries against the index tables.
 
@@ -222,12 +164,13 @@ class QueryProcessor:
         self.postings_cache = postings_cache
         self.sequence_cache = sequence_cache
         self._generation = generation if generation is not None else lambda: 0
-        # Decoded Count rows of one write generation: (generation, {first
-        # event: row}).  Decoding a Count document is O(|alphabet|) -- too
-        # expensive to repeat per plan() -- while the rows themselves are
-        # bounded by the alphabet.  A row of an older generation can never be
-        # read again, so the rows are dropped as soon as the generation moves.
-        self._count_rows: tuple[int, dict[str, dict]] = (0, {})
+        # Decoded Count / ReverseCount rows of one write generation:
+        # (generation, {(event, reverse): row}).  Decoding a Count document
+        # is O(|alphabet|) -- too expensive to repeat per plan() or per
+        # continuation probe -- while the rows themselves are bounded by the
+        # alphabet.  A row of an older generation can never be read again,
+        # so the rows are dropped as soon as the generation moves.
+        self._count_rows: tuple[int, dict[tuple[str, bool], CountRow]] = (0, {})
 
     def _bump(self, name: str, amount: int = 1) -> None:
         metrics = getattr(self.tables.store, "metrics", None)
@@ -394,24 +337,35 @@ class QueryProcessor:
         Public for the scatter-gather coordinator, which sums each shard's
         cardinalities into the merged counts a global plan is built from.
         """
+        firsts = list(dict.fromkeys(first for first, _ in pairs))
+        rows = dict(zip(firsts, self._count_rows_of(firsts)))
+        return tuple(rows[first].get(second, (0.0, 0))[1] for first, second in pairs)
+
+    def count_row(self, first: str) -> CountRow:
+        """``{follower: (sum_duration, completions)}`` of the pairs starting
+        at ``first`` (shared with the cache: do not mutate)."""
+        return self._count_rows_of((first,))[0]
+
+    def reverse_count_row(self, second: str) -> CountRow:
+        """``{predecessor: (sum_duration, completions)}`` of the pairs ending
+        at ``second`` (shared with the cache: do not mutate)."""
+        return self._count_rows_of((second,), reverse=True)[0]
+
+    def _count_rows_of(
+        self, keys: Sequence[str], reverse: bool = False
+    ) -> list[CountRow]:
+        """Decoded ``Count`` (``ReverseCount`` with ``reverse``) rows of
+        ``keys``, each read and decoded once per write generation."""
         generation = self._generation()
-        cached_generation, cache = self._count_rows
-        if cached_generation != generation:
-            cache = {}
-            self._count_rows = (generation, cache)
-        rows = {
-            first: cache.get(first)
-            for first in dict.fromkeys(first for first, _ in pairs)
-        }
-        missing = [first for first, row in rows.items() if row is None]
+        cached = self._count_rows
+        if cached[0] != generation:
+            cached = self._count_rows = (generation, {})
+        rows = cached[1]
+        missing = [key for key in keys if (key, reverse) not in rows]
         if missing:
-            for first, row in self.tables.get_count_rows(missing).items():
-                rows[first] = cache[first] = row
-        out = []
-        for first, second in pairs:
-            stats = rows[first].get(second)
-            out.append(int(stats[1]) if stats is not None else 0)
-        return tuple(out)
+            for key, row in self.tables.get_count_rows(missing, reverse).items():
+                rows[key, reverse] = row
+        return [rows[key, reverse] for key in keys]
 
     # -- pattern detection: plan -> fetch_postings -> intersect -> finisher ----
 
@@ -433,8 +387,8 @@ class QueryProcessor:
         (see the module docstring).  ``max_matches`` caps the result (and
         bounds STAM explosion and verification work).  ``within`` keeps
         only matches whose end-to-end span is at most that long (a
-        CEP-style WITHIN window); the window is also pushed into the chain
-        join, where per-completion span filtering is exact.  ``plan``
+        CEP-style WITHIN window); the chain join applies it at every probe,
+        dropping a chain as soon as it outgrows the window.  ``plan``
         overrides planning with a precomputed
         :class:`~repro.core.matches.QueryPlan` (the scatter-gather
         coordinator plans once from merged cardinalities and hands every
@@ -448,25 +402,23 @@ class QueryProcessor:
             # Count is global and exact: a zero-cardinality group has no
             # postings in any partition, so the query is dead on arrival.
             return []
-        postings, survivors = self._prune(plan, within, deadline)
+        postings, survivors = self._prune(plan, deadline)
         if survivors is not None and not survivors:
             return []
         if plan.finisher == "join":
-            chains = self._join(plan, postings, survivors)
+            chains = self._join(plan.pairs, plan.order, postings, survivors, within)
             check_deadline(deadline)
             span = current_tracer().span("materialize")
             with span:
                 matches = [
-                    PatternMatch(trace_id, chain)
-                    for trace_id, trace_chains in sorted(chains.items())
-                    for chain in trace_chains
+                    PatternMatch(trace_id, chain) for trace_id, chain in chains
                 ]
                 if span.enabled:
                     span.add("matches", len(matches))
         else:
             matches = self._verify(plan, survivors, max_matches)
-        if within is not None:
-            matches = [m for m in matches if m.duration <= within]
+            if within is not None:
+                matches = [m for m in matches if m.duration <= within]
         if max_matches is not None:
             matches = matches[:max_matches]
         return matches
@@ -489,18 +441,12 @@ class QueryProcessor:
             plan = self.plan(pattern, partition)
         if plan.proves_empty:
             return 0
-        postings, survivors = self._prune(plan, within, deadline)
+        postings, survivors = self._prune(plan, deadline)
         if survivors is not None and not survivors:
             return 0
         if plan.finisher == "join":
-            chains = self._join(plan, postings, survivors)
-            if within is None:
-                return sum(len(trace_chains) for trace_chains in chains.values())
-            return sum(
-                1
-                for trace_chains in chains.values()
-                for chain in trace_chains
-                if chain[-1] - chain[0] <= within
+            return len(
+                self._join(plan.pairs, plan.order, postings, survivors, within)
             )
         matcher = _MATCHERS[plan.finisher]
         return sum(
@@ -515,17 +461,20 @@ class QueryProcessor:
 
         The paper notes these come for free: Algorithm 2 materialises each
         prefix's chains on the way to the full pattern.  Prefix snapshots
-        only exist under left-to-right evaluation, so this path keeps the
-        naive order as an explicit plan regardless of the planner setting.
+        only exist under left-to-right evaluation, so this path joins in
+        the natural order over every trace -- which also makes it the
+        reference the planner property tests compare against.
         """
         if len(pattern) < 2:
             raise EmptyPatternError("prefix detection needs a pattern of length >= 2")
-        result: dict[int, list[PatternMatch]] = {}
-        chains = self._chain_left_to_right(pattern, partition, snapshots=result)
+        pairs = tuple(zip(pattern, pattern[1:]))
+        postings = self._fetch_postings(pairs, partition)
+        # a prefix is reported up to the first one without a match (the join
+        # stops there), the shortest one always
+        result: dict[int, list[PatternMatch]] = {2: []}
+        chains = self._join(pairs, range(len(pairs)), postings, None, prefixes=result)
         result[len(pattern)] = [
-            PatternMatch(trace_id, chain)
-            for trace_id, trace_chains in sorted(chains.items())
-            for chain in trace_chains
+            PatternMatch(trace_id, chain) for trace_id, chain in chains
         ]
         return result
 
@@ -538,76 +487,32 @@ class QueryProcessor:
     ) -> list[str]:
         """Ids of traces containing ``pattern`` at least once.
 
-        Short-circuits per trace: candidate traces are intersected from the
-        pair index first, then each candidate stops at its first chain that
-        survives every join step (or its first verified match) -- no match
-        set is materialized.
+        Candidate traces are intersected from the pair index first; a list
+        then reports the traces of its joined chains, anything else stops
+        each candidate at its first verified match.
         """
         if plan is None:
             plan = self.plan(pattern, partition)
         if plan.proves_empty:
             return []
-        postings, survivors = self._prune(plan, None, deadline)
+        postings, survivors = self._prune(plan, deadline)
         if survivors is not None and not survivors:
             return []
-        if plan.finisher != "join":
-            matcher = _MATCHERS[plan.finisher]
-            return [
-                trace_id
-                for trace_id, (activities, stamps) in self._candidate_sequences(
-                    survivors
-                )
-                if matcher(activities, stamps, plan.pattern, 1)
-            ]
-        order = plan.order
-        start = order[0]
-        start_grouped = postings.group(start, survivors)
-        found: list[str] = []
-        for trace_id in sorted(survivors):
-            entries = start_grouped.get(trace_id)
-            if not entries:
-                continue
-            by_first: dict[int, dict[float, float]] = {}
-            by_second: dict[int, dict[float, float]] = {}
-            for ts_a, ts_b in entries:
-                low, high = ts_a, ts_b
-                left = right = start
-                alive = True
-                for idx in order[1:]:
-                    completions = postings.group(idx, survivors).get(trace_id)
-                    if not completions:
-                        alive = False
-                        break
-                    if idx > right:
-                        step = by_first.get(idx)
-                        if step is None:
-                            step = by_first[idx] = dict(completions)
-                        high = step.get(high)
-                        if high is None:
-                            alive = False
-                            break
-                        right = idx
-                    else:
-                        step = by_second.get(idx)
-                        if step is None:
-                            step = by_second[idx] = {
-                                b: a for a, b in completions
-                            }
-                        low = step.get(low)
-                        if low is None:
-                            alive = False
-                            break
-                        left = idx
-                if alive:
-                    found.append(trace_id)
-                    break
-        return found
+        if plan.finisher == "join":
+            chains = self._join(plan.pairs, plan.order, postings, survivors)
+            return sorted({trace_id for trace_id, _ in chains})
+        matcher = _MATCHERS[plan.finisher]
+        return [
+            trace_id
+            for trace_id, (activities, stamps) in self._candidate_sequences(survivors)
+            if matcher(activities, stamps, plan.pattern, 1)
+        ]
 
     # -- stages -------------------------------------------------------------------
 
     def _prune(
-        self, plan: QueryPlan, within: float | None, deadline: float | None
-    ) -> tuple[_PlannedPostings | None, set[str] | None]:
+        self, plan: QueryPlan, deadline: float | None
+    ) -> tuple[dict[tuple[str, str], Postings] | None, set[str] | None]:
         """``fetch_postings -> intersect``: the fetched postings and the
         traces holding every group.  ``(None, None)`` = nothing to prune
         with (no positive adjacency), so every stored trace is a candidate.
@@ -617,20 +522,22 @@ class QueryProcessor:
         check_deadline(deadline)
         if not plan.groups:
             return None, None
-        postings = _PlannedPostings(
-            self, plan, within if plan.finisher == "join" else None
-        )
+        postings = self._fetch_postings(plan.pairs, plan.partition)
         check_deadline(deadline)
         survivors = self._intersect(plan, postings)
         check_deadline(deadline)
         return postings, survivors
 
-    def _intersect(self, plan: QueryPlan, postings: _PlannedPostings) -> set[str]:
+    def _intersect(
+        self, plan: QueryPlan, postings: dict[tuple[str, str], Postings]
+    ) -> set[str]:
         """Traces holding every group, intersected cheapest set first.
 
-        Starting from the rarest group's trace set keeps every intermediate
-        intersection no larger than the smallest one seen so far, and an
-        empty result aborts before any posting column is decoded.
+        A group's trace set is the union of its branch pairs' chunk
+        dictionaries.  Starting from the rarest group keeps every
+        intermediate intersection no larger than the smallest one seen so
+        far, and an empty result aborts before any posting column is
+        decoded.
         """
         span = current_tracer().span("intersect")
         with span:
@@ -638,7 +545,10 @@ class QueryProcessor:
             for i in sorted(
                 range(len(plan.groups)), key=lambda i: (plan.cardinalities[i], i)
             ):
-                traces = postings.trace_set(i)
+                first, *others = plan.groups[i]
+                traces = postings[first].trace_ids()  # a fresh set per call
+                for pair in others:
+                    traces |= postings[pair].trace_ids()
                 survivors = traces if survivors is None else survivors & traces
                 if not survivors:
                     survivors = set()
@@ -649,70 +559,81 @@ class QueryProcessor:
             return survivors
 
     def _join(
-        self, plan: QueryPlan, postings: _PlannedPostings, survivors: set[str]
-    ) -> dict[str, list[Chain]]:
-        """Algorithm 2: join consecutive pair entries on shared timestamps,
-        rarest pair first, extending bidirectionally.
+        self,
+        pairs: Sequence[tuple[str, str]],
+        order: Sequence[int],
+        postings: dict[tuple[str, str], Postings],
+        survivors: set[str] | None,
+        within: float | None = None,
+        prefixes: dict[int, list[PatternMatch]] | None = None,
+    ) -> list[tuple[str, Chain]]:
+        """Algorithm 2 as a flat hash join: the sorted ``(trace_id, chain)``
+        completions of consecutive ``pairs``, joined on shared timestamps in
+        ``order`` (a plan's: rarest pair first, extending bidirectionally).
 
-        Produces exactly the left-to-right result (greedy non-overlapping
-        pairs make both endpoints of a completion unique within a trace, so
-        chains extend uniquely in either direction); each trace's chains are
-        sorted, which is the order left-to-right evaluation emits.
+        Each step hashes one pair's completions into a table keyed
+        ``(trace_id, ts)`` -- by ``ts_a`` to extend rightwards, by ``ts_b``
+        leftwards -- straight from the posting columns, then probes it once
+        per live chain.  The flat key is sound because greedy
+        non-overlapping pairs make both endpoints of a completion unique
+        within a trace, which is also why every order produces exactly the
+        left-to-right result; should a stored row repeat a key (a replayed
+        legacy entry), the completion later in :meth:`Postings.columns`
+        order wins, in the start pair too.  ``within`` drops a chain the
+        moment its span exceeds the window -- a chain only grows outwards,
+        so no kept match is lost.
+        ``survivors=None`` joins every trace; ``prefixes`` receives the
+        matches of each proper prefix (natural order only).
         """
         span = current_tracer().span("join")
         with span:
-            order = plan.order
-            start = order[0]
-            grouped = postings.group(start, survivors)
-            chains: dict[str, list[Chain]] = {}
-            for trace_id in survivors:
-                entries = grouped.get(trace_id)
-                if entries:
-                    chains[trace_id] = entries  # this query's own lists
-            left = right = start
-            for idx in order[1:]:
+            chains: list[tuple[str, Chain]] = []
+            hashed = 0
+            high = order[0]
+            for step, idx in enumerate(order):
+                rightward = idx >= high
+                high = max(high, idx)
+                if step and prefixes is not None:
+                    prefixes[step + 1] = [
+                        PatternMatch(trace_id, chain)
+                        for trace_id, chain in sorted(chains)
+                    ]
+                table: dict[tuple[str, float], float] = {}
+                for ids, ts_a, ts_b in postings[pairs[idx]].columns(survivors):
+                    if rightward:
+                        table.update(zip(zip(ids, ts_a), ts_b))
+                    else:
+                        table.update(zip(zip(ids, ts_b), ts_a))
+                hashed += len(table)
+                if not step:
+                    chains = [
+                        (trace_id, (ts_a, ts_b))
+                        for (trace_id, ts_a), ts_b in table.items()
+                        if (survivors is None or trace_id in survivors)
+                        and (within is None or ts_b - ts_a <= within)
+                    ]
+                elif rightward:
+                    chains = [
+                        (trace_id, chain + (ts,))
+                        for trace_id, chain in chains
+                        if (ts := table.get((trace_id, chain[-1]))) is not None
+                        and (within is None or ts - chain[0] <= within)
+                    ]
+                else:
+                    chains = [
+                        (trace_id, (ts,) + chain)
+                        for trace_id, chain in chains
+                        if (ts := table.get((trace_id, chain[0]))) is not None
+                        and (within is None or chain[-1] - ts <= within)
+                    ]
                 if not chains:
                     break
-                frontier = set(chains)
-                step_grouped = postings.group(idx, frontier)
-                extended: dict[str, list[Chain]] = {}
-                if idx > right:
-                    for trace_id, trace_chains in chains.items():
-                        completions = step_grouped.get(trace_id)
-                        if not completions:
-                            continue
-                        by_first = dict(completions)
-                        new_chains = []
-                        for chain in trace_chains:
-                            ts_b = by_first.get(chain[-1])
-                            if ts_b is not None:
-                                new_chains.append(chain + (ts_b,))
-                        if new_chains:
-                            extended[trace_id] = new_chains
-                    right = idx
-                else:
-                    for trace_id, trace_chains in chains.items():
-                        completions = step_grouped.get(trace_id)
-                        if not completions:
-                            continue
-                        by_second = {ts_b: ts_a for ts_a, ts_b in completions}
-                        new_chains = []
-                        for chain in trace_chains:
-                            ts_a = by_second.get(chain[0])
-                            if ts_a is not None:
-                                new_chains.append((ts_a,) + chain)
-                        if new_chains:
-                            extended[trace_id] = new_chains
-                    left = idx
-                chains = extended
-            for trace_chains in chains.values():
-                trace_chains.sort()
+            chains.sort()
             if span.enabled:
                 span.add("steps", len(order))
-                span.add("traces", len(chains))
-                span.add(
-                    "chains", sum(len(trace_chains) for trace_chains in chains.values())
-                )
+                span.add("hashed", hashed)
+                span.add("traces", len({trace_id for trace_id, _ in chains}))
+                span.add("chains", len(chains))
             return chains
 
     def _verify(
@@ -755,51 +676,6 @@ class QueryProcessor:
         )
         return ((trace_id, found[trace_id]) for trace_id in ordered)
 
-    def _chain_left_to_right(
-        self,
-        pattern: Sequence[str],
-        partition: str | None,
-        snapshots: dict[int, list[PatternMatch]] | None = None,
-    ) -> dict[str, list[Chain]]:
-        """Naive left-to-right join (the explicit plan behind prefixes)."""
-        span = current_tracer().span("join")
-        if span.enabled:
-            span.tag(order="left_to_right")
-        with span:
-            pairs = list(zip(pattern, pattern[1:]))
-            postings = self._fetch_postings(pairs, partition)
-            grouped = postings[pairs[0]].grouped()
-            previous: dict[str, list[Chain]] = {
-                trace_id: [(ts_a, ts_b) for ts_a, ts_b in entries]
-                for trace_id, entries in grouped.items()
-            }
-            for i in range(1, len(pattern) - 1):
-                if snapshots is not None:
-                    snapshots[i + 1] = [
-                        PatternMatch(trace_id, chain)
-                        for trace_id, trace_chains in sorted(previous.items())
-                        for chain in trace_chains
-                    ]
-                grouped = postings[pairs[i]].grouped(set(previous))
-                extended: dict[str, list[Chain]] = {}
-                for trace_id, chains in previous.items():
-                    completions = grouped.get(trace_id)
-                    if not completions:
-                        continue
-                    # Non-overlapping pairs make ts_a unique within a trace.
-                    by_first = {ts_a: ts_b for ts_a, ts_b in completions}
-                    new_chains = []
-                    for chain in chains:
-                        ts_b = by_first.get(chain[-1])
-                        if ts_b is not None:
-                            new_chains.append(chain + (ts_b,))
-                    if new_chains:
-                        extended[trace_id] = new_chains
-                previous = extended
-                if not previous:
-                    break
-            return previous
-
 
 def _rarest_first_order(cardinalities: tuple[int, ...]) -> tuple[int, ...]:
     """Join order: start at the rarest pair, extend towards cheaper sides.
@@ -838,12 +714,10 @@ def _enumerate_stam(
     Depth-first over per-activity occurrence positions; ``max_matches``
     bounds the output because the embedding count can be combinatorial.
     """
-    positions: dict[str, list[int]] = {}
-    for idx, activity in enumerate(activities):
-        positions.setdefault(activity, []).append(idx)
-    for activity in pattern:
-        if activity not in positions:
-            return []
+    alphabet = set(pattern)
+    positions = occurrence_positions(activities, alphabet)
+    if len(positions) != len(alphabet):
+        return []
     results: list[Chain] = []
 
     def extend(step: int, last_index: int, chain: tuple[float, ...]) -> bool:

@@ -262,25 +262,29 @@ class IndexTables:
     def add_reverse_counts(self, second: str, stats: dict[str, list[float]]) -> None:
         self.store.merge(REVERSE_COUNT, second, stats)
 
+    def get_count_rows(
+        self, keys: list[str], reverse: bool = False
+    ) -> dict[str, dict[str, tuple[float, int]]]:
+        """``{key: {other: (sum_duration, completions)}}`` for many ``Count``
+        keys (first events) -- ``ReverseCount`` keys (second events) with
+        ``reverse`` -- in one batched read; an unknown key maps to ``{}``."""
+        unique = list(dict.fromkeys(keys))
+        raw_rows = self.store.multi_get(REVERSE_COUNT if reverse else COUNT, unique, {})
+        return {
+            key: {other: (vals[0], int(vals[1])) for other, vals in raw.items()}
+            for key, raw in zip(unique, raw_rows)
+        }
+
     def get_counts(self, first: str) -> dict[str, tuple[float, int]]:
         """``{ev_b: (sum_duration, completions)}`` for pairs starting at ``first``."""
-        raw = self.store.get(COUNT, first, {})
-        return {key: (vals[0], int(vals[1])) for key, vals in raw.items()}
+        return self.get_count_rows([first])[first]
 
     def get_reverse_counts(self, second: str) -> dict[str, tuple[float, int]]:
-        raw = self.store.get(REVERSE_COUNT, second, {})
-        return {key: (vals[0], int(vals[1])) for key, vals in raw.items()}
+        return self.get_count_rows([second], reverse=True)[second]
 
     def get_pair_count(self, pair: tuple[str, str]) -> tuple[float, int]:
         """``(sum_duration, completions)`` for one pair; zeros when absent."""
-        stats = self.get_counts(pair[0]).get(pair[1])
-        return stats if stats is not None else (0.0, 0)
-
-    def get_count_rows(self, firsts: list[str]) -> dict[str, dict]:
-        """Raw Count documents for many first events, in one batched read."""
-        unique = list(dict.fromkeys(firsts))
-        rows = self.store.multi_get(COUNT, unique, {})
-        return dict(zip(unique, rows))
+        return self.get_pair_counts([pair])[pair]
 
     def get_pair_counts(
         self, pairs: list[tuple[str, str]]
@@ -292,13 +296,7 @@ class IndexTables:
         O(p^2) point reads); absent pairs map to ``(0.0, 0)``.
         """
         per_first = self.get_count_rows([first for first, _ in pairs])
-        result: dict[tuple[str, str], tuple[float, int]] = {}
-        for pair in pairs:
-            stats = per_first[pair[0]].get(pair[1])
-            result[pair] = (
-                (stats[0], int(stats[1])) if stats is not None else (0.0, 0)
-            )
-        return result
+        return {pair: per_first[pair[0]].get(pair[1], (0.0, 0)) for pair in pairs}
 
     # -- LastChecked ------------------------------------------------------------------
 

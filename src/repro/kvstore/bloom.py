@@ -12,11 +12,13 @@ import math
 import struct
 
 _HEADER = struct.Struct(">IIQ")  # num_hashes, reserved, num_bits
+_DIGEST_WORDS = struct.Struct(">QQ")
 
 
-def _hash_pair(data: bytes) -> tuple[int, int]:
-    digest = hashlib.blake2b(data, digest_size=16).digest()
-    h1, h2 = struct.unpack(">QQ", digest)
+def hash_pair(data: bytes) -> tuple[int, int]:
+    """The ``(h1, h2)`` words every filter derives its probes from: hash a
+    key once, then probe any number of filters with :meth:`BloomFilter.probe`."""
+    h1, h2 = _DIGEST_WORDS.unpack(hashlib.blake2b(data, digest_size=16).digest())
     return h1, h2 | 1  # force h2 odd so strides cover the bit array
 
 
@@ -43,18 +45,24 @@ class BloomFilter:
 
     def add(self, item: bytes) -> None:
         """Insert ``item``."""
-        h1, h2 = _hash_pair(item)
+        h1, h2 = hash_pair(item)
         for i in range(self._num_hashes):
             bit = (h1 + i * h2) % self._num_bits
             self._bits[bit >> 3] |= 1 << (bit & 7)
 
-    def __contains__(self, item: bytes) -> bool:
-        h1, h2 = _hash_pair(item)
-        for i in range(self._num_hashes):
-            bit = (h1 + i * h2) % self._num_bits
-            if not self._bits[bit >> 3] & (1 << (bit & 7)):
+    def probe(self, h1: int, h2: int) -> bool:
+        """Membership test from a key's :func:`hash_pair` (false positives
+        possible, negatives exact)."""
+        bits, num_bits = self._bits, self._num_bits
+        for _ in range(self._num_hashes):
+            bit = h1 % num_bits
+            if not bits[bit >> 3] & (1 << (bit & 7)):
                 return False
+            h1 += h2
         return True
+
+    def __contains__(self, item: bytes) -> bool:
+        return self.probe(*hash_pair(item))
 
     @property
     def num_bits(self) -> int:

@@ -81,6 +81,7 @@ from repro.kvstore.encoding import (
     encode_value,
 )
 from repro.kvstore import blockcodec
+from repro.kvstore.bloom import hash_pair
 from repro.kvstore.locks import RWLock
 from repro.kvstore.memtable import TOMBSTONE, Memtable
 from repro.kvstore.merge import (
@@ -553,8 +554,9 @@ class LSMStore(KeyValueStore):
                 records.extend(entry.records())
                 if entry.is_self_contained():
                     return read_value(records, operator, default)
+            key_hash = hash_pair(full_key) if self._sstables else None
             for reader in reversed(self._sstables):
-                if not reader.may_contain(full_key):
+                if not reader.may_contain(*key_hash):
                     self.metrics.bump("bloom_skips")
                     continue
                 self.metrics.bump("sstable_reads")
@@ -612,16 +614,17 @@ class LSMStore(KeyValueStore):
                     if entry.is_self_contained():
                         unresolved.discard(full_key)
             memtable_resolved = len(records) - len(unresolved)
+            # One hash per key for the whole batch, however many tables probe it.
+            key_hash = {fk: hash_pair(fk) for fk in unresolved} if self._sstables else {}
             for reader in reversed(self._sstables):
                 if not unresolved:
                     break
-                candidates = []
-                for full_key in unresolved:
-                    if reader.may_contain(full_key):
-                        candidates.append(full_key)
-                    else:
-                        self.metrics.bump("bloom_skips")
-                        bloom_skipped += 1
+                may_contain = reader.may_contain
+                candidates = [fk for fk in unresolved if may_contain(*key_hash[fk])]
+                if len(candidates) != len(unresolved):
+                    skipped = len(unresolved) - len(candidates)
+                    self.metrics.bump("bloom_skips", skipped)
+                    bloom_skipped += skipped
                 if not candidates:
                     continue
                 candidates.sort()

@@ -463,15 +463,21 @@ class SSTableReader:
                 self._raw_data_bytes = total
         return self._raw_data_bytes
 
-    def may_contain(self, key: bytes) -> bool:
-        """Bloom-filter pre-check (false positives possible, negatives exact)."""
+    def may_contain(self, h1: int, h2: int) -> bool:
+        """Bloom-filter pre-check of the key hashed to
+        :func:`~repro.kvstore.bloom.hash_pair` ``(h1, h2)`` (false positives
+        possible, negatives exact)."""
         self._ensure_meta()
-        return key in self._bloom
+        return self._bloom.probe(h1, h2)
 
     def get(self, key: bytes) -> tuple[int, bytes] | None:
-        """Return ``(kind, value)`` for ``key`` or ``None``."""
+        """Return ``(kind, value)`` for ``key`` or ``None``.
+
+        No bloom probe happens here: like :meth:`get_many`, callers that
+        want one pre-filter with :meth:`may_contain`.
+        """
         self._ensure_meta()
-        if not self._index_keys or key not in self._bloom:
+        if not self._index_keys:
             return None
         slot = bisect_right(self._index_keys, key) - 1
         if slot < 0:

@@ -178,9 +178,9 @@ class ShardedSequenceIndex(QueryEngine):
         # exactly one shard, so durations and completions are both additive.
         self.explorer = ContinuationExplorer(
             self._detect_uncached,
-            lambda first: _sum_rows(s.tables.get_counts(first) for s in self.shards),
+            lambda first: _sum_rows(s.query.count_row(first) for s in self.shards),
             lambda second: _sum_rows(
-                s.tables.get_reverse_counts(second) for s in self.shards
+                s.query.reverse_count_row(second) for s in self.shards
             ),
         )
         self.metrics = _ShardMetrics(len(self.shards))

@@ -42,8 +42,8 @@ class TestFullBuild:
         trace = paper_log.trace("t1")
         expected = indexing_pairs(trace.activities, trace.timestamps)
         for pair, ts_pairs in expected.items():
-            grouped = builder.tables.get_index_many([pair])[pair].grouped()
-            assert grouped.get("t1") == ts_pairs
+            rows = builder.tables.get_index(pair)
+            assert [(a, b) for trace_id, a, b in rows if trace_id == "t1"] == ts_pairs
 
     def test_counts_and_durations(self):
         log = EventLog.from_dict({"t": "AB"})
@@ -181,8 +181,8 @@ class TestIncremental:
         index.update([Event("t1", "A", 1), Event("t1", "B", 2)])
         stats = index.update([Event("t2", "A", 1), Event("t2", "B", 2)])
         assert stats.new_traces == 1
-        grouped = index.tables.get_index_many([("A", "B")])[("A", "B")].grouped()
-        assert set(grouped) == {"t1", "t2"}
+        postings = index.tables.get_index_many([("A", "B")])[("A", "B")]
+        assert postings.trace_ids() == {"t1", "t2"}
 
 
 class _CountingStore(InMemoryStore):

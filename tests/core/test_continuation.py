@@ -9,8 +9,9 @@ import pytest
 from repro.core.engine import SequenceIndex
 from repro.core.errors import EmptyPatternError
 from repro.core.matches import ContinuationProposal
-from repro.core.model import EventLog
+from repro.core.model import Event, EventLog
 from repro.core.policies import Policy
+from repro.kvstore import InMemoryStore
 
 
 @pytest.fixture
@@ -189,3 +190,54 @@ class TestExploreAt:
             index.explore_at(["A"], 5)
         with pytest.raises(EmptyPatternError):
             index.explore_at([], 0)
+
+
+class TestCountRowReads:
+    """The explorer reads Count / ReverseCount rows through the processor's
+    per-generation cache: a row is fetched and decoded once per write
+    generation, whoever asks (planner, Fast ranking, insertion candidates)."""
+
+    class _RowReads(InMemoryStore):
+        def __init__(self):
+            super().__init__()
+            self.rows_read: list[tuple[str, str]] = []
+
+        def get(self, table, key, default=None):
+            if table in ("count", "reverse_count"):
+                self.rows_read.append((table, key))
+            return super().get(table, key, default)
+
+        def multi_get(self, table, keys, default=None):
+            keys = list(keys)
+            if table in ("count", "reverse_count"):
+                self.rows_read.extend((table, key) for key in keys)
+            return super().multi_get(table, keys, default)
+
+    def test_each_row_is_read_once_per_generation(self, paper_log):
+        store = self._RowReads()
+        index = SequenceIndex(store, query_cache_size=0)
+        index.update(paper_log)
+        fresh = SequenceIndex(policy=Policy.STNM)
+        fresh.update(paper_log)
+
+        def explore(engine):
+            return (
+                engine.continuations(["A", "B"], mode="hybrid", top_k=2),
+                engine.continuations(["B", "A"], mode="fast"),
+                engine.continuations(["A", "B"], mode="accurate"),
+                engine.explore_at(["A", "C"], 1),
+                engine.explore_at(["B"], 0),
+            )
+
+        first = explore(index)
+        assert first == explore(fresh)
+        assert len(store.rows_read) == len(set(store.rows_read))  # no row twice
+        assert {table for table, _ in store.rows_read} == {"count", "reverse_count"}
+        read = len(store.rows_read)
+        assert explore(index) == first
+        assert len(store.rows_read) == read  # all from the cache now
+
+        index.update([Event("t9", "A", 1000), Event("t9", "D", 1001)])
+        after = index.continuations(["A"], mode="fast")
+        assert "D" in {p.event for p in after}  # the new generation's row
+        assert store.rows_read[read:] == [("count", "A")]

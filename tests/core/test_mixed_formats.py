@@ -284,10 +284,10 @@ def test_tables_are_the_only_seam(tmp_path):
     new = _oracle(batches, partitions, 3).tables
     assert dict(old.iter_sequences()) == dict(new.iter_sequences())
     assert {
-        (partition, pair): postings.grouped()
+        (partition, pair): sorted(postings.rows())
         for partition, pair, postings in old.iter_index()
     } == {
-        (partition, pair): postings.grouped()
+        (partition, pair): sorted(postings.rows())
         for partition, pair, postings in new.iter_index()
     }
     old.store.close()

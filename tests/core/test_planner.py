@@ -163,7 +163,8 @@ class TestPlanObject:
         stats = index.statistics(["A", "B", "C"])
         assert plan.cardinalities == tuple(row.completions for row in stats.pairs)
         _, rows = index.query._count_rows
-        assert set(rows) == {"A", "B"}  # one generation's rows, nothing older
+        # one generation's Count rows, nothing older
+        assert set(rows) == {("A", False), ("B", False)}
 
     def test_starts_at_rarest_pair(self):
         index = self._index()

@@ -101,16 +101,18 @@ class TestPostingsRoundTrip:
         assert postings.entries == len(rows)
         assert postings.trace_ids() == {row[0] for row in rows}
 
-    @given(_rows(_small_ids, _int_ts), st.sets(_small_ids))
+    @given(_rows(_small_ids, st.integers(0, 200), min_size=2), st.sets(_small_ids))
     @settings(max_examples=100, deadline=None)
-    def test_restricted_grouping_is_a_projection(self, rows, restrict):
-        postings = Postings([encode_postings(rows)])
-        full = postings.grouped()
-        assert postings.grouped(restrict) == {
-            trace_id: completions
-            for trace_id, completions in full.items()
-            if trace_id in restrict
-        }
+    def test_restricted_columns_are_the_chunks_mentioning_a_wanted_trace(
+        self, rows, restrict
+    ):
+        half = len(rows) // 2
+        batches = [rows[:half], rows[half:]]  # two columnar chunks
+        postings = Postings([encode_postings(batch) for batch in batches])
+        assert [list(zip(*triple)) for triple in postings.columns()] == batches
+        assert [list(zip(*triple)) for triple in postings.columns(restrict)] == [
+            batch for batch in batches if restrict & {row[0] for row in batch}
+        ]
 
     def test_empty_batch_is_a_raw_chunk(self):
         chunk = encode_postings([])
@@ -369,7 +371,7 @@ class TestOlderFormats:
         postings = Postings(value)
         assert postings.entries == 9
         assert postings.trace_ids() == {"t1", "t2", "t3", "t4", "t5", 9}
-        assert postings.grouped() == {
+        assert _grouped(postings.rows()) == {
             "t1": [(0, 1), (1, 2), (7, 8)],
             "t2": [(3, 4)],
             "t3": [(5, 6)],
@@ -377,10 +379,16 @@ class TestOlderFormats:
             "t5": [(2, 3)],
             9: [(1, 2)],
         }
-        assert postings.grouped({"t1", "t5"}) == {
-            "t1": [(0, 1), (1, 2), (7, 8)],
-            "t5": [(2, 3)],
-        }
+        # the chunks mentioning a wanted trace, then the older-format rows
+        # -- one more column triple -- when they mention one
+        chunk = [("t1", 0, 1), ("t5", 2, 3)]
+        older = [("t1", 1, 2), ("t2", 3, 4), ("t3", 5, 6), ("t1", 7, 8),
+                 ("t4", 1.0, 2.0), ("t4", 0.5, math.inf), (9, 1, 2)]
+        for restrict, expected in (
+            ({"t5"}, [chunk]), ({"t1"}, [chunk, older]), ({9}, [older]), ({"t6"}, [])
+        ):
+            columns = postings.columns(restrict)
+            assert [list(zip(*triple)) for triple in columns] == expected
         assert sorted(item_formats(value)) == [
             ("columnar", 2),
             ("plain", 1),

@@ -59,13 +59,16 @@ class TestIndex:
         postings = tables.get_index_many([("A", "B")])[("A", "B")]
         assert postings.entries == 3
         assert postings.trace_ids() == {"t1", "t2"}
-        assert postings.grouped({"t2"}) == {"t2": [(5.0, 6.0)]}
-        assert postings.grouped() == {"t1": [(1.0, 2.0), (3.0, 4.0)], "t2": [(5.0, 6.0)]}
+        # one column triple per stored chunk; a restriction skips whole chunks
+        assert [tuple(map(list, triple)) for triple in postings.columns({"t2"})] == [
+            (["t1", "t2"], [1.0, 5.0], [2.0, 6.0])
+        ]
+        assert postings.rows() == [("t1", 1.0, 2.0), ("t1", 3.0, 4.0), ("t2", 5.0, 6.0)]
 
     def test_missing_pair_empty(self, tables):
         assert tables.get_index(("X", "Y")) == []
         missing = tables.get_index_many([("X", "Y")])[("X", "Y")]
-        assert missing.grouped() == {} and missing.trace_ids() == set()
+        assert missing.rows() == [] and missing.trace_ids() == set()
 
     def test_partitions_isolate_and_union(self, tables):
         tables.ensure_partition("p1")

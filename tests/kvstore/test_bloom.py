@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.kvstore.bloom import BloomFilter
+from repro.kvstore.bloom import BloomFilter, hash_pair
 
 
 class TestBloomBasics:
@@ -33,6 +33,15 @@ class TestBloomBasics:
         false_positives = sum(1 for p in probes if p in filt)
         # 1% target; allow generous slack for hash variance.
         assert false_positives / len(probes) < 0.05
+
+    @given(st.lists(st.binary(max_size=12), max_size=40), st.binary(max_size=12))
+    def test_probing_a_precomputed_hash_equals_membership(self, items, probe):
+        filt = BloomFilter.with_capacity(max(1, len(items)))
+        for item in items:
+            filt.add(item)
+        for item in items + [probe]:
+            assert filt.probe(*hash_pair(item)) == (item in filt)
+        assert all(filt.probe(*hash_pair(item)) for item in items)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

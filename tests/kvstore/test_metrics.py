@@ -38,6 +38,46 @@ def test_bloom_skips_counted(tmp_path):
     assert snapshot["bloom_skips"] + snapshot["sstable_reads"] >= 20
 
 
+def test_a_read_hashes_each_key_once_and_counts_every_probe(tmp_path, monkeypatch):
+    """One bloom hash per key per read, however many SSTables probe it; each
+    probe still lands in exactly one of ``bloom_skips`` / ``sstable_reads``."""
+    import repro.kvstore.lsm as lsm_module
+
+    hashed = []
+    real_hash = lsm_module.hash_pair
+    monkeypatch.setattr(
+        lsm_module, "hash_pair", lambda key: hashed.append(key) or real_hash(key)
+    )
+    with LSMStore(str(tmp_path / "db"), auto_compact=False) as store:
+        store.create_table("t", merge_operator="list_append")
+        for table in range(4):  # four SSTables, each holding its own key and "all"
+            store.merge("t", f"only-{table}", [table])
+            store.merge("t", "all", [table])
+            store.flush()
+        store.put("t", "in-memtable", [9])
+        assert store.sstable_count == 4
+        before = store.metrics.snapshot()
+
+        assert store.get("t", "all") == [0, 1, 2, 3]
+        assert store.get("t", "in-memtable") == [9]  # resolved before any SSTable
+        assert len(hashed) == 1
+        keys = ["all", "only-0", "only-3", "missing", "in-memtable", "all"]
+        assert store.multi_get("t", keys, []) == [
+            [0, 1, 2, 3], [0], [3], [], [9], [0, 1, 2, 3],
+        ]
+        assert len(hashed) == 1 + 4  # the four distinct keys the memtable lacks
+        after = store.metrics.snapshot()
+    probes = 4 + 4 * 4  # get("all"), then four unresolved keys x four tables
+    moved = {
+        name: after[name] - before[name] for name in ("bloom_skips", "sstable_reads")
+    }
+    assert moved["bloom_skips"] + moved["sstable_reads"] == probes
+    # "all" is in every table (a merge chain never closes); the three others
+    # are each in at most one, so a skip is the common outcome for them
+    assert moved["sstable_reads"] >= 4 + 4 + 2
+    assert moved["bloom_skips"] <= 3 * 3 + 1
+
+
 def test_compaction_counted(tmp_path):
     with LSMStore(str(tmp_path / "db"), auto_compact=False) as store:
         store.create_table("t")

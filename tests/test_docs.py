@@ -213,3 +213,27 @@ def test_docscheck_fails_on_a_deleted_constructor_keyword():
         "G.md:3: SequenceIndex() takes no keyword 'removed_knob'",
         "G.md:7: ShardedSequenceIndex.open() takes no keyword 'other_gone'",
     ]
+
+
+def test_docscheck_fails_on_a_deleted_method():
+    from repro.bench.docscheck import api_owners, check_api_references
+
+    owners = api_owners()
+    assert {"QueryProcessor", "Postings", "SequenceIndex", "LSMStore"} <= set(owners)
+    assert "core.query" in owners and "repro.kvstore.lsm" in owners
+    assert "query" not in owners and "lsm" not in owners  # span-name prefixes
+    design = (
+        "`Postings.columns(restrict)` feeds `QueryProcessor._join`; the old\n"
+        "`Postings.grouped(restrict)` and `QueryProcessor._chain_left_to_right`\n"
+        "are gone, as is `core.query.detect(..., policy=STAM)`.\n"
+        "`core.query.as_query` is a function; `lsm.multi_get` and `query.detect`\n"
+        "are span names, `IndexTables.anything` belongs to no checked module.\n"
+        "Fields count: `SequenceIndex.store`, `Postings.entries`, `StoreMetrics.bump`;\n"
+        "`LSMStore.no_such_counter` does not.\n"
+    )
+    assert check_api_references("D.md", design, owners) == [
+        "D.md:2: `Postings.grouped` names no live attribute",
+        "D.md:2: `QueryProcessor._chain_left_to_right` names no live attribute",
+        "D.md:3: `core.query.detect` names no live attribute",
+        "D.md:7: `LSMStore.no_such_counter` names no live attribute",
+    ]
