@@ -2,7 +2,7 @@
 
 The paper's architecture exists so that periodic batches cost O(batch), not
 O(log).  This bench indexes a base log once, then times (a) appending one
-small batch via LastChecked-guided incremental update and (b) rebuilding
+small batch via the Seq-derived incremental update and (b) rebuilding
 everything from scratch.
 """
 

@@ -19,11 +19,11 @@ Five classes of documentation rot this catches mechanically:
   inside a code block of docs/OPERATIONS.md must exist in the live
   signature, so a removed knob cannot linger in the operator guide;
 * **deleted methods** -- every backticked ``Class.attribute`` in DESIGN.md
-  or ``docs/*.md`` whose class lives in ``core/query.py``,
-  ``core/postings.py``, ``core/engine.py`` or ``kvstore/lsm.py``, and every
-  backticked ``core.query.function`` (module path spelled out), must name a
-  live attribute, so the design text cannot describe a method that a
-  refactor removed.
+  or ``docs/*.md`` whose class lives in one of :data:`API_MODULES` (the
+  query, postings, engine, builder, tables, ingester and LSM modules), and
+  every backticked ``core.query.function`` (module path spelled out), must
+  name a live attribute, so the design text cannot describe a method that
+  a refactor removed.
 
 Runs standalone (``python -m repro.bench.docscheck``, exit 1 on findings)
 and inside tier-1 via ``tests/test_docs.py``.
@@ -217,6 +217,9 @@ API_MODULES = (
     "repro.core.query",
     "repro.core.postings",
     "repro.core.engine",
+    "repro.core.builder",
+    "repro.core.tables",
+    "repro.ingest.ingester",
     "repro.kvstore.lsm",
 )
 _API_DOCS = ("DESIGN.md", "docs/")
@@ -227,8 +230,8 @@ def api_owners() -> dict[str, object]:
     """What a checked reference may start with: the classes defined in
     :data:`API_MODULES` by bare name, and the modules themselves by dotted
     path (``core.query``, ``repro.core.query``).  A bare last component
-    (``query``, ``lsm``) is not an owner: the docs use those as span-name
-    prefixes (``lsm.multi_get``)."""
+    (``query``, ``lsm``, ``ingester``) is not an owner: the docs use those
+    as span-name prefixes (``lsm.multi_get``) and instance names."""
     import importlib
     import inspect
 

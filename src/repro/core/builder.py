@@ -4,12 +4,14 @@ Implements Algorithm 1 of the paper.  New log events arrive in batches; for
 each affected trace the builder
 
 1. loads the already-indexed sequence from the ``Seq`` table and appends the
-   new events (logs are append-only per trace: a new event older than the
-   stored tail violates Definition 2.1 and is rejected);
+   new events (logs are append-only per trace: a new event at or before the
+   stored tail violates Definition 2.1 and is rejected -- or, with
+   ``dedup``, dropped as a replay);
 2. creates the new event pairs -- a full run of the configured pair-creation
-   flavor for a brand-new trace, or, for a known trace, a per-pair greedy
-   re-match restricted to events *after* the pair's ``LastChecked``
-   completion (which provably adds exactly the pairs a full rebuild would);
+   flavor for a brand-new trace, or, for a known trace, the greedy matches
+   of ``old + new`` that complete after the old tail (greedy matching is
+   prefix-stable, so these are exactly the pairs a full rebuild would add
+   and ``LastChecked`` never has to be read);
 3. merges the results into ``Index``, ``Count``, ``ReverseCount``,
    ``LastChecked`` and ``Seq`` as blind merge-writes.
 
@@ -20,7 +22,7 @@ per-trace Spark parallelism.  Store writes happen on the calling thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.errors import TraceOrderError
@@ -29,7 +31,7 @@ from repro.core.pairs import (
     PairDict,
     create_pairs,
     occurrence_lists,
-    pairs_after,
+    pairs_completed_after,
 )
 from repro.core.policies import PairMethod, Policy, default_method
 from repro.core.tables import IndexTables
@@ -46,6 +48,8 @@ class UpdateStats:
     traces_seen: int = 0
     new_traces: int = 0
     events_indexed: int = 0
+    #: events dropped by ``dedup`` as already indexed (at or before the tail)
+    events_deduped: int = 0
     pairs_created: int = 0
     partition: str = ""
 
@@ -58,7 +62,6 @@ class _TraceWork:
     old_activities: list[str]
     old_stamps: list[float]
     new_seq: SeqList
-    last_checked: dict[tuple[str, str], float] = field(default_factory=dict)
 
 
 def _compute_trace_pairs(
@@ -71,7 +74,7 @@ def _compute_trace_pairs(
         return work.trace_id, create_pairs(activities, timestamps, method)
     if method is PairMethod.STRICT:
         # SC pairs gained by the batch: the boundary pair plus consecutive
-        # new pairs.  LastChecked is not needed -- adjacency is local.
+        # new pairs -- adjacency is local.
         pairs: PairDict = {}
         boundary = [(work.old_activities[-1], work.old_stamps[-1])] + work.new_seq
         for (act_a, ts_a), (act_b, ts_b) in zip(boundary, boundary[1:]):
@@ -80,19 +83,7 @@ def _compute_trace_pairs(
     occurrences = occurrence_lists(
         work.old_activities + activities, work.old_stamps + timestamps
     )
-    new_types = set(activities)
-    all_types = set(occurrences)
-    pairs = {}
-    for a in all_types:
-        for b in all_types:
-            if a not in new_types and b not in new_types:
-                continue  # a pair of two old-only types cannot gain matches
-            matched = pairs_after(
-                occurrences, a, b, work.last_checked.get((a, b))
-            )
-            if matched:
-                pairs[(a, b)] = matched
-    return work.trace_id, pairs
+    return work.trace_id, pairs_completed_after(occurrences, work.old_stamps[-1])
 
 
 class _AggregatedBatch:
@@ -211,23 +202,27 @@ class IndexBuilder:
         self,
         new_events: EventLog | Iterable[Event],
         partition: str = "",
+        dedup: bool = False,
     ) -> UpdateStats:
         """Index a batch of new events (Algorithm 1).
 
         ``partition`` selects a per-period Index table (§3.1.3); statistics
-        tables are always global.
+        tables are always global.  ``dedup`` makes a replayed batch a no-op:
+        per trace, in arrival order, an event at or before the running tail
+        (the stored tail, then the last event kept) is dropped and counted in
+        ``events_deduped`` instead of raising :class:`TraceOrderError`.
         """
-        batches = self._group_new_events(new_events)
+        batches = self._group_new_events(new_events, dedup)
         stats = UpdateStats(partition=partition)
-        if not batches:
+        work_items = self._prepare_work(batches, stats, dedup)
+        if not work_items:
             return stats
         self.tables.ensure_partition(partition)
         self.tables.register_partition(partition)
-        work_items = self._prepare_work(batches, stats)
         job = _PartitionJob(self.method)
         partials = self.executor.map_partitions(job, work_items)
-        aggregated = _AggregatedBatch()
-        for partial in partials:
+        aggregated = partials[0]
+        for partial in partials[1:]:
             aggregated.merge(partial)
         self._write_results(work_items, aggregated, partition, stats)
         return stats
@@ -239,8 +234,10 @@ class IndexBuilder:
     # -- internals -----------------------------------------------------------------
 
     def _group_new_events(
-        self, new_events: EventLog | Iterable[Event]
+        self, new_events: EventLog | Iterable[Event], dedup: bool
     ) -> dict[str, SeqList]:
+        """Per-trace ``(activity, timestamp)`` lists: time-ordered and
+        validated, or -- for ``dedup`` -- in arrival order, unvalidated."""
         if isinstance(new_events, EventLog):
             return {
                 trace.trace_id: trace.pairs_view()
@@ -257,30 +254,41 @@ class IndexBuilder:
                     f"batch events for trace {trace_id!r} must carry timestamps; "
                     "wrap them in an EventLog for position-based stamping"
                 )
-            events.sort(key=lambda ev: ev.timestamp)
-            seq: SeqList = []
-            previous: float | None = None
-            for event in events:
-                if previous is not None and event.timestamp <= previous:
-                    raise TraceOrderError(
-                        f"trace {trace_id!r} batch has non-increasing timestamps"
-                    )
-                previous = event.timestamp
-                seq.append((event.activity, event.timestamp))
-            batches[trace_id] = seq
+            if not dedup:
+                events.sort(key=lambda ev: ev.timestamp)
+                previous: float | None = None
+                for event in events:
+                    if previous is not None and event.timestamp <= previous:
+                        raise TraceOrderError(
+                            f"trace {trace_id!r} batch has non-increasing timestamps"
+                        )
+                    previous = event.timestamp
+            batches[trace_id] = [(ev.activity, ev.timestamp) for ev in events]
         return batches
 
     def _prepare_work(
-        self, batches: dict[str, SeqList], stats: UpdateStats
+        self, batches: dict[str, SeqList], stats: UpdateStats, dedup: bool
     ) -> list[_TraceWork]:
         work_items: list[_TraceWork] = []
-        # Per work item, the pairs that can gain matches from this batch.
-        candidates: list[list[tuple[str, str]]] = []
+        # Algorithm 1 line 2, and the only read of an update: the stored row
+        # gives the tail to check (or deduplicate) against and everything
+        # pair creation needs.
         old_seqs = self.tables.get_sequences(list(batches))
         for (trace_id, new_seq), (old_activities, old_stamps) in zip(
             batches.items(), old_seqs
         ):
-            if old_stamps and new_seq[0][1] <= old_stamps[-1]:
+            if dedup:
+                tail = old_stamps[-1] if old_stamps else None
+                fresh: SeqList = []
+                for item in new_seq:
+                    if tail is None or item[1] > tail:
+                        tail = item[1]
+                        fresh.append(item)
+                stats.events_deduped += len(new_seq) - len(fresh)
+                if not fresh:
+                    continue
+                new_seq = fresh
+            elif old_stamps and new_seq[0][1] <= old_stamps[-1]:
                 raise TraceOrderError(
                     f"trace {trace_id!r}: new events start at {new_seq[0][1]!r} "
                     f"but the indexed sequence already ends at {old_stamps[-1]!r}"
@@ -290,28 +298,6 @@ class IndexBuilder:
                 stats.new_traces += 1
             stats.events_indexed += len(new_seq)
             work_items.append(_TraceWork(trace_id, old_activities, old_stamps, new_seq))
-            pairs: list[tuple[str, str]] = []
-            if old_stamps and self.method is not PairMethod.STRICT:
-                new_types = {activity for activity, _ in new_seq}
-                all_types = set(old_activities) | new_types
-                pairs = [
-                    (a, b)
-                    for a in all_types
-                    for b in all_types
-                    if a in new_types or b in new_types
-                ]
-            candidates.append(pairs)
-        if any(candidates):
-            # Algorithm 1 line 3: join LastChecked with the batch traces, as
-            # one batched read over the union of the candidate pairs.
-            checked = self.tables.get_last_checked_many(
-                [pair for pairs in candidates for pair in pairs]
-            )
-            for work, pairs in zip(work_items, candidates):
-                for pair in pairs:
-                    completion = checked[pair].get(work.trace_id)
-                    if completion is not None:
-                        work.last_checked[pair] = completion
         return work_items
 
     def _write_results(

@@ -522,21 +522,34 @@ class SequenceIndex(QueryEngine):
     # -- pre-processing -----------------------------------------------------------
 
     def update(
-        self, new_events: EventLog | Iterable[Event], partition: str = ""
+        self,
+        new_events: EventLog | Iterable[Event],
+        partition: str = "",
+        dedup: bool = False,
     ) -> UpdateStats:
         """Index a batch of new events (incremental, duplicate-free).
+
+        ``dedup`` is the replay filter of streaming ingest (docs/INGEST.md):
+        events at or before their trace's indexed tail are dropped instead of
+        raising :class:`~repro.core.errors.TraceOrderError`.
 
         The write generation is bumped *after* the batch is applied (in a
         ``finally``, so a partially applied failed update also invalidates):
         a query racing the update caches its possibly-partial result under
         the pre-update generation, which no post-update query ever reads.
         Bumping before the update would let such a partial result be cached
-        under the new generation and served as a hit indefinitely.
+        under the new generation and served as a hit indefinitely.  A batch
+        that indexed nothing (empty, or a pure replay) wrote nothing and
+        leaves the generation -- and every warm cache -- alone.
         """
+        wrote = True
         try:
-            return self.builder.update(new_events, partition)
+            stats = self.builder.update(new_events, partition, dedup)
+            wrote = stats.events_indexed > 0
+            return stats
         finally:
-            self._generation += 1
+            if wrote:
+                self._generation += 1
 
     def prune_trace(self, trace_id: str) -> None:
         """Forget a completed trace's update bookkeeping (§3.1.3).
@@ -578,10 +591,10 @@ class SequenceIndex(QueryEngine):
     def indexed_tail(self, trace_id: str) -> float | None:
         """Timestamp of the trace's last indexed event (``None`` if unknown).
 
-        The streaming ingester's replay filter compares feed events against
-        this tail to make crash replay idempotent (docs/INGEST.md); a trace
-        pruned via :meth:`prune_trace` reads as unknown again, matching the
-        builder's refusal to append to pruned traces.
+        Introspection only: ``update(dedup=True)`` applies the replay filter
+        of docs/INGEST.md against this same tail, from the ``Seq`` row it
+        reads anyway.  A trace pruned via :meth:`prune_trace` reads as
+        unknown again.
         """
         return self.tables.get_sequence_tail(trace_id)
 

@@ -22,7 +22,6 @@ process-pool workers without dragging heavier objects along.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Sequence
 
 from repro.core.policies import PairMethod
@@ -85,8 +84,7 @@ def greedy_pair_match(
 
     This is the two-pointer merge at the core of the Indexing method --
     O(len(occ_a) + len(occ_b)) since both cursors only advance -- also
-    reused for per-pair incremental updates (Algorithm 1's ``create_pairs``
-    restricted to events newer than ``LastChecked``).
+    reused for incremental updates (:func:`pairs_completed_after`).
     """
     if same_type:
         # Consecutive disjoint couples: (o0,o1), (o2,o3), ...
@@ -285,27 +283,27 @@ def reference_stnm_pairs(
     return pairs
 
 
-def pairs_after(
-    occurrences: dict[str, list[float]],
-    a: str,
-    b: str,
-    after: float | None,
-) -> list[TsPair]:
-    """Greedy pairs for one type pair restricted to events newer than ``after``.
+def pairs_completed_after(
+    occurrences: dict[str, list[float]], tail: float
+) -> PairDict:
+    """STNM pairs of one trace that complete strictly after ``tail``.
 
-    The incremental-update primitive of Algorithm 1: re-running the matching
-    on the suffix strictly after the pair's last completion yields exactly
-    the pairs a full rebuild would add, because greedy matching never forms
-    a pair spanning an already-committed completion boundary.
+    The incremental-update primitive of Algorithm 1, given the occurrence
+    lists of ``old + new`` events and the old sequence's last timestamp.
+    Greedy non-overlapping matching is prefix-stable -- what it emits up to
+    a point of the trace never depends on later events -- so the matches
+    completing at or before ``tail`` are exactly the ones already indexed
+    and the rest are exactly what a full rebuild would add.  Only a pair
+    whose *second* type occurs after ``tail`` can complete there.
     """
-    occ_a = occurrences.get(a)
-    occ_b = occurrences.get(b)
-    if not occ_a or not occ_b:
-        return []
-    if after is not None:
-        occ_a = occ_a[bisect_right(occ_a, after) :]
-        if a == b:
-            occ_b = occ_a
-        else:
-            occ_b = occ_b[bisect_right(occ_b, after) :]
-    return greedy_pair_match(occ_a, occ_b, same_type=(a == b))
+    second_types = [b for b, occ in occurrences.items() if occ[-1] > tail]
+    pairs: PairDict = {}
+    for a, occ_a in occurrences.items():
+        for b in second_types:
+            matched = greedy_pair_match(occ_a, occurrences[b], same_type=(a == b))
+            keep = len(matched)
+            while keep and matched[keep - 1][1] > tail:
+                keep -= 1
+            if keep < len(matched):
+                pairs[(a, b)] = matched[keep:]
+    return pairs

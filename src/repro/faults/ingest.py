@@ -1,4 +1,4 @@
-"""Ingest crash-replay harness: kill the tailer mid-batch, prove convergence.
+"""Ingest crash-replay harness: kill the tailer around a batch, prove convergence.
 
 One :func:`run_ingest_replay` seed is a complete streaming crash cycle:
 
@@ -8,7 +8,8 @@ One :func:`run_ingest_replay` seed is a complete streaming crash cycle:
    a :class:`~repro.ingest.ingester.TailIngester` whose fault hook raises
    :class:`~repro.faults.schedule.SimulatedCrash` at a seeded batch
    ordinal, either *before the apply* (batch read but not indexed) or
-   *after the apply but before the checkpoint* (the at-least-once window);
+   *after the apply but before the checkpoint* (the at-least-once window)
+   -- both kills fall *between* ``update()`` calls, never inside one;
 3. drop the store's file handles without flushing
    (:func:`~repro.faults.harness.simulate_crash` -- a process kill);
 4. reopen everything and let a new ingester replay from the durable
@@ -23,6 +24,15 @@ batch, so this harness exercises exactly the dedup filter that makes the
 checkpoint protocol at-least-once-safe; a pre-apply kill exercises the
 plain resume path.  Any divergence raises :class:`IngestReplayFailure`
 with the reproducer command (``python -m repro faults --ingest --seed N``).
+
+A third phase, ``mid_apply``, is never seed-chosen and must be asked for
+(``run_ingest_replay(seed, phase="mid_apply")``): it kills *inside*
+``update()``, a seeded number of store merges into the crash batch.  An
+update is ~1 600 separate WAL records, ``Seq`` first, so such a kill leaves
+``Seq`` ahead of the Index and the replay filter then drops the very events
+whose pairs were never written: replay does **not** converge (the known
+hole stated in docs/INGEST.md; closing it takes one atomic WAL frame per
+update).
 """
 
 from __future__ import annotations
@@ -47,17 +57,20 @@ __all__ = ["IngestReplayFailure", "generate_feed_events", "run_ingest_replay"]
 
 _ACTIVITIES = ("login", "search", "add", "pay", "ship", "refund")
 _PHASES = ("pre_apply", "pre_checkpoint")
+_MID_APPLY = "mid_apply"
 
 
 class IngestReplayFailure(AssertionError):
     """Replay after a crash did not converge to the clean batch build."""
 
-    def __init__(self, seed: int, message: str) -> None:
+    def __init__(self, seed: int, message: str, phase: str | None = None) -> None:
         self.seed = seed
-        super().__init__(
-            f"seed {seed}: {message}\n"
-            f"  reproduce with: python -m repro faults --ingest --seed {seed}"
+        reproducer = (
+            f"python -m repro faults --ingest --seed {seed}"
+            if phase != _MID_APPLY  # not seed-chosen, so not reachable from the CLI
+            else f"repro.faults.run_ingest_replay({seed}, phase={phase!r})"
         )
+        super().__init__(f"seed {seed}: {message}\n  reproduce with: {reproducer}")
 
 
 def generate_feed_events(seed: int, total: int | None = None) -> list[Event]:
@@ -119,25 +132,46 @@ def _first_divergence(streamed: dict, clean: dict) -> str:
     return "snapshots differ"
 
 
+def _kill_after_merges(store: Any, merges: int) -> None:
+    """Arm ``store`` to die on its ``merges + 1``-th merge from now."""
+    real_merge = store.merge
+
+    def merge(table: str, key: Any, delta: Any) -> None:
+        nonlocal merges
+        if merges == 0:
+            raise SimulatedCrash(f"ingest kill mid-apply, before a {table!r} merge")
+        merges -= 1
+        real_merge(table, key, delta)
+
+    store.merge = merge
+
+
 def run_ingest_replay(
     seed: int,
     path: str | None = None,
     total_events: int | None = None,
+    phase: str | None = None,
 ) -> dict[str, Any]:
     """Run one seed's kill/replay/converge cycle; returns a summary dict.
 
-    Raises :class:`IngestReplayFailure` when the replayed streaming index
-    differs from the clean batch build.
+    ``phase`` is ``"pre_apply"``, ``"pre_checkpoint"``, ``"mid_apply"`` or
+    ``None`` for the seed's own choice between the first two.  Raises
+    :class:`IngestReplayFailure` when the replayed streaming index differs
+    from the clean batch build.
     """
+    if phase is not None and phase not in (*_PHASES, _MID_APPLY):
+        raise ValueError(f"unknown ingest kill phase {phase!r}")
     workdir = path or tempfile.mkdtemp(prefix=f"repro-ingest-{seed}-")
     try:
-        return _run(seed, Path(workdir), total_events)
+        return _run(seed, Path(workdir), total_events, phase)
     finally:
         if path is None:
             shutil.rmtree(workdir, ignore_errors=True)
 
 
-def _run(seed: int, workdir: Path, total_events: int | None) -> dict[str, Any]:
+def _run(
+    seed: int, workdir: Path, total_events: int | None, phase: str | None
+) -> dict[str, Any]:
     rng = random.Random(f"ingest-replay-{seed}")
     events = generate_feed_events(seed, total_events)
     batch_events = rng.choice((4, 8, 16))
@@ -145,7 +179,9 @@ def _run(seed: int, workdir: Path, total_events: int | None) -> dict[str, Any]:
     partition = rng.choice(("", "", "audit"))
     total_batches = -(-len(events) // batch_events)
     crash_batch = rng.randrange(total_batches)
-    phase = rng.choice(_PHASES)
+    seeded_phase = rng.choice(_PHASES)  # drawn even when overridden: same sweep
+    phase = phase or seeded_phase
+    kill_after = rng.randint(3, 9)
 
     feed_path = str(workdir / "events.jsonl")
     checkpoint_path = str(workdir / "ingest.checkpoint")
@@ -156,7 +192,12 @@ def _run(seed: int, workdir: Path, total_events: int | None) -> dict[str, Any]:
         writer.append(events)
 
     def crash_hook(batch_no: int) -> None:
-        if batch_no == crash_batch:
+        if batch_no != crash_batch:
+            return
+        if phase == _MID_APPLY:
+            for shard in getattr(engine, "shards", None) or [engine]:
+                _kill_after_merges(shard.store, kill_after)
+        else:
             raise SimulatedCrash(f"ingest kill at {phase} of batch {batch_no}")
 
     # -- phase 1: stream until the seeded kill ------------------------------------
@@ -167,7 +208,7 @@ def _run(seed: int, workdir: Path, total_events: int | None) -> dict[str, Any]:
         checkpoint_path,
         batch_events=batch_events,
         name=f"ingest-replay-{seed}",
-        pre_apply_hook=crash_hook if phase == "pre_apply" else None,
+        pre_apply_hook=crash_hook if phase != "pre_checkpoint" else None,
         pre_checkpoint_hook=crash_hook if phase == "pre_checkpoint" else None,
     )
     try:
@@ -219,6 +260,7 @@ def _run(seed: int, workdir: Path, total_events: int | None) -> dict[str, Any]:
             f"(killed {phase} of batch {crash_batch}/{total_batches}, "
             f"batch_events={batch_events}, shards={shards or 1}): "
             + _first_divergence(streamed, clean),
+            phase,
         )
 
     return {

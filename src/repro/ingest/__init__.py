@@ -36,7 +36,6 @@ from repro.ingest.ingester import (
     IngestStats,
     ServiceSink,
     TailIngester,
-    drop_indexed,
 )
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "IngestStats",
     "ServiceSink",
     "TailIngester",
-    "drop_indexed",
     "feed_size",
     "index_snapshot",
     "load_checkpoint",

@@ -4,9 +4,9 @@ A checkpoint is one small JSON document, written atomically (temp file,
 fsync, ``os.replace``) *after* the micro-batch it describes has been
 applied to the index.  Crash ordering therefore only ever loses the
 checkpoint, never runs ahead of the index: on restart the ingester re-reads
-from the last persisted offset and the replay filter
-(:func:`repro.ingest.ingester.drop_indexed`) discards the events the index
-already holds.  See docs/INGEST.md for the full recovery argument.
+from the last persisted offset and the replay filter (``update(dedup=True)``
+on the engine) discards the events the index already holds.  See
+docs/INGEST.md for the full recovery argument.
 """
 
 from __future__ import annotations

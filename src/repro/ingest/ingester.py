@@ -6,24 +6,24 @@ pipeline.  One :meth:`~TailIngester.step` is one micro-batch:
 1. read up to ``batch_events`` complete events from the feed, starting at
    the durable checkpoint offset (:mod:`repro.ingest.feed` guarantees torn
    tails are never consumed);
-2. drop events the index already holds (:func:`drop_indexed` -- this is
-   what makes crash replay convergent, see below);
-3. apply the rest through the sink -- a live engine
-   (:class:`EngineSink`: single-store or sharded, queries keep serving
-   throughout because ``update()`` never stops the world) or a running
-   query service (:class:`ServiceSink`: the ``ingest`` op with its
-   backpressure seam);
-4. observe end-to-end freshness for every stamped event (append instant ->
+2. apply them through the sink -- a live engine (:class:`EngineSink`:
+   single-store or sharded, queries keep serving throughout because
+   ``update()`` never stops the world) or a running query service
+   (:class:`ServiceSink`: the ``ingest`` op with its backpressure seam) --
+   as ``update(dedup=True)``, which drops the events the index already
+   holds (this is what makes crash replay convergent, see below);
+3. observe end-to-end freshness for every stamped event (append instant ->
    batch visible);
-5. persist the checkpoint.
+4. persist the checkpoint.
 
 Crash recovery is replay-to-converge: the checkpoint is written strictly
 *after* the batch is applied, so a kill at any instant leaves the
 checkpoint at or behind the index.  Restarting replays the suffix since
-the checkpoint; step 2 filters every event whose timestamp is at or before
+the checkpoint; ``dedup`` drops every event whose timestamp is at or before
 its trace's indexed tail, so the replayed prefix is a no-op and the final
 index state equals a clean batch build over the same feed
-(:mod:`repro.faults.ingest` proves this under seeded kills).
+(:mod:`repro.faults.ingest` proves this under seeded kills between
+``update()`` calls; a kill *inside* one is the hole docs/INGEST.md states).
 
 The ingester registers with the process metrics registry: batch/event/
 dedup counters, an ingest byte-lag gauge, and the freshness histogram of
@@ -36,7 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.ingest.checkpoint import Checkpoint, load_checkpoint, store_checkpoint
 from repro.ingest.feed import FeedEvent, feed_size, read_feed
@@ -48,43 +48,14 @@ __all__ = [
     "IngestStats",
     "ServiceSink",
     "TailIngester",
-    "drop_indexed",
 ]
-
-
-def drop_indexed(
-    events: Sequence[Any], tail_of: Callable[[str], float | None]
-) -> tuple[list[Any], int]:
-    """Split a batch into (fresh events, dropped count) against the index.
-
-    ``tail_of(trace_id)`` returns the trace's last indexed timestamp (or
-    ``None`` for an unknown trace).  An event at or before its trace's tail
-    is already indexed -- a crash-replay duplicate, or a late arrival the
-    append-only trace order (Definition 2.1) would reject -- and is
-    dropped.  Each trace's tail is read once and then advanced in memory,
-    so a batch whose events straddle the tail keeps its fresh suffix.
-    """
-    tails: dict[str, float | None] = {}
-    fresh: list[Any] = []
-    dropped = 0
-    for event in events:
-        trace_id = event.trace_id
-        if trace_id not in tails:
-            tails[trace_id] = tail_of(trace_id)
-        tail = tails[trace_id]
-        if tail is not None and event.timestamp <= tail:
-            dropped += 1
-            continue
-        tails[trace_id] = event.timestamp
-        fresh.append(event)
-    return fresh, dropped
 
 
 class EngineSink:
     """Applies micro-batches to a live engine (single-store or sharded).
 
-    ``engine`` is anything with the ``SequenceIndex`` write surface:
-    ``indexed_tail()``/``update()``.  Queries on the same engine keep
+    ``engine`` is anything with the ``SequenceIndex`` write surface
+    (``update()``).  Queries on the same engine keep
     serving while batches apply -- the engine's write-generation keyed
     caches make post-batch queries see the new events immediately.
     """
@@ -94,13 +65,11 @@ class EngineSink:
         self.partition = partition
 
     def apply(self, events: list[FeedEvent]) -> tuple[int, int]:
-        """Apply one deduplicated batch; returns (applied, dropped)."""
-        fresh, dropped = drop_indexed(events, self.engine.indexed_tail)
-        if fresh:
-            self.engine.update(
-                [event.to_event() for event in fresh], self.partition
-            )
-        return len(fresh), dropped
+        """Apply one batch, deduplicated; returns (applied, dropped)."""
+        stats = self.engine.update(
+            [event.to_event() for event in events], self.partition, dedup=True
+        )
+        return stats.events_indexed, stats.events_deduped
 
 
 class ServiceSink:

@@ -20,8 +20,29 @@ gets and scans from ever blocking behind them.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable
+
+
+class _Side:
+    """The ``with`` form of one side of an :class:`RWLock`.
+
+    Stateless (nesting is counted by the lock), so one instance per side
+    serves every thread and every nesting depth; a plain two-method object
+    because this sits on every store ``get``/``put``/``merge`` and a
+    generator-based context manager costs twice as much per ``with``.
+    """
+
+    __slots__ = ("_acquire", "_release")
+
+    def __init__(self, acquire: Callable[[], None], release: Callable[[], None]) -> None:
+        self._acquire = acquire
+        self._release = release
+
+    def __enter__(self) -> None:
+        self._acquire()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._release()
 
 
 class RWLock:
@@ -34,6 +55,8 @@ class RWLock:
         self._write_depth = 0
         self._waiting_writers = 0
         self._local = threading.local()
+        self._read_side = _Side(self.acquire_read, self.release_read)
+        self._write_side = _Side(self.acquire_write, self.release_write)
 
     # -- read side ---------------------------------------------------------
 
@@ -92,18 +115,8 @@ class RWLock:
 
     # -- context managers ---------------------------------------------------
 
-    @contextmanager
-    def read(self) -> Iterator[None]:
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
+    def read(self) -> _Side:
+        return self._read_side
 
-    @contextmanager
-    def write(self) -> Iterator[None]:
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
+    def write(self) -> _Side:
+        return self._write_side

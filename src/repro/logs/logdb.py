@@ -134,8 +134,8 @@ class IndexingPipeline:
     the unindexed suffix, feed it through Algorithm 1, then move the
     checkpoint.  The checkpoint only advances after the index store has
     flushed, so a crash between the two replays the batch on the next tick;
-    replay is made idempotent by dropping events at-or-before each trace's
-    already-indexed tail before calling the builder.
+    replay is idempotent because the batch is applied with ``dedup=True``,
+    which drops events at or before each trace's already-indexed tail.
     """
 
     def __init__(
@@ -154,10 +154,6 @@ class IndexingPipeline:
     def run_once(self) -> PipelineStats:
         """Index everything currently unindexed; returns what happened."""
         events = self.database.unindexed_events()
-        events = self._drop_replayed(events)
-        if not events:
-            checkpoint = self.database.mark_indexed()
-            return PipelineStats(0, 0, 0, checkpoint)
         if self.partition_fn is None:
             partitions: dict[str, list[Event]] = {"": events}
         else:
@@ -167,21 +163,9 @@ class IndexingPipeline:
         indexed = 0
         pairs = 0
         for partition, batch in sorted(partitions.items()):
-            stats = self.index.update(batch, partition=partition)
+            stats = self.index.update(batch, partition=partition, dedup=True)
             indexed += stats.events_indexed
             pairs += stats.pairs_created
         self.index.flush()
         checkpoint = self.database.mark_indexed()
         return PipelineStats(len(events), indexed, pairs, checkpoint)
-
-    def _drop_replayed(self, events: list[Event]) -> list[Event]:
-        """Filter out events already indexed (crash-replay idempotence)."""
-        tails: dict[str, float | None] = {}
-        fresh: list[Event] = []
-        for event in events:
-            if event.trace_id not in tails:
-                tails[event.trace_id] = self.index.indexed_tail(event.trace_id)
-            tail = tails[event.trace_id]
-            if tail is None or event.timestamp > tail:
-                fresh.append(event)
-        return fresh

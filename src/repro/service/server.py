@@ -49,7 +49,6 @@ from repro.core.errors import (
     TraceOrderError,
 )
 from repro.core.model import Event
-from repro.ingest.ingester import drop_indexed
 from repro.obs.registry import REGISTRY
 from repro.service.protocol import ProtocolError, recv_frame, send_frame
 
@@ -377,18 +376,12 @@ class SequenceService:
             # at or before their trace's indexed tail are dropped instead
             # of tripping the builder's trace-order check, making crash
             # replay (and at-least-once producers) idempotent.
-            deduped = 0
+            dedup = bool(request.get("dedup"))
             if self._ingest_lock is not None:
                 with self._ingest_lock:
-                    if request.get("dedup"):
-                        batch, deduped = drop_indexed(
-                            batch, self.engine.indexed_tail
-                        )
-                    stats = self._apply_ingest(batch, partition)
+                    stats = self.engine.update(batch, partition, dedup)
             else:
-                if request.get("dedup"):
-                    batch, deduped = drop_indexed(batch, self.engine.indexed_tail)
-                stats = self._apply_ingest(batch, partition)
+                stats = self.engine.update(batch, partition, dedup)
             return {
                 "id": request_id,
                 "ok": True,
@@ -396,7 +389,7 @@ class SequenceService:
                     "traces_seen": stats.traces_seen,
                     "new_traces": stats.new_traces,
                     "events_indexed": stats.events_indexed,
-                    "events_deduped": deduped,
+                    "events_deduped": stats.events_deduped,
                     "pairs_created": stats.pairs_created,
                 },
             }
@@ -409,18 +402,6 @@ class SequenceService:
         finally:
             self.metrics.bump("active_requests", -1)
             self._ingest_slots.release()
-
-    def _apply_ingest(self, batch: list[Event], partition: str) -> Any:
-        """Apply a (possibly fully-deduplicated) batch to the engine.
-
-        An empty post-dedup batch skips ``update()`` entirely so a pure
-        replay does not bump write generations and evict warm caches.
-        """
-        if not batch:
-            from repro.core.builder import UpdateStats
-
-            return UpdateStats(partition=partition)
-        return self.engine.update(batch, partition)
 
 
 def _error(request_id: Any, code: str, message: str) -> dict[str, Any]:

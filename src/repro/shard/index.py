@@ -282,7 +282,10 @@ class ShardedSequenceIndex(QueryEngine):
     # -- writes -------------------------------------------------------------------
 
     def update(
-        self, new_events: EventLog | Iterable[Event], partition: str = ""
+        self,
+        new_events: EventLog | Iterable[Event],
+        partition: str = "",
+        dedup: bool = False,
     ) -> UpdateStats:
         """Index a batch, fanned out to the owning shards.
 
@@ -300,7 +303,7 @@ class ShardedSequenceIndex(QueryEngine):
 
         def apply(i: int) -> UpdateStats:
             with self._ingest_locks[i]:
-                return self.shards[i].update(per_shard[i], partition)
+                return self.shards[i].update(per_shard[i], partition, dedup)
 
         results = self.executor.gather([
             (lambda i=i: apply(i)) for i in touched
@@ -310,6 +313,7 @@ class ShardedSequenceIndex(QueryEngine):
             merged.traces_seen += stats.traces_seen
             merged.new_traces += stats.new_traces
             merged.events_indexed += stats.events_indexed
+            merged.events_deduped += stats.events_deduped
             merged.pairs_created += stats.pairs_created
         return merged
 
@@ -502,11 +506,7 @@ class ShardedSequenceIndex(QueryEngine):
         return self.shards[self.shard_of(trace_id)].get_trace(trace_id)
 
     def indexed_tail(self, trace_id: str) -> float | None:
-        """Last indexed timestamp of one trace (shard-local lookup).
-
-        Routes to the owning shard, so the streaming ingester's replay
-        filter works identically over sharded and single-store engines.
-        """
+        """Last indexed timestamp of one trace (shard-local lookup)."""
         return self.shards[self.shard_of(trace_id)].indexed_tail(trace_id)
 
     def top_pairs(self, k: int = 10) -> list[tuple[tuple[str, str], int]]:

@@ -192,6 +192,7 @@ class _CountingStore(InMemoryStore):
         super().__init__()
         self.get_calls = 0
         self.multi_get_calls = 0
+        self.keys_read = 0
 
     def get(self, table, key, default=None):
         self.get_calls += 1
@@ -199,6 +200,8 @@ class _CountingStore(InMemoryStore):
 
     def multi_get(self, table, keys, default=None):
         self.multi_get_calls += 1
+        keys = list(keys)
+        self.keys_read += len(keys)
         return super().multi_get(table, keys, default)
 
 
@@ -221,11 +224,24 @@ class TestBatchedReads:
 
     def test_point_reads_do_not_grow_with_pairs_or_traces(self):
         # 2 traces x 4 candidate pairs against 6 traces x 64: the incremental
-        # path reads Seq and LastChecked in one batch each, whatever the size.
+        # path reads Seq in one batch and nothing else, whatever the size.
         small = self._incremental_update_reads("AB", traces=2)
         large = self._incremental_update_reads("ABCDEFGH", traces=6)
         assert small == large
-        assert large[1] == 2
+        assert large == (0, 1)
+
+    @pytest.mark.parametrize("indexed_traces, alphabet", [(3, "AB"), (40, "ABCDEFGHIJ")])
+    def test_keys_read_equal_the_batch_traces(self, indexed_traces, alphabet):
+        # An update of k known traces reads k keys (their Seq rows), however
+        # many traces and pairs the index already holds.
+        store = _CountingStore()
+        builder = IndexBuilder(store)
+        ids = [f"t{n}" for n in range(indexed_traces)]
+        builder.update(EventLog.from_dict({tid: list(alphabet) for tid in ids}))
+        store.get_calls = store.keys_read = 0
+        batch = [Event(tid, a, 100 + i) for tid in ids[:3] for i, a in enumerate(alphabet)]
+        assert builder.update(batch).pairs_created > 0
+        assert (store.get_calls, store.keys_read) == (0, 3)
 
 
 class TestParallelParity:

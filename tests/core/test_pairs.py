@@ -12,7 +12,7 @@ from repro.core.pairs import (
     greedy_pair_match,
     indexing_pairs,
     occurrence_lists,
-    pairs_after,
+    pairs_completed_after,
     parsing_pairs,
     reference_stnm_pairs,
     state_pairs,
@@ -141,37 +141,48 @@ class TestGreedyMatch:
 
 
 class TestPairsAfter:
+    """``pairs_completed_after``: the matches of ``old + new`` past the old tail."""
+
     def test_matches_full_when_unbounded(self):
         occ = occurrence_lists(list("ABAB"), [1, 2, 3, 4])
-        assert pairs_after(occ, "A", "B", None) == [(1, 2), (3, 4)]
+        assert pairs_completed_after(occ, 0) == indexing_pairs(list("ABAB"), [1, 2, 3, 4])
 
     def test_filters_by_timestamp(self):
         occ = occurrence_lists(list("ABAB"), [1, 2, 3, 4])
-        assert pairs_after(occ, "A", "B", 2) == [(3, 4)]
-        assert pairs_after(occ, "A", "B", 4) == []
+        assert pairs_completed_after(occ, 2)[("A", "B")] == [(3, 4)]
+        assert pairs_completed_after(occ, 4) == {}
 
     def test_same_type_after(self):
         occ = occurrence_lists(list("AAAA"), [1, 2, 3, 4])
-        assert pairs_after(occ, "A", "A", None) == [(1, 2), (3, 4)]
-        assert pairs_after(occ, "A", "A", 2) == [(3, 4)]
+        assert pairs_completed_after(occ, 0) == {("A", "A"): [(1, 2), (3, 4)]}
+        assert pairs_completed_after(occ, 2) == {("A", "A"): [(3, 4)]}
+        # An odd old prefix leaves an open A that the first new A closes.
+        assert pairs_completed_after(occ, 3) == {("A", "A"): [(3, 4)]}
 
     def test_missing_types(self):
-        occ = occurrence_lists(list("A"), [1])
-        assert pairs_after(occ, "A", "Z", None) == []
-        assert pairs_after(occ, "Z", "A", None) == []
+        # A type with no occurrence after the tail is never a second type,
+        # and a first type with no occurrence before the completion no match.
+        occ = occurrence_lists(list("ABC"), [1, 2, 3])
+        assert pairs_completed_after(occ, 2) == {("A", "C"): [(1, 3)], ("B", "C"): [(2, 3)]}
+        assert pairs_completed_after(occurrence_lists(list("A"), [1]), 0) == {}
 
     @given(traces, st.integers(0, 60))
     @settings(max_examples=150, deadline=None)
     def test_incremental_equals_suffix_rerun(self, trace, cut):
-        """Pairs after the last completion == pairs of the event suffix.
+        """Pairs completed after a cut == what a full re-run adds to the prefix's.
 
         This is the property Algorithm 1's correctness rests on: greedy
-        matching restarted after a completed pair's end timestamp yields
-        exactly the pairs a full re-run would add for the remaining events.
+        matching is prefix-stable, so the pairs of the whole trace split at
+        any cut into the pairs of the prefix and the ones completing after it.
         """
         acts, stamps = trace
-        occ = occurrence_lists(acts, stamps)
-        for (a, b), full in reference_stnm_pairs(acts, stamps).items():
-            for idx in range(len(full)):
-                after = full[idx][1]  # completion timestamp of pair idx
-                assert pairs_after(occ, a, b, after) == full[idx + 1 :]
+        cut = min(cut, len(acts))
+        if cut == 0:
+            return
+        before = reference_stnm_pairs(acts[:cut], stamps[:cut])
+        gained = pairs_completed_after(occurrence_lists(acts, stamps), stamps[cut - 1])
+        assert all(gained.values())
+        merged = {pair: list(matches) for pair, matches in before.items()}
+        for pair, matches in gained.items():
+            merged.setdefault(pair, []).extend(matches)
+        assert merged == reference_stnm_pairs(acts, stamps)

@@ -15,13 +15,14 @@ from repro.ingest import (
     FeedEvent,
     FeedWriter,
     TailIngester,
-    drop_indexed,
     index_snapshot,
     load_checkpoint,
 )
 from repro.kvstore import LSMStore
 from repro.obs.registry import REGISTRY
 from repro.shard import ShardedSequenceIndex
+
+from tests.core.test_builder import _CountingStore
 
 
 def _ab_events(n, trace="t1"):
@@ -37,32 +38,37 @@ def _write_feed(path, events, stamp=True):
 
 
 class TestDropIndexed:
+    """The replay filter, where it lives now: ``update(dedup=True)``."""
+
     def test_unknown_traces_pass_through(self):
-        fresh, dropped = drop_indexed(_ab_events(4), lambda trace: None)
-        assert len(fresh) == 4 and dropped == 0
+        with SequenceIndex(policy=Policy.STNM) as engine:
+            stats = engine.update(_ab_events(4), dedup=True)
+            assert (stats.events_indexed, stats.events_deduped) == (4, 0)
 
     def test_at_or_before_tail_is_dropped(self):
-        events = _ab_events(4)  # timestamps 1..4
-        fresh, dropped = drop_indexed(events, lambda trace: 2.0)
-        assert [e.timestamp for e in fresh] == [3.0, 4.0]
-        assert dropped == 2
+        with SequenceIndex(policy=Policy.STNM) as engine:
+            engine.update(_ab_events(2))  # timestamps 1..2
+            stats = engine.update(_ab_events(4), dedup=True)  # timestamps 1..4
+            assert (stats.events_indexed, stats.events_deduped) == (2, 2)
+            assert [ts for _, ts in engine.get_trace("t1")] == [1.0, 2.0, 3.0, 4.0]
 
     def test_tail_advances_within_the_batch(self):
         # Two events with equal timestamps on one trace: the first advances
-        # the in-memory tail, so the second is dropped as a duplicate.
+        # the running tail, so the second is dropped as a duplicate.
         events = [Event("t1", "A", 5.0), Event("t1", "A", 5.0)]
-        fresh, dropped = drop_indexed(events, lambda trace: None)
-        assert len(fresh) == 1 and dropped == 1
+        with SequenceIndex(policy=Policy.STNM) as engine:
+            stats = engine.update(events, dedup=True)
+            assert (stats.events_indexed, stats.events_deduped) == (1, 1)
 
     def test_tail_read_once_per_trace(self):
-        calls = []
-
-        def tail_of(trace):
-            calls.append(trace)
-            return None
-
-        drop_indexed(_ab_events(6) + _ab_events(6, trace="t2"), tail_of)
-        assert sorted(calls) == ["t1", "t2"]
+        store = _CountingStore()
+        with SequenceIndex(store, policy=Policy.STNM) as engine:
+            engine.update(_ab_events(6) + _ab_events(6, trace="t2"))
+            store.get_calls = store.multi_get_calls = store.keys_read = 0
+            sink = EngineSink(engine)
+            assert sink.apply(_ab_feed_events(8) + _ab_feed_events(8, trace="t2")) == (4, 12)
+            # One batched read names each trace once; no point read at all.
+            assert (store.get_calls, store.multi_get_calls, store.keys_read) == (0, 1, 2)
 
 
 def _ab_feed_events(n, trace="t1"):

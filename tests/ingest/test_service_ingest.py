@@ -84,6 +84,30 @@ class TestServiceSink:
         assert again["events_deduped"] == 2
 
 
+    def test_pure_replay_keeps_generation_and_warm_caches(self, service):
+        # A fully deduplicated batch writes nothing, so it must not bump any
+        # write generation: the next identical query is a cache hit.
+        engine = service.engine
+        shards = getattr(engine, "shards", None) or [engine]
+        host, port = service.address
+        batch = [(trace, "AB"[i % 2], float(i + 1)) for trace in ("t1", "t2", "t3", "t4")
+                 for i in range(4)]
+        with ServiceClient(host, port) as client:
+            client.ingest(batch, dedup=True)
+            warm = client.detect(["A", "B"])
+            generations = [shard.write_generation for shard in shards]
+            hits = engine.query_cache_stats()["hits"]
+            replay = client.ingest(batch, dedup=True)
+            assert (replay["events_indexed"], replay["events_deduped"]) == (0, 16)
+            assert [shard.write_generation for shard in shards] == generations
+            assert client.detect(["A", "B"]) == warm
+            assert engine.query_cache_stats()["hits"] == hits + 1
+            # ... and a batch that does write still invalidates.
+            client.ingest([("t1", "A", 9.0), ("t1", "B", 10.0)], dedup=True)
+            assert [shard.write_generation for shard in shards] != generations
+            assert len(client.detect(["A", "B"])) == len(warm) + 1
+
+
 class TestLocalRemoteEquivalence:
     def test_same_feed_same_matches(self, tmp_path):
         events = _ab_events(10) + _ab_events(6, trace="t2")

@@ -227,7 +227,7 @@ def test_docscheck_fails_on_a_deleted_method():
         "`Postings.grouped(restrict)` and `QueryProcessor._chain_left_to_right`\n"
         "are gone, as is `core.query.detect(..., policy=STAM)`.\n"
         "`core.query.as_query` is a function; `lsm.multi_get` and `query.detect`\n"
-        "are span names, `IndexTables.anything` belongs to no checked module.\n"
+        "are span names, `Memtable.anything` belongs to no checked module.\n"
         "Fields count: `SequenceIndex.store`, `Postings.entries`, `StoreMetrics.bump`;\n"
         "`LSMStore.no_such_counter` does not.\n"
     )
@@ -236,4 +236,24 @@ def test_docscheck_fails_on_a_deleted_method():
         "D.md:2: `QueryProcessor._chain_left_to_right` names no live attribute",
         "D.md:3: `core.query.detect` names no live attribute",
         "D.md:7: `LSMStore.no_such_counter` names no live attribute",
+    ]
+
+
+def test_docscheck_fails_on_a_deleted_ingest_or_table_method():
+    from repro.bench.docscheck import api_owners, check_api_references
+
+    owners = api_owners()
+    assert {"EngineSink", "TailIngester", "IndexBuilder", "UpdateStats", "IndexTables"} <= set(owners)
+    assert "ingest.ingester" in owners and "ingester" not in owners  # an instance name
+    guide = (
+        "`EngineSink.apply` calls `IndexBuilder.update(..., dedup=True)` and reports\n"
+        "`UpdateStats.events_deduped`; `IndexTables.get_sequences` is the one read.\n"
+        "Gone: `ingest.ingester.drop_indexed`, `EngineSink.indexed_tail`,\n"
+        "`IndexTables.get_tails_many` and `UpdateStats.last_checked_reads`.\n"
+    )
+    assert check_api_references("I.md", guide, owners) == [
+        "I.md:3: `ingest.ingester.drop_indexed` names no live attribute",
+        "I.md:3: `EngineSink.indexed_tail` names no live attribute",
+        "I.md:4: `IndexTables.get_tails_many` names no live attribute",
+        "I.md:4: `UpdateStats.last_checked_reads` names no live attribute",
     ]
