@@ -8,8 +8,8 @@ write-amplification snapshot):
 * sustained partition-rotating ingest through the feed pipeline, per
   strategy, with write amplification and trivial-move counts recorded in
   ``extra_info``;
-* reopen latency of the grown multi-level store, lazy (manifest +
-  footers only) vs eager (index/bloom materialised up front).
+* reopen latency of the grown multi-level store (always lazy: manifest +
+  footers only).
 
 The strict leveled-below-size-tiered write-amp comparison lives in the
 runner experiment, which ingests enough days for size-tiered's
@@ -126,24 +126,20 @@ def test_cold_partitions_sink_as_moves(tmp_path):
         store.close()
 
 
-@pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "eager"])
-def test_reopen_latency(benchmark, tmp_path, lazy):
+def test_reopen_latency(benchmark, tmp_path):
     store = _ingest(tmp_path, "leveled")
     tables = len(store.storage_stats()["sstables"])
     store.close()
     assert tables > 1
 
     def reopen():
-        reopened = LSMStore(
-            str(tmp_path / "db"), lazy_open=lazy, auto_compact=False
-        )
+        reopened = LSMStore(str(tmp_path / "db"), auto_compact=False)
         metrics = reopened.metrics.snapshot()
         reopened.close()
         return metrics
 
     metrics = benchmark.pedantic(reopen, rounds=5, iterations=1)
     benchmark.extra_info["sstables"] = tables
-    if lazy:
-        # The manifest-only contract: no data block is read at open.
-        assert metrics["block_reads"] == 0
-        assert metrics["lazy_meta_loads"] == 0
+    # The manifest-only contract: no data block is read at open.
+    assert metrics["block_reads"] == 0
+    assert metrics["lazy_meta_loads"] == 0

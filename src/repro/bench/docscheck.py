@@ -7,8 +7,10 @@ Five classes of documentation rot this catches mechanically:
   target is a repo path must resolve from the linking file's directory;
 * **stale CLI examples** -- every ``repro <subcommand>`` invocation inside
   a fenced code block must name a subcommand the real
-  :func:`repro.cli.build_parser` knows, so renaming or removing a
-  subcommand without sweeping the docs fails CI;
+  :func:`repro.cli.build_parser` knows, and every ``--flag`` on it (its
+  backslash-continued lines included) an option of that subcommand's
+  parser, so renaming or removing a subcommand or a flag without sweeping
+  the docs fails CI;
 * **undocumented format tags** -- every chunk-tag constant of
   :mod:`repro.core.postings` and value-tag constant of
   :mod:`repro.kvstore.encoding` must appear (as ``0xNN``) in the tag tables
@@ -20,10 +22,10 @@ Five classes of documentation rot this catches mechanically:
   signature, so a removed knob cannot linger in the operator guide;
 * **deleted methods** -- every backticked ``Class.attribute`` in DESIGN.md
   or ``docs/*.md`` whose class lives in one of :data:`API_MODULES` (the
-  query, postings, engine, builder, tables, ingester and LSM modules), and
-  every backticked ``core.query.function`` (module path spelled out), must
-  name a live attribute, so the design text cannot describe a method that
-  a refactor removed.
+  query, postings, engine, builder, tables, ingester and store modules),
+  every backticked ``core.query.function`` (module path spelled out), and
+  every bare backticked ``_private_name`` must name a live attribute, so
+  the design text cannot describe a method that a refactor removed.
 
 Runs standalone (``python -m repro.bench.docscheck``, exit 1 on findings)
 and inside tier-1 via ``tests/test_docs.py``.
@@ -68,15 +70,18 @@ def repo_root() -> str:
     return os.path.normpath(os.path.join(here, "..", "..", ".."))
 
 
-def known_subcommands() -> set[str]:
-    """Subcommand names straight from the live argument parser."""
+def known_subcommands() -> dict[str, set[str]]:
+    """Each subcommand's option strings, straight from the live parser."""
     import argparse
 
     from repro.cli import build_parser
 
     for action in build_parser()._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return set(action.choices)
+            return {
+                name: set(parser._option_string_actions)
+                for name, parser in action.choices.items()
+            }
     raise RuntimeError("repro parser has no subcommands")  # pragma: no cover
 
 
@@ -108,18 +113,37 @@ def check_links(root: str, doc: str, text: str) -> list[str]:
     return findings
 
 
+_CLI_FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+
+
 def check_cli_commands(
-    doc: str, text: str, subcommands: set[str]
+    doc: str, text: str, subcommands: dict[str, set[str]]
 ) -> list[str]:
-    """Fenced ``repro <sub>`` invocations that name unknown subcommands."""
+    """Fenced ``repro <sub>`` invocations that name an unknown subcommand,
+    or pass it a ``--flag`` its parser does not define."""
     findings = []
-    for number, line in _fenced_lines(text):
+    fenced = list(_fenced_lines(text))
+    for index, (number, line) in enumerate(fenced):
         match = _CLI_CALL.match(line)
-        if match and match.group("sub") not in subcommands:
+        if not match:
+            continue
+        sub = match.group("sub")
+        if sub not in subcommands:
             findings.append(
                 f"{doc}:{number}: unknown repro subcommand "
-                f"{match.group('sub')!r} in: {line.strip()}"
+                f"{sub!r} in: {line.strip()}"
             )
+            continue
+        while True:  # the invocation and its backslash-continued lines
+            for flag in _CLI_FLAG.findall(line):
+                if flag not in subcommands[sub]:
+                    findings.append(
+                        f"{doc}:{number}: repro {sub} takes no flag {flag!r}"
+                    )
+            index += 1
+            if not line.rstrip().endswith("\\") or index == len(fenced):
+                break
+            number, line = fenced[index]
     return findings
 
 
@@ -221,9 +245,15 @@ API_MODULES = (
     "repro.core.tables",
     "repro.ingest.ingester",
     "repro.kvstore.lsm",
+    "repro.kvstore.tableset",
+    "repro.kvstore.compaction",
+    "repro.kvstore.sstable",
+    "repro.kvstore.merge",
 )
 _API_DOCS = ("DESIGN.md", "docs/")
 _REFERENCE = re.compile(r"`([A-Za-z_][\w.]*)\.([A-Za-z_]\w*)\b[^`]*`")
+#: a bare private name, optionally called: `_run_compaction`, `_join(...)`
+_PRIVATE_NAME = re.compile(r"`(_[a-z]\w*)(?:\([^`]*\))?`")
 
 
 def api_owners() -> dict[str, object]:
@@ -255,6 +285,8 @@ def _has_member(owner: object, name: str) -> bool:
     if not inspect.isclass(owner):
         return False
     for klass in owner.__mro__[:-1]:
+        if klass.__module__ == "builtins":  # e.g. Exception: no source to read
+            continue
         if name in getattr(klass, "__annotations__", {}):
             return True
         if re.search(rf"\bself\.{name}\b[^=\n]*=[^=]", inspect.getsource(klass)):
@@ -263,13 +295,22 @@ def _has_member(owner: object, name: str) -> bool:
 
 
 def check_api_references(doc: str, text: str, owners: dict[str, object]) -> list[str]:
-    """Backticked ``Owner.member`` references whose member no longer exists."""
+    """Backticked ``Owner.member`` references whose member no longer exists,
+    and bare backticked ``_private_name``s that no class or module of
+    :data:`API_MODULES` defines."""
     findings = []
+    documented = set(owners.values())
     for number, line in enumerate(text.splitlines(), start=1):
         for owner, member in _REFERENCE.findall(line):
             if owner in owners and not _has_member(owners[owner], member):
                 findings.append(
                     f"{doc}:{number}: `{owner}.{member}` names no live attribute"
+                )
+        for name in _PRIVATE_NAME.findall(line):
+            if not any(_has_member(owner, name) for owner in documented):
+                findings.append(
+                    f"{doc}:{number}: `{name}` names no live attribute of "
+                    f"the documented modules"
                 )
     return findings
 

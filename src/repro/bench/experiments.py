@@ -778,9 +778,9 @@ def exp_leveled_compaction(
     * write amplification = ``compaction_bytes_rewritten`` /
       ``flush_bytes_written`` over the whole ingest session (background
       compaction enabled, as deployed);
-    * reopen latency of the grown store after each day, lazy
-      (manifest + footers only) vs eager (index/bloom materialised),
-      showing lazy reopen staying flat as the store grows.
+    * reopen latency of the grown store after each day (the store always
+      reopens lazy: manifest + footers only), showing reopen staying flat
+      as the store grows.
 
     The ingest session deliberately never closes mid-run: closing flushes
     whatever sits in the memtable, and those undersized day-boundary
@@ -818,7 +818,6 @@ def exp_leveled_compaction(
             "moves",
             "levels",
             "reopen lazy ms",
-            "reopen eager ms",
         ],
     )
     traces = max(10, int(traces_per_day * scale))
@@ -865,18 +864,18 @@ def exp_leveled_compaction(
             shutil.rmtree(dst, ignore_errors=True)
             try:
                 shutil.copytree(src, dst)
-                probe = LSMStore(dst, lazy_open=True, auto_compact=False)
+                probe = LSMStore(dst, auto_compact=False)
                 probe.close()
                 return
             except Exception as exc:  # noqa: BLE001 - retried, then re-raised
                 last = exc
         raise RuntimeError(f"could not snapshot {src}") from last
 
-    def reopen_ms(path: str, lazy: bool) -> float:
+    def reopen_ms(path: str) -> float:
         best = float("inf")
         for _ in range(max(1, reopen_repeats)):
             start = time.perf_counter()
-            store = LSMStore(path, lazy_open=lazy, auto_compact=False)
+            store = LSMStore(path, auto_compact=False)
             elapsed = time.perf_counter() - start
             store.close()
             best = min(best, elapsed)
@@ -916,8 +915,7 @@ def exp_leveled_compaction(
                             "day": day,
                             "file_bytes": storage["file_bytes"],
                             "sstables": len(storage["sstables"]),
-                            "lazy_ms": reopen_ms(snap, lazy=True),
-                            "eager_ms": reopen_ms(snap, lazy=False),
+                            "lazy_ms": reopen_ms(snap),
                         }
                     )
                     shutil.rmtree(snap, ignore_errors=True)
@@ -956,7 +954,6 @@ def exp_leveled_compaction(
                 metrics["compaction_moves"],
                 storage["level_count"],
                 final["lazy_ms"],
-                final["eager_ms"],
             )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

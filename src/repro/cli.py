@@ -70,7 +70,6 @@ def _open_index(args: argparse.Namespace):
             path,
             background_compaction=getattr(args, "background_compaction", False),
             compression=_compression_arg(args),
-            mmap=getattr(args, "mmap", False),
             compaction=getattr(args, "compaction", "size_tiered"),
         )
 
@@ -208,9 +207,7 @@ def _store_stats(args: argparse.Namespace) -> int:
     breakdown followed by the totals row."""
     if is_sharded_store(args.store):
         return _sharded_store_stats(args)
-    with LSMStore(
-        args.store, compression=_compression_arg(args), mmap=getattr(args, "mmap", False)
-    ) as store:
+    with LSMStore(args.store, compression=_compression_arg(args)) as store:
         print(f"store {args.store}")
         formats = IndexTables(store).format_stats()
         for name in sorted(store.list_tables()):
@@ -226,7 +223,6 @@ def _store_stats(args: argparse.Namespace) -> int:
                 f"    {entry['file']}: v{entry['format_version']} "
                 f"records={entry['records']} raw={entry['raw_data_bytes']} "
                 f"disk={entry['data_bytes']}"
-                + (" (mmap)" if entry["mmap"] else "")
             )
         print(
             f"  raw bytes: {stats['raw_data_bytes']}  "
@@ -649,11 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("none", "zlib", "zstd"),
             default="none",
             help="block codec for new SSTable writes (reads auto-detect)",
-        )
-        p.add_argument(
-            "--mmap",
-            action="store_true",
-            help="serve SSTable reads from a memory map (page cache)",
         )
         p.add_argument(
             "--compaction",

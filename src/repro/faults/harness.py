@@ -139,7 +139,7 @@ def simulate_crash(store: LSMStore) -> None:
         store._wal._file.close()
     except Exception:
         pass  # the crash may have hit the WAL handle itself
-    for reader in list(store._sstables):
+    for reader in list(store._tableset.readers):
         try:
             reader._file.close()
         except Exception:

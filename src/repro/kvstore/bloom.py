@@ -86,26 +86,3 @@ class BloomFilter:
             raise ValueError("bloom filter payload length mismatch")
         filt._bits[:] = payload
         return filt
-
-    @classmethod
-    def from_buffer(cls, raw) -> "BloomFilter":
-        """Zero-copy view over a serialized filter (e.g. an mmap'd SSTable
-        bloom section).
-
-        Membership tests index straight into the backing buffer, so the
-        filter's bits live in the page cache rather than the heap; the
-        returned filter is read-only (``add`` on an immutable buffer
-        raises ``TypeError``).
-        """
-        view = memoryview(raw)
-        num_hashes, _, num_bits = _HEADER.unpack_from(view, 0)
-        if num_bits <= 0 or num_hashes <= 0:
-            raise ValueError("num_bits and num_hashes must be positive")
-        payload = view[_HEADER.size :]
-        if len(payload) != (num_bits + 7) // 8:
-            raise ValueError("bloom filter payload length mismatch")
-        filt = cls.__new__(cls)
-        filt._num_bits = num_bits
-        filt._num_hashes = num_hashes
-        filt._bits = payload
-        return filt

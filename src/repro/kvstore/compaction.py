@@ -1,13 +1,16 @@
 """Compaction strategies for the LSM store.
 
-Two planners live behind the same seam (``LSMStore(compaction=...)``):
+Two strategies live behind the same seam (``LSMStore(compaction=...)``).
+A strategy only *plans*: it hands the store a :class:`CompactionPick`, and
+the store's one executor (``LSMStore._run_compaction``) writes, verifies
+and swaps the merge the same way for both.
 
 **Size-tiered** picks a *contiguous* run of SSTables (contiguity in
 manifest order is what keeps merge-delta history well-ordered) whose sizes
-are within a band of each other, and k-way merges them into a single
-replacement table.  Tombstones and baseless merge deltas can only be
-finalised when the run includes the oldest table -- otherwise an older
-file might still hold the base value the deltas apply to.
+are within a band of each other, merged into a single L0 replacement.
+Tombstones and baseless merge deltas can only be finalised when the run
+includes the oldest table -- otherwise an older file might still hold the
+base value the deltas apply to.
 
 **Leveled** organises tables into levels: L0 holds raw flush output
 (tables may overlap; recency = manifest order), every deeper level is a
@@ -23,45 +26,56 @@ function over table metadata so the planner is directly property-testable
 
 Recency ordering is shared by both strategies: the store keeps one flat
 list, oldest shadow first, i.e. deepest level first and L0 last
-(oldest -> newest within L0), so merge ties resolve newest-first exactly
-as in the size-tiered path.
+(oldest -> newest within L0), so merge ties resolve newest-first whichever
+strategy planned the merge.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
-from typing import Any, Callable, Iterable, Iterator
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.kvstore.merge import MergeOperator, collapse_records
 
 
-class CompactionPlan:
-    """A contiguous slice ``[start, stop)`` of the manifest's SSTable list."""
+@dataclass(slots=True)
+class CompactionPick:
+    """One unit of compaction work, as either strategy hands it to the store.
 
-    __slots__ = ("start", "stop", "includes_oldest")
+    ``inputs`` are the tables to merge, oldest shadow first; the output
+    belongs to ``target_level``.  ``finalize`` says no older table can hold
+    a base for these keys, so tombstones drop and baseless deltas become
+    puts.  ``split_bytes`` of ``None`` means one output whose bloom filter
+    is sized for the sum of the inputs' records; otherwise outputs are cut
+    at that many raw bytes, and additionally once they have crossed more
+    than ``grandparent_limit`` bytes of ``grandparents`` (the run one level
+    below the target).  ``trivial_move`` marks a promotion that rewrites
+    nothing: the single input just changes its level in the manifest.
+    """
 
-    def __init__(self, start: int, stop: int) -> None:
-        self.start = start
-        self.stop = stop
-        self.includes_oldest = start == 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CompactionPlan([{self.start}:{self.stop}])"
+    inputs: list
+    target_level: int = 0
+    finalize: bool = False
+    split_bytes: int | None = None
+    grandparents: Sequence = ()
+    grandparent_limit: int = 0
+    trivial_move: bool = False
 
 
 def plan_size_tiered(
-    sizes: list[int], min_tables: int = 4, size_ratio: float = 2.0
-) -> CompactionPlan | None:
-    """Choose a compaction run over tables listed oldest -> newest.
+    tables: list, min_tables: int = 4, size_ratio: float = 2.0
+) -> CompactionPick | None:
+    """Choose a compaction run over ``tables`` listed oldest -> newest.
 
-    Returns the first (oldest) contiguous window of at least ``min_tables``
-    tables whose sizes all lie within ``size_ratio`` of the window minimum,
-    or ``None`` when nothing qualifies.
+    Picks the first (oldest) contiguous window of at least ``min_tables``
+    tables whose ``data_bytes`` all lie within ``size_ratio`` of the window
+    minimum, or ``None`` when nothing qualifies.  The pick finalizes only
+    when the window starts at the oldest table.
     """
+    sizes = [table.data_bytes for table in tables]
     count = len(sizes)
-    if count < min_tables:
-        return None
     start = 0
     while start <= count - min_tables:
         window_min = sizes[start]
@@ -75,7 +89,7 @@ def plan_size_tiered(
             window_min, window_max = candidate_min, candidate_max
             stop += 1
         if stop - start >= min_tables:
-            return CompactionPlan(start, stop)
+            return CompactionPick(list(tables[start:stop]), finalize=start == 0)
         start += 1
     return None
 
@@ -252,6 +266,98 @@ def plan_leveled(
         targets = _overlapping(below, victim.min_key, victim.max_key)
         return LeveledPlan(n, [victim], targets, "soft-overflow" if soft else "overflow")
     return None
+
+
+class SizeTieredStrategy:
+    """``compaction="size_tiered"``: every output is one L0 table."""
+
+    name = "size_tiered"
+    #: foreground rule after a flush: one round only -- a second inline
+    #: round would move SSTable boundaries (the store's bytes on disk)
+    cascade_inline = False
+
+    def __init__(self, min_tables: int) -> None:
+        self.min_tables = min_tables
+
+    def plan(self, tables: Any, soft: bool = False) -> CompactionPick | None:
+        """Next round over the table set (``soft`` has no size-tiered meaning)."""
+        return plan_size_tiered(tables.readers, min_tables=self.min_tables)
+
+    def plan_full(self, tables: Any) -> CompactionPick | None:
+        """Major compaction: everything into a single table."""
+        readers = list(tables.readers)
+        return CompactionPick(readers, finalize=True) if len(readers) > 1 else None
+
+
+class LeveledStrategy:
+    """``compaction="leveled"``: a :class:`LeveledPlan` becomes the pick."""
+
+    name = "leveled"
+    #: a promotion can overflow the next level: the foreground drains the
+    #: cascade so the hard invariants hold when the flush returns
+    cascade_inline = True
+
+    def __init__(self, config: LeveledConfig) -> None:
+        self.config = config
+
+    def _pick(
+        self, inputs: list, target_level: int, finalize: bool, grandparents: list
+    ) -> CompactionPick:
+        split = self.config.max_output_bytes
+        return CompactionPick(
+            inputs,
+            target_level,
+            finalize,
+            split_bytes=split,
+            grandparents=grandparents,
+            grandparent_limit=split * self.config.grandparent_limit_factor,
+        )
+
+    def plan(self, tables: Any, soft: bool = False) -> CompactionPick | None:
+        levels = tables.levels()
+        plan = plan_leveled(levels, self.config, soft=soft)
+        if plan is None:
+            return None
+        target = plan.target_level
+        if plan.is_trivial_move:
+            return CompactionPick(plan.sources, target, trivial_move=True)
+        deeper = levels[target + 1 :]
+        return self._pick(
+            list(plan.targets) + list(plan.sources),
+            target,
+            finalize=not any(deeper),
+            grandparents=deeper[0] if deeper else [],
+        )
+
+    def plan_full(self, tables: Any) -> CompactionPick | None:
+        """Major compaction: one key-disjoint run at the deepest populated
+        level (split at the configured output size) -- the same
+        full-finalize merge a size-tiered ``compact_all`` performs."""
+        readers = list(tables.readers)
+        depth = max((r.level for r in readers), default=0)
+        if len(readers) < 2 and (not readers or depth > 0):
+            return None
+        return self._pick(readers, max(1, depth), True, [])
+
+
+def resolve_strategy(
+    name: str, compaction_min_tables: int, leveled: LeveledConfig | None
+) -> SizeTieredStrategy | LeveledStrategy:
+    """The strategy behind ``LSMStore(compaction=name, leveled=...)``.
+
+    The name only affects how future compactions are *planned*; both
+    strategies read the same flat, shadow-ordered table list, so a store
+    written under one reopens (and keeps compacting) under the other with
+    no migration step.  Without an explicit ``leveled`` config the L0
+    trigger reuses ``compaction_min_tables``.
+    """
+    if name == "size_tiered":
+        return SizeTieredStrategy(compaction_min_tables)
+    if name == "leveled":
+        return LeveledStrategy(
+            leveled or LeveledConfig(l0_compact_tables=max(2, compaction_min_tables))
+        )
+    raise ValueError(f"unknown compaction strategy {name!r}")
 
 
 def group_records(

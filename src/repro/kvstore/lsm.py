@@ -3,6 +3,7 @@
 Directory layout::
 
     <path>/MANIFEST            JSON: tables, SSTable list, flush watermark
+                               (read and written by ``tableset.TableSet``)
     <path>/wal.log             active write-ahead log
     <path>/wal-<n>.log         frozen WAL segments awaiting a flush
     <path>/sst-<n>.sst         immutable sorted tables (oldest = lowest n
@@ -11,8 +12,9 @@ Directory layout::
 Write path: WAL append -> memtable; the memtable flushes to a new SSTable
 once it exceeds ``memtable_flush_bytes``.  Read path: active memtable, then
 the sealed (flushing) memtable, then SSTables newest-to-oldest, combining
-merge deltas with the table's merge operator.  Size-tiered compaction keeps
-the SSTable count bounded.
+merge deltas with the table's merge operator.  Compaction (size-tiered or
+leveled, see :mod:`repro.kvstore.compaction`) keeps the SSTable count
+bounded; either strategy only *plans*, and one executor here runs the plan.
 
 Keys are namespaced by a 2-byte table id so one physical file set serves all
 logical tables, exactly as a Cassandra keyspace does.
@@ -34,11 +36,12 @@ Concurrency model (thread-safe since the serving-layer rework):
   acknowledged write is never dropped by a failed flush.
 * **Compaction** (inline after a flush, or on a
   :class:`~repro.kvstore.compaction.BackgroundCompactor` thread) merges a
-  snapshot of the run lock-free, CRC-verifies the candidate output, and
+  snapshot of the run lock-free, CRC-verifies the candidate outputs, and
   atomically swaps the SSTable set + manifest under the write lock.  A
   corrupt candidate aborts the swap (``compaction_aborts`` metric) and
   reads keep serving from the pre-compaction tables; a crash between
-  output and swap leaves an orphan file the manifest never references.
+  output and swap leaves an orphan file the manifest never references,
+  which the next open removes.
 * WAL rotation means flushes delete fully-persisted frozen segments
   instead of truncating a shared file, so writes that raced past a seal
   are never lost; replay applies every segment, filtered by the manifest's
@@ -47,7 +50,6 @@ Concurrency model (thread-safe since the serving-layer rework):
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import struct
@@ -66,12 +68,11 @@ from repro.kvstore.api import (
 from repro.kvstore.cache import BlockCache
 from repro.kvstore.compaction import (
     BackgroundCompactor,
+    CompactionPick,
     LeveledConfig,
-    LeveledPlan,
     group_records,
     merge_records,
-    plan_leveled,
-    plan_size_tiered,
+    resolve_strategy,
 )
 from repro.kvstore.encoding import (
     Key,
@@ -88,15 +89,14 @@ from repro.kvstore.merge import (
     MergeOperator,
     collapse_records,
     read_value,
-    resolve_merge_operator,
 )
 from repro.kvstore.sstable import SSTableReader, SSTableWriter
+from repro.kvstore.tableset import TableSet
 from repro.kvstore.wal import KIND_DELETE, KIND_MERGE, KIND_PUT, WriteAheadLog
 from repro.obs.registry import REGISTRY, store_samples
 from repro.obs.trace import current_tracer
 
 _TABLE_PREFIX = struct.Struct(">H")
-MANIFEST_NAME = "MANIFEST"
 WAL_NAME = "wal.log"
 _WAL_SEGMENT_RE = re.compile(r"^wal-(\d+)\.log$")
 
@@ -159,7 +159,6 @@ class StoreMetrics:
         "block_cache_misses",
         "multi_get_batches",
         "compressed_blocks",
-        "mmap_block_hits",
         "postings_cache_hits",
         "postings_cache_misses",
         "sequence_cache_hits",
@@ -196,10 +195,8 @@ class StoreMetrics:
         Single-pass: every shard is captured once with an atomic dict copy
         (``dict(shard)`` runs entirely in C under the GIL), so a shard's
         counters are mutually consistent -- a writer's bump sequence can
-        never be observed out of order within its own shard.  The previous
-        counter-major aggregation re-read each shard once per counter,
-        which could tear related counters (e.g. report more
-        ``sstable_reads`` than ``gets``); the shard-major pass cannot.
+        never be observed out of order within its own shard (a snapshot
+        cannot report more ``sstable_reads`` than ``gets``).
         """
         with self._registry_lock:
             copies = [dict(shard) for shard in self._shards]
@@ -229,11 +226,9 @@ class LSMStore(KeyValueStore):
         background_compaction: bool = False,
         block_cache_bytes: int = 8 * 1024 * 1024,
         compression: str | None = None,
-        mmap: bool = False,
         io=None,
         compaction: str = "size_tiered",
         leveled: LeveledConfig | None = None,
-        lazy_open: bool = True,
     ) -> None:
         self._path = path
         #: filesystem shim for durability-critical I/O; tests inject a
@@ -241,24 +236,9 @@ class LSMStore(KeyValueStore):
         self._io = io or REAL_IO
         self._memtable_flush_bytes = memtable_flush_bytes
         self._sync_wal = sync_wal
-        self._compaction_min_tables = compaction_min_tables
         self._auto_compact = auto_compact
-        # The strategy knob only affects how future compactions are
-        # *planned*; both strategies read the same flat, shadow-ordered
-        # table list, so a store written under one reopens (and keeps
-        # compacting) under the other with no migration step.
-        if compaction not in ("size_tiered", "leveled"):
-            raise ValueError(f"unknown compaction strategy {compaction!r}")
-        self._compaction = compaction
-        if leveled is not None:
-            self._leveled_config = leveled
-        else:
-            self._leveled_config = LeveledConfig(
-                l0_compact_tables=max(2, compaction_min_tables)
-            )
-        #: lazy manifest-only open: readers defer index/bloom until first
-        #: use, so reopen cost is O(manifest), not O(data).
-        self._lazy_open = lazy_open
+        #: supplies the planner and the inline cascade rule; the executor is shared
+        self._strategy = resolve_strategy(compaction, compaction_min_tables, leveled)
         # Fail fast on an unknown/unavailable codec (e.g. zstd without the
         # zstandard package) instead of erroring at first flush.  The knob
         # only affects *writes*: readers dispatch per file on the header
@@ -266,7 +246,6 @@ class LSMStore(KeyValueStore):
         # compacting) with compression off, and vice versa.
         blockcodec.resolve_compression(compression)
         self._compression = compression
-        self._mmap = mmap
         self._state_lock = RWLock()
         self._flush_lock = threading.Lock()
         self._compaction_lock = threading.Lock()
@@ -279,23 +258,24 @@ class LSMStore(KeyValueStore):
             if block_cache_bytes > 0
             else None
         )
-        self._tables: dict[str, int] = {}
-        self._merge_ops: dict[int, MergeOperator | None] = {}
-        self._merge_op_names: dict[str, str | None] = {}
-        self._sstables: list[SSTableReader] = []  # oldest -> newest
+        #: catalogue, SSTable list, counters and the MANIFEST, guarded by
+        #: ``_state_lock``; the catalogue dicts are bound once for the hot path
+        self._tableset = TableSet(
+            path, self._strategy.name, self._io, self._block_cache, self.metrics
+        )
+        self._table_ids = self._tableset.table_ids
+        self._merge_ops = self._tableset.merge_ops
         self._immutable: Memtable | None = None  # sealed, being flushed
         #: a sealed-but-unpersisted handoff left behind by a failed flush;
         #: retried (under ``_flush_lock``) before any new memtable is sealed.
         self._pending_flush: tuple[Memtable, int, int] | None = None
-        self._next_table_id = 1
-        self._next_sst_id = 1
         self._next_wal_id = 1
-        self._last_flushed_seq = 0
         self._next_seq = 1
 
-        self._load_manifest()
+        dir_names = os.listdir(path)  # one listing: orphan sweep + WAL segments
+        self._tableset.load(dir_names)
         self._memtable = Memtable()
-        self._replay_wal()
+        self._replay_wal(dir_names)
         self._wal = WriteAheadLog(
             os.path.join(path, WAL_NAME), sync=sync_wal, io=self._io
         )
@@ -306,155 +286,31 @@ class LSMStore(KeyValueStore):
             {"store": self.obs_name, "backend": "lsm"}, self._collect_obs_metrics
         )
 
-    # -- manifest and recovery -------------------------------------------------
+    # -- recovery ------------------------------------------------------------------
 
-    def _manifest_path(self) -> str:
-        return os.path.join(self._path, MANIFEST_NAME)
-
-    def _load_manifest(self) -> None:
-        path = self._manifest_path()
-        if not os.path.exists(path):
-            self._write_manifest()
-            return
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        self._next_table_id = manifest["next_table_id"]
-        self._next_sst_id = manifest["next_sst_id"]
-        self._last_flushed_seq = manifest["last_flushed_seq"]
-        for name, spec in manifest["tables"].items():
-            table_id = spec["id"]
-            op_name = spec["merge"]
-            self._tables[name] = table_id
-            self._merge_op_names[name] = op_name
-            self._merge_ops[table_id] = (
-                resolve_merge_operator(op_name) if op_name else None
-            )
-        for entry in manifest["sstables"]:
-            if isinstance(entry, str):  # manifest v1: plain filename, L0
-                filename, level, min_key, max_key = entry, 0, None, None
-            else:
-                filename = entry["file"]
-                level = int(entry.get("level", 0))
-                min_key = (
-                    bytes.fromhex(entry["min_key"]) if entry.get("min_key") else None
-                )
-                max_key = (
-                    bytes.fromhex(entry["max_key"]) if entry.get("max_key") else None
-                )
-            reader = SSTableReader(
-                os.path.join(self._path, filename),
-                cache=self._block_cache,
-                io=self._io,
-                use_mmap=self._mmap,
-                metrics=self.metrics,
-                lazy=self._lazy_open,
-            )
-            reader.level = level
-            reader.min_key = min_key
-            reader.max_key = max_key
-            self._sstables.append(reader)
-        self._validate_levels()
-
-    def _validate_levels(self) -> None:
-        """Demote every table to L0 if the manifest's level layout is unsound.
-
-        The flat manifest order is what reads trust (oldest shadow first),
-        so interpreting *any* layout as all-L0 is always correct -- L0
-        imposes nothing beyond that order.  Keeping deeper levels, however,
-        lets the planner reorder tables within a level and skip shadow
-        checks between disjoint runs, so levels survive a reload only when
-        the invariants actually hold: flat order non-increasing in level
-        (deepest first) and every L1+ level a key-disjoint run with known
-        bounds.  A size-tiered store's manifest (all L0) passes trivially;
-        a manifest scrambled by a size-tiered round over a formerly
-        leveled store demotes cleanly and the leveled planner rebuilds
-        the levels from scratch.
-        """
-        sound = True
-        prev: int | None = None
-        for reader in self._sstables:
-            if reader.level < 0 or (prev is not None and reader.level > prev):
-                sound = False
-                break
-            prev = reader.level
-        if sound:
-            by_level: dict[int, list[SSTableReader]] = {}
-            for reader in self._sstables:
-                if reader.level >= 1:
-                    if (
-                        reader.min_key is None
-                        or reader.max_key is None
-                        or reader.min_key > reader.max_key
-                    ):
-                        sound = False
-                        break
-                    by_level.setdefault(reader.level, []).append(reader)
-            if sound:
-                for tables in by_level.values():
-                    tables.sort(key=lambda r: r.min_key)
-                    if any(
-                        a.max_key >= b.min_key
-                        for a, b in zip(tables, tables[1:])
-                    ):
-                        sound = False
-                        break
-        if not sound:
-            for reader in self._sstables:
-                reader.level = 0  # key bounds stay: they are still true
-
-    def _write_manifest(self) -> None:
-        manifest = {
-            "version": 2,
-            "compaction": self._compaction,
-            "next_table_id": self._next_table_id,
-            "next_sst_id": self._next_sst_id,
-            "last_flushed_seq": self._last_flushed_seq,
-            "tables": {
-                name: {"id": table_id, "merge": self._merge_op_names.get(name)}
-                for name, table_id in self._tables.items()
-            },
-            "sstables": [
-                {
-                    "file": os.path.basename(r.path),
-                    "level": r.level,
-                    "min_key": r.min_key.hex() if r.min_key is not None else None,
-                    "max_key": r.max_key.hex() if r.max_key is not None else None,
-                    "records": r.record_count,
-                    "data_bytes": r.data_bytes,
-                }
-                for r in self._sstables
-            ],
-        }
-        tmp = self._manifest_path() + ".tmp"
-        fh = self._io.open(tmp, "wb")
-        try:
-            fh.write(json.dumps(manifest).encode("utf-8"))
-            fh.flush()
-            self._io.fsync(fh)
-        finally:
-            fh.close()
-        self._io.replace(tmp, self._manifest_path())
-
-    def _wal_segments(self) -> list[tuple[int, str]]:
+    def _wal_segments(
+        self, dir_names: Iterable[str] | None = None
+    ) -> list[tuple[int, str]]:
         """Frozen WAL segments as ``(id, path)``, oldest first."""
         segments = []
-        for name in os.listdir(self._path):
+        for name in os.listdir(self._path) if dir_names is None else dir_names:
             match = _WAL_SEGMENT_RE.match(name)
             if match:
                 segments.append((int(match.group(1)), os.path.join(self._path, name)))
         segments.sort()
         return segments
 
-    def _replay_wal(self) -> None:
-        max_seq = self._last_flushed_seq
+    def _replay_wal(self, dir_names: Iterable[str]) -> None:
+        flushed = self._tableset.last_flushed_seq
+        max_seq = flushed
         records = []
-        for segment_id, segment_path in self._wal_segments():
+        for segment_id, segment_path in self._wal_segments(dir_names):
             self._next_wal_id = max(self._next_wal_id, segment_id + 1)
             records.extend(WriteAheadLog.replay(segment_path))
         records.extend(WriteAheadLog.replay(os.path.join(self._path, WAL_NAME)))
         records.sort(key=lambda record: record.seqno)
         for record in records:
-            if record.seqno > self._last_flushed_seq:
+            if record.seqno > flushed:
                 self._memtable.apply(record.kind, record.key, record.value)
             max_seq = max(max_seq, record.seqno)
         self._next_seq = max_seq + 1
@@ -469,35 +325,21 @@ class LSMStore(KeyValueStore):
     def create_table(self, name: str, merge_operator: str | None = None) -> None:
         with self._state_lock.write():
             self._check_open()
-            if name in self._tables:
-                if self._merge_op_names.get(name) != merge_operator:
-                    raise ValueError(
-                        f"table {name!r} already exists with merge operator "
-                        f"{self._merge_op_names.get(name)!r}, not {merge_operator!r}"
-                    )
-                return
-            table_id = self._next_table_id
-            self._next_table_id += 1
-            self._tables[name] = table_id
-            self._merge_op_names[name] = merge_operator
-            self._merge_ops[table_id] = (
-                resolve_merge_operator(merge_operator) if merge_operator else None
-            )
-            self._write_manifest()
+            self._tableset.create_table(name, merge_operator)
 
     def has_table(self, name: str) -> bool:
         with self._state_lock.read():
             self._check_open()
-            return name in self._tables
+            return name in self._table_ids
 
     def list_tables(self) -> list[str]:
         with self._state_lock.read():
             self._check_open()
-            return sorted(self._tables)
+            return sorted(self._table_ids)
 
     def _table_id(self, name: str) -> int:
         try:
-            return self._tables[name]
+            return self._table_ids[name]
         except KeyError:
             raise UnknownTableError(f"table {name!r} does not exist") from None
 
@@ -524,7 +366,7 @@ class LSMStore(KeyValueStore):
                 self._memtable.approximate_bytes >= self._memtable_flush_bytes
             )
         if need_flush:
-            self._flush_if_over_threshold()
+            self._flush(only_if_full=True)
 
     def put(self, table: str, key: KeyPart | Key, value: Any) -> None:
         self.metrics.bump("puts")
@@ -554,8 +396,9 @@ class LSMStore(KeyValueStore):
                 records.extend(entry.records())
                 if entry.is_self_contained():
                     return read_value(records, operator, default)
-            key_hash = hash_pair(full_key) if self._sstables else None
-            for reader in reversed(self._sstables):
+            readers = self._tableset.readers
+            key_hash = hash_pair(full_key) if readers else None
+            for reader in reversed(readers):
                 if not reader.may_contain(*key_hash):
                     self.metrics.bump("bloom_skips")
                     continue
@@ -615,8 +458,9 @@ class LSMStore(KeyValueStore):
                         unresolved.discard(full_key)
             memtable_resolved = len(records) - len(unresolved)
             # One hash per key for the whole batch, however many tables probe it.
-            key_hash = {fk: hash_pair(fk) for fk in unresolved} if self._sstables else {}
-            for reader in reversed(self._sstables):
+            readers = self._tableset.readers
+            key_hash = {fk: hash_pair(fk) for fk in unresolved} if readers else {}
+            for reader in reversed(readers):
                 if not unresolved:
                     break
                 may_contain = reader.may_contain
@@ -691,7 +535,7 @@ class LSMStore(KeyValueStore):
     ) -> Iterator[tuple[Key, Any]]:
         """Merge-scan all sources; caller holds (at least) the read lock."""
         sources: list[Iterable[tuple[bytes, int, bytes]]] = [
-            reader.iter_from_key(low) for reader in self._sstables
+            reader.iter_from_key(low) for reader in self._tableset.readers
         ]
         for memtable in (self._immutable, self._memtable):
             if memtable is not None:
@@ -701,59 +545,50 @@ class LSMStore(KeyValueStore):
             if value is not TOMBSTONE:
                 yield decode_key(key[_TABLE_PREFIX.size :]), value
 
-    # -- flush & compaction -----------------------------------------------------------
+    # -- flush ------------------------------------------------------------------------
 
     def flush(self) -> None:
         """Persist the memtable; synchronous, but reads proceed throughout."""
-        flushed = False
+        self._flush(only_if_full=False)
+
+    def _flush(self, only_if_full: bool) -> None:
+        """The one flush body: explicit (``flush()``/``close()``) or the
+        auto-flush of a write that crossed ``memtable_flush_bytes``, which
+        re-checks the threshold under the lock and is a no-op on a closed
+        store or when another writer's flush already drained the memtable.
+        """
         with self._flush_lock:
             with self._state_lock.write():
-                self._check_open()
-            flushed = self._drain_pending_flush()
+                if not only_if_full:
+                    self._check_open()
+                elif (
+                    self._closed
+                    or self._memtable.approximate_bytes < self._memtable_flush_bytes
+                ):
+                    return
+            # _closed cannot flip while we hold _flush_lock (close()
+            # acquires it before setting the flag), so the check above
+            # stays valid across the drain + seal below.
+            flushed = self._pending_flush is not None
+            if flushed:
+                # Retry a flush whose SSTable build failed (re-raising if it
+                # fails again).  Until it succeeds the sealed memtable stays
+                # readable via ``_immutable`` and its frozen WAL segment stays
+                # on disk, so a failed flush never loses acknowledged writes.
+                self._flush_sealed(*self._pending_flush)
             with self._state_lock.write():
                 handoff = self._seal_memtable_locked()
             if handoff is not None:
                 self._flush_sealed(*handoff)
                 flushed = True
-        if flushed:
-            self._after_flush()
-
-    def _flush_if_over_threshold(self) -> None:
-        """Auto-flush entry point; re-checks the threshold under the lock."""
-        flushed = False
-        with self._flush_lock:
-            with self._state_lock.write():
-                skip = (
-                    self._closed
-                    or self._memtable.approximate_bytes < self._memtable_flush_bytes
-                )
-            if not skip:
-                # _closed cannot flip while we hold _flush_lock (close()
-                # acquires it before setting the flag), so the re-check
-                # above stays valid across the drain + seal below.
-                flushed = self._drain_pending_flush()
-                with self._state_lock.write():
-                    handoff = self._seal_memtable_locked()
-                if handoff is not None:
-                    self._flush_sealed(*handoff)
-                    flushed = True
-        if flushed:
-            self._after_flush()
-
-    def _drain_pending_flush(self) -> bool:
-        """Retry a flush whose SSTable build failed; caller holds _flush_lock.
-
-        Until the retry succeeds the sealed memtable stays readable via
-        ``_immutable`` and its frozen WAL segment stays on disk, so a failed
-        flush never loses acknowledged writes: they remain visible to reads
-        and recoverable by WAL replay.  Returns ``True`` once the pending
-        memtable is persisted; re-raises if the rebuild fails again.
-        """
-        pending = self._pending_flush
-        if pending is None:
-            return False
-        self._flush_sealed(*pending)
-        return True
+        if flushed and self._auto_compact:
+            if self._compactor is not None:
+                self._compactor.trigger()
+            else:
+                # Inline cascade rule (see the strategy classes): leveled
+                # drains, size-tiered runs a single round.
+                while self._compaction_round() and self._strategy.cascade_inline:
+                    pass
 
     def _seal_memtable_locked(self) -> tuple[Memtable, int, int] | None:
         """Swap in a fresh memtable + WAL; caller holds write and flush locks.
@@ -789,17 +624,31 @@ class LSMStore(KeyValueStore):
         self._pending_flush = handoff
         return handoff
 
-    def _flush_sealed(self, sealed: Memtable, frozen_id: int, upto: int) -> None:
-        """Build the SSTable lock-free, then install it atomically."""
+    def _new_writer(self, expected_records: int) -> SSTableWriter:
+        """The one place an SSTable file is started: next id, store codec."""
         with self._state_lock.write():
-            filename = f"sst-{self._next_sst_id:06d}.sst"
-            self._next_sst_id += 1
-        writer = SSTableWriter(
-            os.path.join(self._path, filename),
-            expected_records=len(sealed),
+            path = self._tableset.allocate()
+        return SSTableWriter(
+            path,
+            expected_records=expected_records,
             io=self._io,
             compression=self._compression,
         )
+
+    def _seal_table(self, writer: SSTableWriter, level: int) -> SSTableReader:
+        """The one place an SSTable is finished: seal it (the reader opens
+        eager -- its metadata is in hand) and annotate its placement."""
+        reader = writer.finish(cache=self._block_cache, metrics=self.metrics)
+        reader.level = level
+        reader.min_key = writer.first_key
+        reader.max_key = writer.last_key
+        if writer.compressed_blocks:
+            self.metrics.bump("compressed_blocks", writer.compressed_blocks)
+        return reader
+
+    def _flush_sealed(self, sealed: Memtable, frozen_id: int, upto: int) -> None:
+        """Build the SSTable lock-free, then install it atomically."""
+        writer = self._new_writer(len(sealed))
         span = current_tracer().span("lsm.flush")
         try:
             with span:
@@ -809,13 +658,7 @@ class LSMStore(KeyValueStore):
                     )
                     if record is not None:
                         writer.add(key, *record)
-                reader = writer.finish(
-                    cache=self._block_cache, use_mmap=self._mmap, metrics=self.metrics
-                )
-                reader.min_key = writer.first_key
-                reader.max_key = writer.last_key
-                if writer.compressed_blocks:
-                    self.metrics.bump("compressed_blocks", writer.compressed_blocks)
+                reader = self._seal_table(writer, 0)
                 if span.enabled:
                     span.add("entries", len(sealed))
                     span.add("bytes", reader.data_bytes)
@@ -823,11 +666,14 @@ class LSMStore(KeyValueStore):
             writer.abort()
             raise
         with self._state_lock.write():
-            self._sstables.append(reader)
-            self._last_flushed_seq = upto
+            # The handoff is over once the table is built: were the manifest
+            # commit below to fail, a retry would build the same records
+            # into a second table (double-applying merge deltas).  The
+            # reader is installed in memory either way and the next commit
+            # persists it; until then the frozen WAL segment stays.
             self._immutable = None
             self._pending_flush = None
-            self._write_manifest()
+            self._tableset.install_flush(reader, upto)
         self.metrics.bump("flushes")
         self.metrics.bump("flush_bytes_written", reader.data_bytes)
         # Every frozen segment up to ours holds only records <= upto; flushes
@@ -835,18 +681,7 @@ class LSMStore(KeyValueStore):
         # seal), so no segment is deleted before its memtable is persisted.
         self._remove_wal_segments(frozen_id)
 
-    def _after_flush(self) -> None:
-        if not self._auto_compact:
-            return
-        if self._compactor is not None:
-            self._compactor.trigger()
-        elif self._compaction == "leveled":
-            # A promotion can overflow the next level: drain the cascade
-            # inline so the hard invariants hold when the flush returns.
-            while self._compaction_round():
-                pass
-        else:
-            self._compaction_round()
+    # -- compaction -------------------------------------------------------------------
 
     def compact(self) -> bool:
         """Run one compaction round if a qualifying run exists."""
@@ -862,275 +697,123 @@ class LSMStore(KeyValueStore):
         """
         self._check_open()
         self.flush()
-        with self._compaction_lock:
-            with self._state_lock.read():
-                inputs = list(self._sstables)
-            if self._compaction == "leveled":
-                depth = max((r.level for r in inputs), default=0)
-                if len(inputs) > 1 or (inputs and depth == 0):
-                    self._merge_into_level(inputs, max(1, depth), finalize=True)
-            elif len(inputs) > 1:
-                self._compact_slice(0, len(inputs))
+        self._compaction_round(full=True)
 
-    def _compaction_round(self, soft: bool = False) -> bool:
-        if self._compaction == "leveled":
-            return self._leveled_round(soft)
+    def _compaction_round(self, soft: bool = False, full: bool = False) -> bool:
+        """Plan and apply one round (``full``: the major compaction);
+        ``True`` if work was done."""
         with self._compaction_lock:
             with self._state_lock.read():
                 if self._closed:
                     return False
-                sizes = [reader.data_bytes for reader in self._sstables]
-            plan = plan_size_tiered(sizes, min_tables=self._compaction_min_tables)
-            if plan is None:
+                if full:
+                    pick = self._strategy.plan_full(self._tableset)
+                else:
+                    pick = self._strategy.plan(self._tableset, soft)
+            if pick is None:
                 return False
-            return self._compact_slice(plan.start, plan.stop)
+            if not pick.trivial_move:
+                return self._run_compaction(pick)
+            # A victim that overlaps nothing below it is promoted by
+            # manifest only: no bytes are rewritten, the table changes its
+            # level label.  Safe against races: we hold ``_compaction_lock``
+            # (no concurrent compaction can repopulate the target level) and
+            # concurrent flushes only ever append to L0.
+            with self._state_lock.write():
+                moved = not self._closed and self._tableset.relevel(
+                    pick.inputs[0], pick.target_level
+                )
+        if moved:
+            self.metrics.bump("compaction_moves")
+        return moved
 
-    def _compact_slice(self, start: int, stop: int) -> bool:
-        """Merge ``_sstables[start:stop]`` into one table; atomic swap.
+    def _run_compaction(self, pick: CompactionPick) -> bool:
+        """The one compaction executor: scrub -> merge -> fault point ->
+        verify -> swap -> retire, for either strategy's pick.
 
         Caller holds ``_compaction_lock``; concurrent flushes only *append*
-        to the SSTable list, so the slice indices stay valid throughout.
-        The merged candidate is CRC-verified before the swap: a corrupt
-        output (crash/fault between compaction write and manifest update)
-        is discarded and reads continue from the pre-compaction tables.
+        to the table set, so the inputs stay members throughout.  The merge
+        runs with no lock held.  Each candidate output is CRC-verified
+        before the swap: a corrupt output (crash/fault between compaction
+        write and manifest update) is discarded and reads continue from the
+        pre-compaction tables.
+
+        The one data-dependent branch is the split (see
+        :class:`~repro.kvstore.compaction.CompactionPick`): cutting outputs
+        at grandparent boundaries keeps any output's key range from
+        bridging a cold gap in the deeper run, which would drag that deeper
+        data into every future promotion; a pick without a split size gets
+        exactly one output -- this branch decides file bytes.
         """
-        with self._state_lock.read():
-            run = list(self._sstables[start:stop])
+        inputs = pick.inputs
         # Scrub the inputs first: merging unverified bytes would stamp a
         # *fresh* CRC over corrupt data, laundering a detectable bit flip
         # into a permanently undetectable one.  A corrupt input aborts the
         # round; reads keep serving (and verify() keeps failing loudly).
-        for reader in run:
+        for reader in inputs:
             try:
                 reader.verify()
             except CorruptionError:
                 self.metrics.bump("compaction_aborts")
                 return False
-        finalize = start == 0
-        with self._state_lock.write():
-            filename = f"sst-{self._next_sst_id:06d}.sst"
-            self._next_sst_id += 1
-        writer = SSTableWriter(
-            os.path.join(self._path, filename),
-            expected_records=sum(r.record_count for r in run),
-            io=self._io,
-            compression=self._compression,
-        )
-        span = current_tracer().span("lsm.compaction")
-        try:
-            with span:
-                for kind, key, value in merge_records(
-                    run, self._operator_for_full_key, finalize
-                ):
-                    writer.add(key, kind, value)
-                merged = writer.finish(
-                    cache=self._block_cache, use_mmap=self._mmap, metrics=self.metrics
-                )
-                merged.min_key = writer.first_key
-                merged.max_key = writer.last_key
-                if writer.compressed_blocks:
-                    self.metrics.bump("compressed_blocks", writer.compressed_blocks)
-                if span.enabled:
-                    span.add("inputs", len(run))
-                    span.add("input_bytes", sum(r.data_bytes for r in run))
-                    span.add("output_bytes", merged.data_bytes)
-        except BaseException:
-            writer.abort()
-            raise
-        try:
-            # Named fault point for the compaction protocol's vulnerable
-            # window (output sealed, manifest not yet swapped); a scheduled
-            # ``point:compaction.pre_swap`` fault fires here.
-            self._io.fault_point("compaction.pre_swap", merged.path)
-        except BaseException:
-            # Simulated kill between output and swap: leave the orphan
-            # file on disk exactly as a real crash would.
-            merged.close()
-            raise
-        try:
-            merged.verify()
-        except Exception:
-            merged.close()
-            os.remove(merged.path)
-            self.metrics.bump("compaction_aborts")
-            return False
-        with self._state_lock.write():
-            if self._closed or self._sstables[start:stop] != run:
-                # Store closed (or set changed) under us: discard the output.
-                merged.close()
-                os.remove(merged.path)
-                self.metrics.bump("compaction_aborts")
-                return False
-            self._sstables[start:stop] = [merged]
-            self._write_manifest()
-        self.metrics.bump("compactions")
-        self.metrics.bump("compaction_bytes_rewritten", merged.data_bytes)
-        self._retire(run)
-        return True
-
-    # -- leveled compaction ------------------------------------------------------------
-
-    def _levels_snapshot_locked(self) -> list[list[SSTableReader]]:
-        """Group the flat list by level; caller holds (at least) the read lock.
-
-        ``levels[0]`` keeps flat-list order (oldest -> newest); deeper
-        levels sort by ``min_key`` so the planner sees each run in key
-        order regardless of how the flat list interleaved them.
-        """
-        depth = max((r.level for r in self._sstables), default=0)
-        levels: list[list[SSTableReader]] = [[] for _ in range(depth + 1)]
-        for reader in self._sstables:
-            levels[reader.level].append(reader)
-        for n in range(1, len(levels)):
-            levels[n].sort(key=lambda r: r.min_key or b"")
-        return levels
-
-    def _rebuild_flat_locked(self) -> None:
-        """Re-derive the flat read order from per-table levels.
-
-        Deepest level first (oldest shadow), then L0 in its existing
-        relative order (recency).  Within an L1+ level tables are
-        key-disjoint, so sorting them by ``min_key`` cannot change which
-        record shadows which.  Caller holds the write lock.
-        """
-        l0 = [r for r in self._sstables if r.level == 0]
-        deeper = [r for r in self._sstables if r.level > 0]
-        deeper.sort(key=lambda r: (-r.level, r.min_key or b""))
-        self._sstables = deeper + l0
-
-    def _leveled_round(self, soft: bool = False) -> bool:
-        """Plan and apply one leveled promotion; ``True`` if work was done."""
-        with self._compaction_lock:
-            with self._state_lock.read():
-                if self._closed:
-                    return False
-                levels = self._levels_snapshot_locked()
-            plan = plan_leveled(levels, self._leveled_config, soft=soft)
-            if plan is None:
-                return False
-            if plan.is_trivial_move:
-                return self._apply_trivial_move(plan)
-            finalize = all(
-                not levels[n] for n in range(plan.target_level + 1, len(levels))
-            )
-            inputs = list(plan.targets) + list(plan.sources)
-            grandparents = (
-                levels[plan.target_level + 1]
-                if plan.target_level + 1 < len(levels)
-                else []
-            )
-            return self._merge_into_level(
-                inputs, plan.target_level, finalize, grandparents=grandparents
-            )
-
-    def _apply_trivial_move(self, plan: LeveledPlan) -> bool:
-        """Promote a victim that overlaps nothing below it: manifest-only.
-
-        No bytes are rewritten -- the table changes its level label and
-        the manifest is re-persisted.  Safe against races: we hold
-        ``_compaction_lock`` (no concurrent compaction can repopulate the
-        target level) and concurrent flushes only ever append to L0.
-        """
-        source = plan.sources[0]
-        with self._state_lock.write():
-            if self._closed or source not in self._sstables:
-                return False
-            source.level = plan.target_level
-            self._rebuild_flat_locked()
-            self._write_manifest()
-        self.metrics.bump("compaction_moves")
-        return True
-
-    def _merge_into_level(
-        self,
-        inputs_oldest_first: list[SSTableReader],
-        target_level: int,
-        finalize: bool,
-        grandparents: list[SSTableReader] | None = None,
-    ) -> bool:
-        """Merge ``inputs`` into key-disjoint tables at ``target_level``.
-
-        The leveled counterpart of :meth:`_compact_slice`, with the same
-        protocol and the same anti-laundering property: scrub every input
-        first, write the candidate outputs (split at the configured
-        output size), pass each through the ``compaction.pre_swap`` fault
-        point, CRC-verify them, then swap tables + manifest atomically
-        under the write lock.  Caller holds ``_compaction_lock``.
-
-        ``grandparents`` are the tables one level below ``target_level``:
-        outputs are additionally cut once they have crossed more than
-        ``grandparent_limit_factor * max_output_bytes`` of them, so no
-        output's key range bridges a cold gap in the deeper run (which
-        would drag that deeper data into every future promotion).
-        """
-        for reader in inputs_oldest_first:
-            try:
-                reader.verify()
-            except CorruptionError:
-                self.metrics.bump("compaction_aborts")
-                return False
-        split_bytes = self._leveled_config.max_output_bytes
-        gp_limit = split_bytes * self._leveled_config.grandparent_limit_factor
-        gp_run = sorted(
-            (t for t in grandparents or [] if t.max_key is not None),
-            key=lambda t: t.max_key,
-        )
-        gp_index = 0
-        gp_crossed = 0
-        expected = max(
-            1,
-            sum(r.record_count for r in inputs_oldest_first)
-            // max(1, len(inputs_oldest_first)),
-        )
-        outputs: list[SSTableReader] = []
+        level, split_bytes = pick.target_level, pick.split_bytes
+        expected = sum(r.record_count for r in inputs)
         writer: SSTableWriter | None = None
+        outputs: list[SSTableReader] = []
         span = current_tracer().span("lsm.compaction")
         try:
             with span:
-                for kind, key, value in merge_records(
-                    inputs_oldest_first, self._operator_for_full_key, finalize
-                ):
-                    while gp_index < len(gp_run) and gp_run[gp_index].max_key < key:
-                        gp_crossed += gp_run[gp_index].data_bytes
-                        gp_index += 1
-                    if (
-                        writer is not None
-                        and writer.raw_data_bytes > 0
-                        and gp_crossed > gp_limit
-                    ):
-                        outputs.append(self._finish_output(writer, target_level))
-                        writer = None
-                    if writer is None:
-                        with self._state_lock.write():
-                            filename = f"sst-{self._next_sst_id:06d}.sst"
-                            self._next_sst_id += 1
-                        writer = SSTableWriter(
-                            os.path.join(self._path, filename),
-                            expected_records=expected,
-                            io=self._io,
-                            compression=self._compression,
-                        )
-                        gp_crossed = 0
-                    writer.add(key, kind, value)
-                    if writer.raw_data_bytes >= split_bytes:
-                        outputs.append(self._finish_output(writer, target_level))
-                        writer = None
+                merged_records = merge_records(
+                    inputs, self._operator_for_full_key, pick.finalize
+                )
+                if split_bytes is None:
+                    writer = self._new_writer(expected)  # one output, even if empty
+                    for kind, key, value in merged_records:
+                        writer.add(key, kind, value)
+                else:
+                    # outputs open at their first record, sized for an
+                    # average input
+                    expected = max(1, expected // len(inputs))
+                    gp_run = sorted(
+                        (t for t in pick.grandparents if t.max_key is not None),
+                        key=lambda t: t.max_key,
+                    )
+                    gp_index = gp_crossed = 0
+                    for kind, key, value in merged_records:
+                        while gp_index < len(gp_run) and gp_run[gp_index].max_key < key:
+                            gp_crossed += gp_run[gp_index].data_bytes
+                            gp_index += 1
+                        if (
+                            writer is not None
+                            and writer.raw_data_bytes > 0
+                            and gp_crossed > pick.grandparent_limit
+                        ):
+                            outputs.append(self._seal_table(writer, level))
+                            writer = None
+                        if writer is None:
+                            writer = self._new_writer(expected)
+                            gp_crossed = 0
+                        writer.add(key, kind, value)
+                        if writer.raw_data_bytes >= split_bytes:
+                            outputs.append(self._seal_table(writer, level))
+                            writer = None
                 if writer is not None:
-                    outputs.append(self._finish_output(writer, target_level))
+                    outputs.append(self._seal_table(writer, level))
                     writer = None
                 if span.enabled:
-                    span.add("inputs", len(inputs_oldest_first))
-                    span.add(
-                        "input_bytes",
-                        sum(r.data_bytes for r in inputs_oldest_first),
-                    )
+                    span.add("inputs", len(inputs))
+                    span.add("input_bytes", sum(r.data_bytes for r in inputs))
                     span.add("outputs", len(outputs))
                     span.add("output_bytes", sum(r.data_bytes for r in outputs))
-                    span.add("target_level", target_level)
+                    span.add("target_level", level)
+            for merged in outputs:
+                # Named fault point for the protocol's vulnerable window
+                # (outputs sealed, manifest not yet swapped), one per output.
+                self._io.fault_point("compaction.pre_swap", merged.path)
         except BaseException:
-            # Simulated kill mid-merge: in-flight tmp file is dropped,
-            # finished outputs stay as orphans exactly as a crash leaves
-            # them (the manifest never references an orphan).
+            # Simulated kill mid-merge or at the fault point: the in-flight
+            # tmp file is dropped, finished outputs stay on disk as orphans
+            # exactly as a crash leaves them (the next open removes them).
             if writer is not None:
                 writer.abort()
             for merged in outputs:
@@ -1138,42 +821,29 @@ class LSMStore(KeyValueStore):
             raise
         try:
             for merged in outputs:
-                # Named fault point for the vulnerable window (outputs
-                # sealed, manifest not yet swapped), one per output.
-                self._io.fault_point("compaction.pre_swap", merged.path)
-        except BaseException:
-            for merged in outputs:
-                merged.close()
-            raise
-        try:
-            for merged in outputs:
                 merged.verify()
         except Exception:
-            for merged in outputs:
-                merged.close()
-                os.remove(merged.path)
-            self.metrics.bump("compaction_aborts")
+            self._discard(outputs)
             return False
         with self._state_lock.write():
-            if self._closed or any(
-                r not in self._sstables for r in inputs_oldest_first
-            ):
-                # Store closed (or inputs retired) under us: discard.
-                for merged in outputs:
-                    merged.close()
-                    os.remove(merged.path)
-                self.metrics.bump("compaction_aborts")
-                return False
-            survivors = [r for r in self._sstables if r not in inputs_oldest_first]
-            self._sstables = survivors + outputs
-            self._rebuild_flat_locked()
-            self._write_manifest()
+            swapped = not self._closed and self._tableset.swap(inputs, outputs)
+        if not swapped:
+            # Store closed (or inputs retired) under us: discard the outputs.
+            self._discard(outputs)
+            return False
         self.metrics.bump("compactions")
         self.metrics.bump(
             "compaction_bytes_rewritten", sum(r.data_bytes for r in outputs)
         )
-        self._retire(inputs_oldest_first)
+        self._retire(inputs)
         return True
+
+    def _discard(self, outputs: list[SSTableReader]) -> None:
+        """Abort a compaction whose outputs must not go live."""
+        for merged in outputs:
+            merged.close()
+            self._io.remove(merged.path)
+        self.metrics.bump("compaction_aborts")
 
     def _retire(self, readers: list[SSTableReader]) -> None:
         """Close and delete merged-away tables; one cache sweep for all."""
@@ -1182,19 +852,6 @@ class LSMStore(KeyValueStore):
         for reader in readers:
             reader.close(evict_blocks=False)
             self._io.remove(reader.path)
-
-    def _finish_output(self, writer: SSTableWriter, level: int) -> SSTableReader:
-        """Seal one compaction output and annotate its placement."""
-        first, last = writer.first_key, writer.last_key
-        merged = writer.finish(
-            cache=self._block_cache, use_mmap=self._mmap, metrics=self.metrics
-        )
-        if writer.compressed_blocks:
-            self.metrics.bump("compressed_blocks", writer.compressed_blocks)
-        merged.level = level
-        merged.min_key = first
-        merged.max_key = last
-        return merged
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -1230,7 +887,7 @@ class LSMStore(KeyValueStore):
                         raise flush_error
                     return
                 self._closed = True
-                for handle in (self._wal, *self._sstables):
+                for handle in (self._wal, self._tableset):
                     try:
                         handle.close()
                     except BaseException as exc:
@@ -1245,7 +902,7 @@ class LSMStore(KeyValueStore):
     def sstable_count(self) -> int:
         """Number of live SSTables (exposed for tests and introspection)."""
         with self._state_lock.read():
-            return len(self._sstables)
+            return len(self._tableset.readers)
 
     def level_stats(self) -> list[dict[str, int]]:
         """Per-level table count and data bytes, L0 first.
@@ -1255,15 +912,7 @@ class LSMStore(KeyValueStore):
         """
         with self._state_lock.read():
             self._check_open()
-            depth = max((r.level for r in self._sstables), default=0)
-            stats = [
-                {"level": n, "tables": 0, "data_bytes": 0}
-                for n in range(depth + 1)
-            ]
-            for reader in self._sstables:
-                stats[reader.level]["tables"] += 1
-                stats[reader.level]["data_bytes"] += reader.data_bytes
-            return stats
+            return self._tableset.level_rows()
 
     def verify(self) -> None:
         """Scrub every SSTable's data section against its checksum.
@@ -1275,7 +924,7 @@ class LSMStore(KeyValueStore):
         """
         with self._state_lock.read():
             self._check_open()
-            for reader in self._sstables:
+            for reader in self._tableset.readers:
                 reader.verify()
 
     def cache_stats(self) -> dict[str, int]:
@@ -1283,63 +932,27 @@ class LSMStore(KeyValueStore):
         return self._block_cache.stats() if self._block_cache is not None else {}
 
     def storage_stats(self) -> dict:
-        """Physical storage accounting, per SSTable and aggregated.
-
-        ``raw_data_bytes`` is the pre-compression data size (equal to
-        ``data_bytes`` for uncompressed v1 files), so
-        ``compression_ratio`` = raw / on-disk measures what the block
-        codec actually saved.  Runs under the read lock so a concurrent
-        compaction cannot retire tables mid-walk.
+        """Physical storage accounting, per SSTable and aggregated (see
+        :meth:`TableSet.storage_stats`), plus the write codec in force.
+        Runs under the read lock so a concurrent compaction cannot retire
+        tables mid-walk.
         """
         with self._state_lock.read():
             self._check_open()
-            per_sstable = []
-            for reader in self._sstables:
-                try:
-                    file_bytes = os.path.getsize(reader.path)
-                except OSError:  # pragma: no cover - racing deletion
-                    file_bytes = reader.data_bytes
-                per_sstable.append(
-                    {
-                        "file": os.path.basename(reader.path),
-                        "format_version": reader.format_version,
-                        "level": reader.level,
-                        "records": reader.record_count,
-                        "data_bytes": reader.data_bytes,
-                        "raw_data_bytes": reader.raw_data_bytes,
-                        "file_bytes": file_bytes,
-                        "mmap": reader.mmap_active,
-                    }
-                )
-        data_bytes = sum(entry["data_bytes"] for entry in per_sstable)
-        raw_bytes = sum(entry["raw_data_bytes"] for entry in per_sstable)
-        return {
-            "sstables": per_sstable,
-            "records": sum(entry["records"] for entry in per_sstable),
-            "data_bytes": data_bytes,
-            "raw_data_bytes": raw_bytes,
-            "file_bytes": sum(entry["file_bytes"] for entry in per_sstable),
-            "compression_ratio": (raw_bytes / data_bytes) if data_bytes else 1.0,
-            "compression": self._compression,
-            "compaction": self._compaction,
-            "level_count": len({entry["level"] for entry in per_sstable}),
-            "mmap": self._mmap,
-        }
+            stats = self._tableset.storage_stats()
+        stats["compression"] = self._compression
+        return stats
 
     def _collect_obs_metrics(self) -> dict[str, float]:
         """Metrics-registry collector: one consistent store sample."""
         with self._state_lock.read():
             if self._closed:
                 return {}
-            sstables = len(self._sstables)
-            tables = len(self._tables)
-            level_count = len({reader.level for reader in self._sstables})
-            bytes_on_disk = 0
-            for reader in self._sstables:
-                try:
-                    bytes_on_disk += os.path.getsize(reader.path)
-                except OSError:  # pragma: no cover - racing deletion
-                    bytes_on_disk += reader.data_bytes
+            readers = self._tableset.readers
+            sstables = len(readers)
+            tables = len(self._table_ids)
+            level_count = len({reader.level for reader in readers})
+            bytes_on_disk = self._tableset.file_bytes()
         return store_samples(
             self.metrics.snapshot(),
             sstables=sstables,

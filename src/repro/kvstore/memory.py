@@ -31,27 +31,14 @@ class InMemoryStore(KeyValueStore):
     alias the store's internal state -- matching the serialize/deserialize
     boundary of the durable backend.
 
-    Accepts the same tuning knobs as :class:`~repro.kvstore.lsm.LSMStore`
-    (all no-ops here) so code can swap backends without branching; a single
-    re-entrant lock makes every operation atomic, which trivially satisfies
-    the LSM store's concurrency contract.
+    A single re-entrant lock makes every operation atomic, which trivially
+    satisfies the LSM store's concurrency contract.
     """
 
     _counter_lock = threading.Lock()
     _instances = 0
 
-    def __init__(
-        self,
-        *,
-        memtable_flush_bytes: int = 0,
-        sync_wal: bool = False,
-        compaction_min_tables: int = 0,
-        auto_compact: bool = True,
-        background_compaction: bool = False,
-        block_cache_bytes: int = 0,
-    ) -> None:
-        del memtable_flush_bytes, sync_wal, compaction_min_tables
-        del auto_compact, background_compaction, block_cache_bytes
+    def __init__(self) -> None:
         self._tables: dict[str, dict[Key, Any]] = {}
         self._merge_ops: dict[str, MergeOperator | None] = {}
         self._lock = threading.RLock()

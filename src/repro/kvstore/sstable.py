@@ -47,20 +47,16 @@ Record kinds reuse the WAL constants: ``PUT`` (full value), ``DELETE``
 older file).
 
 Readers are thread-safe: all data access goes through positioned reads
-(``os.pread``) or an optional read-only ``mmap`` (``use_mmap=True``), so
-concurrent gets/scans never race on a shared file offset.  The mmap path
-serves hot blocks and the bloom filter straight from the page cache (the
-bloom bits are a zero-copy buffer view); it is disabled automatically
-under an active fault schedule, where every byte must flow through the
-shim-visible file path.  Data is read one *block* at a time -- the byte
-range between two consecutive sparse-index entries -- optionally through
-a shared :class:`~repro.kvstore.cache.BlockCache` of parsed records.
+(``os.pread`` -- the one read mechanism, and the one a fault schedule can
+see), so concurrent gets/scans never race on a shared file offset.  Data
+is read one *block* at a time -- the byte range between two consecutive
+sparse-index entries -- optionally through a shared
+:class:`~repro.kvstore.cache.BlockCache` of parsed records.
 """
 
 from __future__ import annotations
 
 import itertools
-import mmap
 import os
 import struct
 import threading
@@ -115,20 +111,21 @@ class SSTableWriter:
         self._block_buf = bytearray()
         self._count = 0
         self._data_crc = 0
-        self._last_key: bytes | None = None
         #: key-range bounds of the finished table (recorded in manifest v2
-        #: so the leveled planner can reason about overlap without I/O)
+        #: so the leveled planner can reason about overlap without I/O);
+        #: ``last_key`` is the largest key written so far
         self.first_key: bytes | None = None
+        self.last_key: bytes | None = None
         self.compressed_blocks = 0
         self.raw_data_bytes = 0
 
     def add(self, key: bytes, kind: int, value: bytes) -> None:
         """Append one record; keys must arrive in strictly increasing order."""
-        if self._last_key is not None and key <= self._last_key:
+        if self.last_key is not None and key <= self.last_key:
             raise ValueError("SSTable records must be added in strictly increasing key order")
         if self.first_key is None:
             self.first_key = key
-        self._last_key = key
+        self.last_key = key
         if self._count % INDEX_INTERVAL == 0:
             if self._version == 2:
                 self._flush_block()
@@ -164,12 +161,7 @@ class SSTableWriter:
         self._data_crc = zlib.crc32(block, self._data_crc)
         self._file.write(block)
 
-    def finish(
-        self,
-        cache: BlockCache | None = None,
-        use_mmap: bool = False,
-        metrics=None,
-    ) -> "SSTableReader":
+    def finish(self, cache: BlockCache | None = None, metrics=None) -> "SSTableReader":
         """Seal the file (atomically renamed into place) and open a reader."""
         if self._version == 2:
             self._flush_block()
@@ -196,32 +188,20 @@ class SSTableWriter:
         # ext4-style journal replay can resurrect the pre-rename dentry and
         # lose a fully-synced table.
         self._io.fsync_dir(os.path.dirname(self._path) or ".")
-        return SSTableReader(
-            self._path, cache=cache, io=self._io, use_mmap=use_mmap, metrics=metrics
-        )
-
-    @property
-    def last_key(self) -> bytes | None:
-        """Largest key written so far (``None`` for an empty table)."""
-        return self._last_key
+        return SSTableReader(self._path, cache=cache, io=self._io, metrics=metrics)
 
     def abort(self) -> None:
         """Discard a partially written table."""
         self._file.close()
         if os.path.exists(self._tmp_path):
-            os.remove(self._tmp_path)
+            self._io.remove(self._tmp_path)
 
 
 class SSTableReader:
     """Random and sequential access over a sealed SSTable (thread-safe).
 
-    ``use_mmap=True`` maps the file read-only and serves block reads and
-    bloom probes from the mapping (page cache) instead of ``pread``; the
-    knob silently degrades to ``pread`` when the file cannot be mapped or
-    when ``io`` carries a fault schedule (injected faults must see every
-    read).  ``metrics`` is an optional ``StoreMetrics`` whose
-    ``mmap_block_hits`` counter is bumped per block served via the map and
-    whose ``block_reads`` counter is bumped per physical data-block load.
+    ``metrics`` is an optional ``StoreMetrics`` whose ``block_reads``
+    counter is bumped per physical data-block load.
 
     ``lazy=True`` defers the meta section (sparse index + bloom filter +
     meta CRC check) until the first operation that needs it: open then
@@ -238,7 +218,6 @@ class SSTableReader:
         path: str,
         cache: BlockCache | None = None,
         io=None,
-        use_mmap: bool = False,
         metrics=None,
         lazy: bool = False,
     ) -> None:
@@ -258,25 +237,15 @@ class SSTableReader:
         self._meta_lock = threading.Lock()
         self._meta_loaded = False
         self._lazy = lazy
-        self._mm: mmap.mmap | None = None
-        if use_mmap and not hasattr(self._io, "schedule"):
-            try:
-                self._mm = mmap.mmap(self._fd, 0, access=mmap.ACCESS_READ)
-            except (ValueError, OSError):  # empty file / unmappable fs
-                self._mm = None
         try:
             self._load_footer()
             if not lazy:
                 self._ensure_meta()
         except BaseException:
-            if self._mm is not None:
-                self._mm.close()
             self._file.close()
             raise
 
     def _read_at(self, offset: int, length: int) -> bytes:
-        if self._mm is not None:
-            return self._mm[offset : offset + length]
         return os.pread(self._fd, length, offset)
 
     def _load_footer(self) -> None:
@@ -347,13 +316,7 @@ class SSTableReader:
         # a collision-lucky flip) must still surface as a *typed* error --
         # never a raw struct.error/IndexError from the parse below.
         try:
-            if self._mm is not None:
-                # Zero-copy: bloom bits stay in the page cache via the map.
-                self._bloom = BloomFilter.from_buffer(
-                    memoryview(self._mm)[bloom_off : self._meta_end]
-                )
-            else:
-                self._bloom = BloomFilter.from_bytes(meta[bloom_off - index_off :])
+            self._bloom = BloomFilter.from_bytes(meta[bloom_off - index_off :])
         except (struct.error, ValueError, IndexError) as exc:
             raise CorruptSSTableError(
                 f"SSTable {self._path} has a truncated or corrupt bloom "
@@ -394,11 +357,6 @@ class SSTableReader:
     def format_version(self) -> int:
         """On-disk format: 1 (uncompressed) or 2 (block-compressed)."""
         return self._version
-
-    @property
-    def mmap_active(self) -> bool:
-        """Whether reads are being served from a memory map."""
-        return self._mm is not None
 
     def verify(self) -> None:
         """Full integrity check: metadata CRC, then the data-section CRC.
@@ -549,8 +507,6 @@ class SSTableReader:
             # not): the lazy-reopen regression test asserts this stays 0
             # across a reopen until the first read arrives.
             self._metrics.bump("block_reads")
-            if self._mm is not None:
-                self._metrics.bump("mmap_block_hits")
         if self._version == 2:
             buf = self._decode_block(buf)
         records = self._parse_block(buf)
@@ -622,7 +578,7 @@ class SSTableReader:
                     yield key, kind, value
 
     def close(self, evict_blocks: bool = True) -> None:
-        """Release the file handle (and mmap) and drop cached blocks.
+        """Release the file handle and drop cached blocks.
 
         ``evict_blocks=False`` skips the per-reader cache sweep; callers
         retiring many readers at once (a compaction swap) batch-evict via
@@ -631,13 +587,6 @@ class SSTableReader:
         """
         if evict_blocks and self._cache is not None:
             self._cache.evict_owner(self._uid)
-        if self._mm is not None:
-            if self._meta_loaded:
-                # The bloom filter may hold a zero-copy view into the map;
-                # drop it first so closing the map cannot fault a live probe.
-                self._bloom = BloomFilter.from_bytes(self._bloom.to_bytes())
-            self._mm.close()
-            self._mm = None
         self._file.close()
 
 

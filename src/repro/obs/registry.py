@@ -60,10 +60,6 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
         "counter",
         "SSTable blocks written compressed (blocks that actually shrank).",
     ),
-    "repro_store_mmap_block_hits_total": (
-        "counter",
-        "SSTable blocks served from a memory map instead of pread.",
-    ),
     "repro_store_postings_cache_hits_total": (
         "counter",
         "Decoded-postings cache hits (bumped by the query layer).",

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.faults import (
@@ -132,7 +135,7 @@ class TestCompactionFaultPoints:
         with pytest.raises(SimulatedCrash):
             store.compact()
         store._wal._file.close()
-        for reader in store._sstables:
+        for reader in store._tableset.readers:
             reader._file.close()
 
         # The orphan half-written output is outside the manifest; reopening
@@ -232,7 +235,7 @@ class TestLeveledManifestCrashWindow:
         fault = Fault(CRASH_AFTER_RENAME, "rename", nth=1, path_part="MANIFEST")
         path, before = self._crash_round(tmp_path, fault)
         # The new manifest is committed: reopening must serve the merged
-        # outputs and ignore the not-yet-deleted input tables.
+        # outputs and remove the not-yet-deleted input tables.
         reopened = LSMStore(
             path, auto_compact=False, compaction="leveled", leveled=self.CFG
         )
@@ -246,10 +249,71 @@ class TestLeveledManifestCrashWindow:
             on_disk = {
                 f for f in _os.listdir(path) if f.endswith(".sst")
             }
-            assert listed <= on_disk
+            assert listed == on_disk
             assert {k: v for k, v in reopened.scan("t")} == before
         finally:
             reopened.close()
+
+
+class TestOrphanSweep:
+    """A killed compaction's leftovers are reclaimed by the next open.
+
+    SSTable ids below ``next_sst_id`` are never reused, so nothing would
+    ever overwrite an orphan: outputs sealed before a kill at
+    ``compaction.pre_swap``, or inputs already swapped out of the manifest
+    when the kill lands before they are retired.
+    """
+
+    CFG = LeveledConfig(l0_compact_tables=2, base_level_bytes=4096, fanout=2)
+
+    @staticmethod
+    def _assert_no_orphans(path: str) -> None:
+        with open(os.path.join(path, "MANIFEST"), encoding="utf-8") as fh:
+            listed = {e["file"] for e in json.load(fh)["sstables"]}
+        extra = set(os.listdir(path)) - listed - {"MANIFEST", "wal.log"}
+        assert all(name.startswith("wal-") for name in extra), sorted(extra)
+        assert listed <= set(os.listdir(path))
+
+    @pytest.mark.parametrize("compaction", ["size_tiered", "leveled"])
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            Fault(TRUNCATE_CRASH, "point:compaction.pre_swap", nth=1),
+            Fault("crash", "remove", nth=1, path_part=".sst"),
+        ],
+        ids=["pre-swap", "between-swap-and-retire"],
+    )
+    def test_killed_compaction_leaves_no_orphans_after_reopen(
+        self, tmp_path, compaction, fault
+    ):
+        path = str(tmp_path / "db")
+        kwargs = dict(auto_compact=False, compaction=compaction, leveled=self.CFG)
+        fault = Fault(fault.kind, fault.op, nth=1, path_part=fault.path_part)
+        store = LSMStore(path, io=FaultyIO(FaultSchedule([fault])), **kwargs)
+        store.create_table("t", merge_operator="list_append")
+        model: dict = {}
+        for batch in range(4):
+            for i in range(25):
+                store.merge("t", i % 10, [batch * 100 + i])
+                model.setdefault((i % 10,), []).append(batch * 100 + i)
+            store.flush()
+        with pytest.raises(SimulatedCrash):
+            store.compact_all()
+        simulate_crash(store)
+
+        reopened = LSMStore(path, **kwargs)
+        try:
+            self._assert_no_orphans(path)
+            assert dict(reopened.scan("t")) == model
+            reopened.verify()
+            reopened.merge("t", 0, [999])
+            model[(0,)].append(999)
+            reopened.flush()
+            reopened.compact_all()
+            assert dict(reopened.scan("t")) == model
+        finally:
+            reopened.close()
+        self._assert_no_orphans(path)
 
 
 class TestDirectoryFsyncFaults:
@@ -269,7 +333,7 @@ class TestDirectoryFsyncFaults:
         with pytest.raises(SimulatedCrash):
             store.flush()
         store._wal._file.close()
-        for reader in store._sstables:
+        for reader in store._tableset.readers:
             reader._file.close()
 
         reopened = LSMStore(path)

@@ -13,30 +13,46 @@ from repro.kvstore.wal import KIND_DELETE, KIND_MERGE, KIND_PUT
 OP = ListAppendMerge()
 
 
+class _Sized:
+    """What a planner sees of a table: its data size."""
+
+    def __init__(self, data_bytes: int) -> None:
+        self.data_bytes = data_bytes
+
+
+def _window(sizes, **kwargs):
+    """The size-tiered pick over tables of ``sizes`` as ``(start, stop,
+    finalize)`` indices into the flat list, or ``None``."""
+    tables = [_Sized(size) for size in sizes]
+    pick = plan_size_tiered(tables, **kwargs)
+    if pick is None:
+        return None
+    start = tables.index(pick.inputs[0])
+    assert pick.inputs == tables[start : start + len(pick.inputs)]  # contiguous
+    # One L0 output, bloom sized for the whole run, nothing to move.
+    assert (pick.target_level, pick.split_bytes, pick.trivial_move) == (0, None, False)
+    return start, start + len(pick.inputs), pick.finalize
+
+
 class TestPlanning:
     def test_no_plan_below_minimum(self):
-        assert plan_size_tiered([100, 100], min_tables=4) is None
+        assert _window([100, 100], min_tables=4) is None
 
     def test_uniform_sizes_compact_everything(self):
-        plan = plan_size_tiered([100, 110, 95, 100], min_tables=4)
-        assert plan is not None
-        assert (plan.start, plan.stop) == (0, 4)
-        assert plan.includes_oldest
+        # The run includes the oldest table, so it may finalize.
+        assert _window([100, 110, 95, 100], min_tables=4) == (0, 4, True)
 
     def test_big_old_table_excluded(self):
         # One huge settled table followed by similar small ones: the run
-        # must cover the small tables only.
-        plan = plan_size_tiered([10_000, 100, 110, 95, 100], min_tables=4)
-        assert plan is not None
-        assert plan.start == 1 and plan.stop == 5
-        assert not plan.includes_oldest
+        # must cover the small tables only -- and an older table may still
+        # hold a base, so no finalize.
+        assert _window([10_000, 100, 110, 95, 100], min_tables=4) == (1, 5, False)
 
     def test_dissimilar_sizes_do_not_group(self):
-        assert plan_size_tiered([1, 10, 100, 1000], min_tables=4) is None
+        assert _window([1, 10, 100, 1000], min_tables=4) is None
 
     def test_run_is_contiguous_and_first(self):
-        plan = plan_size_tiered([50, 55, 45, 50, 5000, 40], min_tables=3)
-        assert (plan.start, plan.stop) == (0, 4)
+        assert _window([50, 55, 45, 50, 5000, 40], min_tables=3) == (0, 4, True)
 
 
 def _table(tmp_path, name, records):

@@ -223,7 +223,7 @@ def test_hammer_lsm_leveled_stress(tmp_path, background_compaction):
     metrics = store.metrics.snapshot()
     assert metrics["flushes"] > 0
     assert metrics["compactions"] + metrics["compaction_moves"] > 0
-    assert max(reader.level for reader in store._sstables) >= 1
+    assert max(reader.level for reader in store._tableset.readers) >= 1
     _check_quiesced_identical(store, model)
     store.close()
     with LSMStore(

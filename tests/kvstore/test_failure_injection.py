@@ -18,6 +18,7 @@ from repro.faults import (
 )
 from repro.kvstore import LSMStore
 from repro.kvstore.api import CorruptionError
+from repro.kvstore.sstable import SSTableReader
 
 
 def _populated(path):
@@ -65,12 +66,12 @@ class TestCorruptedFiles:
         with open(full, "r+b") as fh:
             fh.seek(-20, 2)  # inside the footer's record-count field
             fh.write(b"\x00" * 4)
-        # An eager open checks the meta CRC (which covers the footer
+        # An eager reader checks the meta CRC (which covers the footer
         # fields) immediately.
         with pytest.raises(CorruptionError):
-            LSMStore(path, lazy_open=False)
-        # The default lazy open defers that check; the first scrub (or
-        # read) must still surface it as a typed corruption error.
+            SSTableReader(full)
+        # The store opens its tables lazy and defers that check; the first
+        # scrub (or read) must still surface it as a typed corruption error.
         store = LSMStore(path)
         try:
             with pytest.raises(CorruptionError):
@@ -114,7 +115,7 @@ class TestCorruptedFiles:
             store.put("t", i, "x" * 50)
         # Crash without flush: records live only in the WAL.
         store._wal.close()
-        for reader in store._sstables:
+        for reader in store._tableset.readers:
             reader.close()
         wal = os.path.join(path, "wal.log")
         size = os.path.getsize(wal)
@@ -131,7 +132,7 @@ class TestCorruptedFiles:
         store.put("t", "complete", 1)
         store.put("t", "torn", 2)
         store._wal.close()
-        for reader in store._sstables:
+        for reader in store._tableset.readers:
             reader.close()
         wal = os.path.join(path, "wal.log")
         with open(wal, "r+b") as fh:
@@ -144,11 +145,14 @@ class TestCorruptedFiles:
     def test_orphan_tmp_files_ignored(self, tmp_path):
         path = str(tmp_path / "db")
         _populated(path)
-        # A crash mid-flush can leave a .tmp SSTable; opening must ignore it.
-        with open(os.path.join(path, "sst-999999.sst.tmp"), "wb") as fh:
+        # A crash mid-flush can leave a .tmp SSTable; opening must not read
+        # it, and removes it -- no later id would ever overwrite it.
+        orphan = os.path.join(path, "sst-999999.sst.tmp")
+        with open(orphan, "wb") as fh:
             fh.write(b"partial garbage")
         store = LSMStore(path)
         assert store.get("t", 0) is not None
+        assert not os.path.exists(orphan)
         store.close()
 
 
@@ -214,13 +218,39 @@ class TestFlushFaults:
         # Crash without a successful flush: the frozen segment backing the
         # sealed memtable must still be on disk for replay.
         store._wal.close()
-        for reader in store._sstables:
+        for reader in store._tableset.readers:
             reader.close()
         monkeypatch.undo()
 
         reopened = LSMStore(path)
         assert reopened.get("t", "a") == 1
         assert reopened.get("t", "b") == 2
+        reopened.close()
+
+
+    def test_failed_manifest_commit_does_not_double_apply(self, tmp_path):
+        # The table is built and installed, then the MANIFEST write fails
+        # (3rd commit: bootstrap, create_table, this flush).  The flush is
+        # unacknowledged, but its handoff is over: a retry must not build
+        # the same deltas into a second table.
+        from repro.faults import ENOSPC
+
+        path = str(tmp_path / "db")
+        schedule = FaultSchedule([Fault(ENOSPC, "write", nth=3, path_part="MANIFEST")])
+        store = LSMStore(path, auto_compact=False, io=FaultyIO(schedule))
+        store.create_table("t", merge_operator="list_append")
+        store.merge("t", "k", [1])
+        with pytest.raises(OSError):
+            store.flush()
+        assert store.get("t", "k") == [1]
+        store.merge("t", "k", [2])
+        store.flush()
+        assert store.sstable_count == 2
+        assert store.get("t", "k") == [1, 2]
+        store.close()
+
+        reopened = LSMStore(path)
+        assert reopened.get("t", "k") == [1, 2]
         reopened.close()
 
 
@@ -304,7 +334,7 @@ class TestCloseIdempotency:
         # directory can be reopened in-process and replays the WAL.
         assert store._closed
         assert store._wal._file.closed
-        assert all(reader._file.closed for reader in store._sstables)
+        assert all(reader._file.closed for reader in store._tableset.readers)
         store.close()  # and a retry is a no-op, not a second failure
 
         reopened = LSMStore(path)

@@ -20,6 +20,7 @@ import os
 import pytest
 
 from repro.kvstore import LSMStore, LeveledConfig
+from repro.kvstore.sstable import SSTableReader
 
 SMALL = LeveledConfig(
     l0_compact_tables=2, base_level_bytes=4_096, fanout=2, max_output_bytes=2_048
@@ -87,35 +88,30 @@ class TestLazyReopen:
         finally:
             reopened.close()
 
-    def test_eager_open_materialises_meta_upfront(self, tmp_path):
-        path = str(tmp_path / "db")
-        store, expected = _leveled_store(path)
-        store.close()
-
-        eager = LSMStore(path, lazy_open=False, auto_compact=False)
-        try:
-            assert all(r._meta_loaded for r in eager._sstables)
-            assert eager.metrics.lazy_meta_loads == 0  # counts lazy loads only
-            _check(eager, expected)
-        finally:
-            eager.close()
-
     def test_lazy_and_eager_reads_identical(self, tmp_path):
+        # The store always reopens lazy; the eager reader is what a writer's
+        # finish() hands back, opened here on the same files.
         path = str(tmp_path / "db")
         store, expected = _leveled_store(path)
         store.close()
 
         lazy = LSMStore(path, auto_compact=False)
-        eager = LSMStore(path, lazy_open=False, auto_compact=False)
         try:
-            assert not any(r._meta_loaded for r in lazy._sstables)
-            for key in expected:
-                assert lazy.get("t", key) == eager.get("t", key)
-            assert [k for k, _ in lazy.scan("t")] == [k for k, _ in eager.scan("t")]
+            assert not any(r._meta_loaded for r in lazy._tableset.readers)
+            for reader in lazy._tableset.readers:
+                eager = SSTableReader(reader.path)
+                try:
+                    assert eager._meta_loaded
+                    records = list(eager)
+                    assert list(reader) == records
+                    for key, kind, value in records[::7]:
+                        assert reader.get(key) == eager.get(key) == (kind, value)
+                finally:
+                    eager.close()
+            _check(lazy, expected)
             lazy.verify()  # scrub forces every meta load and checks CRCs
         finally:
             lazy.close()
-            eager.close()
 
 
 def _dir_snapshot(path: str) -> dict[str, int]:
@@ -145,7 +141,7 @@ class TestStrategyInterop:
             # then build the levels in place without changing reads.
             while leveled.compact():
                 pass
-            assert max(r.level for r in leveled._sstables) >= 1
+            assert max(r.level for r in leveled._tableset.readers) >= 1
             _check(leveled, expected)
             leveled.verify()
         finally:
@@ -154,7 +150,7 @@ class TestStrategyInterop:
     def test_leveled_store_opens_under_size_tiered(self, tmp_path):
         path = str(tmp_path / "db")
         store, expected = _leveled_store(path)
-        assert max(r.level for r in store._sstables) >= 1
+        assert max(r.level for r in store._tableset.readers) >= 1
         store.close()
 
         tiered = LSMStore(path, auto_compact=False)  # default size-tiered
@@ -185,7 +181,7 @@ class TestStrategyInterop:
 
         reopened = LSMStore(path, compaction="leveled", leveled=SMALL, auto_compact=False)
         try:
-            assert all(r.level == 0 for r in reopened._sstables)
+            assert all(r.level == 0 for r in reopened._tableset.readers)
             _check(reopened, expected)
             # The next manifest write upgrades the entries to v2 dicts.
             reopened.flush()
@@ -201,7 +197,7 @@ class TestStrategyInterop:
     def test_unsound_level_layout_demotes_to_l0(self, tmp_path):
         path = str(tmp_path / "db")
         store, expected = _leveled_store(path)
-        assert max(r.level for r in store._sstables) >= 1
+        assert max(r.level for r in store._tableset.readers) >= 1
         store.close()
 
         manifest_path = os.path.join(path, "MANIFEST")
@@ -216,7 +212,7 @@ class TestStrategyInterop:
         reopened = LSMStore(path, compaction="leveled", leveled=SMALL, auto_compact=False)
         try:
             # All-L0 is the only always-safe reading of a broken layout.
-            assert all(r.level == 0 for r in reopened._sstables)
+            assert all(r.level == 0 for r in reopened._tableset.readers)
             _check(reopened, expected)
             reopened.verify()
             # The leveled planner rebuilds the levels from scratch.
@@ -232,7 +228,7 @@ class TestLeveledLayout:
         path = str(tmp_path / "db")
         store, expected = _leveled_store(path, rows=300)
         by_level: dict[int, list] = {}
-        for reader in store._sstables:
+        for reader in store._tableset.readers:
             by_level.setdefault(reader.level, []).append(reader)
         assert max(by_level) >= 1
         for level, tables in by_level.items():
@@ -242,7 +238,7 @@ class TestLeveledLayout:
             for a, b in zip(tables, tables[1:]):
                 assert a.max_key < b.min_key
         layout = sorted(
-            (os.path.basename(r.path), r.level) for r in store._sstables
+            (os.path.basename(r.path), r.level) for r in store._tableset.readers
         )
         store.close()
 
@@ -251,7 +247,7 @@ class TestLeveledLayout:
             assert (
                 sorted(
                     (os.path.basename(r.path), r.level)
-                    for r in reopened._sstables
+                    for r in reopened._tableset.readers
                 )
                 == layout
             )
@@ -278,7 +274,7 @@ class TestLeveledLayout:
         deleted = next(iter(expected))
         expected.pop(deleted)
         store.compact_all()
-        levels = {r.level for r in store._sstables}
+        levels = {r.level for r in store._tableset.readers}
         assert len(levels) == 1  # one key-disjoint run at a single level
         _check(store, expected)
         assert store.get("t", deleted) is None

@@ -150,7 +150,7 @@ class TestDurability:
         store.put("t", "k", "unflushed")
         # Simulate crash: no close(), no flush -- data only in the WAL.
         store._wal.close()
-        for reader in store._sstables:
+        for reader in store._tableset.readers:
             reader.close()
         recovered = _open(store_path)
         assert recovered.get("t", "k") == "unflushed"
@@ -163,7 +163,7 @@ class TestDurability:
         store.flush()
         store.merge("t", "k", [2])
         store._wal.close()
-        for reader in store._sstables:
+        for reader in store._tableset.readers:
             reader.close()
         recovered = _open(store_path)
         assert recovered.get("t", "k") == [1, 2]
@@ -221,7 +221,7 @@ class TestFlushCompaction:
             store.flush()
             store.compact_all()
             assert store.get("t", "k") is None
-            assert store._sstables[0].record_count == 0
+            assert store._tableset.readers[0].record_count == 0
 
     def test_old_sstable_files_removed(self, store_path):
         with _open(store_path, auto_compact=False) as store:

@@ -1,4 +1,4 @@
-"""SSTable v2: block compression, per-block CRC detection, mmap serving."""
+"""SSTable v2: block compression and per-block CRC detection."""
 
 from __future__ import annotations
 
@@ -6,10 +6,8 @@ import os
 
 import pytest
 
-from repro.faults import FaultSchedule, FaultyIO
 from repro.kvstore import LSMStore
 from repro.kvstore.api import CorruptSSTableError
-from repro.kvstore.lsm import StoreMetrics
 from repro.kvstore.sstable import (
     INDEX_INTERVAL,
     MAGIC,
@@ -120,50 +118,6 @@ class TestCorruptCompressedBlock:
         reader.close()
 
 
-class TestMmapReads:
-    def test_mmap_serves_reads_and_counts_hits(self, tmp_path):
-        path = str(tmp_path / "t.sst")
-        records = _records(200)
-        write_sstable(path, records, compression="zlib").close()
-        metrics = StoreMetrics()
-        reader = SSTableReader(path, use_mmap=True, metrics=metrics)
-        assert reader.mmap_active
-        assert list(reader) == records
-        for key, kind, value in records[::20]:
-            assert reader.get(key) == (kind, value)
-        reader.verify()
-        assert metrics.snapshot()["mmap_block_hits"] > 0
-        reader.close()
-        assert not reader.mmap_active
-
-    def test_mmap_works_for_v1_files(self, tmp_path):
-        path = str(tmp_path / "t.sst")
-        records = _records(100)
-        write_sstable(path, records).close()
-        reader = SSTableReader(path, use_mmap=True)
-        assert reader.mmap_active and reader.format_version == 1
-        assert list(reader) == records
-        reader.close()
-
-    def test_faulty_io_disables_mmap(self, tmp_path):
-        # Under an active fault schedule reads must stay shim-visible, so
-        # the mmap fast path (which bypasses FaultyIO) is gated off.
-        path = str(tmp_path / "t.sst")
-        write_sstable(path, _records(50)).close()
-        reader = SSTableReader(path, io=FaultyIO(FaultSchedule([])), use_mmap=True)
-        assert not reader.mmap_active
-        assert reader.get(b"key-00001") is not None
-        reader.close()
-
-    def test_bloom_survives_close(self, tmp_path):
-        # The mmap'd bloom is copied to the heap on close; no BufferError.
-        path = str(tmp_path / "t.sst")
-        write_sstable(path, _records(50), compression="zlib").close()
-        reader = SSTableReader(path, use_mmap=True)
-        reader.close()
-        reader.close()  # idempotent
-
-
 class TestStoreFormatInterop:
     """Tier-1 guard: stores written with compression on reopen with it off
     (and vice versa) -- the reader dispatches per file on the magic."""
@@ -190,20 +144,10 @@ class TestStoreFormatInterop:
         with LSMStore(path) as store:
             self._populate(store)
             expected = {k: v for k, v in store.scan("t")}
-        with LSMStore(path, compression="zlib", mmap=True) as reopened:
+        with LSMStore(path, compression="zlib") as reopened:
             assert {k: v for k, v in reopened.scan("t")} == expected
             # New writes in the reopened store compress; old tables still read.
             reopened.merge("t", 999, ["new"])
             reopened.flush()
             assert reopened.get("t", 999) == ["new"]
             reopened.verify()
-
-    def test_mmap_store_roundtrip(self, tmp_path):
-        path = str(tmp_path / "db")
-        with LSMStore(path, compression="zlib", mmap=True) as store:
-            self._populate(store)
-            assert store.get("t", 5) == list(range(5, 300, 20))
-            assert store.metrics.snapshot()["mmap_block_hits"] > 0
-            stats = store.storage_stats()
-            assert stats["compression_ratio"] > 1.0
-            assert all(entry["mmap"] for entry in stats["sstables"])

@@ -8,7 +8,9 @@ case the reader's parse guards exist for.
 
 from __future__ import annotations
 
+import gc
 import struct
+import warnings
 import zlib
 
 import pytest
@@ -156,6 +158,41 @@ class TestTruncatedFile:
             fh.truncate(keep)
         with pytest.raises(CorruptSSTableError):
             SSTableReader(path)
+
+
+class TestFailedStoreOpen:
+    def test_failed_open_closes_the_tables_already_opened(self, tmp_path, monkeypatch):
+        # The manifest lists three tables; the last has a truncated footer.
+        # Opening must raise the typed error *and* release the descriptors
+        # of the two tables it had opened before reaching the bad one.
+        from repro.kvstore import LSMStore, sstable
+
+        path = str(tmp_path / "db")
+        store = LSMStore(path, auto_compact=False)
+        store.create_table("t")
+        for i in range(3):
+            store.put("t", i, "x" * 40)
+            store.flush()
+        newest = store._tableset.readers[-1].path
+        store.close()
+        with open(newest, "r+b") as fh:
+            fh.truncate(len(MAGIC) + 10)
+
+        opened = []
+        real_init = SSTableReader.__init__
+
+        def recording_init(self, *args, **kwargs):
+            opened.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sstable.SSTableReader, "__init__", recording_init)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(CorruptSSTableError):
+                LSMStore(path)
+            gc.collect()  # a leaked descriptor would warn here
+        assert len(opened) == 3
+        assert all(reader._file.closed for reader in opened)
 
 
 class TestErrorHierarchy:

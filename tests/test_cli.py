@@ -270,7 +270,7 @@ class TestStoreStats:
         assert "  seq: " in out and "[plain: " in out
 
     def test_stats_with_pattern_still_works(self, store_dir, capsys):
-        assert main(["stats", "A,C", "--store", store_dir, "--mmap"]) == 0
+        assert main(["stats", "A,C", "--store", store_dir]) == 0
         assert "A -> C" in capsys.readouterr().out
 
     def test_faults_accepts_compression(self, capsys):

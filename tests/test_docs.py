@@ -257,3 +257,47 @@ def test_docscheck_fails_on_a_deleted_ingest_or_table_method():
         "I.md:4: `IndexTables.get_tails_many` names no live attribute",
         "I.md:4: `UpdateStats.last_checked_reads` names no live attribute",
     ]
+
+
+def test_docscheck_fails_on_a_deleted_cli_flag():
+    from repro.bench.docscheck import check_cli_commands, known_subcommands
+
+    subcommands = known_subcommands()
+    assert {"--store", "--compaction"} <= subcommands["stats"]
+    assert "--mmap" not in subcommands["stats"]
+    guide = (
+        "prose `repro stats --mmap` outside a block is not checked\n"
+        "```console\n"
+        "$ python -m repro stats --store ./ix --mmap\n"
+        "$ PYTHONPATH=src python -m repro index --log log.csv \\\n"
+        "      --store ./ix --shards 2 \\\n"
+        "      --lazy-open\n"
+        "$ repro detect --store ./ix a,b --explain   # fine\n"
+        "$ python -m repro.bench.runner table8 --scale 0.05   # not a subcommand\n"
+        "$ repro frobnicate --store ./ix\n"
+        "```\n"
+    )
+    assert check_cli_commands("G.md", guide, subcommands) == [
+        "G.md:3: repro stats takes no flag '--mmap'",
+        "G.md:6: repro index takes no flag '--lazy-open'",
+        "G.md:9: unknown repro subcommand 'frobnicate' in: "
+        "$ repro frobnicate --store ./ix",
+    ]
+
+
+def test_docscheck_fails_on_a_deleted_private_name():
+    from repro.bench.docscheck import api_owners, check_api_references
+
+    owners = api_owners()
+    assert {"TableSet", "CompactionPick", "SSTableReader"} <= set(owners)
+    design = (
+        "The one executor is `_run_compaction`; `_compact_slice` and\n"
+        "`_validate_levels` are gone.  `_demote_unsound_levels` (TableSet),\n"
+        "`_seal_table(writer, level)` (LSMStore), `_live_history` (a function of\n"
+        "kvstore.merge) and `_join(...)` (QueryProcessor) resolve; constants like\n"
+        "`_V_LIST` and suffixes like `..._total` are not private names.\n"
+    )
+    assert check_api_references("D.md", design, owners) == [
+        "D.md:1: `_compact_slice` names no live attribute of the documented modules",
+        "D.md:2: `_validate_levels` names no live attribute of the documented modules",
+    ]
