@@ -31,7 +31,8 @@ def main() -> None:
         )
 
         # Days 1..3: periodic batches -- some new traces, some traces that
-        # continue.  LastChecked guarantees no duplicate pairs.
+        # continue.  Only pairs completing after a trace's stored tail are
+        # added, so no pair is indexed twice.
         continuing = history.trace_ids[:50]
         for day in range(1, 4):
             batch = []
@@ -49,9 +50,9 @@ def main() -> None:
         both = index.detect(pattern, partition=None)  # union of partitions
         print(f"{pattern} completions across partitions: {len(both)}")
 
-        # Completed traces no longer need update bookkeeping.
+        # A completed trace no longer needs its Seq row; no answer changes.
         index.prune_trace(continuing[0])
-        print(f"pruned trace {continuing[0]} from Seq/LastChecked")
+        print(f"pruned trace {continuing[0]} from Seq")
 
     # Restart: everything is recovered from the manifest + WAL.
     with SequenceIndex(LSMStore(workdir), policy=Policy.STNM) as reopened:

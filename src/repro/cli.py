@@ -234,8 +234,8 @@ def _store_stats(args: argparse.Namespace) -> int:
 
 
 def _format_summary(formats: dict[str, dict[str, int]] | None) -> str:
-    """``" [columnar: 12 chunks/340 entries; plain: 7 entries]"`` for a list
-    table -- the migration state of its rows -- and ``""`` for any other."""
+    """``" [columnar: 12 chunks/340 entries; plain: 7 entries]"`` for a table
+    in ``format_stats()`` -- its migration state -- and ``""`` for any other."""
     if not formats:
         return ""
     parts = [

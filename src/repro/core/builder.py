@@ -12,8 +12,8 @@ each affected trace the builder
    of ``old + new`` that complete after the old tail (greedy matching is
    prefix-stable, so these are exactly the pairs a full rebuild would add
    and ``LastChecked`` never has to be read);
-3. merges the results into ``Index``, ``Count``, ``ReverseCount``,
-   ``LastChecked`` and ``Seq`` as blind merge-writes.
+3. merges the results into ``Seq``, ``Index``, ``Count``, ``ReverseCount``
+   and ``LastChecked`` (each pair's latest completion) as blind merge-writes.
 
 Pair computation is a pure per-trace function, dispatched through a
 :class:`~repro.executor.parallel.ParallelExecutor` exactly like the paper's
@@ -101,7 +101,7 @@ class _AggregatedBatch:
         self.index: dict[tuple[str, str], list[tuple[str, float, float]]] = {}
         self.counts: dict[str, dict[str, list[float]]] = {}
         self.reverse: dict[str, dict[str, list[float]]] = {}
-        self.checked: dict[tuple[str, str], dict[str, float]] = {}
+        self.checked: dict[str, dict[str, float]] = {}
         self.pairs_created = 0
 
     def add_trace(self, trace_id: str, pair_dict: PairDict) -> None:
@@ -127,33 +127,28 @@ class _AggregatedBatch:
             rslot = reverse.setdefault(second, {}).setdefault(first, [0.0, 0])
             rslot[0] += duration
             rslot[1] += count
-            last = checked.setdefault(pair, {})
+            last = checked.setdefault(first, {})
             tail = ts_pairs[-1][1]
-            if trace_id not in last or tail > last[trace_id]:
-                last[trace_id] = tail
+            if second not in last or tail > last[second]:
+                last[second] = tail
 
     def merge(self, other: "_AggregatedBatch") -> None:
         """Fold another partition's deltas into this one."""
         self.pairs_created += other.pairs_created
         for pair, entries in other.index.items():
             self.index.setdefault(pair, []).extend(entries)
-        for first, per_second in other.counts.items():
-            mine = self.counts.setdefault(first, {})
-            for second, (duration, count) in per_second.items():
-                slot = mine.setdefault(second, [0.0, 0])
-                slot[0] += duration
-                slot[1] += count
-        for second, per_first in other.reverse.items():
-            mine = self.reverse.setdefault(second, {})
-            for first, (duration, count) in per_first.items():
-                slot = mine.setdefault(first, [0.0, 0])
-                slot[0] += duration
-                slot[1] += count
-        for pair, completions in other.checked.items():
-            mine = self.checked.setdefault(pair, {})
-            for trace_id, tail in completions.items():
-                if trace_id not in mine or tail > mine[trace_id]:
-                    mine[trace_id] = tail
+        for rows, theirs in ((self.counts, other.counts), (self.reverse, other.reverse)):
+            for key, per_event in theirs.items():
+                mine = rows.setdefault(key, {})
+                for event, (duration, count) in per_event.items():
+                    slot = mine.setdefault(event, [0.0, 0])
+                    slot[0] += duration
+                    slot[1] += count
+        for first, per_second in other.checked.items():
+            mine = self.checked.setdefault(first, {})
+            for second, tail in per_second.items():
+                if second not in mine or tail > mine[second]:
+                    mine[second] = tail
 
 
 class _PartitionJob:
@@ -316,5 +311,5 @@ class IndexBuilder:
             self.tables.add_counts(first, per_second)
         for second, per_first in aggregated.reverse.items():
             self.tables.add_reverse_counts(second, per_first)
-        for pair, completions in aggregated.checked.items():
-            self.tables.update_last_checked(pair, completions)
+        for first, per_second in aggregated.checked.items():
+            self.tables.add_last_completions(first, per_second)

@@ -552,15 +552,15 @@ class SequenceIndex(QueryEngine):
                 self._generation += 1
 
     def prune_trace(self, trace_id: str) -> None:
-        """Forget a completed trace's update bookkeeping (§3.1.3).
+        """Forget a completed trace's ``Seq`` row (§3.1.3): one blind delete.
 
-        Queries over already-indexed pairs keep working; the trace simply
-        can no longer receive incremental appends.  As in :meth:`update`,
-        the generation bump happens after the mutation.
+        No answer changes -- Index entries, counts and last completions are
+        facts about the log, not the trace -- but the trace can no longer
+        receive incremental appends.  As in :meth:`update`, the generation
+        bump happens after the mutation.
         """
         try:
-            activities, _ = self.tables.get_sequence(trace_id)
-            self.tables.prune_trace(trace_id, set(activities))
+            self.tables.delete_sequence(trace_id)
         finally:
             self._generation += 1
 

@@ -245,16 +245,15 @@ class QueryProcessor:
                 for j in range(i + 2, len(pattern)):
                     extras.append((pattern[i], pattern[j]))
         counts = self.tables.get_pair_counts(adjacent + extras)
-        checked = self.tables.get_last_checked_many(adjacent + extras)
+        latest = self.tables.get_last_completions(adjacent + extras)
 
         def row(pair: tuple[str, str]) -> PairStats:
             total_duration, completions = counts[pair]
-            stamps = checked[pair]
             return PairStats(
                 pair=pair,
                 completions=completions,
                 total_duration=total_duration,
-                last_completion=max(stamps.values()) if stamps else None,
+                last_completion=latest[pair],
             )
 
         return PatternStats(

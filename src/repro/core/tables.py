@@ -9,17 +9,20 @@ Seq            trace_id                    [(activity, ts), ...] (append, chunke
 Index          (ev_a, ev_b)                [(trace_id, ts_a, ts_b), ...] (append, chunked)
 Count          ev_a                        {ev_b: [sum_duration, completions]}
 ReverseCount   ev_b                        {ev_a: [sum_duration, completions]}
-LastChecked    (ev_a, ev_b)                {trace_id: last_completion_ts} (max)
+LastChecked    ev_a                        {ev_b: last_completion_ts} (max)
 Meta           "meta"                      {policy, method, ...}
 =============  ==========================  =========================================
 
 Values are written exclusively through merge operators, so index batches are
-blind appends -- the Cassandra pattern the paper's scalability rests on.  The
-two list tables store each appended batch as one columnar chunk
-(:mod:`repro.core.postings`); this module is the only place outside that
-codec that sees a stored list value, and everything above it works on the
-decoded forms: ``(activities, timestamps)`` columns for a Seq row, a
-:class:`~repro.core.postings.Postings` for an Index row.
+blind appends -- the Cassandra pattern the paper's scalability rests on.
+``LastChecked`` holds what the Statistics query reads, one number per pair
+(the paper's per-trace map fed Algorithm 1 line 3, which the builder derives:
+DESIGN.md section 4); its readers also accept the ``(ev_a, ev_b) ->
+{trace_id: ts}`` rows of older stores.  The two list tables store each
+appended batch as one columnar chunk (:mod:`repro.core.postings`); this module
+is the only place outside that codec that sees a stored list value, and
+everything above it works on the decoded forms: ``(activities, timestamps)``
+columns for a Seq row, a :class:`~repro.core.postings.Postings` for an Index row.
 
 The optional ``partition`` argument implements the paper's §3.1.3 note that
 "a separate index table can be used for different periods": every partition
@@ -237,8 +240,11 @@ class IndexTables:
         ``{table: {format: {"chunks": c, "entries": e}}}`` with the format
         names of :func:`repro.core.postings.item_formats`; a ``plain`` item
         is one row outside any chunk (a legacy Index tuple, a generic Seq
-        event, a single-event Seq append).  A full scan: the migration state
-        of a store written by older code, for an operator report.
+        event, a single-event Seq append).  ``last_checked`` reports its
+        slots by key shape: ``per_pair`` (one per pair) and ``per_trace``
+        (one per pair and trace; rows written by older code, never rewritten).
+        A full scan: the migration state of a store written by older code,
+        for an operator report.
         """
         stats: dict[str, dict[str, dict[str, int]]] = {}
         seq = [SEQ] if self.store.has_table(SEQ) else []
@@ -249,6 +255,12 @@ class IndexTables:
                     slot = formats.setdefault(name, {"chunks": 0, "entries": 0})
                     slot["chunks"] += name != "plain"
                     slot["entries"] += entries
+        if self.store.has_table(LAST_CHECKED):
+            shapes = stats[LAST_CHECKED] = {
+                name: {"chunks": 0, "entries": 0} for name in ("per_pair", "per_trace")
+            }
+            for key, row in self.store.scan(LAST_CHECKED):
+                shapes["per_trace" if len(key) == 2 else "per_pair"]["entries"] += len(row)
         return stats
 
     # -- Count / ReverseCount ------------------------------------------------------
@@ -300,47 +312,38 @@ class IndexTables:
 
     # -- LastChecked ------------------------------------------------------------------
 
-    def update_last_checked(
-        self, pair: tuple[str, str], completions: dict[str, float]
-    ) -> None:
-        self.store.merge(LAST_CHECKED, pair, completions)
+    def add_last_completions(self, first: str, completions: dict[str, float]) -> None:
+        """Merge ``{ev_b: last_completion_ts}`` into LastChecked[first]: per
+        second event the latest timestamp wins, whichever trace it came from."""
+        self.store.merge(LAST_CHECKED, first, completions)
 
-    def get_last_checked(self, pair: tuple[str, str]) -> dict[str, float]:
-        """Per-trace timestamp of the pair's most recent completion."""
-        return dict(self.store.get(LAST_CHECKED, pair, {}))
-
-    def get_last_checked_many(
+    def get_last_completions(
         self, pairs: list[tuple[str, str]]
-    ) -> dict[tuple[str, str], dict[str, float]]:
-        """LastChecked documents for many pairs in one batched read."""
-        unique = list(dict.fromkeys(pairs))
-        # The store hands out caller-owned documents; only the shared default
-        # of the missing pairs must not be handed on.
-        rows = self.store.multi_get(LAST_CHECKED, unique, None)
-        return {pair: {} if raw is None else raw for pair, raw in zip(unique, rows)}
+    ) -> dict[tuple[str, str], float | None]:
+        """``{pair: most recent completion in any trace}`` for many pairs, in
+        one batched read; ``None`` for a pair that never completed.
 
-    def get_last_completion(self, pair: tuple[str, str]) -> float | None:
-        """Most recent completion of ``pair`` across all traces."""
-        checked = self.get_last_checked(pair)
-        return max(checked.values()) if checked else None
-
-    def prune_trace(self, trace_id: str, alphabet: set[str]) -> None:
-        """Drop a completed trace from Seq and LastChecked (§3.1.3).
-
-        The Index entries remain valid for queries; only the bookkeeping
-        needed for future incremental updates is released.
+        A row is keyed by the first event.  Stores written by older code hold
+        rows keyed by the pair instead, ``{trace_id: ts}`` each: those keys
+        are read in the same batch and their values feed the maximum.
         """
-        self.delete_sequence(trace_id)
-        events = sorted(alphabet)
-        pairs = [(a, b) for a in events for b in events]
-        if not pairs:
-            return
-        # One batched read over the |alphabet|^2 LastChecked keys instead of
-        # a get/put round-trip per pair; only documents actually holding the
-        # trace are rewritten.
-        checked_by_pair = self.get_last_checked_many(pairs)
-        for pair in pairs:
-            checked = checked_by_pair[pair]
-            if trace_id in checked:
-                del checked[trace_id]
-                self.store.put(LAST_CHECKED, pair, checked)
+        unique = list(dict.fromkeys(pairs))
+        firsts = list(dict.fromkeys(first for first, _ in unique))
+        rows = self.store.multi_get(LAST_CHECKED, firsts + unique, {})
+        per_first = dict(zip(firsts, rows))
+        latest: dict[tuple[str, str], float | None] = {}
+        for (first, second), per_trace in zip(unique, rows[len(firsts) :]):
+            stamps = [*per_trace.values(), per_first[first].get(second)]
+            latest[first, second] = max((ts for ts in stamps if ts is not None), default=None)
+        return latest
+
+    def iter_last_completions(self) -> Iterator[tuple[tuple[str, str], float]]:
+        """``(pair, most recent completion)`` of every pair that completed,
+        rows of either key shape (see :meth:`get_last_completions`) folded."""
+        latest: dict[tuple[str, str], float] = {}
+        for key, row in self.store.scan(LAST_CHECKED):
+            for name, ts in row.items():  # a second event, or (older code) a trace
+                pair = tuple(key) if len(key) == 2 else (key[0], name)
+                if pair not in latest or ts > latest[pair]:
+                    latest[pair] = ts
+        return iter(latest.items())

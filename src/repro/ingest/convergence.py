@@ -12,8 +12,8 @@ freedom and nothing else:
   ``(trace, ts_a, ts_b)`` entries per (partition, pair) -- batch grouping
   only permutes entry order across traces, never the entries themselves;
 * ``Count``/``ReverseCount`` durations and completion counts and the
-  per-trace ``LastChecked`` tails are order-insensitive sums/maxima --
-  compared verbatim.
+  per-pair ``LastChecked`` last completions are order-insensitive
+  sums/maxima -- compared verbatim.
 
 Works over a single-store engine or a sharded coordinator (shard snapshots
 merge; traces are disjoint across shards).  The ingest crash-replay
@@ -41,7 +41,7 @@ def index_snapshot(engine: Any) -> dict[str, Any]:
     index: dict[tuple[str, tuple[str, str]], list] = {}
     counts: dict[tuple[str, str], list[float]] = {}
     reverse: dict[tuple[str, str], list[float]] = {}
-    checked: dict[tuple[str, str], dict[str, float]] = {}
+    checked: dict[tuple[str, str], float] = {}
     for shard in shards:
         store = shard.store
         for trace_id, (activities, stamps) in shard.tables.iter_sequences():
@@ -58,11 +58,8 @@ def index_snapshot(engine: Any) -> dict[str, Any]:
                 slot = reverse.setdefault((first, key[0]), [0.0, 0])
                 slot[0] += duration
                 slot[1] += int(completions)
-        for pair, tails in store.scan("last_checked"):
-            merged = checked.setdefault(tuple(pair), {})
-            for trace_id, tail in tails.items():
-                if trace_id not in merged or tail > merged[trace_id]:
-                    merged[trace_id] = tail
+        for pair, latest in shard.tables.iter_last_completions():
+            checked[pair] = max(latest, checked.get(pair, latest))
     return {
         "seq": seq,
         "index": {

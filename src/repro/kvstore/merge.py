@@ -145,8 +145,8 @@ class CounterMapMerge(MergeOperator):
 class MaxMapMerge(MergeOperator):
     """Value is ``{key: comparable}``; deltas keep the per-key maximum.
 
-    Used for the ``LastChecked`` table: per trace, the latest completion
-    timestamp of a pair wins.
+    Used for the ``LastChecked`` table: per second event of a pair, the
+    latest completion timestamp wins.
     """
 
     name = "max_map"

@@ -19,6 +19,7 @@ one row per event, append-only, human-readable.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -46,7 +47,7 @@ class LogDatabase:
 
     Events append to a CSV file; the checkpoint is a byte offset into that
     file, atomically persisted, so "give me everything not yet indexed" is
-    a sequential read from the checkpoint to EOF -- O(batch), not O(log).
+    a sequential read of the whole rows past the checkpoint -- O(batch), not O(log).
     """
 
     def __init__(self, path: str) -> None:
@@ -82,20 +83,26 @@ class LogDatabase:
 
     def __iter__(self) -> Iterator[Event]:
         """All events, oldest first."""
-        yield from self._read_from(self._header_end())
+        return iter(self._read_from(self._header_end())[0])
 
-    def unindexed_events(self) -> list[Event]:
-        """Events appended since the last :meth:`mark_indexed` checkpoint."""
-        return list(self._read_from(self.checkpoint()))
+    def unindexed_events(self) -> tuple[list[Event], int]:
+        """Events appended since the checkpoint and the byte offset they end at:
+        :meth:`mark_indexed` takes it, the file may have grown by then."""
+        return self._read_from(self.checkpoint())
 
-    def _read_from(self, offset: int) -> Iterator[Event]:
-        with open(self._events_path, "r", encoding="utf-8", newline="") as fh:
+    def _read_from(self, offset: int) -> tuple[list[Event], int]:
+        with open(self._events_path, "rb") as fh:
             fh.seek(offset)
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                trace_id, activity, raw_ts = row
-                yield Event(trace_id, activity, float(raw_ts))
+            data = fh.read()
+        # Whole rows only: one a producer is still writing has no newline
+        # yet and is left for the next read.
+        data = data[: data.rfind(b"\n") + 1]
+        rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        events = [
+            Event(trace_id, activity, float(raw_ts))
+            for trace_id, activity, raw_ts in filter(None, rows)
+        ]
+        return events, offset + len(data)
 
     def _header_end(self) -> int:
         with open(self._events_path, "r", encoding="utf-8", newline="") as fh:
@@ -111,16 +118,14 @@ class LogDatabase:
         with open(self._checkpoint_path, "r", encoding="utf-8") as fh:
             return int(fh.read().strip() or self._header_end())
 
-    def mark_indexed(self) -> int:
-        """Move the checkpoint to the current end of the event file."""
-        end = os.path.getsize(self._events_path)
+    def mark_indexed(self, offset: int) -> None:
+        """Move the checkpoint to the ``offset`` :meth:`unindexed_events` gave."""
         tmp = self._checkpoint_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(str(end))
+            fh.write(str(offset))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self._checkpoint_path)
-        return end
 
     @property
     def size_bytes(self) -> int:
@@ -153,7 +158,7 @@ class IndexingPipeline:
 
     def run_once(self) -> PipelineStats:
         """Index everything currently unindexed; returns what happened."""
-        events = self.database.unindexed_events()
+        events, offset = self.database.unindexed_events()
         if self.partition_fn is None:
             partitions: dict[str, list[Event]] = {"": events}
         else:
@@ -167,5 +172,5 @@ class IndexingPipeline:
             indexed += stats.events_indexed
             pairs += stats.pairs_created
         self.index.flush()
-        checkpoint = self.database.mark_indexed()
-        return PipelineStats(len(events), indexed, pairs, checkpoint)
+        self.database.mark_indexed(offset)
+        return PipelineStats(len(events), indexed, pairs, offset)

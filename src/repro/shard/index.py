@@ -3,8 +3,8 @@
 Every shard is a full single-store :class:`~repro.core.engine.SequenceIndex`
 over its own :class:`~repro.kvstore.api.KeyValueStore`; traces are assigned
 by :func:`~repro.shard.hashing.shard_for_trace`, so one trace's Seq row,
-Index postings, Count contributions and LastChecked bookkeeping all live on
-the same shard and per-trace pruning never crosses a shard boundary.
+Index postings and Count/LastChecked contributions all live on the same
+shard and per-trace pruning never crosses a shard boundary.
 
 The query surface is :class:`~repro.core.engine.QueryEngine`'s -- the same
 front half (coercion, validation, result memo, slow-query timing, explain)
@@ -342,7 +342,7 @@ class ShardedSequenceIndex(QueryEngine):
         return list(event_buckets)
 
     def prune_trace(self, trace_id: str) -> None:
-        """Forget one trace's update bookkeeping (shard-local)."""
+        """Forget one trace's ``Seq`` row (shard-local); no answer changes."""
         i = self.shard_of(trace_id)
         with self._ingest_locks[i]:
             self.shards[i].prune_trace(trace_id)

@@ -53,8 +53,9 @@ class TestFullBuild:
 
     def test_last_checked_filled(self, paper_log):
         builder, _ = _build(paper_log)
-        checked = builder.tables.get_last_checked(("A", "B"))
-        assert "t1" in checked and "t2" in checked
+        # t1 completes (A, B) last at position 7, t2 at 1: the maximum is kept
+        latest = builder.tables.get_last_completions([("A", "B"), ("B", "B")])
+        assert latest == {("A", "B"): 7, ("B", "B"): 7}
 
     def test_empty_batch(self):
         builder, stats = _build(EventLog())
@@ -186,13 +187,26 @@ class TestIncremental:
 
 
 class _CountingStore(InMemoryStore):
-    """Counts point ``get`` and batched ``multi_get`` calls."""
+    """Counts point ``get`` and batched ``multi_get`` calls; lists writes."""
 
     def __init__(self):
         super().__init__()
         self.get_calls = 0
         self.multi_get_calls = 0
         self.keys_read = 0
+        self.writes: list[tuple[str, str]] = []  # (operation, table)
+
+    def put(self, table, key, value):
+        self.writes.append(("put", table))
+        super().put(table, key, value)
+
+    def merge(self, table, key, delta):
+        self.writes.append(("merge", table))
+        super().merge(table, key, delta)
+
+    def delete(self, table, key):
+        self.writes.append(("delete", table))
+        super().delete(table, key)
 
     def get(self, table, key, default=None):
         self.get_calls += 1
@@ -242,6 +256,49 @@ class TestBatchedReads:
         batch = [Event(tid, a, 100 + i) for tid in ids[:3] for i, a in enumerate(alphabet)]
         assert builder.update(batch).pairs_created > 0
         assert (store.get_calls, store.keys_read) == (0, 3)
+
+
+class TestWritesPerBatch:
+    def test_one_last_checked_merge_per_distinct_first_activity(self):
+        # Three traces over {A, B, C} create all nine pairs; LastChecked is
+        # written like Count, once per first activity -- not once per pair,
+        # and not at all more for more traces.
+        store = _CountingStore()
+        builder = IndexBuilder(store)
+        store.writes.clear()
+        builder.update(EventLog.from_dict({f"t{n}": list("ABCABC") for n in range(3)}))
+        merges = {table: store.writes.count(("merge", table)) for _, table in store.writes}
+        assert merges == {"seq": 3, "index": 9, "count": 3, "reverse_count": 3, "last_checked": 3}
+        assert all(op == "merge" for op, _ in store.writes)
+
+
+    def test_last_checked_holds_one_slot_per_counted_pair(self):
+        # The shape guard: bookkeeping per pair *and trace* once made this
+        # table half of a store; it may hold what Count holds slots for.
+        from pathlib import Path
+
+        from repro.logs import read_csv_log
+
+        log = read_csv_log(str(Path(__file__).parents[1] / "data" / "golden_log.csv"))
+        events = sorted(log.events(), key=lambda event: event.timestamp)
+        index = SequenceIndex()
+
+        def slots():
+            stats = index.format_stats()["last_checked"]
+            counted = sum(len(row) for _, row in index.store.scan("count"))
+            assert stats["per_trace"]["entries"] == 0
+            assert stats["per_pair"]["entries"] == counted
+            return counted
+
+        index.update(events[: len(events) // 2])
+        index.update(events[len(events) // 2 :])
+        assert slots() > len(index.activities())
+        # every trace runs again, which completes each pair over its own
+        # alphabet; a third run then completes known pairs only
+        index.update([Event(e.trace_id, e.activity, e.timestamp + 1000) for e in events])
+        known = slots()
+        index.update([Event(e.trace_id, e.activity, e.timestamp + 2000) for e in events])
+        assert slots() == known
 
 
 class TestParallelParity:

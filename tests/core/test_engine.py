@@ -9,6 +9,39 @@ from repro.core.errors import IndexStateError
 from repro.core.model import Event, EventLog
 from repro.core.policies import PairMethod, Policy
 from repro.kvstore import LSMStore
+from repro.shard import ShardedSequenceIndex
+
+from .test_builder import _CountingStore
+
+
+def _check_prune_changes_no_answer(index, log) -> None:
+    """Prune the trace holding every pair's latest completion: the trace
+    leaves ``trace_ids()`` with one blind ``Seq`` delete, nothing else moves."""
+    patterns = (["A", "B"], ["A", "C", "B"], ["C", "B", "A"])
+    with index:
+        index.update(log)
+        # t1 = AAABAACB is the longest trace by far, and 26 more activities
+        # make its alphabet-squared 841 pairs.
+        index.update([Event("t1", chr(ord("a") + i), 100 + i) for i in range(26)])
+        stores = [shard.store for shard in getattr(index, "shards", [index])]
+        before = [
+            (index.statistics(p, all_pairs=True), index.detect(p), index.count(p))
+            for p in patterns
+        ]
+        assert before[0][0].pairs[0].last_completion == 7  # set by t1; t2's is 1
+        reads = [(s.get_calls, s.multi_get_calls) for s in stores]
+        for store in stores:
+            store.writes.clear()
+
+        index.prune_trace("t1")
+
+        assert [(s.get_calls, s.multi_get_calls) for s in stores] == reads
+        assert [w for s in stores for w in s.writes] == [("delete", "seq")]
+        assert sorted(index.trace_ids()) == ["t2", "t3"]
+        assert before == [
+            (index.statistics(p, all_pairs=True), index.detect(p), index.count(p))
+            for p in patterns
+        ]
 
 
 class TestFacade:
@@ -34,15 +67,11 @@ class TestFacade:
             index.store.get("meta", "meta")
 
     def test_prune_trace(self, paper_log):
-        index = SequenceIndex()
-        index.update(paper_log)
-        index.prune_trace("t1")
-        assert "t1" not in index.trace_ids()
-        # Index entries survive pruning: queries still work.
-        assert any(m.trace_id == "t1" for m in index.detect(["A", "B"]))
-        # But incremental updates to the pruned trace would re-create pairs,
-        # so the trace is simply gone from the bookkeeping tables.
-        assert index.tables.get_last_checked(("A", "B")).get("t1") is None
+        _check_prune_changes_no_answer(SequenceIndex(_CountingStore()), paper_log)
+
+    def test_prune_trace_sharded(self, paper_log):
+        shards = [SequenceIndex(_CountingStore()) for _ in range(2)]
+        _check_prune_changes_no_answer(ShardedSequenceIndex(shards), paper_log)
 
 
 class TestIntrospection:

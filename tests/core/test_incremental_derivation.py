@@ -8,8 +8,9 @@ it already holds (greedy matching is prefix-stable) instead of joining with
   leaves every table equal to one ``update`` (``index_snapshot``), for every
   pair-creation method, on one store and on two shards;
 * the ``LastChecked`` table -- still written, no longer read by the builder
-  -- holds exactly the last completion derivable from ``Seq``, so
-  ``statistics().last_completion`` stays exact.
+  -- holds, per pair, exactly the latest over all traces of the last
+  completion derivable from ``Seq``, so ``statistics().last_completion``
+  stays exact.
 """
 
 from __future__ import annotations
@@ -75,13 +76,13 @@ def _engine(method: PairMethod, shards: int):
 
 
 def _derived_last_checked(snapshot, method: PairMethod):
-    """``{pair: {trace: last completion}}`` recomputed from the Seq rows."""
+    """``{pair: last completion in any trace}`` recomputed from the Seq rows."""
     derived: dict = {}
-    for trace_id, seq in snapshot["seq"].items():
+    for seq in snapshot["seq"].values():
         pairs = create_pairs([a for a, _ in seq], [ts for _, ts in seq], method)
         for pair, matches in pairs.items():
             if matches:
-                derived.setdefault(pair, {})[trace_id] = matches[-1][1]
+                derived[pair] = max(matches[-1][1], derived.get(pair, matches[-1][1]))
     return derived
 
 

@@ -88,7 +88,9 @@ def _oracle(batches, partitions, upto: int) -> SequenceIndex:
 
 
 def _formats(index) -> dict[str, set[str]]:
-    return {table: set(by) for table, by in index.tables.format_stats().items()}
+    """Storage formats present in each list table."""
+    stats = index.tables.format_stats()
+    return {table: set(by) for table, by in stats.items() if table != "last_checked"}
 
 
 @pytest.mark.parametrize("compaction", ["size_tiered", "leveled"])
@@ -276,7 +278,8 @@ def test_composite_detect_decodes_no_element_and_reads_seq_once(tmp_path, monkey
 
 
 def test_tables_are_the_only_seam(tmp_path):
-    """``iter_index``/``iter_sequences`` give format-independent views."""
+    """``iter_index``/``iter_sequences``/``iter_last_completions`` give
+    format-independent views."""
     batches, partitions = _load_fixture()
     path = str(tmp_path / "store")
     shutil.copytree(os.path.join(FIXTURE, "store"), path)
@@ -290,4 +293,8 @@ def test_tables_are_the_only_seam(tmp_path):
         (partition, pair): sorted(postings.rows())
         for partition, pair, postings in new.iter_index()
     }
+    # per-pair-and-trace rows on one side, per-pair rows on the other
+    assert old.format_stats()["last_checked"]["per_pair"]["entries"] == 0
+    assert new.format_stats()["last_checked"]["per_trace"]["entries"] == 0
+    assert dict(old.iter_last_completions()) == dict(new.iter_last_completions())
     old.store.close()

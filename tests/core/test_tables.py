@@ -106,19 +106,38 @@ class TestCounts:
 
 class TestLastChecked:
     def test_max_semantics(self, tables):
-        tables.update_last_checked(("A", "B"), {"t1": 5.0})
-        tables.update_last_checked(("A", "B"), {"t1": 3.0, "t2": 9.0})
-        checked = tables.get_last_checked(("A", "B"))
-        assert checked == {"t1": 5.0, "t2": 9.0}
-        assert tables.get_last_completion(("A", "B")) == 9.0
+        tables.add_last_completions("A", {"B": 5.0})
+        tables.add_last_completions("A", {"B": 3.0, "C": 9.0})
+        tables.add_last_completions("B", {"A": 4.0})
+        assert tables.get_last_completions([("A", "B"), ("A", "C"), ("B", "A"), ("A", "B")]) == {
+            ("A", "B"): 5.0,
+            ("A", "C"): 9.0,
+            ("B", "A"): 4.0,
+        }
 
     def test_missing(self, tables):
-        assert tables.get_last_checked(("X", "Y")) == {}
-        assert tables.get_last_completion(("X", "Y")) is None
+        tables.add_last_completions("A", {"B": 5.0})
+        assert tables.get_last_completions([("X", "Y"), ("A", "Z")]) == {
+            ("X", "Y"): None,
+            ("A", "Z"): None,
+        }
+        assert tables.get_last_completions([]) == {}
 
-    def test_prune_trace(self, tables):
-        tables.append_sequence("t1", [("A", 1.0), ("B", 2.0)])
-        tables.update_last_checked(("A", "B"), {"t1": 2.0, "t2": 7.0})
-        tables.prune_trace("t1", {"A", "B"})
-        assert tables.get_sequence("t1") == ([], [])
-        assert tables.get_last_checked(("A", "B")) == {"t2": 7.0}
+    def test_rows_written_per_pair_and_trace_feed_the_maximum(self, tables):
+        # what code before the per-pair shape wrote: (ev_a, ev_b) -> {trace: ts}
+        tables.store.merge("last_checked", ("A", "B"), {"t1": 5.0, "t2": 9.0})
+        tables.store.merge("last_checked", ("C", "A"), {"t1": 2.0})
+        tables.add_last_completions("A", {"B": 7.0, "C": 1.0})
+        pairs = [("A", "B"), ("A", "C"), ("C", "A"), ("B", "A")]
+        expected = {("A", "B"): 9.0, ("A", "C"): 1.0, ("C", "A"): 2.0}
+        assert tables.get_last_completions(pairs) == {**expected, ("B", "A"): None}
+        assert sorted(tables.iter_last_completions()) == sorted(expected.items())
+
+        tables.add_last_completions("A", {"B": 11.0})
+        expected[("A", "B")] = 11.0
+        assert tables.get_last_completions(pairs) == {**expected, ("B", "A"): None}
+        assert sorted(tables.iter_last_completions()) == sorted(expected.items())
+        assert tables.format_stats()["last_checked"] == {
+            "per_pair": {"chunks": 0, "entries": 2},
+            "per_trace": {"chunks": 0, "entries": 3},
+        }

@@ -39,23 +39,24 @@ class TestLogDatabase:
 
     def test_checkpoint_tracks_unindexed(self, db):
         db.append(_events("t", 0, "AB"))
-        assert len(db.unindexed_events()) == 2
-        db.mark_indexed()
-        assert db.unindexed_events() == []
+        events, offset = db.unindexed_events()
+        assert len(events) == 2 and offset == db.size_bytes
+        db.mark_indexed(offset)
+        assert db.unindexed_events() == ([], offset)
         db.append(_events("t", 10, "C"))
-        unindexed = db.unindexed_events()
+        unindexed, _ = db.unindexed_events()
         assert [e.activity for e in unindexed] == ["C"]
 
     def test_checkpoint_survives_reopen(self, db, tmp_path):
         db.append(_events("t", 0, "AB"))
-        db.mark_indexed()
+        db.mark_indexed(db.unindexed_events()[1])
         db.append(_events("t", 10, "C"))
         reopened = LogDatabase(str(tmp_path / "logdb"))
-        assert [e.activity for e in reopened.unindexed_events()] == ["C"]
+        assert [e.activity for e in reopened.unindexed_events()[0]] == ["C"]
 
     def test_empty_database(self, db):
         assert list(db) == []
-        assert db.unindexed_events() == []
+        assert db.unindexed_events() == ([], db.size_bytes)
         assert db.size_bytes > 0  # header row
 
 
@@ -93,6 +94,42 @@ class TestPipeline:
         stats = pipeline.run_once()  # replays the same events
         assert stats.events_indexed == 0
         assert index.tables.get_index(("A", "B")) == [("t", 0.0, 1.0)]
+
+    def test_events_appended_during_a_tick_wait_for_the_next(self, db, monkeypatch):
+        # The checkpoint moves to where the tick's read ended, not to
+        # wherever the file ends once the batch is indexed.
+        index = SequenceIndex(policy=Policy.STNM)
+        pipeline = IndexingPipeline(db, index)
+        db.append(_events("t1", 1, "AB"))
+        real_update = index.update
+
+        def update_while_a_producer_appends(*args, **kwargs):
+            db.append([Event("t1", "C", 3.0)])
+            monkeypatch.undo()
+            return real_update(*args, **kwargs)
+
+        monkeypatch.setattr(index, "update", update_while_a_producer_appends)
+        assert pipeline.run_once().events_read == 2
+        assert [activity for activity, _ in index.get_trace("t1")] == ["A", "B"]
+        stats = pipeline.run_once()
+        assert (stats.events_read, stats.events_indexed) == (1, 1)
+        assert stats.checkpoint == db.size_bytes
+        assert [activity for activity, _ in index.get_trace("t1")] == ["A", "B", "C"]
+
+    def test_torn_last_row_is_left_for_the_next_tick(self, db):
+        index = SequenceIndex(policy=Policy.STNM)
+        pipeline = IndexingPipeline(db, index)
+        db.append(_events("t1", 1, "AB"))
+        whole = db.size_bytes
+        with open(db._events_path, "a", encoding="utf-8", newline="") as fh:
+            fh.write("t1,C,3")  # a producer mid-write: no row terminator yet
+        stats = pipeline.run_once()
+        assert (stats.events_read, stats.checkpoint) == (2, whole)
+        assert pipeline.run_once().events_read == 0
+        with open(db._events_path, "a", encoding="utf-8", newline="") as fh:
+            fh.write(".5\r\n")
+        assert pipeline.run_once().events_indexed == 1
+        assert index.get_trace("t1")[-1] == ("C", 3.5)
 
     def test_partition_routing(self, db):
         index = SequenceIndex(policy=Policy.STNM)

@@ -268,6 +268,10 @@ class TestStoreStats:
         assert "plain: " in index_line and "varint: " in index_line
         assert "columnar" not in out
         assert "  seq: " in out and "[plain: " in out
+        # every LastChecked row predates the per-pair shape and is kept as is
+        checked_line = next(l for l in out.splitlines() if l.startswith("  last_checked:"))
+        assert "[per_pair: 0 entries; per_trace: " in checked_line
+        assert "per_trace: 0 entries" not in checked_line
 
     def test_stats_with_pattern_still_works(self, store_dir, capsys):
         assert main(["stats", "A,C", "--store", store_dir]) == 0
@@ -332,6 +336,9 @@ class TestSharded:
         assert "compression ratio:" in out
         assert "index formats: [columnar: " in out
         assert "seq formats: [columnar: " in out
+        checked_line = next(l for l in out.splitlines() if "last_checked formats:" in l)
+        assert checked_line.endswith("; per_trace: 0 entries]")
+        assert "[per_pair: 0 entries" not in checked_line
 
     def test_pattern_stats_on_sharded_store(self, sharded_store, capsys):
         assert main(["stats", "A,B", "--store", sharded_store]) == 0
