@@ -1,9 +1,14 @@
-"""The full Figure-1 architecture: log database -> periodic indexing tick.
+"""The full Figure-1 architecture: event feed -> periodic indexing tick.
 
-Events stream into an append-only log database; a pipeline tick (the
-paper's periodic update, e.g. an hourly cron) drains everything unindexed
-into a durable sequence index, routing each event to its month's index
-partition.  Queries run against the union of partitions at any time.
+Events stream into an append-only feed; a tick (the paper's periodic
+update, e.g. a weekly cron) drains everything not yet indexed into a
+durable sequence index, routing each event to its month's index partition
+(§3.1.3).  Queries run against the union of partitions at any time.
+
+This is the path every served deployment runs on (docs/INGEST.md):
+``FeedWriter`` appends, one ``TailIngester`` with a checkpoint file drains.
+The per-month routing is a sink -- anything with
+``apply(events) -> (applied, dropped)``.
 
 Run with::
 
@@ -14,8 +19,8 @@ import random
 import tempfile
 
 from repro import Event, Policy, SequenceIndex
+from repro.ingest import FeedEvent, FeedWriter, TailIngester
 from repro.kvstore import LSMStore
-from repro.logs.logdb import IndexingPipeline, LogDatabase
 
 ACTIVITIES = ("create", "review", "approve", "reject", "archive")
 
@@ -34,33 +39,67 @@ def _simulate_day(day: int, rng: random.Random) -> list[Event]:
     return events
 
 
+def month_of(event: FeedEvent) -> str:
+    return f"month-{int(event.timestamp // (30 * DAY)):02d}"
+
+
+class MonthlySink:
+    """Routes a batch to per-month Index partitions, then flushes the store.
+
+    Partition names must sort in time order (zero-padded months do) so a
+    trace straddling months is appended oldest-first.  The flush keeps the
+    checkpoint -- written after ``apply`` returns -- from ever running ahead
+    of a flushed store, which a weekly tick can afford.
+    """
+
+    def __init__(self, index: SequenceIndex) -> None:
+        self.index = index
+
+    def apply(self, events: list[FeedEvent]) -> tuple[int, int]:
+        by_month: dict[str, list[Event]] = {}
+        for event in events:
+            by_month.setdefault(month_of(event), []).append(event.to_event())
+        stats = [
+            self.index.update(batch, partition=name, dedup=True)
+            for name, batch in sorted(by_month.items())
+        ]
+        self.index.flush()
+        return (
+            sum(s.events_indexed for s in stats),
+            sum(s.events_deduped for s in stats),
+        )
+
+
 def main() -> None:
     rng = random.Random(7)
     workdir = tempfile.mkdtemp(prefix="repro-pipeline-")
-    database = LogDatabase(f"{workdir}/logdb")
+    feed = FeedWriter(f"{workdir}/feed.jsonl")
     index = SequenceIndex(LSMStore(f"{workdir}/index"), policy=Policy.STNM)
+    ingester = TailIngester(
+        feed.path, MonthlySink(index), f"{workdir}/feed.checkpoint"
+    )
 
-    def month_of(event: Event) -> str:
-        return f"month-{int(event.timestamp // (30 * DAY)):02d}"
-
-    pipeline = IndexingPipeline(database, index, partition_fn=month_of)
-
+    indexed = 0
     for day in range(40):
-        database.append(_simulate_day(day, rng))
+        feed.append(_simulate_day(day, rng))
         if day % 7 == 6:  # weekly indexing tick
-            stats = pipeline.run_once()
+            stats = ingester.drain()
             print(
-                f"day {day:>2}: indexed {stats.events_indexed} events "
-                f"({stats.pairs_created} pairs), checkpoint at byte "
-                f"{stats.checkpoint}"
+                f"day {day:>2}: indexed {stats.events_applied - indexed} events, "
+                f"checkpoint at byte {stats.offset}"
             )
-    stats = pipeline.run_once()  # final drain
-    print(f"final drain: {stats.events_indexed} events")
+            indexed = stats.events_applied
+    stats = ingester.drain()  # final drain
+    print(f"final drain: {stats.events_applied - indexed} events")
+    ingester.close()
+    feed.close()
 
     pattern = ["create", "approve", "archive"]
     matches = index.detect(pattern, partition=None)
     print(f"\n{pattern}: {len(matches)} completions across all partitions")
-    proposals = index.continuations(["create", "review"], mode="hybrid", top_k=3)
+    proposals = index.continuations(
+        ["create", "review"], mode="hybrid", top_k=3, partition=None
+    )
     print("after create -> review, most likely next:")
     for proposal in proposals[:3]:
         print(f"  {proposal.event} (score {proposal.score:.2e})")

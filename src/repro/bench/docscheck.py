@@ -1,7 +1,7 @@
 """Docs lint: dead links, drifted CLI commands, undocumented format tags,
-deleted constructor keywords, deleted methods.
+deleted constructor keywords, deleted methods, dead module paths.
 
-Five classes of documentation rot this catches mechanically:
+Six classes of documentation rot this catches mechanically:
 
 * **dead relative links** -- every ``[text](target)`` markdown link whose
   target is a repo path must resolve from the linking file's directory;
@@ -25,7 +25,10 @@ Five classes of documentation rot this catches mechanically:
   query, postings, engine, builder, tables, ingester and store modules),
   every backticked ``core.query.function`` (module path spelled out), and
   every bare backticked ``_private_name`` must name a live attribute, so
-  the design text cannot describe a method that a refactor removed.
+  the design text cannot describe a method that a refactor removed;
+* **dead module paths** -- every backticked dotted path starting
+  ``repro.`` must resolve, by import plus ``getattr``, to a live module or
+  attribute, so a deleted module cannot survive in prose.
 
 Runs standalone (``python -m repro.bench.docscheck``, exit 1 on findings)
 and inside tier-1 via ``tests/test_docs.py``.
@@ -315,6 +318,33 @@ def check_api_references(doc: str, text: str, owners: dict[str, object]) -> list
     return findings
 
 
+#: a backticked dotted path into the package: `repro.ingest`,
+#: `repro.obs.REGISTRY.render()`, `repro.ingest.index_snapshot(engine)`
+_MODULE_PATH = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)[^`]*`")
+
+
+def _resolves(path: str) -> bool:
+    """Whether ``path`` imports: its longest importable prefix as a module,
+    the rest attribute by attribute."""
+    import pkgutil
+
+    try:
+        pkgutil.resolve_name(path)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def check_module_paths(doc: str, text: str) -> list[str]:
+    """Backticked ``repro.x.y`` paths that name no live module or attribute."""
+    return [
+        f"{doc}:{number}: `{path}` names no live module or attribute"
+        for number, line in enumerate(text.splitlines(), start=1)
+        for path in _MODULE_PATH.findall(line)
+        if not _resolves(path)
+    ]
+
+
 def run_docscheck(root: str | None = None) -> list[str]:
     """All findings across the documented surface (empty means healthy)."""
     root = root or repo_root()
@@ -330,6 +360,7 @@ def run_docscheck(root: str | None = None) -> list[str]:
             text = fh.read()
         findings.extend(check_links(root, doc, text))
         findings.extend(check_cli_commands(doc, text, subcommands))
+        findings.extend(check_module_paths(doc, text))
         if doc == TAG_TABLES[0]:
             findings.extend(check_format_tags(doc, text, format_tags()))
         if doc == KNOBS_DOC:

@@ -24,6 +24,7 @@ come from, where a plan runs and how partial results combine.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
@@ -403,6 +404,11 @@ class SequenceIndex(QueryEngine):
     read and the chunk-dictionary parse even when the full query differs.
     Set ``postings_cache_size=0`` to disable.
 
+    A store has one writer at a time, and the rule lives here and nowhere
+    else: :meth:`update` and :meth:`prune_trace` hold one private lock
+    around the mutation *and* the generation bump, whoever calls them
+    (ingester thread, service handler, shard fan-out); readers never take it.
+
     The engine registers its caches and write generation with the
     process-wide metrics registry (``python -m repro metrics``); the query
     surface itself -- slow-query log and ``explain_profile`` included -- is
@@ -444,6 +450,7 @@ class SequenceIndex(QueryEngine):
             self.query.reverse_count_row,
         )
         self._generation = 0
+        self._write_lock = threading.Lock()
         self._obs_handle = REGISTRY.register(
             {"index": getattr(self.store, "obs_name", "index")},
             self._collect_obs_metrics,
@@ -542,14 +549,15 @@ class SequenceIndex(QueryEngine):
         that indexed nothing (empty, or a pure replay) wrote nothing and
         leaves the generation -- and every warm cache -- alone.
         """
-        wrote = True
-        try:
-            stats = self.builder.update(new_events, partition, dedup)
-            wrote = stats.events_indexed > 0
-            return stats
-        finally:
-            if wrote:
-                self._generation += 1
+        with self._write_lock:
+            wrote = True
+            try:
+                stats = self.builder.update(new_events, partition, dedup)
+                wrote = stats.events_indexed > 0
+                return stats
+            finally:
+                if wrote:
+                    self._generation += 1
 
     def prune_trace(self, trace_id: str) -> None:
         """Forget a completed trace's ``Seq`` row (§3.1.3): one blind delete.
@@ -559,10 +567,11 @@ class SequenceIndex(QueryEngine):
         receive incremental appends.  As in :meth:`update`, the generation
         bump happens after the mutation.
         """
-        try:
-            self.tables.delete_sequence(trace_id)
-        finally:
-            self._generation += 1
+        with self._write_lock:
+            try:
+                self.tables.delete_sequence(trace_id)
+            finally:
+                self._generation += 1
 
     def flush(self) -> None:
         """Flush the underlying store (durable backends)."""

@@ -9,6 +9,6 @@ reproduces the paper's "1 thread / single Spark executor" configurations.
 """
 
 from repro.executor.parallel import ParallelExecutor
-from repro.executor.partition import partition_items, partition_round_robin
+from repro.executor.partition import partition_items
 
-__all__ = ["ParallelExecutor", "partition_items", "partition_round_robin"]
+__all__ = ["ParallelExecutor", "partition_items"]

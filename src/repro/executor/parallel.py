@@ -1,4 +1,4 @@
-"""The parallel map/flat-map executor.
+"""The partitioned parallel executor.
 
 ``ParallelExecutor`` mirrors the slice of the Spark API the paper's
 pre-processing job uses: partition a sequence, run a pure function over each
@@ -12,10 +12,7 @@ partition, and collect the results *in input order*.  Backends:
 
 All operations are deterministic: results come back in the order of the
 input items regardless of backend, worker count or completion order, so
-parallel output always equals serial output.  With ``balanced=True`` items
-are dealt round-robin across workers (good when per-item cost is skewed,
-e.g. traces sorted by length) and the results are stitched back into input
-order afterwards.
+parallel output always equals serial output.
 
 With ``persistent=True`` the pool is created once and reused across calls
 (call :meth:`ParallelExecutor.close` when done) -- the mode the sharded
@@ -36,26 +33,14 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
-from repro.executor.partition import partition_items, partition_round_robin
+from repro.executor.partition import partition_items
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 _BACKENDS = ("serial", "thread", "process")
-
-
-def _run_indexed_map(
-    func: Callable[[T], R], partition: list[tuple[int, T]]
-) -> list[tuple[int, R]]:
-    return [(index, func(item)) for index, item in partition]
-
-
-def _run_indexed_flat_map(
-    func: Callable[[T], Iterable[R]], partition: list[tuple[int, T]]
-) -> list[tuple[int, list[R]]]:
-    return [(index, list(func(item))) for index, item in partition]
 
 
 def _run_partition(func: Callable[[list[T]], list[R]], partition: list[T]) -> list[R]:
@@ -69,7 +54,6 @@ class ParallelExecutor:
         self,
         backend: str = "serial",
         max_workers: int | None = None,
-        balanced: bool = True,
         persistent: bool = False,
     ) -> None:
         if backend not in _BACKENDS:
@@ -78,7 +62,6 @@ class ParallelExecutor:
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
         self.max_workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
-        self.balanced = balanced
         self.persistent = persistent
         self._shared_pool: Executor | None = None
         self._closed = False
@@ -90,12 +73,6 @@ class ParallelExecutor:
 
     def _num_partitions(self) -> int:
         return 1 if self.backend == "serial" else self.max_workers
-
-    def _partition_indexed(self, items: Sequence[T]) -> list[list[tuple[int, T]]]:
-        indexed = list(enumerate(items))
-        if self.balanced:
-            return partition_round_robin(indexed, self._num_partitions())
-        return partition_items(indexed, self._num_partitions())
 
     def _make_pool(self) -> Executor | None:
         if self.backend == "thread":
@@ -134,50 +111,13 @@ class ParallelExecutor:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _run_indexed(
-        self,
-        runner: Callable[..., list[tuple[int, R]]],
-        func: Callable[..., object],
-        items: Sequence[T],
-    ) -> list[R]:
-        partitions = self._partition_indexed(items)
-        if not partitions:
-            return []
-        pool, owned = self._pool()
-        if pool is None:
-            chunks = [runner(func, partition) for partition in partitions]
-        else:
-            try:
-                futures = [pool.submit(runner, func, p) for p in partitions]
-                chunks = [future.result() for future in futures]
-            finally:
-                if owned:
-                    pool.shutdown(wait=True)
-        ordered: list[R] = [None] * len(items)  # type: ignore[list-item]
-        for chunk in chunks:
-            for index, result in chunk:
-                ordered[index] = result
-        return ordered
-
-    def map(self, func: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        """Apply ``func`` to each item; results align with the input order."""
-        return self._run_indexed(_run_indexed_map, func, items)
-
-    def flat_map(self, func: Callable[[T], Iterable[R]], items: Sequence[T]) -> list[R]:
-        """Apply ``func`` to each item and concatenate its results in input order."""
-        nested: list[list[R]] = self._run_indexed(_run_indexed_flat_map, func, items)
-        out: list[R] = []
-        for chunk in nested:
-            out.extend(chunk)
-        return out
-
     def map_partitions(
         self, func: Callable[[list[T]], list[R]], items: Sequence[T]
     ) -> list[R]:
         """Apply ``func`` to contiguous chunks; concatenate in chunk order.
 
-        Chunking is always contiguous here (never round-robin) so that the
-        concatenated output preserves input order for element-wise ``func``.
+        Chunking is contiguous so that the concatenated output preserves
+        input order for element-wise ``func``.
         """
         partitions = partition_items(items, self._num_partitions())
         if not partitions:
@@ -256,6 +196,5 @@ class ParallelExecutor:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ParallelExecutor(backend={self.backend!r}, "
-            f"max_workers={self.max_workers}, balanced={self.balanced}, "
-            f"persistent={self.persistent})"
+            f"max_workers={self.max_workers}, persistent={self.persistent})"
         )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -27,17 +27,3 @@ def partition_items(items: Sequence[T], num_partitions: int) -> list[list[T]]:
         partitions.append(list(items[start : start + size]))
         start += size
     return partitions
-
-
-def partition_round_robin(items: Iterable[T], num_partitions: int) -> list[list[T]]:
-    """Deal ``items`` round-robin; balances skewed per-item costs.
-
-    Useful when items are traces sorted by size: contiguous chunking would
-    put all the long traces in one partition, round-robin spreads them.
-    """
-    if num_partitions <= 0:
-        raise ValueError("num_partitions must be positive")
-    partitions: list[list[T]] = [[] for _ in range(num_partitions)]
-    for i, item in enumerate(items):
-        partitions[i % num_partitions].append(item)
-    return [p for p in partitions if p]

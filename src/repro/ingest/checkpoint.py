@@ -30,19 +30,21 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Load a checkpoint; a missing file means "start of the feed"."""
+    """Load a checkpoint; a missing file means "start of the feed".
+
+    Anything but a ``version: 1`` object with a non-negative integer
+    ``offset`` (and counters, when present) is refused with ``ValueError``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             record = json.load(fh)
     except FileNotFoundError:
         return Checkpoint()
-    if record.get("version") != _VERSION:
-        raise ValueError(f"unsupported ingest checkpoint: {record!r}")
-    return Checkpoint(
-        offset=int(record["offset"]),
-        batches=int(record.get("batches", 0)),
-        events=int(record.get("events", 0)),
-    )
+    if isinstance(record, dict) and record.get("version") == _VERSION:
+        counts = [record.get("offset"), record.get("batches", 0), record.get("events", 0)]
+        if all(type(count) is int and count >= 0 for count in counts):
+            return Checkpoint(*counts)
+    raise ValueError(f"unsupported ingest checkpoint: {record!r}")
 
 
 def store_checkpoint(path: str, checkpoint: Checkpoint) -> None:

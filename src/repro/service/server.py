@@ -28,10 +28,10 @@ Control planes:
   every connection thread and closes every socket; no thread or fd leaks
   (the tier-1 smoke test counts both).
 
-A one-shard engine serializes ``update()`` calls under a server-side lock
-(the incremental builder's read-modify-write bookkeeping is not safe under
-concurrent batches); a sharded engine already serializes per shard and
-ingests cross-shard batches concurrently.
+The server holds no writer lock: "one writer per store" is the engine's
+rule (:class:`~repro.core.engine.SequenceIndex` serializes ``update()``
+itself; a sharded engine therefore serializes per shard and ingests
+cross-shard batches concurrently).
 """
 
 from __future__ import annotations
@@ -125,9 +125,6 @@ class SequenceService:
         self._ingest_slots = threading.BoundedSemaphore(max_ingest_inflight)
         self._ingest_wait_s = ingest_wait_s
         self._default_deadline_ms = default_deadline_ms
-        # A sharded engine serializes ingest per shard itself; one store
-        # needs one writer at a time.
-        self._ingest_lock = threading.Lock() if engine.num_shards == 1 else None
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._conn_lock = threading.Lock()
@@ -377,11 +374,7 @@ class SequenceService:
             # of tripping the builder's trace-order check, making crash
             # replay (and at-least-once producers) idempotent.
             dedup = bool(request.get("dedup"))
-            if self._ingest_lock is not None:
-                with self._ingest_lock:
-                    stats = self.engine.update(batch, partition, dedup)
-            else:
-                stats = self.engine.update(batch, partition, dedup)
+            stats = self.engine.update(batch, partition, dedup)
             return {
                 "id": request_id,
                 "ok": True,

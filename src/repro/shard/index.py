@@ -26,7 +26,7 @@ scatter-gather back half:
    byte-identical to the single-store engine's output.
 
 Writes fan out the same way: the batch is split by trace shard and each
-sub-batch applies under that shard's ingest lock, so only the written
+sub-batch applies under that shard's own writer lock, so only the written
 shards' cache generations move -- a query touching the other shards keeps
 every warm cache entry, which is where the mixed read/write throughput win
 comes from (see BENCH_sharded_service.json).
@@ -173,7 +173,6 @@ class ShardedSequenceIndex(QueryEngine):
         else:
             self._owns_executor = False
         self.executor = executor
-        self._ingest_locks = [threading.Lock() for _ in self.shards]
         # Count / ReverseCount rows summed across shards: a trace lives on
         # exactly one shard, so durations and completions are both additive.
         self.explorer = ContinuationExplorer(
@@ -289,24 +288,22 @@ class ShardedSequenceIndex(QueryEngine):
     ) -> UpdateStats:
         """Index a batch, fanned out to the owning shards.
 
-        The batch is split by trace hash; each non-empty sub-batch applies
-        under its shard's ingest lock (concurrent ``update()`` calls
-        interleave across shards but serialize per shard, keeping the
-        builder's read-modify-write bookkeeping safe).  Only written shards
-        bump their write generation, so queries keep their warm cache
-        entries on every untouched shard.
+        The batch is split by trace hash; each non-empty sub-batch is one
+        ``update()`` on its shard, which holds that shard's writer lock
+        (concurrent ``update()`` calls interleave across shards but
+        serialize per shard, keeping the builder's read-modify-write
+        bookkeeping safe).  Only written shards bump their write
+        generation, so queries keep their warm cache entries on every
+        untouched shard.
         """
         per_shard = self._split_events(new_events)
         touched = [i for i, batch in enumerate(per_shard) if batch is not None]
         if not touched:
             return UpdateStats(partition=partition)
 
-        def apply(i: int) -> UpdateStats:
-            with self._ingest_locks[i]:
-                return self.shards[i].update(per_shard[i], partition, dedup)
-
         results = self.executor.gather([
-            (lambda i=i: apply(i)) for i in touched
+            (lambda i=i: self.shards[i].update(per_shard[i], partition, dedup))
+            for i in touched
         ])
         merged = UpdateStats(partition=partition)
         for stats in results:
@@ -343,9 +340,7 @@ class ShardedSequenceIndex(QueryEngine):
 
     def prune_trace(self, trace_id: str) -> None:
         """Forget one trace's ``Seq`` row (shard-local); no answer changes."""
-        i = self.shard_of(trace_id)
-        with self._ingest_locks[i]:
-            self.shards[i].prune_trace(trace_id)
+        self.shards[self.shard_of(trace_id)].prune_trace(trace_id)
 
     # -- scatter-gather helpers ---------------------------------------------------
 

@@ -95,7 +95,7 @@ class TestPersistentPool:
 
     def test_non_persistent_close_keeps_working(self):
         executor = ParallelExecutor(backend="thread", max_workers=2)
-        assert executor.map(lambda x: x + 1, [1, 2]) == [2, 3]
+        assert executor.gather([lambda: 2, lambda: 3]) == [2, 3]
 
     def test_serial_gather_checks_deadline_between_thunks(self):
         executor = ParallelExecutor(backend="serial")

@@ -11,44 +11,12 @@ from repro.executor import ParallelExecutor
 BACKENDS = ("serial", "thread", "process")
 
 
-def _double(x: int) -> int:
-    return x * 2
-
-
-def _explode(x: int) -> list[int]:
-    return list(range(x % 4))
+def _double_partition(partition: list[int]) -> list[int]:
+    return [x * 2 for x in partition]
 
 
 def _sum_partition(partition: list[int]) -> list[int]:
     return [sum(partition)]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("balanced", (True, False))
-class TestBackends:
-    def _executor(self, backend, balanced):
-        return ParallelExecutor(backend=backend, max_workers=3, balanced=balanced)
-
-    def test_map_preserves_order(self, backend, balanced):
-        executor = self._executor(backend, balanced)
-        items = list(range(37))
-        assert executor.map(_double, items) == [x * 2 for x in items]
-
-    def test_flat_map_preserves_order(self, backend, balanced):
-        executor = self._executor(backend, balanced)
-        items = list(range(23))
-        expected = [y for x in items for y in _explode(x)]
-        assert executor.flat_map(_explode, items) == expected
-
-    def test_empty_input(self, backend, balanced):
-        executor = self._executor(backend, balanced)
-        assert executor.map(_double, []) == []
-        assert executor.flat_map(_explode, []) == []
-        assert executor.map_partitions(_sum_partition, []) == []
-
-    def test_single_item(self, backend, balanced):
-        executor = self._executor(backend, balanced)
-        assert executor.map(_double, [21]) == [42]
 
 
 class TestMapPartitions:
@@ -57,6 +25,7 @@ class TestMapPartitions:
         executor = ParallelExecutor(backend=backend, max_workers=4)
         result = executor.map_partitions(_sum_partition, list(range(10)))
         assert sum(result) == sum(range(10))
+        assert executor.map_partitions(_sum_partition, []) == []
 
     def test_serial_runs_one_partition(self):
         executor = ParallelExecutor.serial()
@@ -84,19 +53,20 @@ class TestConfiguration:
 
     def test_parallel_equals_serial_results(self):
         items = list(range(100))
-        serial = ParallelExecutor.serial().map(_double, items)
+        serial = ParallelExecutor.serial().map_partitions(_double_partition, items)
+        assert serial == [x * 2 for x in items]
         for backend in ("thread", "process"):
-            parallel = ParallelExecutor(backend=backend, max_workers=4).map(
-                _double, items
+            parallel = ParallelExecutor(backend=backend, max_workers=4).map_partitions(
+                _double_partition, items
             )
             assert parallel == serial
 
     def test_worker_count_does_not_change_results(self):
         items = list(range(50))
-        results = {
-            workers: ParallelExecutor(backend="thread", max_workers=workers).flat_map(
-                _explode, items
+        results = [
+            ParallelExecutor(backend="thread", max_workers=workers).map_partitions(
+                _double_partition, items
             )
             for workers in (1, 2, 7)
-        }
-        assert len({tuple(r) for r in results.values()}) == 1
+        ]
+        assert results[0] == results[1] == results[2]

@@ -1,4 +1,4 @@
-"""Partitioning helpers: coverage, balance, edge cases."""
+"""Partitioning helper: coverage, balance, edge cases."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.executor.partition import partition_items, partition_round_robin
+from repro.executor.partition import partition_items
 
 
 class TestContiguous:
@@ -29,24 +29,3 @@ class TestContiguous:
     def test_invalid_parts(self):
         with pytest.raises(ValueError):
             partition_items([1], 0)
-
-
-class TestRoundRobin:
-    @given(st.lists(st.integers(), max_size=100), st.integers(1, 12))
-    def test_covers_all_items(self, items, parts):
-        partitions = partition_round_robin(items, parts)
-        flat = sorted(
-            item for partition in partitions for item in partition
-        )
-        assert flat == sorted(items)
-
-    def test_deals_in_turn(self):
-        partitions = partition_round_robin([0, 1, 2, 3, 4], 2)
-        assert partitions == [[0, 2, 4], [1, 3]]
-
-    def test_drops_empty_partitions(self):
-        assert partition_round_robin([1], 5) == [[1]]
-
-    def test_invalid_parts(self):
-        with pytest.raises(ValueError):
-            partition_round_robin([1], -1)

@@ -29,9 +29,20 @@ def test_overwrite_leaves_no_temp_file(tmp_path):
     assert os.listdir(tmp_path) == ["cp"]
 
 
-def test_unknown_version_is_refused(tmp_path):
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"version": 99, "offset": 10},
+        [],
+        {"version": 1},
+        {"version": 1, "offset": -5},
+        {"version": 1, "offset": 10, "batches": None},
+    ],
+    ids=["version", "not-an-object", "no-offset", "negative", "null-counter"],
+)
+def test_unknown_version_is_refused(tmp_path, document):
     path = str(tmp_path / "cp")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"version": 99, "offset": 10}, fh)
-    with pytest.raises(ValueError, match="unsupported"):
+        json.dump(document, fh)
+    with pytest.raises(ValueError, match="unsupported ingest checkpoint"):
         load_checkpoint(path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import runpy
 import time
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.core.engine import SequenceIndex
 from repro.core.model import Event
 from repro.core.policies import Policy
+from repro.faults import SimulatedCrash
 from repro.ingest import (
     EngineSink,
     FeedEvent,
@@ -168,6 +170,33 @@ class TestTailIngester:
             assert stats.events_deduped == 8
             assert index_snapshot(engine) == before
 
+    def test_events_appended_during_a_step_wait_for_the_next(self, tmp_path):
+        # The checkpoint moves to where the step's read ended, not to
+        # wherever the feed ends once the batch is applied.
+        feed = str(tmp_path / "feed.jsonl")
+        checkpoint = str(tmp_path / "cp")
+        early, late = _ab_events(6)[:4], _ab_events(6)[4:]
+        with FeedWriter(feed) as writer, SequenceIndex(policy=Policy.STNM) as engine:
+            writer.append(early)
+            read_end = writer.tell()
+
+            def producer_appends(batch_no):
+                if batch_no == 0:
+                    writer.append(late)
+
+            with TailIngester(
+                feed, EngineSink(engine), checkpoint, pre_checkpoint_hook=producer_appends
+            ) as ingester:
+                assert ingester.step() == 4
+                assert load_checkpoint(checkpoint).offset == read_end < writer.tell()
+                assert len(engine.get_trace("t1")) == 4
+                assert ingester.step() == 2
+                assert load_checkpoint(checkpoint).offset == writer.tell()
+                assert ingester.step() == 0
+            with SequenceIndex(policy=Policy.STNM) as clean:
+                clean.update(early + late)
+                assert index_snapshot(engine) == index_snapshot(clean)
+
     def test_background_follow_tails_a_growing_feed(self, tmp_path):
         feed = str(tmp_path / "feed.jsonl")
         with SequenceIndex(policy=Policy.STNM) as engine:
@@ -200,6 +229,57 @@ class TestTailIngester:
             TailIngester(
                 str(tmp_path / "f"), None, str(tmp_path / "cp"), batch_events=0
             )
+
+
+def _example_sink():
+    """``MonthlySink`` of examples/periodic_pipeline.py, the shipped recipe."""
+    examples = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
+    return runpy.run_path(os.path.join(examples, "periodic_pipeline.py"))["MonthlySink"]
+
+
+class TestRoutingSink:
+    """A sink is anything with ``apply``: per-period partitions need no more."""
+
+    def test_routed_ingest_equals_per_partition_batches(self, tmp_path):
+        MonthlySink = _example_sink()
+        month = 30 * 86_400.0
+        events = sorted(
+            [Event("jan", "AB"[i % 2], float(i + 1)) for i in range(4)]
+            + [Event("feb", "AB"[i % 2], month + i) for i in range(4)]
+            # one trace straddling the month boundary
+            + [Event("both", "A", 9.0), Event("both", "B", month + 9.0)],
+            key=lambda e: e.timestamp,
+        )
+        feed = str(tmp_path / "feed.jsonl")
+        checkpoint = str(tmp_path / "cp")
+        _write_feed(feed, events)
+
+        def kill(batch_no):
+            if batch_no == 1:
+                raise SimulatedCrash("applied, not checkpointed")
+
+        with SequenceIndex(LSMStore(str(tmp_path / "ix"))) as engine:
+            sink = MonthlySink(engine)
+            with TailIngester(
+                feed, sink, checkpoint, batch_events=4, pre_checkpoint_hook=kill
+            ) as ingester:
+                with pytest.raises(SimulatedCrash):
+                    ingester.drain()
+            with TailIngester(feed, sink, checkpoint, batch_events=4) as ingester:
+                stats = ingester.drain()
+            assert stats.events_deduped == 4  # batch 1, replayed
+            assert stats.events_applied == 2  # batch 2
+
+            with SequenceIndex(policy=Policy.STNM) as clean:
+                clean.update([e for e in events if e.timestamp < month], "month-00")
+                clean.update([e for e in events if e.timestamp >= month], "month-01")
+                # each partition, then their union (the straddling pair
+                # lands in month-01, where it completed)
+                for name in ("month-00", "month-01", None):
+                    routed = engine.detect(["A", "B"], partition=name)
+                    assert routed == clean.detect(["A", "B"], partition=name)
+                assert len(routed) == 5
+                assert index_snapshot(engine) == index_snapshot(clean)
 
 
 class TestMetrics:

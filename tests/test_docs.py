@@ -301,3 +301,17 @@ def test_docscheck_fails_on_a_deleted_private_name():
         "D.md:1: `_compact_slice` names no live attribute of the documented modules",
         "D.md:2: `_validate_levels` names no live attribute of the documented modules",
     ]
+
+
+def test_docscheck_fails_on_a_dead_module_path():
+    from repro.bench.docscheck import check_module_paths
+
+    design = (
+        "Feeds: `repro.ingest`; workers: `repro.executor`; this lint: `repro.bench.docscheck`.\n"
+        "`repro.logs.pipeline` and `repro.ingest.drop_indexed(events)` are gone;\n"
+        "`repro.ingest.index_snapshot(engine)` and `repro.obs.REGISTRY.render()` resolve.\n"
+    )
+    assert check_module_paths("D.md", design) == [
+        "D.md:2: `repro.logs.pipeline` names no live module or attribute",
+        "D.md:2: `repro.ingest.drop_indexed` names no live module or attribute",
+    ]
