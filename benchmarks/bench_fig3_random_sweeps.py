@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import SCALE
-from repro.core.pairs import create_pairs
+from repro.core.pairs import PAIR_FLAVORS
 from repro.core.policies import PairMethod
 from repro.logs.generator import RandomLogConfig, generate_random_log
 
@@ -63,8 +63,10 @@ def test_random_log_pair_creation(benchmark, label, config, method):
     views = [(trace.activities, trace.timestamps) for trace in log]
     benchmark.extra_info["events"] = log.num_events
 
+    flavor = PAIR_FLAVORS[method]  # the column form the builder consumes
+
     def run():
-        return [create_pairs(acts, stamps, method) for acts, stamps in views]
+        return [flavor(acts, stamps) for acts, stamps in views]
 
     results = benchmark.pedantic(run, rounds=2, iterations=1)
     assert len(results) == len(views)

@@ -22,7 +22,8 @@ Six classes of documentation rot this catches mechanically:
   signature, so a removed knob cannot linger in the operator guide;
 * **deleted methods** -- every backticked ``Class.attribute`` in DESIGN.md
   or ``docs/*.md`` whose class lives in one of :data:`API_MODULES` (the
-  query, postings, engine, builder, tables, ingester and store modules),
+  query, postings, pairs, engine, builder, tables, ingester and store
+  modules),
   every backticked ``core.query.function`` (module path spelled out), and
   every bare backticked ``_private_name`` must name a live attribute, so
   the design text cannot describe a method that a refactor removed;
@@ -243,6 +244,7 @@ def check_constructor_keywords(
 API_MODULES = (
     "repro.core.query",
     "repro.core.postings",
+    "repro.core.pairs",
     "repro.core.engine",
     "repro.core.builder",
     "repro.core.tables",

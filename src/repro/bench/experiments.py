@@ -24,7 +24,7 @@ from repro.bench.workloads import (
     stnm_patterns,
     timed,
 )
-from repro.core.pairs import create_pairs
+from repro.core.pairs import PAIR_FLAVORS
 from repro.core.policies import PairMethod, Policy
 from repro.executor import ParallelExecutor
 from repro.logs.datasets import DATASETS
@@ -47,11 +47,11 @@ def _mean_time(fn: Callable[[], object], repeats: int) -> float:
 
 
 def _pair_creation_time(log, method: PairMethod) -> float:
-    """Time to create all event pairs of ``log`` with ``method`` (one run)."""
+    """Time to create all event pairs of ``log`` with ``method`` (one run),
+    in the column form the builder consumes."""
     views = [(trace.activities, trace.timestamps) for trace in log]
-    elapsed, _ = timed(
-        lambda: [create_pairs(acts, stamps, method) for acts, stamps in views]
-    )
+    flavor = PAIR_FLAVORS[method]
+    elapsed, _ = timed(lambda: [flavor(acts, stamps) for acts, stamps in views])
     return elapsed
 
 

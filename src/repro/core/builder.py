@@ -23,13 +23,16 @@ per-trace Spark parallelism.  Store writes happen on the calling thread.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import sub
 from typing import Iterable
 
 from repro.core.errors import TraceOrderError
 from repro.core.model import Event, EventLog
 from repro.core.pairs import (
-    PairDict,
-    create_pairs,
+    PAIR_FLAVORS,
+    Pair,
+    PairColumns,
     occurrence_lists,
     pairs_completed_after,
 )
@@ -64,105 +67,67 @@ class _TraceWork:
     new_seq: SeqList
 
 
-def _compute_trace_pairs(
-    work: _TraceWork, method: PairMethod
-) -> tuple[str, PairDict]:
+def _compute_trace_pairs(work: _TraceWork, method: PairMethod) -> PairColumns:
     """Pure per-trace pair creation (Algorithm 1 lines 5-13)."""
     activities = [activity for activity, _ in work.new_seq]
     timestamps = [ts for _, ts in work.new_seq]
-    if not work.old_activities:
-        return work.trace_id, create_pairs(activities, timestamps, method)
-    if method is PairMethod.STRICT:
-        # SC pairs gained by the batch: the boundary pair plus consecutive
-        # new pairs -- adjacency is local.
-        pairs: PairDict = {}
-        boundary = [(work.old_activities[-1], work.old_stamps[-1])] + work.new_seq
-        for (act_a, ts_a), (act_b, ts_b) in zip(boundary, boundary[1:]):
-            pairs.setdefault((act_a, act_b), []).append((ts_a, ts_b))
-        return work.trace_id, pairs
+    if method is PairMethod.STRICT or not work.old_activities:
+        # A new trace; or the SC pairs a known one gains: the boundary pair
+        # plus consecutive new pairs -- adjacency is local.
+        return PAIR_FLAVORS[method](
+            work.old_activities[-1:] + activities, work.old_stamps[-1:] + timestamps
+        )
     occurrences = occurrence_lists(
         work.old_activities + activities, work.old_stamps + timestamps
     )
-    return work.trace_id, pairs_completed_after(occurrences, work.old_stamps[-1])
+    return pairs_completed_after(occurrences, work.old_stamps[-1])
 
 
 class _AggregatedBatch:
-    """Write-ready table deltas for a set of traces.
+    """The Index deltas of a set of traces: per pair, the three columns of
+    its chunk -- ``(trace ids, ts_a, ts_b)`` -- pairs in first-appearance
+    order, rows in trace order.
 
-    Workers aggregate their partition's pair dictionaries into this form so
-    that (a) cross-process result transfer ships a handful of large dicts
-    instead of one per trace and (b) the main thread only merges partitions
-    instead of re-walking every pair.
+    Workers aggregate their partition into this form so that the main thread
+    only merges partitions instead of re-walking every pair; Count,
+    ReverseCount and LastChecked are derived from the finished columns, once
+    per pair.  The lists are this object's own: a flavor's columns are copied
+    in, never adopted (:mod:`repro.core.pairs` shares them between pairs).
     """
 
-    __slots__ = ("index", "counts", "reverse", "checked", "pairs_created")
+    __slots__ = ("index",)
 
     def __init__(self) -> None:
-        self.index: dict[tuple[str, str], list[tuple[str, float, float]]] = {}
-        self.counts: dict[str, dict[str, list[float]]] = {}
-        self.reverse: dict[str, dict[str, list[float]]] = {}
-        self.checked: dict[str, dict[str, float]] = {}
-        self.pairs_created = 0
+        self.index: dict[Pair, tuple[list[str], list[float], list[float]]] = {}
 
-    def add_trace(self, trace_id: str, pair_dict: PairDict) -> None:
+    def add_trace(self, trace_id: str, columns: PairColumns) -> None:
         index = self.index
-        counts = self.counts
-        reverse = self.reverse
-        checked = self.checked
-        for pair, ts_pairs in pair_dict.items():
-            count = len(ts_pairs)
-            self.pairs_created += count
-            entries = index.get(pair)
-            if entries is None:
-                entries = index[pair] = []
-            duration = 0.0
-            append = entries.append
-            for ts_a, ts_b in ts_pairs:
-                duration += ts_b - ts_a
-                append((trace_id, ts_a, ts_b))
-            first, second = pair
-            slot = counts.setdefault(first, {}).setdefault(second, [0.0, 0])
-            slot[0] += duration
-            slot[1] += count
-            rslot = reverse.setdefault(second, {}).setdefault(first, [0.0, 0])
-            rslot[0] += duration
-            rslot[1] += count
-            last = checked.setdefault(first, {})
-            tail = ts_pairs[-1][1]
-            if second not in last or tail > last[second]:
-                last[second] = tail
+        for pair, (ts_a, ts_b) in columns.items():
+            mine = index.get(pair)
+            if mine is None:
+                mine = index[pair] = ([], [], [])
+            if len(ts_a) == 1:
+                mine[0].append(trace_id)
+                mine[1].append(ts_a[0])
+                mine[2].append(ts_b[0])
+            else:
+                mine[0].extend([trace_id] * len(ts_a))
+                mine[1].extend(ts_a)
+                mine[2].extend(ts_b)
 
     def merge(self, other: "_AggregatedBatch") -> None:
         """Fold another partition's deltas into this one."""
-        self.pairs_created += other.pairs_created
-        for pair, entries in other.index.items():
-            self.index.setdefault(pair, []).extend(entries)
-        for rows, theirs in ((self.counts, other.counts), (self.reverse, other.reverse)):
-            for key, per_event in theirs.items():
-                mine = rows.setdefault(key, {})
-                for event, (duration, count) in per_event.items():
-                    slot = mine.setdefault(event, [0.0, 0])
-                    slot[0] += duration
-                    slot[1] += count
-        for first, per_second in other.checked.items():
-            mine = self.checked.setdefault(first, {})
-            for second, tail in per_second.items():
-                if second not in mine or tail > mine[second]:
-                    mine[second] = tail
+        for pair, theirs in other.index.items():
+            for column, more in zip(self.index.setdefault(pair, ([], [], [])), theirs):
+                column.extend(more)
 
 
-class _PartitionJob:
+def _aggregate(works: list[_TraceWork], method: PairMethod) -> list[_AggregatedBatch]:
     """Process a partition of trace works into one aggregated batch."""
-
-    def __init__(self, method: PairMethod) -> None:
-        self.method = method
-
-    def __call__(self, works: list[_TraceWork]) -> list[_AggregatedBatch]:
-        batch = _AggregatedBatch()
-        for work in works:
-            trace_id, pair_dict = _compute_trace_pairs(work, self.method)
-            batch.add_trace(trace_id, pair_dict)
-        return [batch]
+    batch = _AggregatedBatch()
+    for work in works:
+        batch.add_trace(work.trace_id, _compute_trace_pairs(work, method))
+    return [batch]
 
 
 class IndexBuilder:
@@ -214,17 +179,13 @@ class IndexBuilder:
             return stats
         self.tables.ensure_partition(partition)
         self.tables.register_partition(partition)
-        job = _PartitionJob(self.method)
+        job = partial(_aggregate, method=self.method)
         partials = self.executor.map_partitions(job, work_items)
         aggregated = partials[0]
-        for partial in partials[1:]:
-            aggregated.merge(partial)
+        for other in partials[1:]:
+            aggregated.merge(other)
         self._write_results(work_items, aggregated, partition, stats)
         return stats
-
-    def build(self, log: EventLog, partition: str = "") -> UpdateStats:
-        """Index a whole log from scratch (convenience alias of update)."""
-        return self.update(log, partition)
 
     # -- internals -----------------------------------------------------------------
 
@@ -302,14 +263,24 @@ class IndexBuilder:
         partition: str,
         stats: UpdateStats,
     ) -> None:
-        stats.pairs_created = aggregated.pairs_created
         for work in work_items:
             self.tables.append_sequence(work.trace_id, work.new_seq)
-        for pair, entries in aggregated.index.items():
-            self.tables.append_index(pair, entries, partition)
-        for first, per_second in aggregated.counts.items():
+        # One Count / ReverseCount slot and one last completion per pair of
+        # the batch, read off its finished columns.
+        counts: dict[str, dict[str, list[float]]] = {}
+        reverse: dict[str, dict[str, list[float]]] = {}
+        checked: dict[str, dict[str, float]] = {}
+        for pair, columns in aggregated.index.items():
+            self.tables.append_index(pair, columns, partition)
+            (first, second), (_, ts_a, ts_b) = pair, columns
+            stats.pairs_created += len(ts_b)
+            duration = sum(map(sub, ts_b, ts_a), 0.0)
+            counts.setdefault(first, {})[second] = [duration, len(ts_b)]
+            reverse.setdefault(second, {})[first] = [duration, len(ts_b)]
+            checked.setdefault(first, {})[second] = max(ts_b)
+        for first, per_second in counts.items():
             self.tables.add_counts(first, per_second)
-        for second, per_first in aggregated.reverse.items():
+        for second, per_first in reverse.items():
             self.tables.add_reverse_counts(second, per_first)
-        for first, per_second in aggregated.checked.items():
+        for first, per_second in checked.items():
             self.tables.add_last_completions(first, per_second)

@@ -1,8 +1,8 @@
 """Event-pair creation (§4 of the paper).
 
 Given one trace, produce -- for every ordered pair of event types ``(a, b)``
-present -- the list of timestamp pairs at which the two-event pattern
-``a .. b`` completes under the chosen policy:
+present -- the timestamps at which the two-event pattern ``a .. b`` completes
+under the chosen policy:
 
 * **Strict contiguity (SC)**: consecutive events only.  ``(a, b)`` pairs are
   exactly ``zip(trace, trace[1:])``.
@@ -15,39 +15,57 @@ The three STNM flavors (Algorithms 6-8) are distinct computation strategies
 for the *same* output; the test suite enforces that they agree with each
 other and with :func:`reference_stnm_pairs` on arbitrary traces.
 
-All functions accept plain parallel lists ``activities`` / ``timestamps``
-(what :class:`repro.core.model.Trace` exposes) so they can run inside
-process-pool workers without dragging heavier objects along.
+Every flavor takes plain parallel lists ``activities`` / ``timestamps`` (what
+:class:`repro.core.model.Trace` exposes) and returns :data:`PairColumns`: per
+pair two parallel time-ordered lists ``(ts_a, ts_b)``, the form the Index
+table stores (:mod:`repro.core.postings`), so no tuple per completion is built
+between here and the chunk.  **A column list may be shared** -- between pairs
+of one result, and with the occurrence lists it was read from: a type that
+occurs once in a trace *is* the ``ts_a`` column of every pair it starts.
+Consumers therefore copy out of a column (``append`` / ``extend``) and never
+adopt or mutate one; :func:`create_pairs`, the public row view, builds fresh
+lists.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Sequence
 
 from repro.core.policies import PairMethod
 
 Pair = tuple[str, str]
-TsPair = tuple[float, float]
-PairDict = dict[Pair, list[TsPair]]
+PairColumns = dict[Pair, tuple[list[float], list[float]]]
 
 
 def create_pairs(
     activities: Sequence[str],
     timestamps: Sequence[float],
     method: PairMethod = PairMethod.INDEXING,
-) -> PairDict:
-    """Create the event pairs of one trace using the selected flavor."""
+) -> dict[Pair, list[tuple[float, float]]]:
+    """Create the event pairs of one trace using the selected flavor.
+
+    The public row view over :data:`PAIR_FLAVORS` (whose functions the builder
+    calls directly): ``{pair: [(ts_a, ts_b), ...]}``, every list its own.
+    """
     if len(activities) != len(timestamps):
         raise ValueError("activities and timestamps must have equal length")
-    if method is PairMethod.STRICT:
-        return strict_pairs(activities, timestamps)
-    if method is PairMethod.PARSING:
-        return parsing_pairs(activities, timestamps)
-    if method is PairMethod.INDEXING:
-        return indexing_pairs(activities, timestamps)
-    if method is PairMethod.STATE:
-        return state_pairs(activities, timestamps)
-    raise ValueError(f"unknown pair method {method!r}")
+    columns = PAIR_FLAVORS[PairMethod(method)](activities, timestamps)
+    return {
+        # most pairs of a trace complete once: skip the zip object for those
+        pair: [(ts_a[0], ts_b[0])] if len(ts_a) == 1 else list(zip(ts_a, ts_b))
+        for pair, (ts_a, ts_b) in columns.items()
+    }
+
+
+def _emit(pairs: PairColumns, pair: Pair, ts_a: float, ts_b: float) -> None:
+    """Append one completion to ``pair``'s columns."""
+    if pair in pairs:
+        column_a, column_b = pairs[pair]
+        column_a.append(ts_a)
+        column_b.append(ts_b)
+    else:
+        pairs[pair] = ([ts_a], [ts_b])
 
 
 # --- §4.1 strict contiguity --------------------------------------------------
@@ -55,12 +73,11 @@ def create_pairs(
 
 def strict_pairs(
     activities: Sequence[str], timestamps: Sequence[float]
-) -> PairDict:
+) -> PairColumns:
     """SC pairs: one pair per adjacent event couple; O(n)."""
-    pairs: PairDict = {}
+    pairs: PairColumns = {}
     for i in range(len(activities) - 1):
-        key = (activities[i], activities[i + 1])
-        pairs.setdefault(key, []).append((timestamps[i], timestamps[i + 1]))
+        _emit(pairs, (activities[i], activities[i + 1]), timestamps[i], timestamps[i + 1])
     return pairs
 
 
@@ -78,8 +95,8 @@ def occurrence_lists(
 
 
 def greedy_pair_match(
-    occ_a: Sequence[float], occ_b: Sequence[float], same_type: bool
-) -> list[TsPair]:
+    occ_a: list[float], occ_b: list[float], same_type: bool
+) -> tuple[list[float], list[float]]:
     """Greedy non-overlapping matching of two sorted occurrence lists.
 
     This is the two-pointer merge at the core of the Indexing method --
@@ -87,11 +104,11 @@ def greedy_pair_match(
     reused for incremental updates (:func:`pairs_completed_after`).
     """
     if same_type:
-        # Consecutive disjoint couples: (o0,o1), (o2,o3), ...
-        return [
-            (occ_a[i], occ_a[i + 1]) for i in range(0, len(occ_a) - 1, 2)
-        ]
-    result: list[TsPair] = []
+        # Consecutive disjoint couples: (o0,o1), (o2,o3), ...; an odd
+        # trailing occurrence stays open.
+        return occ_a[:-1:2], occ_a[1::2]
+    ts_a: list[float] = []
+    ts_b: list[float] = []
     i = j = 0
     len_a, len_b = len(occ_a), len(occ_b)
     while i < len_a:
@@ -101,17 +118,18 @@ def greedy_pair_match(
         if j >= len_b:
             break
         second = occ_b[j]
-        result.append((first, second))
+        ts_a.append(first)
+        ts_b.append(second)
         j += 1
         i += 1
         while i < len_a and occ_a[i] <= second:
             i += 1
-    return result
+    return ts_a, ts_b
 
 
 def indexing_pairs(
     activities: Sequence[str], timestamps: Sequence[float]
-) -> PairDict:
+) -> PairColumns:
     """STNM pairs via per-type occurrence lists (the paper's recommended flavor).
 
     One O(n) pass builds the occurrence lists; every ordered type
@@ -120,20 +138,29 @@ def indexing_pairs(
     merges, giving O(n + l^2 + n*l) per trace -- the lowest constants of
     the three flavors, which is why the paper recommends it for periodic
     batch indexing.
+
+    A type that occurs once needs no merge: with a single ``a``, ``(a, b)``
+    completes iff some ``b`` comes later -- once, at the first such ``b`` --
+    and its columns are the occurrence lists themselves (the sharing rule of
+    the module docstring).  Most pairs of a process-like trace, which repeats
+    few activities, therefore cost a comparison and no allocation.
     """
     occurrences = occurrence_lists(activities, timestamps)
-    types = list(occurrences)
-    pairs: PairDict = {}
-    for a in types:
-        occ_a = occurrences[a]
-        if len(occ_a) >= 2:
-            pairs[(a, a)] = greedy_pair_match(occ_a, occ_a, same_type=True)
-        for b in types:
-            if b == a:
-                continue
-            matched = greedy_pair_match(occ_a, occurrences[b], same_type=False)
-            if matched:
-                pairs[(a, b)] = matched
+    pairs: PairColumns = {}
+    for a, occ_a in occurrences.items():
+        first = occ_a[0]
+        if len(occ_a) == 1:
+            # b == a fails the test below by itself: its last stamp is `first`.
+            for b, occ_b in occurrences.items():
+                if occ_b[-1] > first:
+                    if len(occ_b) > 1:
+                        occ_b = [occ_b[bisect_right(occ_b, first)]]
+                    pairs[a, b] = (occ_a, occ_b)
+            continue
+        pairs[a, a] = greedy_pair_match(occ_a, occ_a, same_type=True)
+        for b, occ_b in occurrences.items():
+            if occ_b[-1] > first and b != a:  # else no b follows the first a
+                pairs[a, b] = greedy_pair_match(occ_a, occ_b, same_type=False)
     return pairs
 
 
@@ -142,7 +169,7 @@ def indexing_pairs(
 
 def parsing_pairs(
     activities: Sequence[str], timestamps: Sequence[float]
-) -> PairDict:
+) -> PairColumns:
     """STNM pairs computed while parsing the trace (Algorithm 6).
 
     Faithful to the paper's pseudocode structure *and cost profile*: for
@@ -155,7 +182,7 @@ def parsing_pairs(
     Figure 3's third plot).
     """
     n = len(activities)
-    pairs: PairDict = {}
+    pairs: PairColumns = {}
     checked: list[str] = []
     for start in range(n):
         x = activities[start]
@@ -177,7 +204,7 @@ def parsing_pairs(
                 if xx_anchor is None:
                     xx_anchor = ts
                 else:
-                    pairs.setdefault((x, x), []).append((xx_anchor, ts))
+                    _emit(pairs, (x, x), xx_anchor, ts)
                     xx_anchor = None
                 # A fresh x re-anchors every pair closed before it.
                 for k in range(len(blocked) - 1, -1, -1):
@@ -189,7 +216,7 @@ def parsing_pairs(
                 continue
             if y in anchored:  # O(l) list membership, as in inter_events
                 k = anchored.index(y)
-                pairs.setdefault((x, y), []).append((anchors[k], ts))
+                _emit(pairs, (x, y), anchors[k], ts)
                 del anchored[k]
                 del anchors[k]
                 blocked.append(y)
@@ -197,8 +224,9 @@ def parsing_pairs(
             elif y in blocked:  # O(l): pair closed, no fresh x yet -> skip
                 continue
             else:
-                # First y of the scan: the earliest x (scan start) anchors it.
-                pairs.setdefault((x, y), []).append((first_x, ts))
+                # First y of the scan: the earliest x (scan start) anchors it,
+                # and (x, y) -- written by this scan alone -- gets its columns.
+                pairs[x, y] = ([first_x], [ts])
                 blocked.append(y)
                 blocked_ts.append(ts)
     return pairs
@@ -209,25 +237,20 @@ def parsing_pairs(
 
 def state_pairs(
     activities: Sequence[str], timestamps: Sequence[float]
-) -> PairDict:
+) -> PairColumns:
     """STNM pairs via a per-pair open/closed state hash map (Algorithm 8).
 
     A first pass collects the alphabet; a second pass feeds each event into
     the state: an event of type ``t`` always appends to the ``(t, t)`` list
     (alternately opening and closing it), opens every ``(t, y)`` list of even
     length and closes every ``(y, t)`` list of odd length.  Odd-length lists
-    are trimmed at the end.  O(n l) updates, O(l^2) space.
+    are trimmed at the end, and a list's even positions are then the pair's
+    ``ts_a`` column, its odd ones ``ts_b``.  O(n l) updates, O(l^2) space.
     """
-    alphabet: list[str] = []
-    seen: set[str] = set()
-    for activity in activities:
-        if activity not in seen:
-            seen.add(activity)
-            alphabet.append(activity)
+    alphabet = list(dict.fromkeys(activities))  # first-appearance order
     state: dict[Pair, list[float]] = {}
     for t, ts in zip(activities, timestamps):
-        self_list = state.setdefault((t, t), [])
-        self_list.append(ts)
+        state.setdefault((t, t), []).append(ts)
         for y in alphabet:
             if y == t:
                 continue
@@ -237,14 +260,20 @@ def state_pairs(
             closing = state.setdefault((y, t), [])
             if len(closing) % 2 == 1:
                 closing.append(ts)
-    pairs: PairDict = {}
-    for key, stamps in state.items():
-        usable = len(stamps) - (len(stamps) % 2)
-        if usable:
-            pairs[key] = [
-                (stamps[i], stamps[i + 1]) for i in range(0, usable, 2)
-            ]
-    return pairs
+    return {
+        key: (stamps[:-1:2], stamps[1::2])  # [:-1] drops an unclosed opening
+        for key, stamps in state.items()
+        if len(stamps) >= 2
+    }
+
+
+#: each method's flavor, ``(activities, timestamps) -> PairColumns``
+PAIR_FLAVORS = {
+    PairMethod.STRICT: strict_pairs,
+    PairMethod.PARSING: parsing_pairs,
+    PairMethod.INDEXING: indexing_pairs,
+    PairMethod.STATE: state_pairs,
+}
 
 
 # --- reference implementation (tests + documentation) ---------------------------
@@ -252,19 +281,20 @@ def state_pairs(
 
 def reference_stnm_pairs(
     activities: Sequence[str], timestamps: Sequence[float]
-) -> PairDict:
+) -> dict[Pair, list[tuple[float, float]]]:
     """Direct-from-definition STNM pairs; O(n) per type pair, used as oracle.
 
     For each ordered type pair, walk the raw trace: find the next ``a``,
     then the next ``b`` strictly after it, emit, continue after the ``b``.
-    Deliberately shares no code with the three production flavors.
+    Deliberately shares no code with the three production flavors -- not
+    even their output form: it keeps one ``(ts_a, ts_b)`` row per completion.
     """
     types = sorted(set(activities))
     n = len(activities)
-    pairs: PairDict = {}
+    pairs: dict[Pair, list[tuple[float, float]]] = {}
     for a in types:
         for b in types:
-            matched: list[TsPair] = []
+            matched = []
             i = 0
             while i < n:
                 while i < n and activities[i] != a:
@@ -285,7 +315,7 @@ def reference_stnm_pairs(
 
 def pairs_completed_after(
     occurrences: dict[str, list[float]], tail: float
-) -> PairDict:
+) -> PairColumns:
     """STNM pairs of one trace that complete strictly after ``tail``.
 
     The incremental-update primitive of Algorithm 1, given the occurrence
@@ -297,13 +327,11 @@ def pairs_completed_after(
     whose *second* type occurs after ``tail`` can complete there.
     """
     second_types = [b for b, occ in occurrences.items() if occ[-1] > tail]
-    pairs: PairDict = {}
+    pairs: PairColumns = {}
     for a, occ_a in occurrences.items():
         for b in second_types:
-            matched = greedy_pair_match(occ_a, occurrences[b], same_type=(a == b))
-            keep = len(matched)
-            while keep and matched[keep - 1][1] > tail:
-                keep -= 1
-            if keep < len(matched):
-                pairs[(a, b)] = matched[keep:]
+            ts_a, ts_b = greedy_pair_match(occ_a, occurrences[b], same_type=(a == b))
+            keep = bisect_right(ts_b, tail)  # completions are time-ordered
+            if keep < len(ts_b):
+                pairs[a, b] = (ts_a[keep:], ts_b[keep:])
     return pairs

@@ -51,7 +51,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from operator import add, sub
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.kvstore.encoding import decode_value, encode_value
 
@@ -59,6 +59,7 @@ __all__ = [
     "CorruptPostingsError",
     "Postings",
     "encode_postings",
+    "encode_posting_columns",
     "decode_postings",
     "encode_sequence",
     "decode_sequence",
@@ -151,7 +152,7 @@ def _signed_code(low: int, high: int) -> int | None:
     return _CODE_OF_BYTES[size] if size <= 8 else None
 
 
-def _timestamp_kind(stamps: tuple) -> int | None:
+def _timestamp_kind(stamps: Sequence) -> int | None:
     """The tightest kind that round-trips every timestamp, type included."""
     types = set(map(type, stamps))
     if types == {int}:
@@ -167,8 +168,13 @@ def _timestamp_kind(stamps: tuple) -> int | None:
     return KIND_FLOAT
 
 
-def _encode_chunk(tag: int, ids: tuple, first: tuple, second: tuple | None) -> bytes | None:
-    """One columnar chunk, or ``None`` when the rows do not fit the layout."""
+def _encode_chunk(
+    tag: int, ids: Sequence, first: Sequence, second: Sequence | None
+) -> bytes | None:
+    """One columnar chunk, or ``None`` when the rows do not fit the layout.
+
+    ``first`` and ``second`` are both tuples or both lists; nothing passed
+    in is mutated or kept."""
     n = len(ids)
     kind = _timestamp_kind(first if second is None else first + second)
     if kind is None or set(map(type, ids)) != {str}:
@@ -227,6 +233,18 @@ def _columns(rows: list, width: int) -> tuple | None:
     return columns if len(columns) == width else None
 
 
+def _raw_chunk(rows: Iterable) -> bytes:
+    return bytes((TAG_RAW,)) + encode_value([list(row) for row in rows])
+
+
+def encode_posting_columns(ids: Sequence, ts_a: Sequence, ts_b: Sequence) -> bytes:
+    """Encode one batch given as its three equal-length, non-empty columns
+    (what the builder holds); same chunk as :func:`encode_postings` of the
+    zipped rows."""
+    chunk = _encode_chunk(TAG_POSTINGS, ids, ts_a, ts_b)
+    return chunk if chunk is not None else _raw_chunk(zip(ids, ts_a, ts_b))
+
+
 def encode_postings(entries: list) -> bytes:
     """Encode one batch of ``(trace_id, ts_a, ts_b)`` rows into a chunk.
 
@@ -234,10 +252,7 @@ def encode_postings(entries: list) -> bytes:
     columnar layout cannot hold exactly go into a RAW chunk instead.
     """
     columns = _columns(entries, 3)
-    chunk = _encode_chunk(TAG_POSTINGS, *columns) if columns is not None else None
-    if chunk is None:
-        return bytes((TAG_RAW,)) + encode_value([list(entry) for entry in entries])
-    return chunk
+    return encode_posting_columns(*columns) if columns is not None else _raw_chunk(entries)
 
 
 def encode_sequence(events: list) -> list:

@@ -39,7 +39,7 @@ from repro.core.policies import PairMethod, Policy
 from repro.core.postings import (
     Postings,
     decode_sequence,
-    encode_postings,
+    encode_posting_columns,
     encode_sequence,
     item_formats,
 )
@@ -167,13 +167,17 @@ class IndexTables:
     def append_index(
         self,
         pair: tuple[str, str],
-        entries: list[tuple[str, float, float]],
+        columns: tuple[list[str], list[float], list[float]],
         partition: str = _DEFAULT_PARTITION,
     ) -> None:
+        """Append one batch of ``pair``'s completions, given as the parallel
+        columns ``(trace ids, ts_a, ts_b)`` a chunk stores (read, not kept)."""
         # One chunk per append batch: the list_append merge makes the stored
         # value a list of chunks (possibly after items of older formats).
-        if entries:
-            self.store.merge(_index_table(partition), pair, [encode_postings(entries)])
+        if columns[0]:
+            self.store.merge(
+                _index_table(partition), pair, [encode_posting_columns(*columns)]
+            )
 
     def _index_tables_for(self, partition: str | None) -> list[str]:
         """Physical Index tables a read targets, in union (partition) order.

@@ -19,7 +19,7 @@ from repro.kvstore import InMemoryStore
 def _build(log, policy=Policy.STNM, method=None, executor=None):
     store = InMemoryStore()
     builder = IndexBuilder(store, policy, method, executor)
-    stats = builder.build(log)
+    stats = builder.update(log)
     return builder, stats
 
 
@@ -36,11 +36,11 @@ class TestFullBuild:
         assert builder.tables.get_sequence("t2") == (["A", "B", "C"], [0, 1, 2])
 
     def test_index_matches_pair_creation(self, paper_log):
-        from repro.core.pairs import indexing_pairs
+        from repro.core.pairs import create_pairs
 
         builder, _ = _build(paper_log)
         trace = paper_log.trace("t1")
-        expected = indexing_pairs(trace.activities, trace.timestamps)
+        expected = create_pairs(trace.activities, trace.timestamps, PairMethod.INDEXING)
         for pair, ts_pairs in expected.items():
             rows = builder.tables.get_index(pair)
             assert [(a, b) for trace_id, a, b in rows if trace_id == "t1"] == ts_pairs
@@ -109,7 +109,7 @@ class TestIncremental:
     def test_incremental_equals_batch(self, policy):
         activities = list("ABCABDBACBAD")
         full_store = InMemoryStore()
-        IndexBuilder(full_store, policy).build(
+        IndexBuilder(full_store, policy).update(
             EventLog.from_dict({"t": activities})
         )
         inc_store = InMemoryStore()

@@ -52,9 +52,9 @@ def test_columnar_rows_are_no_larger_than_what_they_replace(batching):
     append_index = index.tables.append_index
     append_sequence = index.tables.append_sequence
 
-    def record_index(pair, entries, partition=""):
-        postings_batches.append(list(entries))
-        append_index(pair, entries, partition)
+    def record_index(pair, columns, partition=""):
+        postings_batches.append(list(zip(*columns)))
+        append_index(pair, columns, partition)
 
     def record_sequence(trace_id, events):
         sequence_batches.append(list(events))

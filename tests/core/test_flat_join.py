@@ -84,12 +84,13 @@ def _write_as(index: SequenceIndex, fmt: str) -> None:
     """Make ``index`` write its Index rows in a retired format."""
     store = index.store
 
-    def append_index(pair, entries, partition=""):
+    def append_index(pair, columns, partition=""):
+        entries = list(zip(*columns))
         kinds = {type(ts) for entry in entries for ts in entry[1:]}
         if fmt == "varint" and len(kinds) == 1:  # a varint chunk holds one kind
             delta = [encode_varint_postings(entries)]
         else:
-            delta = [tuple(entry) for entry in entries]
+            delta = entries
         store.merge(_index_table(partition), pair, delta)
 
     index.tables.append_index = append_index

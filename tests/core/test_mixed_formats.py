@@ -142,9 +142,10 @@ def _write_as(index: SequenceIndex, fmt: str) -> None:
     store = index.store
     tables = index.tables
 
-    def append_index(pair, entries, partition=""):
+    def append_index(pair, columns, partition=""):
+        entries = list(zip(*columns))
         if fmt == "tuples":
-            delta = [tuple(entry) for entry in entries]
+            delta = entries
         else:
             delta = [encode_varint_postings(entries)]
         store.merge(_index_table(partition), pair, delta)

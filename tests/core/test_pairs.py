@@ -1,5 +1,6 @@
 """Pair-creation semantics (§4): the Table 3 example, flavor equivalence,
-and the incremental-matching primitive."""
+the incremental-matching primitive -- all on the column form the flavors
+return -- and the rule that lets those columns be shared."""
 
 from __future__ import annotations
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.builder import _AggregatedBatch
 from repro.core.pairs import (
+    PAIR_FLAVORS,
     create_pairs,
     greedy_pair_match,
     indexing_pairs,
@@ -21,6 +24,21 @@ from repro.core.pairs import (
 from repro.core.policies import PairMethod
 
 STNM_FLAVORS = (indexing_pairs, parsing_pairs, state_pairs)
+
+
+def columns_of(rows: dict) -> dict:
+    """``{pair: [(ts_a, ts_b), ...]}`` as ``{pair: ([ts_a, ...], [ts_b, ...])}``."""
+    return {pair: ([a for a, _ in matches], [b for _, b in matches]) for pair, matches in rows.items()}
+
+
+def assert_well_formed(columns: dict) -> None:
+    """Parallel, non-empty, each completion forward in time and after the
+    previous one of its pair."""
+    for ts_a, ts_b in columns.values():
+        assert isinstance(ts_a, list) and isinstance(ts_b, list)
+        assert len(ts_a) == len(ts_b) > 0
+        assert all(a < b for a, b in zip(ts_a, ts_b))
+        assert all(end < start for end, start in zip(ts_b, ts_a[1:]))
 
 traces = st.lists(
     st.sampled_from("ABCDEFGH"), max_size=60
@@ -40,22 +58,22 @@ class TestTable3Example:
     def test_sc_pairs(self, table3_trace):
         acts, stamps = table3_trace
         pairs = strict_pairs(acts, stamps)
-        assert pairs[("A", "A")] == [(1, 2)]
-        assert pairs[("A", "B")] == [(2, 3), (4, 5)]
+        assert pairs[("A", "A")] == ([1], [2])
+        assert pairs[("A", "B")] == ([2, 4], [3, 5])
         # Table 3 prints (3,4),(4,5) for SC (B,A); consecutive scanning of
         # the trace gives (3,4),(5,6) -- we implement the definition.
-        assert pairs[("B", "A")] == [(3, 4), (5, 6)]
+        assert pairs[("B", "A")] == ([3, 5], [4, 6])
         assert ("B", "B") not in pairs
 
     @pytest.mark.parametrize("flavor", STNM_FLAVORS, ids=lambda f: f.__name__)
     def test_stnm_pairs(self, flavor, table3_trace):
         acts, stamps = table3_trace
-        assert flavor(acts, stamps) == self.STNM_EXPECTED
+        assert flavor(acts, stamps) == columns_of(self.STNM_EXPECTED)
 
     def test_stnm_skips_overlapping_anchor(self, table3_trace):
         """The paper: '(A,B) ... only the (1,3) pair ... and not (2,3)'."""
         acts, stamps = table3_trace
-        assert (2, 3) not in indexing_pairs(acts, stamps)[("A", "B")]
+        assert indexing_pairs(acts, stamps)[("A", "B")] == ([1, 4], [3, 5])
 
 
 class TestFlavorEquivalence:
@@ -63,21 +81,32 @@ class TestFlavorEquivalence:
     @settings(max_examples=300, deadline=None)
     def test_all_flavors_match_reference(self, trace):
         acts, stamps = trace
-        expected = reference_stnm_pairs(acts, stamps)
+        expected = columns_of(reference_stnm_pairs(acts, stamps))
         for flavor in STNM_FLAVORS:
-            assert flavor(acts, stamps) == expected
+            columns = flavor(acts, stamps)
+            assert_well_formed(columns)
+            assert columns == expected
 
     @given(traces)
     @settings(max_examples=100, deadline=None)
     def test_pairs_are_non_overlapping_per_type_pair(self, trace):
         acts, stamps = trace
-        for (a, b), ts_pairs in indexing_pairs(acts, stamps).items():
-            previous_end = None
-            for ts_a, ts_b in ts_pairs:
-                assert ts_a < ts_b
-                if previous_end is not None:
-                    assert ts_a > previous_end
-                previous_end = ts_b
+        for flavor in STNM_FLAVORS:
+            assert_well_formed(flavor(acts, stamps))
+        # SC completions of one pair may touch ((A, A) in AAA), never cross
+        for ts_a, ts_b in strict_pairs(acts, stamps).values():
+            assert len(ts_a) == len(ts_b) > 0
+            assert all(a < b for a, b in zip(ts_a, ts_b))
+            assert all(end <= start for end, start in zip(ts_b, ts_a[1:]))
+
+    @given(traces, st.sampled_from(PairMethod))
+    @settings(max_examples=100, deadline=None)
+    def test_row_view_is_the_zipped_columns(self, trace, method):
+        acts, stamps = trace
+        columns = PAIR_FLAVORS[method](acts, stamps)
+        rows = create_pairs(acts, stamps, method)
+        assert list(rows) == list(columns)  # same pairs, same emission order
+        assert rows == {pair: list(zip(ts_a, ts_b)) for pair, (ts_a, ts_b) in columns.items()}
 
     @given(traces)
     @settings(max_examples=100, deadline=None)
@@ -85,8 +114,9 @@ class TestFlavorEquivalence:
         acts, stamps = trace
         pairs = strict_pairs(acts, stamps)
         rebuilt = []
-        for (a, b), ts_pairs in pairs.items():
-            rebuilt.extend((ta, a, tb, b) for ta, tb in ts_pairs)
+        for (a, b), (ts_a, ts_b) in pairs.items():
+            assert len(ts_a) == len(ts_b) > 0
+            rebuilt.extend((ta, a, tb, b) for ta, tb in zip(ts_a, ts_b))
         rebuilt.sort()
         expected = [
             (stamps[i], acts[i], stamps[i + 1], acts[i + 1])
@@ -107,14 +137,20 @@ class TestFlavorEquivalence:
 class TestCreatePairsDispatch:
     def test_dispatch(self, table3_trace):
         acts, stamps = table3_trace
-        assert create_pairs(acts, stamps, PairMethod.STRICT) == strict_pairs(acts, stamps)
-        assert create_pairs(acts, stamps, PairMethod.INDEXING) == indexing_pairs(acts, stamps)
-        assert create_pairs(acts, stamps, PairMethod.PARSING) == parsing_pairs(acts, stamps)
-        assert create_pairs(acts, stamps, PairMethod.STATE) == state_pairs(acts, stamps)
+        assert PAIR_FLAVORS == {
+            PairMethod.STRICT: strict_pairs,
+            PairMethod.INDEXING: indexing_pairs,
+            PairMethod.PARSING: parsing_pairs,
+            PairMethod.STATE: state_pairs,
+        }
+        assert create_pairs(acts, stamps, PairMethod.STRICT)[("A", "B")] == [(2, 3), (4, 5)]
+        assert create_pairs(acts, stamps) == TestTable3Example.STNM_EXPECTED
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             create_pairs(["A"], [1, 2])
+        with pytest.raises(ValueError):
+            create_pairs(["A"], [1], "no-such-flavor")
 
     def test_empty_trace(self):
         for method in PairMethod:
@@ -127,17 +163,26 @@ class TestCreatePairsDispatch:
 
 class TestGreedyMatch:
     def test_same_type_pairs_consecutive(self):
-        assert greedy_pair_match([1, 2, 3, 4, 5], [], True) == [(1, 2), (3, 4)]
+        assert greedy_pair_match([1, 2, 3, 4, 5], [], True) == ([1, 3], [2, 4])
+        assert greedy_pair_match([1, 2, 3, 4], [], True) == ([1, 3], [2, 4])
+        assert greedy_pair_match([1], [], True) == ([], [])
 
     def test_cross_type(self):
-        assert greedy_pair_match([1, 4], [2, 3, 5], False) == [(1, 2), (4, 5)]
+        assert greedy_pair_match([1, 4], [2, 3, 5], False) == ([1, 4], [2, 5])
 
     def test_no_match_after_anchor(self):
-        assert greedy_pair_match([5], [1, 2], False) == []
+        assert greedy_pair_match([5], [1, 2], False) == ([], [])
 
     def test_empty_lists(self):
-        assert greedy_pair_match([], [1], False) == []
-        assert greedy_pair_match([1], [], False) == []
+        assert greedy_pair_match([], [1], False) == ([], [])
+        assert greedy_pair_match([1], [], False) == ([], [])
+
+    def test_result_is_fresh(self):
+        occ = [1, 2, 3, 4]
+        ts_a, ts_b = greedy_pair_match(occ, occ, True)
+        ts_a.append(9)
+        ts_b.append(9)
+        assert occ == [1, 2, 3, 4]
 
 
 class TestPairsAfter:
@@ -149,21 +194,21 @@ class TestPairsAfter:
 
     def test_filters_by_timestamp(self):
         occ = occurrence_lists(list("ABAB"), [1, 2, 3, 4])
-        assert pairs_completed_after(occ, 2)[("A", "B")] == [(3, 4)]
+        assert pairs_completed_after(occ, 2)[("A", "B")] == ([3], [4])
         assert pairs_completed_after(occ, 4) == {}
 
     def test_same_type_after(self):
         occ = occurrence_lists(list("AAAA"), [1, 2, 3, 4])
-        assert pairs_completed_after(occ, 0) == {("A", "A"): [(1, 2), (3, 4)]}
-        assert pairs_completed_after(occ, 2) == {("A", "A"): [(3, 4)]}
+        assert pairs_completed_after(occ, 0) == {("A", "A"): ([1, 3], [2, 4])}
+        assert pairs_completed_after(occ, 2) == {("A", "A"): ([3], [4])}
         # An odd old prefix leaves an open A that the first new A closes.
-        assert pairs_completed_after(occ, 3) == {("A", "A"): [(3, 4)]}
+        assert pairs_completed_after(occ, 3) == {("A", "A"): ([3], [4])}
 
     def test_missing_types(self):
         # A type with no occurrence after the tail is never a second type,
         # and a first type with no occurrence before the completion no match.
         occ = occurrence_lists(list("ABC"), [1, 2, 3])
-        assert pairs_completed_after(occ, 2) == {("A", "C"): [(1, 3)], ("B", "C"): [(2, 3)]}
+        assert pairs_completed_after(occ, 2) == {("A", "C"): ([1], [3]), ("B", "C"): ([2], [3])}
         assert pairs_completed_after(occurrence_lists(list("A"), [1]), 0) == {}
 
     @given(traces, st.integers(0, 60))
@@ -181,8 +226,52 @@ class TestPairsAfter:
             return
         before = reference_stnm_pairs(acts[:cut], stamps[:cut])
         gained = pairs_completed_after(occurrence_lists(acts, stamps), stamps[cut - 1])
-        assert all(gained.values())
+        assert_well_formed(gained)
         merged = {pair: list(matches) for pair, matches in before.items()}
-        for pair, matches in gained.items():
-            merged.setdefault(pair, []).extend(matches)
+        for pair, (ts_a, ts_b) in gained.items():
+            merged.setdefault(pair, []).extend(zip(ts_a, ts_b))
         assert merged == reference_stnm_pairs(acts, stamps)
+
+
+class TestColumnSharing:
+    """A flavor may hand out one list as a column of several pairs (and its
+    occurrence lists as columns); whoever consumes a result copies."""
+
+    def test_single_occurrence_columns_are_shared(self):
+        columns = indexing_pairs(list("ABC"), [1, 2, 3])
+        assert columns[("A", "B")][0] is columns[("A", "C")][0]
+        assert columns[("A", "C")][1] is columns[("B", "C")][1]
+
+    def test_row_view_builds_fresh_lists(self):
+        rows = create_pairs(list("ABC"), [1, 2, 3])
+        rows[("A", "B")].append((9, 9))
+        assert rows[("A", "C")] == [(1, 3)]
+
+    @given(traces, st.sampled_from(PairMethod))
+    @settings(max_examples=150, deadline=None)
+    def test_aggregation_copies_out_of_the_columns(self, trace, method):
+        acts, stamps = trace
+        pristine_stamps = list(stamps)
+        columns = PAIR_FLAVORS[method](acts, stamps)
+        pristine = {pair: (list(ts_a), list(ts_b)) for pair, (ts_a, ts_b) in columns.items()}
+
+        def twice() -> _AggregatedBatch:
+            batch = _AggregatedBatch()
+            batch.add_trace("t1", columns)
+            batch.add_trace("t2", columns)
+            return batch
+
+        merged = _AggregatedBatch()
+        for partial in (twice(), twice()):
+            merged.merge(partial)
+        for batch, ids in ((twice(), ["t1", "t2"]), (merged, ["t1", "t2", "t1", "t2"])):
+            assert list(batch.index) == list(pristine)
+            for pair, (ts_a, ts_b) in pristine.items():
+                assert batch.index[pair] == (
+                    [trace_id for trace_id in ids for _ in ts_a],
+                    ts_a * len(ids),
+                    ts_b * len(ids),
+                )
+        # neither the flavor's result nor the trace it was computed from moved
+        assert columns == pristine
+        assert stamps == pristine_stamps

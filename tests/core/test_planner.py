@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from repro.core.engine import SequenceIndex
 from repro.core.errors import EmptyPatternError
 from repro.core.model import Event, EventLog
-from repro.core.pairs import reference_stnm_pairs, strict_pairs
-from repro.core.policies import Policy
+from repro.core.pairs import create_pairs, reference_stnm_pairs
+from repro.core.policies import PairMethod, Policy
 
 ACTIVITIES = "ABCD"
 
@@ -34,12 +34,14 @@ PATTERNS = st.lists(st.sampled_from(ACTIVITIES), min_size=2, max_size=5)
 
 def _oracle_matches(log_dict, pattern, policy):
     """Brute-force Algorithm 2 per trace, from the reference pair builders."""
-    reference = strict_pairs if policy is Policy.SC else reference_stnm_pairs
     out = []
     for trace_id in sorted(log_dict):
         activities = log_dict[trace_id]
         stamps = list(range(len(activities)))
-        pairs = reference(activities, stamps)
+        if policy is Policy.SC:
+            pairs = create_pairs(activities, stamps, PairMethod.STRICT)
+        else:
+            pairs = reference_stnm_pairs(activities, stamps)
         chains = [list(p) for p in pairs.get((pattern[0], pattern[1]), [])]
         for i in range(1, len(pattern) - 1):
             step = {ta: tb for ta, tb in pairs.get((pattern[i], pattern[i + 1]), [])}

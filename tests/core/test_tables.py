@@ -54,8 +54,8 @@ class TestSeq:
 
 class TestIndex:
     def test_append_and_group(self, tables):
-        tables.append_index(("A", "B"), [("t1", 1.0, 2.0), ("t2", 5.0, 6.0)])
-        tables.append_index(("A", "B"), [("t1", 3.0, 4.0)])
+        tables.append_index(("A", "B"), (["t1", "t2"], [1.0, 5.0], [2.0, 6.0]))
+        tables.append_index(("A", "B"), (["t1"], [3.0], [4.0]))
         postings = tables.get_index_many([("A", "B")])[("A", "B")]
         assert postings.entries == 3
         assert postings.trace_ids() == {"t1", "t2"}
@@ -75,8 +75,8 @@ class TestIndex:
         tables.register_partition("p1")
         tables.ensure_partition("p2")
         tables.register_partition("p2")
-        tables.append_index(("A", "B"), [("t1", 1.0, 2.0)], partition="p1")
-        tables.append_index(("A", "B"), [("t2", 3.0, 4.0)], partition="p2")
+        tables.append_index(("A", "B"), (["t1"], [1.0], [2.0]), partition="p1")
+        tables.append_index(("A", "B"), (["t2"], [3.0], [4.0]), partition="p2")
         assert tables.get_index(("A", "B"), partition="p1") == [("t1", 1.0, 2.0)]
         assert tables.get_index(("A", "B"), partition="p2") == [("t2", 3.0, 4.0)]
         assert tables.get_index(("A", "B"), partition="") == []

@@ -259,6 +259,25 @@ def test_docscheck_fails_on_a_deleted_ingest_or_table_method():
     ]
 
 
+def test_docscheck_fails_on_a_deleted_pair_function():
+    from repro.bench.docscheck import api_owners, check_api_references
+
+    owners = api_owners()
+    assert "core.pairs" in owners and "repro.core.pairs" in owners
+    assert "pairs" not in owners  # a bare last component names no module
+    design = (
+        "`core.pairs.pairs_completed_after` derives a known trace's new pairs and\n"
+        "`core.pairs.PAIR_FLAVORS[method](activities, timestamps)` a new trace's;\n"
+        "`core.pairs.create_pairs` is the row view.  `core.pairs.pairs_after_cut`\n"
+        "and `repro.core.pairs.PairDict` are gone; `_emit` resolves, `_unpair` not.\n"
+    )
+    assert check_api_references("D.md", design, owners) == [
+        "D.md:3: `core.pairs.pairs_after_cut` names no live attribute",
+        "D.md:4: `repro.core.pairs.PairDict` names no live attribute",
+        "D.md:4: `_unpair` names no live attribute of the documented modules",
+    ]
+
+
 def test_docscheck_fails_on_a_deleted_cli_flag():
     from repro.bench.docscheck import check_cli_commands, known_subcommands
 
