@@ -543,7 +543,7 @@ def _ingest_faults(args: argparse.Namespace, seeds) -> int:
             print(f"FAIL {exc}")
         else:
             print(
-                f"seed {seed}: ok (killed {summary['phase']} batch "
+                f"seed {seed}: ok (killed {summary['kill']} batch "
                 f"{summary['crash_batch']}, replayed {summary['replayed']} "
                 f"events, {summary['deduped']} deduped, converged)"
             )

@@ -13,7 +13,10 @@ each affected trace the builder
    prefix-stable, so these are exactly the pairs a full rebuild would add
    and ``LastChecked`` never has to be read);
 3. merges the results into ``Seq``, ``Index``, ``Count``, ``ReverseCount``
-   and ``LastChecked`` (each pair's latest completion) as blind merge-writes.
+   and ``LastChecked`` (each pair's latest completion) as blind merge-writes
+   -- all of them, with the partition's registration, one atomic store
+   write (:meth:`~repro.core.tables.IndexTables.batch`), so a process kill
+   leaves either the whole update or none of it.
 
 Pair computation is a pure per-trace function, dispatched through a
 :class:`~repro.executor.parallel.ParallelExecutor` exactly like the paper's
@@ -178,7 +181,6 @@ class IndexBuilder:
         if not work_items:
             return stats
         self.tables.ensure_partition(partition)
-        self.tables.register_partition(partition)
         job = partial(_aggregate, method=self.method)
         partials = self.executor.map_partitions(job, work_items)
         aggregated = partials[0]
@@ -263,24 +265,30 @@ class IndexBuilder:
         partition: str,
         stats: UpdateStats,
     ) -> None:
-        for work in work_items:
-            self.tables.append_sequence(work.trace_id, work.new_seq)
-        # One Count / ReverseCount slot and one last completion per pair of
-        # the batch, read off its finished columns.
-        counts: dict[str, dict[str, list[float]]] = {}
-        reverse: dict[str, dict[str, list[float]]] = {}
-        checked: dict[str, dict[str, float]] = {}
-        for pair, columns in aggregated.index.items():
-            self.tables.append_index(pair, columns, partition)
-            (first, second), (_, ts_a, ts_b) = pair, columns
-            stats.pairs_created += len(ts_b)
-            duration = sum(map(sub, ts_b, ts_a), 0.0)
-            counts.setdefault(first, {})[second] = [duration, len(ts_b)]
-            reverse.setdefault(second, {})[first] = [duration, len(ts_b)]
-            checked.setdefault(first, {})[second] = max(ts_b)
-        for first, per_second in counts.items():
-            self.tables.add_counts(first, per_second)
-        for second, per_first in reverse.items():
-            self.tables.add_reverse_counts(second, per_first)
-        for first, per_second in checked.items():
-            self.tables.add_last_completions(first, per_second)
+        """Hand the whole update to the store as one write: the partition's
+        registration, then Seq, Index, Count, ReverseCount, LastChecked."""
+        with self.tables.batch():
+            self.tables.register_partition(partition)
+            for work in work_items:
+                self.tables.append_sequence(work.trace_id, work.new_seq)
+            # One Count / ReverseCount slot and one last completion per pair
+            # of the batch, read off its finished columns.
+            counts: dict[str, dict[str, list[float]]] = {}
+            reverse: dict[str, dict[str, list[float]]] = {}
+            checked: dict[str, dict[str, float]] = {}
+            index = aggregated.index
+            for pair in list(index):
+                columns = index.pop(pair)  # the chunk holds them from here on
+                self.tables.append_index(pair, columns, partition)
+                (first, second), (_, ts_a, ts_b) = pair, columns
+                stats.pairs_created += len(ts_b)
+                duration = sum(map(sub, ts_b, ts_a), 0.0)
+                counts.setdefault(first, {})[second] = [duration, len(ts_b)]
+                reverse.setdefault(second, {})[first] = [duration, len(ts_b)]
+                checked.setdefault(first, {})[second] = max(ts_b)
+            for first, per_second in counts.items():
+                self.tables.add_counts(first, per_second)
+            for second, per_first in reverse.items():
+                self.tables.add_reverse_counts(second, per_first)
+            for first, per_second in checked.items():
+                self.tables.add_last_completions(first, per_second)

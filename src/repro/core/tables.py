@@ -14,7 +14,11 @@ Meta           "meta"                      {policy, method, ...}
 =============  ==========================  =========================================
 
 Values are written exclusively through merge operators, so index batches are
-blind appends -- the Cassandra pattern the paper's scalability rests on.
+blind appends -- the Cassandra pattern the paper's scalability rests on --
+and every write goes through :meth:`IndexTables.write`: inside a
+:meth:`IndexTables.batch` block the writes are collected and reach the store
+as one atomic :meth:`~repro.kvstore.api.KeyValueStore.write` (the builder
+puts a whole ``update()`` in one), outside one each is its own.
 ``LastChecked`` holds what the Statistics query reads, one number per pair
 (the paper's per-trace map fed Algorithm 1 line 3, which the builder derives:
 DESIGN.md section 4); its readers also accept the ``(ev_a, ev_b) ->
@@ -32,7 +36,8 @@ or fan out over all of them.
 
 from __future__ import annotations
 
-from typing import Iterator
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from repro.core.errors import IndexStateError
 from repro.core.policies import PairMethod, Policy
@@ -43,7 +48,7 @@ from repro.core.postings import (
     encode_sequence,
     item_formats,
 )
-from repro.kvstore.api import KeyValueStore
+from repro.kvstore.api import KeyValueStore, WriteOp
 
 SEQ = "seq"
 INDEX = "index"
@@ -69,6 +74,41 @@ class IndexTables:
 
     def __init__(self, store: KeyValueStore) -> None:
         self.store = store
+        #: the ops of the open :meth:`batch` block, else ``None``
+        self._batch: list[WriteOp] | None = None
+
+    # -- writes ------------------------------------------------------------
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Collect every write made through these tables inside the block
+        into one atomic store write, issued when the block exits cleanly.
+
+        An exception inside the block writes nothing.  Writers are the
+        engine's to serialize (its one-writer lock), so blocks do not nest.
+        """
+        if self._batch is not None:
+            raise RuntimeError("IndexTables.batch() blocks do not nest")
+        self._batch = []
+        try:
+            yield
+            ops = self._batch
+        finally:
+            self._batch = None
+        # Handed over one at a time, so each staged value is freed as soon
+        # as the store has encoded it: an update's encoded rows and its
+        # Python ones are never all alive at once.
+        ops.reverse()
+        self.store.write(ops.pop() for _ in range(len(ops)))
+
+    def write(self, op: str, table: str, key: Any, value: Any = None) -> None:
+        """The one way these tables write (``op`` as in
+        :meth:`~repro.kvstore.api.KeyValueStore.write`): into the open
+        :meth:`batch`, else straight to the store as a one-op write."""
+        if self._batch is None:
+            self.store.write([(op, table, key, value)])
+        else:
+            self._batch.append((op, table, key, value))
 
     # -- schema ------------------------------------------------------------
 
@@ -104,7 +144,7 @@ class IndexTables:
         return self.store.get(META, "meta", {})
 
     def put_meta(self, meta: dict) -> None:
-        self.store.put(META, "meta", meta)
+        self.write("put", META, "meta", meta)
 
     def check_configuration(self, policy: Policy, method: PairMethod) -> None:
         """Validate (or record) the policy/method this store was built with."""
@@ -134,7 +174,7 @@ class IndexTables:
     def append_sequence(
         self, trace_id: str, events: list[tuple[str, float]]
     ) -> None:
-        self.store.merge(SEQ, trace_id, encode_sequence(events))
+        self.write("merge", SEQ, trace_id, encode_sequence(events))
 
     def get_sequence(self, trace_id: str) -> tuple[list[str], list[float]]:
         """One trace's ``(activities, timestamps)`` columns (empty when unknown)."""
@@ -160,7 +200,7 @@ class IndexTables:
             yield key[0], decode_sequence(value)
 
     def delete_sequence(self, trace_id: str) -> None:
-        self.store.delete(SEQ, trace_id)
+        self.write("delete", SEQ, trace_id)
 
     # -- Index ------------------------------------------------------------------
 
@@ -175,8 +215,8 @@ class IndexTables:
         # One chunk per append batch: the list_append merge makes the stored
         # value a list of chunks (possibly after items of older formats).
         if columns[0]:
-            self.store.merge(
-                _index_table(partition), pair, [encode_posting_columns(*columns)]
+            self.write(
+                "merge", _index_table(partition), pair, [encode_posting_columns(*columns)]
             )
 
     def _index_tables_for(self, partition: str | None) -> list[str]:
@@ -273,10 +313,10 @@ class IndexTables:
         self, first: str, stats: dict[str, list[float]]
     ) -> None:
         """Merge ``{ev_b: [sum_duration, completions]}`` into Count[first]."""
-        self.store.merge(COUNT, first, stats)
+        self.write("merge", COUNT, first, stats)
 
     def add_reverse_counts(self, second: str, stats: dict[str, list[float]]) -> None:
-        self.store.merge(REVERSE_COUNT, second, stats)
+        self.write("merge", REVERSE_COUNT, second, stats)
 
     def get_count_rows(
         self, keys: list[str], reverse: bool = False
@@ -319,7 +359,7 @@ class IndexTables:
     def add_last_completions(self, first: str, completions: dict[str, float]) -> None:
         """Merge ``{ev_b: last_completion_ts}`` into LastChecked[first]: per
         second event the latest timestamp wins, whichever trace it came from."""
-        self.store.merge(LAST_CHECKED, first, completions)
+        self.write("merge", LAST_CHECKED, first, completions)
 
     def get_last_completions(
         self, pairs: list[tuple[str, str]]

@@ -3,9 +3,9 @@
 One :class:`CrashRecoveryHarness` run is a complete simulated
 crash/recovery cycle:
 
-1. derive a workload (puts / list-append merges / deletes / flushes /
-   compactions) and a :class:`~repro.faults.schedule.FaultSchedule` from a
-   single integer seed;
+1. derive a workload (puts / list-append merges / deletes, alone or as
+   multi-op ``write`` batches / flushes / compactions) and a
+   :class:`~repro.faults.schedule.FaultSchedule` from a single integer seed;
 2. drive the workload into an :class:`~repro.kvstore.lsm.LSMStore` whose
    I/O runs through :class:`~repro.faults.io.FaultyIO`, tracking every
    *acknowledged* operation (returned without raising) in an in-memory
@@ -19,7 +19,8 @@ crash/recovery cycle:
    * an operation that raised (the in-flight op at the crash, or the one
      an injected ``ENOSPC``/fsync failure hit) may have landed or not --
      the oracle tracks both branches, anything outside them is a torn
-     value;
+     value; a batch lands whole or not at all, so recovering part of one
+     is a failure too;
    * no key the oracle never saw may appear (no phantoms);
    * ``verify()`` must pass -- recovery never serves torn bytes;
    * for silent-corruption faults (bit flips) the store may instead
@@ -29,12 +30,12 @@ crash/recovery cycle:
 Any violation raises :class:`CrashRecoveryFailure`, whose message embeds
 the reproducer command (``python -m repro faults --seed N``).
 
-The oracle state is a ``{(table, key): [possible values]}`` map.  An
-acknowledged write advances *every* branch; an unacknowledged write forks
-the branches (with and without the write).  Exactly one fault fires per
-schedule, so at most one key ever carries two branches -- the map stays
-tiny while still expressing the full may-or-may-not-have-landed
-semantics.
+The oracle holds the possible *store states* -- ``{(table, key): value}``
+maps.  An acknowledged write advances every state; an unacknowledged one
+forks them (without the write, and with all of it).  Exactly one fault
+fires per schedule, so there are at most two states -- tiny, while still
+expressing the full may-or-may-not-have-landed semantics, and for a batch
+that it landed as a whole.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ __all__ = [
 #: sentinel for "key has no value" (the workload never stores this string)
 ABSENT = "\x00<absent>"
 
-_WRITE_KINDS = ("put", "merge", "delete")
+_WRITE_KINDS = ("put", "merge", "delete", "batch")
 
 
 class CrashRecoveryFailure(AssertionError):
@@ -90,33 +91,47 @@ class WorkloadOp:
         self.value = value
 
     def __repr__(self) -> str:
+        if self.kind == "batch":
+            return f"WorkloadOp(batch of {len(self.value)})"
         if self.kind in _WRITE_KINDS:
             return f"WorkloadOp({self.kind} {self.table}[{self.key!r}])"
         return f"WorkloadOp({self.kind})"
+
+    def ops(self) -> list[tuple[str, str, Any, Any]]:
+        """This write as ``KeyValueStore.write`` ops."""
+        writes = self.value if self.kind == "batch" else [self]
+        return [(op.kind, op.table, op.key, op.value) for op in writes]
+
+
+def _draw_write(rng: random.Random, tag: str) -> WorkloadOp:
+    """One put, list-append merge or delete, weighted 35 : 30 : 10."""
+    roll = rng.random() * 0.75
+    if roll < 0.35:
+        value = f"v{tag}-" + "x" * rng.randint(0, 80)
+        return WorkloadOp("put", "kv", rng.randrange(16), value)
+    if roll < 0.65:
+        return WorkloadOp("merge", "log", rng.randrange(8), [f"d{tag}.{rng.randrange(1000)}"])
+    table = rng.choice(("kv", "log"))
+    return WorkloadOp("delete", table, rng.randrange(16 if table == "kv" else 8))
 
 
 def generate_workload(seed: int, ops: int = 160) -> list[WorkloadOp]:
     """Deterministic mixed workload over a plain table and a merge table.
 
     Values carry variable-length payloads so torn or truncated writes
-    change bytes a checksum (or the oracle comparison) will notice.
+    change bytes a checksum (or the oracle comparison) will notice; a
+    ``batch`` is 2-6 writes applied as one ``write`` (keys may repeat).
     """
     rng = random.Random(f"workload-{seed}")
     workload: list[WorkloadOp] = []
     for i in range(ops):
         roll = rng.random()
-        if roll < 0.35:
-            key = rng.randrange(16)
-            value = f"v{i}-" + "x" * rng.randint(0, 80)
-            workload.append(WorkloadOp("put", "kv", key, value))
-        elif roll < 0.65:
-            key = rng.randrange(8)
-            delta = [f"d{i}.{rng.randrange(1000)}"]
-            workload.append(WorkloadOp("merge", "log", key, delta))
-        elif roll < 0.75:
-            table = rng.choice(("kv", "log"))
-            key = rng.randrange(16 if table == "kv" else 8)
-            workload.append(WorkloadOp("delete", table, key))
+        if roll < 0.65:
+            workload.append(_draw_write(rng, str(i)))
+        elif roll < 0.77:
+            size = rng.randint(2, 6)
+            batch = [_draw_write(rng, f"{i}.{j}") for j in range(size)]
+            workload.append(WorkloadOp("batch", value=batch))
         elif roll < 0.90:
             workload.append(WorkloadOp("flush"))
         else:
@@ -148,42 +163,59 @@ def simulate_crash(store: LSMStore) -> None:
 
 
 class _Oracle:
-    """Possible-values tracker for acknowledged vs indeterminate writes."""
+    """Possible-states tracker for acknowledged vs indeterminate writes."""
 
     def __init__(self) -> None:
-        #: (table, key) -> list of possible current values (1 or 2 entries)
-        self.possible: dict[tuple[str, Any], list[Any]] = {}
+        #: every store state the writes so far allow, as ``{(table, key):
+        #: value}`` (1 entry, or 2 once a write raised)
+        self.states: list[dict[tuple[str, Any], Any]] = [{}]
         self.acked_writes = 0
 
     @staticmethod
-    def _applied(current: Any, op: WorkloadOp) -> Any:
-        if op.kind == "put":
-            return op.value
-        if op.kind == "delete":
-            return ABSENT
-        if op.kind == "merge":
-            base = list(current) if isinstance(current, list) else []
-            return base + list(op.value)
-        raise ValueError(f"not a write op: {op!r}")
+    def _applied(state: dict[tuple[str, Any], Any], op: WorkloadOp) -> dict:
+        """``state`` after all of ``op`` (every write of a batch, in order)."""
+        state = dict(state)
+        for kind, table, key, value in op.ops():
+            if kind == "put":
+                state[table, key] = value
+            elif kind == "delete":
+                state[table, key] = ABSENT
+            elif kind == "merge":
+                current = state.get((table, key))
+                base = list(current) if isinstance(current, list) else []
+                state[table, key] = base + list(value)
+            else:
+                raise ValueError(f"not a write op: {op!r}")
+        return state
 
     @staticmethod
     def _freeze(value: Any) -> Any:
         return tuple(value) if isinstance(value, list) else value
 
-    def _branches(self, op: WorkloadOp) -> list[Any]:
-        return self.possible.get((op.table, op.key), [ABSENT])
+    def _frozen(self, state: dict[tuple[str, Any], Any]) -> Any:
+        return frozenset(
+            (key, self._freeze(value)) for key, value in state.items() if value != ABSENT
+        )
+
+    @property
+    def possible(self) -> dict[tuple[str, Any], list[Any]]:
+        """Per key, every value it may hold: the states seen key by key."""
+        keys = dict.fromkeys(key for state in self.states for key in state)
+        return {
+            key: _dedup([state.get(key, ABSENT) for state in self.states], self._freeze)
+            for key in keys
+        }
 
     def ack(self, op: WorkloadOp) -> None:
-        """The op returned: it must be reflected in every branch."""
-        branches = [self._applied(v, op) for v in self._branches(op)]
-        self.possible[(op.table, op.key)] = _dedup(branches, self._freeze)
-        self.acked_writes += 1
+        """The write returned: it must be reflected in every state."""
+        self.states = [self._applied(state, op) for state in self.states]
+        self.acked_writes += len(op.ops())
 
     def indeterminate(self, op: WorkloadOp) -> None:
-        """The op raised: it may or may not have landed -- fork branches."""
-        branches = self._branches(op)
-        branches = branches + [self._applied(v, op) for v in branches]
-        self.possible[(op.table, op.key)] = _dedup(branches, self._freeze)
+        """The write raised: it may have landed or not, but never in part --
+        fork every state into "none of it" and "all of it"."""
+        states = self.states + [self._applied(state, op) for state in self.states]
+        self.states = _dedup(states, self._frozen)
 
 
 def _dedup(values: list[Any], freeze: Any) -> list[Any]:
@@ -305,6 +337,8 @@ class CrashRecoveryHarness:
                     store.merge(op.table, op.key, op.value)
                 elif op.kind == "delete":
                     store.delete(op.table, op.key)
+                elif op.kind == "batch":
+                    store.write(op.ops())
                 elif op.kind == "flush":
                     store.flush()
                 else:
@@ -370,7 +404,9 @@ class CrashRecoveryHarness:
     ) -> None:
         freeze = oracle._freeze
         checked = 0
-        for (table, key), branches in oracle.possible.items():
+        recovered_state: dict[tuple[str, Any], Any] = {}
+        possible = oracle.possible
+        for (table, key), branches in possible.items():
             if not recovered.has_table(table):
                 if any(freeze(v) != ABSENT for v in branches):
                     raise CrashRecoveryFailure(
@@ -393,14 +429,22 @@ class CrashRecoveryHarness:
                     f"{table}[{key!r}] recovered as {got!r}, expected one of "
                     f"{sorted(map(repr, allowed))}",
                 )
+            recovered_state[table, key] = got
             checked += 1
+        frozen = oracle._frozen(recovered_state)
+        if not any(frozen == oracle._frozen(state) for state in oracle.states):
+            raise CrashRecoveryFailure(
+                self.seed,
+                "every key recovered a possible value, but together they mix "
+                "the outcomes of the write in flight: part of a batch landed",
+            )
         # No phantoms: every surviving key must be one the oracle saw.
         for table, _ in self.TABLES:
             if not recovered.has_table(table):
                 continue
             for scan_key, _value in recovered.scan(table):
                 key = scan_key[0] if len(scan_key) == 1 else scan_key
-                if (table, key) not in oracle.possible:
+                if (table, key) not in possible:
                     raise CrashRecoveryFailure(
                         self.seed,
                         f"phantom key {table}[{key!r}] appeared after recovery",

@@ -5,11 +5,10 @@ One :func:`run_ingest_replay` seed is a complete streaming crash cycle:
 1. derive a deterministic interleaved event feed from the seed (integer
    timestamps keep the Count-table duration sums exact across groupings);
 2. tail it into a fresh store (single or sharded, also seed-derived) with
-   a :class:`~repro.ingest.ingester.TailIngester` whose fault hook raises
-   :class:`~repro.faults.schedule.SimulatedCrash` at a seeded batch
-   ordinal, either *before the apply* (batch read but not indexed) or
-   *after the apply but before the checkpoint* (the at-least-once window)
-   -- both kills fall *between* ``update()`` calls, never inside one;
+   a :class:`~repro.ingest.ingester.TailIngester` and kill it at a seeded
+   batch ordinal in one of three phases: *before the apply* (batch read but
+   not indexed), *inside the apply* (``mid_apply``) or *after the apply but
+   before the checkpoint* (the at-least-once window);
 3. drop the store's file handles without flushing
    (:func:`~repro.faults.harness.simulate_crash` -- a process kill);
 4. reopen everything and let a new ingester replay from the durable
@@ -22,17 +21,17 @@ One :func:`run_ingest_replay` seed is a complete streaming crash cycle:
 A pre-checkpoint kill forces the replay to re-read an already-applied
 batch, so this harness exercises exactly the dedup filter that makes the
 checkpoint protocol at-least-once-safe; a pre-apply kill exercises the
-plain resume path.  Any divergence raises :class:`IngestReplayFailure`
-with the reproducer command (``python -m repro faults --ingest --seed N``).
-
-A third phase, ``mid_apply``, is never seed-chosen and must be asked for
-(``run_ingest_replay(seed, phase="mid_apply")``): it kills *inside*
-``update()``, a seeded number of store merges into the crash batch.  An
-update is ~1 600 separate WAL records, ``Seq`` first, so such a kill leaves
-``Seq`` ahead of the Index and the replay filter then drops the very events
-whose pairs were never written: replay does **not** converge (the known
-hole stated in docs/INGEST.md; closing it takes one atomic WAL frame per
-update).
+plain resume path.  A ``mid_apply`` kill lands inside the crash batch's one
+store write (an ``update()`` is one WAL frame), at one of the two points
+that matter, also seed-chosen: a **torn frame** (the stores run on a
+:class:`~repro.faults.io.FaultyIO` that tears the batch's WAL write at a
+seeded byte -- recovery must see none of the batch), or a kill **after the
+frame is written, partway through the memtable apply** (recovery must see
+all of it, and the replay must dedup it).  A batch recovered in part would
+leave ``Seq`` ahead of the Index and the replay filter, which trusts
+``Seq``, would silently drop the events whose pairs were lost.  Any
+divergence raises :class:`IngestReplayFailure` with the reproducer command
+(``python -m repro faults --ingest --seed N``).
 """
 
 from __future__ import annotations
@@ -40,35 +39,38 @@ from __future__ import annotations
 import random
 import shutil
 import tempfile
+from functools import partial
 from pathlib import Path
 from typing import Any
 
 from repro.core.engine import SequenceIndex
 from repro.core.model import Event
 from repro.faults.harness import simulate_crash
-from repro.faults.schedule import SimulatedCrash
+from repro.faults.io import FaultyIO
+from repro.faults.schedule import TORN_WRITE, Fault, FaultSchedule, SimulatedCrash
 from repro.ingest.convergence import index_snapshot
 from repro.ingest.feed import FeedWriter
 from repro.ingest.ingester import EngineSink, TailIngester
-from repro.kvstore.lsm import LSMStore
+from repro.kvstore.lsm import WAL_NAME, LSMStore
 from repro.shard import ShardedSequenceIndex
 
 __all__ = ["IngestReplayFailure", "generate_feed_events", "run_ingest_replay"]
 
 _ACTIVITIES = ("login", "search", "add", "pay", "ship", "refund")
-_PHASES = ("pre_apply", "pre_checkpoint")
-_MID_APPLY = "mid_apply"
+_PHASES = ("pre_apply", "mid_apply", "pre_checkpoint")
+#: where a ``mid_apply`` kill lands inside the batch's one store write
+_MID_APPLY_KILLS = ("torn_frame", "memtable_apply")
 
 
 class IngestReplayFailure(AssertionError):
     """Replay after a crash did not converge to the clean batch build."""
 
-    def __init__(self, seed: int, message: str, phase: str | None = None) -> None:
+    def __init__(self, seed: int, message: str, forced_phase: str | None = None) -> None:
         self.seed = seed
         reproducer = (
             f"python -m repro faults --ingest --seed {seed}"
-            if phase != _MID_APPLY  # not seed-chosen, so not reachable from the CLI
-            else f"repro.faults.run_ingest_replay({seed}, phase={phase!r})"
+            if forced_phase is None  # the seed's own phase: reachable from the CLI
+            else f"repro.faults.run_ingest_replay({seed}, phase={forced_phase!r})"
         )
         super().__init__(f"seed {seed}: {message}\n  reproduce with: {reproducer}")
 
@@ -96,10 +98,11 @@ def generate_feed_events(seed: int, total: int | None = None) -> list[Event]:
     return events
 
 
-def _open_engine(path: str, shards: int | None) -> Any:
+def _open_engine(path: str, shards: int | None, io: FaultyIO | None = None) -> Any:
+    store_factory = partial(LSMStore, io=io)
     if shards:
-        return ShardedSequenceIndex.open(path, LSMStore, num_shards=shards)
-    return SequenceIndex(LSMStore(path))
+        return ShardedSequenceIndex.open(path, store_factory, num_shards=shards)
+    return SequenceIndex(store_factory(path))
 
 
 def _crash_engine(engine: Any) -> None:
@@ -132,18 +135,18 @@ def _first_divergence(streamed: dict, clean: dict) -> str:
     return "snapshots differ"
 
 
-def _kill_after_merges(store: Any, merges: int) -> None:
-    """Arm ``store`` to die on its ``merges + 1``-th merge from now."""
-    real_merge = store.merge
+def _kill_mid_memtable_apply(store: LSMStore, fraction: float) -> None:
+    """Arm ``store`` to die inside its next write's memtable apply -- after
+    the batch's WAL frame is written, with ``fraction`` of its records
+    applied."""
+    real_apply = store._apply_locked
 
-    def merge(table: str, key: Any, delta: Any) -> None:
-        nonlocal merges
-        if merges == 0:
-            raise SimulatedCrash(f"ingest kill mid-apply, before a {table!r} merge")
-        merges -= 1
-        real_merge(table, key, delta)
+    def apply(numbered: Any) -> bool:
+        records = list(numbered)
+        real_apply(records[: int(len(records) * fraction)])
+        raise SimulatedCrash(f"ingest kill mid-apply, {len(records)} records logged")
 
-    store.merge = merge
+    store._apply_locked = apply
 
 
 def run_ingest_replay(
@@ -154,12 +157,12 @@ def run_ingest_replay(
 ) -> dict[str, Any]:
     """Run one seed's kill/replay/converge cycle; returns a summary dict.
 
-    ``phase`` is ``"pre_apply"``, ``"pre_checkpoint"``, ``"mid_apply"`` or
-    ``None`` for the seed's own choice between the first two.  Raises
+    ``phase`` is ``"pre_apply"``, ``"mid_apply"``, ``"pre_checkpoint"`` or
+    ``None`` for the seed's own choice.  Raises
     :class:`IngestReplayFailure` when the replayed streaming index differs
     from the clean batch build.
     """
-    if phase is not None and phase not in (*_PHASES, _MID_APPLY):
+    if phase is not None and phase not in _PHASES:
         raise ValueError(f"unknown ingest kill phase {phase!r}")
     workdir = path or tempfile.mkdtemp(prefix=f"repro-ingest-{seed}-")
     try:
@@ -180,8 +183,11 @@ def _run(
     total_batches = -(-len(events) // batch_events)
     crash_batch = rng.randrange(total_batches)
     seeded_phase = rng.choice(_PHASES)  # drawn even when overridden: same sweep
+    forced_phase = phase if phase not in (None, seeded_phase) else None
     phase = phase or seeded_phase
-    kill_after = rng.randint(3, 9)
+    mid_apply_kill = rng.choice(_MID_APPLY_KILLS)
+    kill_at = rng.random()  # torn-write keep fraction / share of records applied
+    kill = f"{phase}/{mid_apply_kill}" if phase == "mid_apply" else phase
 
     feed_path = str(workdir / "events.jsonl")
     checkpoint_path = str(workdir / "ingest.checkpoint")
@@ -191,17 +197,24 @@ def _run(
     with FeedWriter(feed_path) as writer:
         writer.append(events)
 
+    # one shim for every shard: the first WAL write after arming is torn
+    io = FaultyIO(FaultSchedule())
+
     def crash_hook(batch_no: int) -> None:
         if batch_no != crash_batch:
             return
-        if phase == _MID_APPLY:
-            for shard in getattr(engine, "shards", None) or [engine]:
-                _kill_after_merges(shard.store, kill_after)
-        else:
+        if phase != "mid_apply":
             raise SimulatedCrash(f"ingest kill at {phase} of batch {batch_no}")
+        if mid_apply_kill == "torn_frame":
+            io.schedule = FaultSchedule(
+                [Fault(TORN_WRITE, "write", path_part=WAL_NAME, arg=kill_at)]
+            )
+        else:
+            for shard in getattr(engine, "shards", None) or [engine]:
+                _kill_mid_memtable_apply(shard.store, kill_at)
 
     # -- phase 1: stream until the seeded kill ------------------------------------
-    engine = _open_engine(stream_path, shards)
+    engine = _open_engine(stream_path, shards, io)
     ingester = TailIngester(
         feed_path,
         EngineSink(engine, partition=partition),
@@ -217,7 +230,7 @@ def _run(
         pass
     else:
         raise IngestReplayFailure(
-            seed, f"scheduled kill at batch {crash_batch} never fired"
+            seed, f"scheduled kill at batch {crash_batch} never fired", forced_phase
         )
     finally:
         ingester.close()
@@ -239,7 +252,9 @@ def _run(
             ingester.close()
         if stats.lag_bytes != 0:
             raise IngestReplayFailure(
-                seed, f"replay left {stats.lag_bytes} bytes of feed unconsumed"
+                seed,
+                f"replay left {stats.lag_bytes} bytes of feed unconsumed",
+                forced_phase,
             )
         streamed = index_snapshot(engine)
     finally:
@@ -257,15 +272,16 @@ def _run(
         raise IngestReplayFailure(
             seed,
             f"replayed streaming index != clean batch build "
-            f"(killed {phase} of batch {crash_batch}/{total_batches}, "
+            f"(killed {kill} of batch {crash_batch}/{total_batches}, "
             f"batch_events={batch_events}, shards={shards or 1}): "
             + _first_divergence(streamed, clean),
-            phase,
+            forced_phase,
         )
 
     return {
         "seed": seed,
         "phase": phase,
+        "kill": kill,
         "crash_batch": crash_batch,
         "total_batches": total_batches,
         "batch_events": batch_events,

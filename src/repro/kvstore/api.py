@@ -4,6 +4,10 @@ Tables are cheap namespaces (like Cassandra column families).  Each table is
 created with an optional :class:`~repro.kvstore.merge.MergeOperator`; only
 tables with an operator accept :meth:`KeyValueStore.merge` writes.
 
+:meth:`KeyValueStore.write` is every backend's one write path: an ordered
+batch of put / merge / delete ops applied as one unit.  ``put``, ``merge``
+and ``delete`` are one-op batches.
+
 Keys are tuples of primitives (``str``/``int``/``float``/``bytes``/``bool``/
 ``None``); a bare primitive is treated as a 1-tuple.  Values are arbitrary
 compositions of the same primitives with ``list``/``tuple``/``dict``.
@@ -14,6 +18,10 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator
 
 from repro.kvstore.encoding import Key, KeyPart
+
+#: one op of a write batch: ``(op, table, key, value)`` with ``op`` one of
+#: ``"put"``, ``"merge"``, ``"delete"`` (whose value is ignored)
+WriteOp = tuple[str, str, "KeyPart | Key", Any]
 
 
 class StoreError(Exception):
@@ -71,13 +79,27 @@ class KeyValueStore:
         """Return whether table ``name`` exists."""
         raise NotImplementedError
 
+    def write(self, ops: Iterable[WriteOp]) -> None:
+        """Apply ``ops`` in order as one atomic write.
+
+        An op is ``("put", table, key, value)`` (set ``key``, replacing any
+        previous value), ``("merge", table, key, delta)`` (a blind merge
+        delta; the table needs a merge operator) or ``("delete", table, key,
+        None)``.  Every op is checked before any is applied: an unknown op
+        or table, a merge on a table without an operator or an unencodable
+        value raises and writes nothing.  An applied batch is one unit --
+        :class:`~repro.kvstore.lsm.LSMStore` logs it as one WAL frame, so
+        after a process kill all of it is recovered or none of it.
+        """
+        raise NotImplementedError
+
     def put(self, table: str, key: KeyPart | Key, value: Any) -> None:
         """Set ``key`` to ``value``, replacing any previous value."""
-        raise NotImplementedError
+        self.write([("put", table, key, value)])
 
     def merge(self, table: str, key: KeyPart | Key, delta: Any) -> None:
         """Apply a blind merge delta to ``key`` (requires a merge operator)."""
-        raise NotImplementedError
+        self.write([("merge", table, key, delta)])
 
     def get(self, table: str, key: KeyPart | Key, default: Any = None) -> Any:
         """Return the merged value for ``key`` or ``default`` if absent."""
@@ -102,7 +124,7 @@ class KeyValueStore:
 
     def delete(self, table: str, key: KeyPart | Key) -> None:
         """Remove ``key`` (idempotent)."""
-        raise NotImplementedError
+        self.write([("delete", table, key, None)])
 
     def scan(
         self,

@@ -19,9 +19,10 @@ Values use a compact self-describing format (a small msgpack work-alike)
 supporting ``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``,
 ``list``, ``tuple`` and ``dict``.  Tuples decode as tuples, lists as lists.
 A ``dict`` whose keys are all ``str`` and whose values are all ``int`` (within
-int64) or all ``float`` is written under a *packed* tag -- keys joined into one
-utf-8 blob, values one ``struct.pack`` -- so such documents encode and decode
-without a Python-level walk (DESIGN.md section 11 has the layouts).
+int64), all ``float``, or all ``[float, int]`` counter slots is written under a
+*packed* tag -- keys joined into one utf-8 blob, values one ``struct.pack`` --
+so such documents encode and decode without a Python-level walk (DESIGN.md
+section 11 has the layouts).
 """
 
 from __future__ import annotations
@@ -199,11 +200,13 @@ _V_LIST = 0xDD  # u32 count + items
 _V_TUPLE = 0xDE  # u32 count + items
 _V_DICT = 0xDF  # u32 count + alternating key/value items
 # Packed maps: u32 count + u32 key-blob length + keys joined by NUL (utf-8)
-# + count big-endian 8-byte values.  Only dicts of exact-``str`` keys (none
-# holding a NUL) and exact-``int``/exact-``float`` values qualify, so a
-# round trip preserves every type.
+# + count big-endian 8-byte values (the counter tag: count float64 sums, then
+# count int64 counts).  Only dicts of exact-``str`` keys (none holding a NUL)
+# and exact-``int`` / exact-``float`` / exact ``[float, int]`` list values
+# qualify, so a round trip preserves every type.
 _V_MAP_STR_I64 = 0xE0
 _V_MAP_STR_F64 = 0xE1
+_V_MAP_STR_COUNTER = 0xE2
 _PACKED_FORMATS = {_V_MAP_STR_I64: "q", _V_MAP_STR_F64: "d"}
 _PACKED_TAGS = {int: _V_MAP_STR_I64, float: _V_MAP_STR_F64}
 _KEY_JOIN = "\x00"
@@ -279,22 +282,40 @@ def _encode_packed_map_into(out: bytearray, obj: dict) -> bool:
     value_types = set(map(type, obj.values()))
     if len(value_types) != 1 or set(map(type, obj)) != {str}:
         return False
-    tag = _PACKED_TAGS.get(value_types.pop())
+    value_type = value_types.pop()
+    tag = _V_MAP_STR_COUNTER if value_type is list else _PACKED_TAGS.get(value_type)
     if tag is None:
         return False
+    try:
+        if tag == _V_MAP_STR_COUNTER:
+            packed = _pack_counter_slots(obj.values())
+            if packed is None:
+                return False
+        else:
+            packed = struct.pack(f">{len(obj)}{_PACKED_FORMATS[tag]}", *obj.values())
+    except struct.error:
+        return False  # an int outside int64
     joined = _KEY_JOIN.join(obj)
     if joined.count(_KEY_JOIN) != len(obj) - 1:
         return False  # a key holds the join character
-    try:
-        packed = struct.pack(f">{len(obj)}{_PACKED_FORMATS[tag]}", *obj.values())
-    except struct.error:
-        return False  # an int outside int64
     keys = joined.encode("utf-8")
     out.append(tag)
     out.extend(_U32_PAIR.pack(len(obj), len(keys)))
     out.extend(keys)
     out.extend(packed)
     return True
+
+
+def _pack_counter_slots(slots: Iterable[list]) -> bytes | None:
+    """``[float, int]`` lists as every sum then every count; ``None`` when
+    a slot is not exactly that (the caller then keeps the generic layout)."""
+    slots = list(slots)
+    if set(map(len, slots)) != {2}:
+        return None
+    sums, counts = zip(*slots)
+    if set(map(type, sums)) != {float} or set(map(type, counts)) != {int}:
+        return None
+    return struct.pack(f">{len(slots)}d{len(slots)}q", *sums, *counts)
 
 
 def encode_value(obj: Any) -> bytes:
@@ -369,25 +390,31 @@ def _decode_value_from(buf: bytes, pos: int) -> tuple[Any, int]:
             value, pos = _decode_value_from(buf, pos)
             result[key] = value
         return result, pos
-    if tag in _PACKED_FORMATS:
-        return _decode_packed_map(buf, pos, _PACKED_FORMATS[tag])
+    if tag in _PACKED_FORMATS or tag == _V_MAP_STR_COUNTER:
+        return _decode_packed_map(buf, pos, tag)
     raise ValueEncodingError(f"unknown value tag {tag:#x}")
 
 
-def _decode_packed_map(buf: bytes, pos: int, fmt: str) -> tuple[dict, int]:
+def _decode_packed_map(buf: bytes, pos: int, tag: int) -> tuple[dict, int]:
     """Strict decode of a packed map body starting at ``pos``."""
     if pos + 8 > len(buf):
         raise ValueEncodingError("truncated packed map header")
     count, keys_len = _U32_PAIR.unpack_from(buf, pos)
     values_at = pos + 8 + keys_len
-    end = values_at + 8 * count
+    end = values_at + (16 if tag == _V_MAP_STR_COUNTER else 8) * count
     if end > len(buf):
         raise ValueEncodingError("truncated packed map")
     try:
         keys = str(buf[pos + 8 : values_at], "utf-8").split(_KEY_JOIN)
     except UnicodeDecodeError as exc:
         raise ValueEncodingError(f"packed map keys are not utf-8: {exc}") from None
-    result = dict(zip(keys, struct.unpack_from(f">{count}{fmt}", buf, values_at)))
+    if tag == _V_MAP_STR_COUNTER:
+        sums = struct.unpack_from(f">{count}d", buf, values_at)
+        counts = struct.unpack_from(f">{count}q", buf, values_at + 8 * count)
+        values: Iterable = map(list, zip(sums, counts))
+    else:
+        values = struct.unpack_from(f">{count}{_PACKED_FORMATS[tag]}", buf, values_at)
+    result = dict(zip(keys, values))
     if len(keys) != count or len(result) != count:
         raise ValueEncodingError(
             f"packed map declares {count} entries but holds {len(keys)} keys "

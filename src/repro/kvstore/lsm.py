@@ -9,9 +9,13 @@ Directory layout::
     <path>/sst-<n>.sst         immutable sorted tables (oldest = lowest n
                                position in the manifest list)
 
-Write path: WAL append -> memtable; the memtable flushes to a new SSTable
-once it exceeds ``memtable_flush_bytes``.  Read path: active memtable, then
-the sealed (flushing) memtable, then SSTables newest-to-oldest, combining
+Write path: :meth:`LSMStore.write` is the only one (``put`` / ``merge`` /
+``delete`` are one-op batches).  A batch is appended to the WAL as one
+frame, then applied to the memtable; the memtable seals once it reaches
+``memtable_flush_bytes`` -- mid-batch if need be, at exactly the op where a
+one-op-at-a-time writer would have flushed -- and sealed memtables flush to
+new SSTables in seal order.  Read path: active memtable, then the sealed
+(flushing) memtables newest first, then SSTables newest-to-oldest, combining
 merge deltas with the table's merge operator.  Compaction (size-tiered or
 leveled, see :mod:`repro.kvstore.compaction`) keeps the SSTable count
 bounded; either strategy only *plans*, and one executor here runs the plan.
@@ -23,17 +27,22 @@ Concurrency model (thread-safe since the serving-layer rework):
 
 * A write-preferring :class:`~repro.kvstore.locks.RWLock` guards all
   in-memory state; gets/scans share it, mutations are exclusive.  The write
-  side is held only for in-memory work -- never across flush or compaction
-  disk I/O.
-* **Flush handoff**: a flush seals the active memtable into an immutable
-  one and rotates the WAL (both O(1), under the write lock), builds the
-  SSTable from the sealed memtable with *no* lock held, then installs the
-  reader and manifest under the write lock again.  Readers consult the
-  sealed memtable in the meantime, so reads never block behind a flush.
-  If the SSTable build fails (e.g. ENOSPC), the sealed memtable is kept as
-  a *pending* handoff: it stays readable, its frozen WAL segment stays on
-  disk, and every later flush retries it before sealing anything new -- an
-  acknowledged write is never dropped by a failed flush.
+  side is held only for in-memory work -- never across WAL, flush or
+  compaction disk I/O.
+* ``_flush_lock`` serializes writers: a batch takes it before the state
+  lock, as a flush does, and holds it from seqno reservation through WAL
+  append and memtable apply, so the memtables hold records in seqno order
+  and no two batches interleave.  The WAL object is only touched under it.
+* **Flush handoff**: sealing a memtable is O(1) in-memory work under the
+  write lock; the WAL rotates right after.  A sealed memtable queues with
+  its flush watermark (the last seqno applied to it); flushes drain the
+  queue oldest first, each building its SSTable with *no* lock held and
+  then installing reader and manifest under the write lock.  Readers
+  consult the sealed memtables in the meantime, so reads never block behind
+  a flush.  If an SSTable build fails (e.g. ENOSPC) the memtable stays at
+  the head of the queue: it stays readable, its frozen WAL segment stays on
+  disk, and the next flush retries it first -- an acknowledged write is
+  never dropped by a failed flush.
 * **Compaction** (inline after a flush, or on a
   :class:`~repro.kvstore.compaction.BackgroundCompactor` thread) merges a
   snapshot of the run lock-free, CRC-verifies the candidate outputs, and
@@ -43,9 +52,12 @@ Concurrency model (thread-safe since the serving-layer rework):
   output and swap leaves an orphan file the manifest never references,
   which the next open removes.
 * WAL rotation means flushes delete fully-persisted frozen segments
-  instead of truncating a shared file, so writes that raced past a seal
-  are never lost; replay applies every segment, filtered by the manifest's
-  flush watermark.
+  instead of truncating a shared file.  A segment is deleted once the flush
+  watermark covers the last seqno logged into it -- not when the memtable
+  sealed beside it flushes: a batch frame that straddles a seal keeps its
+  segment until the memtable holding the batch's tail is persisted too.
+  Replay applies every segment, filtered by the manifest's flush watermark,
+  and cuts a torn tail off the active log before appending to it.
 """
 
 from __future__ import annotations
@@ -63,6 +75,7 @@ from repro.kvstore.api import (
     MergeUnsupportedError,
     StoreClosedError,
     UnknownTableError,
+    WriteOp,
     normalize_key,
 )
 from repro.kvstore.cache import BlockCache
@@ -99,6 +112,8 @@ from repro.obs.trace import current_tracer
 _TABLE_PREFIX = struct.Struct(">H")
 WAL_NAME = "wal.log"
 _WAL_SEGMENT_RE = re.compile(r"^wal-(\d+)\.log$")
+_OP_KINDS = {"put": KIND_PUT, "merge": KIND_MERGE, "delete": KIND_DELETE}
+_KIND_COUNTERS = ((KIND_PUT, "puts"), (KIND_MERGE, "merges"), (KIND_DELETE, "deletes"))
 
 
 class StoreMetrics:
@@ -112,7 +127,9 @@ class StoreMetrics:
     (reads then keep serving from the pre-compaction tables).
 
     ``multi_get_batches`` counts batched read calls (each also bumps
-    ``gets`` once per key).  ``postings_cache_hits``/``misses`` and
+    ``gets`` once per key); ``write_batches`` counts :meth:`LSMStore.write`
+    calls, each also bumping ``puts`` / ``merges`` / ``deletes`` once per
+    op.  ``postings_cache_hits``/``misses`` and
     ``planner_reorders`` are bumped by the query layer
     (:class:`repro.core.engine.SequenceIndex`) onto its store's metrics so
     serving-path counters live in one snapshot.
@@ -158,6 +175,7 @@ class StoreMetrics:
         "block_cache_hits",
         "block_cache_misses",
         "multi_get_batches",
+        "write_batches",
         "compressed_blocks",
         "postings_cache_hits",
         "postings_cache_misses",
@@ -265,16 +283,22 @@ class LSMStore(KeyValueStore):
         )
         self._table_ids = self._tableset.table_ids
         self._merge_ops = self._tableset.merge_ops
-        self._immutable: Memtable | None = None  # sealed, being flushed
-        #: a sealed-but-unpersisted handoff left behind by a failed flush;
-        #: retried (under ``_flush_lock``) before any new memtable is sealed.
-        self._pending_flush: tuple[Memtable, int, int] | None = None
+        self._memtable = Memtable()
+        #: sealed memtables awaiting their flush, oldest first, each with its
+        #: flush watermark; one stays queued (and readable) until its SSTable
+        #: is installed, so a failed flush is retried by the next one
+        self._sealed: list[tuple[Memtable, int]] = []
+        #: what a read consults before the SSTables: active first, then the
+        #: sealed ones newest first (rebuilt under the write lock)
+        self._memtables: tuple[Memtable, ...] = (self._memtable,)
+        #: frozen WAL segment id -> last seqno logged into it (deletable once
+        #: the flush watermark reaches it); guarded by ``_flush_lock``
+        self._frozen: dict[int, int] = {}
         self._next_wal_id = 1
         self._next_seq = 1
 
         dir_names = os.listdir(path)  # one listing: orphan sweep + WAL segments
         self._tableset.load(dir_names)
-        self._memtable = Memtable()
         self._replay_wal(dir_names)
         self._wal = WriteAheadLog(
             os.path.join(path, WAL_NAME), sync=sync_wal, io=self._io
@@ -288,37 +312,54 @@ class LSMStore(KeyValueStore):
 
     # -- recovery ------------------------------------------------------------------
 
-    def _wal_segments(
-        self, dir_names: Iterable[str] | None = None
-    ) -> list[tuple[int, str]]:
+    def _wal_segments(self, dir_names: Iterable[str]) -> list[tuple[int, str]]:
         """Frozen WAL segments as ``(id, path)``, oldest first."""
         segments = []
-        for name in os.listdir(self._path) if dir_names is None else dir_names:
+        for name in dir_names:
             match = _WAL_SEGMENT_RE.match(name)
             if match:
                 segments.append((int(match.group(1)), os.path.join(self._path, name)))
         segments.sort()
         return segments
 
+    def _segment_path(self, segment_id: int) -> str:
+        return os.path.join(self._path, f"wal-{segment_id:06d}.log")
+
     def _replay_wal(self, dir_names: Iterable[str]) -> None:
+        """Rebuild the memtables from every WAL file, past the flush watermark.
+
+        Records are applied in seqno order through the write path's own
+        apply, so memtables seal where they sealed before the crash.  A torn
+        tail of the active log is cut off here: the next frame appended
+        after garbage would otherwise turn a clean torn tail into mid-file
+        damage on the following replay.
+        """
         flushed = self._tableset.last_flushed_seq
-        max_seq = flushed
         records = []
         for segment_id, segment_path in self._wal_segments(dir_names):
-            self._next_wal_id = max(self._next_wal_id, segment_id + 1)
-            records.extend(WriteAheadLog.replay(segment_path))
-        records.extend(WriteAheadLog.replay(os.path.join(self._path, WAL_NAME)))
+            segment = list(WriteAheadLog.replay(segment_path))
+            self._frozen[segment_id] = max((r.seqno for r in segment), default=0)
+            records.extend(segment)
+        active = os.path.join(self._path, WAL_NAME)
+        intact = 0
+        for intact, frame in WriteAheadLog.frames(active):
+            records.extend(frame)
+        if os.path.exists(active) and os.path.getsize(active) > intact:
+            with self._io.open(active, "r+b") as fh:
+                fh.truncate(intact)
         records.sort(key=lambda record: record.seqno)
-        for record in records:
-            if record.seqno > flushed:
-                self._memtable.apply(record.kind, record.key, record.value)
-            max_seq = max(max_seq, record.seqno)
-        self._next_seq = max_seq + 1
+        self._next_wal_id = max(self._frozen, default=0) + 1
+        self._next_seq = max(flushed, records[-1].seqno if records else 0) + 1
+        self._apply_locked(
+            (r.seqno, (r.kind, r.key, r.value)) for r in records if r.seqno > flushed
+        )
 
-    def _remove_wal_segments(self, upto_id: int) -> None:
-        for segment_id, segment_path in self._wal_segments():
-            if segment_id <= upto_id:
-                self._io.remove(segment_path)
+    def _remove_wal_segments(self, flushed_upto: int) -> None:
+        """Delete every frozen segment whose records are all persisted."""
+        for segment_id, last_seq in sorted(self._frozen.items()):
+            if last_seq <= flushed_upto:
+                self._io.remove(self._segment_path(segment_id))
+                del self._frozen[segment_id]
 
     # -- table management -------------------------------------------------------
 
@@ -352,33 +393,69 @@ class LSMStore(KeyValueStore):
 
     # -- write path ---------------------------------------------------------------
 
-    def _log_and_apply(self, kind: int, table: str, key: KeyPart | Key, value: bytes) -> None:
-        with self._state_lock.write():
-            self._check_open()
+    def write(self, ops: Iterable[WriteOp]) -> None:
+        """One atomic write: validate and encode every op, append them as
+        one WAL frame, apply them to the memtable, then flush whatever
+        memtables the batch sealed (see the module docstring)."""
+        records: list[tuple[int, bytes, bytes]] = []
+        per_kind = [0, 0, 0, 0]
+        for op, table, key, value in ops:
+            kind = _OP_KINDS.get(op)
+            if kind is None:
+                raise ValueError(f"unknown write op {op!r}")
             full_key = self._full_key(table, key)
             if kind == KIND_MERGE and self._operator_for_full_key(full_key) is None:
                 raise MergeUnsupportedError(f"table {table!r} has no merge operator")
-            seqno = self._next_seq
-            self._next_seq += 1
-            self._wal.append(seqno, kind, full_key, value)
-            self._memtable.apply(kind, full_key, value)
-            need_flush = (
-                self._memtable.approximate_bytes >= self._memtable_flush_bytes
+            records.append(
+                (kind, full_key, b"" if kind == KIND_DELETE else encode_value(value))
             )
-        if need_flush:
-            self._flush(only_if_full=True)
+            per_kind[kind] += 1
+        span = current_tracer().span("lsm.write")
+        with span:
+            with self._flush_lock:
+                self._check_open()
+                if not records:
+                    return
+                for kind, counter in _KIND_COUNTERS:
+                    if per_kind[kind]:
+                        self.metrics.bump(counter, per_kind[kind])
+                self.metrics.bump("write_batches")
+                first = self._next_seq
+                self._next_seq += len(records)
+                frame_bytes = self._wal.append(first, records)
+                with self._state_lock.write():
+                    sealed = self._apply_locked(enumerate(records, first))
+                if sealed:
+                    self._rotate_wal()
+            if span.enabled:
+                span.add("ops", len(records))
+                span.add("bytes", frame_bytes)
+            if sealed:
+                self._drain()
 
-    def put(self, table: str, key: KeyPart | Key, value: Any) -> None:
-        self.metrics.bump("puts")
-        self._log_and_apply(KIND_PUT, table, key, encode_value(value))
+    def _apply_locked(
+        self, numbered: Iterable[tuple[int, tuple[int, bytes, bytes]]]
+    ) -> bool:
+        """Apply logged ``(seqno, (kind, key, value))`` records, in seqno
+        order, to the memtable; ``True`` if a memtable was sealed.
 
-    def merge(self, table: str, key: KeyPart | Key, delta: Any) -> None:
-        self.metrics.bump("merges")
-        self._log_and_apply(KIND_MERGE, table, key, encode_value(delta))
-
-    def delete(self, table: str, key: KeyPart | Key) -> None:
-        self.metrics.bump("deletes")
-        self._log_and_apply(KIND_DELETE, table, key, b"")
+        The memtable seals at exactly the record that takes it to
+        ``memtable_flush_bytes`` -- where a writer of one op at a time would
+        have flushed -- and the rest goes on into a fresh one, so table
+        boundaries do not depend on how the writes were batched.  Caller
+        holds the flush lock and the write side of the state lock (or is
+        replaying at open).
+        """
+        limit = self._memtable_flush_bytes
+        memtable = self._memtable
+        sealed = False
+        for seqno, (kind, key, value) in numbered:
+            memtable.apply(kind, key, value)
+            if memtable.approximate_bytes >= limit:
+                self._seal_locked(seqno)
+                memtable = self._memtable
+                sealed = True
+        return sealed
 
     # -- read path -----------------------------------------------------------------
 
@@ -389,8 +466,8 @@ class LSMStore(KeyValueStore):
             full_key = self._full_key(table, key)
             operator = self._operator_for_full_key(full_key)
             records: list[tuple[int, bytes]] = []  # newest first
-            for memtable in (self._memtable, self._immutable):
-                entry = memtable.lookup(full_key) if memtable is not None else None
+            for memtable in self._memtables:
+                entry = memtable.lookup(full_key)
                 if entry is None:
                     continue
                 records.extend(entry.records())
@@ -446,9 +523,9 @@ class LSMStore(KeyValueStore):
                 fk: [] for fk in full_by_norm.values()
             }
             unresolved = set(records)
-            for memtable in (self._memtable, self._immutable):
-                if memtable is None or not unresolved:
-                    continue
+            for memtable in self._memtables:
+                if not unresolved:
+                    break
                 for full_key in list(unresolved):
                     entry = memtable.lookup(full_key)
                     if entry is None:
@@ -537,9 +614,8 @@ class LSMStore(KeyValueStore):
         sources: list[Iterable[tuple[bytes, int, bytes]]] = [
             reader.iter_from_key(low) for reader in self._tableset.readers
         ]
-        for memtable in (self._immutable, self._memtable):
-            if memtable is not None:
-                sources.append(_memtable_source(memtable, low))
+        for memtable in reversed(self._memtables):
+            sources.append(_memtable_source(memtable, low))
         for key, records in group_records(sources, stop=high):
             value = read_value(records, operator, TOMBSTONE)
             if value is not TOMBSTONE:
@@ -548,40 +624,35 @@ class LSMStore(KeyValueStore):
     # -- flush ------------------------------------------------------------------------
 
     def flush(self) -> None:
-        """Persist the memtable; synchronous, but reads proceed throughout."""
-        self._flush(only_if_full=False)
+        """Persist every memtable; synchronous, but reads proceed throughout.
 
-    def _flush(self, only_if_full: bool) -> None:
-        """The one flush body: explicit (``flush()``/``close()``) or the
-        auto-flush of a write that crossed ``memtable_flush_bytes``, which
-        re-checks the threshold under the lock and is a no-op on a closed
-        store or when another writer's flush already drained the memtable.
+        Seals the active memtable (if it holds anything), then drains the
+        sealed queue -- a flush that failed earlier is retried first.
         """
         with self._flush_lock:
-            with self._state_lock.write():
-                if not only_if_full:
-                    self._check_open()
-                elif (
-                    self._closed
-                    or self._memtable.approximate_bytes < self._memtable_flush_bytes
-                ):
+            self._check_open()
+            if len(self._memtable):
+                with self._state_lock.write():
+                    self._seal_locked(self._next_seq - 1)
+                self._rotate_wal()
+        self._drain()
+
+    def _drain(self) -> None:
+        """Flush sealed memtables oldest first, each followed by the inline
+        compaction rule, until the queue is empty or the store closed.
+
+        A failed flush raises and leaves its memtable at the head of the
+        queue, readable and backed by its WAL segment, for the next drain.
+        """
+        while True:
+            with self._flush_lock:
+                # _closed cannot flip while we hold _flush_lock (close()
+                # acquires it before setting the flag).
+                if self._closed or not self._sealed:
                     return
-            # _closed cannot flip while we hold _flush_lock (close()
-            # acquires it before setting the flag), so the check above
-            # stays valid across the drain + seal below.
-            flushed = self._pending_flush is not None
-            if flushed:
-                # Retry a flush whose SSTable build failed (re-raising if it
-                # fails again).  Until it succeeds the sealed memtable stays
-                # readable via ``_immutable`` and its frozen WAL segment stays
-                # on disk, so a failed flush never loses acknowledged writes.
-                self._flush_sealed(*self._pending_flush)
-            with self._state_lock.write():
-                handoff = self._seal_memtable_locked()
-            if handoff is not None:
-                self._flush_sealed(*handoff)
-                flushed = True
-        if flushed and self._auto_compact:
+                self._flush_sealed(*self._sealed[0])
+            if not self._auto_compact:
+                continue
             if self._compactor is not None:
                 self._compactor.trigger()
             else:
@@ -590,39 +661,30 @@ class LSMStore(KeyValueStore):
                 while self._compaction_round() and self._strategy.cascade_inline:
                     pass
 
-    def _seal_memtable_locked(self) -> tuple[Memtable, int, int] | None:
-        """Swap in a fresh memtable + WAL; caller holds write and flush locks.
+    def _seal_locked(self, upto: int) -> None:
+        """Queue the active memtable for flushing with ``upto`` -- the last
+        seqno applied to it -- as its flush watermark; O(1), no I/O.  Caller
+        holds the flush lock and the write side of the state lock."""
+        self._memtable.seal()
+        self._sealed.append((self._memtable, upto))
+        self._memtable = Memtable()
+        self._refresh_memtables_locked()
 
-        Returns ``(sealed_memtable, frozen_wal_id, flushed_upto_seq)`` or
-        ``None`` when there is nothing to flush.  The single-immutable
-        invariant holds because ``_flush_lock`` spans seal -> install and
-        every flush path drains ``_pending_flush`` before sealing anew.
-        """
-        if len(self._memtable) == 0:
-            return None
-        if self._immutable is not None or self._pending_flush is not None:
-            # A previously sealed memtable has not been persisted yet;
-            # overwriting it here would silently drop acknowledged writes
-            # (and a later flush would delete their WAL segment).
-            raise RuntimeError(
-                "unflushed sealed memtable pending; drain it before sealing"
-            )
-        sealed = self._memtable
-        sealed.seal()
-        upto = self._next_seq - 1
+    def _refresh_memtables_locked(self) -> None:
+        self._memtables = (self._memtable, *(m for m, _ in reversed(self._sealed)))
+
+    def _rotate_wal(self) -> None:
+        """Freeze the active WAL as the next ``wal-<n>.log`` and start a new
+        one; caller holds the flush lock.  The segment is deleted once the
+        flush watermark reaches the last seqno logged so far, whichever
+        memtable those records were applied to."""
         frozen_id = self._next_wal_id
         self._next_wal_id += 1
         self._wal.close()
         active = os.path.join(self._path, WAL_NAME)
-        self._io.replace(
-            active, os.path.join(self._path, f"wal-{frozen_id:06d}.log")
-        )
+        self._io.replace(active, self._segment_path(frozen_id))
         self._wal = WriteAheadLog(active, sync=self._sync_wal, io=self._io)
-        self._immutable = sealed
-        self._memtable = Memtable()
-        handoff = (sealed, frozen_id, upto)
-        self._pending_flush = handoff
-        return handoff
+        self._frozen[frozen_id] = self._next_seq - 1
 
     def _new_writer(self, expected_records: int) -> SSTableWriter:
         """The one place an SSTable file is started: next id, store codec."""
@@ -646,8 +708,9 @@ class LSMStore(KeyValueStore):
             self.metrics.bump("compressed_blocks", writer.compressed_blocks)
         return reader
 
-    def _flush_sealed(self, sealed: Memtable, frozen_id: int, upto: int) -> None:
-        """Build the SSTable lock-free, then install it atomically."""
+    def _flush_sealed(self, sealed: Memtable, upto: int) -> None:
+        """Build the oldest sealed memtable's SSTable lock-free, then install
+        it atomically; caller holds the flush lock."""
         writer = self._new_writer(len(sealed))
         span = current_tracer().span("lsm.flush")
         try:
@@ -671,15 +734,14 @@ class LSMStore(KeyValueStore):
             # into a second table (double-applying merge deltas).  The
             # reader is installed in memory either way and the next commit
             # persists it; until then the frozen WAL segment stays.
-            self._immutable = None
-            self._pending_flush = None
+            self._sealed.pop(0)
+            self._refresh_memtables_locked()
             self._tableset.install_flush(reader, upto)
         self.metrics.bump("flushes")
         self.metrics.bump("flush_bytes_written", reader.data_bytes)
-        # Every frozen segment up to ours holds only records <= upto; flushes
-        # complete in seal order (a pending handoff is drained before a new
-        # seal), so no segment is deleted before its memtable is persisted.
-        self._remove_wal_segments(frozen_id)
+        # Flushes complete in seal order and memtables hold records in seqno
+        # order, so every record <= upto is now persisted.
+        self._remove_wal_segments(upto)
 
     # -- compaction -------------------------------------------------------------------
 

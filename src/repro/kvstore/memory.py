@@ -8,6 +8,7 @@ under random operation sequences.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from typing import Any, Iterable, Iterator
 
 from repro.kvstore.api import (
@@ -15,6 +16,7 @@ from repro.kvstore.api import (
     MergeUnsupportedError,
     StoreClosedError,
     UnknownTableError,
+    WriteOp,
     normalize_key,
 )
 from repro.kvstore.encoding import Key, KeyPart, encode_key
@@ -31,8 +33,9 @@ class InMemoryStore(KeyValueStore):
     alias the store's internal state -- matching the serialize/deserialize
     boundary of the durable backend.
 
-    A single re-entrant lock makes every operation atomic, which trivially
-    satisfies the LSM store's concurrency contract.
+    A single re-entrant lock makes every operation -- a whole
+    :meth:`write` batch included -- atomic, which trivially satisfies the
+    LSM store's concurrency contract.
     """
 
     _counter_lock = threading.Lock()
@@ -82,26 +85,34 @@ class InMemoryStore(KeyValueStore):
 
     # -- reads/writes ----------------------------------------------------------
 
-    def put(self, table: str, key: KeyPart | Key, value: Any) -> None:
-        data = self._table(table)
-        self.metrics.bump("puts")
+    def write(self, ops: Iterable[WriteOp]) -> None:
+        self._check_open()
+        checked = []
+        for op, table, key, value in ops:
+            data = self._table(table)
+            operator = self._merge_ops[table]
+            if op == "merge" and operator is None:
+                raise MergeUnsupportedError(f"table {table!r} has no merge operator")
+            if op not in _OP_COUNTERS:
+                raise ValueError(f"unknown write op {op!r}")
+            checked.append((op, data, operator, normalize_key(key), _copy_value(value)))
+        if not checked:
+            return
+        for op, count in Counter(item[0] for item in checked).items():
+            self.metrics.bump(_OP_COUNTERS[op], count)
+        self.metrics.bump("write_batches")
         with self._lock:
-            data[normalize_key(key)] = _copy_value(value)
-
-    def merge(self, table: str, key: KeyPart | Key, delta: Any) -> None:
-        data = self._table(table)
-        operator = self._merge_ops[table]
-        if operator is None:
-            raise MergeUnsupportedError(f"table {table!r} has no merge operator")
-        self.metrics.bump("merges")
-        with self._lock:
-            norm = normalize_key(key)
-            base = data.get(norm)
-            delta_copy = _copy_value(delta)
-            if base is None:
-                data[norm] = operator.full_merge(None, [delta_copy])
-            elif not operator.merge_in_place(base, delta_copy):
-                data[norm] = operator.full_merge(base, [delta_copy])
+            for op, data, operator, norm, value in checked:
+                if op == "put":
+                    data[norm] = value
+                elif op == "delete":
+                    data.pop(norm, None)
+                else:
+                    base = data.get(norm)
+                    if base is None:
+                        data[norm] = operator.full_merge(None, [value])
+                    elif not operator.merge_in_place(base, value):
+                        data[norm] = operator.full_merge(base, [value])
 
     def get(self, table: str, key: KeyPart | Key, default: Any = None) -> Any:
         data = self._table(table)
@@ -129,12 +140,6 @@ class InMemoryStore(KeyValueStore):
                 span.add("keys", len(key_list))
                 span.add("hits", sum(1 for value in raw if value is not _MISSING))
         return [default if value is _MISSING else _copy_value(value) for value in raw]
-
-    def delete(self, table: str, key: KeyPart | Key) -> None:
-        data = self._table(table)
-        self.metrics.bump("deletes")
-        with self._lock:
-            data.pop(normalize_key(key), None)
 
     def scan(
         self, table: str, prefix: KeyPart | Key | None = None
@@ -205,6 +210,7 @@ class InMemoryStore(KeyValueStore):
 
 
 _MISSING = object()
+_OP_COUNTERS = {"put": "puts", "merge": "merges", "delete": "deletes"}
 
 
 def _copy_value(value: Any) -> Any:

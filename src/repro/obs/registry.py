@@ -31,9 +31,9 @@ from typing import Any, Callable
 #: monotonic counters; bare names are point-in-time gauges.
 METRIC_CATALOG: dict[str, tuple[str, str]] = {
     # -- StoreMetrics counters (one exposition line per counter) ------------
-    "repro_store_puts_total": ("counter", "put() writes accepted."),
-    "repro_store_merges_total": ("counter", "merge() delta writes accepted."),
-    "repro_store_deletes_total": ("counter", "delete() tombstone writes."),
+    "repro_store_puts_total": ("counter", "Put ops accepted (each op of a write batch)."),
+    "repro_store_merges_total": ("counter", "Merge delta ops accepted."),
+    "repro_store_deletes_total": ("counter", "Delete (tombstone) ops accepted."),
     "repro_store_gets_total": (
         "counter",
         "Point reads served (each multi_get key counts once).",
@@ -56,6 +56,10 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
     "repro_store_block_cache_hits_total": ("counter", "Block-cache hits."),
     "repro_store_block_cache_misses_total": ("counter", "Block-cache misses."),
     "repro_store_multi_get_batches_total": ("counter", "Batched multi_get calls."),
+    "repro_store_write_batches_total": (
+        "counter",
+        "write() calls: atomic batches, one WAL frame each on the LSM store.",
+    ),
     "repro_store_compressed_blocks_total": (
         "counter",
         "SSTable blocks written compressed (blocks that actually shrank).",

@@ -187,26 +187,22 @@ class TestIncremental:
 
 
 class _CountingStore(InMemoryStore):
-    """Counts point ``get`` and batched ``multi_get`` calls; lists writes."""
+    """Counts point ``get`` and batched ``multi_get`` calls and store writes;
+    lists the ops written."""
 
     def __init__(self):
         super().__init__()
         self.get_calls = 0
         self.multi_get_calls = 0
         self.keys_read = 0
+        self.write_calls = 0
         self.writes: list[tuple[str, str]] = []  # (operation, table)
 
-    def put(self, table, key, value):
-        self.writes.append(("put", table))
-        super().put(table, key, value)
-
-    def merge(self, table, key, delta):
-        self.writes.append(("merge", table))
-        super().merge(table, key, delta)
-
-    def delete(self, table, key):
-        self.writes.append(("delete", table))
-        super().delete(table, key)
+    def write(self, ops):
+        ops = list(ops)
+        self.write_calls += 1
+        self.writes.extend((op, table) for op, table, _, _ in ops)
+        super().write(ops)
 
     def get(self, table, key, default=None):
         self.get_calls += 1
@@ -266,10 +262,35 @@ class TestWritesPerBatch:
         store = _CountingStore()
         builder = IndexBuilder(store)
         store.writes.clear()
+        store.write_calls = 0
         builder.update(EventLog.from_dict({f"t{n}": list("ABCABC") for n in range(3)}))
         merges = {table: store.writes.count(("merge", table)) for _, table in store.writes}
         assert merges == {"seq": 3, "index": 9, "count": 3, "reverse_count": 3, "last_checked": 3}
         assert all(op == "merge" for op, _ in store.writes)
+        # ...and all of them are one store write, in the tables' order
+        assert store.write_calls == 1
+        tables = [table for _, table in store.writes]
+        order = ["seq", "index", "count", "reverse_count", "last_checked"]
+        assert tables == sorted(tables, key=order.index)
+
+    def test_an_update_is_one_write_and_a_failed_one_writes_nothing(self, monkeypatch):
+        store = _CountingStore()
+        builder = IndexBuilder(store)
+        store.write_calls = 0
+        # a new partition registers inside the same write
+        builder.update(EventLog.from_dict({"t1": "ABC", "t2": "BCA"}), partition="p1")
+        assert store.write_calls == 1
+        assert ("put", "meta") in store.writes
+        before = list(store.scan("seq"))
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("pair aggregation fails mid-update")
+
+        monkeypatch.setattr(builder.tables, "add_reverse_counts", boom)
+        with pytest.raises(RuntimeError):
+            builder.update([Event("t1", "D", 10), Event("t3", "A", 1)])
+        assert store.write_calls == 1
+        assert list(store.scan("seq")) == before
 
 
     def test_last_checked_holds_one_slot_per_counted_pair(self):

@@ -3,7 +3,8 @@
 Two sources of older-format rows: a store directory written by the last
 commit that had the varint *encoder* (``tests/data/legacy_store``, see its
 ``make.py``), and in-test writers that merge legacy tuples, varint chunks and
-generic Seq lists straight into a store.  Either way the store is then
+generic Seq lists into a store through ``IndexTables.write``.  Either way the
+store is then
 appended to with current code (columnar chunks), flushed and compacted under
 both strategies, and every answer is held to an ``InMemoryStore`` engine fed
 the same events by current code alone.
@@ -138,8 +139,8 @@ def test_store_written_by_the_parent_commit(tmp_path, compaction):
 
 
 def _write_as(index: SequenceIndex, fmt: str) -> None:
-    """Make ``index`` write Index rows as ``fmt`` and Seq rows as generic lists."""
-    store = index.store
+    """Make ``index`` write Index rows as ``fmt`` and Seq rows as generic
+    lists -- through the tables' one write, so still one batch per update."""
     tables = index.tables
 
     def append_index(pair, columns, partition=""):
@@ -148,10 +149,12 @@ def _write_as(index: SequenceIndex, fmt: str) -> None:
             delta = entries
         else:
             delta = [encode_varint_postings(entries)]
-        store.merge(_index_table(partition), pair, delta)
+        tables.write("merge", _index_table(partition), pair, delta)
 
     tables.append_index = append_index
-    tables.append_sequence = lambda trace_id, events: store.merge("seq", trace_id, events)
+    tables.append_sequence = lambda trace_id, events: tables.write(
+        "merge", "seq", trace_id, events
+    )
 
 
 _trace_events = st.lists(

@@ -41,8 +41,11 @@ class TestWorkload:
         assert a == b
 
     def test_mixes_op_kinds(self):
-        kinds = {op.kind for op in generate_workload(3, ops=400)}
-        assert kinds == {"put", "merge", "delete", "flush", "compact"}
+        workload = generate_workload(3, ops=400)
+        kinds = {op.kind for op in workload}
+        assert kinds == {"put", "merge", "delete", "batch", "flush", "compact"}
+        batched = {write.kind for op in workload if op.kind == "batch" for write in op.value}
+        assert batched == {"put", "merge", "delete"}
 
 
 class TestOracle:
@@ -68,6 +71,18 @@ class TestOracle:
         oracle.ack(WorkloadOp("merge", "log", 1, ["d2"]))
         branches = {tuple(v) for v in oracle.possible[("log", 1)]}
         assert branches == {("d1", "d2"), ("d2",)}
+
+    def test_a_raised_batch_lands_whole_or_not_at_all(self):
+        oracle = _Oracle()
+        oracle.ack(WorkloadOp("put", "kv", 1, "a"))
+        batch = [WorkloadOp("put", "kv", 1, "b"), WorkloadOp("merge", "log", 2, ["x"])]
+        oracle.indeterminate(WorkloadOp("batch", value=batch))
+        oracle.ack(WorkloadOp("batch", value=[WorkloadOp("merge", "log", 2, ["y"])]))
+        assert oracle.states == [
+            {("kv", 1): "a", ("log", 2): ["y"]},
+            {("kv", 1): "b", ("log", 2): ["x", "y"]},
+        ]
+        assert oracle.acked_writes == 2
 
 
 class TestFixedSeeds:

@@ -1,11 +1,10 @@
 """Ingest crash-replay: fixed tier-1 seeds plus the wide opt-in sweep.
 
-Each seed kills the tailing ingester at a seeded batch boundary
-(``pre_apply`` or ``pre_checkpoint``), replays from the durable
-checkpoint, and requires the recovered index to be logically identical to
-a clean one-shot batch build (``repro.ingest.convergence``).  A kill
-*inside* ``update()`` (``phase="mid_apply"``) is the stated hole of
-docs/INGEST.md and is pinned here as a strict expected failure.
+Each seed kills the tailing ingester at a seeded point -- before a batch's
+apply, inside it (a torn WAL frame, or partway through the memtable apply
+once the frame is written), or between apply and checkpoint -- replays from
+the durable checkpoint, and requires the recovered index to be logically
+identical to a clean one-shot batch build (``repro.ingest.convergence``).
 """
 
 from __future__ import annotations
@@ -13,12 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import run_ingest_replay
-from repro.faults.ingest import IngestReplayFailure, generate_feed_events
+from repro.faults.ingest import generate_feed_events
 
-# Fixed seeds exercised on every tier-1 run; chosen to cover both kill
-# phases, single and sharded stores, and a named partition (the coverage
+# Fixed seeds exercised on every tier-1 run; chosen to cover every kill
+# point, single and sharded stores, and a named partition (the coverage
 # test below pins that mapping so the harness can't drift quiet).
-TIER1_SEEDS = (0, 1, 2, 3, 5, 12)
+TIER1_SEEDS = (0, 1, 2, 3, 5, 6, 12)
 
 
 class TestFeedGeneration:
@@ -46,12 +45,13 @@ class TestFixedSeeds:
     @pytest.mark.parametrize("seed", TIER1_SEEDS)
     def test_replay_converges(self, seed, tmp_path):
         summary = run_ingest_replay(seed, path=str(tmp_path))
-        # A pre-checkpoint kill leaves one applied-but-uncheckpointed
-        # batch, so the replay must dedup it; a pre-apply kill replays
-        # nothing already indexed.
-        if summary["phase"] == "pre_checkpoint":
+        # A pre-checkpoint kill, or one after the batch's WAL frame is
+        # written, leaves the whole batch in the store uncheckpointed, so the
+        # replay must dedup it; a pre-apply kill or a torn frame leaves none
+        # of it (on one store: a sharded batch may have landed on the other).
+        if summary["kill"] in ("pre_checkpoint", "mid_apply/memtable_apply"):
             assert summary["deduped"] > 0
-        else:
+        elif summary["shards"] == 1:
             assert summary["deduped"] == 0
         assert summary["replayed"] > 0
 
@@ -60,8 +60,10 @@ class TestFixedSeeds:
             run_ingest_replay(seed, path=str(tmp_path / str(seed)))
             for seed in TIER1_SEEDS
         ]
-        assert {s["phase"] for s in summaries} == {
+        assert {s["kill"] for s in summaries} == {
             "pre_apply",
+            "mid_apply/torn_frame",
+            "mid_apply/memtable_apply",
             "pre_checkpoint",
         }
         assert {s["shards"] for s in summaries} == {1, 2}
@@ -69,16 +71,15 @@ class TestFixedSeeds:
         assert "audit" in {s["partition"] for s in summaries}
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=IngestReplayFailure,
-    reason="an update() is many separate WAL records, Seq first: a kill between "
-    "them leaves Seq ahead of the Index and the replay filter drops the events "
-    "whose pairs were never written (docs/INGEST.md); needs one WAL frame per update",
-)
 def test_mid_apply_kill_converges(tmp_path):
-    for seed in TIER1_SEEDS:
-        run_ingest_replay(seed, path=str(tmp_path / str(seed)), phase="mid_apply")
+    """A kill inside ``update()`` converges on every tier-1 seed: the update
+    is one WAL frame, so recovery holds all of the batch or none of it and
+    the replay filter, which trusts ``Seq``, never skips a lost pair."""
+    kills = {
+        run_ingest_replay(seed, path=str(tmp_path / str(seed)), phase="mid_apply")["kill"]
+        for seed in TIER1_SEEDS
+    }
+    assert kills == {"mid_apply/torn_frame", "mid_apply/memtable_apply"}
 
 
 def test_unknown_phase_is_rejected():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.kvstore.encoding import (
     _V_DICT,
+    _V_MAP_STR_COUNTER,
     _V_MAP_STR_F64,
     _V_MAP_STR_I64,
     KeyEncodingError,
@@ -222,6 +223,10 @@ PACKABLE_KEYS = st.text(
 )
 packed_int_maps = st.dictionaries(PACKABLE_KEYS, INT64, min_size=1, max_size=8)
 packed_float_maps = st.dictionaries(PACKABLE_KEYS, ANY_FLOAT, min_size=1, max_size=8)
+#: Count / ReverseCount rows: {ev_b: [sum_duration, completions]}
+packed_counter_maps = st.dictionaries(
+    PACKABLE_KEYS, st.tuples(ANY_FLOAT, INT64).map(list), min_size=1, max_size=8
+)
 
 
 def _with(base: dict, key, value) -> dict:
@@ -260,6 +265,19 @@ unpacked_maps = st.one_of(
         PACKABLE_KEYS,
         INT64,
     ),
+    st.builds(  # a counter slot that is not exactly [float, int64]
+        _with,
+        packed_counter_maps,
+        PACKABLE_KEYS,
+        st.one_of(
+            st.tuples(INT64, INT64).map(list),
+            st.tuples(ANY_FLOAT, st.booleans()).map(list),
+            st.tuples(ANY_FLOAT, st.integers(min_value=2**63)).map(list),
+            st.tuples(ANY_FLOAT, INT64),
+            st.tuples(ANY_FLOAT, INT64, INT64).map(list),
+            st.lists(ANY_FLOAT, max_size=1),
+        ),
+    ),
 )
 
 
@@ -293,13 +311,33 @@ class TestPackedMaps:
         assert buf[0] == _V_MAP_STR_F64
         assert _exact(decode_value(buf), mapping)
 
+    @given(packed_counter_maps)
+    def test_counter_maps_take_the_packed_tag(self, mapping):
+        buf = encode_value(mapping)
+        assert buf[0] == _V_MAP_STR_COUNTER
+        assert _exact(decode_value(buf), mapping)  # lists of a float and an int
+
+    def test_counter_rows_are_smaller_than_generic(self):
+        row = {f"act_{n:03d}": [1234.5 * n, 3 * n + 200] for n in range(40)}
+        # tuple slots keep the generic layout, which is as long as for lists
+        generic = encode_value({key: tuple(slot) for key, slot in row.items()})
+        assert generic[0] == _V_DICT
+        # header, 7-character keys joined by NUL, then two 8-byte columns
+        packed = 9 + len(row) * 8 - 1 + 16 * len(row)
+        assert len(encode_value(row)) == packed < len(generic)
+
     @given(unpacked_maps)
     def test_other_maps_keep_the_generic_tag(self, mapping):
         buf = encode_value(mapping)
         assert buf[0] == _V_DICT
         assert _exact(decode_value(buf), mapping)
 
-    @given(st.lists(st.one_of(packed_int_maps, packed_float_maps, unpacked_maps), max_size=3))
+    @given(
+        st.lists(
+            st.one_of(packed_int_maps, packed_float_maps, packed_counter_maps, unpacked_maps),
+            max_size=3,
+        )
+    )
     def test_nested_maps_round_trip_exactly(self, maps):
         value = {"outer": maps, "tuple": tuple(maps)}
         assert _exact(decode_value(encode_value(value)), value)
@@ -320,7 +358,7 @@ class TestPackedMaps:
 
 
 class TestPackedMapStrictDecode:
-    @given(st.one_of(packed_int_maps, packed_float_maps), st.data())
+    @given(st.one_of(packed_int_maps, packed_float_maps, packed_counter_maps), st.data())
     def test_truncated_or_overlong_is_a_typed_error(self, mapping, data):
         buf = encode_value(mapping)
         cut = data.draw(st.integers(min_value=1, max_value=len(buf) - 1))
@@ -330,7 +368,7 @@ class TestPackedMapStrictDecode:
             decode_value(buf + data.draw(st.binary(min_size=1, max_size=9)))
 
     @given(
-        st.one_of(packed_int_maps, packed_float_maps),
+        st.one_of(packed_int_maps, packed_float_maps, packed_counter_maps),
         st.integers(0, 2**32 - 1),
         st.integers(0, 2**32 - 1),
     )
@@ -342,7 +380,10 @@ class TestPackedMapStrictDecode:
         with pytest.raises(ValueEncodingError):
             decode_value(buf[:1] + header + buf[9:])
 
-    @given(st.sampled_from([_V_MAP_STR_I64, _V_MAP_STR_F64]), st.binary(max_size=64))
+    @given(
+        st.sampled_from([_V_MAP_STR_I64, _V_MAP_STR_F64, _V_MAP_STR_COUNTER]),
+        st.binary(max_size=64),
+    )
     def test_arbitrary_bodies_never_escape_as_untyped_errors(self, tag, body):
         try:
             decoded = decode_value(bytes([tag]) + body)

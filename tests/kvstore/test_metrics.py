@@ -21,6 +21,25 @@ def test_counters_track_operations(tmp_path):
     assert snapshot["gets"] == 1
     assert snapshot["scans"] == 1
     assert snapshot["flushes"] == 1
+    assert snapshot["write_batches"] == 3  # put, merge, delete: one-op batches
+
+
+def test_a_batch_is_one_write_with_per_op_counters_and_a_span(tmp_path):
+    from repro.obs.trace import Tracer, activate
+
+    with LSMStore(str(tmp_path / "db")) as store:
+        store.create_table("t", merge_operator="list_append")
+        ops = [("put", "t", "a", [1]), ("merge", "t", "a", [2]), ("merge", "t", "b", [3])]
+        with activate(Tracer()) as tracer:
+            store.write(ops + [("delete", "t", "b", None)])
+        snapshot = store.metrics.snapshot()
+        wal_bytes = (tmp_path / "db" / "wal.log").stat().st_size
+        assert store.get("t", "a") == [1, 2] and store.get("t", "b") is None
+    assert (snapshot["write_batches"], snapshot["puts"], snapshot["merges"]) == (1, 1, 2)
+    assert snapshot["deletes"] == 1
+    ((name, calls, _, _, counters),) = tracer.summary()
+    assert (name, calls, counters["ops"]) == ("lsm.write", 1, 4)
+    assert counters["bytes"] == wal_bytes  # one frame: the whole log
 
 
 def test_bloom_skips_counted(tmp_path):

@@ -16,23 +16,23 @@ from repro.shard.hashing import shard_for_trace
 
 
 class _WindowStore(InMemoryStore):
-    """Records, per calling thread, when each slowed-down ``merge`` ran."""
+    """Records, per calling thread, when each slowed-down ``write`` ran."""
 
     def __init__(self):
         super().__init__()
-        self.merges: list[tuple[int, float, float]] = []  # (thread, enter, exit)
+        self.batches: list[tuple[int, float, float]] = []  # (thread, enter, exit)
 
-    def merge(self, table, key, delta):
+    def write(self, ops):
         enter = time.monotonic()
         time.sleep(0.005)
-        super().merge(table, key, delta)
-        self.merges.append((threading.get_ident(), enter, time.monotonic()))
+        super().write(ops)
+        self.batches.append((threading.get_ident(), enter, time.monotonic()))
 
     def windows(self) -> list[tuple[float, float]]:
         """``(first enter, last exit)`` per thread that wrote here, in time
         order: each thread below makes one ``update()`` per store."""
         stamps: dict[int, list[float]] = {}
-        for thread, enter, exit_ in self.merges:
+        for thread, enter, exit_ in self.batches:
             stamps.setdefault(thread, []).extend((enter, exit_))
         return sorted((min(times), max(times)) for times in stamps.values())
 
@@ -63,6 +63,7 @@ def _update_concurrently(engine, batches) -> None:
 def test_concurrent_updates_on_one_engine_serialize():
     store = _WindowStore()
     with SequenceIndex(store) as engine:
+        store.batches.clear()  # the meta row written on open
         _update_concurrently(engine, [_trace("t1"), _trace("t2"), _trace("t3")])
         assert len(store.windows()) == 3 and _serialized(store.windows())
         assert engine.write_generation == 3
@@ -82,6 +83,8 @@ def test_shards_interleave_while_each_shard_serializes():
     with executor, ShardedSequenceIndex(
         [SequenceIndex(store) for store in stores], executor=executor
     ) as engine:
+        for store in stores:
+            store.batches.clear()
         _update_concurrently(engine, batches)
         assert engine.write_generations == (2, 2)
     first, second = (store.windows() for store in stores)
