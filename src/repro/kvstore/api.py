@@ -23,6 +23,19 @@ from repro.kvstore.encoding import Key, KeyPart
 #: ``"put"``, ``"merge"``, ``"delete"`` (whose value is ignored)
 WriteOp = tuple[str, str, "KeyPart | Key", Any]
 
+#: every op name :meth:`KeyValueStore.write` accepts, with the store counter
+#: (``StoreMetrics``) that each applied op of that name bumps once
+WRITE_OP_COUNTERS = {"put": "puts", "merge": "merges", "delete": "deletes"}
+
+
+def write_op_counter(op: str) -> str:
+    """The store counter of write op ``op``; ``ValueError`` if ``op`` is not
+    one of :data:`WRITE_OP_COUNTERS`."""
+    try:
+        return WRITE_OP_COUNTERS[op]
+    except KeyError:
+        raise ValueError(f"unknown write op {op!r}") from None
+
 
 class StoreError(Exception):
     """Base class for store failures."""

@@ -66,6 +66,7 @@ import os
 import re
 import struct
 import threading
+from collections import Counter
 from typing import Any, Iterable, Iterator
 
 from repro.faults.io import REAL_IO
@@ -77,6 +78,7 @@ from repro.kvstore.api import (
     UnknownTableError,
     WriteOp,
     normalize_key,
+    write_op_counter,
 )
 from repro.kvstore.cache import BlockCache
 from repro.kvstore.compaction import (
@@ -112,8 +114,8 @@ from repro.obs.trace import current_tracer
 _TABLE_PREFIX = struct.Struct(">H")
 WAL_NAME = "wal.log"
 _WAL_SEGMENT_RE = re.compile(r"^wal-(\d+)\.log$")
+#: the WAL record kind of each write op (:data:`~repro.kvstore.api.WRITE_OP_COUNTERS`)
 _OP_KINDS = {"put": KIND_PUT, "merge": KIND_MERGE, "delete": KIND_DELETE}
-_KIND_COUNTERS = ((KIND_PUT, "puts"), (KIND_MERGE, "merges"), (KIND_DELETE, "deletes"))
 
 
 class StoreMetrics:
@@ -398,27 +400,24 @@ class LSMStore(KeyValueStore):
         one WAL frame, apply them to the memtable, then flush whatever
         memtables the batch sealed (see the module docstring)."""
         records: list[tuple[int, bytes, bytes]] = []
-        per_kind = [0, 0, 0, 0]
+        counts: Counter[str] = Counter()
         for op, table, key, value in ops:
-            kind = _OP_KINDS.get(op)
-            if kind is None:
-                raise ValueError(f"unknown write op {op!r}")
+            counts[write_op_counter(op)] += 1
+            kind = _OP_KINDS[op]
             full_key = self._full_key(table, key)
             if kind == KIND_MERGE and self._operator_for_full_key(full_key) is None:
                 raise MergeUnsupportedError(f"table {table!r} has no merge operator")
             records.append(
                 (kind, full_key, b"" if kind == KIND_DELETE else encode_value(value))
             )
-            per_kind[kind] += 1
         span = current_tracer().span("lsm.write")
         with span:
             with self._flush_lock:
                 self._check_open()
                 if not records:
                     return
-                for kind, counter in _KIND_COUNTERS:
-                    if per_kind[kind]:
-                        self.metrics.bump(counter, per_kind[kind])
+                for counter, count in counts.items():
+                    self.metrics.bump(counter, count)
                 self.metrics.bump("write_batches")
                 first = self._next_seq
                 self._next_seq += len(records)

@@ -18,6 +18,7 @@ from repro.kvstore.api import (
     UnknownTableError,
     WriteOp,
     normalize_key,
+    write_op_counter,
 )
 from repro.kvstore.encoding import Key, KeyPart, encode_key
 from repro.kvstore.lsm import StoreMetrics
@@ -88,18 +89,18 @@ class InMemoryStore(KeyValueStore):
     def write(self, ops: Iterable[WriteOp]) -> None:
         self._check_open()
         checked = []
+        counts: Counter[str] = Counter()
         for op, table, key, value in ops:
+            counts[write_op_counter(op)] += 1
             data = self._table(table)
             operator = self._merge_ops[table]
             if op == "merge" and operator is None:
                 raise MergeUnsupportedError(f"table {table!r} has no merge operator")
-            if op not in _OP_COUNTERS:
-                raise ValueError(f"unknown write op {op!r}")
             checked.append((op, data, operator, normalize_key(key), _copy_value(value)))
         if not checked:
             return
-        for op, count in Counter(item[0] for item in checked).items():
-            self.metrics.bump(_OP_COUNTERS[op], count)
+        for counter, count in counts.items():
+            self.metrics.bump(counter, count)
         self.metrics.bump("write_batches")
         with self._lock:
             for op, data, operator, norm, value in checked:
@@ -210,7 +211,6 @@ class InMemoryStore(KeyValueStore):
 
 
 _MISSING = object()
-_OP_COUNTERS = {"put": "puts", "merge": "merges", "delete": "deletes"}
 
 
 def _copy_value(value: Any) -> Any:

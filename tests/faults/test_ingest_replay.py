@@ -47,11 +47,12 @@ class TestFixedSeeds:
         summary = run_ingest_replay(seed, path=str(tmp_path))
         # A pre-checkpoint kill, or one after the batch's WAL frame is
         # written, leaves the whole batch in the store uncheckpointed, so the
-        # replay must dedup it; a pre-apply kill or a torn frame leaves none
-        # of it (on one store: a sharded batch may have landed on the other).
+        # replay must dedup it.  A pre-apply kill leaves none of it on any
+        # shard; a torn frame leaves none on its own shard, but on a sharded
+        # store the other shard's frame may have landed.
         if summary["kill"] in ("pre_checkpoint", "mid_apply/memtable_apply"):
             assert summary["deduped"] > 0
-        elif summary["shards"] == 1:
+        elif summary["kill"] == "pre_apply" or summary["shards"] == 1:
             assert summary["deduped"] == 0
         assert summary["replayed"] > 0
 

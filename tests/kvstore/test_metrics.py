@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from repro.kvstore import LSMStore
+import pytest
+
+from repro.kvstore import InMemoryStore, LSMStore
+from repro.kvstore.api import WRITE_OP_COUNTERS
 
 
 def test_counters_track_operations(tmp_path):
@@ -40,6 +43,19 @@ def test_a_batch_is_one_write_with_per_op_counters_and_a_span(tmp_path):
     ((name, calls, _, _, counters),) = tracer.summary()
     assert (name, calls, counters["ops"]) == ("lsm.write", 1, 4)
     assert counters["bytes"] == wal_bytes  # one frame: the whole log
+
+
+@pytest.mark.parametrize("backend", ["lsm", "memory"])
+def test_an_unknown_op_fails_the_whole_batch_on_both_backends(tmp_path, backend):
+    store = LSMStore(str(tmp_path / "db")) if backend == "lsm" else InMemoryStore()
+    with store:
+        store.create_table("t", merge_operator="list_append")
+        with pytest.raises(ValueError, match="unknown write op 'upsert'"):
+            store.write([("put", "t", "a", [1]), ("upsert", "t", "b", [2])])
+        snapshot = store.metrics.snapshot()
+        assert store.get("t", "a") is None
+    assert all(snapshot[name] == 0 for name in WRITE_OP_COUNTERS.values())
+    assert snapshot["write_batches"] == 0
 
 
 def test_bloom_skips_counted(tmp_path):
