@@ -17,8 +17,8 @@ omitting it uses an in-memory store (useful for exploration and tests).
 The query half of that surface lives in :class:`QueryEngine`, which the
 sharded :class:`~repro.shard.index.ShardedSequenceIndex` shares: input
 coercion, argument validation, the result memo, slow-query timing and
-``explain`` are written once, and an engine only says where cardinalities
-come from, where a plan runs and how partial results combine.
+``explain`` are written once, and an engine only says where a query runs
+and how partial answers and plans combine.
 """
 
 from __future__ import annotations
@@ -66,10 +66,8 @@ class QueryEngine:
 
     * :attr:`policy`, :attr:`num_shards` and :meth:`_epoch` (the memo's
       invalidation key: every write moves it);
-    * :meth:`_plan` -- where cardinalities come from (own ``Count`` rows,
-      or summed over shards);
-    * :meth:`_execute` -- where the plan runs (here, or fanned out) and how
-      partial results combine;
+    * :meth:`_run` -- where a query plans and runs (here, or once on every
+      shard) and how partial answers and plans combine;
     * :meth:`_statistics`, and an :attr:`explorer` built over
       :meth:`_detect_uncached` and its ``Count`` / ``ReverseCount`` row
       readers -- the same for the statistics tables (counts are additive
@@ -108,18 +106,17 @@ class QueryEngine:
     def _epoch(self) -> Hashable:
         raise NotImplementedError
 
-    def _plan(
+    def _run(
         self,
+        op: str,
         query: tuple[str, ...] | Pattern,
         partition: str | None,
         policy: Policy | None,
-    ) -> QueryPlan:
-        raise NotImplementedError
-
-    def _execute(
-        self, op: str, plan: QueryPlan, deadline: float | None, **limits: Any
-    ) -> Any:
-        """Run ``plan`` for ``op`` (``detect``/``count``/``contains``)."""
+        deadline: float | None,
+        **limits: Any,
+    ) -> tuple[Any, QueryPlan]:
+        """Plan and run ``op`` (``detect``/``count``/``contains``, or
+        ``explain``, whose answer is ``None``): ``(answer, plan)``."""
         raise NotImplementedError
 
     def _statistics(
@@ -231,8 +228,7 @@ class QueryEngine:
         check_deadline(deadline)
 
         def run() -> tuple[Any, QueryPlan]:
-            plan = self._plan(query, partition, policy)
-            return self._execute(op, plan, deadline, **limits), plan
+            return self._run(op, query, partition, policy, deadline, **limits)
 
         shown = str(query) if isinstance(query, Pattern) else list(query)
         return self._observe_query(
@@ -249,9 +245,8 @@ class QueryEngine:
     def _detect_uncached(
         self, pattern: Sequence[str], partition: str | None
     ) -> list[PatternMatch]:
-        """Plan and execute one detection, no memo (the explorer's probes)."""
-        plan = self._plan(as_query(pattern), partition, None)
-        return self._execute("detect", plan, None)
+        """One detection, no memo (the explorer's probes)."""
+        return self._run("detect", as_query(pattern), partition, None, None)[0]
 
     # -- queries ----------------------------------------------------------------------
 
@@ -285,9 +280,9 @@ class QueryEngine:
         cache so the plan always reflects a real execution.
         ``explain_profile=True`` (implies ``explain``) additionally runs
         the detection under a fresh tracer and returns ``(matches, plan,
-        profile)``, where ``profile`` breaks the call into stages (plan /
-        fetch_postings / intersect / join / materialize or verify; the
-        sharded engine reports shard.plan / shard.fanout / shard.merge).
+        profile)``, where ``profile`` breaks the call into stages
+        (fetch_postings / plan / intersect / join / materialize or verify;
+        the sharded engine reports shard.fanout / shard.merge).
         """
         limits = {"max_matches": max_matches, "within": within}
         if explain_profile:
@@ -307,10 +302,11 @@ class QueryEngine:
         partition: str | None = "",
         policy: Policy | None = None,
     ) -> QueryPlan:
-        """The execution plan a detection of ``pattern`` would use."""
+        """The execution plan a detection of ``pattern`` would use: its
+        posting lists are fetched, the finisher does not run."""
         query = as_query(pattern)
         self._check_arguments(query, policy)
-        return self._plan(query, partition, policy)
+        return self._run("explain", query, partition, policy, None)[1]
 
     def count(
         self,
@@ -501,19 +497,16 @@ class SequenceIndex(QueryEngine):
     def _epoch(self) -> int:
         return self._generation
 
-    def _plan(
+    def _run(
         self,
+        op: str,
         query: tuple[str, ...] | Pattern,
         partition: str | None,
         policy: Policy | None,
-    ) -> QueryPlan:
-        return self.query.plan(query, partition, policy=policy)
-
-    def _execute(
-        self, op: str, plan: QueryPlan, deadline: float | None, **limits: Any
-    ) -> Any:
-        run = getattr(self.query, op)
-        return run(plan.pattern, plan.partition, plan=plan, deadline=deadline, **limits)
+        deadline: float | None,
+        **limits: Any,
+    ) -> tuple[Any, QueryPlan]:
+        return self.query.execute(op, query, partition, policy, deadline, **limits)
 
     def _statistics(
         self, pattern: Sequence[str], all_pairs: bool, deadline: float | None

@@ -133,16 +133,18 @@ class ContinuationProposal:
 class QueryPlan:
     """How the query processor decided to execute one query.
 
-    Every query runs the same stages -- ``plan -> fetch_postings ->
+    Every query runs the same stages -- ``fetch_postings -> plan ->
     intersect`` and then one *finisher* -- so there is one plan type.
     ``groups[i]`` holds the index pairs of the ``i``-th adjacency of
     *positive* pattern elements: one pair per combination of the two
     elements' alternation branches, so a plain sequence is the case where
     every group holds exactly one pair.  ``cardinalities[i]`` is the **sum
-    of the group's branch-pair counts** from the ``Count`` table (exact per
-    pair, because greedy non-overlapping matching inserts one Count
-    increment per indexed pair entry; an upper bound on the traces holding
-    the adjacency).  Every group is a positive requirement, so a group with
+    of the group's branch-pair entry counts** in the fetched posting lists
+    of the partition queried (summed over shards on a sharded engine):
+    exact, and equal to the ``Count`` table's figure over the whole store,
+    because greedy non-overlapping matching inserts one Count increment per
+    indexed pair entry; an upper bound on the traces holding the
+    adjacency.  Every group is a positive requirement, so a group with
     cardinality zero proves the whole query empty.  Negated elements never
     prune (a zero-count forbidden pair would otherwise wrongly empty the
     query); they appear only in ``negated``, for display.
@@ -172,7 +174,6 @@ class QueryPlan:
     order: tuple[int, ...]
     reordered: bool
     negated: tuple[str, ...] = ()
-    partition: str | None = ""
 
     @property
     def pairs(self) -> tuple[tuple[str, str], ...]:
@@ -186,7 +187,8 @@ class QueryPlan:
 
     @property
     def proves_empty(self) -> bool:
-        """True when some positive adjacency never completed anywhere."""
+        """True when some positive adjacency never completed in the
+        partition queried."""
         return 0 in self.cardinalities
 
     def describe(self) -> str:

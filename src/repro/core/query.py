@@ -9,17 +9,17 @@ activities (Algorithm 2), a list under skip-till-any-match, a composite
 WITHIN) -- because they all prune the same way and differ only in how a
 surviving trace is finished:
 
-1. **plan** -- one :class:`~repro.core.matches.QueryPlan` from the exact
-   per-pair cardinalities the ``Count`` table stores anyway (one batched
-   read, or handed in by a coordinator that summed them over shards).  Each
-   adjacency of positive elements is a pruning *group* of index pairs (one
-   pair for a plain sequence, one per branch combination under
-   alternation); a zero-cardinality group proves the result empty before
-   any posting list is read.
-2. **fetch_postings** -- the posting lists of every group pair in one
-   batched ``multi_get`` per Index table, as
+1. **fetch_postings** -- each adjacency of positive elements is a pruning
+   *group* of index pairs (one pair for a plain sequence, one per branch
+   combination under alternation); the posting lists of every group pair
+   come in one batched ``multi_get`` per Index table, as
    :class:`~repro.core.postings.Postings`, through the optional
    decoded-postings LRU (see :class:`repro.core.engine.SequenceIndex`).
+2. **plan** -- one :class:`~repro.core.matches.QueryPlan` from the entry
+   counts of those posting lists, known once their headers are parsed: a
+   group's cardinality is the sum over its branch pairs, exact for the
+   partition read.  No ``Count`` row is read.  A zero-cardinality group
+   proves the result empty before any column is decoded.
 3. **intersect** -- per-group trace sets come from the chunk dictionaries
    alone and are intersected cheapest group first *before* any column is
    decoded, with an empty-set early exit.
@@ -53,6 +53,8 @@ completions the pair index recorded, while STNM-greedy verification may
 retry from a later occurrence than the greedy pair did, so the two disagree
 on some patterns (DESIGN.md).  ``deadline`` (an absolute
 ``time.monotonic()`` instant) is checked between stages.
+:meth:`QueryProcessor.execute` runs the stages and returns the answer with
+the plan it ran.
 
 The detection by-product the paper mentions -- matches of every pattern
 *prefix* -- is available through :meth:`QueryProcessor.detect_with_prefixes`,
@@ -64,7 +66,7 @@ compare against.
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.continuation import CountRow
 from repro.core.errors import DeadlineExceeded, EmptyPatternError
@@ -141,6 +143,44 @@ def check_deadline(deadline: float | None) -> None:
         raise DeadlineExceeded("deadline expired between query stages")
 
 
+def build_plan(
+    query: tuple[str, ...] | Pattern,
+    cardinalities: tuple[int, ...],
+    policy: Policy | None,
+) -> QueryPlan:
+    """The plan of ``query`` given one cardinality per pruning group.
+
+    The input selects the finisher.  The join order starts at the rarest
+    group and grows the covered window towards whichever adjacent pair is
+    cheaper; the other finishers only prune, cheapest group first.  The
+    scatter-gather coordinator calls this with every shard's cardinalities
+    summed, which yields exactly the plan a single store prints.
+    """
+    groups = pruning_groups(query)
+    negated: tuple[str, ...] = ()
+    if isinstance(query, Pattern):
+        finisher = "verify"
+        negated = tuple(str(e) for e in query.elements if e.negated)
+    elif policy is Policy.STAM or len(query) == 1:
+        finisher = "enumerate"
+    else:
+        finisher = "join"
+    natural = tuple(range(len(groups)))
+    if finisher == "join":
+        order = _rarest_first_order(cardinalities)
+    else:
+        order = tuple(sorted(natural, key=lambda i: (cardinalities[i], i)))
+    return QueryPlan(
+        pattern=query,
+        finisher=finisher,
+        groups=groups,
+        cardinalities=cardinalities,
+        order=order,
+        reordered=order != natural,
+        negated=negated,
+    )
+
+
 class QueryProcessor:
     """Executes pattern queries against the index tables.
 
@@ -164,12 +204,13 @@ class QueryProcessor:
         self.postings_cache = postings_cache
         self.sequence_cache = sequence_cache
         self._generation = generation if generation is not None else lambda: 0
-        # Decoded Count / ReverseCount rows of one write generation:
-        # (generation, {(event, reverse): row}).  Decoding a Count document
-        # is O(|alphabet|) -- too expensive to repeat per plan() or per
-        # continuation probe -- while the rows themselves are bounded by the
-        # alphabet.  A row of an older generation can never be read again,
-        # so the rows are dropped as soon as the generation moves.
+        # Decoded Count / ReverseCount rows of one write generation, for the
+        # continuation explorer: (generation, {(event, reverse): row}).
+        # Decoding a Count document is O(|alphabet|) -- too expensive to
+        # repeat per continuation probe -- while the rows themselves are
+        # bounded by the alphabet.  A row of an older generation can never
+        # be read again, so the rows are dropped as soon as the generation
+        # moves.  Detection reads no Count row at all.
         self._count_rows: tuple[int, dict[tuple[str, bool], CountRow]] = (0, {})
 
     def _bump(self, name: str, amount: int = 1) -> None:
@@ -262,111 +303,32 @@ class QueryProcessor:
             extra_pairs=tuple(row(pair) for pair in extras),
         )
 
-    # -- planning ----------------------------------------------------------------
-
-    def plan(
-        self,
-        pattern: Sequence[str] | Pattern | str,
-        partition: str | None = "",
-        cardinalities: Sequence[int] | None = None,
-        policy: Policy | None = None,
-    ) -> QueryPlan:
-        """Build the execution plan for a query on ``pattern``.
-
-        One batched ``Count`` read yields every pruning pair's exact global
-        completion count (exact even per partition as an upper bound:
-        statistics tables are global, so zero means zero everywhere); a
-        group's cardinality is the sum over its branch pairs (alternation
-        cardinality is additive).  ``cardinalities`` supplies the per-pair
-        counts instead -- one per pair of :func:`pruning_groups`, flattened
-        -- for the scatter-gather coordinator, which sums every shard's
-        :meth:`cardinalities` and hands all shards the same plan.  The
-        join order starts at the rarest pair and grows the covered window
-        towards whichever adjacent pair is cheaper; the other finishers
-        only prune, cheapest group first.
-        """
-        query = as_query(pattern)
-        groups = pruning_groups(query)
-        negated: tuple[str, ...] = ()
-        if isinstance(query, Pattern):
-            finisher = "verify"
-            negated = tuple(str(e) for e in query.elements if e.negated)
-        elif policy is Policy.STAM or len(query) == 1:
-            finisher = "enumerate"
-        else:
-            finisher = "join"
-        span = current_tracer().span("plan")
-        with span:
-            pairs = tuple(pair for group in groups for pair in group)
-            if cardinalities is None:
-                per_pair = self.cardinalities(pairs)
-            else:
-                per_pair = tuple(int(c) for c in cardinalities)
-                if len(per_pair) != len(pairs):
-                    raise ValueError("need one cardinality per pruning pair")
-            folded, offset = [], 0
-            for group in groups:
-                folded.append(sum(per_pair[offset : offset + len(group)]))
-                offset += len(group)
-            cards = tuple(folded)
-            natural = tuple(range(len(groups)))
-            if finisher == "join":
-                order = _rarest_first_order(cards)
-            else:
-                order = tuple(sorted(natural, key=lambda i: (cards[i], i)))
-            if span.enabled:
-                span.add("groups", len(groups))
-                span.add("pairs", len(pairs))
-                span.add("min_cardinality", min(cards, default=0))
-            return QueryPlan(
-                pattern=query,
-                finisher=finisher,
-                groups=groups,
-                cardinalities=cards,
-                order=order,
-                reordered=order != natural,
-                negated=negated,
-                partition=partition,
-            )
-
-    def cardinalities(self, pairs: Sequence[tuple[str, str]]) -> tuple[int, ...]:
-        """Exact ``Count``-table completion counts per pair, through the
-        Count-row cache.
-
-        Public for the scatter-gather coordinator, which sums each shard's
-        cardinalities into the merged counts a global plan is built from.
-        """
-        firsts = list(dict.fromkeys(first for first, _ in pairs))
-        rows = dict(zip(firsts, self._count_rows_of(firsts)))
-        return tuple(rows[first].get(second, (0.0, 0))[1] for first, second in pairs)
+    # -- Count rows (the continuation explorer) ---------------------------------
 
     def count_row(self, first: str) -> CountRow:
         """``{follower: (sum_duration, completions)}`` of the pairs starting
         at ``first`` (shared with the cache: do not mutate)."""
-        return self._count_rows_of((first,))[0]
+        return self._count_row(first, False)
 
     def reverse_count_row(self, second: str) -> CountRow:
         """``{predecessor: (sum_duration, completions)}`` of the pairs ending
         at ``second`` (shared with the cache: do not mutate)."""
-        return self._count_rows_of((second,), reverse=True)[0]
+        return self._count_row(second, True)
 
-    def _count_rows_of(
-        self, keys: Sequence[str], reverse: bool = False
-    ) -> list[CountRow]:
-        """Decoded ``Count`` (``ReverseCount`` with ``reverse``) rows of
-        ``keys``, each read and decoded once per write generation."""
+    def _count_row(self, key: str, reverse: bool) -> CountRow:
+        """The decoded ``Count`` (``ReverseCount`` with ``reverse``) row of
+        ``key``, read and decoded once per write generation."""
         generation = self._generation()
         cached = self._count_rows
         if cached[0] != generation:
             cached = self._count_rows = (generation, {})
         rows = cached[1]
-        missing = [key for key in keys if (key, reverse) not in rows]
-        if missing:
-            for key, row in self.tables.get_count_rows(missing, reverse).items():
-                rows[key, reverse] = row
-        return [rows[key, reverse] for key in keys]
+        row = rows.get((key, reverse))
+        if row is None:
+            row = rows[key, reverse] = self.tables.get_count_rows([key], reverse)[key]
+        return row
 
-    # -- pattern detection: plan -> fetch_postings -> intersect -> finisher ----
+    # -- pattern detection: fetch_postings -> plan -> intersect -> finisher ----
 
     def detect(
         self,
@@ -375,7 +337,6 @@ class QueryProcessor:
         policy: Policy | None = None,
         max_matches: int | None = None,
         within: float | None = None,
-        plan: QueryPlan | None = None,
         deadline: float | None = None,
     ) -> list[PatternMatch]:
         """All completions of ``pattern``, one match per completion.
@@ -387,47 +348,16 @@ class QueryProcessor:
         bounds STAM explosion and verification work).  ``within`` keeps
         only matches whose end-to-end span is at most that long (a
         CEP-style WITHIN window); the chain join applies it at every probe,
-        dropping a chain as soon as it outgrows the window.  ``plan``
-        overrides planning with a precomputed
-        :class:`~repro.core.matches.QueryPlan` (the scatter-gather
-        coordinator plans once from merged cardinalities and hands every
-        shard the same plan); the plan never changes the result, only the
-        order of work.
+        dropping a chain as soon as it outgrows the window.
         """
-        check_limits(max_matches, within)
-        if plan is None:
-            plan = self.plan(pattern, partition, policy=policy)
-        if plan.proves_empty or max_matches == 0:
-            # Count is global and exact: a zero-cardinality group has no
-            # postings in any partition, so the query is dead on arrival.
-            return []
-        postings, survivors = self._prune(plan, deadline)
-        if survivors is not None and not survivors:
-            return []
-        if plan.finisher == "join":
-            chains = self._join(plan.pairs, plan.order, postings, survivors, within)
-            check_deadline(deadline)
-            span = current_tracer().span("materialize")
-            with span:
-                matches = [
-                    PatternMatch(trace_id, chain) for trace_id, chain in chains
-                ]
-                if span.enabled:
-                    span.add("matches", len(matches))
-        else:
-            matches = self._verify(plan, survivors, max_matches)
-            if within is not None:
-                matches = [m for m in matches if m.duration <= within]
-        if max_matches is not None:
-            matches = matches[:max_matches]
-        return matches
+        limits = {"max_matches": max_matches, "within": within}
+        return self.execute("detect", pattern, partition, policy, deadline, **limits)[0]
 
     def count(
         self,
         pattern: Sequence[str] | Pattern | str,
         partition: str | None = "",
         within: float | None = None,
-        plan: QueryPlan | None = None,
         deadline: float | None = None,
     ) -> int:
         """Number of completions of ``pattern``.
@@ -435,23 +365,83 @@ class QueryProcessor:
         Counts the chains (or the verifier's matches) directly -- no
         :class:`PatternMatch` object is materialized per completion.
         """
-        check_limits(None, within)
-        if plan is None:
-            plan = self.plan(pattern, partition)
-        if plan.proves_empty:
-            return 0
-        postings, survivors = self._prune(plan, deadline)
+        return self.execute("count", pattern, partition, None, deadline, within=within)[0]
+
+    def contains(
+        self,
+        pattern: Sequence[str] | Pattern | str,
+        partition: str | None = "",
+        deadline: float | None = None,
+    ) -> list[str]:
+        """Ids of traces containing ``pattern`` at least once.
+
+        Candidate traces are intersected from the pair index first; a list
+        then reports the traces of its joined chains, anything else stops
+        each candidate at its first verified match.
+        """
+        return self.execute("contains", pattern, partition, None, deadline)[0]
+
+    def execute(
+        self,
+        op: str,
+        pattern: Sequence[str] | Pattern | str,
+        partition: str | None = "",
+        policy: Policy | None = None,
+        deadline: float | None = None,
+        max_matches: int | None = None,
+        within: float | None = None,
+    ) -> tuple[Any, QueryPlan]:
+        """One query through every stage: ``(answer, plan)``.
+
+        ``op`` is ``"detect"``, ``"count"`` or ``"contains"`` (the answers
+        of the methods of those names), or ``"explain"``, which stops once
+        the plan is built and answers ``None``.  The plan comes from the
+        posting lists the query fetches anyway, so planning reads nothing of
+        its own.
+        """
+        check_limits(max_matches, within)
+        plan, postings = self._plan(as_query(pattern), partition, policy, deadline)
+        if op == "explain":
+            return None, plan
+        survivors = self._prune(plan, postings, deadline, max_matches)
         if survivors is not None and not survivors:
-            return 0
+            return (0 if op == "count" else []), plan
         if plan.finisher == "join":
-            return len(
-                self._join(plan.pairs, plan.order, postings, survivors, within)
-            )
-        matcher = _MATCHERS[plan.finisher]
-        return sum(
-            len(matcher(activities, stamps, plan.pattern, None))
-            for _, (activities, stamps) in self._candidate_sequences(survivors)
-        )
+            chains = self._join(plan.pairs, plan.order, postings, survivors, within)
+            check_deadline(deadline)
+            if op == "count":
+                return len(chains), plan
+            if op == "contains":
+                return sorted({trace_id for trace_id, _ in chains}), plan
+            span = current_tracer().span("materialize")
+            with span:
+                matches = [
+                    PatternMatch(trace_id, chain) for trace_id, chain in chains
+                ]
+                if span.enabled:
+                    span.add("matches", len(matches))
+        elif op == "detect":
+            matches = self._verify(plan, survivors, max_matches)
+            if within is not None:
+                matches = [m for m in matches if m.duration <= within]
+        else:
+            matcher = _MATCHERS[plan.finisher]
+            rows = self._candidate_sequences(survivors)
+            if op == "count":
+                found = sum(
+                    len(matcher(activities, stamps, plan.pattern, None))
+                    for _, (activities, stamps) in rows
+                )
+            else:
+                found = [
+                    trace_id
+                    for trace_id, (activities, stamps) in rows
+                    if matcher(activities, stamps, plan.pattern, 1)
+                ]
+            return found, plan
+        if max_matches is not None:
+            matches = matches[:max_matches]
+        return matches, plan
 
     def detect_with_prefixes(
         self, pattern: Sequence[str], partition: str | None = ""
@@ -477,55 +467,60 @@ class QueryProcessor:
         ]
         return result
 
-    def contains(
-        self,
-        pattern: Sequence[str] | Pattern | str,
-        partition: str | None = "",
-        plan: QueryPlan | None = None,
-        deadline: float | None = None,
-    ) -> list[str]:
-        """Ids of traces containing ``pattern`` at least once.
-
-        Candidate traces are intersected from the pair index first; a list
-        then reports the traces of its joined chains, anything else stops
-        each candidate at its first verified match.
-        """
-        if plan is None:
-            plan = self.plan(pattern, partition)
-        if plan.proves_empty:
-            return []
-        postings, survivors = self._prune(plan, deadline)
-        if survivors is not None and not survivors:
-            return []
-        if plan.finisher == "join":
-            chains = self._join(plan.pairs, plan.order, postings, survivors)
-            return sorted({trace_id for trace_id, _ in chains})
-        matcher = _MATCHERS[plan.finisher]
-        return [
-            trace_id
-            for trace_id, (activities, stamps) in self._candidate_sequences(survivors)
-            if matcher(activities, stamps, plan.pattern, 1)
-        ]
-
     # -- stages -------------------------------------------------------------------
 
-    def _prune(
-        self, plan: QueryPlan, deadline: float | None
-    ) -> tuple[dict[tuple[str, str], Postings] | None, set[str] | None]:
-        """``fetch_postings -> intersect``: the fetched postings and the
-        traces holding every group.  ``(None, None)`` = nothing to prune
-        with (no positive adjacency), so every stored trace is a candidate.
+    def _plan(
+        self,
+        query: tuple[str, ...] | Pattern,
+        partition: str | None,
+        policy: Policy | None,
+        deadline: float | None,
+    ) -> tuple[QueryPlan, dict[tuple[str, str], Postings]]:
+        """``fetch_postings -> plan``: the postings of every group pair, and
+        the plan built from their entry counts.
+
+        ``Postings.entries`` is a pair's completion count in the partition
+        read: the builder adds one ``Count`` increment per Index entry, so
+        over every partition it is exactly ``Count[pair]`` (DESIGN.md §6).
         """
+        check_deadline(deadline)
+        groups = pruning_groups(query)
+        pairs = [pair for group in groups for pair in group]
+        postings = self._fetch_postings(pairs, partition) if pairs else {}
+        check_deadline(deadline)
+        span = current_tracer().span("plan")
+        with span:
+            cardinalities = tuple(
+                sum(postings[pair].entries for pair in group) for group in groups
+            )
+            plan = build_plan(query, cardinalities, policy)
+            if span.enabled:
+                span.add("groups", len(groups))
+                span.add("pairs", len(pairs))
+                span.add("min_cardinality", plan.estimated_cost)
+        return plan, postings
+
+    def _prune(
+        self,
+        plan: QueryPlan,
+        postings: dict[tuple[str, str], Postings],
+        deadline: float | None,
+        max_matches: int | None,
+    ) -> set[str] | None:
+        """``intersect``: the traces holding every group.  Empty when the
+        plan proves the answer empty or ``max_matches`` is 0; ``None`` when
+        there is nothing to prune with (no positive adjacency), so every
+        stored trace is a candidate.
+        """
+        if plan.proves_empty or max_matches == 0:
+            return set()
         if plan.reordered:
             self._bump("planner_reorders")
-        check_deadline(deadline)
         if not plan.groups:
-            return None, None
-        postings = self._fetch_postings(plan.pairs, plan.partition)
-        check_deadline(deadline)
+            return None
         survivors = self._intersect(plan, postings)
         check_deadline(deadline)
-        return postings, survivors
+        return survivors
 
     def _intersect(
         self, plan: QueryPlan, postings: dict[tuple[str, str], Postings]

@@ -145,7 +145,9 @@ class StoreMetrics:
     ``block_reads`` counts physical data-block loads and
     ``lazy_meta_loads`` counts lazily-opened SSTables that materialized
     their index/bloom metadata -- both stay at zero across a lazy reopen
-    until the first read arrives.
+    until the first read arrives.  ``read_operands`` counts the records a
+    point read resolved (memtable deltas and SSTable records, the base
+    write included): its read amplification, summed over every key read.
 
     Counters are sharded per thread so :meth:`bump` never takes a lock --
     concurrent readers do not serialize on a shared metrics mutex.
@@ -189,6 +191,7 @@ class StoreMetrics:
         "compaction_moves",
         "block_reads",
         "lazy_meta_loads",
+        "read_operands",
     )
 
     def __init__(self) -> None:
@@ -471,6 +474,7 @@ class LSMStore(KeyValueStore):
                     continue
                 records.extend(entry.records())
                 if entry.is_self_contained():
+                    self.metrics.bump("read_operands", len(records))
                     return read_value(records, operator, default)
             readers = self._tableset.readers
             key_hash = hash_pair(full_key) if readers else None
@@ -485,6 +489,7 @@ class LSMStore(KeyValueStore):
                 records.append(record)
                 if record[0] != KIND_MERGE:
                     break
+            self.metrics.bump("read_operands", len(records))
             return read_value(records, operator, default)
 
     def multi_get(
@@ -558,12 +563,15 @@ class LSMStore(KeyValueStore):
                 full_key: read_value(found, operator, default)
                 for full_key, found in records.items()
             }
+            operands = sum(map(len, records.values()))
+            self.metrics.bump("read_operands", operands)
             if span.enabled:
                 span.add("keys", len(key_list))
                 span.add("unique_keys", len(full_by_norm))
                 span.add("memtable_resolved", memtable_resolved)
                 span.add("bloom_skips", bloom_skipped)
                 span.add("sstable_reads", sstable_probes)
+                span.add("operands", operands)
         return [resolved[full_by_norm[norm]] for norm in norm_keys]
 
     def scan(

@@ -104,6 +104,10 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
         "counter",
         "Lazily-opened SSTables that materialized index/bloom metadata.",
     ),
+    "repro_store_read_operands_total": (
+        "counter",
+        "Records point reads merged: memtable deltas plus SSTable records.",
+    ),
     # -- store shape gauges -------------------------------------------------
     "repro_store_sstables": ("gauge", "Live SSTables on disk."),
     "repro_store_level_count": (

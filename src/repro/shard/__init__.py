@@ -3,9 +3,9 @@
 A :class:`~repro.shard.index.ShardedSequenceIndex` partitions traces across
 independent single-store engines by a stable hash of the trace id
 (:func:`~repro.shard.hashing.shard_for_trace`), fans ``update()`` out per
-shard, and answers queries scatter-gather: plan once from the merged Count
-cardinalities, fetch from every shard concurrently, merge candidate/match
-sets before returning.  Because a trace's pairs colocate on one shard,
+shard, and answers queries scatter-gather: one concurrent fan-out in which
+every shard plans from its own posting lists and answers, then a merge of
+the match sets before returning.  Because a trace's pairs colocate on one shard,
 per-trace pruning stays shard-local and every merge is a disjoint union.
 """
 

@@ -11,19 +11,18 @@ front half (coercion, validation, result memo, slow-query timing, explain)
 the single-store engine uses; what this engine supplies is the
 scatter-gather back half:
 
-1. **plan once** -- per-pair cardinalities are summed across shards (each
-   shard answers from its Count rows, served warm by its planner cache) and
-   one global :class:`~repro.core.matches.QueryPlan` is built from the
-   merged counts, whatever the query's finisher; a globally-zero group
-   proves the result empty before any posting list is touched;
-2. **fan out** -- every shard's query processor executes the same plan
+1. **fan out, once** -- every shard's query processor runs the whole query
    concurrently on the shared :class:`~repro.executor.ParallelExecutor`
-   (persistent thread pool), each against its own generation-keyed
-   postings/sequence caches;
-3. **merge** -- per-shard results are disjoint by construction (traces do
+   (persistent thread pool), under the request deadline, each against its
+   own generation-keyed postings/sequence caches.  Each shard plans from
+   the posting lists it fetches: its own entry counts are its real
+   intermediate work, and no order changes an answer;
+2. **merge** -- per-shard results are disjoint by construction (traces do
    not span shards), so merging is concatenation + a stable sort by trace
    id (a sum for ``count``, a sorted union for ``contains``),
-   byte-identical to the single-store engine's output.
+   byte-identical to the single-store engine's output.  The shards' group
+   cardinalities sum into the :class:`~repro.core.matches.QueryPlan` a
+   single store would print, for ``explain``.
 
 Writes fan out the same way: the batch is split by trace shard and each
 sub-batch applies under that shard's own writer lock, so only the written
@@ -52,7 +51,7 @@ from repro.core.matches import PairStats, PatternMatch, PatternStats, QueryPlan
 from repro.core.model import Event, EventLog
 from repro.core.pattern import Pattern
 from repro.core.policies import Policy
-from repro.core.query import pruning_groups
+from repro.core.query import build_plan
 from repro.executor import ParallelExecutor
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import current_tracer
@@ -363,56 +362,41 @@ class ShardedSequenceIndex(QueryEngine):
     def _epoch(self) -> tuple[int, ...]:
         return self.write_generations
 
-    def _plan(
+    def _run(
         self,
+        op: str,
         query: tuple[str, ...] | Pattern,
         partition: str | None,
         policy: Policy | None,
-    ) -> QueryPlan:
-        """One global plan from summed per-shard Count cardinalities."""
-        span = current_tracer().span("shard.plan")
-        with span:
-            pairs = tuple(pair for group in pruning_groups(query) for pair in group)
-            per_shard = self._gather(
-                [
-                    (lambda s=shard: s.query.cardinalities(pairs))
-                    for shard in self.shards
-                ],
-                deadline=None,
-            )
-            merged = tuple(sum(cards) for cards in zip(*per_shard))
-            plan = self.shards[0].query.plan(query, partition, merged, policy)
-            if span.enabled:
-                span.add("pairs", len(pairs))
-                span.add("min_cardinality", plan.estimated_cost)
-            return plan
+        deadline: float | None,
+        **limits: Any,
+    ) -> tuple[Any, QueryPlan]:
+        """One fan-out: every shard plans from its own postings and answers.
 
-    def _execute(
-        self, op: str, plan: QueryPlan, deadline: float | None, **limits: Any
-    ) -> Any:
-        """Fan ``plan`` out to every shard's query processor and merge."""
-        per_shard: list[Any] = []
-        if not plan.proves_empty:  # a globally-zero group: no shard can match
-            per_shard = self._gather(
-                [
-                    (
-                        lambda run=getattr(shard.query, op): run(
-                            plan.pattern,
-                            plan.partition,
-                            plan=plan,
-                            deadline=deadline,
-                            **limits,
-                        )
+        The answers merge; the shards' group cardinalities sum into the plan
+        one store over all of the data would print.
+        """
+        per_shard = self._gather(
+            [
+                (
+                    lambda run=shard.query.execute: run(
+                        op, query, partition, policy, deadline, **limits
                     )
-                    for shard in self.shards
-                ],
-                deadline,
-            )
+                )
+                for shard in self.shards
+            ],
+            deadline,
+        )
+        answers = [answer for answer, _ in per_shard]
+        cardinalities = zip(*(plan.cardinalities for _, plan in per_shard))
+        plan = build_plan(query, tuple(map(sum, cardinalities)), policy)
         if op == "count":
-            return sum(per_shard)
+            return sum(answers), plan
         if op == "contains":
-            return sorted(trace_id for found in per_shard for trace_id in found)
-        return self._merge_matches(per_shard, limits.get("max_matches"))
+            return sorted(trace_id for found in answers for trace_id in found), plan
+        if op == "detect":
+            return self._merge_matches(answers, limits.get("max_matches")), plan
+        return None, plan
 
     @staticmethod
     def _merge_matches(

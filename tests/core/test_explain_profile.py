@@ -7,7 +7,8 @@ from repro.core.model import Event
 from repro.obs.profile import QueryProfile
 from repro.obs.trace import NULL_TRACER, current_tracer
 
-STAGES = ("plan", "fetch_postings", "intersect", "join", "materialize")
+#: the plan is built from the posting lists, so it follows their fetch
+STAGES = ("fetch_postings", "plan", "intersect", "join", "materialize")
 
 
 def _sizeable_log(traces: int = 200, repeats: int = 5) -> list[Event]:

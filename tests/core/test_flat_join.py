@@ -19,12 +19,14 @@ one, an alternation branch) and compares against the SASE automaton.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from contextlib import contextmanager
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.sase.nfa import PatternNfa
+from repro.core import query as query_module
 from repro.core.engine import SequenceIndex
 from repro.core.model import Event
 from repro.core.pairs import reference_stnm_pairs
@@ -63,6 +65,13 @@ def _orders(pairs: int) -> list[tuple[int, ...]]:
     for start in range(pairs):
         grow((start,), start, start)
     return found
+
+
+@contextmanager
+def _join_order(order: tuple[int, ...]):
+    """Every plan built inside the block joins in ``order``."""
+    with mock.patch.object(query_module, "_rarest_first_order", lambda _: order):
+        yield
 
 
 def _chain_oracle(log: dict[str, list[tuple[str, float]]], pattern) -> list[tuple]:
@@ -152,24 +161,24 @@ def test_every_join_order_equals_the_reference_and_the_oracle(
     for length, matches in prefixes.items():  # each snapshot is a detection
         assert _spans(matches) == _chain_oracle(log, pattern[:length])
 
-    plan = query.plan(pattern, None)
+    _, plan = query.execute("explain", pattern, None)
     if plan.proves_empty:
         assert expected == []
     for order in _orders(n - 1):
-        ordered = replace(plan, order=order, reordered=order != tuple(range(n - 1)))
-        run = {"partition": None, "plan": ordered}
-        assert _spans(query.detect(pattern, **run)) == expected
-        assert query.count(pattern, **run) == len(expected)
-        assert query.contains(pattern, **run) == sorted({t for t, _ in expected})
-        assert _spans(query.detect(pattern, max_matches=limit, **run)) == expected[:limit]
-        assert _spans(query.detect(pattern, within=within, **run)) == in_window
-        assert query.count(pattern, within=within, **run) == len(in_window)
-        # a single partition holds a subset of the pairs: no oracle from the
-        # log, but the planned order must still equal left-to-right
-        for partition in ("", "p1"):
-            reference = query.detect_with_prefixes(pattern, partition)[n]
-            ordered = replace(ordered, partition=partition)
-            assert query.detect(pattern, partition, plan=ordered) == reference
+        with _join_order(order):
+            assert query.execute("explain", pattern, None)[1].order == order
+            run = {"partition": None}
+            assert _spans(query.detect(pattern, **run)) == expected
+            assert query.count(pattern, **run) == len(expected)
+            assert query.contains(pattern, **run) == sorted({t for t, _ in expected})
+            assert _spans(query.detect(pattern, max_matches=limit, **run)) == expected[:limit]
+            assert _spans(query.detect(pattern, within=within, **run)) == in_window
+            assert query.count(pattern, within=within, **run) == len(in_window)
+            # a single partition holds a subset of the pairs: no oracle from
+            # the log, but the order must still equal left-to-right
+            for partition in ("", "p1"):
+                reference = query.detect_with_prefixes(pattern, partition)[n]
+                assert query.detect(pattern, partition) == reference
 
 
 def _replay_index_rows(index: SequenceIndex) -> None:
@@ -190,11 +199,10 @@ def test_a_replayed_completion_counts_once_in_every_order(traces, pattern):
     expected = _chain_oracle(log, pattern)
     n = len(pattern)
     assert _spans(query.detect_with_prefixes(pattern)[n]) == expected
-    plan = query.plan(pattern)
     for order in _orders(n - 1):
-        ordered = replace(plan, order=order)
-        assert _spans(query.detect(pattern, plan=ordered)) == expected
-        assert query.count(pattern, plan=ordered) == len(expected)
+        with _join_order(order):
+            assert _spans(query.detect(pattern)) == expected
+            assert query.count(pattern) == len(expected)
 
 
 def test_of_two_completions_with_one_start_the_last_column_row_wins():

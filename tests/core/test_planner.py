@@ -19,7 +19,9 @@ from repro.core.engine import SequenceIndex
 from repro.core.errors import EmptyPatternError
 from repro.core.model import Event, EventLog
 from repro.core.pairs import create_pairs, reference_stnm_pairs
+from repro.core.pattern import Pattern
 from repro.core.policies import PairMethod, Policy
+from repro.kvstore import InMemoryStore
 
 ACTIVITIES = "ABCD"
 
@@ -142,28 +144,46 @@ class TestPlanObject:
             assert idx - 1 in seen or idx + 1 in seen
             seen.add(idx)
 
-    def test_cardinalities_match_statistics(self):
-        index = self._index()
-        pattern = ["A", "B", "C"]
-        plan = index.explain(pattern)
+    @given(log=LOGS, pattern=PATTERNS, policy=st.sampled_from([Policy.STNM, Policy.SC]))
+    @settings(max_examples=60, deadline=None)
+    def test_cardinalities_match_statistics(self, log, pattern, policy):
+        """A group's cardinality is its pair's entry count in the partition
+        read: ``Count[pair]`` over the whole store, at most that in one
+        named partition."""
+        index = _build(log, policy)
         stats = index.statistics(pattern)
+        completions = tuple(row.completions for row in stats.pairs)
+        plan = index.explain(pattern)
         assert plan.pairs == tuple(zip(pattern, pattern[1:]))
-        assert plan.cardinalities == tuple(row.completions for row in stats.pairs)
-        assert plan.estimated_cost == min(plan.cardinalities)
+        assert plan.cardinalities == completions
+        assert plan.estimated_cost == min(completions)
+
+        spread = SequenceIndex(policy=policy)
+        for i, trace_id in enumerate(sorted(log)):
+            spread.update(
+                EventLog.from_dict({trace_id: log[trace_id]}), partition=["", "p1"][i % 2]
+            )
+        assert spread.statistics(pattern) == stats  # Count is partition-blind
+        assert spread.explain(pattern, partition=None).cardinalities == completions
+        for partition in ("", "p1")[: len(log)]:  # "p1" needs a second trace
+            cardinalities = spread.explain(pattern, partition=partition).cardinalities
+            assert all(c <= total for c, total in zip(cardinalities, completions))
 
     def test_count_row_cache_survives_many_generations(self):
         # Regression: rows of dead write generations used to pile up until a
-        # 4 096-row limit cleared the cache -- after the planner had worked
-        # out which rows it was missing, so a query that found part of its
-        # rows cached then failed with KeyError.  Enough generations to pass
-        # that limit, each with a partly cached query.
+        # 4 096-row limit cleared the cache -- after a reader had worked out
+        # which rows it was missing, so a read that found part of its rows
+        # cached then failed with KeyError.  Enough generations to pass that
+        # limit, each with a partly cached continuation query.
         index = self._index()
         for generation in range(2100):
             index.update([Event("t9", "ABC"[generation % 3], 100 + generation)])
-            index.explain(["A", "B"])  # caches the row of "A" only
-            plan = index.explain(["A", "B", "C"])  # "A" cached, "B" missing
-        stats = index.statistics(["A", "B", "C"])
-        assert plan.cardinalities == tuple(row.completions for row in stats.pairs)
+            index.query.count_row("A")  # caches the row of "A" only
+            # reads the rows of "A" (cached) and "B" (missing)
+            proposals = index.continuations(["A", "B"], mode="fast")
+        assert {p.event for p in proposals} == set(index.query.count_row("B"))
+        bound = index.statistics(["A", "B"]).max_completions
+        assert max(p.completions for p in proposals) <= bound
         _, rows = index.query._count_rows
         # one generation's Count rows, nothing older
         assert set(rows) == {("A", False), ("B", False)}
@@ -208,16 +228,9 @@ class TestPlanObject:
     def test_plan_requires_a_pattern(self):
         index = self._index()
         with pytest.raises(EmptyPatternError):
-            index.query.plan([])
+            index.query.execute("explain", [])
         with pytest.raises(EmptyPatternError):
             index.explain([])
-
-    def test_external_cardinalities_need_one_per_pair(self):
-        index = self._index()
-        plan = index.query.plan(["A", "B", "C"], cardinalities=[7, 2])
-        assert plan.cardinalities == (7, 2) and plan.order == (1, 0)
-        with pytest.raises(ValueError):
-            index.query.plan(["A", "B", "C"], cardinalities=[7])
 
 
 class TestExplainSurface:
@@ -240,10 +253,42 @@ class TestExplainSurface:
         assert index.detect(["A", "Z"]) == []
         assert index.contains(["A", "Z"]) == []
         after = store_metrics.snapshot()
-        # The dead pair is detected from Count alone: the first call issues
-        # the one batched Count read, the second hits the planner's
-        # Count-row cache -- the Index table is never touched.
+        # The dead pair is detected from its empty posting list: the first
+        # call issues the one batched Index read, the second hits the
+        # postings cache -- and no Count row is read for either.
         assert after["multi_get_batches"] - before["multi_get_batches"] == 1
+
+    def test_detection_reads_no_count_row(self):
+        """The plan comes from the posting lists the query fetches anyway:
+        no query of the detection family reads ``Count`` or ``ReverseCount``."""
+
+        class TableReads(InMemoryStore):
+            def __init__(self):
+                super().__init__()
+                self.tables: list[str] = []
+
+            def get(self, table, key, default=None):
+                self.tables.append(table)
+                return super().get(table, key, default)
+
+            def multi_get(self, table, keys, default=None):
+                self.tables.append(table)
+                return super().multi_get(table, keys, default)
+
+        store = TableReads()
+        index = SequenceIndex(store, query_cache_size=0, postings_cache_size=0)
+        index.update(EventLog.from_dict({"t1": list("ABXCABC"), "t2": list("ACBDC")}))
+        store.tables.clear()
+        index.detect(["A", "B", "C"])
+        index.detect(["A", "B", "C"], policy=Policy.STAM)
+        index.detect(Pattern.of("A", "!X", "(B|C)+"))
+        index.detect("SEQ(A, (B|D), C) WITHIN 5")
+        index.detect(["A", "Z"])  # a zero group
+        index.count(["A", "B"])
+        index.contains("SEQ(B, C)")
+        index.explain(["B", "C", "A"])
+        assert "index" in store.tables and "seq" in store.tables
+        assert not {"count", "reverse_count"} & set(store.tables)
 
     def test_planner_reorders_metric(self):
         index = _build(

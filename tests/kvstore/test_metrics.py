@@ -113,6 +113,28 @@ def test_a_read_hashes_each_key_once_and_counts_every_probe(tmp_path, monkeypatc
     assert moved["bloom_skips"] <= 3 * 3 + 1
 
 
+def test_a_read_reports_the_operands_it_merged(tmp_path):
+    """k merges to one key in the memtable: one ``get`` merges k records, and
+    a ``multi_get`` span reports the records merged over its batch."""
+    from repro.obs.trace import Tracer, activate
+
+    with LSMStore(str(tmp_path / "db"), auto_compact=False) as store:
+        store.create_table("t", merge_operator="list_append")
+        for k in range(7):
+            store.merge("t", "hot", [k])
+        store.put("t", "cold", [0])
+        before = store.metrics.snapshot()["read_operands"]
+        assert store.get("t", "hot") == list(range(7))
+        assert store.metrics.snapshot()["read_operands"] - before == 7
+        store.flush()
+        store.merge("t", "hot", [7])  # one delta above the flushed record
+        with activate(Tracer()) as tracer:
+            store.multi_get("t", ["hot", "cold", "missing"])
+        ((name, _, _, _, counters),) = tracer.summary()
+        assert (name, counters["operands"]) == ("lsm.multi_get", 2 + 1)
+        assert store.metrics.snapshot()["read_operands"] - before == 7 + 3
+
+
 def test_compaction_counted(tmp_path):
     with LSMStore(str(tmp_path / "db"), auto_compact=False) as store:
         store.create_table("t")

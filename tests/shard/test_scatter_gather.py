@@ -14,11 +14,13 @@ from __future__ import annotations
 import json
 import random
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.core.engine import SequenceIndex
+from repro.core.errors import DeadlineExceeded
 from repro.core.model import Event, EventLog, Trace
 from repro.core.policies import Policy
 from repro.difftest import random_log, random_pattern
@@ -249,6 +251,47 @@ class TestCoordinator:
             sharded.update(extra)
             assert _matches(sharded, ["A", "B"]) == _matches(single, ["A", "B"])
             assert _matches(sharded, ["A", "B"]) != before
+        finally:
+            single.close()
+            sharded.close()
+
+    def test_a_query_is_one_fanout(self):
+        """Every shard plans from its own postings inside the one fan-out
+        that answers: no gather runs ahead of it to plan."""
+        single, sharded = _make_pair(3)
+        try:
+            sharded.update(EventLog.from_dict({f"t{i}": list("ABCAB") for i in range(6)}))
+            for query in (
+                lambda: sharded.detect(["A", "B", "C"]),
+                lambda: sharded.detect("SEQ(A, (B|C))"),
+                lambda: sharded.count(["A", "B"]),
+                lambda: sharded.contains(["B", "C"]),
+                lambda: sharded.explain(["A", "B"]),
+            ):
+                before = sharded.metrics.fanouts
+                query()
+                assert sharded.metrics.fanouts - before == 1
+        finally:
+            single.close()
+            sharded.close()
+
+    def test_a_deadline_expiring_in_shard_work_stops_the_one_fanout(self, monkeypatch):
+        single, sharded = _make_pair(2)
+        try:
+            sharded.update(EventLog.from_dict({f"t{i}": list("ABC") for i in range(4)}))
+            for shard in sharded.shards:
+                fetch = shard.query._fetch_postings
+
+                def slow_fetch(pairs, partition, fetch=fetch):
+                    time.sleep(0.5)
+                    return fetch(pairs, partition)
+
+                monkeypatch.setattr(shard.query, "_fetch_postings", slow_fetch)
+            start = time.monotonic()
+            with pytest.raises(DeadlineExceeded):
+                sharded.detect(["A", "B", "C"], deadline=start + 0.05)
+            assert time.monotonic() - start < 0.5  # no straggler was awaited
+            assert (sharded.metrics.fanouts, sharded.metrics.deadline_exceeded) == (1, 1)
         finally:
             single.close()
             sharded.close()
