@@ -14,7 +14,7 @@ from conftest import CORE_DATASETS, SCALE
 from repro.baselines.elastic import ElasticIndex
 from repro.baselines.suffix import SuffixArrayMatcher
 from repro.bench.workloads import build_index, prepared_dataset
-from repro.core.policies import PairMethod, Policy
+from repro.core.policies import Policy
 
 
 @pytest.mark.parametrize("name", CORE_DATASETS)
@@ -27,19 +27,13 @@ def test_preprocess_suffix_19(benchmark, name):
 @pytest.mark.parametrize("name", CORE_DATASETS)
 def test_preprocess_strict(benchmark, name):
     log = prepared_dataset(name, SCALE)
-    benchmark.pedantic(
-        lambda: build_index(log, Policy.SC, PairMethod.STRICT), rounds=3, iterations=1
-    )
+    benchmark.pedantic(lambda: build_index(log, Policy.SC), rounds=3, iterations=1)
 
 
 @pytest.mark.parametrize("name", CORE_DATASETS)
 def test_preprocess_indexing(benchmark, name):
     log = prepared_dataset(name, SCALE)
-    benchmark.pedantic(
-        lambda: build_index(log, Policy.STNM, PairMethod.INDEXING),
-        rounds=3,
-        iterations=1,
-    )
+    benchmark.pedantic(lambda: build_index(log, Policy.STNM), rounds=3, iterations=1)
 
 
 @pytest.mark.parametrize("name", CORE_DATASETS)

@@ -33,7 +33,6 @@ from repro.core import (
     EmptyPatternError,
     Event,
     EventLog,
-    PairMethod,
     PairStats,
     Pattern,
     PatternElement,
@@ -57,7 +56,6 @@ __all__ = [
     "Trace",
     "EventLog",
     "Policy",
-    "PairMethod",
     "create_pairs",
     "Pattern",
     "PatternElement",

@@ -24,8 +24,8 @@ from repro.bench.workloads import (
     stnm_patterns,
     timed,
 )
-from repro.core.pairs import PAIR_FLAVORS
-from repro.core.policies import PairMethod, Policy
+from repro.core.pairs import indexing_pairs, parsing_pairs, state_pairs
+from repro.core.policies import Policy
 from repro.executor import ParallelExecutor
 from repro.logs.datasets import DATASETS
 from repro.logs.generator import RandomLogConfig, generate_random_log
@@ -34,7 +34,13 @@ from repro.logs.stats import profile_log
 #: dataset order used by Tables 5/6/7/8
 TABLE_DATASETS: tuple[str, ...] = DATASETS
 
-STNM_METHODS = (PairMethod.INDEXING, PairMethod.PARSING, PairMethod.STATE)
+#: the STNM flavors of §4 that Table 5 and Figure 3 time, by column name
+#: (the index builds with ``indexing``: ``core.pairs.PAIR_CREATORS``)
+_STNM_FLAVORS = {
+    "indexing": indexing_pairs,
+    "parsing": parsing_pairs,
+    "state": state_pairs,
+}
 
 
 def _mean_time(fn: Callable[[], object], repeats: int) -> float:
@@ -46,13 +52,24 @@ def _mean_time(fn: Callable[[], object], repeats: int) -> float:
     return statistics.fmean(times)
 
 
-def _pair_creation_time(log, method: PairMethod) -> float:
-    """Time to create all event pairs of ``log`` with ``method`` (one run),
-    in the column form the builder consumes."""
+def _pair_creation_times(log, repeats: int) -> list[float]:
+    """Per STNM flavor, the mean time to create every trace's pairs of
+    ``log`` in the column form the builder consumes.
+
+    Each trace's result is dropped as soon as it is made, as the builder
+    drops it: kept in a list, the results would have every cyclic-GC pass
+    walk their columns, and the timer would measure that too.
+    """
     views = [(trace.activities, trace.timestamps) for trace in log]
-    flavor = PAIR_FLAVORS[method]
-    elapsed, _ = timed(lambda: [flavor(acts, stamps) for acts, stamps in views])
-    return elapsed
+
+    def run(flavor) -> None:
+        for acts, stamps in views:
+            flavor(acts, stamps)
+
+    return [
+        _mean_time(lambda f=flavor: run(f), repeats)
+        for flavor in _STNM_FLAVORS.values()
+    ]
 
 
 # --- Table 4 / Figure 2 ---------------------------------------------------------
@@ -111,19 +128,18 @@ def exp_table5(
     datasets: Sequence[str] = TABLE_DATASETS,
     repeats: int = 1,
 ) -> ExperimentResult:
-    """Index build time of the three STNM flavors per dataset."""
+    """Pair-creation time of the three STNM flavors per dataset -- the one
+    stage in which they differ -- and the whole STNM index build, which
+    creates its pairs with Indexing."""
     result = ExperimentResult(
         "table5",
-        "Execution times of different STNM indexing methods (seconds)",
-        ["log file", "indexing", "parsing", "state"],
+        "STNM pair-creation time per flavor, and the whole index build (seconds)",
+        ["log file", *_STNM_FLAVORS, "build"],
     )
     for name in datasets:
         log = prepared_dataset(name, scale)
-        times = [
-            _mean_time(lambda m=method: build_index(log, Policy.STNM, m), repeats)
-            for method in STNM_METHODS
-        ]
-        result.add(name, *times)
+        build = _mean_time(lambda: build_index(log, Policy.STNM), repeats)
+        result.add(name, *_pair_creation_times(log, repeats), build)
     return result
 
 
@@ -140,16 +156,12 @@ def exp_fig3(scale: float, repeats: int = 1) -> ExperimentResult:
     result = ExperimentResult(
         "fig3",
         "STNM pair creation on random logs (seconds)",
-        ["sweep", "x", "indexing", "parsing", "state"],
+        ["sweep", "x", *_STNM_FLAVORS],
     )
 
     def run(sweep: str, x_value: int, config: RandomLogConfig) -> None:
         log = generate_random_log(config)
-        times = [
-            _mean_time(lambda m=method: _pair_creation_time(log, m), repeats)
-            for method in STNM_METHODS
-        ]
-        result.add(sweep, x_value, *times)
+        result.add(sweep, x_value, *_pair_creation_times(log, repeats))
 
     traces_base = max(5, round(1000 * scale))
     for max_events in (100, 500, 1000, 2000, 4000):
@@ -218,19 +230,15 @@ def exp_table6(
     for name in datasets:
         log = prepared_dataset(name, scale)
         suffix_time = _mean_time(lambda: SuffixArrayMatcher(log), repeats)
-        strict_serial = _mean_time(
-            lambda: build_index(log, Policy.SC, PairMethod.STRICT, serial), repeats
-        )
+        strict_serial = _mean_time(lambda: build_index(log, Policy.SC, serial), repeats)
         strict_parallel = _mean_time(
-            lambda: build_index(log, Policy.SC, PairMethod.STRICT, parallel), repeats
+            lambda: build_index(log, Policy.SC, parallel), repeats
         )
         indexing_serial = _mean_time(
-            lambda: build_index(log, Policy.STNM, PairMethod.INDEXING, serial),
-            repeats,
+            lambda: build_index(log, Policy.STNM, serial), repeats
         )
         indexing_parallel = _mean_time(
-            lambda: build_index(log, Policy.STNM, PairMethod.INDEXING, parallel),
-            repeats,
+            lambda: build_index(log, Policy.STNM, parallel), repeats
         )
         elastic_time = _mean_time(lambda: ElasticIndex.from_log(log), repeats)
         result.add(

@@ -9,7 +9,7 @@ from typing import Any, Callable
 from repro.core.engine import SequenceIndex
 from repro.core.model import EventLog
 from repro.core.pattern import Pattern
-from repro.core.policies import PairMethod, Policy
+from repro.core.policies import Policy
 from repro.executor import ParallelExecutor
 from repro.kvstore import InMemoryStore
 from repro.logs.datasets import load_dataset
@@ -36,13 +36,10 @@ def prepared_dataset(name: str, scale: float) -> EventLog:
 def build_index(
     log: EventLog,
     policy: Policy = Policy.STNM,
-    method: PairMethod | None = None,
     executor: ParallelExecutor | None = None,
 ) -> SequenceIndex:
     """Build a fresh in-memory index over ``log`` (the timed operation)."""
-    index = SequenceIndex(
-        InMemoryStore(), policy=policy, method=method, executor=executor
-    )
+    index = SequenceIndex(InMemoryStore(), policy=policy, executor=executor)
     index.update(log)
     return index
 

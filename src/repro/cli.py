@@ -34,7 +34,7 @@ import sys
 from repro.core.engine import SequenceIndex
 from repro.core.errors import PatternSyntaxError
 from repro.core.pattern import parse_pattern
-from repro.core.policies import PairMethod, Policy
+from repro.core.policies import Policy
 from repro.core.tables import IndexTables
 from repro.executor import ParallelExecutor
 from repro.kvstore import LSMStore
@@ -45,7 +45,6 @@ from repro.logs.xes import read_xes, write_xes
 from repro.shard import ShardedSequenceIndex, is_sharded_store
 
 _POLICIES = {"sc": Policy.SC, "stnm": Policy.STNM}
-_METHODS = {m.value: m for m in PairMethod}
 
 
 def _read_log(path: str):
@@ -63,7 +62,6 @@ def _open_index(args: argparse.Namespace):
     surface, so the subcommands don't care which they got.
     """
     policy = _POLICIES[getattr(args, "policy", "stnm")]
-    method = _METHODS[args.method] if getattr(args, "method", None) else None
 
     def make_store(path: str) -> LSMStore:
         return LSMStore(
@@ -78,19 +76,13 @@ def _open_index(args: argparse.Namespace):
         # The coordinator brings its own thread pool; per-shard process
         # executors would not compose with the scatter-gather fan-out.
         return ShardedSequenceIndex.open(
-            args.store,
-            make_store,
-            num_shards=shards,
-            policy=policy,
-            method=method,
+            args.store, make_store, num_shards=shards, policy=policy
         )
     executor = None
     workers = getattr(args, "workers", None)
     if workers and workers > 1:
         executor = ParallelExecutor(backend="process", max_workers=workers)
-    return SequenceIndex(
-        make_store(args.store), policy=policy, method=method, executor=executor
-    )
+    return SequenceIndex(make_store(args.store), policy=policy, executor=executor)
 
 
 def _compression_arg(args: argparse.Namespace) -> str | None:
@@ -654,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
             "strategy reopen under the other without migration)",
         )
         if with_build:
-            p.add_argument("--method", choices=sorted(_METHODS), default=None)
             p.add_argument("--workers", type=int, default=1)
             p.add_argument(
                 "--shards",

@@ -28,7 +28,7 @@ from repro.core.matches import (
     PatternMatch,
 )
 from repro.core.model import Event, EventLog, Trace
-from repro.core.pairs import PairMethod, create_pairs
+from repro.core.pairs import create_pairs
 from repro.core.pattern import Pattern, PatternElement, parse_pattern
 from repro.core.policies import Policy
 
@@ -38,7 +38,6 @@ __all__ = [
     "Trace",
     "EventLog",
     "Policy",
-    "PairMethod",
     "create_pairs",
     "Pattern",
     "PatternElement",

@@ -7,11 +7,11 @@ each affected trace the builder
    new events (logs are append-only per trace: a new event at or before the
    stored tail violates Definition 2.1 and is rejected -- or, with
    ``dedup``, dropped as a replay);
-2. creates the new event pairs -- a full run of the configured pair-creation
-   flavor for a brand-new trace, or, for a known trace, the greedy matches
-   of ``old + new`` that complete after the old tail (greedy matching is
-   prefix-stable, so these are exactly the pairs a full rebuild would add
-   and ``LastChecked`` never has to be read);
+2. creates the new event pairs -- a full run of the policy's pair creator
+   (:data:`~repro.core.pairs.PAIR_CREATORS`) for a brand-new trace, or, for
+   a known trace, the greedy matches of ``old + new`` that complete after
+   the old tail (greedy matching is prefix-stable, so these are exactly the
+   pairs a full rebuild would add and ``LastChecked`` never has to be read);
 3. merges the results into ``Seq``, ``Index``, ``Count``, ``ReverseCount``
    and ``LastChecked`` (each pair's latest completion) as blind merge-writes
    -- all of them, with the partition's registration, one atomic store
@@ -33,13 +33,13 @@ from typing import Iterable
 from repro.core.errors import TraceOrderError
 from repro.core.model import Event, EventLog
 from repro.core.pairs import (
-    PAIR_FLAVORS,
+    PAIR_CREATORS,
     Pair,
     PairColumns,
     occurrence_lists,
     pairs_completed_after,
 )
-from repro.core.policies import PairMethod, Policy, default_method
+from repro.core.policies import Policy
 from repro.core.tables import IndexTables
 from repro.executor import ParallelExecutor
 from repro.kvstore.api import KeyValueStore
@@ -70,14 +70,14 @@ class _TraceWork:
     new_seq: SeqList
 
 
-def _compute_trace_pairs(work: _TraceWork, method: PairMethod) -> PairColumns:
+def _compute_trace_pairs(work: _TraceWork, policy: Policy) -> PairColumns:
     """Pure per-trace pair creation (Algorithm 1 lines 5-13)."""
     activities = [activity for activity, _ in work.new_seq]
     timestamps = [ts for _, ts in work.new_seq]
-    if method is PairMethod.STRICT or not work.old_activities:
+    if policy is Policy.SC or not work.old_activities:
         # A new trace; or the SC pairs a known one gains: the boundary pair
         # plus consecutive new pairs -- adjacency is local.
-        return PAIR_FLAVORS[method](
+        return PAIR_CREATORS[policy](
             work.old_activities[-1:] + activities, work.old_stamps[-1:] + timestamps
         )
     occurrences = occurrence_lists(
@@ -125,11 +125,11 @@ class _AggregatedBatch:
                 column.extend(more)
 
 
-def _aggregate(works: list[_TraceWork], method: PairMethod) -> list[_AggregatedBatch]:
+def _aggregate(works: list[_TraceWork], policy: Policy) -> list[_AggregatedBatch]:
     """Process a partition of trace works into one aggregated batch."""
     batch = _AggregatedBatch()
     for work in works:
-        batch.add_trace(work.trace_id, _compute_trace_pairs(work, method))
+        batch.add_trace(work.trace_id, _compute_trace_pairs(work, policy))
     return [batch]
 
 
@@ -140,24 +140,15 @@ class IndexBuilder:
         self,
         store: KeyValueStore,
         policy: Policy = Policy.STNM,
-        method: PairMethod | None = None,
         executor: ParallelExecutor | None = None,
     ) -> None:
-        if not policy.indexable:
+        if policy not in PAIR_CREATORS:
             raise ValueError(f"policy {policy} cannot be indexed; use SC or STNM")
-        if method is None:
-            method = default_method(policy)
-        if method.policy is not policy:
-            raise ValueError(
-                f"pair method {method.value!r} produces {method.policy.value!r} "
-                f"pairs, not {policy.value!r}"
-            )
         self.policy = policy
-        self.method = method
         self.executor = executor or ParallelExecutor.serial()
         self.tables = IndexTables(store)
         self.tables.ensure_schema()
-        self.tables.check_configuration(policy, method)
+        self.tables.check_configuration(policy)
 
     # -- public API -------------------------------------------------------------
 
@@ -181,7 +172,7 @@ class IndexBuilder:
         if not work_items:
             return stats
         self.tables.ensure_partition(partition)
-        job = partial(_aggregate, method=self.method)
+        job = partial(_aggregate, policy=self.policy)
         partials = self.executor.map_partitions(job, work_items)
         aggregated = partials[0]
         for other in partials[1:]:

@@ -39,7 +39,7 @@ from repro.core.matches import (
 )
 from repro.core.model import Event, EventLog
 from repro.core.pattern import Pattern
-from repro.core.policies import PairMethod, Policy
+from repro.core.policies import Policy
 from repro.core.query import QueryProcessor, as_query, check_deadline, check_limits
 from repro.executor import ParallelExecutor
 from repro.kvstore import InMemoryStore
@@ -417,7 +417,6 @@ class SequenceIndex(QueryEngine):
         self,
         store: KeyValueStore | None = None,
         policy: Policy = Policy.STNM,
-        method: PairMethod | None = None,
         executor: ParallelExecutor | None = None,
         query_cache_size: int = 128,
         postings_cache_size: int = 64,
@@ -426,7 +425,7 @@ class SequenceIndex(QueryEngine):
     ) -> None:
         super().__init__(query_cache_size, slow_query_threshold)
         self.store = store if store is not None else InMemoryStore()
-        self.builder = IndexBuilder(self.store, policy, method, executor)
+        self.builder = IndexBuilder(self.store, policy, executor)
         self.tables = self.builder.tables
         self._postings_cache = (
             LRUCache(postings_cache_size) if postings_cache_size > 0 else None
@@ -455,10 +454,6 @@ class SequenceIndex(QueryEngine):
     @property
     def policy(self) -> Policy:
         return self.builder.policy
-
-    @property
-    def method(self) -> PairMethod:
-        return self.builder.method
 
     @property
     def write_generation(self) -> int:

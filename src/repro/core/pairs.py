@@ -13,7 +13,10 @@ under the chosen policy:
 
 The three STNM flavors (Algorithms 6-8) are distinct computation strategies
 for the *same* output; the test suite enforces that they agree with each
-other and with :func:`reference_stnm_pairs` on arbitrary traces.
+other and with :func:`reference_stnm_pairs` on arbitrary traces.  The index
+builds with one creator per policy, :data:`PAIR_CREATORS` -- strict for SC,
+Indexing (the paper's recommended flavor) for STNM; Parsing and State are
+what the Table 5 and Figure 3 experiments time beside it.
 
 Every flavor takes plain parallel lists ``activities`` / ``timestamps`` (what
 :class:`repro.core.model.Trace` exposes) and returns :data:`PairColumns`: per
@@ -32,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Sequence
 
-from repro.core.policies import PairMethod
+from repro.core.policies import Policy
 
 Pair = tuple[str, str]
 PairColumns = dict[Pair, tuple[list[float], list[float]]]
@@ -41,16 +44,20 @@ PairColumns = dict[Pair, tuple[list[float], list[float]]]
 def create_pairs(
     activities: Sequence[str],
     timestamps: Sequence[float],
-    method: PairMethod = PairMethod.INDEXING,
+    policy: Policy = Policy.STNM,
 ) -> dict[Pair, list[tuple[float, float]]]:
-    """Create the event pairs of one trace using the selected flavor.
+    """Create the event pairs of one trace as the ``policy`` index stores them.
 
-    The public row view over :data:`PAIR_FLAVORS` (whose functions the builder
-    calls directly): ``{pair: [(ts_a, ts_b), ...]}``, every list its own.
+    The public row view over :data:`PAIR_CREATORS` (whose functions the
+    builder calls directly): ``{pair: [(ts_a, ts_b), ...]}``, every list its
+    own.
     """
     if len(activities) != len(timestamps):
         raise ValueError("activities and timestamps must have equal length")
-    columns = PAIR_FLAVORS[PairMethod(method)](activities, timestamps)
+    creator = PAIR_CREATORS.get(policy)
+    if creator is None:
+        raise ValueError(f"policy {policy} has no pair index")
+    columns = creator(activities, timestamps)
     return {
         # most pairs of a trace complete once: skip the zip object for those
         pair: [(ts_a[0], ts_b[0])] if len(ts_a) == 1 else list(zip(ts_a, ts_b))
@@ -267,12 +274,11 @@ def state_pairs(
     }
 
 
-#: each method's flavor, ``(activities, timestamps) -> PairColumns``
-PAIR_FLAVORS = {
-    PairMethod.STRICT: strict_pairs,
-    PairMethod.PARSING: parsing_pairs,
-    PairMethod.INDEXING: indexing_pairs,
-    PairMethod.STATE: state_pairs,
+#: the one pair creator of each indexable policy,
+#: ``(activities, timestamps) -> PairColumns``
+PAIR_CREATORS = {
+    Policy.SC: strict_pairs,
+    Policy.STNM: indexing_pairs,
 }
 
 

@@ -1,4 +1,4 @@
-"""Sequence-detection policies (§2.1) and pair-creation method names (§4)."""
+"""Sequence-detection policies (§2.1)."""
 
 from __future__ import annotations
 
@@ -15,41 +15,11 @@ class Policy(enum.Enum):
     * ``STAM`` -- *skip-till-any-match*: the relaxed, overlapping flavor the
       paper lists as future work (§7).  Supported here by the SASE baseline
       and by index-assisted verification, not by the pair index itself.
+
+    The policies the pair index can be built under are the keys of
+    :data:`repro.core.pairs.PAIR_CREATORS`.
     """
 
     SC = "strict-contiguity"
     STNM = "skip-till-next-match"
     STAM = "skip-till-any-match"
-
-    @property
-    def indexable(self) -> bool:
-        """Whether the pair index can be built under this policy."""
-        return self in (Policy.SC, Policy.STNM)
-
-
-class PairMethod(enum.Enum):
-    """The pair-creation flavors of §4 (for STNM) plus the SC scanner."""
-
-    #: §4.1: consecutive events only; O(n) per trace.
-    STRICT = "strict"
-    #: §4.2 "Parsing": compute pairs during a per-start-type scan; O(n l^2).
-    PARSING = "parsing"
-    #: §4.2 "Indexing": per-type occurrence lists merged pairwise; O(n l^2),
-    #: lowest constants -- the paper's recommended default.
-    INDEXING = "indexing"
-    #: §4.2 "State": single pass keeping per-pair open/closed state; O(n l).
-    STATE = "state"
-
-    @property
-    def policy(self) -> Policy:
-        """The policy whose pairs this method produces."""
-        return Policy.SC if self is PairMethod.STRICT else Policy.STNM
-
-
-def default_method(policy: Policy) -> PairMethod:
-    """The paper's recommended pair-creation method for ``policy``."""
-    if policy is Policy.SC:
-        return PairMethod.STRICT
-    if policy is Policy.STNM:
-        return PairMethod.INDEXING
-    raise ValueError(f"policy {policy} has no pair index")

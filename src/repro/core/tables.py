@@ -10,8 +10,11 @@ Index          (ev_a, ev_b)                [(trace_id, ts_a, ts_b), ...] (append
 Count          ev_a                        {ev_b: [sum_duration, completions]}
 ReverseCount   ev_b                        {ev_a: [sum_duration, completions]}
 LastChecked    ev_a                        {ev_b: last_completion_ts} (max)
-Meta           "meta"                      {policy, method, ...}
+Meta           "meta"                      {policy, partitions}
 =============  ==========================  =========================================
+
+Stores written before the engine took a policy only also carry a ``method``
+key in Meta; it is kept as written and never read.
 
 Values are written exclusively through merge operators, so index batches are
 blind appends -- the Cassandra pattern the paper's scalability rests on --
@@ -40,7 +43,7 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 from repro.core.errors import IndexStateError
-from repro.core.policies import PairMethod, Policy
+from repro.core.policies import Policy
 from repro.core.postings import (
     Postings,
     decode_sequence,
@@ -147,13 +150,11 @@ class IndexTables:
     def put_meta(self, meta: dict) -> None:
         self.write("put", META, "meta", meta)
 
-    def check_configuration(self, policy: Policy, method: PairMethod) -> None:
-        """Validate (or record) the policy/method this store was built with."""
+    def check_configuration(self, policy: Policy) -> None:
+        """Validate (or record) the policy this store was built with."""
         meta = self.get_meta()
         if not meta:
-            self.put_meta(
-                {"policy": policy.value, "method": method.value, "partitions": []}
-            )
+            self.put_meta({"policy": policy.value, "partitions": []})
             return
         if meta.get("policy") != policy.value:
             raise IndexStateError(

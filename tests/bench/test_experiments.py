@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.bench import experiments
 from repro.bench.experiments import (
     ALL_EXPERIMENTS,
     exp_fig2,
@@ -19,6 +22,7 @@ from repro.bench.experiments import (
     exp_table7,
     exp_table8,
 )
+from repro.logs.generator import generate_random_log
 
 SCALE = 0.01
 SMALL = ("max_100", "bpi_2013")
@@ -42,11 +46,19 @@ class TestDatasetExperiments:
 class TestIndexingExperiments:
     def test_table5_times_positive(self):
         result = exp_table5(SCALE, datasets=SMALL)
+        assert result.columns[1:] == ["indexing", "parsing", "state", "build"]
         for row in result.rows:
             assert all(cell > 0 for cell in row[1:])
 
-    def test_fig3_covers_three_sweeps(self):
+    def test_fig3_covers_three_sweeps(self, monkeypatch):
+        # The paper's traces of up to 4 000 events cost Parsing about a
+        # minute here; 60 events keep every sweep, flavor and cell.
+        def short_traces(config):
+            return generate_random_log(dataclasses.replace(config, max_events_per_trace=60))
+
+        monkeypatch.setattr(experiments, "generate_random_log", short_traces)
         result = exp_fig3(0.005)
+        assert result.columns[2:] == ["indexing", "parsing", "state"]
         sweeps = {row[0] for row in result.rows}
         assert sweeps == {"events/trace", "traces", "activities"}
         assert all(cell > 0 for row in result.rows for cell in row[2:])

@@ -11,14 +11,14 @@ from repro.core.builder import IndexBuilder
 from repro.core.engine import SequenceIndex
 from repro.core.errors import TraceOrderError
 from repro.core.model import Event, EventLog
-from repro.core.policies import PairMethod, Policy
+from repro.core.policies import Policy
 from repro.executor import ParallelExecutor
 from repro.kvstore import InMemoryStore
 
 
-def _build(log, policy=Policy.STNM, method=None, executor=None):
+def _build(log, policy=Policy.STNM, executor=None):
     store = InMemoryStore()
-    builder = IndexBuilder(store, policy, method, executor)
+    builder = IndexBuilder(store, policy, executor)
     stats = builder.update(log)
     return builder, stats
 
@@ -40,7 +40,7 @@ class TestFullBuild:
 
         builder, _ = _build(paper_log)
         trace = paper_log.trace("t1")
-        expected = create_pairs(trace.activities, trace.timestamps, PairMethod.INDEXING)
+        expected = create_pairs(trace.activities, trace.timestamps)
         for pair, ts_pairs in expected.items():
             rows = builder.tables.get_index(pair)
             assert [(a, b) for trace_id, a, b in rows if trace_id == "t1"] == ts_pairs
@@ -61,36 +61,11 @@ class TestFullBuild:
         builder, stats = _build(EventLog())
         assert stats.traces_seen == 0
 
-    @pytest.mark.parametrize(
-        "method", (PairMethod.INDEXING, PairMethod.PARSING, PairMethod.STATE)
-    )
-    def test_methods_produce_identical_tables(self, paper_log, method):
-        reference, _ = _build(paper_log, method=PairMethod.INDEXING)
-        other, _ = _build(paper_log, method=method)
-        for pair in [("A", "B"), ("A", "A"), ("B", "C"), ("C", "B")]:
-            assert sorted(other.tables.get_index(pair)) == sorted(
-                reference.tables.get_index(pair)
-            )
-
 
 class TestConfigurationValidation:
-    def test_sc_policy_requires_strict(self):
-        with pytest.raises(ValueError):
-            IndexBuilder(InMemoryStore(), Policy.SC, PairMethod.INDEXING)
-
-    def test_stnm_policy_rejects_strict(self):
-        with pytest.raises(ValueError):
-            IndexBuilder(InMemoryStore(), Policy.STNM, PairMethod.STRICT)
-
     def test_stam_not_indexable(self):
         with pytest.raises(ValueError):
             IndexBuilder(InMemoryStore(), Policy.STAM)
-
-    def test_defaults(self):
-        assert IndexBuilder(InMemoryStore(), Policy.SC).method is PairMethod.STRICT
-        assert (
-            IndexBuilder(InMemoryStore(), Policy.STNM).method is PairMethod.INDEXING
-        )
 
 
 class TestIncremental:

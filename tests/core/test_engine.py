@@ -7,7 +7,7 @@ import pytest
 from repro.core.engine import SequenceIndex
 from repro.core.errors import IndexStateError
 from repro.core.model import Event, EventLog
-from repro.core.policies import PairMethod, Policy
+from repro.core.policies import Policy
 from repro.kvstore import LSMStore
 from repro.shard import ShardedSequenceIndex
 
@@ -50,7 +50,6 @@ class TestFacade:
         index.update(paper_log)
         assert index.detect(["A", "B"])
         assert index.policy is Policy.STNM
-        assert index.method is PairMethod.INDEXING
 
     def test_trace_ids_and_activities(self, paper_log):
         index = SequenceIndex()

@@ -5,8 +5,8 @@ it already holds (greedy matching is prefix-stable) instead of joining with
 ``LastChecked``.  Two properties keep that honest:
 
 * for any log and any split of its event stream into batches, ``update`` x k
-  leaves every table equal to one ``update`` (``index_snapshot``), for every
-  pair-creation method, on one store and on two shards;
+  leaves every table equal to one ``update`` (``index_snapshot``), under
+  both indexable policies, on one store and on two shards;
 * the ``LastChecked`` table -- still written, no longer read by the builder
   -- holds, per pair, exactly the latest over all traces of the last
   completion derivable from ``Seq``, so ``statistics().last_completion``
@@ -22,16 +22,12 @@ from hypothesis import strategies as st
 from repro.core.engine import SequenceIndex
 from repro.core.model import Event
 from repro.core.pairs import create_pairs
-from repro.core.policies import PairMethod
+from repro.core.policies import Policy
 from repro.ingest import index_snapshot
 from repro.shard import ShardedSequenceIndex
 
-METHODS = (
-    PairMethod.INDEXING,
-    PairMethod.PARSING,
-    PairMethod.STATE,
-    PairMethod.STRICT,
-)
+#: each indexable policy, by the pair creator its index builds with
+POLICIES = {"indexing": Policy.STNM, "strict": Policy.SC}
 
 
 @st.composite
@@ -68,18 +64,18 @@ def _batches(events, cuts):
     return [events[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
-def _engine(method: PairMethod, shards: int):
+def _engine(policy: Policy, shards: int):
     def single():
-        return SequenceIndex(policy=method.policy, method=method)
+        return SequenceIndex(policy=policy)
 
     return single() if shards == 1 else ShardedSequenceIndex([single() for _ in range(shards)])
 
 
-def _derived_last_checked(snapshot, method: PairMethod):
+def _derived_last_checked(snapshot, policy: Policy):
     """``{pair: last completion in any trace}`` recomputed from the Seq rows."""
     derived: dict = {}
     for seq in snapshot["seq"].values():
-        pairs = create_pairs([a for a, _ in seq], [ts for _, ts in seq], method)
+        pairs = create_pairs([a for a, _ in seq], [ts for _, ts in seq], policy)
         for pair, matches in pairs.items():
             if matches:
                 derived[pair] = max(matches[-1][1], derived.get(pair, matches[-1][1]))
@@ -87,35 +83,35 @@ def _derived_last_checked(snapshot, method: PairMethod):
 
 
 @pytest.mark.parametrize("shards", (1, 2), ids=("single", "2-shards"))
-@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
+@pytest.mark.parametrize("policy", POLICIES.values(), ids=list(POLICIES))
 @given(stream=streams())
 @settings(max_examples=60, deadline=None)
-def test_batched_updates_equal_one_update(method, shards, stream):
+def test_batched_updates_equal_one_update(policy, shards, stream):
     events, cuts = stream
-    with _engine(method, shards) as batched, _engine(method, shards) as whole:
+    with _engine(policy, shards) as batched, _engine(policy, shards) as whole:
         for batch in _batches(events, cuts):
             batched.update(batch)
         whole.update(events)
         snapshot = index_snapshot(batched)
         assert snapshot == index_snapshot(whole)
-        assert snapshot["last_checked"] == _derived_last_checked(snapshot, method)
+        assert snapshot["last_checked"] == _derived_last_checked(snapshot, policy)
 
 
-@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
-def test_new_type_late_in_a_long_trace(method):
+@pytest.mark.parametrize("policy", POLICIES.values(), ids=list(POLICIES))
+def test_new_type_late_in_a_long_trace(policy):
     # 60 events over two types, then a type the trace has never held: every
     # (old, Z) pair completes once, from the earliest unmatched old event.
     old = [Event("t", "AB"[i % 2], i) for i in range(60)]
     late = [Event("t", "Z", 60), Event("t", "A", 61), Event("t", "Z", 62)]
-    with _engine(method, 1) as batched, _engine(method, 1) as whole:
+    with _engine(policy, 1) as batched, _engine(policy, 1) as whole:
         batched.update(old)
         batched.update(late[:1])
         batched.update(late[1:])
         whole.update(old + late)
         snapshot = index_snapshot(batched)
         assert snapshot == index_snapshot(whole)
-        assert snapshot["last_checked"] == _derived_last_checked(snapshot, method)
-        if method is not PairMethod.STRICT:
+        assert snapshot["last_checked"] == _derived_last_checked(snapshot, policy)
+        if policy is Policy.STNM:
             assert batched.tables.get_index(("A", "Z")) == [("t", 0, 60), ("t", 61, 62)]
             assert batched.statistics(["A", "Z"]).pairs[0].last_completion == 62
             assert batched.statistics(["B", "Z"]).pairs[0].last_completion == 60
@@ -125,7 +121,7 @@ def test_statistics_last_completion_matches_a_rebuild():
     events = [Event("t1", a, ts) for ts, a in enumerate("ABABCAB")]
     events += [Event("t2", a, ts + 0.5) for ts, a in enumerate("BACAB")]
     events.sort(key=lambda event: event.timestamp)
-    with _engine(PairMethod.INDEXING, 1) as batched, _engine(PairMethod.INDEXING, 1) as whole:
+    with _engine(Policy.STNM, 1) as batched, _engine(Policy.STNM, 1) as whole:
         for event in events:
             batched.update([event])
         whole.update(events)

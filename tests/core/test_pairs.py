@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.builder import _AggregatedBatch
 from repro.core.pairs import (
-    PAIR_FLAVORS,
+    PAIR_CREATORS,
     create_pairs,
     greedy_pair_match,
     indexing_pairs,
@@ -21,9 +21,10 @@ from repro.core.pairs import (
     state_pairs,
     strict_pairs,
 )
-from repro.core.policies import PairMethod
+from repro.core.policies import Policy
 
 STNM_FLAVORS = (indexing_pairs, parsing_pairs, state_pairs)
+FLAVORS = (strict_pairs, *STNM_FLAVORS)
 
 
 def columns_of(rows: dict) -> dict:
@@ -99,14 +100,16 @@ class TestFlavorEquivalence:
             assert all(a < b for a, b in zip(ts_a, ts_b))
             assert all(end <= start for end, start in zip(ts_b, ts_a[1:]))
 
-    @given(traces, st.sampled_from(PairMethod))
+    @given(traces, st.sampled_from(FLAVORS))
     @settings(max_examples=100, deadline=None)
-    def test_row_view_is_the_zipped_columns(self, trace, method):
+    def test_row_view_is_the_zipped_columns(self, trace, flavor):
         acts, stamps = trace
-        columns = PAIR_FLAVORS[method](acts, stamps)
-        rows = create_pairs(acts, stamps, method)
-        assert list(rows) == list(columns)  # same pairs, same emission order
+        policy = Policy.SC if flavor is strict_pairs else Policy.STNM
+        columns = flavor(acts, stamps)
+        rows = create_pairs(acts, stamps, policy)
         assert rows == {pair: list(zip(ts_a, ts_b)) for pair, (ts_a, ts_b) in columns.items()}
+        if flavor is PAIR_CREATORS[policy]:
+            assert list(rows) == list(columns)  # same emission order
 
     @given(traces)
     @settings(max_examples=100, deadline=None)
@@ -137,28 +140,23 @@ class TestFlavorEquivalence:
 class TestCreatePairsDispatch:
     def test_dispatch(self, table3_trace):
         acts, stamps = table3_trace
-        assert PAIR_FLAVORS == {
-            PairMethod.STRICT: strict_pairs,
-            PairMethod.INDEXING: indexing_pairs,
-            PairMethod.PARSING: parsing_pairs,
-            PairMethod.STATE: state_pairs,
-        }
-        assert create_pairs(acts, stamps, PairMethod.STRICT)[("A", "B")] == [(2, 3), (4, 5)]
+        assert PAIR_CREATORS == {Policy.SC: strict_pairs, Policy.STNM: indexing_pairs}
+        assert create_pairs(acts, stamps, Policy.SC)[("A", "B")] == [(2, 3), (4, 5)]
         assert create_pairs(acts, stamps) == TestTable3Example.STNM_EXPECTED
+        with pytest.raises(ValueError):
+            create_pairs(acts, stamps, Policy.STAM)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             create_pairs(["A"], [1, 2])
-        with pytest.raises(ValueError):
-            create_pairs(["A"], [1], "no-such-flavor")
 
     def test_empty_trace(self):
-        for method in PairMethod:
-            assert create_pairs([], [], method) == {}
+        for flavor in FLAVORS:
+            assert flavor([], []) == {}
 
     def test_single_event(self):
-        for method in PairMethod:
-            assert create_pairs(["A"], [1], method) == {}
+        for flavor in FLAVORS:
+            assert flavor(["A"], [1]) == {}
 
 
 class TestGreedyMatch:
@@ -247,12 +245,12 @@ class TestColumnSharing:
         rows[("A", "B")].append((9, 9))
         assert rows[("A", "C")] == [(1, 3)]
 
-    @given(traces, st.sampled_from(PairMethod))
+    @given(traces, st.sampled_from(FLAVORS))
     @settings(max_examples=150, deadline=None)
-    def test_aggregation_copies_out_of_the_columns(self, trace, method):
+    def test_aggregation_copies_out_of_the_columns(self, trace, flavor):
         acts, stamps = trace
         pristine_stamps = list(stamps)
-        columns = PAIR_FLAVORS[method](acts, stamps)
+        columns = flavor(acts, stamps)
         pristine = {pair: (list(ts_a), list(ts_b)) for pair, (ts_a, ts_b) in columns.items()}
 
         def twice() -> _AggregatedBatch:

@@ -20,7 +20,7 @@ from repro.core.errors import EmptyPatternError
 from repro.core.model import Event, EventLog
 from repro.core.pairs import create_pairs, reference_stnm_pairs
 from repro.core.pattern import Pattern
-from repro.core.policies import PairMethod, Policy
+from repro.core.policies import Policy
 from repro.kvstore import InMemoryStore
 
 ACTIVITIES = "ABCD"
@@ -41,7 +41,7 @@ def _oracle_matches(log_dict, pattern, policy):
         activities = log_dict[trace_id]
         stamps = list(range(len(activities)))
         if policy is Policy.SC:
-            pairs = create_pairs(activities, stamps, PairMethod.STRICT)
+            pairs = create_pairs(activities, stamps, Policy.SC)
         else:
             pairs = reference_stnm_pairs(activities, stamps)
         chains = [list(p) for p in pairs.get((pattern[0], pattern[1]), [])]

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.builder import IndexBuilder
 from repro.core.errors import IndexStateError
-from repro.core.policies import PairMethod, Policy
+from repro.core.model import EventLog
+from repro.core.policies import Policy
 from repro.core.tables import IndexTables
 
 
@@ -22,10 +24,22 @@ class TestSchema:
         tables.ensure_schema()
 
     def test_configuration_recorded_and_enforced(self, tables):
-        tables.check_configuration(Policy.STNM, PairMethod.INDEXING)
-        tables.check_configuration(Policy.STNM, PairMethod.STATE)  # same policy ok
+        tables.check_configuration(Policy.STNM)
+        assert tables.get_meta() == {"policy": Policy.STNM.value, "partitions": []}
+        tables.check_configuration(Policy.STNM)
         with pytest.raises(IndexStateError):
-            tables.check_configuration(Policy.SC, PairMethod.STRICT)
+            tables.check_configuration(Policy.SC)
+        # A row as `repro index --method state` wrote it, before the engine
+        # took a policy only: it reopens and updates under its policy, and
+        # the key stays as written, never read.
+        legacy = {"policy": Policy.STNM.value, "method": "state", "partitions": []}
+        tables.put_meta(legacy)
+        builder = IndexBuilder(tables.store, Policy.STNM)
+        builder.update(EventLog.from_dict({"t": "ABA"}))
+        assert builder.tables.get_index(("A", "B")) == [("t", 0, 1)]
+        assert tables.get_meta() == legacy
+        with pytest.raises(IndexStateError):
+            IndexBuilder(tables.store, Policy.SC)
 
 
 class TestSeq:

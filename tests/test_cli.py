@@ -55,6 +55,12 @@ class TestIndexAndQuery:
         out = capsys.readouterr().out
         assert "indexed 5 events" in out
 
+    def test_index_takes_no_pair_method(self, log_file, tmp_path):
+        # the policy alone picks the pair creator
+        with pytest.raises(SystemExit) as usage:
+            main(["index", "--log", log_file, "--store", str(tmp_path / "ix"), "--method", "state"])
+        assert usage.value.code == 2
+
     def test_detect(self, store_dir, capsys):
         assert main(["detect", "--store", store_dir, "A,C"]) == 0
         out = capsys.readouterr().out

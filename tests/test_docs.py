@@ -267,7 +267,7 @@ def test_docscheck_fails_on_a_deleted_pair_function():
     assert "pairs" not in owners  # a bare last component names no module
     design = (
         "`core.pairs.pairs_completed_after` derives a known trace's new pairs and\n"
-        "`core.pairs.PAIR_FLAVORS[method](activities, timestamps)` a new trace's;\n"
+        "`core.pairs.PAIR_CREATORS[policy](activities, timestamps)` a new trace's;\n"
         "`core.pairs.create_pairs` is the row view.  `core.pairs.pairs_after_cut`\n"
         "and `repro.core.pairs.PairDict` are gone; `_emit` resolves, `_unpair` not.\n"
     )
