@@ -612,9 +612,9 @@ def exp_sharded_service(
     p50/p99 latency and QPS per configuration.
 
     The throughput win is a cache-retention story: every ingest bumps the
-    single-store engine's one write generation, evicting every warm query
-    in the process; on N shards the same ingest touches one shard, so the
-    other N-1 keep serving cached chains.
+    single-store engine's one write generation, evicting every memoized
+    answer in the process; on N shards the same ingest touches one shard,
+    so the other N-1 keep serving memoized answers.
     """
     import json
     import shutil

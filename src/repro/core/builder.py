@@ -25,10 +25,10 @@ per-trace Spark parallelism.  Store writes happen on the calling thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from operator import sub
-from typing import Iterable
+from typing import Collection, Iterable
 
 from repro.core.errors import TraceOrderError
 from repro.core.model import Event, EventLog
@@ -47,6 +47,21 @@ from repro.kvstore.api import KeyValueStore
 SeqList = list[tuple[str, float]]
 
 
+@dataclass(frozen=True)
+class WrittenKeys:
+    """The rows one write touched, named by the keys the engine caches them
+    under: its per-key caches drop exactly these."""
+
+    #: Index rows, all of them in ``partition``
+    pairs: Collection[Pair] = ()
+    partition: str = ""
+    #: Seq rows
+    traces: Collection[str] = ()
+    #: Count rows (first events) and ReverseCount rows (second events)
+    firsts: Collection[str] = ()
+    seconds: Collection[str] = ()
+
+
 @dataclass
 class UpdateStats:
     """What one :meth:`IndexBuilder.update` call did."""
@@ -58,6 +73,9 @@ class UpdateStats:
     events_deduped: int = 0
     pairs_created: int = 0
     partition: str = ""
+    #: the rows the update wrote, for the engine's caches (empty when it
+    #: indexed nothing; a sharded engine's merged stats leave it empty)
+    written: WrittenKeys = field(default_factory=WrittenKeys, repr=False, compare=False)
 
 
 @dataclass
@@ -258,6 +276,7 @@ class IndexBuilder:
     ) -> None:
         """Hand the whole update to the store as one write: the partition's
         registration, then Seq, Index, Count, ReverseCount, LastChecked.
+        ``stats.written`` names the rows written.
 
         Consumes ``aggregated.index``: each pair's columns are dropped as
         soon as its chunk is encoded, so the batch's columns and its encoded
@@ -274,6 +293,7 @@ class IndexBuilder:
             reverse: dict[str, dict[str, list[float]]] = {}
             checked: dict[str, dict[str, float]] = {}
             index = aggregated.index
+            pairs = set(index)
             for pair in list(index):
                 columns = index.pop(pair)
                 self.tables.append_index(pair, columns, partition)
@@ -289,3 +309,10 @@ class IndexBuilder:
                 self.tables.add_reverse_counts(second, per_first)
             for first, per_second in checked.items():
                 self.tables.add_last_completions(first, per_second)
+        stats.written = WrittenKeys(
+            pairs=pairs,
+            partition=partition,
+            traces={work.trace_id for work in work_items},
+            firsts=set(counts),
+            seconds=set(reverse),
+        )

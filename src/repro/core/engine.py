@@ -28,7 +28,7 @@ import threading
 import time
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
-from repro.core.builder import IndexBuilder, UpdateStats
+from repro.core.builder import IndexBuilder, UpdateStats, WrittenKeys
 from repro.core.continuation import ContinuationExplorer
 from repro.core.errors import PolicyMismatchError
 from repro.core.matches import (
@@ -386,23 +386,30 @@ class QueryEngine:
 class SequenceIndex(QueryEngine):
     """Inverted event-pair index over an event log collection.
 
-    Read queries (``detect``/``count``/``contains``/``statistics``/
-    ``continuations``) are memoized in a small LRU **query-result cache**.
-    Cache keys embed the index's *write generation* -- a counter bumped by
-    every :meth:`update` and :meth:`prune_trace` -- so a batch update
-    invalidates every stale entry by construction: post-update queries
-    simply never hash to a pre-update key, and the dead generation ages out
-    of the LRU.  Set ``query_cache_size=0`` to disable.
+    The caches follow one rule in three parts:
 
-    A second, lower-level **decoded-postings cache** memoizes per-pair
-    :class:`~repro.core.postings.Postings` (keyed by ``(generation,
-    partition, pair)``), so repeated detections sharing pairs skip the store
-    read and the chunk-dictionary parse even when the full query differs.
-    Set ``postings_cache_size=0`` to disable.
+    * **answers are memoized per generation.**  Read queries (``detect``/
+      ``count``/``contains``/``statistics``/``continuations``) are memoized
+      in a small LRU **query-result cache** whose keys embed the index's
+      *write generation* -- a counter bumped by every :meth:`update` and
+      :meth:`prune_trace` -- because an answer depends on many rows: post-
+      write queries never hash to a pre-write key, and the dead generation
+      ages out of the LRU.  Set ``query_cache_size=0`` to disable.
+    * **per-row caches drop exactly the rows a write touched.**  The
+      **decoded-postings cache** (:class:`~repro.core.postings.Postings`
+      keyed ``(partition, pair)``; ``postings_cache_size=0`` disables it),
+      the **decoded-sequence cache** (Seq rows keyed by trace id;
+      ``sequence_cache_size=0``) and the Count / ReverseCount rows of the
+      continuation explorer carry no generation: a write drops the pairs,
+      traces and activities it wrote and leaves every other warm row, so
+      a detection beside a live ingest still skips the store read and the
+      chunk-dictionary parse of the pairs the ingest did not touch.
+    * **a fetch that overlapped a write does not fill the cache**
+      (:class:`~repro.core.query.QueryProcessor`).
 
     A store has one writer at a time, and the rule lives here and nowhere
     else: :meth:`update` and :meth:`prune_trace` hold one private lock
-    around the mutation *and* the generation bump, whoever calls them
+    around the mutation *and* the cache invalidation, whoever calls them
     (ingester thread, service handler, shard fan-out); readers never take it.
 
     The engine registers its caches and write generation with the
@@ -437,14 +444,12 @@ class SequenceIndex(QueryEngine):
             self.tables,
             postings_cache=self._postings_cache,
             sequence_cache=self._sequence_cache,
-            generation=lambda: self._generation,
         )
         self.explorer = ContinuationExplorer(
             self._detect_uncached,
             self.query.count_row,
             self.query.reverse_count_row,
         )
-        self._generation = 0
         self._write_lock = threading.Lock()
         self._obs_handle = REGISTRY.register(
             {"index": getattr(self.store, "obs_name", "index")},
@@ -458,7 +463,7 @@ class SequenceIndex(QueryEngine):
     @property
     def write_generation(self) -> int:
         """Monotonic counter of index mutations (query-cache epoch)."""
-        return self._generation
+        return self.query.generation
 
     def postings_cache_stats(self) -> dict[str, int]:
         """Hit/miss/eviction counters of the decoded-postings cache."""
@@ -471,7 +476,7 @@ class SequenceIndex(QueryEngine):
     def _collect_obs_metrics(self) -> dict[str, float]:
         """Metrics-registry collector: engine caches, generation, slowlog."""
         samples: dict[str, float] = {
-            "repro_index_write_generation": self._generation
+            "repro_index_write_generation": self.write_generation
         }
         for prefix, stats in (
             ("repro_query_cache", self.query_cache_stats()),
@@ -490,7 +495,7 @@ class SequenceIndex(QueryEngine):
     # -- what this engine supplies to QueryEngine -----------------------------------
 
     def _epoch(self) -> int:
-        return self._generation
+        return self.write_generation
 
     def _run(
         self,
@@ -528,38 +533,40 @@ class SequenceIndex(QueryEngine):
         events at or before their trace's indexed tail are dropped instead of
         raising :class:`~repro.core.errors.TraceOrderError`.
 
-        The write generation is bumped *after* the batch is applied (in a
-        ``finally``, so a partially applied failed update also invalidates):
-        a query racing the update caches its possibly-partial result under
-        the pre-update generation, which no post-update query ever reads.
-        Bumping before the update would let such a partial result be cached
-        under the new generation and served as a hit indefinitely.  A batch
+        The caches learn of the write *after* it is applied: the
+        generation moves and the rows the update wrote
+        (``UpdateStats.written``) leave the per-row caches -- every row, if
+        the update failed part-way.  A query racing the update memoizes its
+        possibly-partial answer under the pre-update generation, which no
+        post-update query reads, and a row fetched while the update ran is
+        not cached (:class:`~repro.core.query.QueryProcessor`).  A batch
         that indexed nothing (empty, or a pure replay) wrote nothing and
         leaves the generation -- and every warm cache -- alone.
         """
         with self._write_lock:
-            wrote = True
             try:
                 stats = self.builder.update(new_events, partition, dedup)
-                wrote = stats.events_indexed > 0
-                return stats
-            finally:
-                if wrote:
-                    self._generation += 1
+            except BaseException:
+                self.query.forget(None)
+                raise
+            if stats.events_indexed:
+                self.query.forget(stats.written)
+            return stats
 
     def prune_trace(self, trace_id: str) -> None:
         """Forget a completed trace's ``Seq`` row (§3.1.3): one blind delete.
 
         No answer changes -- Index entries, counts and last completions are
         facts about the log, not the trace -- but the trace can no longer
-        receive incremental appends.  As in :meth:`update`, the generation
-        bump happens after the mutation.
+        receive incremental appends.  As in :meth:`update`, the caches learn
+        of the delete after it is applied: the generation moves and the
+        trace's Seq row leaves the sequence cache.
         """
         with self._write_lock:
             try:
                 self.tables.delete_sequence(trace_id)
             finally:
-                self._generation += 1
+                self.query.forget(WrittenKeys(traces=(trace_id,)))
 
     def flush(self) -> None:
         """Flush the underlying store (durable backends)."""

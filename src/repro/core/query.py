@@ -65,9 +65,11 @@ compare against.
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Any, Callable, Sequence
+from typing import Any, Collection, Iterator, Sequence
 
+from repro.core.builder import WrittenKeys
 from repro.core.continuation import CountRow
 from repro.core.errors import DeadlineExceeded, EmptyPatternError
 from repro.core.matches import PairStats, PatternMatch, PatternStats, QueryPlan
@@ -80,6 +82,7 @@ from repro.core.pattern import (
 from repro.core.policies import Policy
 from repro.core.postings import Postings
 from repro.core.tables import IndexTables
+from repro.kvstore.cache import drop_keys
 from repro.obs.trace import current_tracer
 
 Chain = tuple[float, ...]
@@ -181,55 +184,118 @@ def build_plan(
     )
 
 
+class _ScopedKeys:
+    """The cache keys ``(scope, key)`` of every scope and key, as a set view
+    (``len``, ``in``, iteration) rather than a built set: dropping a large
+    write's keys from a small cache then walks the cache only."""
+
+    __slots__ = ("scopes", "keys")
+
+    def __init__(self, scopes: tuple, keys: Collection) -> None:
+        self.scopes = scopes
+        self.keys = keys
+
+    def __len__(self) -> int:
+        return len(self.scopes) * len(self.keys)
+
+    def __contains__(self, key: tuple) -> bool:
+        return key[0] in self.scopes and key[1] in self.keys
+
+    def __iter__(self) -> Iterator[tuple]:
+        return ((scope, key) for scope in self.scopes for key in self.keys)
+
+
 class QueryProcessor:
     """Executes pattern queries against the index tables.
 
-    ``postings_cache`` is an optional LRU of fetched
-    :class:`~repro.core.postings.Postings` keyed by ``(generation, partition,
-    pair)``; ``generation`` supplies the owning index's write generation so
-    a batch update invalidates by construction.  ``sequence_cache`` is the
-    same idea for decoded Seq-table rows (``(activities, timestamps)``
-    columns), keyed ``(generation, trace_id)`` -- verification re-reads the
-    same candidate traces across queries.
+    Three optional per-row caches sit in front of the store, each keyed by
+    the row alone: ``postings_cache``, an LRU of fetched
+    :class:`~repro.core.postings.Postings` keyed ``(partition, pair)``;
+    ``sequence_cache``, an LRU of decoded Seq rows (``(activities,
+    timestamps)`` columns) keyed by trace id -- verification re-reads the
+    same candidate traces across queries; and the decoded Count /
+    ReverseCount rows of the continuation explorer.  They stay coherent by
+    one rule, under one lock:
+
+    * every write calls :meth:`forget`, which bumps :attr:`generation` and
+      drops exactly the rows the write touched (everything, for a write that
+      failed part-way);
+    * a read notes :attr:`generation` before it fetches, and keeps what it
+      fetched only if no write has completed since -- a fetch that
+      overlapped a write may hold a half-old row and does not fill a cache.
+
+    :attr:`generation` is also the owning engine's write generation: the
+    query-result memo, whose answers depend on many rows, is keyed by it.
     """
 
     def __init__(
-        self,
-        tables: IndexTables,
-        postings_cache=None,
-        sequence_cache=None,
-        generation: Callable[[], int] | None = None,
+        self, tables: IndexTables, postings_cache=None, sequence_cache=None
     ) -> None:
         self.tables = tables
         self.postings_cache = postings_cache
         self.sequence_cache = sequence_cache
-        self._generation = generation if generation is not None else lambda: 0
-        # Decoded Count / ReverseCount rows of one write generation, for the
-        # continuation explorer: (generation, {(event, reverse): row}).
-        # Decoding a Count document is O(|alphabet|) -- too expensive to
-        # repeat per continuation probe -- while the rows themselves are
-        # bounded by the alphabet.  A row of an older generation can never
-        # be read again, so the rows are dropped as soon as the generation
-        # moves.  Detection reads no Count row at all.
-        self._count_rows: tuple[int, dict[tuple[str, bool], CountRow]] = (0, {})
+        #: writes completed so far (see :meth:`forget`)
+        self.generation = 0
+        self._lock = threading.Lock()
+        # Decoded Count / ReverseCount rows for the continuation explorer,
+        # keyed (reverse, event).  Decoding a Count document is
+        # O(|alphabet|) -- too expensive to repeat per continuation probe --
+        # while the rows themselves are bounded by the alphabet, so this is
+        # a plain dict, not an LRU.  Detection reads no Count row at all.
+        self._count_rows: dict[tuple[bool, str], CountRow] = {}
 
     def _bump(self, name: str, amount: int = 1) -> None:
         metrics = getattr(self.tables.store, "metrics", None)
         if metrics is not None:
             metrics.bump(name, amount)
 
-    # -- generation-keyed LRUs ---------------------------------------------------
+    # -- per-row caches ----------------------------------------------------------
 
-    def _through_cache(self, cache, counter: str, scope: tuple, keys: list, fetch):
-        """``({key: value}, missing keys)``: the LRU's entries of this write
-        generation, plus one ``fetch(missing) -> {key: value}`` for the rest
-        (which the LRU then keeps).  ``cache=None`` fetches everything."""
-        prefix = (self._generation(), *scope)
+    def forget(self, written: WrittenKeys | None) -> None:
+        """Record one completed write: bump :attr:`generation` and drop the
+        cached rows it touched -- every cached row when ``written`` is
+        ``None`` (a write that failed may have applied any part of itself).
+
+        An Index row is dropped from its partition's scope and from the
+        ``None`` union scope.  Each drop costs O(min(cache entries, rows
+        written)).
+        """
+        with self._lock:
+            self.generation += 1
+            if written is None:
+                for cache in (self.postings_cache, self.sequence_cache):
+                    if cache is not None:
+                        cache.clear()
+                self._count_rows.clear()
+                return
+            if self.postings_cache is not None:
+                self._bump(
+                    "postings_cache_invalidations",
+                    self.postings_cache.discard(
+                        _ScopedKeys((written.partition, None), written.pairs)
+                    ),
+                )
+            if self.sequence_cache is not None:
+                self._bump(
+                    "sequence_cache_invalidations",
+                    self.sequence_cache.discard(written.traces),
+                )
+            drop_keys(self._count_rows, _ScopedKeys((False,), written.firsts))
+            drop_keys(self._count_rows, _ScopedKeys((True,), written.seconds))
+
+    def _through_cache(
+        self, cache, counter: str, keys: list, fetch, cache_key=lambda key: key
+    ):
+        """``({key: value}, missing keys)``: the LRU's entries, plus one
+        ``fetch(missing) -> {key: value}`` for the rest, which the LRU keeps
+        under ``cache_key(key)`` unless a write overlapped the fetch.
+        ``cache=None`` fetches everything."""
+        generation = self.generation
         found: dict = {}
         missing = keys
         if cache is not None:
             for key in keys:
-                hit = cache.get(prefix + (key,), _MISS)
+                hit = cache.get(cache_key(key), _MISS)
                 if hit is not _MISS:
                     found[key] = hit
             missing = [key for key in keys if key not in found]
@@ -239,8 +305,10 @@ class QueryProcessor:
             fetched = fetch(missing)
             found.update(fetched)
             if cache is not None:
-                for key, value in fetched.items():
-                    cache.put(prefix + (key,), value)
+                with self._lock:
+                    if self.generation == generation:  # no write overlapped
+                        for key, value in fetched.items():
+                            cache.put(cache_key(key), value)
         return found, missing
 
     def _fetch_postings(
@@ -252,9 +320,9 @@ class QueryProcessor:
             found, missing = self._through_cache(
                 self.postings_cache,
                 "postings_cache",
-                (partition,),
                 list(dict.fromkeys(pairs)),
                 lambda pairs: self.tables.get_index_many(pairs, partition),
+                lambda pair: (partition, pair),
             )
             if span.enabled:
                 span.add("pairs", len(found))
@@ -317,15 +385,14 @@ class QueryProcessor:
 
     def _count_row(self, key: str, reverse: bool) -> CountRow:
         """The decoded ``Count`` (``ReverseCount`` with ``reverse``) row of
-        ``key``, read and decoded once per write generation."""
-        generation = self._generation()
-        cached = self._count_rows
-        if cached[0] != generation:
-            cached = self._count_rows = (generation, {})
-        rows = cached[1]
-        row = rows.get((key, reverse))
+        ``key``, read and decoded once until a write touches it."""
+        generation = self.generation
+        row = self._count_rows.get((reverse, key))
         if row is None:
-            row = rows[key, reverse] = self.tables.get_count_rows([key], reverse)[key]
+            row = self.tables.get_count_rows([key], reverse)[key]
+            with self._lock:
+                if self.generation == generation:  # no write overlapped
+                    self._count_rows[reverse, key] = row
         return row
 
     # -- pattern detection: fetch_postings -> plan -> intersect -> finisher ----
@@ -664,7 +731,6 @@ class QueryProcessor:
         found, _ = self._through_cache(
             self.sequence_cache,
             "sequence_cache",
-            (),
             ordered,
             lambda ids: dict(zip(ids, self.tables.get_sequences(ids))),
         )

@@ -56,8 +56,9 @@ class EngineSink:
 
     ``engine`` is anything with the ``SequenceIndex`` write surface
     (``update()``).  Queries on the same engine keep
-    serving while batches apply -- the engine's write-generation keyed
-    caches make post-batch queries see the new events immediately.
+    serving while batches apply, and see a batch's events as soon as it
+    returns: the answer memo is keyed by write generation, and the per-row
+    caches drop exactly the rows the batch wrote.
     """
 
     def __init__(self, engine: Any, partition: str = "") -> None:

@@ -8,16 +8,32 @@ Two users:
   evicts its own blocks when the table is closed (post-compaction), which
   keys the cache by a per-reader uid rather than by file name -- a recycled
   file name can never alias a dead table's blocks.
-* the query-result cache in :class:`repro.core.engine.SequenceIndex` --
-  entry-counted LRU whose keys embed the index's write generation, so a
-  batch update invalidates by construction instead of by sweeping.
+* the engine caches of :class:`repro.core.engine.SequenceIndex` --
+  entry-counted LRUs.  The query-result memo's keys embed the index's write
+  generation (an answer depends on many rows); the decoded postings and Seq
+  rows are keyed by row, and a write drops exactly the rows it wrote
+  (:meth:`LRUCache.discard`).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any, Collection, Hashable, MutableMapping
+
+
+def drop_keys(entries: MutableMapping, keys: Collection) -> list:
+    """Pop every key of ``keys`` that ``entries`` holds; the popped values.
+
+    Walks whichever is smaller, ``entries`` or ``keys``, so the cost is
+    O(min(len(entries), len(keys))): ``keys`` needs ``len``, ``in`` and
+    iteration, not to be a built set.
+    """
+    if len(entries) <= len(keys):
+        dead = [key for key in entries if key in keys]
+    else:
+        dead = [key for key in keys if key in entries]
+    return [entries.pop(key) for key in dead]
 
 
 class LRUCache:
@@ -62,6 +78,14 @@ class LRUCache:
                 _, (_, dropped) = self._entries.popitem(last=False)
                 self._weight -= dropped
                 self.evictions += 1
+
+    def discard(self, keys: Collection[Hashable]) -> int:
+        """Drop the entries of ``keys`` (:func:`drop_keys`); how many were
+        cached.  Not an eviction: ``evictions`` counts capacity drops only."""
+        with self._lock:
+            dropped = drop_keys(self._entries, keys)
+            self._weight -= sum(weight for _, weight in dropped)
+            return len(dropped)
 
     def clear(self) -> None:
         with self._lock:

@@ -131,7 +131,8 @@ class StoreMetrics:
     ``multi_get_batches`` counts batched read calls (each also bumps
     ``gets`` once per key); ``write_batches`` counts :meth:`LSMStore.write`
     calls, each also bumping ``puts`` / ``merges`` / ``deletes`` once per
-    op.  ``postings_cache_hits``/``misses`` and
+    op.  ``postings_cache_hits``/``misses``/``invalidations`` (and the
+    ``sequence_cache_*`` ones) and
     ``planner_reorders`` are bumped by the query layer
     (:class:`repro.core.engine.SequenceIndex`) onto its store's metrics so
     serving-path counters live in one snapshot.
@@ -183,8 +184,10 @@ class StoreMetrics:
         "compressed_blocks",
         "postings_cache_hits",
         "postings_cache_misses",
+        "postings_cache_invalidations",
         "sequence_cache_hits",
         "sequence_cache_misses",
+        "sequence_cache_invalidations",
         "planner_reorders",
         "flush_bytes_written",
         "compaction_bytes_rewritten",

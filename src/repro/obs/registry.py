@@ -72,6 +72,10 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
         "counter",
         "Decoded-postings cache misses (bumped by the query layer).",
     ),
+    "repro_store_postings_cache_invalidations_total": (
+        "counter",
+        "Decoded-postings cache entries dropped because a write touched their row.",
+    ),
     "repro_store_sequence_cache_hits_total": (
         "counter",
         "Decoded-sequence cache hits (bumped by the query layer).",
@@ -79,6 +83,10 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
     "repro_store_sequence_cache_misses_total": (
         "counter",
         "Decoded-sequence cache misses (bumped by the query layer).",
+    ),
+    "repro_store_sequence_cache_invalidations_total": (
+        "counter",
+        "Decoded-sequence cache entries dropped because a write touched their row.",
     ),
     "repro_store_planner_reorders_total": (
         "counter",

@@ -14,7 +14,7 @@ scatter-gather back half:
 1. **fan out, once** -- every shard's query processor runs the whole query
    concurrently on the shared :class:`~repro.executor.ParallelExecutor`
    (persistent thread pool), under the request deadline, each against its
-   own generation-keyed postings/sequence caches.  Each shard plans from
+   own per-row postings/sequence caches.  Each shard plans from
    the posting lists it fetches: its own entry counts are its real
    intermediate work, and no order changes an answer;
 2. **merge** -- per-shard results are disjoint by construction (traces do
@@ -26,9 +26,10 @@ scatter-gather back half:
 
 Writes fan out the same way: the batch is split by trace shard and each
 sub-batch applies under that shard's own writer lock, so only the written
-shards' cache generations move -- a query touching the other shards keeps
-every warm cache entry, which is where the mixed read/write throughput win
-comes from (see BENCH_sharded_service.json).
+shards' generations move, and on those only the rows the sub-batch wrote
+leave the per-row caches -- a query keeps every other warm cache entry,
+which is where the mixed read/write throughput win comes from (see
+BENCH_sharded_service.json).
 
 Cross-shard consistency is per-shard read-committed: a query racing an
 ``update()`` may see the new batch on some shards and not yet on others;
@@ -292,8 +293,9 @@ class ShardedSequenceIndex(QueryEngine):
         (concurrent ``update()`` calls interleave across shards but
         serialize per shard, keeping the builder's read-modify-write
         bookkeeping safe).  Only written shards bump their write
-        generation, so queries keep their warm cache entries on every
-        untouched shard.
+        generation, which keys the answer memo; each written shard drops
+        from its per-row caches exactly the rows its sub-batch wrote, so
+        queries keep every other warm postings, Seq and Count row.
         """
         per_shard = self._split_events(new_events)
         touched = [i for i, batch in enumerate(per_shard) if batch is not None]

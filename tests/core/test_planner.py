@@ -184,9 +184,8 @@ class TestPlanObject:
         assert {p.event for p in proposals} == set(index.query.count_row("B"))
         bound = index.statistics(["A", "B"]).max_completions
         assert max(p.completions for p in proposals) <= bound
-        _, rows = index.query._count_rows
-        # one generation's Count rows, nothing older
-        assert set(rows) == {("A", False), ("B", False)}
+        # the Count rows read since the last write, nothing older or unread
+        assert set(index.query._count_rows) == {(False, "A"), (False, "B")}
 
     def test_starts_at_rarest_pair(self):
         index = self._index()

@@ -62,6 +62,40 @@ class TestLRUCache:
         with pytest.raises(ValueError):
             LRUCache(0)
 
+    def test_discard_drops_only_the_given_keys(self):
+        cache = LRUCache(10)
+        for key in "abc":
+            cache.put(key, key.upper(), weight=2)
+        assert cache.discard({"a", "c", "zz"}) == 2
+        assert cache.get("a") is None and cache.get("b") == "B"
+        assert cache.weight == 2 and cache.evictions == 0
+
+    def test_discard_walks_the_smaller_side(self):
+        class Keys:
+            """A key collection that may be walked or probed, not both."""
+
+            def __init__(self, size, walkable):
+                self.size, self.walkable = size, walkable
+
+            def __len__(self):
+                return self.size
+
+            def __iter__(self):
+                assert self.walkable, "walked the larger side"
+                return iter(["a"])
+
+            def __contains__(self, key):
+                assert not self.walkable, "probed the larger side"
+                return key == "a"
+
+        cache = LRUCache(10)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.discard(Keys(10**6, walkable=False)) == 1  # walks the cache
+        cache.put("a", 1)
+        assert cache.discard(Keys(1, walkable=True)) == 1  # walks the keys
+        assert cache.get("b") == 2
+
 
 class TestBlockCache:
     def test_evict_owner_drops_only_that_reader(self):
