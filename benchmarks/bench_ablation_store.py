@@ -11,8 +11,6 @@ DESIGN.md calls out two decisions the paper's architecture rests on:
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import SCALE
 from repro.bench.workloads import build_index, prepared_dataset
 from repro.core.policies import Policy
@@ -67,21 +65,3 @@ def test_index_build_lsm_store(benchmark, tmp_path):
         store.close()
 
     benchmark.pedantic(run, rounds=3, iterations=1)
-
-
-@pytest.mark.parametrize("backend", ("serial", "process"))
-def test_index_build_executor(benchmark, backend):
-    """Parallelisation-by-design: per-trace pair creation across cores."""
-    from repro.executor import ParallelExecutor
-
-    log = prepared_dataset(DATASET, SCALE)
-    executor = (
-        ParallelExecutor.serial()
-        if backend == "serial"
-        else ParallelExecutor(backend="process", max_workers=4)
-    )
-    benchmark.pedantic(
-        lambda: build_index(log, Policy.STNM, executor=executor),
-        rounds=2,
-        iterations=1,
-    )

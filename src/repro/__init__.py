@@ -21,8 +21,8 @@ Quickstart::
     index.continuations(["A", "B"])   # -> ranked next-event proposals
 
 Sub-packages: :mod:`repro.core` (the paper's contribution),
-:mod:`repro.kvstore` (embedded LSM store), :mod:`repro.executor`
-(parallel map), :mod:`repro.logs` (parsers and generators),
+:mod:`repro.kvstore` (embedded LSM store), :mod:`repro.shard` (trace
+placement and scatter-gather), :mod:`repro.logs` (parsers and generators),
 :mod:`repro.baselines` (suffix-array matcher, Elasticsearch-like engine,
 SASE CEP engine), :mod:`repro.bench` (experiment harness).
 """

@@ -17,13 +17,14 @@ Six classes of documentation rot this catches mechanically:
   of DESIGN.md's on-disk-layout section, so a new on-disk byte cannot ship
   without its layout being written down;
 * **deleted constructor keywords** -- every keyword shown in a
-  ``SequenceIndex(``, ``LSMStore(`` or ``ShardedSequenceIndex.open(`` call
+  ``SequenceIndex(``, ``LSMStore(``, ``ShardedSequenceIndex.open(`` or
+  ``ParallelExecutor(`` call
   inside a code block of docs/OPERATIONS.md must exist in the live
   signature, so a removed knob cannot linger in the operator guide;
 * **deleted methods** -- every backticked ``Class.attribute`` in DESIGN.md
   or ``docs/*.md`` whose class lives in one of :data:`API_MODULES` (the
-  query, postings, pairs, engine, builder, tables, ingester and store
-  modules),
+  query, postings, pairs, engine, builder, tables, ingester, executor and
+  store modules),
   every backticked ``core.query.function`` (module path spelled out), and
   every bare backticked ``_private_name`` must name a live attribute, so
   the design text cannot describe a method that a refactor removed;
@@ -187,7 +188,8 @@ def check_format_tags(doc: str, text: str, tags: dict[str, int]) -> list[str]:
 #: the operator guide, whose constructor calls must match the live signatures
 KNOBS_DOC = "docs/OPERATIONS.md"
 _CONSTRUCTOR_CALL = re.compile(
-    r"(?<![\w.])(ShardedSequenceIndex\.open|SequenceIndex|LSMStore)\("
+    r"(?<![\w.])"
+    r"(ShardedSequenceIndex\.open|SequenceIndex|LSMStore|ParallelExecutor)\("
 )
 _KEYWORD = re.compile(r"\s*([A-Za-z_]\w*)\s*=(?!=)")
 
@@ -197,6 +199,7 @@ def constructor_keywords() -> dict[str, set[str]]:
     import inspect
 
     from repro.core.engine import SequenceIndex
+    from repro.executor import ParallelExecutor
     from repro.kvstore import LSMStore
     from repro.shard import ShardedSequenceIndex
 
@@ -207,6 +210,7 @@ def constructor_keywords() -> dict[str, set[str]]:
         # ``**engine_kwargs`` reach every shard's ``SequenceIndex``
         "ShardedSequenceIndex.open": engine
         | set(inspect.signature(ShardedSequenceIndex.open).parameters),
+        "ParallelExecutor": set(inspect.signature(ParallelExecutor).parameters),
     }
 
 
@@ -249,6 +253,7 @@ API_MODULES = (
     "repro.core.builder",
     "repro.core.tables",
     "repro.ingest.ingester",
+    "repro.executor.parallel",
     "repro.kvstore.lsm",
     "repro.kvstore.tableset",
     "repro.kvstore.compaction",

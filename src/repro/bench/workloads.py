@@ -10,7 +10,6 @@ from repro.core.engine import SequenceIndex
 from repro.core.model import EventLog
 from repro.core.pattern import Pattern
 from repro.core.policies import Policy
-from repro.executor import ParallelExecutor
 from repro.kvstore import InMemoryStore
 from repro.logs.datasets import load_dataset
 
@@ -33,13 +32,9 @@ def prepared_dataset(name: str, scale: float) -> EventLog:
     return _DATASET_CACHE[key]
 
 
-def build_index(
-    log: EventLog,
-    policy: Policy = Policy.STNM,
-    executor: ParallelExecutor | None = None,
-) -> SequenceIndex:
+def build_index(log: EventLog, policy: Policy = Policy.STNM) -> SequenceIndex:
     """Build a fresh in-memory index over ``log`` (the timed operation)."""
-    index = SequenceIndex(InMemoryStore(), policy=policy, executor=executor)
+    index = SequenceIndex(InMemoryStore(), policy=policy)
     index.update(log)
     return index
 

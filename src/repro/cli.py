@@ -36,7 +36,6 @@ from repro.core.errors import PatternSyntaxError
 from repro.core.pattern import parse_pattern
 from repro.core.policies import Policy
 from repro.core.tables import IndexTables
-from repro.executor import ParallelExecutor
 from repro.kvstore import LSMStore
 from repro.logs.csv_log import read_csv_log, write_csv_log
 from repro.logs.datasets import DATASETS, load_dataset
@@ -73,16 +72,10 @@ def _open_index(args: argparse.Namespace):
 
     shards = getattr(args, "shards", None)
     if shards or is_sharded_store(args.store):
-        # The coordinator brings its own thread pool; per-shard process
-        # executors would not compose with the scatter-gather fan-out.
         return ShardedSequenceIndex.open(
             args.store, make_store, num_shards=shards, policy=policy
         )
-    executor = None
-    workers = getattr(args, "workers", None)
-    if workers and workers > 1:
-        executor = ParallelExecutor(backend="process", max_workers=workers)
-    return SequenceIndex(make_store(args.store), policy=policy, executor=executor)
+    return SequenceIndex(make_store(args.store), policy=policy)
 
 
 def _compression_arg(args: argparse.Namespace) -> str | None:
@@ -646,7 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
             "strategy reopen under the other without migration)",
         )
         if with_build:
-            p.add_argument("--workers", type=int, default=1)
             p.add_argument(
                 "--shards",
                 type=int,

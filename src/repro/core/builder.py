@@ -18,15 +18,14 @@ each affected trace the builder
    write (:meth:`~repro.core.tables.IndexTables.batch`), so a process kill
    leaves either the whole update or none of it.
 
-Pair computation is a pure per-trace function, dispatched through a
-:class:`~repro.executor.parallel.ParallelExecutor` exactly like the paper's
-per-trace Spark parallelism.  Store writes happen on the calling thread.
+Pair computation is a pure per-trace function, as in the paper's per-trace
+Spark parallelism; here traces are parallelised by shard placement, one
+builder per shard store (:mod:`repro.shard`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from operator import sub
 from typing import Collection, Iterable
 
@@ -41,7 +40,6 @@ from repro.core.pairs import (
 )
 from repro.core.policies import Policy
 from repro.core.tables import IndexTables
-from repro.executor import ParallelExecutor
 from repro.kvstore.api import KeyValueStore
 
 SeqList = list[tuple[str, float]]
@@ -78,30 +76,20 @@ class UpdateStats:
     written: WrittenKeys = field(default_factory=WrittenKeys, repr=False, compare=False)
 
 
-@dataclass
-class _TraceWork:
-    """Input to the per-trace pair computation (picklable for process pools)."""
-
-    trace_id: str
-    old_activities: list[str]
-    old_stamps: list[float]
-    new_seq: SeqList
-
-
-def _compute_trace_pairs(work: _TraceWork, policy: Policy) -> PairColumns:
+def _new_pairs(
+    old_activities: list[str], old_stamps: list[float], new_seq: SeqList, policy: Policy
+) -> PairColumns:
     """Pure per-trace pair creation (Algorithm 1 lines 5-13)."""
-    activities = [activity for activity, _ in work.new_seq]
-    timestamps = [ts for _, ts in work.new_seq]
-    if policy is Policy.SC or not work.old_activities:
+    activities = [activity for activity, _ in new_seq]
+    timestamps = [ts for _, ts in new_seq]
+    if policy is Policy.SC or not old_activities:
         # A new trace; or the SC pairs a known one gains: the boundary pair
         # plus consecutive new pairs -- adjacency is local.
         return PAIR_CREATORS[policy](
-            work.old_activities[-1:] + activities, work.old_stamps[-1:] + timestamps
+            old_activities[-1:] + activities, old_stamps[-1:] + timestamps
         )
-    occurrences = occurrence_lists(
-        work.old_activities + activities, work.old_stamps + timestamps
-    )
-    return pairs_completed_after(occurrences, work.old_stamps[-1])
+    occurrences = occurrence_lists(old_activities + activities, old_stamps + timestamps)
+    return pairs_completed_after(occurrences, old_stamps[-1])
 
 
 class _AggregatedBatch:
@@ -109,11 +97,10 @@ class _AggregatedBatch:
     its chunk -- ``(trace ids, ts_a, ts_b)`` -- pairs in first-appearance
     order, rows in trace order.
 
-    Workers aggregate their partition into this form so that the main thread
-    only merges partitions instead of re-walking every pair; Count,
-    ReverseCount and LastChecked are derived from the finished columns, once
-    per pair.  The lists are this object's own: a flavor's columns are copied
-    in, never adopted (:mod:`repro.core.pairs` shares them between pairs).
+    Each trace's columns are folded in as they are made; Count, ReverseCount
+    and LastChecked are derived from the finished columns, once per pair.
+    The lists are this object's own: a flavor's columns are copied in, never
+    adopted (:mod:`repro.core.pairs` shares them between pairs).
     """
 
     __slots__ = ("index",)
@@ -136,34 +123,14 @@ class _AggregatedBatch:
                 mine[1].extend(ts_a)
                 mine[2].extend(ts_b)
 
-    def merge(self, other: "_AggregatedBatch") -> None:
-        """Fold another partition's deltas into this one."""
-        for pair, theirs in other.index.items():
-            for column, more in zip(self.index.setdefault(pair, ([], [], [])), theirs):
-                column.extend(more)
-
-
-def _aggregate(works: list[_TraceWork], policy: Policy) -> list[_AggregatedBatch]:
-    """Process a partition of trace works into one aggregated batch."""
-    batch = _AggregatedBatch()
-    for work in works:
-        batch.add_trace(work.trace_id, _compute_trace_pairs(work, policy))
-    return [batch]
-
 
 class IndexBuilder:
     """Builds/updates the inverted pair index inside a key-value store."""
 
-    def __init__(
-        self,
-        store: KeyValueStore,
-        policy: Policy = Policy.STNM,
-        executor: ParallelExecutor | None = None,
-    ) -> None:
+    def __init__(self, store: KeyValueStore, policy: Policy = Policy.STNM) -> None:
         if policy not in PAIR_CREATORS:
             raise ValueError(f"policy {policy} cannot be indexed; use SC or STNM")
         self.policy = policy
-        self.executor = executor or ParallelExecutor.serial()
         self.tables = IndexTables(store)
         self.tables.ensure_schema()
         self.tables.check_configuration(policy)
@@ -186,16 +153,11 @@ class IndexBuilder:
         """
         batches = self._group_new_events(new_events, dedup)
         stats = UpdateStats(partition=partition)
-        work_items = self._prepare_work(batches, stats, dedup)
-        if not work_items:
+        appended, aggregated = self._create_pairs(batches, stats, dedup)
+        if not appended:
             return stats
         self.tables.ensure_partition(partition)
-        job = partial(_aggregate, policy=self.policy)
-        partials = self.executor.map_partitions(job, work_items)
-        aggregated = partials[0]
-        for other in partials[1:]:
-            aggregated.merge(other)
-        self._write_results(work_items, aggregated, partition, stats)
+        self._write_results(appended, aggregated, partition, stats)
         return stats
 
     # -- internals -----------------------------------------------------------------
@@ -233,10 +195,13 @@ class IndexBuilder:
             batches[trace_id] = [(ev.activity, ev.timestamp) for ev in events]
         return batches
 
-    def _prepare_work(
+    def _create_pairs(
         self, batches: dict[str, SeqList], stats: UpdateStats, dedup: bool
-    ) -> list[_TraceWork]:
-        work_items: list[_TraceWork] = []
+    ) -> tuple[dict[str, SeqList], _AggregatedBatch]:
+        """Each trace's events to append, and the pairs they create, folded
+        into one batch."""
+        appended: dict[str, SeqList] = {}
+        aggregated = _AggregatedBatch()
         # Algorithm 1 line 2, and the only read of an update: the stored row
         # gives the tail to check (or deduplicate) against and everything
         # pair creation needs.
@@ -264,12 +229,15 @@ class IndexBuilder:
             if not old_stamps:
                 stats.new_traces += 1
             stats.events_indexed += len(new_seq)
-            work_items.append(_TraceWork(trace_id, old_activities, old_stamps, new_seq))
-        return work_items
+            appended[trace_id] = new_seq
+            aggregated.add_trace(
+                trace_id, _new_pairs(old_activities, old_stamps, new_seq, self.policy)
+            )
+        return appended, aggregated
 
     def _write_results(
         self,
-        work_items: list[_TraceWork],
+        appended: dict[str, SeqList],
         aggregated: _AggregatedBatch,
         partition: str,
         stats: UpdateStats,
@@ -285,8 +253,8 @@ class IndexBuilder:
         """
         with self.tables.batch():
             self.tables.register_partition(partition)
-            for work in work_items:
-                self.tables.append_sequence(work.trace_id, work.new_seq)
+            for trace_id, new_seq in appended.items():
+                self.tables.append_sequence(trace_id, new_seq)
             # One Count / ReverseCount slot and one last completion per pair
             # of the batch, read off its finished columns.
             counts: dict[str, dict[str, list[float]]] = {}
@@ -312,7 +280,7 @@ class IndexBuilder:
         stats.written = WrittenKeys(
             pairs=pairs,
             partition=partition,
-            traces={work.trace_id for work in work_items},
+            traces=set(appended),
             firsts=set(counts),
             seconds=set(reverse),
         )

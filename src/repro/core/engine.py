@@ -41,7 +41,6 @@ from repro.core.model import Event, EventLog
 from repro.core.pattern import Pattern
 from repro.core.policies import Policy
 from repro.core.query import QueryProcessor, as_query, check_deadline, check_limits
-from repro.executor import ParallelExecutor
 from repro.kvstore import InMemoryStore
 from repro.kvstore.cache import LRUCache
 from repro.kvstore.api import KeyValueStore
@@ -424,7 +423,6 @@ class SequenceIndex(QueryEngine):
         self,
         store: KeyValueStore | None = None,
         policy: Policy = Policy.STNM,
-        executor: ParallelExecutor | None = None,
         query_cache_size: int = 128,
         postings_cache_size: int = 64,
         sequence_cache_size: int = 256,
@@ -432,7 +430,7 @@ class SequenceIndex(QueryEngine):
     ) -> None:
         super().__init__(query_cache_size, slow_query_threshold)
         self.store = store if store is not None else InMemoryStore()
-        self.builder = IndexBuilder(self.store, policy, executor)
+        self.builder = IndexBuilder(self.store, policy)
         self.tables = self.builder.tables
         self._postings_cache = (
             LRUCache(postings_cache_size) if postings_cache_size > 0 else None

@@ -12,8 +12,8 @@ the single-store engine uses; what this engine supplies is the
 scatter-gather back half:
 
 1. **fan out, once** -- every shard's query processor runs the whole query
-   concurrently on the shared :class:`~repro.executor.ParallelExecutor`
-   (persistent thread pool), under the request deadline, each against its
+   concurrently on the coordinator's :class:`~repro.executor.ParallelExecutor`
+   (one thread per shard), under the request deadline, each against its
    own per-row postings/sequence caches.  Each shard plans from
    the posting lists it fetches: its own entry counts are its real
    intermediate work, and no order changes an answer;
@@ -54,6 +54,7 @@ from repro.core.pattern import Pattern
 from repro.core.policies import Policy
 from repro.core.query import build_plan
 from repro.executor import ParallelExecutor
+from repro.kvstore.api import StoreClosedError
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import current_tracer
 from repro.shard.hashing import HASH_NAME, shard_for_trace
@@ -163,16 +164,8 @@ class ShardedSequenceIndex(QueryEngine):
             raise ValueError("need at least one shard")
         super().__init__(query_cache_size)
         self.shards = list(shards)
-        if executor is None:
-            executor = ParallelExecutor(
-                backend="thread" if len(self.shards) > 1 else "serial",
-                max_workers=len(self.shards),
-                persistent=True,
-            )
-            self._owns_executor = True
-        else:
-            self._owns_executor = False
-        self.executor = executor
+        self._owns_executor = executor is None
+        self.executor = executor or ParallelExecutor(max_workers=len(self.shards))
         # Count / ReverseCount rows summed across shards: a trace lives on
         # exactly one shard, so durations and completions are both additive.
         self.explorer = ContinuationExplorer(
@@ -250,6 +243,10 @@ class ShardedSequenceIndex(QueryEngine):
         """Per-shard write generations (the coordinator cache epoch)."""
         return tuple(shard.write_generation for shard in self.shards)
 
+    def _check_open(self) -> None:
+        if self._closed:
+            raise StoreClosedError("sharded index is closed")
+
     # -- lifecycle ----------------------------------------------------------------
 
     def flush(self) -> None:
@@ -257,6 +254,8 @@ class ShardedSequenceIndex(QueryEngine):
             shard.flush()
 
     def close(self) -> None:
+        """Close every shard; later writes and queries raise
+        :class:`~repro.kvstore.api.StoreClosedError`."""
         if self._closed:
             return
         self._closed = True
@@ -297,6 +296,7 @@ class ShardedSequenceIndex(QueryEngine):
         from its per-row caches exactly the rows its sub-batch wrote, so
         queries keep every other warm postings, Seq and Count row.
         """
+        self._check_open()
         per_shard = self._split_events(new_events)
         touched = [i for i, batch in enumerate(per_shard) if batch is not None]
         if not touched:
@@ -341,6 +341,7 @@ class ShardedSequenceIndex(QueryEngine):
 
     def prune_trace(self, trace_id: str) -> None:
         """Forget one trace's ``Seq`` row (shard-local); no answer changes."""
+        self._check_open()
         self.shards[self.shard_of(trace_id)].prune_trace(trace_id)
 
     # -- scatter-gather helpers ---------------------------------------------------
@@ -348,6 +349,7 @@ class ShardedSequenceIndex(QueryEngine):
     def _gather(
         self, thunks: Sequence[Callable[[], Any]], deadline: float | None
     ) -> list[Any]:
+        self._check_open()
         self.metrics.bump("fanouts")
         span = current_tracer().span("shard.fanout")
         with span:
@@ -362,6 +364,7 @@ class ShardedSequenceIndex(QueryEngine):
     # -- what this engine supplies to QueryEngine -----------------------------------
 
     def _epoch(self) -> tuple[int, ...]:
+        self._check_open()  # a memoized answer is a query too
         return self.write_generations
 
     def _run(

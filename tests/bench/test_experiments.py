@@ -22,6 +22,9 @@ from repro.bench.experiments import (
     exp_table7,
     exp_table8,
 )
+from repro.bench.workloads import prepared_dataset
+from repro.core.engine import SequenceIndex
+from repro.core.policies import Policy
 from repro.logs.generator import generate_random_log
 
 SCALE = 0.01
@@ -65,9 +68,13 @@ class TestIndexingExperiments:
 
     def test_table6_columns(self):
         result = exp_table6(SCALE, datasets=("bpi_2013",), workers=2)
-        assert len(result.columns) == 7
+        assert len(result.columns) == 9
         (row,) = result.rows
         assert all(cell > 0 for cell in row[1:])
+        # the two shard writers indexed exactly what one build does
+        log = prepared_dataset("bpi_2013", SCALE)
+        for policy, pairs in ((Policy.SC, row[7]), (Policy.STNM, row[8])):
+            assert pairs == SequenceIndex(policy=policy).update(log).pairs_created
 
 
 class TestQueryExperiments:

@@ -1,5 +1,5 @@
 """Index builder (Algorithm 1): full builds, incremental updates,
-duplicate prevention, parallel parity."""
+duplicate prevention."""
 
 from __future__ import annotations
 
@@ -12,13 +12,12 @@ from repro.core.engine import SequenceIndex
 from repro.core.errors import TraceOrderError
 from repro.core.model import Event, EventLog
 from repro.core.policies import Policy
-from repro.executor import ParallelExecutor
 from repro.kvstore import InMemoryStore
 
 
-def _build(log, policy=Policy.STNM, executor=None):
+def _build(log, policy=Policy.STNM):
     store = InMemoryStore()
-    builder = IndexBuilder(store, policy, executor)
+    builder = IndexBuilder(store, policy)
     stats = builder.update(log)
     return builder, stats
 
@@ -295,17 +294,3 @@ class TestWritesPerBatch:
         known = slots()
         index.update([Event(e.trace_id, e.activity, e.timestamp + 2000) for e in events])
         assert slots() == known
-
-
-class TestParallelParity:
-    @pytest.mark.parametrize("backend", ("thread", "process"))
-    def test_parallel_equals_serial(self, paper_log, backend):
-        serial, _ = _build(paper_log, executor=ParallelExecutor.serial())
-        parallel, _ = _build(
-            paper_log, executor=ParallelExecutor(backend=backend, max_workers=3)
-        )
-        for pair in [("A", "B"), ("B", "A"), ("A", "A"), ("C", "B")]:
-            assert sorted(parallel.tables.get_index(pair)) == sorted(
-                serial.tables.get_index(pair)
-            )
-            assert parallel.tables.get_pair_count(pair) == serial.tables.get_pair_count(pair)

@@ -253,23 +253,17 @@ class TestColumnSharing:
         columns = flavor(acts, stamps)
         pristine = {pair: (list(ts_a), list(ts_b)) for pair, (ts_a, ts_b) in columns.items()}
 
-        def twice() -> _AggregatedBatch:
-            batch = _AggregatedBatch()
-            batch.add_trace("t1", columns)
-            batch.add_trace("t2", columns)
-            return batch
-
-        merged = _AggregatedBatch()
-        for partial in (twice(), twice()):
-            merged.merge(partial)
-        for batch, ids in ((twice(), ["t1", "t2"]), (merged, ["t1", "t2", "t1", "t2"])):
-            assert list(batch.index) == list(pristine)
-            for pair, (ts_a, ts_b) in pristine.items():
-                assert batch.index[pair] == (
-                    [trace_id for trace_id in ids for _ in ts_a],
-                    ts_a * len(ids),
-                    ts_b * len(ids),
-                )
+        batch = _AggregatedBatch()
+        ids = ["t1", "t2", "t3"]
+        for trace_id in ids:
+            batch.add_trace(trace_id, columns)
+        assert list(batch.index) == list(pristine)
+        for pair, (ts_a, ts_b) in pristine.items():
+            assert batch.index[pair] == (
+                [trace_id for trace_id in ids for _ in ts_a],
+                ts_a * len(ids),
+                ts_b * len(ids),
+            )
         # neither the flavor's result nor the trace it was computed from moved
         assert columns == pristine
         assert stamps == pristine_stamps

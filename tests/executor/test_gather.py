@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -11,19 +12,23 @@ from repro.core.errors import DeadlineExceeded
 from repro.executor import ParallelExecutor
 
 
-@pytest.mark.parametrize("backend", ("serial", "thread"))
+#: one worker runs inline (serially); two use the thread pool
+WORKERS = pytest.mark.parametrize("workers", (1, 2), ids=("serial", "thread"))
+
+
+@WORKERS
 class TestGather:
-    def test_results_preserve_order(self, backend):
-        executor = ParallelExecutor(backend=backend, max_workers=3)
+    def test_results_preserve_order(self, workers):
+        executor = ParallelExecutor(max_workers=workers)
         thunks = [lambda i=i: i * 10 for i in range(7)]
         assert executor.gather(thunks) == [0, 10, 20, 30, 40, 50, 60]
 
-    def test_empty_is_empty(self, backend):
-        executor = ParallelExecutor(backend=backend, max_workers=2)
+    def test_empty_is_empty(self, workers):
+        executor = ParallelExecutor(max_workers=workers)
         assert executor.gather([]) == []
 
-    def test_thunk_exception_propagates(self, backend):
-        executor = ParallelExecutor(backend=backend, max_workers=2)
+    def test_thunk_exception_propagates(self, workers):
+        executor = ParallelExecutor(max_workers=workers)
 
         def boom():
             raise RuntimeError("shard exploded")
@@ -31,16 +36,16 @@ class TestGather:
         with pytest.raises(RuntimeError, match="shard exploded"):
             executor.gather([lambda: 1, boom])
 
-    def test_deadline_in_the_past_raises(self, backend):
-        executor = ParallelExecutor(backend=backend, max_workers=2)
+    def test_deadline_in_the_past_raises(self, workers):
+        executor = ParallelExecutor(max_workers=workers)
         with pytest.raises(DeadlineExceeded):
             executor.gather(
                 [lambda: time.sleep(0.2) or 1, lambda: 2],
                 deadline=time.monotonic() - 1.0,
             )
 
-    def test_generous_deadline_returns_normally(self, backend):
-        executor = ParallelExecutor(backend=backend, max_workers=2)
+    def test_generous_deadline_returns_normally(self, workers):
+        executor = ParallelExecutor(max_workers=workers)
         result = executor.gather(
             [lambda: 1, lambda: 2], deadline=time.monotonic() + 30.0
         )
@@ -48,7 +53,7 @@ class TestGather:
 
 
 def test_deadline_cancels_slow_fanout():
-    executor = ParallelExecutor(backend="thread", max_workers=2)
+    executor = ParallelExecutor(max_workers=2)
     release = threading.Event()
     started = time.monotonic()
     try:
@@ -65,9 +70,7 @@ def test_deadline_cancels_slow_fanout():
 
 class TestPersistentPool:
     def test_pool_is_reused(self):
-        with ParallelExecutor(
-            backend="thread", max_workers=2, persistent=True
-        ) as executor:
+        with ParallelExecutor(max_workers=2) as executor:
 
             def occupy_worker():
                 # Rendezvous so each round provably runs on BOTH workers;
@@ -83,22 +86,17 @@ class TestPersistentPool:
             # Same worker threads serve both rounds: the pool persisted.
             assert names_a == names_b and len(names_a) == 2
 
-    def test_close_is_idempotent_and_final(self):
-        executor = ParallelExecutor(
-            backend="thread", max_workers=2, persistent=True
-        )
+    @WORKERS
+    def test_close_is_idempotent_and_final(self, workers):
+        executor = ParallelExecutor(max_workers=workers)
         assert executor.gather([lambda: 1]) == [1]
         executor.close()
         executor.close()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="closed"):
             executor.gather([lambda: 1])
 
-    def test_non_persistent_close_keeps_working(self):
-        executor = ParallelExecutor(backend="thread", max_workers=2)
-        assert executor.gather([lambda: 2, lambda: 3]) == [2, 3]
-
     def test_serial_gather_checks_deadline_between_thunks(self):
-        executor = ParallelExecutor(backend="serial")
+        executor = ParallelExecutor.serial()
         calls = []
 
         def slow():
@@ -113,3 +111,15 @@ class TestPersistentPool:
         with pytest.raises(DeadlineExceeded):
             executor.gather([slow, fast], deadline=time.monotonic() + 0.05)
         assert calls == ["slow"]
+
+
+class TestConfiguration:
+    def test_invalid_workers(self):
+        with pytest.raises(ValueError):
+            ParallelExecutor(max_workers=0)
+
+    def test_default_workers_positive(self):
+        assert ParallelExecutor().max_workers == (os.cpu_count() or 1)
+
+    def test_serial_constructor(self):
+        assert ParallelExecutor.serial().max_workers == 1

@@ -24,6 +24,8 @@ from repro.core.errors import DeadlineExceeded
 from repro.core.model import Event, EventLog, Trace
 from repro.core.policies import Policy
 from repro.difftest import random_log, random_pattern
+from repro.executor import ParallelExecutor
+from repro.kvstore import StoreClosedError
 from repro.logs.csv_log import read_csv_log
 from repro.shard import ShardedSequenceIndex
 
@@ -314,3 +316,28 @@ class TestCoordinator:
         finally:
             single.close()
             sharded.close()
+
+    @pytest.mark.parametrize("serial", (False, True), ids=("owned_pool", "serial"))
+    def test_every_write_and_query_after_close_is_a_store_closed_error(self, serial):
+        sharded = ShardedSequenceIndex(
+            [SequenceIndex() for _ in range(2)],
+            executor=ParallelExecutor.serial() if serial else None,
+        )
+        log = EventLog.from_dict({f"t{i}": list("ABC") for i in range(4)})
+        sharded.update(log)
+        sharded.detect(["A", "B"])  # memoized: a closed engine must not serve it
+        sharded.close()
+        sharded.close()
+        for call in (
+            lambda: sharded.update(log),
+            lambda: sharded.prune_trace("t1"),
+            lambda: sharded.detect(["A", "B"]),
+            lambda: sharded.count(["A", "B"]),
+            lambda: sharded.contains(["A", "B"]),
+            lambda: sharded.explain(["A", "B"]),
+            lambda: sharded.statistics(["A", "B"]),
+            lambda: sharded.continuations(["A"]),
+            lambda: sharded.detect_with_prefixes(["A", "B"]),
+        ):
+            with pytest.raises(StoreClosedError):
+                call()

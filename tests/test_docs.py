@@ -334,3 +334,27 @@ def test_docscheck_fails_on_a_dead_module_path():
         "D.md:2: `repro.logs.pipeline` names no live module or attribute",
         "D.md:2: `repro.ingest.drop_indexed` names no live module or attribute",
     ]
+
+
+def test_docscheck_covers_the_executor():
+    from repro.bench.docscheck import (
+        api_owners,
+        check_api_references,
+        check_constructor_keywords,
+        constructor_keywords,
+    )
+
+    guide = (
+        "```python\n"
+        'pool = ParallelExecutor(backend="process")\n'
+        "ParallelExecutor(max_workers=2)\n"
+        "```\n"
+        "`ParallelExecutor.map_partitions` is gone; `ParallelExecutor.gather` is not.\n"
+    )
+    findings = check_constructor_keywords(
+        "G.md", guide, constructor_keywords()
+    ) + check_api_references("G.md", guide, api_owners())
+    assert findings == [
+        "G.md:2: ParallelExecutor() takes no keyword 'backend'",
+        "G.md:5: `ParallelExecutor.map_partitions` names no live attribute",
+    ]

@@ -7,7 +7,6 @@ import pytest
 from repro.baselines import ElasticIndex, SaseEngine, SuffixArrayMatcher
 from repro.core.engine import SequenceIndex
 from repro.core.policies import Policy
-from repro.executor import ParallelExecutor
 from repro.kvstore import LSMStore
 from repro.logs.generator import random_patterns
 from repro.logs.process_generator import generate_process_log
@@ -89,11 +88,8 @@ class TestCrossSystemAgreement:
 class TestDurableEndToEnd:
     def test_lsm_backed_index_full_cycle(self, tmp_path, process_log):
         path = str(tmp_path / "ix")
-        executor = ParallelExecutor(backend="thread", max_workers=4)
         patterns = random_patterns(process_log, 3, 5, seed=6)
-        with SequenceIndex(
-            LSMStore(path, memtable_flush_bytes=64 * 1024), executor=executor
-        ) as index:
+        with SequenceIndex(LSMStore(path, memtable_flush_bytes=64 * 1024)) as index:
             index.update(process_log)
             expected = {tuple(p): index.detect(p) for p in patterns}
             stats = index.statistics(patterns[0])

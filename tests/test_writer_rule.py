@@ -79,7 +79,7 @@ def test_shards_interleave_while_each_shard_serializes():
     stores = [_WindowStore(), _WindowStore()]
     # Four workers: both callers' sub-batches for a shard can run at once,
     # so only the shard's own lock keeps them apart.
-    executor = ParallelExecutor(backend="thread", max_workers=4, persistent=True)
+    executor = ParallelExecutor(max_workers=4)
     with executor, ShardedSequenceIndex(
         [SequenceIndex(store) for store in stores], executor=executor
     ) as engine:
