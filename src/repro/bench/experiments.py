@@ -238,6 +238,12 @@ def _shard_writer(
     return _build_counts(EventLog(mine, name=log.name), policy)
 
 
+def _unkept(build: Callable[[EventLog], object], log: EventLog) -> None:
+    """``build(log)`` with its result freed before the call returns, so a
+    timed column leaves nothing alive for later timed calls' GC passes."""
+    build(log)
+
+
 def exp_table6(
     scale: float,
     datasets: Sequence[str] = TABLE_DATASETS,
@@ -250,7 +256,9 @@ def exp_table6(
     A shard writer is a process indexing the traces
     :func:`~repro.shard.hashing.shard_for_trace` places on its shard into a
     store of its own.  Every cell is the minimum over ``rounds`` of
-    interleaved columns; the writers' totals must equal the 1-thread build's.
+    interleaved columns; the writers' ``(events, pairs)`` totals must equal
+    the 1-thread build's.  Those totals are all a column keeps: the suffix
+    trie and the ES index are dropped inside their timed calls.
     """
     workers = workers or os.cpu_count() or 1
     result = ExperimentResult(
@@ -264,8 +272,6 @@ def exp_table6(
             "indexing (1 thread)",
             "indexing",
             "elasticsearch",
-            "strict pairs",
-            "indexing pairs",
         ],
     )
     spawn = multiprocessing.get_context("spawn")
@@ -284,26 +290,26 @@ def exp_table6(
                 return tuple(map(sum, zip(*pool.map(job, range(workers)))))
 
             columns = [
-                lambda: SuffixArrayMatcher(log),
+                partial(_unkept, SuffixArrayMatcher, log),
                 lambda: _build_counts(log, Policy.SC),
                 lambda: writers(Policy.SC),
                 lambda: _build_counts(log, Policy.STNM),
                 lambda: writers(Policy.STNM),
-                lambda: ElasticIndex.from_log(log),
+                partial(_unkept, ElasticIndex.from_log, log),
             ]
             best = [float("inf")] * len(columns)
-            outputs: list[object] = [None] * len(columns)
+            totals: list[object] = [None] * len(columns)
             for _ in range(max(1, rounds)):
                 for i, column in enumerate(columns):
-                    elapsed, outputs[i] = timed(column)
+                    elapsed, totals[i] = timed(column)
                     best[i] = min(best[i], elapsed)
             for serial in (1, 3):
-                if outputs[serial + 1] != outputs[serial]:
+                if totals[serial + 1] != totals[serial]:
                     raise AssertionError(
                         f"{name}: {workers} shard writers indexed (events, pairs) "
-                        f"{outputs[serial + 1]}, the 1-thread build {outputs[serial]}"
+                        f"{totals[serial + 1]}, the 1-thread build {totals[serial]}"
                     )
-            result.add(name, *best, outputs[1][1], outputs[3][1])
+            result.add(name, *best)
     result.note(
         f"strict / indexing: {workers} shard writers (processes); "
         f"min of {rounds} interleaved rounds"

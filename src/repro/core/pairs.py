@@ -331,10 +331,23 @@ def pairs_completed_after(
     completing at or before ``tail`` are exactly the ones already indexed
     and the rest are exactly what a full rebuild would add.  Only a pair
     whose *second* type occurs after ``tail`` can complete there.
+
+    A first type that occurs once takes :func:`indexing_pairs`' shortcut:
+    ``(a, b)`` completes at most once, at the first ``b`` after it, so one
+    ``bisect`` replaces the merge, and ``occ_a`` is the ``ts_a`` column.
     """
     second_types = [b for b, occ in occurrences.items() if occ[-1] > tail]
     pairs: PairColumns = {}
     for a, occ_a in occurrences.items():
+        if len(occ_a) == 1:
+            # b == a never completes: its one stamp is not after itself.
+            first = occ_a[0]
+            for b in second_types:
+                occ_b = occurrences[b]
+                j = bisect_right(occ_b, first)
+                if j < len(occ_b) and occ_b[j] > tail:
+                    pairs[a, b] = (occ_a, [occ_b[j]])
+            continue
         for b in second_types:
             ts_a, ts_b = greedy_pair_match(occ_a, occurrences[b], same_type=(a == b))
             keep = bisect_right(ts_b, tail)  # completions are time-ordered

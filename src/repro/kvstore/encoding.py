@@ -18,6 +18,11 @@ range scans work without decoding every key.  The scheme follows the classic
 Values use a compact self-describing format (a small msgpack work-alike)
 supporting ``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``,
 ``list``, ``tuple`` and ``dict``.  Tuples decode as tuples, lists as lists.
+The item loop of a list or tuple handles the two item shapes of the list
+tables inline, both ways: a ``bytes`` chunk, and a 2-tuple whose first
+element is a ``str`` -- an ``(activity, ts)`` Seq item, read inline when
+``ts`` is a float or an int64.  Every other item recurses; the bytes are the
+ones the recursive walk writes.
 A ``dict`` whose keys are all ``str`` and whose values are all ``int`` (within
 int64), all ``float``, or all ``[float, int]`` counter slots is written under a
 *packed* tag -- keys joined into one utf-8 blob, values one ``struct.pack`` --
@@ -213,6 +218,10 @@ _KEY_JOIN = "\x00"
 _V_SMALL_INT_BASE = 0x00  # 0x00..0x7f encode 0..127 inline
 
 _U32 = struct.Struct(">I")
+_SEQ_HEAD = struct.Struct(">BI")  # list / tuple / bytes tag + u32 count or length
+_STR_PAIR_HEAD = struct.Struct(">BIBI")  # tuple of 2, then a str's tag and length
+_STR_PAIR_PREFIX = _STR_PAIR_HEAD.pack(_V_TUPLE, 2, _V_STR, 0)[:6]
+_FLOAT_ITEM = struct.Struct(">Bd")
 _U32_PAIR = struct.Struct(">II")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
@@ -255,16 +264,25 @@ def _encode_value_into(out: bytearray, obj: Any) -> None:
         out.append(_V_BYTES)
         out.extend(_U32.pack(len(obj)))
         out.extend(obj)
-    elif isinstance(obj, list):
-        out.append(_V_LIST)
-        out.extend(_U32.pack(len(obj)))
+    elif isinstance(obj, (list, tuple)):
+        out.extend(_SEQ_HEAD.pack(_V_LIST if isinstance(obj, list) else _V_TUPLE, len(obj)))
         for item in obj:
-            _encode_value_into(out, item)
-    elif isinstance(obj, tuple):
-        out.append(_V_TUPLE)
-        out.extend(_U32.pack(len(obj)))
-        for item in obj:
-            _encode_value_into(out, item)
+            # The two item shapes of the list tables, written inline: a chunk
+            # (Index, Seq) and a plain ``(activity, ts)`` Seq item.
+            kind = type(item)
+            if kind is bytes:
+                out += _SEQ_HEAD.pack(_V_BYTES, len(item))
+                out += item
+            elif kind is tuple and len(item) == 2 and type(item[0]) is str:
+                raw = item[0].encode("utf-8")
+                out += _STR_PAIR_HEAD.pack(_V_TUPLE, 2, _V_STR, len(raw))
+                out += raw
+                if type(item[1]) is float:
+                    out += _FLOAT_ITEM.pack(_V_FLOAT, item[1])
+                else:
+                    _encode_value_into(out, item[1])
+            else:
+                _encode_value_into(out, item)
     elif isinstance(obj, dict):
         if obj and _encode_packed_map_into(out, obj):
             return
@@ -344,10 +362,42 @@ def concat_encoded_lists(parts: list[bytes]) -> bytes | None:
 
 
 def _decode_value_from(buf: bytes, pos: int) -> tuple[Any, int]:
-    if pos >= len(buf):
-        raise ValueEncodingError("truncated value buffer")
-    tag = buf[pos]
+    tag = buf[pos]  # IndexError past the end: decode_value types it
     pos += 1
+    if tag == _V_LIST or tag == _V_TUPLE:  # first: every Seq and Index row
+        (count,) = _U32.unpack_from(buf, pos)
+        pos += 4
+        items: list[Any] = []
+        append = items.append
+        for _ in range(count):
+            # The encoder's two inline shapes are read inline too, with a
+            # float or int64 ``ts``; a short buffer raises IndexError /
+            # struct.error, which decode_value turns into ValueEncodingError.
+            if buf[pos] == _V_BYTES:
+                start = pos + 5
+                pos = start + _U32.unpack_from(buf, pos + 1)[0]
+                append(buf[start:pos])
+            elif buf.startswith(_STR_PAIR_PREFIX, pos):
+                start = pos + 10
+                pos = start + _U32.unpack_from(buf, pos + 6)[0]
+                activity = buf[start:pos].decode("utf-8")
+                ts_tag = buf[pos]
+                if ts_tag == _V_FLOAT:
+                    ts = _F64.unpack_from(buf, pos + 1)[0]
+                    pos += 9
+                elif ts_tag <= 0x7F:
+                    ts = ts_tag
+                    pos += 1
+                elif ts_tag == _V_INT:
+                    ts = _I64.unpack_from(buf, pos + 1)[0]
+                    pos += 9
+                else:
+                    ts, pos = _decode_value_from(buf, pos)
+                append((activity, ts))
+            else:
+                item, pos = _decode_value_from(buf, pos)
+                append(item)
+        return (tuple(items) if tag == _V_TUPLE else items), pos
     if tag <= 0x7F:
         return tag, pos
     if tag == _V_NONE:
@@ -372,15 +422,7 @@ def _decode_value_from(buf: bytes, pos: int) -> tuple[Any, int]:
     if tag == _V_BYTES:
         (length,) = _U32.unpack_from(buf, pos)
         pos += 4
-        return bytes(buf[pos : pos + length]), pos + length
-    if tag in (_V_LIST, _V_TUPLE):
-        (count,) = _U32.unpack_from(buf, pos)
-        pos += 4
-        items = []
-        for _ in range(count):
-            item, pos = _decode_value_from(buf, pos)
-            items.append(item)
-        return (tuple(items) if tag == _V_TUPLE else items), pos
+        return buf[pos : pos + length], pos + length
     if tag == _V_DICT:
         (count,) = _U32.unpack_from(buf, pos)
         pos += 4
@@ -424,8 +466,21 @@ def _decode_packed_map(buf: bytes, pos: int, tag: int) -> tuple[dict, int]:
 
 
 def decode_value(buf: bytes) -> Any:
-    """Deserialize bytes produced by :func:`encode_value`."""
-    obj, pos = _decode_value_from(buf, 0)
+    """Deserialize bytes produced by :func:`encode_value`.
+
+    Strict: a truncated, overlong or otherwise malformed buffer raises
+    :class:`ValueEncodingError`, never ``struct.error`` or ``IndexError``.
+    """
+    if type(buf) is not bytes:
+        buf = bytes(buf)  # so that every slice of it is ``bytes``
+    try:
+        obj, pos = _decode_value_from(buf, 0)
+    except (struct.error, IndexError) as exc:
+        raise ValueEncodingError(f"truncated value buffer: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueEncodingError(f"str item is not utf-8: {exc}") from None
+    if pos > len(buf):
+        raise ValueEncodingError(f"value runs {pos - len(buf)} bytes past the buffer")
     if pos != len(buf):
         raise ValueEncodingError(f"{len(buf) - pos} trailing bytes after value")
     return obj

@@ -240,6 +240,19 @@ class TestColumnSharing:
         assert columns[("A", "B")][0] is columns[("A", "C")][0]
         assert columns[("A", "C")][1] is columns[("B", "C")][1]
 
+    def test_single_occurrence_in_an_update_shares_its_occurrence_list(self):
+        occurrences = occurrence_lists(list("ABBCB"), [1, 2, 3, 4, 5])
+        columns = pairs_completed_after(occurrences, 2)
+        assert columns == {
+            ("A", "C"): ([1], [4]),
+            ("B", "B"): ([2], [3]),
+            ("B", "C"): ([2], [4]),
+            ("C", "B"): ([4], [5]),
+        }
+        # A and C occur once: each one's occurrence list is its ts_a column
+        assert columns[("A", "C")][0] is occurrences["A"]
+        assert columns[("C", "B")][0] is occurrences["C"]
+
     def test_row_view_builds_fresh_lists(self):
         rows = create_pairs(list("ABC"), [1, 2, 3])
         rows[("A", "B")].append((9, 9))

@@ -9,6 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.engine import SequenceIndex
+from repro.core.model import Event
+from repro.core.tables import INDEX, SEQ
+from repro.kvstore import LSMStore, encoding
 from repro.kvstore.encoding import (
     _V_DICT,
     _V_MAP_STR_COUNTER,
@@ -208,7 +212,7 @@ class TestValueRoundtrip:
 
     def test_truncated_rejected(self):
         buf = encode_value("hello world")
-        with pytest.raises((ValueEncodingError, UnicodeDecodeError, Exception)):
+        with pytest.raises(ValueEncodingError):
             decode_value(buf[:-3])
 
 
@@ -423,3 +427,151 @@ class TestConcatEncodedLists:
     def test_a_part_that_is_no_sequence_declines(self, parts, odd):
         encoded = [encode_value(part) for part in parts] + [encode_value(odd)]
         assert concat_encoded_lists(encoded) is None
+
+
+# -- list items: the inline shapes against the documented layout --------------
+
+_NASTY_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("a\x00é€\U0001d11e"),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=8,
+)
+_NASTY_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_list_items = st.recursive(
+    st.one_of(
+        st.binary(max_size=12),  # a chunk
+        st.tuples(_NASTY_TEXT, _NASTY_FLOATS),  # a float-stamped Seq item
+        st.tuples(_NASTY_TEXT, st.integers(-(2**70), 2**70)),  # an int-stamped one
+        st.tuples(_NASTY_TEXT, _NASTY_FLOATS, _NASTY_FLOATS),  # other arities
+        st.tuples(_NASTY_TEXT),
+        st.tuples(),
+        st.tuples(  # a first element that is no str
+            st.one_of(st.binary(max_size=4), st.integers(), _NASTY_FLOATS, st.none()),
+            _NASTY_FLOATS,
+        ),
+        st.tuples(_NASTY_TEXT, st.one_of(st.none(), st.booleans(), _NASTY_TEXT)),
+        _NASTY_TEXT,
+        _NASTY_FLOATS,
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple)
+    ),
+    max_leaves=12,
+)
+
+
+def _reference_encode(obj) -> bytes:
+    """The value layout of DESIGN.md section 11 ("Value tags"), item by
+    item, for everything but maps."""
+    if obj is None:
+        return b"\xc0"
+    if obj is True or obj is False:
+        return b"\xc3" if obj else b"\xc2"
+    if isinstance(obj, int):
+        if 0 <= obj <= 127:
+            return bytes([obj])
+        if -(2**63) <= obj < 2**63:
+            return b"\xd0" + struct.pack(">q", obj)
+        raw = obj.to_bytes((obj.bit_length() + 8) // 8, "big", signed=True)
+        return b"\xd1" + struct.pack(">I", len(raw)) + raw
+    if isinstance(obj, float):
+        return b"\xcb" + struct.pack(">d", obj)
+    if isinstance(obj, str):
+        raw = obj.encode("utf-8")
+        return b"\xd9" + struct.pack(">I", len(raw)) + raw
+    if isinstance(obj, bytes):
+        return b"\xc4" + struct.pack(">I", len(obj)) + obj
+    tag = b"\xdd" if isinstance(obj, list) else b"\xde"
+    return tag + struct.pack(">I", len(obj)) + b"".join(map(_reference_encode, obj))
+
+
+class TestListItems:
+    @given(st.lists(_list_items, max_size=8))
+    def test_encoding_follows_the_documented_layout(self, items):
+        assert encode_value(items) == _reference_encode(items)
+        assert encode_value(tuple(items)) == _reference_encode(tuple(items))
+
+    @given(st.lists(_list_items, max_size=8))
+    def test_round_trip_is_type_exact(self, items):
+        assert _exact(decode_value(encode_value(items)), items)
+        assert _exact(decode_value(bytearray(encode_value(items))), items)
+
+
+# -- strict decode: every short or long buffer is a typed error ----------------
+
+
+class TestTruncatedValues:
+    ONE_ITEM_LISTS = [
+        [("act", 1.5)],
+        [{"k": [1.0, 2]}],
+        [b"chunk"],
+        [("t1", 1, 2)],
+        ["héllo"],
+        [2**80],
+        [-5],
+        [[math.inf]],
+    ]
+
+    @pytest.mark.parametrize("value", ONE_ITEM_LISTS, ids=repr)
+    def test_every_truncation_is_a_typed_error(self, value):
+        buf = encode_value(value)
+        for cut in range(len(buf)):
+            with pytest.raises(ValueEncodingError):
+                decode_value(buf[:cut])
+
+    @pytest.mark.parametrize("value", ONE_ITEM_LISTS, ids=repr)
+    def test_every_overlong_buffer_is_a_typed_error(self, value):
+        buf = encode_value(value)
+        for extra in (b"\x00", b"\xc4", b"\xde\x00\x00\x00\x02\xd9"):
+            with pytest.raises(ValueEncodingError):
+                decode_value(buf + extra)
+
+    @given(st.one_of(values, st.lists(_list_items, max_size=6)), st.data())
+    def test_any_value_cut_short_is_a_typed_error(self, value, data):
+        buf = encode_value(value)
+        cut = data.draw(st.integers(min_value=0, max_value=len(buf) - 1))
+        with pytest.raises(ValueEncodingError):
+            decode_value(buf[:cut])
+
+    def test_a_str_that_is_not_utf8_is_a_typed_error(self):
+        with pytest.raises(ValueEncodingError):
+            decode_value(b"\xdd\x00\x00\x00\x01\xde\x00\x00\x00\x02\xd9\x00\x00\x00\x01\xff\xcb" + bytes(8))
+
+
+# -- list reads decode their items in one loop ---------------------------------
+
+
+def test_reading_seq_and_index_rows_decodes_no_item_on_its_own(tmp_path, monkeypatch):
+    store = LSMStore(str(tmp_path / "store"), auto_compact=False)
+    index = SequenceIndex(store)
+    traces = [f"t{n}" for n in range(4)]
+    # a multi-event batch per trace (chunks), then single events: plain Seq
+    # items stamped with an int or a float
+    index.update([Event(t, f"act_{k % 3}", float(k)) for t in traces for k in range(5)])
+    store.flush()
+    for k in range(5, 8):
+        index.update([Event(t, f"act_{k % 3}", k if k % 2 else k + 0.5) for t in traces])
+    pairs = [(f"act_{a}", f"act_{b}") for a in range(3) for b in range(3)]
+
+    nested = []
+    real = encoding._decode_value_from
+
+    def counting(buf, pos):
+        if pos:  # decode_value starts every value at 0; an item starts later
+            nested.append(buf[pos])
+        return real(buf, pos)
+
+    monkeypatch.setattr(encoding, "_decode_value_from", counting)
+    seq_rows = store.multi_get(SEQ, traces, ())
+    index_rows = store.multi_get(INDEX, pairs, ())
+    assert nested == []
+    plain = [item for row in seq_rows for item in row if isinstance(item, tuple)]
+    assert {type(ts) for _, ts in plain} == {int, float}
+    assert all(any(isinstance(item, bytes) for item in row) for row in seq_rows)
+    assert sum(map(len, index_rows)) > len(pairs)
+    index.close()
