@@ -42,9 +42,8 @@ class ContinuationExplorer:
     ``detect(pattern, partition)`` for exact completions, and the ``Count``
     / ``ReverseCount`` rows of one event (``count_row(first)`` maps every
     follower of ``first`` to ``(sum_duration, completions)``,
-    ``reverse_count_row(second)`` every predecessor of ``second``).  The
-    single-store engine reads its own tables; the sharded engine hands in
-    its scatter-gather detect and rows summed across shards.
+    ``reverse_count_row(second)`` every predecessor of ``second``).  An
+    engine hands in its detect and the rows summed across its shards.
     """
 
     def __init__(

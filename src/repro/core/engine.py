@@ -14,11 +14,11 @@ This is the class downstream users interact with::
 The store argument accepts any :class:`~repro.kvstore.api.KeyValueStore`;
 omitting it uses an in-memory store (useful for exploration and tests).
 
-The query half of that surface lives in :class:`QueryEngine`, which the
-sharded :class:`~repro.shard.index.ShardedSequenceIndex` shares: input
-coercion, argument validation, the result memo, slow-query timing and
-``explain`` are written once, and an engine only says where a query runs
-and how partial answers and plans combine.
+The engine surface lives in :class:`QueryEngine`, written once over a list
+of shards: a :class:`SequenceIndex` is one shard core and the engine whose
+only shard is itself, and the sharded
+:class:`~repro.shard.index.ShardedSequenceIndex` holds N of them and adds
+only its placement rule, its fan-out pool and the shard manifest.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.core.continuation import ContinuationExplorer
 from repro.core.errors import PolicyMismatchError
 from repro.core.matches import (
     ContinuationProposal,
+    PairStats,
     PatternMatch,
     PatternStats,
     QueryPlan,
@@ -40,10 +41,16 @@ from repro.core.matches import (
 from repro.core.model import Event, EventLog
 from repro.core.pattern import Pattern
 from repro.core.policies import Policy
-from repro.core.query import QueryProcessor, as_query, check_deadline, check_limits
+from repro.core.query import (
+    QueryProcessor,
+    as_query,
+    build_plan,
+    check_deadline,
+    check_limits,
+)
 from repro.kvstore import InMemoryStore
 from repro.kvstore.cache import LRUCache
-from repro.kvstore.api import KeyValueStore
+from repro.kvstore.api import KeyValueStore, StoreClosedError
 from repro.obs.profile import QueryProfile, profile_from_tracer
 from repro.obs.registry import REGISTRY
 from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog
@@ -53,38 +60,83 @@ _MODES = ("accurate", "fast", "hybrid")
 _MISS = object()
 
 
+def _merge_matches(
+    per_shard: list[list[PatternMatch]], max_matches: int | None
+) -> list[PatternMatch]:
+    """Disjoint-union merge: stable sort by trace id, then truncate.
+
+    Stability preserves each trace's chronological match order, and the
+    per-shard ``max_matches`` caps compose exactly: any match within the
+    global first ``k`` has fewer than ``k`` predecessors globally, hence
+    fewer than ``k`` on its own shard, so its shard returned it.
+    """
+    span = current_tracer().span("shard.merge")
+    with span:
+        merged = [m for matches in per_shard for m in matches]
+        merged.sort(key=lambda m: m.trace_id)
+        if max_matches is not None:
+            merged = merged[:max_matches]
+        if span.enabled:
+            span.add("matches", len(merged))
+        return merged
+
+
+def _merge_pair_stats(*rows: PairStats) -> PairStats:
+    """One pair's statistics over every shard: sums, and the latest completion."""
+    lasts = [r.last_completion for r in rows if r.last_completion is not None]
+    return PairStats(
+        rows[0].pair,
+        sum(r.completions for r in rows),
+        sum(r.total_duration for r in rows),
+        max(lasts, default=None),
+    )
+
+
+def _sum_rows(
+    rows: list[dict[str, tuple[float, int]]]
+) -> dict[str, tuple[float, int]]:
+    """Sum ``{event: (sum_duration, completions)}`` rows element-wise."""
+    if len(rows) == 1:
+        return rows[0]
+    merged: dict[str, tuple[float, int]] = {}
+    for row in rows:
+        for event, (duration, completions) in row.items():
+            total, count = merged.get(event, (0.0, 0))
+            merged[event] = (total + duration, count + completions)
+    return merged
+
+
 class QueryEngine:
-    """The query surface of an index engine, single-store or sharded.
+    """An index engine over :attr:`shards`, single-store or sharded.
 
-    Everything in front of a query's execution is here, once: the pattern
-    is coerced (list of activities, :class:`~repro.core.pattern.Pattern` or
-    expression string), the arguments are validated, the answer is looked
-    up in the generation-keyed **query-result cache**, the call is timed
-    for the slow-query log, and ``explain``/``explain_profile`` return the
-    plan (and stage profile) of a real execution.  An engine supplies:
+    The front half of a query is written here once: the pattern is coerced
+    (list of activities, :class:`~repro.core.pattern.Pattern` or expression
+    string), the arguments are validated, the answer is looked up in the
+    generation-keyed **query-result cache**, the call is timed for the
+    slow-query log, and ``explain``/``explain_profile`` return the plan (and
+    stage profile) of a real execution.
 
-    * :attr:`policy`, :attr:`num_shards` and :meth:`_epoch` (the memo's
-      invalidation key: every write moves it);
-    * :meth:`_run` -- where a query plans and runs (here, or once on every
-      shard) and how partial answers and plans combine;
-    * :meth:`_statistics`, and an :attr:`explorer` built over
-      :meth:`_detect_uncached` and its ``Count`` / ``ReverseCount`` row
-      readers -- the same for the statistics tables (counts are additive
-      across shards because a trace lives on exactly one).
+    So is the back half, over :class:`SequenceIndex` shards holding disjoint
+    traces: a query runs on every shard through :meth:`_gather` and the
+    partial answers, plans, statistics and Count rows merge by
+    concatenation or sum; a write splits by :meth:`shard_of` and applies
+    each sub-batch in the calling thread.  With one shard -- a
+    :class:`SequenceIndex` is its own only shard -- every merge is the
+    identity, the gather runs inline and a write is not split.  The sharded
+    engine supplies the placement rule and a :meth:`_gather` on its pool.
 
     Every query method takes an absolute ``deadline``
     (``time.monotonic()`` instant): it is checked between query stages --
     and cancels a pending shard fan-out -- raising
-    :class:`~repro.core.errors.DeadlineExceeded`.
-
-    Every query call is timed; with ``slow_query_threshold`` set (in
-    seconds, or via the ``REPRO_SLOW_QUERY_MS`` environment variable) calls
-    at or above the threshold land in :attr:`slow_query_log`.
+    :class:`~repro.core.errors.DeadlineExceeded`.  Every query call is
+    timed; with ``slow_query_threshold`` set (in seconds, or via the
+    ``REPRO_SLOW_QUERY_MS`` environment variable) calls at or above the
+    threshold land in :attr:`slow_query_log`.  After :meth:`close` every
+    write and query raises :class:`~repro.kvstore.api.StoreClosedError`.
     """
 
-    policy: Policy
-    num_shards: int
-    explorer: ContinuationExplorer
+    shards: Sequence[SequenceIndex]
+    _obs_handle: int
 
     def __init__(
         self, query_cache_size: int, slow_query_threshold: float | None = None
@@ -99,31 +151,52 @@ class QueryEngine:
             if slow_query_threshold is not None
             else None
         )
+        # Count / ReverseCount rows summed across shards: a trace lives on
+        # exactly one shard, so durations and completions are both additive.
+        self.explorer = ContinuationExplorer(
+            self._detect_uncached,
+            lambda first: _sum_rows([s.query.count_row(first) for s in self.shards]),
+            lambda second: _sum_rows(
+                [s.query.reverse_count_row(second) for s in self.shards]
+            ),
+        )
+        self._closed = False
 
-    # -- supplied by the engine ------------------------------------------------------
+    @property
+    def policy(self) -> Policy:
+        return self.shards[0].builder.policy
 
-    def _epoch(self) -> Hashable:
-        raise NotImplementedError
+    @property
+    def num_shards(self) -> int:
+        return len(self.shards)
 
-    def _run(
-        self,
-        op: str,
-        query: tuple[str, ...] | Pattern,
-        partition: str | None,
-        policy: Policy | None,
-        deadline: float | None,
-        **limits: Any,
-    ) -> tuple[Any, QueryPlan]:
-        """Plan and run ``op`` (``detect``/``count``/``contains``, or
-        ``explain``, whose answer is ``None``): ``(answer, plan)``."""
-        raise NotImplementedError
+    @property
+    def write_generations(self) -> tuple[int, ...]:
+        """Per-shard write generations: the query-result cache's epoch."""
+        return tuple(shard.query.generation for shard in self.shards)
 
-    def _statistics(
-        self, pattern: Sequence[str], all_pairs: bool, deadline: float | None
-    ) -> PatternStats:
-        raise NotImplementedError
+    def shard_of(self, trace_id: str) -> int:
+        """The index in :attr:`shards` of the shard owning ``trace_id`` (the
+        one shard here; the sharded engine places traces by hash)."""
+        return 0
 
-    # -- the shared front half -------------------------------------------------------
+    def _check_open(self) -> None:
+        if self._closed:
+            raise StoreClosedError("index is closed")
+
+    def _gather(
+        self, task: Callable[[SequenceIndex], Any], deadline: float | None
+    ) -> list[Any]:
+        """``task(shard)`` for every shard, results in shard order.
+
+        Here the tasks run inline in the calling thread, and each shard's
+        query checks ``deadline`` itself; the sharded engine runs them on
+        its fan-out pool.
+        """
+        self._check_open()
+        return [task(shard) for shard in self.shards]
+
+    # -- the front half ----------------------------------------------------------------
 
     def query_cache_stats(self) -> dict[str, int]:
         """Hit/miss/eviction counters of the query-result cache."""
@@ -137,6 +210,7 @@ class QueryEngine:
         self, kind: str, detail: str, compute: Callable[[], Any]
     ) -> Any:
         """Run one query call under a span and the slow-query timer."""
+        self._check_open()  # a memoized answer is a query too
         span = current_tracer().span(kind)
         start = time.perf_counter()
         try:
@@ -149,7 +223,7 @@ class QueryEngine:
                 )
 
     def _cached(self, key: tuple[Hashable, ...], compute: Callable[[], Any]) -> Any:
-        """Memoize ``compute()`` under the current write epoch.
+        """Memoize ``compute()`` under the current write generations.
 
         List results are stored as tuples and returned as fresh lists, so a
         caller reordering/extending its list cannot poison later cache hits.
@@ -160,7 +234,7 @@ class QueryEngine:
         """
         if self._query_cache is None:
             return compute()
-        full_key = (self._epoch(),) + key
+        full_key = (self.write_generations,) + key
         cached = self._query_cache.get(full_key, _MISS)
         if cached is not _MISS:
             return list(cached) if isinstance(cached, tuple) else cached
@@ -246,6 +320,43 @@ class QueryEngine:
     ) -> list[PatternMatch]:
         """One detection, no memo (the explorer's probes)."""
         return self._run("detect", as_query(pattern), partition, None, None)[0]
+
+    # -- the back half, once over the shards --------------------------------------------
+
+    def _run(
+        self,
+        op: str,
+        query: tuple[str, ...] | Pattern,
+        partition: str | None,
+        policy: Policy | None,
+        deadline: float | None,
+        **limits: Any,
+    ) -> tuple[Any, QueryPlan]:
+        """Plan and run ``op`` (``detect``/``count``/``contains``, or
+        ``explain``, whose answer is ``None``): ``(answer, plan)``.
+
+        Every shard plans from the posting lists it fetches and answers.
+        The answers merge, and the shards' group cardinalities sum into the
+        plan one store over all of the data would print.
+        """
+        per_shard = self._gather(
+            lambda shard: shard.query.execute(
+                op, query, partition, policy, deadline, **limits
+            ),
+            deadline,
+        )
+        if len(per_shard) == 1:
+            return per_shard[0]
+        answers = [answer for answer, _ in per_shard]
+        cardinalities = zip(*(plan.cardinalities for _, plan in per_shard))
+        plan = build_plan(query, tuple(map(sum, cardinalities)), policy)
+        if op == "count":
+            return sum(answers), plan
+        if op == "contains":
+            return sorted(trace_id for found in answers for trace_id in found), plan
+        if op == "detect":
+            return _merge_matches(answers, limits.get("max_matches")), plan
+        return None, plan
 
     # -- queries ----------------------------------------------------------------------
 
@@ -338,13 +449,23 @@ class QueryEngine:
         tighter completions bound (§3.2.1's accuracy/time trade-off).
         """
         check_deadline(deadline)
+
+        def compute() -> PatternStats:  # sums, and the latest completion
+            per_shard = self._gather(
+                lambda shard: shard.query.statistics(pattern, all_pairs), deadline
+            )
+            if len(per_shard) == 1:
+                return per_shard[0]
+            return PatternStats(
+                tuple(pattern),
+                tuple(map(_merge_pair_stats, *(s.pairs for s in per_shard))),
+                tuple(map(_merge_pair_stats, *(s.extra_pairs for s in per_shard))),
+            )
+
         return self._observe_query(
             "query.statistics",
             f"pattern={list(pattern)!r} all_pairs={all_pairs}",
-            lambda: self._cached(
-                ("statistics", tuple(pattern), all_pairs),
-                lambda: self._statistics(pattern, all_pairs, deadline),
-            ),
+            lambda: self._cached(("statistics", tuple(pattern), all_pairs), compute),
         )
 
     def continuations(
@@ -379,11 +500,189 @@ class QueryEngine:
         self, pattern: Sequence[str], position: int, partition: str | None = ""
     ) -> list[ContinuationProposal]:
         """Propose insertions at arbitrary pattern positions (§7 extension)."""
+        self._check_open()
         return self.explorer.explore_at(pattern, position, partition)
+
+    def detect_with_prefixes(
+        self, pattern: Sequence[str], partition: str | None = ""
+    ) -> dict[int, list[PatternMatch]]:
+        """Completions of the pattern and every prefix (a free by-product
+        of the join), merged per length."""
+        per_shard = self._gather(
+            lambda shard: shard.query.detect_with_prefixes(pattern, partition), None
+        )
+        if len(per_shard) == 1:
+            return per_shard[0]
+        # A shard's join stops snapshotting once its chains run out, so a
+        # prefix length is present iff some shard still held chains there.
+        return {
+            length: _merge_matches([found.get(length, []) for found in per_shard], None)
+            for length in sorted(set().union(*per_shard))
+        }
+
+    # -- writes -----------------------------------------------------------------------
+
+    def update(
+        self,
+        new_events: EventLog | Iterable[Event],
+        partition: str = "",
+        dedup: bool = False,
+    ) -> UpdateStats:
+        """Index a batch of new events (incremental, duplicate-free).
+
+        ``dedup`` is the replay filter of streaming ingest (docs/INGEST.md):
+        events at or before their trace's indexed tail are dropped instead of
+        raising :class:`~repro.core.errors.TraceOrderError`.
+
+        The batch is split by owning shard, and each non-empty sub-batch is
+        applied in the calling thread, one after another, under that shard's
+        writer lock (:meth:`SequenceIndex._apply`): concurrent callers
+        interleave across shards and serialize per shard.  An update is
+        atomic per shard store only; a failure leaves the shards written
+        before it written, and a replay with ``dedup`` converges.  Only the
+        written shards' generations move, and each drops from its per-row
+        caches exactly the rows its sub-batch wrote.
+        """
+        self._check_open()
+        if len(self.shards) == 1:
+            return self.shards[0]._apply(new_events, partition, dedup)
+        per_shard: list[list[Any]] = [[] for _ in self.shards]
+        for item in new_events:  # the traces of an EventLog, else events
+            per_shard[self.shard_of(item.trace_id)].append(item)
+        merged = UpdateStats(partition=partition)
+        for shard, batch in zip(self.shards, per_shard):
+            if not batch:
+                continue
+            if isinstance(new_events, EventLog):
+                batch = EventLog(batch, name=new_events.name)
+            stats = shard._apply(batch, partition, dedup)
+            merged.traces_seen += stats.traces_seen
+            merged.new_traces += stats.new_traces
+            merged.events_indexed += stats.events_indexed
+            merged.events_deduped += stats.events_deduped
+            merged.pairs_created += stats.pairs_created
+        return merged
+
+    def prune_trace(self, trace_id: str) -> None:
+        """Forget a completed trace's ``Seq`` row (§3.1.3): one blind delete
+        on the trace's shard.
+
+        No answer changes -- Index entries, counts and last completions are
+        facts about the log, not the trace -- but the trace can no longer
+        receive incremental appends.
+        """
+        self._check_open()
+        self.shards[self.shard_of(trace_id)]._prune(trace_id)
+
+    # -- lifecycle --------------------------------------------------------------------
+
+    def flush(self) -> None:
+        """Flush every shard's store (durable backends)."""
+        for shard in self.shards:
+            shard.store.flush()
+
+    def close(self) -> None:
+        """Close every shard's store.  Idempotent; afterwards every write and
+        query raises :class:`~repro.kvstore.api.StoreClosedError`."""
+        if self._closed:
+            return
+        self._closed = True
+        REGISTRY.unregister(self._obs_handle)
+        errors: list[Exception] = []
+        for shard in self.shards:  # a sharded engine's shards close with it
+            shard._closed = True
+            REGISTRY.unregister(shard._obs_handle)
+            try:
+                shard.store.close()
+            except Exception as exc:  # close every shard before re-raising
+                errors.append(exc)
+        if errors:
+            raise errors[0]
+
+    def __enter__(self) -> QueryEngine:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    # -- introspection ----------------------------------------------------------------
+
+    def trace_ids(self) -> list[str]:
+        """Ids of the traces tracked in the Seq tables, sorted."""
+        self._check_open()
+        return sorted(
+            tid for shard in self.shards for tid, _ in shard.tables.iter_sequences()
+        )
+
+    def get_trace(self, trace_id: str) -> list[tuple[str, float]]:
+        """The indexed ``(activity, timestamp)`` sequence of one trace."""
+        self._check_open()
+        shard = self.shards[self.shard_of(trace_id)]
+        return list(zip(*shard.tables.get_sequence(trace_id)))
+
+    def indexed_tail(self, trace_id: str) -> float | None:
+        """Timestamp of the trace's last indexed event (``None`` if unknown).
+
+        Introspection only: ``update(dedup=True)`` applies the replay filter
+        of docs/INGEST.md against this same tail, from the ``Seq`` row it
+        reads anyway.  A trace pruned via :meth:`prune_trace` reads as
+        unknown again.
+        """
+        self._check_open()
+        return self.shards[self.shard_of(trace_id)].tables.get_sequence_tail(trace_id)
+
+    def top_pairs(self, k: int = 10) -> list[tuple[tuple[str, str], int]]:
+        """The ``k`` most frequent event pairs, from the Count tables.
+
+        A cheap exploratory primitive (one table scan per shard, no
+        detection): which follow-relations dominate the log.  Every pair a
+        shard knows is summed, since a pair rare on one shard may be hot
+        overall.
+        """
+        if k <= 0:
+            raise ValueError("k must be positive")
+        self._check_open()
+        totals: dict[tuple[str, str], int] = {}
+        for shard in self.shards:
+            for key, per_second in shard.store.scan("count"):
+                for second, stats in per_second.items():
+                    pair = (key[0], second)
+                    totals[pair] = totals.get(pair, 0) + int(stats[1])
+        return sorted(totals.items(), key=lambda item: (-item[1], item[0]))[:k]
+
+    def activities(self) -> set[str]:
+        """Activity alphabet observed by the index (via the Count tables)."""
+        self._check_open()
+        alphabet: set[str] = set()
+        for shard in self.shards:
+            for table in ("count", "reverse_count"):
+                for key, value in shard.store.scan(table):
+                    alphabet.add(key[0])
+                    alphabet.update(value)
+        return alphabet
+
+    def format_stats(self) -> dict[str, dict[str, dict[str, int]]]:
+        """Chunks and rows per storage format, summed over the shards'
+        :meth:`IndexTables.format_stats`.
+
+        A full scan of the list tables -- an operator report, which is why
+        it is not part of ``storage_stats()`` (the service's ``stats`` op).
+        """
+        self._check_open()
+        merged: dict[str, dict[str, dict[str, int]]] = {}
+        for shard in self.shards:
+            for table, formats in shard.tables.format_stats().items():
+                totals = merged.setdefault(table, {})
+                for name, slot in formats.items():
+                    total = totals.setdefault(name, {"chunks": 0, "entries": 0})
+                    total["chunks"] += slot["chunks"]
+                    total["entries"] += slot["entries"]
+        return merged
 
 
 class SequenceIndex(QueryEngine):
-    """Inverted event-pair index over an event log collection.
+    """Inverted event-pair index over one store: a shard core, and the
+    engine whose only shard is itself.
 
     The caches follow one rule in three parts:
 
@@ -407,17 +706,12 @@ class SequenceIndex(QueryEngine):
       (:class:`~repro.core.query.QueryProcessor`).
 
     A store has one writer at a time, and the rule lives here and nowhere
-    else: :meth:`update` and :meth:`prune_trace` hold one private lock
-    around the mutation *and* the cache invalidation, whoever calls them
-    (ingester thread, service handler, shard fan-out); readers never take it.
-
-    The engine registers its caches and write generation with the
-    process-wide metrics registry (``python -m repro metrics``); the query
-    surface itself -- slow-query log and ``explain_profile`` included -- is
-    :class:`QueryEngine`'s.
+    else: :meth:`_apply` and :meth:`_prune`, which :meth:`update` and
+    :meth:`prune_trace` call on the owning shard, hold one private lock
+    around the mutation *and* the cache invalidation, whoever calls them;
+    readers never take it.  The caches and write generation are reported
+    to the process-wide metrics registry (``python -m repro metrics``).
     """
-
-    num_shards = 1
 
     def __init__(
         self,
@@ -429,6 +723,7 @@ class SequenceIndex(QueryEngine):
         slow_query_threshold: float | None = None,
     ) -> None:
         super().__init__(query_cache_size, slow_query_threshold)
+        self.shards = (self,)
         self.store = store if store is not None else InMemoryStore()
         self.builder = IndexBuilder(self.store, policy)
         self.tables = self.builder.tables
@@ -443,20 +738,11 @@ class SequenceIndex(QueryEngine):
             postings_cache=self._postings_cache,
             sequence_cache=self._sequence_cache,
         )
-        self.explorer = ContinuationExplorer(
-            self._detect_uncached,
-            self.query.count_row,
-            self.query.reverse_count_row,
-        )
         self._write_lock = threading.Lock()
         self._obs_handle = REGISTRY.register(
             {"index": getattr(self.store, "obs_name", "index")},
             self._collect_obs_metrics,
         )
-
-    @property
-    def policy(self) -> Policy:
-        return self.builder.policy
 
     @property
     def write_generation(self) -> int:
@@ -470,6 +756,11 @@ class SequenceIndex(QueryEngine):
     def sequence_cache_stats(self) -> dict[str, int]:
         """Hit/miss/eviction counters of the decoded-sequence cache."""
         return self._sequence_cache.stats() if self._sequence_cache is not None else {}
+
+    def storage_stats(self) -> dict[str, Any]:
+        """The store's storage accounting (empty for in-memory backends)."""
+        self._check_open()
+        return self.store.storage_stats()
 
     def _collect_obs_metrics(self) -> dict[str, float]:
         """Metrics-registry collector: engine caches, generation, slowlog."""
@@ -490,46 +781,12 @@ class SequenceIndex(QueryEngine):
             samples["repro_slow_queries_total"] = self.slow_query_log.stats()["slow"]
         return samples
 
-    # -- what this engine supplies to QueryEngine -----------------------------------
+    # -- the shard primitives QueryEngine writes through ------------------------------
 
-    def _epoch(self) -> int:
-        return self.write_generation
-
-    def _run(
-        self,
-        op: str,
-        query: tuple[str, ...] | Pattern,
-        partition: str | None,
-        policy: Policy | None,
-        deadline: float | None,
-        **limits: Any,
-    ) -> tuple[Any, QueryPlan]:
-        return self.query.execute(op, query, partition, policy, deadline, **limits)
-
-    def _statistics(
-        self, pattern: Sequence[str], all_pairs: bool, deadline: float | None
-    ) -> PatternStats:
-        return self.query.statistics(pattern, all_pairs)  # one read: no stage to stop at
-
-    def detect_with_prefixes(
-        self, pattern: Sequence[str], partition: str | None = ""
-    ) -> dict[int, list[PatternMatch]]:
-        """Completions of the pattern and every prefix (free by-product)."""
-        return self.query.detect_with_prefixes(pattern, partition)
-
-    # -- pre-processing -----------------------------------------------------------
-
-    def update(
-        self,
-        new_events: EventLog | Iterable[Event],
-        partition: str = "",
-        dedup: bool = False,
+    def _apply(
+        self, new_events: EventLog | Iterable[Event], partition: str, dedup: bool
     ) -> UpdateStats:
-        """Index a batch of new events (incremental, duplicate-free).
-
-        ``dedup`` is the replay filter of streaming ingest (docs/INGEST.md):
-        events at or before their trace's indexed tail are dropped instead of
-        raising :class:`~repro.core.errors.TraceOrderError`.
+        """Apply one (sub-)batch under the writer lock.
 
         The caches learn of the write *after* it is applied: the
         generation moves and the rows the update wrote
@@ -551,86 +808,12 @@ class SequenceIndex(QueryEngine):
                 self.query.forget(stats.written)
             return stats
 
-    def prune_trace(self, trace_id: str) -> None:
-        """Forget a completed trace's ``Seq`` row (§3.1.3): one blind delete.
-
-        No answer changes -- Index entries, counts and last completions are
-        facts about the log, not the trace -- but the trace can no longer
-        receive incremental appends.  As in :meth:`update`, the caches learn
-        of the delete after it is applied: the generation moves and the
-        trace's Seq row leaves the sequence cache.
-        """
+    def _prune(self, trace_id: str) -> None:
+        """Delete one trace's ``Seq`` row under the writer lock; as in
+        :meth:`_apply`, the generation moves and the row leaves the sequence
+        cache after the delete."""
         with self._write_lock:
             try:
                 self.tables.delete_sequence(trace_id)
             finally:
                 self.query.forget(WrittenKeys(traces=(trace_id,)))
-
-    def flush(self) -> None:
-        """Flush the underlying store (durable backends)."""
-        self.store.flush()
-
-    def close(self) -> None:
-        REGISTRY.unregister(self._obs_handle)
-        self.store.close()
-
-    def __enter__(self) -> "SequenceIndex":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- introspection -------------------------------------------------------------------
-
-    def trace_ids(self) -> list[str]:
-        """Ids of traces currently tracked in the Seq table."""
-        return [trace_id for trace_id, _ in self.tables.iter_sequences()]
-
-    def get_trace(self, trace_id: str) -> list[tuple[str, float]]:
-        """The indexed ``(activity, timestamp)`` sequence of one trace."""
-        return list(zip(*self.tables.get_sequence(trace_id)))
-
-    def indexed_tail(self, trace_id: str) -> float | None:
-        """Timestamp of the trace's last indexed event (``None`` if unknown).
-
-        Introspection only: ``update(dedup=True)`` applies the replay filter
-        of docs/INGEST.md against this same tail, from the ``Seq`` row it
-        reads anyway.  A trace pruned via :meth:`prune_trace` reads as
-        unknown again.
-        """
-        return self.tables.get_sequence_tail(trace_id)
-
-    def top_pairs(self, k: int = 10) -> list[tuple[tuple[str, str], int]]:
-        """The ``k`` most frequent event pairs, from the Count table.
-
-        A cheap exploratory primitive (one table scan, no detection): which
-        follow-relations dominate the log.
-        """
-        if k <= 0:
-            raise ValueError("k must be positive")
-        frequencies: list[tuple[tuple[str, str], int]] = []
-        for key, per_second in self.store.scan("count"):
-            first = key[0]
-            for second, stats in per_second.items():
-                frequencies.append(((first, second), int(stats[1])))
-        frequencies.sort(key=lambda item: (-item[1], item[0]))
-        return frequencies[:k]
-
-    def activities(self) -> set[str]:
-        """Activity alphabet observed by the index (via the Count tables)."""
-        alphabet: set[str] = set()
-        for key, value in self.store.scan("count"):
-            alphabet.add(key[0])
-            alphabet.update(value)
-        for key, value in self.store.scan("reverse_count"):
-            alphabet.add(key[0])
-            alphabet.update(value)
-        return alphabet
-
-    def storage_stats(self) -> dict[str, Any]:
-        """The store's storage accounting (empty for in-memory backends)."""
-        return self.store.storage_stats()
-
-    def format_stats(self) -> dict[str, dict[str, dict[str, int]]]:
-        """Chunks and rows per storage format (:meth:`IndexTables.format_stats`)."""
-        return self.tables.format_stats()

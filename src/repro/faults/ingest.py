@@ -112,7 +112,7 @@ def _crash_engine(engine: Any) -> None:
     the coordinator's worker threads are reaped (a real kill takes those
     with the process, but this harness stays in-process).
     """
-    for shard in getattr(engine, "shards", None) or [engine]:
+    for shard in engine.shards:
         simulate_crash(shard.store)
     executor = getattr(engine, "executor", None)
     if executor is not None and getattr(engine, "_owns_executor", False):
@@ -210,7 +210,7 @@ def _run(
                 [Fault(TORN_WRITE, "write", path_part=WAL_NAME, arg=kill_at)]
             )
         else:
-            for shard in getattr(engine, "shards", None) or [engine]:
+            for shard in engine.shards:
                 _kill_mid_memtable_apply(shard.store, kill_at)
 
     # -- phase 1: stream until the seeded kill ------------------------------------

@@ -31,18 +31,17 @@ __all__ = ["index_snapshot"]
 def index_snapshot(engine: Any) -> dict[str, Any]:
     """Canonical logical contents of an engine's index tables.
 
-    ``engine`` is a :class:`~repro.core.engine.SequenceIndex` or a
-    :class:`~repro.shard.index.ShardedSequenceIndex`; snapshots of engines
-    holding the same logical index compare equal regardless of batch
-    grouping, chunk format, compression or shard count.
+    ``engine`` is any :class:`~repro.core.engine.QueryEngine` (a single
+    store is its own only shard); snapshots of engines holding the same
+    logical index compare equal regardless of batch grouping, chunk format,
+    compression or shard count.
     """
-    shards = list(getattr(engine, "shards", None) or [engine])
     seq: dict[str, tuple] = {}
     index: dict[tuple[str, tuple[str, str]], list] = {}
     counts: dict[tuple[str, str], list[float]] = {}
     reverse: dict[tuple[str, str], list[float]] = {}
     checked: dict[tuple[str, str], float] = {}
-    for shard in shards:
+    for shard in engine.shards:
         store = shard.store
         for trace_id, (activities, stamps) in shard.tables.iter_sequences():
             seq[trace_id] = tuple(zip(activities, stamps))

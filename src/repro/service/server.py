@@ -30,8 +30,8 @@ Control planes:
 
 The server holds no writer lock: "one writer per store" is the engine's
 rule (:class:`~repro.core.engine.SequenceIndex` serializes ``update()``
-itself; a sharded engine therefore serializes per shard and ingests
-cross-shard batches concurrently).
+itself; a sharded engine therefore serializes per shard, and concurrent
+writers overlap on different shards).
 """
 
 from __future__ import annotations

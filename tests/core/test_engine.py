@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import SequenceIndex
+from repro.core.engine import QueryEngine, SequenceIndex
 from repro.core.errors import IndexStateError
 from repro.core.model import Event, EventLog
 from repro.core.policies import Policy
@@ -158,3 +158,28 @@ class TestPartitions:
         index.update(EventLog.from_dict({"a": "AB"}), partition="p1")
         index.update(EventLog.from_dict({"b": "AB"}), partition="p2")
         assert index.statistics(["A", "B"]).pairs[0].completions == 2
+
+
+def test_no_method_is_written_twice():
+    """The engine surface is written once, in ``QueryEngine``, over the
+    shards: neither engine may grow a second copy of a method, beside the
+    other engine or over ``QueryEngine``'s."""
+    allowed = {
+        "__init__": "each engine builds its own parts",
+        "open": "only a sharded store has a manifest to open",
+        "storage_stats": "a sharded store reports one breakdown per shard",
+        "shard_of": "the placement rule: a single store owns every trace",
+        "close": "a sharded engine also shuts the fan-out pool it made",
+    }
+
+    def methods(cls):
+        return {
+            name
+            for name, value in vars(cls).items()
+            if not (name.startswith("_") and not name.startswith("__"))
+            and (callable(value) or isinstance(value, (property, classmethod)))
+        }
+
+    single, sharded = methods(SequenceIndex), methods(ShardedSequenceIndex)
+    engine = methods(QueryEngine)
+    assert (single & sharded) | (single & engine) | (sharded & engine) <= set(allowed)

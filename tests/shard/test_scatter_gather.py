@@ -317,27 +317,37 @@ class TestCoordinator:
             single.close()
             sharded.close()
 
-    @pytest.mark.parametrize("serial", (False, True), ids=("owned_pool", "serial"))
-    def test_every_write_and_query_after_close_is_a_store_closed_error(self, serial):
-        sharded = ShardedSequenceIndex(
-            [SequenceIndex() for _ in range(2)],
-            executor=ParallelExecutor.serial() if serial else None,
-        )
+    @pytest.mark.parametrize("kind", ("single", "owned_pool", "serial"))
+    def test_every_write_and_query_after_close_is_a_store_closed_error(self, kind):
+        if kind == "single":
+            engine = SequenceIndex()
+        else:
+            engine = ShardedSequenceIndex(
+                [SequenceIndex() for _ in range(2)],
+                executor=ParallelExecutor.serial() if kind == "serial" else None,
+            )
         log = EventLog.from_dict({f"t{i}": list("ABC") for i in range(4)})
-        sharded.update(log)
-        sharded.detect(["A", "B"])  # memoized: a closed engine must not serve it
-        sharded.close()
-        sharded.close()
+        engine.update(log)
+        # Memoized or cached: a closed engine must not serve them.
+        engine.detect(["A", "B"])
+        engine.statistics(["A", "B"])
+        engine.continuations(["A"])
+        engine.close()
+        engine.close()
         for call in (
-            lambda: sharded.update(log),
-            lambda: sharded.prune_trace("t1"),
-            lambda: sharded.detect(["A", "B"]),
-            lambda: sharded.count(["A", "B"]),
-            lambda: sharded.contains(["A", "B"]),
-            lambda: sharded.explain(["A", "B"]),
-            lambda: sharded.statistics(["A", "B"]),
-            lambda: sharded.continuations(["A"]),
-            lambda: sharded.detect_with_prefixes(["A", "B"]),
+            lambda: engine.update(log),
+            lambda: engine.prune_trace("t1"),
+            lambda: engine.detect(["A", "B"]),
+            lambda: engine.count(["A", "B"]),
+            lambda: engine.contains(["A", "B"]),
+            lambda: engine.explain(["A", "B"]),
+            lambda: engine.statistics(["A", "B"]),
+            lambda: engine.continuations(["A"]),
+            lambda: engine.detect_with_prefixes(["A", "B"]),
+            lambda: engine.storage_stats(),
+            lambda: engine.trace_ids(),
+            lambda: engine.top_pairs(),
+            lambda: engine.get_trace("t1"),
         ):
             with pytest.raises(StoreClosedError):
                 call()

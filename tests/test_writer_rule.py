@@ -77,8 +77,9 @@ def test_shards_interleave_while_each_shard_serializes():
     # Two batches, each touching both shards with its own traces.
     batches = [_trace(on_shard[0][k]) + _trace(on_shard[1][k]) for k in range(2)]
     stores = [_WindowStore(), _WindowStore()]
-    # Four workers: both callers' sub-batches for a shard can run at once,
-    # so only the shard's own lock keeps them apart.
+    # Each caller writes its sub-batches in its own thread, one shard after
+    # the other: both callers can reach a shard at once, so only the shard's
+    # own lock keeps them apart, while they overlap on different shards.
     executor = ParallelExecutor(max_workers=4)
     with executor, ShardedSequenceIndex(
         [SequenceIndex(store) for store in stores], executor=executor
