@@ -42,6 +42,8 @@ from repro.core.model import Event, EventLog
 from repro.core.pattern import Pattern
 from repro.core.policies import Policy
 from repro.core.query import (
+    POSTINGS,
+    SEQUENCE,
     QueryProcessor,
     as_query,
     build_plan,
@@ -693,15 +695,16 @@ class SequenceIndex(QueryEngine):
       :meth:`prune_trace` -- because an answer depends on many rows: post-
       write queries never hash to a pre-write key, and the dead generation
       ages out of the LRU.  Set ``query_cache_size=0`` to disable.
-    * **per-row caches drop exactly the rows a write touched.**  The
-      **decoded-postings cache** (:class:`~repro.core.postings.Postings`
-      keyed ``(partition, pair)``; ``postings_cache_size=0`` disables it),
-      the **decoded-sequence cache** (Seq rows keyed by trace id;
-      ``sequence_cache_size=0``) and the Count / ReverseCount rows of the
-      continuation explorer carry no generation: a write drops the pairs,
-      traces and activities it wrote and leaves every other warm row, so
-      a detection beside a live ingest still skips the store read and the
-      chunk-dictionary parse of the pairs the ingest did not touch.
+    * **the row cache drops exactly the rows a write touched.**  One LRU of
+      ``cache_bytes`` (default 8 MiB, the store's block-cache default)
+      holds every decoded row -- :class:`~repro.core.postings.Postings`
+      keyed by partition and pair, Seq rows by trace id, and the Count /
+      ReverseCount rows of the continuation explorer -- each charged its
+      estimated resident size.  Rows carry no generation: a write drops the
+      pairs, traces and activities it wrote and leaves every other warm
+      row, so a detection beside a live ingest still skips the store read
+      and the chunk-dictionary parse of the pairs the ingest did not touch.
+      ``cache_bytes=0`` disables it, Count rows included.
     * **a fetch that overlapped a write does not fill the cache**
       (:class:`~repro.core.query.QueryProcessor`).
 
@@ -718,8 +721,7 @@ class SequenceIndex(QueryEngine):
         store: KeyValueStore | None = None,
         policy: Policy = Policy.STNM,
         query_cache_size: int = 128,
-        postings_cache_size: int = 64,
-        sequence_cache_size: int = 256,
+        cache_bytes: int = 8 * 1024 * 1024,
         slow_query_threshold: float | None = None,
     ) -> None:
         super().__init__(query_cache_size, slow_query_threshold)
@@ -727,16 +729,8 @@ class SequenceIndex(QueryEngine):
         self.store = store if store is not None else InMemoryStore()
         self.builder = IndexBuilder(self.store, policy)
         self.tables = self.builder.tables
-        self._postings_cache = (
-            LRUCache(postings_cache_size) if postings_cache_size > 0 else None
-        )
-        self._sequence_cache = (
-            LRUCache(sequence_cache_size) if sequence_cache_size > 0 else None
-        )
         self.query = QueryProcessor(
-            self.tables,
-            postings_cache=self._postings_cache,
-            sequence_cache=self._sequence_cache,
+            self.tables, LRUCache(cache_bytes) if cache_bytes > 0 else None
         )
         self._write_lock = threading.Lock()
         self._obs_handle = REGISTRY.register(
@@ -749,13 +743,19 @@ class SequenceIndex(QueryEngine):
         """Monotonic counter of index mutations (query-cache epoch)."""
         return self.query.generation
 
+    def row_cache_stats(self) -> dict[str, int]:
+        """The row cache's budget: ``capacity`` and held ``weight`` in bytes,
+        entries, hits, misses and evictions (empty with ``cache_bytes=0``)."""
+        cache = self.query.row_cache
+        return cache.stats() if cache is not None else {}
+
     def postings_cache_stats(self) -> dict[str, int]:
-        """Hit/miss/eviction counters of the decoded-postings cache."""
-        return self._postings_cache.stats() if self._postings_cache is not None else {}
+        """Hits, misses and entries of the decoded postings in the row cache."""
+        return self.query.kind_stats(POSTINGS)
 
     def sequence_cache_stats(self) -> dict[str, int]:
-        """Hit/miss/eviction counters of the decoded-sequence cache."""
-        return self._sequence_cache.stats() if self._sequence_cache is not None else {}
+        """Hits, misses and entries of the decoded Seq rows in the row cache."""
+        return self.query.kind_stats(SEQUENCE)
 
     def storage_stats(self) -> dict[str, Any]:
         """The store's storage accounting (empty for in-memory backends)."""
@@ -767,16 +767,22 @@ class SequenceIndex(QueryEngine):
         samples: dict[str, float] = {
             "repro_index_write_generation": self.write_generation
         }
+        query_cache = self.query_cache_stats()
+        if query_cache:
+            samples["repro_query_cache_evictions_total"] = query_cache["evictions"]
         for prefix, stats in (
-            ("repro_query_cache", self.query_cache_stats()),
+            ("repro_query_cache", query_cache),
             ("repro_postings_cache", self.postings_cache_stats()),
             ("repro_sequence_cache", self.sequence_cache_stats()),
         ):
             if stats:
-                samples[f"{prefix}_hits_total"] = stats.get("hits", 0)
-                samples[f"{prefix}_misses_total"] = stats.get("misses", 0)
-                samples[f"{prefix}_evictions_total"] = stats.get("evictions", 0)
-                samples[f"{prefix}_entries"] = stats.get("entries", 0)
+                samples[f"{prefix}_hits_total"] = stats["hits"]
+                samples[f"{prefix}_misses_total"] = stats["misses"]
+                samples[f"{prefix}_entries"] = stats["entries"]
+        row_cache = self.row_cache_stats()
+        if row_cache:
+            samples["repro_row_cache_bytes"] = row_cache["weight"]
+            samples["repro_row_cache_evictions_total"] = row_cache["evictions"]
         if self.slow_query_log is not None:
             samples["repro_slow_queries_total"] = self.slow_query_log.stats()["slow"]
         return samples

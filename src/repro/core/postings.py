@@ -94,6 +94,16 @@ def _column(n: int, code: str) -> struct.Struct:
 
 Completions = list[tuple[float, float]]
 
+# Resident bytes of a decoded Postings, as CPython 3.11 lays it out
+# (tracemalloc; tests/core/test_row_cache.py holds the estimate to 0.5-2x):
+# the object with its chunk list; per chunk its 6-tuple, the bytes header and
+# the id list; per dictionary id a pointer and a short str; per older-format
+# row three pointers, two floats and an id.
+_POSTINGS_BYTES = 200
+_CHUNK_BYTES = 240
+_ID_BYTES = 66
+_OLDER_ROW_BYTES = 136
+
 #: what a chunk arrives as (the store hands out ``bytes``)
 _CHUNK_TYPES = (bytes, bytearray, memoryview)
 
@@ -424,15 +434,17 @@ class Postings:
     chunks, and whatever older formats the row still holds.  Opening parses
     chunk headers and dictionaries only; :meth:`trace_ids` answers from
     those, and :meth:`columns` unpacks just the chunks that mention a wanted
-    trace, as whole columns.  The decoded-postings LRU holds these objects,
+    trace, as whole columns.  The engine's row cache holds these objects,
     so a hot pair pays the store read and the dictionary parse once.
     """
 
-    __slots__ = ("entries", "_chunks", "_older")
+    __slots__ = ("entries", "nbytes", "_chunks", "_older")
 
     def __init__(self, items: Iterable) -> None:
         #: number of ``(trace_id, ts_a, ts_b)`` rows in the value
         self.entries = 0
+        #: estimated resident size of this object: what the row cache charges
+        self.nbytes = _POSTINGS_BYTES
         # (dictionary ids in order, chunk, n, packed, base, column offset)
         self._chunks: list[tuple] = []
         # rows of every older format, transposed once: (ids, ts_a, ts_b)
@@ -445,6 +457,7 @@ class Postings:
                     ids, n, packed, base, pos = _open_chunk(item)
                     self._chunks.append((ids, item, n, packed, base, pos))
                     self.entries += n
+                    self.nbytes += _CHUNK_BYTES + len(item) + _ID_BYTES * len(ids)
                     continue
                 older.extend(_decode_older_rows(item))
             else:
@@ -457,6 +470,7 @@ class Postings:
             raise CorruptPostingsError("index entry is not a 3-tuple")
         self._older = columns
         self.entries += len(older)
+        self.nbytes += _OLDER_ROW_BYTES * len(older)
 
     def trace_ids(self) -> set[str]:
         """Every trace with at least one completion, from dictionaries alone."""

@@ -13,8 +13,8 @@ surviving trace is finished:
    *group* of index pairs (one pair for a plain sequence, one per branch
    combination under alternation); the posting lists of every group pair
    come in one batched ``multi_get`` per Index table, as
-   :class:`~repro.core.postings.Postings`, through the optional
-   decoded-postings LRU (see :class:`repro.core.engine.SequenceIndex`).
+   :class:`~repro.core.postings.Postings`, through the optional row cache
+   (see :class:`QueryProcessor`).
 2. **plan** -- one :class:`~repro.core.matches.QueryPlan` from the entry
    counts of those posting lists, known once their headers are parsed: a
    group's cardinality is the sum over its branch pairs, exact for the
@@ -82,13 +82,38 @@ from repro.core.pattern import (
 from repro.core.policies import Policy
 from repro.core.postings import Postings
 from repro.core.tables import IndexTables
-from repro.kvstore.cache import drop_keys
+from repro.kvstore.cache import LRUCache
 from repro.obs.trace import current_tracer
 
 Chain = tuple[float, ...]
 Groups = tuple[tuple[tuple[str, str], ...], ...]
 
 _MISS = object()
+
+#: the kinds of decoded row the row cache holds; a cache key is
+#: ``(kind, scope, key)``: an Index row's scope is the partition read
+#: (``None`` for the union), a Count row's whether it is a ReverseCount row,
+#: and a Seq row has the one scope ``None``
+POSTINGS, SEQUENCE, COUNT = "postings", "sequence", "count"
+KINDS = (POSTINGS, SEQUENCE, COUNT)
+
+# Resident bytes of a decoded Seq row (two lists; per event two pointers, an
+# int timestamp and, mostly, its own short activity str) and of a decoded
+# Count row (a dict; per follower an entry, its str key and a
+# ``(float, int)`` tuple), measured as for Postings.nbytes.
+_SEQ_ROW_BYTES = 128
+_SEQ_EVENT_BYTES = 88
+_COUNT_ROW_BYTES = 96
+_COUNT_FOLLOWER_BYTES = 176
+
+#: what the row cache charges a decoded row of each kind
+_CHARGE = {
+    POSTINGS: lambda postings: postings.nbytes,
+    SEQUENCE: lambda row: _SEQ_ROW_BYTES + _SEQ_EVENT_BYTES * len(row[0]),
+    COUNT: lambda row: _COUNT_ROW_BYTES + _COUNT_FOLLOWER_BYTES * len(row),
+}
+#: the store metrics a kind's lookups bump (``<name>_hits`` / ``_misses``)
+_STORE_COUNTERS = {POSTINGS: "postings_cache", SEQUENCE: "sequence_cache"}
 
 
 def as_query(pattern: Sequence[str] | Pattern | str) -> tuple[str, ...] | Pattern:
@@ -185,13 +210,15 @@ def build_plan(
 
 
 class _ScopedKeys:
-    """The cache keys ``(scope, key)`` of every scope and key, as a set view
-    (``len``, ``in``, iteration) rather than a built set: dropping a large
-    write's keys from a small cache then walks the cache only."""
+    """The cache keys ``(kind, scope, key)`` of one kind, every scope and
+    every key, as a set view (``len``, ``in``, iteration) rather than a
+    built set: dropping a large write's keys from a small cache then walks
+    the cache only."""
 
-    __slots__ = ("scopes", "keys")
+    __slots__ = ("kind", "scopes", "keys")
 
-    def __init__(self, scopes: tuple, keys: Collection) -> None:
+    def __init__(self, kind: str, scopes: tuple, keys: Collection) -> None:
+        self.kind = kind
         self.scopes = scopes
         self.keys = keys
 
@@ -199,23 +226,26 @@ class _ScopedKeys:
         return len(self.scopes) * len(self.keys)
 
     def __contains__(self, key: tuple) -> bool:
-        return key[0] in self.scopes and key[1] in self.keys
+        return key[0] == self.kind and key[1] in self.scopes and key[2] in self.keys
 
     def __iter__(self) -> Iterator[tuple]:
-        return ((scope, key) for scope in self.scopes for key in self.keys)
+        kind = self.kind
+        return ((kind, scope, key) for scope in self.scopes for key in self.keys)
 
 
 class QueryProcessor:
     """Executes pattern queries against the index tables.
 
-    Three optional per-row caches sit in front of the store, each keyed by
-    the row alone: ``postings_cache``, an LRU of fetched
-    :class:`~repro.core.postings.Postings` keyed ``(partition, pair)``;
-    ``sequence_cache``, an LRU of decoded Seq rows (``(activities,
-    timestamps)`` columns) keyed by trace id -- verification re-reads the
-    same candidate traces across queries; and the decoded Count /
-    ReverseCount rows of the continuation explorer.  They stay coherent by
-    one rule, under one lock:
+    One optional **row cache** sits in front of the store: a byte-weighted
+    :class:`~repro.kvstore.cache.LRUCache` holding every kind of decoded
+    row, keyed by the row alone (``(kind, scope, key)``, see :data:`KINDS`):
+    fetched :class:`~repro.core.postings.Postings`; decoded Seq rows
+    (``(activities, timestamps)`` columns) -- verification re-reads the same
+    candidate traces across queries; and the decoded Count / ReverseCount
+    rows of the continuation explorer.  Each row is charged its estimated
+    resident size (:data:`_CHARGE`), not its stored bytes: a decoded row is
+    several times larger.  The cache stays coherent by one rule, under one
+    lock:
 
     * every write calls :meth:`forget`, which bumps :attr:`generation` and
       drops exactly the rows the write touched (everything, for a write that
@@ -228,28 +258,21 @@ class QueryProcessor:
     query-result memo, whose answers depend on many rows, is keyed by it.
     """
 
-    def __init__(
-        self, tables: IndexTables, postings_cache=None, sequence_cache=None
-    ) -> None:
+    def __init__(self, tables: IndexTables, row_cache: LRUCache | None = None) -> None:
         self.tables = tables
-        self.postings_cache = postings_cache
-        self.sequence_cache = sequence_cache
+        self.row_cache = row_cache
         #: writes completed so far (see :meth:`forget`)
         self.generation = 0
         self._lock = threading.Lock()
-        # Decoded Count / ReverseCount rows for the continuation explorer,
-        # keyed (reverse, event).  Decoding a Count document is
-        # O(|alphabet|) -- too expensive to repeat per continuation probe --
-        # while the rows themselves are bounded by the alphabet, so this is
-        # a plain dict, not an LRU.  Detection reads no Count row at all.
-        self._count_rows: dict[tuple[bool, str], CountRow] = {}
+        # per kind, [hits, misses] of the row cache's lookups
+        self._lookups = {kind: [0, 0] for kind in KINDS}
 
     def _bump(self, name: str, amount: int = 1) -> None:
         metrics = getattr(self.tables.store, "metrics", None)
         if metrics is not None:
             metrics.bump(name, amount)
 
-    # -- per-row caches ----------------------------------------------------------
+    # -- the row cache -----------------------------------------------------------
 
     def forget(self, written: WrittenKeys | None) -> None:
         """Record one completed write: bump :attr:`generation` and drop the
@@ -262,53 +285,66 @@ class QueryProcessor:
         """
         with self._lock:
             self.generation += 1
-            if written is None:
-                for cache in (self.postings_cache, self.sequence_cache):
-                    if cache is not None:
-                        cache.clear()
-                self._count_rows.clear()
+            cache = self.row_cache
+            if cache is None:
                 return
-            if self.postings_cache is not None:
-                self._bump(
-                    "postings_cache_invalidations",
-                    self.postings_cache.discard(
-                        _ScopedKeys((written.partition, None), written.pairs)
-                    ),
-                )
-            if self.sequence_cache is not None:
-                self._bump(
-                    "sequence_cache_invalidations",
-                    self.sequence_cache.discard(written.traces),
-                )
-            drop_keys(self._count_rows, _ScopedKeys((False,), written.firsts))
-            drop_keys(self._count_rows, _ScopedKeys((True,), written.seconds))
+            if written is None:
+                cache.clear()
+                return
+            self._bump(
+                "postings_cache_invalidations",
+                cache.discard(
+                    _ScopedKeys(POSTINGS, (written.partition, None), written.pairs)
+                ),
+            )
+            self._bump(
+                "sequence_cache_invalidations",
+                cache.discard(_ScopedKeys(SEQUENCE, (None,), written.traces)),
+            )
+            cache.discard(_ScopedKeys(COUNT, (False,), written.firsts))
+            cache.discard(_ScopedKeys(COUNT, (True,), written.seconds))
 
-    def _through_cache(
-        self, cache, counter: str, keys: list, fetch, cache_key=lambda key: key
-    ):
-        """``({key: value}, missing keys)``: the LRU's entries, plus one
-        ``fetch(missing) -> {key: value}`` for the rest, which the LRU keeps
-        under ``cache_key(key)`` unless a write overlapped the fetch.
-        ``cache=None`` fetches everything."""
+    def kind_stats(self, kind: str) -> dict[str, int]:
+        """Hits, misses and entries of one kind of row in the row cache
+        (empty when there is none)."""
+        cache = self.row_cache
+        if cache is None:
+            return {}
+        hits, misses = self._lookups[kind]
+        entries = sum(key[0] == kind for key in cache.keys())
+        return {"hits": hits, "misses": misses, "entries": entries}
+
+    def _through_cache(self, kind: str, scope, keys: list, fetch):
+        """``({key: value}, missing keys)``: the row cache's entries, plus one
+        ``fetch(missing) -> {key: value}`` for the rest, which the cache
+        keeps under ``(kind, scope, key)`` unless a write overlapped the
+        fetch.  Without a row cache everything is fetched."""
+        cache = self.row_cache
+        if cache is None:
+            return fetch(keys), keys
         generation = self.generation
         found: dict = {}
-        missing = keys
-        if cache is not None:
-            for key in keys:
-                hit = cache.get(cache_key(key), _MISS)
-                if hit is not _MISS:
-                    found[key] = hit
-            missing = [key for key in keys if key not in found]
+        for key in keys:
+            hit = cache.get((kind, scope, key), _MISS)
+            if hit is not _MISS:
+                found[key] = hit
+        missing = [key for key in keys if key not in found]
+        with self._lock:
+            tally = self._lookups[kind]
+            tally[0] += len(found)
+            tally[1] += len(missing)
+        counter = _STORE_COUNTERS.get(kind)
+        if counter is not None:
             self._bump(f"{counter}_hits", len(found))
             self._bump(f"{counter}_misses", len(missing))
         if missing:
             fetched = fetch(missing)
             found.update(fetched)
-            if cache is not None:
-                with self._lock:
-                    if self.generation == generation:  # no write overlapped
-                        for key, value in fetched.items():
-                            cache.put(cache_key(key), value)
+            charge = _CHARGE[kind]
+            with self._lock:
+                if self.generation == generation:  # no write overlapped
+                    for key, value in fetched.items():
+                        cache.put((kind, scope, key), value, charge(value))
         return found, missing
 
     def _fetch_postings(
@@ -318,11 +354,10 @@ class QueryProcessor:
         span = current_tracer().span("fetch_postings")
         with span:
             found, missing = self._through_cache(
-                self.postings_cache,
-                "postings_cache",
+                POSTINGS,
+                partition,
                 list(dict.fromkeys(pairs)),
                 lambda pairs: self.tables.get_index_many(pairs, partition),
-                lambda pair: (partition, pair),
             )
             if span.enabled:
                 span.add("pairs", len(found))
@@ -385,15 +420,16 @@ class QueryProcessor:
 
     def _count_row(self, key: str, reverse: bool) -> CountRow:
         """The decoded ``Count`` (``ReverseCount`` with ``reverse``) row of
-        ``key``, read and decoded once until a write touches it."""
-        generation = self.generation
-        row = self._count_rows.get((reverse, key))
-        if row is None:
-            row = self.tables.get_count_rows([key], reverse)[key]
-            with self._lock:
-                if self.generation == generation:  # no write overlapped
-                    self._count_rows[reverse, key] = row
-        return row
+        ``key``, kept in the row cache until a write touches it: decoding one
+        is O(|alphabet|), too much to repeat per continuation probe.
+        Detection reads no Count row at all."""
+        found, _ = self._through_cache(
+            COUNT,
+            reverse,
+            [key],
+            lambda keys: self.tables.get_count_rows(keys, reverse),
+        )
+        return found[key]
 
     # -- pattern detection: fetch_postings -> plan -> intersect -> finisher ----
 
@@ -722,15 +758,15 @@ class QueryProcessor:
     def _candidate_sequences(self, candidates: set[str] | None):
         """``(trace_id, (activities, timestamps))`` rows to verify, id-ordered.
 
-        Rows missing from the sequence cache are read with one batched
+        Rows missing from the row cache are read with one batched
         ``multi_get``, not a point read per candidate.
         """
         if candidates is None:
             return self.tables.iter_sequences()
         ordered = sorted(candidates)
         found, _ = self._through_cache(
-            self.sequence_cache,
-            "sequence_cache",
+            SEQUENCE,
+            None,
             ordered,
             lambda ids: dict(zip(ids, self.tables.get_sequences(ids))),
         )

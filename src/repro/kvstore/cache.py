@@ -8,40 +8,28 @@ Two users:
   evicts its own blocks when the table is closed (post-compaction), which
   keys the cache by a per-reader uid rather than by file name -- a recycled
   file name can never alias a dead table's blocks.
-* the engine caches of :class:`repro.core.engine.SequenceIndex` --
-  entry-counted LRUs.  The query-result memo's keys embed the index's write
-  generation (an answer depends on many rows); the decoded postings and Seq
-  rows are keyed by row, and a write drops exactly the rows it wrote
-  (:meth:`LRUCache.discard`).
+* the engine caches of :class:`repro.core.engine.SequenceIndex`.  The
+  query-result memo counts entries, and its keys embed the index's write
+  generation (an answer depends on many rows).  The row cache holds every
+  decoded row -- postings, Seq rows, Count rows -- in one byte budget, each
+  charged its estimated resident size and keyed by row; a write drops
+  exactly the rows it wrote (:meth:`LRUCache.discard`).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Collection, Hashable, MutableMapping
-
-
-def drop_keys(entries: MutableMapping, keys: Collection) -> list:
-    """Pop every key of ``keys`` that ``entries`` holds; the popped values.
-
-    Walks whichever is smaller, ``entries`` or ``keys``, so the cost is
-    O(min(len(entries), len(keys))): ``keys`` needs ``len``, ``in`` and
-    iteration, not to be a built set.
-    """
-    if len(entries) <= len(keys):
-        dead = [key for key in entries if key in keys]
-    else:
-        dead = [key for key in keys if key in entries]
-    return [entries.pop(key) for key in dead]
+from typing import Any, Collection, Hashable
 
 
 class LRUCache:
     """Thread-safe LRU cache with weighted capacity.
 
     ``capacity`` is interpreted in the same unit as the ``weight`` passed to
-    :meth:`put` (bytes for the block cache, entries for the query cache).
-    An item heavier than the whole capacity is simply not cached.
+    :meth:`put` (bytes for the block cache and the engine's row cache,
+    entries for the query cache).  An item heavier than the whole capacity
+    is not cached: its put drops the key's old entry and evicts nothing else.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -67,11 +55,11 @@ class LRUCache:
 
     def put(self, key: Hashable, value: Any, weight: int = 1) -> None:
         with self._lock:
-            if weight > self._capacity:
-                return
             old = self._entries.pop(key, None)
             if old is not None:
                 self._weight -= old[1]
+            if weight > self._capacity:
+                return
             self._entries[key] = (value, weight)
             self._weight += weight
             while self._weight > self._capacity:
@@ -80,12 +68,22 @@ class LRUCache:
                 self.evictions += 1
 
     def discard(self, keys: Collection[Hashable]) -> int:
-        """Drop the entries of ``keys`` (:func:`drop_keys`); how many were
-        cached.  Not an eviction: ``evictions`` counts capacity drops only."""
+        """Drop the entries of ``keys``; how many were cached.
+
+        Walks whichever is smaller, the cache or ``keys``, so the cost is
+        O(min(len(cache), len(keys))): ``keys`` needs ``len``, ``in`` and
+        iteration, not to be a built set.  Not an eviction: ``evictions``
+        counts capacity drops only.
+        """
         with self._lock:
-            dropped = drop_keys(self._entries, keys)
-            self._weight -= sum(weight for _, weight in dropped)
-            return len(dropped)
+            entries = self._entries
+            if len(entries) <= len(keys):
+                dead = [key for key in entries if key in keys]
+            else:
+                dead = [key for key in keys if key in entries]
+            for key in dead:
+                self._weight -= entries.pop(key)[1]
+            return len(dead)
 
     def clear(self) -> None:
         with self._lock:
@@ -96,6 +94,11 @@ class LRUCache:
         with self._lock:
             return len(self._entries)
 
+    def keys(self) -> list[Hashable]:
+        """The cached keys, least recently used first."""
+        with self._lock:
+            return list(self._entries)
+
     @property
     def weight(self) -> int:
         """Current total weight of all cached entries."""
@@ -105,6 +108,7 @@ class LRUCache:
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {
+                "capacity": self._capacity,
                 "entries": len(self._entries),
                 "weight": self._weight,
                 "hits": self.hits,

@@ -66,27 +66,27 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
     ),
     "repro_store_postings_cache_hits_total": (
         "counter",
-        "Decoded-postings cache hits (bumped by the query layer).",
+        "Row-cache hits on decoded postings (bumped by the query layer).",
     ),
     "repro_store_postings_cache_misses_total": (
         "counter",
-        "Decoded-postings cache misses (bumped by the query layer).",
+        "Row-cache misses on decoded postings (bumped by the query layer).",
     ),
     "repro_store_postings_cache_invalidations_total": (
         "counter",
-        "Decoded-postings cache entries dropped because a write touched their row.",
+        "Decoded postings a write dropped from the row cache (it wrote their row).",
     ),
     "repro_store_sequence_cache_hits_total": (
         "counter",
-        "Decoded-sequence cache hits (bumped by the query layer).",
+        "Row-cache hits on decoded Seq rows (bumped by the query layer).",
     ),
     "repro_store_sequence_cache_misses_total": (
         "counter",
-        "Decoded-sequence cache misses (bumped by the query layer).",
+        "Row-cache misses on decoded Seq rows (bumped by the query layer).",
     ),
     "repro_store_sequence_cache_invalidations_total": (
         "counter",
-        "Decoded-sequence cache entries dropped because a write touched their row.",
+        "Decoded Seq rows a write dropped from the row cache (it wrote their row).",
     ),
     "repro_store_planner_reorders_total": (
         "counter",
@@ -136,26 +136,20 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
     "repro_query_cache_misses_total": ("counter", "Query-result cache misses."),
     "repro_query_cache_evictions_total": ("counter", "Query-result cache evictions."),
     "repro_query_cache_entries": ("gauge", "Query-result cache entries."),
-    "repro_postings_cache_hits_total": ("counter", "Postings-LRU hits."),
-    "repro_postings_cache_misses_total": ("counter", "Postings-LRU misses."),
-    "repro_sequence_cache_hits_total": (
-        "counter",
-        "Sequence-LRU hits (engine view).",
-    ),
-    "repro_sequence_cache_misses_total": (
-        "counter",
-        "Sequence-LRU misses (engine view).",
-    ),
-    "repro_sequence_cache_evictions_total": (
-        "counter",
-        "Sequence-LRU evictions (engine view).",
-    ),
-    "repro_sequence_cache_entries": (
+    "repro_row_cache_bytes": (
         "gauge",
-        "Sequence-LRU entries (engine view).",
+        "Estimated resident bytes of the decoded rows the row cache holds.",
     ),
-    "repro_postings_cache_evictions_total": ("counter", "Postings-LRU evictions."),
-    "repro_postings_cache_entries": ("gauge", "Postings-LRU entries."),
+    "repro_row_cache_evictions_total": (
+        "counter",
+        "Decoded rows the row cache evicted to stay within cache_bytes.",
+    ),
+    "repro_postings_cache_hits_total": ("counter", "Row-cache hits on postings."),
+    "repro_postings_cache_misses_total": ("counter", "Row-cache misses on postings."),
+    "repro_postings_cache_entries": ("gauge", "Postings held in the row cache."),
+    "repro_sequence_cache_hits_total": ("counter", "Row-cache hits on Seq rows."),
+    "repro_sequence_cache_misses_total": ("counter", "Row-cache misses on Seq rows."),
+    "repro_sequence_cache_entries": ("gauge", "Seq rows held in the row cache."),
     # -- engine state -------------------------------------------------------
     "repro_index_write_generation": (
         "gauge",

@@ -41,7 +41,7 @@ STEPS = st.lists(
     ),
     max_size=8,
 )
-NO_CACHES = {"query_cache_size": 0, "postings_cache_size": 0, "sequence_cache_size": 0}
+NO_CACHES = {"query_cache_size": 0, "cache_bytes": 0}
 
 
 def _engine(shards: int, stores=None, **caches):
@@ -106,9 +106,10 @@ def _ask_everything(index, pattern: list[str], composite: str = "SEQ(A, B)"):
     pattern=PATTERNS,
     composite=COMPOSITES,
     shards=st.sampled_from([1, 2]),
+    cache_bytes=st.sampled_from([8 * 1024 * 1024, 4 * 1024]),  # 4 KiB evicts
 )
-def test_cached_equals_uncached(log, steps, pattern, composite, shards):
-    cached = _engine(shards)
+def test_cached_equals_uncached(log, steps, pattern, composite, shards, cache_bytes):
+    cached = _engine(shards, cache_bytes=cache_bytes)
     cached.update(EventLog.from_dict(log))
     # p0 and q0 hash to different shards: partition "p" exists on both
     seed = {"p0": "AB", "q0": "BC"}

@@ -112,7 +112,7 @@ def _build(traces, kinds, cuts, formats, partitions):
         f"t{i}": [(activity, _STAMPS[kind](pos)) for pos, activity in enumerate(trace)]
         for i, (trace, kind) in enumerate(zip(traces, kinds))
     }
-    index = SequenceIndex(query_cache_size=0, postings_cache_size=0)
+    index = SequenceIndex(query_cache_size=0, cache_bytes=0)
     index.tables.ensure_partition("p1")
     real_append = index.tables.append_index
     for phase, (fmt, partition) in enumerate(zip(formats, partitions)):

@@ -63,7 +63,7 @@ class TestPlannerEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_planner_equals_naive_equals_oracle(self, log, pattern, policy):
         planned = _build(log, policy, query_cache_size=0)
-        naive = _build(log, policy, query_cache_size=0, postings_cache_size=0)
+        naive = _build(log, policy, query_cache_size=0, cache_bytes=0)
         got_planned = planned.detect(pattern)
         got_naive = naive.detect_with_prefixes(pattern)[len(pattern)]
         assert got_planned == got_naive
@@ -74,8 +74,8 @@ class TestPlannerEquivalence:
     @given(log=LOGS, pattern=PATTERNS)
     @settings(max_examples=60, deadline=None)
     def test_postings_cache_is_invisible(self, log, pattern):
-        cached = _build(log, query_cache_size=0, postings_cache_size=32)
-        uncached = _build(log, query_cache_size=0, postings_cache_size=0)
+        cached = _build(log, query_cache_size=0)
+        uncached = _build(log, query_cache_size=0, cache_bytes=0)
         # Run twice on the cached index: the second detection is served
         # (partially) from decoded postings and must not drift.
         first = cached.detect(pattern)
@@ -112,7 +112,7 @@ class TestPlannerEquivalence:
                 )
 
         planned = SequenceIndex(query_cache_size=0)
-        naive = SequenceIndex(query_cache_size=0, postings_cache_size=0)
+        naive = SequenceIndex(query_cache_size=0, cache_bytes=0)
         spread(planned)
         spread(naive)
         n = len(pattern)
@@ -185,7 +185,11 @@ class TestPlanObject:
         bound = index.statistics(["A", "B"]).max_completions
         assert max(p.completions for p in proposals) <= bound
         # the Count rows read since the last write, nothing older or unread
-        assert set(index.query._count_rows) == {(False, "A"), (False, "B")}
+        cached = index.query.row_cache.keys()
+        assert {key[1:] for key in cached if key[0] == "count"} == {
+            (False, "A"),
+            (False, "B"),
+        }
 
     def test_starts_at_rarest_pair(self):
         index = self._index()
@@ -275,7 +279,7 @@ class TestExplainSurface:
                 return super().multi_get(table, keys, default)
 
         store = TableReads()
-        index = SequenceIndex(store, query_cache_size=0, postings_cache_size=0)
+        index = SequenceIndex(store, query_cache_size=0, cache_bytes=0)
         index.update(EventLog.from_dict({"t1": list("ABXCABC"), "t2": list("ACBDC")}))
         store.tables.clear()
         index.detect(["A", "B", "C"])

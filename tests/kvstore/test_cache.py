@@ -41,6 +41,15 @@ class TestLRUCache:
         assert cache.get("huge") is None
         assert len(cache) == 0
 
+    def test_oversized_put_drops_the_old_value_and_evicts_nothing(self):
+        cache = LRUCache(10)
+        cache.put("k", "a")
+        cache.put("other", "o")
+        cache.put("k", "b", weight=11)
+        assert cache.get("k") is None
+        assert cache.get("other") == "o"
+        assert cache.weight == 1 and cache.evictions == 0
+
     def test_overwrite_adjusts_weight(self):
         cache = LRUCache(10)
         cache.put("k", "a", weight=6)
