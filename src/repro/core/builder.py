@@ -3,10 +3,11 @@
 Implements Algorithm 1 of the paper.  New log events arrive in batches; for
 each affected trace the builder
 
-1. loads the already-indexed sequence from the ``Seq`` table and appends the
-   new events (logs are append-only per trace: a new event at or before the
-   stored tail violates Definition 2.1 and is rejected -- or, with
-   ``dedup``, dropped as a replay);
+1. loads the already-indexed sequence from the ``Seq`` table -- through the
+   engine's row cache when an engine passes its reader (:data:`SequenceReader`)
+   -- and appends the new events (logs are append-only per trace: a new event
+   at or before the stored tail violates Definition 2.1 and is rejected --
+   or, with ``dedup``, dropped as a replay);
 2. creates the new event pairs -- a full run of the policy's pair creator
    (:data:`~repro.core.pairs.PAIR_CREATORS`) for a brand-new trace, or, for
    a known trace, the greedy matches of ``old + new`` that complete after
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import sub
-from typing import Collection, Iterable
+from typing import Callable, Collection, Iterable, Mapping
 
 from repro.core.errors import TraceOrderError
 from repro.core.model import Event, EventLog
@@ -43,18 +44,28 @@ from repro.core.tables import IndexTables
 from repro.kvstore.api import KeyValueStore
 
 SeqList = list[tuple[str, float]]
+#: a decoded Seq row: its ``(activities, timestamps)`` columns
+SeqRow = tuple[list[str], list[float]]
+#: Algorithm 1 line 2's read: the stored rows of some traces, in order, and
+#: how many of them came from a cache rather than the store
+SequenceReader = Callable[[list[str]], tuple[list[SeqRow], int]]
 
 
 @dataclass(frozen=True)
 class WrittenKeys:
     """The rows one write touched, named by the keys the engine caches them
-    under: its per-key caches drop exactly these."""
+    under: its per-key caches drop exactly these, but keep the ``extended``
+    Seq rows, refreshed."""
 
     #: Index rows, all of them in ``partition``
     pairs: Collection[Pair] = ()
     partition: str = ""
     #: Seq rows
     traces: Collection[str] = ()
+    #: the new Seq row of each of ``traces`` that had a stored row before the
+    #: write: its old columns plus the appended events (the engine's row
+    #: cache keeps these instead of dropping them)
+    extended: Mapping[str, SeqRow] = field(default_factory=dict)
     #: Count rows (first events) and ReverseCount rows (second events)
     firsts: Collection[str] = ()
     seconds: Collection[str] = ()
@@ -70,6 +81,8 @@ class UpdateStats:
     #: events dropped by ``dedup`` as already indexed (at or before the tail)
     events_deduped: int = 0
     pairs_created: int = 0
+    #: old Seq rows read from the engine's row cache instead of the store
+    cached_sequences: int = 0
     partition: str = ""
     #: the rows the update wrote, for the engine's caches (empty when it
     #: indexed nothing; a sharded engine's merged stats leave it empty)
@@ -77,19 +90,17 @@ class UpdateStats:
 
 
 def _new_pairs(
-    old_activities: list[str], old_stamps: list[float], new_seq: SeqList, policy: Policy
+    activities: list[str], stamps: list[float], old: int, policy: Policy
 ) -> PairColumns:
-    """Pure per-trace pair creation (Algorithm 1 lines 5-13)."""
-    activities = [activity for activity, _ in new_seq]
-    timestamps = [ts for _, ts in new_seq]
-    if policy is Policy.SC or not old_activities:
-        # A new trace; or the SC pairs a known one gains: the boundary pair
-        # plus consecutive new pairs -- adjacency is local.
-        return PAIR_CREATORS[policy](
-            old_activities[-1:] + activities, old_stamps[-1:] + timestamps
-        )
-    occurrences = occurrence_lists(old_activities + activities, old_stamps + timestamps)
-    return pairs_completed_after(occurrences, old_stamps[-1])
+    """Pure per-trace pair creation (Algorithm 1 lines 5-13) over a trace's
+    extended columns, the first ``old`` events of which were indexed before."""
+    if not old:
+        return PAIR_CREATORS[policy](activities, stamps)
+    if policy is Policy.SC:
+        # The SC pairs a known trace gains: the boundary pair plus
+        # consecutive new pairs -- adjacency is local.
+        return PAIR_CREATORS[policy](activities[old - 1 :], stamps[old - 1 :])
+    return pairs_completed_after(occurrence_lists(activities, stamps), stamps[old - 1])
 
 
 class _AggregatedBatch:
@@ -142,6 +153,7 @@ class IndexBuilder:
         new_events: EventLog | Iterable[Event],
         partition: str = "",
         dedup: bool = False,
+        read_sequences: SequenceReader | None = None,
     ) -> UpdateStats:
         """Index a batch of new events (Algorithm 1).
 
@@ -150,17 +162,26 @@ class IndexBuilder:
         per trace, in arrival order, an event at or before the running tail
         (the stored tail, then the last event kept) is dropped and counted in
         ``events_deduped`` instead of raising :class:`TraceOrderError`.
+        ``read_sequences`` reads the old Seq rows (default: the store); an
+        engine passes its row cache's
+        (:meth:`~repro.core.query.QueryProcessor.stored_sequences`).
         """
         batches = self._group_new_events(new_events, dedup)
         stats = UpdateStats(partition=partition)
-        appended, aggregated = self._create_pairs(batches, stats, dedup)
+        rows, stats.cached_sequences = (read_sequences or self._stored_sequences)(
+            list(batches)
+        )
+        appended, extended, aggregated = self._create_pairs(batches, rows, stats, dedup)
         if not appended:
             return stats
         self.tables.ensure_partition(partition)
-        self._write_results(appended, aggregated, partition, stats)
+        self._write_results(appended, extended, aggregated, partition, stats)
         return stats
 
     # -- internals -----------------------------------------------------------------
+
+    def _stored_sequences(self, trace_ids: list[str]) -> tuple[list[SeqRow], int]:
+        return self.tables.get_sequences(trace_ids), 0
 
     def _group_new_events(
         self, new_events: EventLog | Iterable[Event], dedup: bool
@@ -196,18 +217,26 @@ class IndexBuilder:
         return batches
 
     def _create_pairs(
-        self, batches: dict[str, SeqList], stats: UpdateStats, dedup: bool
-    ) -> tuple[dict[str, SeqList], _AggregatedBatch]:
-        """Each trace's events to append, and the pairs they create, folded
-        into one batch."""
+        self,
+        batches: dict[str, SeqList],
+        rows: list[SeqRow],
+        stats: UpdateStats,
+        dedup: bool,
+    ) -> tuple[dict[str, SeqList], dict[str, SeqRow], _AggregatedBatch]:
+        """Each trace's events to append, the extended rows of the traces
+        that had a stored one, and the pairs the events create, folded into
+        one batch.
+
+        ``rows`` are the batch's stored rows (Algorithm 1 line 2, the only
+        read of an update): each gives the tail to check (or deduplicate)
+        against and everything pair creation needs.  They are not mutated:
+        they may be the row cache's.
+        """
         appended: dict[str, SeqList] = {}
+        extended: dict[str, SeqRow] = {}
         aggregated = _AggregatedBatch()
-        # Algorithm 1 line 2, and the only read of an update: the stored row
-        # gives the tail to check (or deduplicate) against and everything
-        # pair creation needs.
-        old_seqs = self.tables.get_sequences(list(batches))
         for (trace_id, new_seq), (old_activities, old_stamps) in zip(
-            batches.items(), old_seqs
+            batches.items(), rows
         ):
             if dedup:
                 tail = old_stamps[-1] if old_stamps else None
@@ -226,25 +255,32 @@ class IndexBuilder:
                     f"but the indexed sequence already ends at {old_stamps[-1]!r}"
                 )
             stats.traces_seen += 1
-            if not old_stamps:
-                stats.new_traces += 1
             stats.events_indexed += len(new_seq)
             appended[trace_id] = new_seq
+            # the row as it reads back after the write, built once and
+            # shared by pair creation and the row cache
+            activities = old_activities + [activity for activity, _ in new_seq]
+            stamps = old_stamps + [ts for _, ts in new_seq]
+            if old_stamps:
+                extended[trace_id] = (activities, stamps)
+            else:
+                stats.new_traces += 1
             aggregated.add_trace(
-                trace_id, _new_pairs(old_activities, old_stamps, new_seq, self.policy)
+                trace_id, _new_pairs(activities, stamps, len(old_stamps), self.policy)
             )
-        return appended, aggregated
+        return appended, extended, aggregated
 
     def _write_results(
         self,
         appended: dict[str, SeqList],
+        extended: dict[str, SeqRow],
         aggregated: _AggregatedBatch,
         partition: str,
         stats: UpdateStats,
     ) -> None:
         """Hand the whole update to the store as one write: the partition's
         registration, then Seq, Index, Count, ReverseCount, LastChecked.
-        ``stats.written`` names the rows written.
+        ``stats.written`` names the rows written, with the ``extended`` rows.
 
         Consumes ``aggregated.index``: each pair's columns are dropped as
         soon as its chunk is encoded, so the batch's columns and its encoded
@@ -281,6 +317,7 @@ class IndexBuilder:
             pairs=pairs,
             partition=partition,
             traces=set(appended),
+            extended=extended,
             firsts=set(counts),
             seconds=set(reverse),
         )

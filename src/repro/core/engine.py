@@ -62,6 +62,18 @@ _MODES = ("accurate", "fast", "hybrid")
 _MISS = object()
 
 
+def check_cache_size(name: str, size: int) -> None:
+    """Zero turns an engine cache off; a negative size is an error."""
+    if size < 0:
+        raise ValueError(f"{name} must be non-negative (0 turns the cache off)")
+
+
+def _cache_of(name: str, size: int) -> LRUCache | None:
+    """An engine cache of ``size`` (entries or bytes), ``None`` for 0."""
+    check_cache_size(name, size)
+    return LRUCache(size) if size else None
+
+
 def _merge_matches(
     per_shard: list[list[PatternMatch]], max_matches: int | None
 ) -> list[PatternMatch]:
@@ -143,7 +155,7 @@ class QueryEngine:
     def __init__(
         self, query_cache_size: int, slow_query_threshold: float | None = None
     ) -> None:
-        self._query_cache = LRUCache(query_cache_size) if query_cache_size > 0 else None
+        self._query_cache = _cache_of("query_cache_size", query_cache_size)
         if slow_query_threshold is None:
             env_ms = os.environ.get("REPRO_SLOW_QUERY_MS", "").strip()
             if env_ms:
@@ -563,6 +575,7 @@ class QueryEngine:
             merged.events_indexed += stats.events_indexed
             merged.events_deduped += stats.events_deduped
             merged.pairs_created += stats.pairs_created
+            merged.cached_sequences += stats.cached_sequences
         return merged
 
     def prune_trace(self, trace_id: str) -> None:
@@ -695,7 +708,9 @@ class SequenceIndex(QueryEngine):
       :meth:`prune_trace` -- because an answer depends on many rows: post-
       write queries never hash to a pre-write key, and the dead generation
       ages out of the LRU.  Set ``query_cache_size=0`` to disable.
-    * **the row cache drops exactly the rows a write touched.**  One LRU of
+    * **the row cache drops exactly the rows a write touched** -- and
+      refreshes the Seq rows it extended, which the next write to those
+      traces reads from there.  One LRU of
       ``cache_bytes`` (default 8 MiB, the store's block-cache default)
       holds every decoded row -- :class:`~repro.core.postings.Postings`
       keyed by partition and pair, Seq rows by trace id, and the Count /
@@ -704,7 +719,8 @@ class SequenceIndex(QueryEngine):
       pairs, traces and activities it wrote and leaves every other warm
       row, so a detection beside a live ingest still skips the store read
       and the chunk-dictionary parse of the pairs the ingest did not touch.
-      ``cache_bytes=0`` disables it, Count rows included.
+      ``cache_bytes=0`` disables it, Count rows included.  A negative size
+      of either cache raises ``ValueError``.
     * **a fetch that overlapped a write does not fill the cache**
       (:class:`~repro.core.query.QueryProcessor`).
 
@@ -725,13 +741,12 @@ class SequenceIndex(QueryEngine):
         slow_query_threshold: float | None = None,
     ) -> None:
         super().__init__(query_cache_size, slow_query_threshold)
+        row_cache = _cache_of("cache_bytes", cache_bytes)
         self.shards = (self,)
         self.store = store if store is not None else InMemoryStore()
         self.builder = IndexBuilder(self.store, policy)
         self.tables = self.builder.tables
-        self.query = QueryProcessor(
-            self.tables, LRUCache(cache_bytes) if cache_bytes > 0 else None
-        )
+        self.query = QueryProcessor(self.tables, row_cache)
         self._write_lock = threading.Lock()
         self._obs_handle = REGISTRY.register(
             {"index": getattr(self.store, "obs_name", "index")},
@@ -794,19 +809,24 @@ class SequenceIndex(QueryEngine):
     ) -> UpdateStats:
         """Apply one (sub-)batch under the writer lock.
 
-        The caches learn of the write *after* it is applied: the
-        generation moves and the rows the update wrote
-        (``UpdateStats.written``) leave the per-row caches -- every row, if
-        the update failed part-way.  A query racing the update memoizes its
-        possibly-partial answer under the pre-update generation, which no
-        post-update query reads, and a row fetched while the update ran is
-        not cached (:class:`~repro.core.query.QueryProcessor`).  A batch
+        The old Seq rows are read through the row cache
+        (:meth:`~repro.core.query.QueryProcessor.stored_sequences`).  The
+        caches learn of the write *after* it is applied: the generation moves
+        and the rows the update wrote (``UpdateStats.written``) leave the
+        per-row caches, but for the Seq rows of known traces, which are put
+        back extended -- every row leaves, if the update failed part-way.  A
+        query racing the update memoizes its possibly-partial answer under
+        the pre-update generation, which no post-update query reads, and a
+        row fetched while the update ran is not cached
+        (:class:`~repro.core.query.QueryProcessor`).  A batch
         that indexed nothing (empty, or a pure replay) wrote nothing and
         leaves the generation -- and every warm cache -- alone.
         """
         with self._write_lock:
             try:
-                stats = self.builder.update(new_events, partition, dedup)
+                stats = self.builder.update(
+                    new_events, partition, dedup, self.query.stored_sequences
+                )
             except BaseException:
                 self.query.forget(None)
                 raise

@@ -69,7 +69,7 @@ import threading
 import time
 from typing import Any, Collection, Iterator, Sequence
 
-from repro.core.builder import WrittenKeys
+from repro.core.builder import SeqRow, WrittenKeys
 from repro.core.continuation import CountRow
 from repro.core.errors import DeadlineExceeded, EmptyPatternError
 from repro.core.matches import PairStats, PatternMatch, PatternStats, QueryPlan
@@ -249,7 +249,9 @@ class QueryProcessor:
 
     * every write calls :meth:`forget`, which bumps :attr:`generation` and
       drops exactly the rows the write touched (everything, for a write that
-      failed part-way);
+      failed part-way) -- except the Seq rows it extended, which it puts
+      back extended: the next write to those traces reads them from here
+      (:meth:`stored_sequences`);
     * a read notes :attr:`generation` before it fetches, and keeps what it
       fetched only if no write has completed since -- a fetch that
       overlapped a write may hold a half-old row and does not fill a cache.
@@ -281,7 +283,10 @@ class QueryProcessor:
 
         An Index row is dropped from its partition's scope and from the
         ``None`` union scope.  Each drop costs O(min(cache entries, rows
-        written)).
+        written)).  The Seq row of a trace that had one before the write is
+        not dropped but refreshed: ``written.extended`` holds it as it reads
+        back now, and it replaces the cached row (a replacement is not an
+        invalidation).
         """
         with self._lock:
             self.generation += 1
@@ -297,12 +302,42 @@ class QueryProcessor:
                     _ScopedKeys(POSTINGS, (written.partition, None), written.pairs)
                 ),
             )
+            extended = written.extended
             self._bump(
                 "sequence_cache_invalidations",
-                cache.discard(_ScopedKeys(SEQUENCE, (None,), written.traces)),
+                cache.discard(
+                    _ScopedKeys(
+                        SEQUENCE,
+                        (None,),
+                        [trace for trace in written.traces if trace not in extended],
+                    )
+                ),
             )
+            charge = _CHARGE[SEQUENCE]
+            for trace_id, row in extended.items():
+                cache.put((SEQUENCE, None, trace_id), row, charge(row))
             cache.discard(_ScopedKeys(COUNT, (False,), written.firsts))
             cache.discard(_ScopedKeys(COUNT, (True,), written.seconds))
+
+    def stored_sequences(self, trace_ids: list[str]) -> tuple[list[SeqRow], int]:
+        """The writer's read (Algorithm 1 line 2): the stored Seq row of each
+        of ``trace_ids``, and how many came from the row cache.
+
+        A writer's lookup is not a reader's: it peeks, counting no hit or
+        miss anywhere and leaving the LRU order alone, and a miss does not
+        fill the cache -- :meth:`forget` puts the extended row in once the
+        write has landed.  Misses come from one batched read, none when
+        every row hits.  The rows are shared with the cache: do not mutate.
+        """
+        cache = self.row_cache
+        if cache is None:
+            return self.tables.get_sequences(trace_ids), 0
+        rows = [cache.peek((SEQUENCE, None, trace_id), _MISS) for trace_id in trace_ids]
+        missing = [trace_id for trace_id, row in zip(trace_ids, rows) if row is _MISS]
+        if missing:
+            fetched = iter(self.tables.get_sequences(missing))
+            rows = [next(fetched) if row is _MISS else row for row in rows]
+        return rows, len(trace_ids) - len(missing)
 
     def kind_stats(self, kind: str) -> dict[str, int]:
         """Hits, misses and entries of one kind of row in the row cache

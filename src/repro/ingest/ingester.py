@@ -58,7 +58,8 @@ class EngineSink:
     (``update()``).  Queries on the same engine keep
     serving while batches apply, and see a batch's events as soon as it
     returns: the answer memo is keyed by write generation, and the per-row
-    caches drop exactly the rows the batch wrote.
+    caches drop exactly the rows the batch wrote, but keep the Seq rows of
+    the traces it extended, refreshed for the next batch to read.
     """
 
     def __init__(self, engine: Any, partition: str = "") -> None:
@@ -250,8 +251,12 @@ class TailIngester:
         return self.stats()
 
     def run(self, duration_s: float | None = None) -> IngestStats:
-        """Tail the feed until :meth:`stop` (or for ``duration_s``), then
-        drain whatever is already complete in the feed."""
+        """Tail the feed until :meth:`stop` or for ``duration_s``.
+
+        A ``duration_s`` exit then drains whatever is already complete in
+        the feed.  A :meth:`stop` exit does not: the loop ends once its
+        current batch is applied and checkpointed, and the rest of the feed
+        waits for the next run."""
         deadline = (
             time.monotonic() + duration_s if duration_s is not None else None
         )

@@ -13,7 +13,9 @@ Two users:
   generation (an answer depends on many rows).  The row cache holds every
   decoded row -- postings, Seq rows, Count rows -- in one byte budget, each
   charged its estimated resident size and keyed by row; a write drops
-  exactly the rows it wrote (:meth:`LRUCache.discard`).
+  exactly the rows it wrote (:meth:`LRUCache.discard`), except the Seq rows
+  it extended, which it puts back extended.  The writer reads those rows
+  with :meth:`LRUCache.peek`, which is not a reader's lookup.
 """
 
 from __future__ import annotations
@@ -52,6 +54,13 @@ class LRUCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return entry[0]
+
+    def peek(self, key: Hashable, default: Any = None) -> Any:
+        """The value of ``key`` (``default`` when absent), as a lookup that
+        counts no hit or miss and leaves the recency order alone."""
+        with self._lock:
+            entry = self._entries.get(key)
+            return default if entry is None else entry[0]
 
     def put(self, key: Hashable, value: Any, weight: int = 1) -> None:
         with self._lock:

@@ -29,7 +29,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from repro.core.engine import QueryEngine, SequenceIndex
+from repro.core.engine import QueryEngine, SequenceIndex, check_cache_size
 from repro.core.errors import DeadlineExceeded
 from repro.executor import ParallelExecutor
 from repro.obs.registry import REGISTRY
@@ -155,6 +155,9 @@ class ShardedSequenceIndex(QueryEngine):
         ``num_shards``.
         """
         root = Path(root)
+        # a bad size must not leave a manifest behind
+        check_cache_size("query_cache_size", query_cache_size)
+        check_cache_size("cache_bytes", engine_kwargs.get("cache_bytes", 0))
         if is_sharded_store(root):
             manifest = read_manifest(root)
             if num_shards is not None and num_shards != manifest["num_shards"]:

@@ -254,3 +254,17 @@ def test_cache_hits_do_not_alias_results():
     first.clear()  # a caller mutating its result must not poison the cache
     second = index.detect(["A", "B"])
     assert len(second) == 1
+
+
+@pytest.mark.parametrize("sizes", [{"cache_bytes": -1}, {"query_cache_size": -3}])
+def test_a_negative_cache_size_is_an_error(sizes):
+    with pytest.raises(ValueError, match="non-negative"):
+        SequenceIndex(**sizes)
+
+
+@pytest.mark.parametrize("sizes", [{"cache_bytes": -1}, {"query_cache_size": -3}])
+def test_a_negative_cache_size_leaves_no_sharded_store_behind(tmp_path, sizes):
+    root = tmp_path / "sharded"
+    with pytest.raises(ValueError, match="non-negative"):
+        ShardedSequenceIndex.open(root, lambda path: None, num_shards=2, **sizes)
+    assert not root.exists()  # no SHARDS.json, no shard store

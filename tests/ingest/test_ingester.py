@@ -224,6 +224,31 @@ class TestTailIngester:
             finally:
                 ingester.close()
 
+    def test_a_timed_run_drains_the_feed_and_a_stopped_one_does_not(self, tmp_path):
+        feed = str(tmp_path / "feed.jsonl")
+        _write_feed(feed, _ab_events(10))
+        # duration_s: the tail loop ends at once, then the feed is drained
+        with SequenceIndex() as engine:
+            with TailIngester(
+                feed, EngineSink(engine), str(tmp_path / "cp1"), batch_events=3
+            ) as ingester:
+                stats = ingester.run(duration_s=0)
+            assert (stats.events_applied, stats.batches, stats.lag_bytes) == (10, 4, 0)
+        # stop(): the batch in flight is applied and checkpointed, no other
+        with SequenceIndex() as engine:
+            with TailIngester(
+                feed,
+                EngineSink(engine),
+                str(tmp_path / "cp2"),
+                batch_events=3,
+                pre_apply_hook=lambda batch_no: ingester.stop(),
+            ) as ingester:
+                stats = ingester.run()
+            assert (stats.events_applied, stats.batches) == (3, 1)
+            assert stats.lag_bytes > 0
+            assert load_checkpoint(str(tmp_path / "cp2")).offset == stats.offset
+            assert len(engine.get_trace("t1")) == 3
+
     def test_rejects_nonpositive_batch_size(self, tmp_path):
         with pytest.raises(ValueError):
             TailIngester(

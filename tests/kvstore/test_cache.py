@@ -28,6 +28,16 @@ class TestLRUCache:
         assert cache.get("c") == 3
         assert cache.evictions == 1
 
+    def test_peek_neither_counts_nor_reorders(self):
+        cache = LRUCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.peek("a") == 1  # a stays least recent
+        assert cache.peek("missing", "dflt") == "dflt"
+        assert (cache.hits, cache.misses) == (0, 0)
+        cache.put("c", 3)
+        assert cache.keys() == ["b", "c"]
+
     def test_weighted_entries(self):
         cache = LRUCache(100)
         cache.put("big", "x", weight=80)
