@@ -26,6 +26,20 @@ Chunk layout (tags ``0x04`` POSTINGS and ``0x05`` SEQUENCE)::
     n x column 1     ``ts_a`` / ``ts`` minus base, unsigned little-endian
     n x column 2     ``ts_b - ts_a``, signed little-endian  (POSTINGS only)
 
+The Index table stores the ``0x06`` NUMBERED layout instead: its trace ids
+are the store's dense trace numbers (:mod:`repro.core.tables` keeps the
+table that names them), so the dictionary and index column give way to one
+fixed-width number column::
+
+    u8       tag 0x06
+    u8       packed: bits 0-1 width code of the number column, bits 2-7
+             as above
+    uvarint  n, the number of rows
+    uvarint  number base, the smallest number of the chunk
+    uvarint  zigzag(base), base = min of column 1     (kinds INT, INTFLOAT)
+    n x u8/u16/u32/u64   number minus number base
+    n x column 1, n x column 2   as above
+
 The header fixes the length of everything after it, and a decoder accepts a
 chunk only at exactly that length.
 
@@ -39,11 +53,12 @@ generic value encoding of the rows) and a Seq batch to plain ``(activity,
 ts)`` items.
 
 Read compatibility: the varint chunk tags ``0x01``-``0x03`` written before
-this layout, RAW chunks, legacy tuple entries and plain Seq items all keep
-decoding, in any mix inside one stored value; only the layouts above are
-written.  Decoding is strict: a truncated chunk, a bad width or kind, an
-index past the dictionary or trailing bytes raise
-:class:`CorruptPostingsError`, never a wrong row.
+the columnar layouts, POSTINGS chunks (the Index layout before NUMBERED),
+RAW chunks, legacy tuple entries and plain Seq items all keep decoding, in
+any mix inside one stored value.  Decoding is strict: a truncated chunk, a
+bad width or kind, an index past the dictionary, a number past the name
+table or trailing bytes raise :class:`CorruptPostingsError`, never a wrong
+row.
 """
 
 from __future__ import annotations
@@ -60,6 +75,7 @@ __all__ = [
     "Postings",
     "encode_postings",
     "encode_posting_columns",
+    "encode_numbered_postings",
     "decode_postings",
     "encode_sequence",
     "decode_sequence",
@@ -70,8 +86,9 @@ TAG_RAW = 0x00
 TAG_INT = 0x01  # varint layouts: read-only
 TAG_INTFLOAT = 0x02
 TAG_FLOAT = 0x03
-TAG_POSTINGS = 0x04
+TAG_POSTINGS = 0x04  # Index rows: read-only, the engine writes NUMBERED
 TAG_SEQUENCE = 0x05
+TAG_NUMBERED = 0x06
 
 KIND_INT = 0
 KIND_INTFLOAT = 1
@@ -97,11 +114,12 @@ Completions = list[tuple[float, float]]
 # Resident bytes of a decoded Postings, as CPython 3.11 lays it out
 # (tracemalloc; tests/core/test_row_cache.py holds the estimate to 0.5-2x):
 # the object with its chunk list; per chunk its 6-tuple, the bytes header and
-# the id list; per dictionary id a pointer and a short str; per older-format
-# row three pointers, two floats and an id.
+# the id list; per dictionary id a pointer and a short str, per NUMBERED row
+# a pointer; per older-format row three pointers, two floats and an id.
 _POSTINGS_BYTES = 200
 _CHUNK_BYTES = 240
 _ID_BYTES = 66
+_NAME_BYTES = 8
 _OLDER_ROW_BYTES = 136
 
 #: what a chunk arrives as (the store hands out ``bytes``)
@@ -126,9 +144,11 @@ def _uvarints(*values: int) -> bytearray:
 
 
 def _read_uvarint(buf, pos: int) -> tuple[int, int]:
+    total = len(buf)
+    if pos + 1 < total and buf[pos] & 0x80 and not buf[pos + 1] & 0x80:
+        return (buf[pos] & 0x7F) | buf[pos + 1] << 7, pos + 2  # the common two bytes
     result = 0
     shift = 0
-    total = len(buf)
     while True:
         if pos >= total:
             raise CorruptPostingsError("truncated varint in chunk")
@@ -187,25 +207,14 @@ def _encode_chunk(
     in is mutated or kept."""
     n = len(ids)
     kind = _timestamp_kind(first if second is None else first + second)
-    if kind is None or set(map(type, ids)) != {str}:
+    if kind is None:
         return None
-    dictionary = dict.fromkeys(ids)
-    joined = "\x00".join(dictionary)
-    if joined.count("\x00") != len(dictionary) - 1:
-        return None  # an id holds the separator
-    blob = joined.encode("utf-8")
-    index_mode = 0
-    index_column = b""
-    if len(dictionary) != n:
-        index_mode = 1 + _unsigned_code(len(dictionary) - 1)
-        if index_mode > 3:
-            return None
-        position = {key: i for i, key in enumerate(dictionary)}
-        index_column = _column(n, _UNSIGNED[index_mode - 1]).pack(
-            *map(position.__getitem__, ids)
-        )
+    encoded = _numbers(ids) if tag == TAG_NUMBERED else _dictionary(ids)
+    if encoded is None:
+        return None
+    id_bits, id_header, id_bytes = encoded
     if kind == KIND_FLOAT:
-        header = _uvarints(n, len(blob))
+        header = _uvarints(n, id_header)
         code_first = code_second = 0
         columns = _column(n, "d").pack(*first)
         if second is not None:
@@ -217,11 +226,11 @@ def _encode_chunk(
         base = min(first)
         if not -(1 << 63) <= base < 1 << 63:
             return None
-        offsets = [ts - base for ts in first] if base else first
-        code_first = _unsigned_code(max(offsets))
+        code_first = _unsigned_code(max(first) - base)
         if code_first is None:
             return None
-        header = _uvarints(n, len(blob), (base << 1) if base >= 0 else ((-base << 1) - 1))
+        header = _uvarints(n, id_header, (base << 1) if base >= 0 else ((-base << 1) - 1))
+        offsets = map((-base).__add__, first) if base else first
         columns = _column(n, _UNSIGNED[code_first]).pack(*offsets)
         code_second = 0
         if second is not None:
@@ -230,8 +239,45 @@ def _encode_chunk(
             if code_second is None:
                 return None
             columns += _column(n, _SIGNED[code_second]).pack(*deltas)
-    packed = index_mode | code_first << 2 | code_second << 4 | kind << 6
-    return b"".join((bytes((tag, packed)), header, blob, index_column, columns))
+    packed = id_bits | code_first << 2 | code_second << 4 | kind << 6
+    return b"".join((bytes((tag, packed)), header, id_bytes, columns))
+
+
+def _dictionary(ids: Sequence) -> tuple[int, int, bytes] | None:
+    """``(index mode, dictionary length, dictionary and index column)`` of
+    string ids, or ``None`` when they fit no dictionary."""
+    n = len(ids)
+    if set(map(type, ids)) != {str}:
+        return None
+    dictionary = dict.fromkeys(ids)
+    joined = "\x00".join(dictionary)
+    if joined.count("\x00") != len(dictionary) - 1:
+        return None  # an id holds the separator
+    blob = joined.encode("utf-8")
+    if len(dictionary) == n:
+        return 0, len(blob), blob
+    index_mode = 1 + _unsigned_code(len(dictionary) - 1)
+    if index_mode > 3:
+        return None
+    position = {key: i for i, key in enumerate(dictionary)}
+    index_column = _column(n, _UNSIGNED[index_mode - 1]).pack(*map(position.__getitem__, ids))
+    return index_mode, len(blob), blob + index_column
+
+
+def _numbers(ids: Sequence) -> tuple[int, int, bytes] | None:
+    """``(width code, number base, number column)`` of trace numbers, or
+    ``None`` when they are not all non-negative ints spanning 64 bits."""
+    if set(map(type, ids)) != {int}:
+        return None
+    base = min(ids)
+    span = max(ids) - base
+    if base < 0 or span >> 64:
+        return None
+    offsets = map((-base).__add__, ids) if base else ids
+    if span < 0x100:  # u8 numbers, the usual width: the offsets are the bytes
+        return 0, base, bytes(offsets)
+    code = _unsigned_code(span)
+    return code, base, _column(len(ids), _UNSIGNED[code]).pack(*offsets)
 
 
 def _columns(rows: list, width: int) -> tuple | None:
@@ -253,6 +299,15 @@ def encode_posting_columns(ids: Sequence, ts_a: Sequence, ts_b: Sequence) -> byt
     zipped rows."""
     chunk = _encode_chunk(TAG_POSTINGS, ids, ts_a, ts_b)
     return chunk if chunk is not None else _raw_chunk(zip(ids, ts_a, ts_b))
+
+
+def encode_numbered_postings(
+    numbers: Sequence[int], ts_a: Sequence, ts_b: Sequence
+) -> bytes | None:
+    """Encode one batch whose trace ids are trace numbers (non-negative
+    ints) into a NUMBERED chunk; ``None`` when its timestamps fit no chunk
+    (the caller stores those rows under their names, in a RAW chunk)."""
+    return _encode_chunk(TAG_NUMBERED, numbers, ts_a, ts_b)
 
 
 def encode_postings(entries: list) -> bytes:
@@ -283,19 +338,23 @@ def encode_sequence(events: list) -> list:
 # -- decode ----------------------------------------------------------------
 
 
-def _open_chunk(chunk) -> tuple[list[str], int, int, int, int]:
-    """Parse a columnar chunk's header and dictionary, validating its length.
+def _open_chunk(chunk, names: Sequence | None = None) -> tuple[list, int, int, int, int]:
+    """Parse a columnar chunk's header and ids, validating its length.
 
     Returns ``(ids, n, packed, base, pos)`` with ``pos`` the offset of the
-    first column; after this every column read is known to be in bounds.
+    first column past the ids; after this every column read is known to be
+    in bounds.  A NUMBERED chunk's ids are one per row, each number named by
+    ``names`` (the number itself without it), and its ``packed`` comes back
+    with the id bits cleared: no index column follows.
     """
+    tag = chunk[0]
     try:
         packed = chunk[1]
         n = chunk[2]
         pos = 3
         if n > 0x7F:
             n, pos = _read_uvarint(chunk, 2)
-        ids_len = chunk[pos]
+        ids_len = chunk[pos]  # the number base, in a NUMBERED chunk
         pos += 1
         if ids_len > 0x7F:
             ids_len, pos = _read_uvarint(chunk, pos - 1)
@@ -304,7 +363,7 @@ def _open_chunk(chunk) -> tuple[list[str], int, int, int, int]:
         if kind == KIND_FLOAT:
             if packed & 0x3C:
                 raise CorruptPostingsError("float chunk with integer widths")
-            row_width = 8 if chunk[0] == TAG_SEQUENCE else 16
+            row_width = 8 if tag == TAG_SEQUENCE else 16
         elif kind > KIND_FLOAT:
             raise CorruptPostingsError(f"unknown timestamp kind {kind}")
         else:
@@ -314,12 +373,17 @@ def _open_chunk(chunk) -> tuple[list[str], int, int, int, int]:
                 base, pos = _read_uvarint(chunk, pos - 1)
             base = _unzigzag(base)
             row_width = 1 << (packed >> 2 & 3)
-            if chunk[0] == TAG_POSTINGS:
+            if tag != TAG_SEQUENCE:
                 row_width += 1 << (packed >> 4 & 3)
             elif packed & 0x30:
                 raise CorruptPostingsError("sequence chunk with a second column")
     except IndexError:
         raise CorruptPostingsError("truncated chunk header") from None
+    if tag == TAG_NUMBERED:
+        columns = pos + (n << (packed & 3))
+        if columns + n * row_width != len(chunk):
+            raise CorruptPostingsError("chunk length does not match its header")
+        return _named(chunk, n, packed, pos, ids_len, names), n, packed & 0xFC, base, columns
     columns = pos + ids_len
     if columns + n * (_INDEX_WIDTH[packed & 3] + row_width) != len(chunk):
         raise CorruptPostingsError("chunk length does not match its header")
@@ -336,6 +400,25 @@ def _open_chunk(chunk) -> tuple[list[str], int, int, int, int]:
     return ids, n, packed, base, columns
 
 
+def _named(chunk, n: int, packed: int, pos: int, first: int, names: Sequence | None) -> list:
+    """The ids of a NUMBERED chunk's rows: its number column plus the number
+    base ``first``, each mapped through ``names`` when given."""
+    if not n:
+        if first:
+            raise CorruptPostingsError("chunk without rows holds a number base")
+        return []
+    if packed & 3:
+        offsets = _column(n, _UNSIGNED[packed & 3]).unpack_from(chunk, pos)
+    else:  # u8 numbers, the usual width: the bytes are the offsets
+        offsets = chunk[pos : pos + n]
+    if names is None:
+        return [first + offset for offset in offsets]
+    try:  # numbers are never negative: an IndexError is a number past the table
+        return [names[first + offset] for offset in offsets]
+    except IndexError:
+        raise CorruptPostingsError("trace number past the name table in chunk") from None
+
+
 def _read_columns(chunk, n: int, packed: int, base: int, pos: int, n_ids: int):
     """``(index column or None, column 1, column 2 or None)`` as decoded values."""
     index_mode = packed & 3
@@ -345,7 +428,7 @@ def _read_columns(chunk, n: int, packed: int, base: int, pos: int, n_ids: int):
         pos += n * _INDEX_WIDTH[index_mode]
         if n and max(index) >= n_ids:
             raise CorruptPostingsError("dictionary index out of range in chunk")
-    paired = chunk[0] == TAG_POSTINGS
+    paired = chunk[0] != TAG_SEQUENCE
     kind = packed >> 6
     if kind == KIND_FLOAT:
         first = _column(n, "d").unpack_from(chunk, pos)
@@ -367,6 +450,8 @@ def _read_columns(chunk, n: int, packed: int, base: int, pos: int, n_ids: int):
 
 def _decode_older_rows(chunk) -> list[tuple]:
     """Rows of a chunk in one of the read-only layouts (tags ``0x00``-``0x03``)."""
+    if not len(chunk):
+        raise CorruptPostingsError("empty postings chunk")
     tag = chunk[0]
     if tag == TAG_RAW:
         try:
@@ -375,7 +460,10 @@ def _decode_older_rows(chunk) -> list[tuple]:
             raise CorruptPostingsError(f"corrupt raw postings chunk: {exc}") from None
         if not isinstance(rows, list):
             raise CorruptPostingsError("raw postings chunk is not a list")
-        return [tuple(row) for row in rows]
+        try:
+            return [tuple(row) for row in rows]
+        except TypeError:  # a row that is no sequence at all
+            raise CorruptPostingsError("raw postings chunk row is not a row") from None
     if tag not in (TAG_INT, TAG_INTFLOAT, TAG_FLOAT):
         raise CorruptPostingsError(f"unknown postings chunk tag 0x{tag:02x}")
     pos = 1
@@ -431,49 +519,54 @@ class Postings:
 
     ``items`` is the ``list_append``-merged value as stored (several
     partitions' values concatenated when a read unions them): columnar
-    chunks, and whatever older formats the row still holds.  Opening parses
-    chunk headers and dictionaries only; :meth:`trace_ids` answers from
-    those, and :meth:`columns` unpacks just the chunks that mention a wanted
-    trace, as whole columns.  The engine's row cache holds these objects,
-    so a hot pair pays the store read and the dictionary parse once.
+    chunks, and whatever older formats the row still holds.  ``names`` is
+    the store's trace-name table, indexed by trace number: opening maps each
+    NUMBERED chunk's number column through it (without it, the ids are the
+    numbers), and parses the other chunks' headers and dictionaries only.
+    :meth:`trace_ids` answers from those ids, and :meth:`columns` unpacks
+    just the timestamps of the chunks that mention a wanted trace, as whole
+    columns.  The engine's row cache holds these objects, so a hot pair pays
+    the store read and the id decode once.
     """
 
     __slots__ = ("entries", "nbytes", "_chunks", "_older")
 
-    def __init__(self, items: Iterable) -> None:
+    def __init__(self, items: Iterable, names: Sequence | None = None) -> None:
         #: number of ``(trace_id, ts_a, ts_b)`` rows in the value
         self.entries = 0
         #: estimated resident size of this object: what the row cache charges
         self.nbytes = _POSTINGS_BYTES
-        # (dictionary ids in order, chunk, n, packed, base, column offset)
+        # (dictionary ids in order -- a NUMBERED chunk's one per row --,
+        # chunk, n, packed, base, column offset)
         self._chunks: list[tuple] = []
         # rows of every older format, transposed once: (ids, ts_a, ts_b)
         older: list[tuple] = []
         for item in items:
-            if isinstance(item, _CHUNK_TYPES):
-                if not len(item):
-                    raise CorruptPostingsError("empty postings chunk")
-                if item[0] == TAG_POSTINGS:
-                    ids, n, packed, base, pos = _open_chunk(item)
-                    self._chunks.append((ids, item, n, packed, base, pos))
-                    self.entries += n
-                    self.nbytes += _CHUNK_BYTES + len(item) + _ID_BYTES * len(ids)
-                    continue
+            if not isinstance(item, _CHUNK_TYPES):
+                older.append(item)
+            elif not len(item) or item[0] not in (TAG_NUMBERED, TAG_POSTINGS):
                 older.extend(_decode_older_rows(item))
             else:
-                older.append(item)
+                ids, n, packed, base, pos = _open_chunk(item, names)
+                self._chunks.append((ids, item, n, packed, base, pos))
+                self.entries += n
+                # a NUMBERED chunk's names are the name table's own objects
+                per_id = _NAME_BYTES if item[0] == TAG_NUMBERED else _ID_BYTES
+                self.nbytes += _CHUNK_BYTES + len(item) + per_id * len(ids)
         try:
             columns = _columns(older, 3) if older else ((), (), ())
-        except TypeError:  # a legacy item that is no sequence at all
+            if columns is not None:
+                hash(columns[0])  # every trace id: the stages put them in sets
+        except TypeError:  # a legacy item that is no sequence at all, or a list id
             columns = None
         if columns is None:
-            raise CorruptPostingsError("index entry is not a 3-tuple")
+            raise CorruptPostingsError("index entry is not a 3-tuple with a hashable id")
         self._older = columns
         self.entries += len(older)
         self.nbytes += _OLDER_ROW_BYTES * len(older)
 
     def trace_ids(self) -> set[str]:
-        """Every trace with at least one completion, from dictionaries alone."""
+        """Every trace with at least one completion, from chunk ids alone."""
         traces = set(self._older[0])
         for chunk in self._chunks:
             traces.update(chunk[0])
@@ -484,7 +577,7 @@ class Postings:
         in stored order, then one for the rows of every older format.
 
         With ``restrict``, a triple mentioning none of those traces is
-        skipped -- a chunk by its dictionary, without touching its columns --
+        skipped -- a chunk by its ids, without touching its columns --
         while a yielded triple still holds all of its rows.  Each column is
         iterable once.
         """
@@ -523,7 +616,8 @@ def _grouped(triples: Iterable[tuple]) -> dict[str, Completions]:
 
 
 def decode_postings(chunk) -> dict[str, Completions]:
-    """One chunk of any layout, decoded to the per-trace grouped form."""
+    """One chunk of any layout, decoded to the per-trace grouped form (a
+    NUMBERED chunk's traces are its numbers: no name table here)."""
     return _grouped(Postings((chunk,)).columns())
 
 
@@ -556,13 +650,14 @@ def decode_sequence(items: Iterable) -> tuple[list[str], list[float]]:
 def item_formats(items: Iterable) -> Iterator[tuple[str, int]]:
     """``(format name, rows held)`` of every item of a stored list value.
 
-    Names: ``columnar``, ``varint``, ``raw`` for chunks, ``plain`` for an
-    item that is itself one row (a legacy Index tuple, a generic Seq event).
+    Names: ``columnar`` (POSTINGS, SEQUENCE and NUMBERED chunks),
+    ``varint``, ``raw`` for chunks, ``plain`` for an item that is itself one
+    row (a legacy Index tuple, a generic Seq event).
     """
     for item in items:
         if not isinstance(item, _CHUNK_TYPES):
             yield "plain", 1
-        elif len(item) and item[0] in (TAG_POSTINGS, TAG_SEQUENCE):
+        elif len(item) and item[0] in (TAG_POSTINGS, TAG_SEQUENCE, TAG_NUMBERED):
             yield "columnar", _open_chunk(item)[1]
         elif len(item) and item[0] == TAG_RAW:
             yield "raw", len(_decode_older_rows(item))

@@ -1,4 +1,4 @@
-"""The five index tables of §3.1.2, plus a metadata table.
+"""The five index tables of §3.1.2, plus a metadata and a trace-number table.
 
 Each table wraps one logical key-value table with the paper's schema:
 
@@ -6,12 +6,23 @@ Each table wraps one logical key-value table with the paper's schema:
 Table          Key                         Value
 =============  ==========================  =========================================
 Seq            trace_id                    [(activity, ts), ...] (append, chunked)
-Index          (ev_a, ev_b)                [(trace_id, ts_a, ts_b), ...] (append, chunked)
+Index          (ev_a, ev_b)                [(trace_no, ts_a, ts_b), ...] (append, chunked)
 Count          ev_a                        {ev_b: [sum_duration, completions]}
 ReverseCount   ev_b                        {ev_a: [sum_duration, completions]}
 LastChecked    ev_a                        {ev_b: last_completion_ts} (max)
 Meta           "meta"                      {policy, partitions}
+TraceNumber    trace_id                    trace_no (put once, never deleted)
 =============  ==========================  =========================================
+
+An Index chunk names a trace by its *trace number*: a dense per-store int,
+0 upwards, given the first time a trace's postings are written.  The
+TraceNumber row of a new trace is staged in the same atomic write as the
+postings that first use its number, before them, so any prefix of a write
+that holds a chunk holds the rows naming its numbers.  :class:`IndexTables`
+loads the table once, maps ids to numbers on append and numbers to names on
+read: nothing above this module sees a number.  Older Index items (and the
+RAW chunks of rows whose timestamps fit no chunk) hold the trace ids
+themselves.
 
 Stores written before the engine took a policy only also carry a ``method``
 key in Meta; it is kept as written and never read.
@@ -40,13 +51,14 @@ or fan out over all of them.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.core.errors import IndexStateError
 from repro.core.policies import Policy
 from repro.core.postings import (
     Postings,
     decode_sequence,
+    encode_numbered_postings,
     encode_posting_columns,
     encode_sequence,
     item_formats,
@@ -59,6 +71,7 @@ COUNT = "count"
 REVERSE_COUNT = "reverse_count"
 LAST_CHECKED = "last_checked"
 META = "meta"
+TRACE_NUMBER = "trace_number"
 
 _DEFAULT_PARTITION = ""
 
@@ -79,6 +92,55 @@ class IndexTables:
         self.store = store
         #: the ops of the open :meth:`batch` block, else ``None``
         self._batch: list[WriteOp] | None = None
+        #: trace id by trace number, and trace number by trace id (``None``
+        #: after a failed write whose reload failed too: reloaded on the next)
+        self._names: list = []
+        self._numbers: dict | None = None
+        self._load_trace_numbers()
+
+    def _load_trace_numbers(self) -> None:
+        """(Re)build the trace-number maps from the store (empty without the
+        table: a store written before it, opened without :meth:`ensure_schema`).
+
+        The writer's to call -- at construction and after a failed write,
+        which may have left any prefix of itself in the store; readers only
+        ever read :attr:`_names`, which is replaced, never shrunk in place.
+        """
+        numbers = {}
+        if self.store.has_table(TRACE_NUMBER):
+            numbers = {key[0]: number for key, number in self.store.scan(TRACE_NUMBER)}
+        names = [None] * (max(numbers.values(), default=-1) + 1)
+        for trace_id, number in numbers.items():
+            names[number] = trace_id
+        self._names, self._numbers = names, numbers
+
+    def _after_failed_write(self) -> None:
+        """Forget the numbers of a write that failed: the store holds some
+        prefix of it, so the maps are read back from the store."""
+        try:
+            self._load_trace_numbers()
+        except Exception:  # the store is failing too: retry before the next number
+            self._numbers = None
+
+    def _trace_numbers(self, trace_ids: list) -> list[int]:
+        """The numbers of ``trace_ids``, a new trace numbered ``len(names)``:
+        its name is appended before its row is staged (so before any write
+        holding the number), and the row before the caller's postings."""
+        numbers = self._numbers
+        if numbers is None:
+            self._load_trace_numbers()
+            numbers = self._numbers
+        try:
+            return list(map(numbers.__getitem__, trace_ids))
+        except KeyError:
+            pass
+        names = self._names
+        for trace_id in dict.fromkeys(trace_ids):
+            if trace_id not in numbers:
+                numbers[trace_id] = len(names)
+                names.append(trace_id)
+                self.write("put", TRACE_NUMBER, trace_id, numbers[trace_id])
+        return list(map(numbers.__getitem__, trace_ids))
 
     # -- writes ------------------------------------------------------------
 
@@ -96,6 +158,9 @@ class IndexTables:
         try:
             yield
             ops = self._batch
+        except BaseException:
+            self._after_failed_write()
+            raise
         finally:
             self._batch = None
         # Handed over one at a time, so each staged value is freed as soon
@@ -103,14 +168,21 @@ class IndexTables:
         # Python ones are never all alive at once (~1.2 MB of peak RSS on
         # the index_bulk benchmark build).
         ops.reverse()
-        self.store.write(ops.pop() for _ in range(len(ops)))
+        self._store_write(ops.pop() for _ in range(len(ops)))
+
+    def _store_write(self, ops: Iterable[WriteOp]) -> None:
+        try:
+            self.store.write(ops)
+        except BaseException:
+            self._after_failed_write()
+            raise
 
     def write(self, op: str, table: str, key: Any, value: Any = None) -> None:
         """The one way these tables write (``op`` as in
         :meth:`~repro.kvstore.api.KeyValueStore.write`): into the open
         :meth:`batch`, else straight to the store as a one-op write."""
         if self._batch is None:
-            self.store.write([(op, table, key, value)])
+            self._store_write([(op, table, key, value)])
         else:
             self._batch.append((op, table, key, value))
 
@@ -124,6 +196,7 @@ class IndexTables:
         self.store.create_table(REVERSE_COUNT, merge_operator="counter_map")
         self.store.create_table(LAST_CHECKED, merge_operator="max_map")
         self.store.create_table(META)
+        self.store.create_table(TRACE_NUMBER)
 
     def ensure_partition(self, partition: str) -> None:
         """Create the Index table for ``partition`` (idempotent)."""
@@ -213,13 +286,17 @@ class IndexTables:
         partition: str = _DEFAULT_PARTITION,
     ) -> None:
         """Append one batch of ``pair``'s completions, given as the parallel
-        columns ``(trace ids, ts_a, ts_b)`` a chunk stores (read, not kept)."""
+        columns ``(trace ids, ts_a, ts_b)`` (read, not kept); the chunk
+        stores the traces' numbers."""
         # One chunk per append batch: the list_append merge makes the stored
         # value a list of chunks (possibly after items of older formats).
-        if columns[0]:
-            self.write(
-                "merge", _index_table(partition), pair, [encode_posting_columns(*columns)]
-            )
+        trace_ids, ts_a, ts_b = columns
+        if not trace_ids:
+            return
+        chunk = encode_numbered_postings(self._trace_numbers(trace_ids), ts_a, ts_b)
+        if chunk is None:  # timestamps no chunk holds: a RAW chunk of the ids
+            chunk = encode_posting_columns(trace_ids, ts_a, ts_b)
+        self.write("merge", _index_table(partition), pair, [chunk])
 
     def _index_tables_for(self, partition: str | None) -> list[str]:
         """Physical Index tables a read targets, in union (partition) order.
@@ -264,7 +341,8 @@ class IndexTables:
         for table in self._index_tables_for(partition):
             for merged, row in zip(rows, self.store.multi_get(table, unique, ())):
                 merged.extend(row)
-        return {pair: Postings(row) for pair, row in zip(unique, rows)}
+        names = self._names  # taken after the reads: it names every number they hold
+        return {pair: Postings(row, names) for pair, row in zip(unique, rows)}
 
     def _stored_index_tables(self) -> list[str]:
         """Every physical Index table in the store, registered or not."""
@@ -278,7 +356,7 @@ class IndexTables:
         """``(partition, pair, postings)`` of every stored Index row."""
         for table in self._stored_index_tables():
             for pair, row in self.store.scan(table):
-                yield table[len(INDEX) + 1 :], tuple(pair), Postings(row)
+                yield table[len(INDEX) + 1 :], tuple(pair), Postings(row, self._names)
 
     def format_stats(self) -> dict[str, dict[str, dict[str, int]]]:
         """Per list table, chunks and rows held in each storage format.

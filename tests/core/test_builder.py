@@ -238,13 +238,16 @@ class TestWritesPerBatch:
         store.writes.clear()
         store.write_calls = 0
         builder.update(EventLog.from_dict({f"t{n}": list("ABCABC") for n in range(3)}))
-        merges = {table: store.writes.count(("merge", table)) for _, table in store.writes}
+        merges = {table: store.writes.count(("merge", table)) for op, table in store.writes
+                  if op == "merge"}
         assert merges == {"seq": 3, "index": 9, "count": 3, "reverse_count": 3, "last_checked": 3}
-        assert all(op == "merge" for op, _ in store.writes)
+        # besides the merges, one trace-number put per new trace, staged
+        # before the first chunk that uses the numbers
+        assert [w for w in store.writes if w[0] != "merge"] == [("put", "trace_number")] * 3
         # ...and all of them are one store write, in the tables' order
         assert store.write_calls == 1
         tables = [table for _, table in store.writes]
-        order = ["seq", "index", "count", "reverse_count", "last_checked"]
+        order = ["seq", "trace_number", "index", "count", "reverse_count", "last_checked"]
         assert tables == sorted(tables, key=order.index)
 
     def test_an_update_is_one_write_and_a_failed_one_writes_nothing(self, monkeypatch):

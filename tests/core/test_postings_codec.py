@@ -14,12 +14,14 @@ from repro.core.postings import (
     KIND_FLOAT,
     KIND_INT,
     KIND_INTFLOAT,
+    TAG_NUMBERED,
     TAG_POSTINGS,
     TAG_RAW,
     TAG_SEQUENCE,
     Postings,
     decode_postings,
     decode_sequence,
+    encode_numbered_postings,
     encode_postings,
     encode_sequence,
     item_formats,
@@ -419,6 +421,95 @@ class TestOlderFormats:
             Postings([("t", 1)])
         with pytest.raises(CorruptPostingsError, match="pair"):
             decode_sequence([("A", 1, 2)])
+
+
+class TestNumberedChunks:
+    """The Index layout: trace numbers in a fixed-width column."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 300), st.integers(-300, 70000), st.integers(-300, 70000)),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(0, 2**40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_numbers_round_trip_and_map_through_the_names(self, rows, shift):
+        rows = [(number + shift, ts_a, ts_b) for number, ts_a, ts_b in rows]
+        chunk = encode_numbered_postings(*zip(*rows))
+        assert chunk[0] == TAG_NUMBERED
+        assert decode_postings(chunk) == _grouped(rows)  # no names: the numbers
+        top = max(number for number, _, _ in rows)
+        postings = Postings([chunk], _Names(top + 1))
+        assert postings.entries == len(rows)
+        assert postings.trace_ids() == {f"t{number}" for number, _, _ in rows}
+        assert _grouped(postings.rows()) == _grouped(
+            [(f"t{number}", ts_a, ts_b) for number, ts_a, ts_b in rows]
+        )
+
+    def test_the_column_is_as_narrow_as_the_number_range(self):
+        for numbers, code in (([7, 7], 0), ([1000, 1255], 0), ([1000, 1256], 1),
+                              ([0, 2**20], 2), ([5, 2**40], 3)):
+            chunk = encode_numbered_postings(numbers, [1, 2], [3, 4])
+            assert chunk[1] & 3 == code, numbers
+        # u8 numbers, a one-byte number base: a row costs its three bytes
+        chunk = encode_numbered_postings(list(range(100, 120)), list(range(20)), list(range(20)))
+        assert len(chunk) == 2 + 1 + 1 + 1 + 20 * 3
+
+    def test_names_are_the_tables_own_objects(self):
+        names = [f"trace-{n}" for n in range(4)]
+        postings = Postings([encode_numbered_postings([3, 1, 3], [1, 2, 3], [4, 5, 6])], names)
+        (ids, _, _), = postings.columns()
+        assert [id(name) for name in ids] == [id(names[3]), id(names[1]), id(names[3])]
+
+    @pytest.mark.parametrize(
+        "numbers", [[-1], [True], ["t1"], [1.0], [0, 2**64], [None]]
+    )
+    def test_only_non_negative_ints_in_64_bits_are_numbers(self, numbers):
+        stamps = [1] * len(numbers)
+        assert encode_numbered_postings(numbers, stamps, stamps) is None
+
+    def test_timestamps_no_chunk_holds_are_not_numbered(self):
+        assert encode_numbered_postings([0], [True], [1]) is None
+        assert encode_numbered_postings([0, 1], [1, 2.5], [2, 3]) is None
+
+    def test_a_number_past_the_name_table_raises(self):
+        chunk = encode_numbered_postings([4, 2], [1, 2], [3, 4])
+        assert Postings([chunk], ["a", "b", "c", "d", "e"]).entries == 2
+        with pytest.raises(CorruptPostingsError, match="name table"):
+            Postings([chunk], ["a", "b", "c", "d"])
+        with pytest.raises(CorruptPostingsError, match="name table"):
+            Postings([chunk], [])
+
+    def test_is_a_columnar_format_and_no_sequence(self):
+        chunk = encode_numbered_postings([0, 1, 1], [1, 2, 3], [4, 5, 6])
+        assert list(item_formats([chunk])) == [("columnar", 3)]
+        with pytest.raises(CorruptPostingsError, match="not a sequence"):
+            decode_sequence([chunk])
+
+
+class _Names:
+    """A name table of ``size`` numbers, number ``n`` named ``t<n>``."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, number: int) -> str:
+        return f"t{number}"
+
+
+def test_an_empty_item_is_a_typed_error_everywhere():
+    for decode in (
+        lambda items: list(item_formats(items)),
+        Postings,
+        decode_sequence,
+    ):
+        with pytest.raises(CorruptPostingsError):
+            decode([b""])
 
 
 def test_big_endian_is_not_assumed():

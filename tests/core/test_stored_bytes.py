@@ -13,6 +13,14 @@ stores written before the engine took a policy only still carry: dropping it
 took exactly 24 bytes (STNM, ``indexing``) / 22 bytes (SC, ``strict``) off
 each count and nothing else.  The table digests did not move with either.
 
+The ``index`` digests and the WAL counts were re-pinned, and the
+``trace_number`` digest added, by the change that made Index chunks name a
+trace by its per-store number (the NUMBERED layout): every other table's
+digest stayed as it was.  On these logs' two-character trace ids the WAL
+grew by 23-92 bytes -- a TraceNumber put per trace costs more than the ids
+it takes out of the chunks -- while on realistic ids and batch sizes it
+shrinks with the Index bytes.
+
 Stored values do not depend on ``PYTHONHASHSEED`` (every dict on the write
 path is insertion-ordered by trace and pair first appearance; checked under
 0, 7 and random), so no subprocess is needed.  The float log's stamps are
@@ -33,7 +41,7 @@ from repro.core.model import Event
 from repro.core.policies import Policy
 from repro.kvstore import LSMStore
 
-TABLES = ("seq", "index", "count", "reverse_count", "last_checked")
+TABLES = ("seq", "index", "count", "reverse_count", "last_checked", "trace_number")
 #: each indexable policy, by the pair creator its index builds with
 POLICIES = {"indexing": Policy.STNM, "strict": Policy.SC}
 
@@ -107,62 +115,68 @@ EXPECTED = {
     ("float", "indexing"): (
         {
             "count": "428dd7d2af2c24632f9ba8611fd43eebf1f50f17b7f9b1db638e3ede58e93b14",
-            "index": "d97938fd319aa1a0686c3ad94f868df3fc86a545424302497c9d53183f472136",
+            "index": "c0d6614fdaea798c17a1f496eae273afc1acbef1e32eae721dc7025478b5be1a",
             "last_checked": "64234907881dabc113765eb13c63748cd2a8c961999175acaaaa6e3ca7a21df6",
             "reverse_count": "aa85f74c49c5ed72a21f9739030f44806712f578662dbd90fb98018c3d434f3b",
             "seq": "06fc1bc52d4a213731015f766d180135b08e76de029c57a993e492bd2a103a16",
+            "trace_number": "a7bdacb869fa3a6d1cd472886acf232c43c1747ccc2028854158beda8e4b55e0",
         },
-        2011,
+        2064,
     ),
     ("float", "strict"): (
         {
             "count": "222ed531e8cb341c751e8d2b9ad13ebabe831ce44edb7c330edaad8fe7efec91",
-            "index": "656a954f988654b3bf017a5c0769bdf96039a0033ad9b31ccc3645d69312c25f",
+            "index": "c436fd34cdfd2527a6a2919ff82b2ed0d4f39bbcbdbcd700e6595268a5815b4b",
             "last_checked": "f8863cfa17adc0de284595e5553f5d91dda5aced4ce23a0500ca89fc147dcd0d",
             "reverse_count": "86f5a8523c0af42867fdb56fe1631806a3324c30afa7313555fb4edea33645fa",
             "seq": "06fc1bc52d4a213731015f766d180135b08e76de029c57a993e492bd2a103a16",
+            "trace_number": "0bfc7d5a90c26fc2ce6259af9c66db3cc940578573e655b242b6314d52da7e28",
         },
-        1691,
+        1770,
     ),
     ("int", "indexing"): (
         {
             "count": "22f5e41fc60fdb0bf43724371da439a5b8ad6976ca67034c0bee7babbdab4929",
-            "index": "572560065cb796f22e57f6ad52a8be2581c483e74b1788fcb2a2174dd1758d00",
+            "index": "7b401b07de9a1e051e4affdcde4f2ec01d36d9b393b7c632ab2599de9b9ef9b1",
             "last_checked": "ab4fecfea233de507ea8abdda9ec8cdde7cb08f51d1a004c1d78b6ce2707a582",
             "reverse_count": "b12233ca2997a956190a346d1fe9dc53faafff63323466fcf483bc2e518ba8b1",
             "seq": "3dbb5ab609ad60df17677aeec0e98bfed64257c959346ad7ad76d64b299a6d34",
+            "trace_number": "9d27acbe618e0b01de4e2f617240918dc1b373243acfeeeabc6dc2b66275e8f3",
         },
-        2862,
+        2907,
     ),
     ("int", "strict"): (
         {
             "count": "ee8d08e2b6aa5173bf78fbf4eceff134587d814866e359cf557827ca682dd5a2",
-            "index": "bd1621e943bba7d4bae0c284c207f7ed4c146fe8385271d2de2663880bcc4caa",
+            "index": "171a2fd9f65725bcb3c9ab6f8300be21343fc39541fdda5f4f17fdd32b66a293",
             "last_checked": "f536710809afe28b45e76677025034a4dbd251f9f45883f7209bf49dbb96371b",
             "reverse_count": "0bc6425970578df0b8e844f771605db8192f7d3822a57a2eb0dd8f3b372cfb18",
             "seq": "3dbb5ab609ad60df17677aeec0e98bfed64257c959346ad7ad76d64b299a6d34",
+            "trace_number": "9d27acbe618e0b01de4e2f617240918dc1b373243acfeeeabc6dc2b66275e8f3",
         },
-        2011,
+        2103,
     ),
     ("stream", "indexing"): (
         {
             "count": "ccc20b6ee9b3e2d3506429306d35e16085329a0533798e0e6b302c130b1a903f",
-            "index": "97c54eb4142e27a5986ea569ebfab40f5eea33b57d6580b38332a6eaf9216a06",
+            "index": "accd46f60a34a6e9902e1e5cc0575987f2ebf1a1040124d290bb1877e89d2a7e",
             "last_checked": "34f39d6899edaacf33405c57f6d9fe19fa6c50de73eb294f7e151bed07d90503",
             "reverse_count": "c477c3c5cd07c3351b7793f0a82fe63711514933c38db5228affce53ebb9810d",
             "seq": "a159c00bb160c4deba49a95a24c385e6afb372606f6a2dc4429b8ce41c0a06df",
+            "trace_number": "589a15cf6937c04e1eb246c0e72308978be92f141a1f3c9eb01503430c4683fe",
         },
-        6434,
+        6457,
     ),
     ("stream", "strict"): (
         {
             "count": "9e77fa40dd8a954777e97c94dffb0850042b005ac6c5fea802694bdf4724393a",
-            "index": "ca3ab4b97652e428713be49f395046fb37bfa49d3b5d9b651f68ab4ea1317aed",
+            "index": "3801f65b5152df8fad52725e9105fcd5ab391a78fcc01a040dd0ac6a3714aae5",
             "last_checked": "9f348a5dc984ea26df1f8cd31d28d8ef2a83e86e4405e3b777e484b151c694db",
             "reverse_count": "5147a90c9b134530c3b285f39c02e023fab7453a1452492db942375b91948ad9",
             "seq": "a159c00bb160c4deba49a95a24c385e6afb372606f6a2dc4429b8ce41c0a06df",
+            "trace_number": "589a15cf6937c04e1eb246c0e72308978be92f141a1f3c9eb01503430c4683fe",
         },
-        4847,
+        4917,
     ),
 }
 
