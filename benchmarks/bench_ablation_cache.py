@@ -1,12 +1,9 @@
-"""Ablation: the serving layer's caches.
+"""Ablation: the LSM block cache.
 
-Smoke benchmarks for the two caches added with the concurrent serving
-layer (the runner twin is ``python -m repro.bench.runner ablation_cache``):
-
-* **block cache on/off** -- point-read latency against a flushed LSM store;
-  warm reads should be served from parsed in-memory blocks, not pread+parse;
-* **query cache on/off** -- repeated ``detect()`` latency on an unchanged
-  index; hits bypass detection entirely.
+Smoke benchmark of block cache on/off (the runner twin is ``python -m
+repro.bench.runner ablation_cache``): point-read latency against a flushed
+LSM store; warm reads should be served from parsed in-memory blocks, not
+pread+parse.
 """
 
 from __future__ import annotations
@@ -14,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import SCALE
-from repro.bench.workloads import prepared_dataset, stnm_patterns
+from repro.bench.workloads import prepared_dataset
 from repro.core.engine import SequenceIndex
 from repro.kvstore import LSMStore
 
@@ -28,7 +25,7 @@ def _indexed_store(tmp_path, cache_bytes: int):
         memtable_flush_bytes=64 * 1024,
         block_cache_bytes=cache_bytes,
     )
-    index = SequenceIndex(store, query_cache_size=0)
+    index = SequenceIndex(store)
     index.update(prepared_dataset(DATASET, SCALE))
     store.flush()
     return store, index
@@ -50,17 +47,4 @@ def test_point_reads(benchmark, tmp_path, cache_bytes):
 
     read_all()  # warm-up: "cache on" should measure hits, not first touches
     benchmark.pedantic(read_all, rounds=3, iterations=1)
-    index.close()
-
-
-@pytest.mark.parametrize(
-    "cache_size", [128, 0], ids=["query-cache-on", "query-cache-off"]
-)
-def test_repeated_detect(benchmark, cache_size):
-    log = prepared_dataset(DATASET, SCALE)
-    index = SequenceIndex(query_cache_size=cache_size)
-    index.update(log)
-    pattern = stnm_patterns(log, length=3, count=1)[0]
-    index.detect(pattern)  # warm-up / cache fill
-    benchmark.pedantic(lambda: index.detect(pattern), rounds=3, iterations=1)
     index.close()

@@ -72,7 +72,7 @@ def _open_store(path, strategy: str) -> LSMStore:
 
 def _ingest(workdir, strategy: str) -> LSMStore:
     store = _open_store(workdir / "db", strategy)
-    engine = SequenceIndex(store, query_cache_size=0)
+    engine = SequenceIndex(store)
     for day in range(DAYS):
         feed = str(workdir / f"day{day:02d}.jsonl")
         with FeedWriter(feed) as writer:

@@ -37,7 +37,7 @@ def pattern_workload(tmp_path_factory):
     """One LSM-backed index and one composite workload, shared by kinds."""
     workdir = tmp_path_factory.mktemp("pattern-language")
     store = LSMStore(str(workdir / "db"), memtable_flush_bytes=256 * 1024)
-    index = SequenceIndex(store, policy=Policy.STNM, query_cache_size=0)
+    index = SequenceIndex(store, policy=Policy.STNM)
     log = prepared_dataset(DATASET, SCALE)
     index.update(log)
     store.flush()

@@ -482,11 +482,10 @@ def exp_fig7(
 def exp_ablation_cache(
     scale: float, dataset: str = "max_1000", reads: int = 2000
 ) -> ExperimentResult:
-    """Ablation: serving-layer caches on/off (not a paper experiment).
+    """Ablation: the LSM block cache on/off (not a paper experiment).
 
-    Measures point-read latency through the LSM block cache and repeated
-    detect() latency through the engine's query-result cache, each with the
-    cache enabled vs disabled, on an indexed registry dataset.
+    Measures point-read latency through the block cache, enabled vs
+    disabled, on an indexed registry dataset.
     """
     import shutil
     import tempfile
@@ -506,7 +505,7 @@ def exp_ablation_cache(
             store = LSMStore(
                 workdir, memtable_flush_bytes=64 * 1024, block_cache_bytes=cache_bytes
             )
-            index = SequenceIndex(store, query_cache_size=0)
+            index = SequenceIndex(store)
             index.update(log)
             store.flush()
             trace_ids = index.trace_ids()
@@ -521,16 +520,7 @@ def exp_ablation_cache(
             index.close()
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
-    for label, cache_size in (("query cache on", 128), ("query cache off", 0)):
-        index = SequenceIndex(query_cache_size=cache_size)
-        index.update(log)
-        pattern = stnm_patterns(log, length=3, count=1)[0]
-        index.detect(pattern)  # warm-up / cache fill
-        repeats = max(1, reads // 40)
-        elapsed, _ = timed(lambda: [index.detect(pattern) for _ in range(repeats)])
-        result.add(label, "repeat detect", repeats, elapsed, elapsed / repeats * 1e6)
-        index.close()
-    result.note("block cache: LSM data blocks; query cache: SequenceIndex results")
+    result.note("block cache: LSM data blocks")
     return result
 
 
@@ -571,7 +561,7 @@ def exp_pattern_language(
     snapshot_kinds = []
     try:
         store = LSMStore(workdir, memtable_flush_bytes=256 * 1024)
-        index = SequenceIndex(store, policy=Policy.STNM, query_cache_size=0)
+        index = SequenceIndex(store, policy=Policy.STNM)
         index.update(log)
         store.flush()
         workload = composite_patterns(
@@ -674,11 +664,6 @@ def exp_sharded_service(
     sets are asserted byte-identical to the single-store engine's.
     Writes a ``BENCH_sharded_service.json`` perf-trajectory snapshot with
     p50/p99 latency and QPS per configuration.
-
-    The throughput win is a cache-retention story: every ingest bumps the
-    single-store engine's one write generation, evicting every memoized
-    answer in the process; on N shards the same ingest touches one shard,
-    so the other N-1 keep serving memoized answers.
     """
     import json
     import shutil
@@ -960,7 +945,7 @@ def exp_leveled_compaction(
         for strategy in strategies:
             store_dir = os.path.join(workdir, strategy)
             store = open_store(store_dir, strategy)
-            engine = SequenceIndex(store, query_cache_size=0)
+            engine = SequenceIndex(store)
             events_total = 0
             reopen_series = []
             try:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.builder import IndexBuilder, UpdateStats, WrittenKeys
 from repro.core.continuation import ContinuationExplorer
@@ -59,19 +59,12 @@ from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog
 from repro.obs.trace import Tracer, activate, current_tracer
 
 _MODES = ("accurate", "fast", "hybrid")
-_MISS = object()
 
 
-def check_cache_size(name: str, size: int) -> None:
-    """Zero turns an engine cache off; a negative size is an error."""
+def check_cache_bytes(size: int) -> None:
+    """Zero turns the row cache off; a negative size is an error."""
     if size < 0:
-        raise ValueError(f"{name} must be non-negative (0 turns the cache off)")
-
-
-def _cache_of(name: str, size: int) -> LRUCache | None:
-    """An engine cache of ``size`` (entries or bytes), ``None`` for 0."""
-    check_cache_size(name, size)
-    return LRUCache(size) if size else None
+        raise ValueError("cache_bytes must be non-negative (0 turns the cache off)")
 
 
 def _merge_matches(
@@ -125,10 +118,10 @@ class QueryEngine:
 
     The front half of a query is written here once: the pattern is coerced
     (list of activities, :class:`~repro.core.pattern.Pattern` or expression
-    string), the arguments are validated, the answer is looked up in the
-    generation-keyed **query-result cache**, the call is timed for the
+    string), the arguments are validated, the call is timed for the
     slow-query log, and ``explain``/``explain_profile`` return the plan (and
-    stage profile) of a real execution.
+    stage profile) of the execution.  Every answer is computed from the
+    shards' row caches and stores; no answer is memoized.
 
     So is the back half, over :class:`SequenceIndex` shards holding disjoint
     traces: a query runs on every shard through :meth:`_gather` and the
@@ -152,10 +145,7 @@ class QueryEngine:
     shards: Sequence[SequenceIndex]
     _obs_handle: int
 
-    def __init__(
-        self, query_cache_size: int, slow_query_threshold: float | None = None
-    ) -> None:
-        self._query_cache = _cache_of("query_cache_size", query_cache_size)
+    def __init__(self, slow_query_threshold: float | None = None) -> None:
         if slow_query_threshold is None:
             env_ms = os.environ.get("REPRO_SLOW_QUERY_MS", "").strip()
             if env_ms:
@@ -168,7 +158,9 @@ class QueryEngine:
         # Count / ReverseCount rows summed across shards: a trace lives on
         # exactly one shard, so durations and completions are both additive.
         self.explorer = ContinuationExplorer(
-            self._detect_uncached,
+            lambda pattern, partition: self._run(
+                "detect", as_query(pattern), partition, None, None
+            )[0],
             lambda first: _sum_rows([s.query.count_row(first) for s in self.shards]),
             lambda second: _sum_rows(
                 [s.query.reverse_count_row(second) for s in self.shards]
@@ -183,11 +175,6 @@ class QueryEngine:
     @property
     def num_shards(self) -> int:
         return len(self.shards)
-
-    @property
-    def write_generations(self) -> tuple[int, ...]:
-        """Per-shard write generations: the query-result cache's epoch."""
-        return tuple(shard.query.generation for shard in self.shards)
 
     def shard_of(self, trace_id: str) -> int:
         """The index in :attr:`shards` of the shard owning ``trace_id`` (the
@@ -213,8 +200,12 @@ class QueryEngine:
     # -- the front half ----------------------------------------------------------------
 
     def query_cache_stats(self) -> dict[str, int]:
-        """Hit/miss/eviction counters of the query-result cache."""
-        return self._query_cache.stats() if self._query_cache is not None else {}
+        """Always ``{}``: there is no query-result cache.
+
+        Kept for ``benchmarks/pipeline/workloads/query_cold.py``, which reads
+        it on every pass; ROADMAP item 1(a)'s harness edit removes it.
+        """
+        return {}
 
     def slow_queries(self) -> list[SlowQueryEntry]:
         """Recent slow queries (empty when no threshold is configured)."""
@@ -224,7 +215,7 @@ class QueryEngine:
         self, kind: str, detail: str, compute: Callable[[], Any]
     ) -> Any:
         """Run one query call under a span and the slow-query timer."""
-        self._check_open()  # a memoized answer is a query too
+        self._check_open()
         span = current_tracer().span(kind)
         start = time.perf_counter()
         try:
@@ -235,28 +226,6 @@ class QueryEngine:
                 self.slow_query_log.observe(
                     kind, detail, time.perf_counter() - start
                 )
-
-    def _cached(self, key: tuple[Hashable, ...], compute: Callable[[], Any]) -> Any:
-        """Memoize ``compute()`` under the current write generations.
-
-        List results are stored as tuples and returned as fresh lists, so a
-        caller reordering/extending its list cannot poison later cache hits.
-        The elements themselves (:class:`PatternMatch`, :class:`PatternStats`,
-        :class:`ContinuationProposal`, plain strings/ints) are shared between
-        the cache and every caller -- safe because they are all immutable
-        (frozen dataclasses with tuple fields).
-        """
-        if self._query_cache is None:
-            return compute()
-        full_key = (self.write_generations,) + key
-        cached = self._query_cache.get(full_key, _MISS)
-        if cached is not _MISS:
-            return list(cached) if isinstance(cached, tuple) else cached
-        result = compute()
-        self._query_cache.put(
-            full_key, tuple(result) if isinstance(result, list) else result
-        )
-        return result
 
     def _check_arguments(
         self,
@@ -305,35 +274,18 @@ class QueryEngine:
         explain: bool = False,
         **limits: Any,
     ) -> Any:
-        """One ``detect``/``count``/``contains`` call, front to back.
-
-        With ``explain`` the memo is bypassed, so the plan always reflects
-        a real execution, and ``(answer, plan)`` is returned.
-        """
+        """One ``detect``/``count``/``contains`` call, front to back; with
+        ``explain``, ``(answer, plan)`` is returned."""
         query = as_query(pattern)
         self._check_arguments(query, policy, **limits)
         check_deadline(deadline)
-
-        def run() -> tuple[Any, QueryPlan]:
-            return self._run(op, query, partition, policy, deadline, **limits)
-
         shown = str(query) if isinstance(query, Pattern) else list(query)
-        return self._observe_query(
+        answer, plan = self._observe_query(
             f"query.{op}",
             f"pattern={shown!r} partition={partition!r}",
-            run
-            if explain
-            else lambda: self._cached(
-                (op, query, partition, policy, *limits.values()),
-                lambda: run()[0],
-            ),
+            lambda: self._run(op, query, partition, policy, deadline, **limits),
         )
-
-    def _detect_uncached(
-        self, pattern: Sequence[str], partition: str | None
-    ) -> list[PatternMatch]:
-        """One detection, no memo (the explorer's probes)."""
-        return self._run("detect", as_query(pattern), partition, None, None)[0]
+        return (answer, plan) if explain else answer
 
     # -- the back half, once over the shards --------------------------------------------
 
@@ -400,8 +352,7 @@ class QueryEngine:
 
         With ``explain=True`` the return value is ``(matches, plan)`` where
         ``plan`` records the group cardinalities, the order and the
-        finisher the planner chose; explain calls bypass the query-result
-        cache so the plan always reflects a real execution.
+        finisher the planner chose.
         ``explain_profile=True`` (implies ``explain``) additionally runs
         the detection under a fresh tracer and returns ``(matches, plan,
         profile)``, where ``profile`` breaks the call into stages
@@ -479,7 +430,7 @@ class QueryEngine:
         return self._observe_query(
             "query.statistics",
             f"pattern={list(pattern)!r} all_pairs={all_pairs}",
-            lambda: self._cached(("statistics", tuple(pattern), all_pairs), compute),
+            compute,
         )
 
     def continuations(
@@ -504,10 +455,7 @@ class QueryEngine:
         return self._observe_query(
             "query.continuations",
             f"pattern={list(pattern)!r} mode={mode!r} top_k={top_k}",
-            lambda: self._cached(
-                ("continuations", tuple(pattern), mode, top_k, within, partition),
-                compute,
-            ),
+            compute,
         )
 
     def explore_at(
@@ -699,15 +647,9 @@ class SequenceIndex(QueryEngine):
     """Inverted event-pair index over one store: a shard core, and the
     engine whose only shard is itself.
 
-    The caches follow one rule in three parts:
+    Every query is answered from the row cache and the store, and the row
+    cache follows one rule in two parts:
 
-    * **answers are memoized per generation.**  Read queries (``detect``/
-      ``count``/``contains``/``statistics``/``continuations``) are memoized
-      in a small LRU **query-result cache** whose keys embed the index's
-      *write generation* -- a counter bumped by every :meth:`update` and
-      :meth:`prune_trace` -- because an answer depends on many rows: post-
-      write queries never hash to a pre-write key, and the dead generation
-      ages out of the LRU.  Set ``query_cache_size=0`` to disable.
     * **the row cache drops exactly the rows a write touched** -- and
       refreshes the Seq rows it extended, which the next write to those
       traces reads from there.  One LRU of
@@ -719,16 +661,18 @@ class SequenceIndex(QueryEngine):
       pairs, traces and activities it wrote and leaves every other warm
       row, so a detection beside a live ingest still skips the store read
       and the chunk-dictionary parse of the pairs the ingest did not touch.
-      ``cache_bytes=0`` disables it, Count rows included.  A negative size
-      of either cache raises ``ValueError``.
-    * **a fetch that overlapped a write does not fill the cache**
+      ``cache_bytes=0`` disables it, Count rows included; a negative size
+      raises ``ValueError``.
+    * **a fetch that overlapped a write does not fill the cache**: the
+      *write generation*, bumped by every :meth:`update` and
+      :meth:`prune_trace` that wrote, tells it
       (:class:`~repro.core.query.QueryProcessor`).
 
     A store has one writer at a time, and the rule lives here and nowhere
     else: :meth:`_apply` and :meth:`_prune`, which :meth:`update` and
     :meth:`prune_trace` call on the owning shard, hold one private lock
     around the mutation *and* the cache invalidation, whoever calls them;
-    readers never take it.  The caches and write generation are reported
+    readers never take it.  The row cache and write generation are reported
     to the process-wide metrics registry (``python -m repro metrics``).
     """
 
@@ -736,12 +680,12 @@ class SequenceIndex(QueryEngine):
         self,
         store: KeyValueStore | None = None,
         policy: Policy = Policy.STNM,
-        query_cache_size: int = 128,
         cache_bytes: int = 8 * 1024 * 1024,
         slow_query_threshold: float | None = None,
     ) -> None:
-        super().__init__(query_cache_size, slow_query_threshold)
-        row_cache = _cache_of("cache_bytes", cache_bytes)
+        super().__init__(slow_query_threshold)
+        check_cache_bytes(cache_bytes)
+        row_cache = LRUCache(cache_bytes) if cache_bytes else None
         self.shards = (self,)
         self.store = store if store is not None else InMemoryStore()
         self.builder = IndexBuilder(self.store, policy)
@@ -755,7 +699,7 @@ class SequenceIndex(QueryEngine):
 
     @property
     def write_generation(self) -> int:
-        """Monotonic counter of index mutations (query-cache epoch)."""
+        """Monotonic counter of index mutations (the row cache's fill rule)."""
         return self.query.generation
 
     def row_cache_stats(self) -> dict[str, int]:
@@ -778,15 +722,11 @@ class SequenceIndex(QueryEngine):
         return self.store.storage_stats()
 
     def _collect_obs_metrics(self) -> dict[str, float]:
-        """Metrics-registry collector: engine caches, generation, slowlog."""
+        """Metrics-registry collector: row cache, generation, slowlog."""
         samples: dict[str, float] = {
             "repro_index_write_generation": self.write_generation
         }
-        query_cache = self.query_cache_stats()
-        if query_cache:
-            samples["repro_query_cache_evictions_total"] = query_cache["evictions"]
         for prefix, stats in (
-            ("repro_query_cache", query_cache),
             ("repro_postings_cache", self.postings_cache_stats()),
             ("repro_sequence_cache", self.sequence_cache_stats()),
         ):
@@ -815,12 +755,10 @@ class SequenceIndex(QueryEngine):
         and the rows the update wrote (``UpdateStats.written``) leave the
         per-row caches, but for the Seq rows of known traces, which are put
         back extended -- every row leaves, if the update failed part-way.  A
-        query racing the update memoizes its possibly-partial answer under
-        the pre-update generation, which no post-update query reads, and a
         row fetched while the update ran is not cached
-        (:class:`~repro.core.query.QueryProcessor`).  A batch
-        that indexed nothing (empty, or a pure replay) wrote nothing and
-        leaves the generation -- and every warm cache -- alone.
+        (:class:`~repro.core.query.QueryProcessor`).  A batch that indexed
+        nothing (empty, or a pure replay) wrote nothing and leaves the
+        generation -- and every warm row -- alone.
         """
         with self._write_lock:
             try:

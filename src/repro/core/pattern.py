@@ -104,8 +104,7 @@ class PatternElement:
 class Pattern:
     """A composite sequence pattern with an optional WITHIN window.
 
-    Hashable (frozen, tuple fields), so patterns key the engine's
-    query-result cache exactly like plain activity tuples do.  The derived
+    Hashable (frozen, tuple fields), like plain activity tuples.  The derived
     views below are computed once per pattern (``cached_property`` writes to
     the instance ``__dict__``, which neither hash nor equality look at).
     """

@@ -256,8 +256,8 @@ class QueryProcessor:
       fetched only if no write has completed since -- a fetch that
       overlapped a write may hold a half-old row and does not fill a cache.
 
-    :attr:`generation` is also the owning engine's write generation: the
-    query-result memo, whose answers depend on many rows, is keyed by it.
+    :attr:`generation` is also the owning engine's write generation
+    (``SequenceIndex.write_generation``).
     """
 
     def __init__(self, tables: IndexTables, row_cache: LRUCache | None = None) -> None:

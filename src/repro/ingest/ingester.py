@@ -57,9 +57,9 @@ class EngineSink:
     ``engine`` is anything with the ``SequenceIndex`` write surface
     (``update()``).  Queries on the same engine keep
     serving while batches apply, and see a batch's events as soon as it
-    returns: the answer memo is keyed by write generation, and the per-row
-    caches drop exactly the rows the batch wrote, but keep the Seq rows of
-    the traces it extended, refreshed for the next batch to read.
+    returns: every answer is read from the row cache and the store, and the
+    row cache drops exactly the rows the batch wrote, but keeps the Seq rows
+    of the traces it extended, refreshed for the next batch to read.
     """
 
     def __init__(self, engine: Any, partition: str = "") -> None:

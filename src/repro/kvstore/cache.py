@@ -8,14 +8,13 @@ Two users:
   evicts its own blocks when the table is closed (post-compaction), which
   keys the cache by a per-reader uid rather than by file name -- a recycled
   file name can never alias a dead table's blocks.
-* the engine caches of :class:`repro.core.engine.SequenceIndex`.  The
-  query-result memo counts entries, and its keys embed the index's write
-  generation (an answer depends on many rows).  The row cache holds every
-  decoded row -- postings, Seq rows, Count rows -- in one byte budget, each
-  charged its estimated resident size and keyed by row; a write drops
-  exactly the rows it wrote (:meth:`LRUCache.discard`), except the Seq rows
-  it extended, which it puts back extended.  The writer reads those rows
-  with :meth:`LRUCache.peek`, which is not a reader's lookup.
+* the row cache of :class:`repro.core.engine.SequenceIndex`, the engine's
+  one cache above the block cache.  It holds every decoded row -- postings,
+  Seq rows, Count rows -- in one byte budget, each charged its estimated
+  resident size and keyed by row; a write drops exactly the rows it wrote
+  (:meth:`LRUCache.discard`), except the Seq rows it extended, which it puts
+  back extended.  The writer reads those rows with :meth:`LRUCache.peek`,
+  which is not a reader's lookup.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ class LRUCache:
     """Thread-safe LRU cache with weighted capacity.
 
     ``capacity`` is interpreted in the same unit as the ``weight`` passed to
-    :meth:`put` (bytes for the block cache and the engine's row cache,
-    entries for the query cache).  An item heavier than the whole capacity
-    is not cached: its put drops the key's old entry and evicts nothing else.
+    :meth:`put` (bytes for the block cache and the engine's row cache).  An
+    item heavier than the whole capacity is not cached: its put drops the
+    key's old entry and evicts nothing else.
     """
 
     def __init__(self, capacity: int) -> None:

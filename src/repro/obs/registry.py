@@ -131,11 +131,7 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
     "repro_block_cache_entries": ("gauge", "Blocks currently cached."),
     "repro_block_cache_bytes": ("gauge", "Bytes currently cached."),
     "repro_block_cache_evictions_total": ("counter", "Blocks evicted by LRU."),
-    # -- engine caches ------------------------------------------------------
-    "repro_query_cache_hits_total": ("counter", "Query-result cache hits."),
-    "repro_query_cache_misses_total": ("counter", "Query-result cache misses."),
-    "repro_query_cache_evictions_total": ("counter", "Query-result cache evictions."),
-    "repro_query_cache_entries": ("gauge", "Query-result cache entries."),
+    # -- row cache ----------------------------------------------------------
     "repro_row_cache_bytes": (
         "gauge",
         "Estimated resident bytes of the decoded rows the row cache holds.",
@@ -153,7 +149,7 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
     # -- engine state -------------------------------------------------------
     "repro_index_write_generation": (
         "gauge",
-        "Write generation (query-cache epoch) of the index.",
+        "Write generation of the index: the writes it has applied.",
     ),
     # -- slow-query log -----------------------------------------------------
     "repro_slow_queries_total": (

@@ -29,7 +29,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from repro.core.engine import QueryEngine, SequenceIndex, check_cache_size
+from repro.core.engine import QueryEngine, SequenceIndex, check_cache_bytes
 from repro.core.errors import DeadlineExceeded
 from repro.executor import ParallelExecutor
 from repro.obs.registry import REGISTRY
@@ -122,12 +122,11 @@ class ShardedSequenceIndex(QueryEngine):
         self,
         shards: Sequence[SequenceIndex],
         executor: ParallelExecutor | None = None,
-        query_cache_size: int = 128,
         name: str = "sharded",
     ) -> None:
         if not shards:
             raise ValueError("need at least one shard")
-        super().__init__(query_cache_size)
+        super().__init__()
         self.shards = list(shards)
         self._owns_executor = executor is None
         self.executor = executor or ParallelExecutor(max_workers=len(self.shards))
@@ -143,7 +142,7 @@ class ShardedSequenceIndex(QueryEngine):
         store_factory: Callable[[str], Any],
         num_shards: int | None = None,
         executor: ParallelExecutor | None = None,
-        query_cache_size: int = 128,
+        query_cache_size: int = 0,
         **engine_kwargs: Any,
     ) -> "ShardedSequenceIndex":
         """Open (or create) a sharded store rooted at ``root``.
@@ -153,11 +152,16 @@ class ShardedSequenceIndex(QueryEngine):
         wins over ``num_shards`` (reopening with a different count would
         strand traces on the wrong shard); creating a new store requires
         ``num_shards``.
+
+        ``query_cache_size`` has one valid value, 0: there is no query-result
+        cache.  It is kept for ``benchmarks/pipeline/workloads/serve_mixed.py``,
+        which passes it; ROADMAP item 1(a)'s harness edit removes it.
         """
         root = Path(root)
-        # a bad size must not leave a manifest behind
-        check_cache_size("query_cache_size", query_cache_size)
-        check_cache_size("cache_bytes", engine_kwargs.get("cache_bytes", 0))
+        # a bad argument must not leave a manifest behind
+        if query_cache_size != 0:
+            raise ValueError("query_cache_size must be 0: there is no query cache")
+        check_cache_bytes(engine_kwargs.get("cache_bytes", 0))
         if is_sharded_store(root):
             manifest = read_manifest(root)
             if num_shards is not None and num_shards != manifest["num_shards"]:
@@ -175,7 +179,7 @@ class ShardedSequenceIndex(QueryEngine):
             SequenceIndex(store_factory(str(path)), **engine_kwargs)
             for path in shard_paths(root, num_shards)
         ]
-        return cls(shards, executor, query_cache_size, name=str(root))
+        return cls(shards, executor, name=str(root))
 
     def shard_of(self, trace_id: str) -> int:
         """The shard index owning ``trace_id``."""

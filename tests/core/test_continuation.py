@@ -215,7 +215,7 @@ class TestCountRowReads:
 
     def test_each_row_is_read_once_per_generation(self, paper_log):
         store = self._RowReads()
-        index = SequenceIndex(store, query_cache_size=0)
+        index = SequenceIndex(store)
         index.update(paper_log)
         fresh = SequenceIndex(policy=Policy.STNM)
         fresh.update(paper_log)

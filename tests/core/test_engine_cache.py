@@ -1,13 +1,13 @@
-"""The engine's caches must be invisible except for speed.
+"""The engine's row cache must be invisible except for speed.
 
 Property test: over random logs and random interleavings of writes
 (``update`` of new and known traces, ``dedup`` replays, a named partition,
 ``prune_trace``) and every query op, a cached engine -- single-store or
-2 shards -- answers exactly as an engine with every cache off does over the
-same store, after every step and again on the second (memoized) ask.  The
-rule it holds: answers are memoized per write generation, the per-row
-caches (postings, Seq rows, Count rows) drop exactly the rows a write
-touched, and a fetch that overlapped a write does not fill a cache.
+2 shards -- answers exactly as an engine with the row cache off does over
+the same store, after every step and again on the second (row-cache warm)
+ask.  The rule it holds: the row cache (postings, Seq rows, Count rows)
+drops exactly the rows a write touched, and a fetch that overlapped a write
+does not fill it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ STEPS = st.lists(
     ),
     max_size=8,
 )
-NO_CACHES = {"query_cache_size": 0, "cache_bytes": 0}
+NO_CACHES = {"cache_bytes": 0}
 
 
 def _engine(shards: int, stores=None, **caches):
@@ -52,7 +52,6 @@ def _engine(shards: int, stores=None, **caches):
     return ShardedSequenceIndex(
         [SequenceIndex(store, **caches) for store in stores],
         executor=ParallelExecutor.serial(),
-        query_cache_size=caches.get("query_cache_size", 128),
     )
 
 
@@ -94,7 +93,7 @@ def _ask_everything(index, pattern: list[str], composite: str = "SEQ(A, B)"):
         index.statistics(pattern),
         index.continuations(pattern, top_k=3),
         index.continuations(pattern, mode="fast"),
-        index.explore_at(pattern, 0),  # not memoized: reads ReverseCount rows
+        index.explore_at(pattern, 0),  # reads ReverseCount rows
         index.explore_at(pattern, 1),
     )
 
@@ -119,16 +118,13 @@ def test_cached_equals_uncached(log, steps, pattern, composite, shards, cache_by
     )
     tails = {trace: cached.indexed_tail(trace) for trace in [*log, *seed]}
 
-    hits = cached.query_cache_stats()["hits"]
     for step in [None, *steps]:
         if step is not None:
             _write(cached, step, tails)
         reference = _ask_everything(_uncached_view(cached), pattern, composite)
         assert _ask_everything(cached, pattern, composite) == reference
-        # the second ask is served by the answer memo
+        # the second ask reads the rows the first one cached
         assert _ask_everything(cached, pattern, composite) == reference
-        assert cached.query_cache_stats()["hits"] >= hits + 10
-        hits = cached.query_cache_stats()["hits"]
 
 
 def test_update_invalidates_cache():
@@ -151,7 +147,7 @@ def test_update_invalidates_cache():
 
 
 def test_a_write_keeps_the_rows_it_did_not_touch():
-    index = SequenceIndex(query_cache_size=0)
+    index = SequenceIndex()
     index.update(EventLog.from_dict({"t1": "AB", "t2": "CD"}))
     index.detect(["A", "B"])
     index.detect(["C", "D"])  # both pairs cached
@@ -166,7 +162,7 @@ def test_a_write_keeps_the_rows_it_did_not_touch():
 
 
 def test_prune_trace_invalidates_cache():
-    index = SequenceIndex(query_cache_size=0)
+    index = SequenceIndex()
     index.update(EventLog.from_dict({"t1": "AB", "t2": "AB"}))
     index.detect("SEQ(A, B)")  # caches the (A, B) postings and both Seq rows
     before = index.store.metrics.snapshot()
@@ -186,9 +182,9 @@ def test_prune_trace_invalidates_cache():
 
 
 def test_generation_bumps_after_update_applies(monkeypatch):
-    # A query racing an in-flight update must cache under the PRE-update
+    # A row fetched beside an in-flight update notes the PRE-update
     # generation: the bump happens only once builder.update() has finished,
-    # so partial results can never be served as post-update hits.
+    # so a fetch that overlapped the write never fills the row cache.
     index = SequenceIndex()
     real_update = index.builder.update
 
@@ -205,7 +201,7 @@ def test_generation_bumps_after_update_applies(monkeypatch):
 def test_failed_update_still_invalidates(monkeypatch):
     index = SequenceIndex()
     index.update([Event("t1", "A", 1), Event("t1", "B", 2)])
-    # populate the answer memo and one row of each per-row cache
+    # populate one row of each kind in the row cache
     assert index.detect("SEQ(A, B)")  # the (A, B) postings and t1's Seq row
     index.query.count_row("A")
     generation = index.write_generation
@@ -230,7 +226,7 @@ def test_failed_update_still_invalidates(monkeypatch):
 
 
 def test_a_fetch_that_overlaps_a_write_does_not_fill_the_cache(monkeypatch):
-    index = SequenceIndex(query_cache_size=0)
+    index = SequenceIndex()
     index.update([Event("t1", "A", 1), Event("t1", "B", 2)])
     real_fetch = IndexTables.get_index_many
 
@@ -256,15 +252,18 @@ def test_cache_hits_do_not_alias_results():
     assert len(second) == 1
 
 
-@pytest.mark.parametrize("sizes", [{"cache_bytes": -1}, {"query_cache_size": -3}])
+@pytest.mark.parametrize("sizes", [{"cache_bytes": -1}])
 def test_a_negative_cache_size_is_an_error(sizes):
     with pytest.raises(ValueError, match="non-negative"):
         SequenceIndex(**sizes)
 
 
-@pytest.mark.parametrize("sizes", [{"cache_bytes": -1}, {"query_cache_size": -3}])
+@pytest.mark.parametrize("sizes", [{"cache_bytes": -1}, {"query_cache_size": 128}])
 def test_a_negative_cache_size_leaves_no_sharded_store_behind(tmp_path, sizes):
+    """A negative ``cache_bytes``, or any ``query_cache_size`` but 0 (there
+    is no query cache), raises before the manifest is written."""
     root = tmp_path / "sharded"
-    with pytest.raises(ValueError, match="non-negative"):
+    message = "non-negative" if "cache_bytes" in sizes else "query_cache_size must be 0"
+    with pytest.raises(ValueError, match=message):
         ShardedSequenceIndex.open(root, lambda path: None, num_shards=2, **sizes)
     assert not root.exists()  # no SHARDS.json, no shard store

@@ -112,7 +112,7 @@ def _build(traces, kinds, cuts, formats, partitions):
         f"t{i}": [(activity, _STAMPS[kind](pos)) for pos, activity in enumerate(trace)]
         for i, (trace, kind) in enumerate(zip(traces, kinds))
     }
-    index = SequenceIndex(query_cache_size=0, cache_bytes=0)
+    index = SequenceIndex(cache_bytes=0)
     index.tables.ensure_partition("p1")
     real_append = index.tables.append_index
     for phase, (fmt, partition) in enumerate(zip(formats, partitions)):
@@ -209,12 +209,12 @@ def test_of_two_completions_with_one_start_the_last_column_row_wins():
     """No builder writes two completions of one pair starting at one event;
     if a row holds them anyway, the one later in ``Postings.columns`` order
     (chunks as stored, then the older-format rows) is the pair's completion."""
-    index = SequenceIndex(query_cache_size=0)
+    index = SequenceIndex()
     index.update([Event("t", "A", 1), Event("t", "B", 2), Event("t", "B", 5)])
     assert _spans(index.detect(["A", "B"])) == [("t", (1, 2))]
     index.store.merge(_index_table(""), ("A", "B"), [("t", 1, 5)])
     # written behind the engine's back: read it through a fresh engine
-    reopened = SequenceIndex(index.store, query_cache_size=0)
+    reopened = SequenceIndex(index.store)
     assert _spans(reopened.detect(["A", "B"])) == [("t", (1, 5))]
     assert reopened.count(["A", "B"]) == 1
 

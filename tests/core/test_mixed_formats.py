@@ -233,7 +233,7 @@ def test_composite_detect_decodes_no_element_and_reads_seq_once(tmp_path, monkey
     ]
     batches = [events]
     store = LSMStore(str(tmp_path / "store"))
-    index = SequenceIndex(store, query_cache_size=0)
+    index = SequenceIndex(store)
     index.update(events)
     index.flush()
     assert _formats(index) == {"seq": {"columnar"}, "index": {"columnar"}}

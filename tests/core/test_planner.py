@@ -62,8 +62,8 @@ class TestPlannerEquivalence:
     @given(log=LOGS, pattern=PATTERNS, policy=st.sampled_from([Policy.STNM, Policy.SC]))
     @settings(max_examples=120, deadline=None)
     def test_planner_equals_naive_equals_oracle(self, log, pattern, policy):
-        planned = _build(log, policy, query_cache_size=0)
-        naive = _build(log, policy, query_cache_size=0, cache_bytes=0)
+        planned = _build(log, policy)
+        naive = _build(log, policy, cache_bytes=0)
         got_planned = planned.detect(pattern)
         got_naive = naive.detect_with_prefixes(pattern)[len(pattern)]
         assert got_planned == got_naive
@@ -74,8 +74,8 @@ class TestPlannerEquivalence:
     @given(log=LOGS, pattern=PATTERNS)
     @settings(max_examples=60, deadline=None)
     def test_postings_cache_is_invisible(self, log, pattern):
-        cached = _build(log, query_cache_size=0)
-        uncached = _build(log, query_cache_size=0, cache_bytes=0)
+        cached = _build(log)
+        uncached = _build(log, cache_bytes=0)
         # Run twice on the cached index: the second detection is served
         # (partially) from decoded postings and must not drift.
         first = cached.detect(pattern)
@@ -85,7 +85,7 @@ class TestPlannerEquivalence:
     @given(log=LOGS, pattern=PATTERNS)
     @settings(max_examples=60, deadline=None)
     def test_count_and_contains_match_detect(self, log, pattern):
-        index = _build(log, query_cache_size=0)
+        index = _build(log)
         matches = index.detect(pattern)
         assert index.count(pattern) == len(matches)
         assert index.contains(pattern) == sorted({m.trace_id for m in matches})
@@ -93,7 +93,7 @@ class TestPlannerEquivalence:
     @given(log=LOGS, pattern=PATTERNS, within=st.floats(0, 30))
     @settings(max_examples=60, deadline=None)
     def test_count_within_matches_detect(self, log, pattern, within):
-        index = _build(log, query_cache_size=0)
+        index = _build(log)
         assert index.count(pattern, within=within) == len(
             index.detect(pattern, within=within)
         )
@@ -111,8 +111,8 @@ class TestPlannerEquivalence:
                     partition=parts[i % 3],
                 )
 
-        planned = SequenceIndex(query_cache_size=0)
-        naive = SequenceIndex(query_cache_size=0, cache_bytes=0)
+        planned = SequenceIndex()
+        naive = SequenceIndex(cache_bytes=0)
         spread(planned)
         spread(naive)
         n = len(pattern)
@@ -238,19 +238,19 @@ class TestPlanObject:
 
 class TestExplainSurface:
     def test_detect_explain_returns_matches_and_plan(self):
-        index = _build({"t1": list("ABCABC")}, query_cache_size=0)
+        index = _build({"t1": list("ABCABC")})
         matches, plan = index.detect(["A", "B", "C"], explain=True)
         assert matches == index.detect(["A", "B", "C"])
         assert plan.pattern == ("A", "B", "C")
 
     def test_explain_bypasses_query_cache(self):
         index = _build({"t1": list("ABCABC")})
-        index.detect(["A", "B", "C"])  # warm the result cache
+        index.detect(["A", "B", "C"])  # warm the row cache
         matches, plan = index.detect(["A", "B", "C"], explain=True)
         assert matches == index.detect(["A", "B", "C"])
 
     def test_zero_cardinality_short_circuits(self):
-        index = _build({"t1": list("ABC")}, query_cache_size=0)
+        index = _build({"t1": list("ABC")})
         store_metrics = index.store.metrics
         before = store_metrics.snapshot()
         assert index.detect(["A", "Z"]) == []
@@ -279,7 +279,7 @@ class TestExplainSurface:
                 return super().multi_get(table, keys, default)
 
         store = TableReads()
-        index = SequenceIndex(store, query_cache_size=0, cache_bytes=0)
+        index = SequenceIndex(store, cache_bytes=0)
         index.update(EventLog.from_dict({"t1": list("ABXCABC"), "t2": list("ACBDC")}))
         store.tables.clear()
         index.detect(["A", "B", "C"])
@@ -294,9 +294,7 @@ class TestExplainSurface:
         assert not {"count", "reverse_count"} & set(store.tables)
 
     def test_planner_reorders_metric(self):
-        index = _build(
-            {"t1": list("ABCABC"), "t2": list("ABAB")}, query_cache_size=0
-        )
+        index = _build({"t1": list("ABCABC"), "t2": list("ABAB")})
         plan = index.explain(["A", "B", "C"])
         before = index.store.metrics.snapshot().get("planner_reorders", 0)
         index.detect(["A", "B", "C"])
@@ -304,7 +302,7 @@ class TestExplainSurface:
         assert after - before == (1 if plan.reordered else 0)
 
     def test_postings_cache_metrics_accumulate(self):
-        index = _build({"t1": list("ABCABC")}, query_cache_size=0)
+        index = _build({"t1": list("ABCABC")})
         index.detect(["A", "B", "C"])
         index.detect(["A", "B", "C"])
         snap = index.store.metrics.snapshot()
@@ -313,7 +311,7 @@ class TestExplainSurface:
         assert index.postings_cache_stats()["hits"] > 0
 
     def test_postings_cache_invalidated_by_update(self):
-        index = _build({"t1": list("ABC")}, query_cache_size=0)
+        index = _build({"t1": list("ABC")})
         assert len(index.detect(["A", "B", "C"])) == 1
         index.update(EventLog.from_dict({"t9": list("ABC")}))
         matches = index.detect(["A", "B", "C"])

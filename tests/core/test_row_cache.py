@@ -42,7 +42,7 @@ def _stats_by_kind(index):
 
 def test_charges_never_exceed_the_budget():
     budget = 6 * 1024
-    index = SequenceIndex(query_cache_size=0, cache_bytes=budget)
+    index = SequenceIndex(cache_bytes=budget)
     index.update(EventLog.from_dict(LOG))
     for step, query in enumerate(_queries(index)):
         query()
@@ -54,7 +54,7 @@ def test_charges_never_exceed_the_budget():
 
 
 def test_a_row_heavier_than_the_budget_is_not_cached_and_evicts_nothing():
-    index = SequenceIndex(query_cache_size=0, cache_bytes=2048)
+    index = SequenceIndex(cache_bytes=2048)
     index.update(EventLog.from_dict({"small": "AB"}))
     index.update([Event("big", "AB"[i % 2], float(i)) for i in range(40)])
     assert _CHARGE[SEQUENCE]((["A"] * 40, [0.0] * 40)) > 2048
@@ -72,7 +72,7 @@ def test_a_row_heavier_than_the_budget_is_not_cached_and_evicts_nothing():
 
 
 def test_per_kind_lookups_add_up_to_the_stats_views():
-    index = SequenceIndex(query_cache_size=0)
+    index = SequenceIndex()
     index.update(EventLog.from_dict(LOG))
     for _ in range(2):
         for query in _queries(index):
@@ -91,7 +91,7 @@ def test_per_kind_lookups_add_up_to_the_stats_views():
 
 def test_concurrent_lookups_are_all_counted_within_the_budget():
     budget = 4 * 1024
-    index = SequenceIndex(query_cache_size=0, cache_bytes=budget)
+    index = SequenceIndex(cache_bytes=budget)
     index.update(EventLog.from_dict(LOG))
     errors: list[BaseException] = []
 
@@ -125,7 +125,7 @@ def test_concurrent_lookups_are_all_counted_within_the_budget():
 
 
 def test_no_budget_turns_off_every_row_cache():
-    index = SequenceIndex(query_cache_size=0, cache_bytes=0)
+    index = SequenceIndex(cache_bytes=0)
     index.update(EventLog.from_dict(LOG))
     for query in _queries(index):
         query()

@@ -218,7 +218,7 @@ def test_a_number_past_the_name_table_is_corrupt(any_store):
     with pytest.raises(CorruptPostingsError, match="name table"):
         IndexTables(any_store).get_index(("A", "B"))
     with pytest.raises(CorruptPostingsError, match="name table"):
-        SequenceIndex(any_store, query_cache_size=0).detect(["A", "B"])
+        SequenceIndex(any_store).detect(["A", "B"])
 
 
 def test_a_reload_that_fails_too_is_retried_before_the_next_number():

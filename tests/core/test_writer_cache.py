@@ -47,11 +47,10 @@ STEPS = st.lists(
 
 def _engine(shards: int, **caches):
     if shards == 1:
-        return SequenceIndex(query_cache_size=0, **caches)
+        return SequenceIndex(**caches)
     return ShardedSequenceIndex(
-        [SequenceIndex(query_cache_size=0, **caches) for _ in range(shards)],
+        [SequenceIndex(**caches) for _ in range(shards)],
         executor=ParallelExecutor.serial(),
-        query_cache_size=0,
     )
 
 
@@ -134,7 +133,7 @@ def test_every_cached_seq_row_is_the_stored_row(steps, shards, cache_bytes):
 
 
 def test_a_second_write_caches_the_extended_row():
-    index = SequenceIndex(query_cache_size=0)
+    index = SequenceIndex()
     stats = index.update([Event("t", "A", 1), Event("t", "B", 2.5)])
     assert stats.new_traces == 1 and stats.cached_sequences == 0
     assert _seq_rows(index) == {}  # a first write caches nothing
@@ -156,7 +155,7 @@ def test_a_second_write_caches_the_extended_row():
 
 
 def test_cached_sequences_counts_exactly_the_hits():
-    index = SequenceIndex(query_cache_size=0)
+    index = SequenceIndex()
     index.update(EventLog.from_dict({"a": "AB", "b": "AB", "c": "AB"}))
     index.update([Event("a", "C", 10), Event("b", "C", 10)])  # a and b cached
     before = index.store.metrics.snapshot()
@@ -170,7 +169,7 @@ def test_cached_sequences_counts_exactly_the_hits():
 
 
 def test_writer_lookups_are_not_reader_lookups():
-    index = SequenceIndex(query_cache_size=0)
+    index = SequenceIndex()
     index.update(EventLog.from_dict({"t1": "AB", "t2": "AB"}))
     index.detect("SEQ(A, B)")  # a reader caches the (A, B) postings, t1 and t2
     index.update([Event("t1", "C", 10)])  # read through the cache, refreshed
@@ -195,7 +194,7 @@ def test_writer_lookups_are_not_reader_lookups():
 
 
 def test_a_failed_update_leaves_the_cache_empty():
-    index = SequenceIndex(query_cache_size=0)
+    index = SequenceIndex()
     index.update(EventLog.from_dict({"t1": "AB", "t2": "AB"}))
     index.update([Event("t1", "C", 10), Event("t2", "C", 10)])
     index.detect(["A", "B"])
@@ -220,7 +219,7 @@ def test_without_a_row_cache_the_writer_reads_the_store():
 
 
 def test_a_refreshed_row_heavier_than_the_budget_is_not_cached():
-    index = SequenceIndex(query_cache_size=0, cache_bytes=2048)
+    index = SequenceIndex(cache_bytes=2048)
     index.update([Event("t", "AB"[i % 2], float(i)) for i in range(10)])
     index.update([Event("t", "A", 10.0)])
     assert (SEQUENCE, None, "t") in index.query.row_cache.keys()
@@ -243,7 +242,7 @@ def test_a_sharded_update_sums_the_cached_rows():
 def test_readers_beside_a_refreshing_writer_leave_only_stored_rows():
     # A 6 KiB budget holds a few rows only, so readers keep missing and
     # fetching; each reader fetch then sleeps, so writes land inside it.
-    index = SequenceIndex(query_cache_size=0, cache_bytes=6 * 1024)
+    index = SequenceIndex(cache_bytes=6 * 1024)
     traces = [f"t{i}" for i in range(6)]
     batches = [[Event(trace, "AB"[i % 2], i + 1) for trace in traces for i in range(4)]]
     batches += [[Event(trace, "AB"[step % 2], step) for trace in traces] for step in range(5, 45)]

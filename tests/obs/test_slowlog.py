@@ -95,5 +95,5 @@ class TestEngineIntegration:
         with SequenceIndex(slow_query_threshold=0.0) as index:
             index.update(_events())
             index.detect(["a", "b", "c"])
-            index.detect(["a", "b", "c"])  # query-cache hit
+            index.detect(["a", "b", "c"])  # row-cache hits
             assert index.slow_query_log.stats()["observed"] >= 2

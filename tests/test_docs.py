@@ -85,6 +85,17 @@ def test_every_catalogued_metric_documented():
     )
 
 
+def test_every_documented_metric_is_catalogued():
+    """Every backticked ``repro_*`` name in docs/METRICS.md must be a key of
+    METRIC_CATALOG, so a deleted metric cannot linger in the doc (wildcard
+    family names such as ``repro_row_cache_*`` are not names)."""
+    from repro.obs.registry import METRIC_CATALOG
+
+    documented = set(re.findall(r"`(repro_[a-z0-9_]+)`", _metrics_doc()))
+    stale = sorted(documented - set(METRIC_CATALOG))
+    assert not stale, f"docs/METRICS.md names uncatalogued metrics: {stale}"
+
+
 def test_every_catalogued_metric_has_type_and_help():
     from repro.obs.registry import METRIC_CATALOG
 
@@ -194,7 +205,7 @@ def test_docscheck_fails_on_a_deleted_constructor_keyword():
     )
 
     keywords = constructor_keywords()
-    assert "query_cache_size" in keywords["SequenceIndex"]
+    assert "cache_bytes" in keywords["SequenceIndex"]
     assert "removed_knob" not in keywords["SequenceIndex"]
     # ShardedSequenceIndex.open forwards **engine_kwargs to every shard
     assert {"num_shards", "policy"} <= keywords["ShardedSequenceIndex.open"]
@@ -202,7 +213,7 @@ def test_docscheck_fails_on_a_deleted_constructor_keyword():
         "prose SequenceIndex(removed_knob=True) outside a block is not checked\n"
         "```python\n"
         "index = SequenceIndex(store,\n"
-        "                      query_cache_size=128,\n"
+        "                      cache_bytes=1 << 20,\n"
         "                      removed_knob=True)\n"
         "LSMStore(path, leveled=LeveledConfig(fanout=10), sync_wal=False)\n"
         "ShardedSequenceIndex.open(root, factory, num_shards=4, other_gone=True)\n"

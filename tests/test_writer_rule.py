@@ -87,7 +87,7 @@ def test_shards_interleave_while_each_shard_serializes():
         for store in stores:
             store.batches.clear()
         _update_concurrently(engine, batches)
-        assert engine.write_generations == (2, 2)
+        assert [s.write_generation for s in engine.shards] == [2, 2]
     first, second = (store.windows() for store in stores)
     assert _serialized(first) and _serialized(second)
     assert any(a[0] < b[1] and b[0] < a[1] for a in first for b in second)
