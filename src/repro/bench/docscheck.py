@@ -253,7 +253,7 @@ API_MODULES = (
     "repro.core.builder",
     "repro.core.tables",
     "repro.ingest.ingester",
-    "repro.executor.parallel",
+    "repro.executor",
     "repro.kvstore.lsm",
     "repro.kvstore.tableset",
     "repro.kvstore.compaction",

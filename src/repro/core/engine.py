@@ -18,7 +18,7 @@ The engine surface lives in :class:`QueryEngine`, written once over a list
 of shards: a :class:`SequenceIndex` is one shard core and the engine whose
 only shard is itself, and the sharded
 :class:`~repro.shard.index.ShardedSequenceIndex` holds N of them and adds
-only its placement rule, its fan-out pool and the shard manifest.
+only its placement rule and the shard manifest.
 """
 
 from __future__ import annotations
@@ -129,13 +129,13 @@ class QueryEngine:
     concatenation or sum; a write splits by :meth:`shard_of` and applies
     each sub-batch in the calling thread.  With one shard -- a
     :class:`SequenceIndex` is its own only shard -- every merge is the
-    identity, the gather runs inline and a write is not split.  The sharded
-    engine supplies the placement rule and a :meth:`_gather` on its pool.
+    identity and a write is not split.  The sharded engine supplies the
+    placement rule; either engine's gather runs in the calling thread.
 
     Every query method takes an absolute ``deadline``
-    (``time.monotonic()`` instant): it is checked between query stages --
-    and cancels a pending shard fan-out -- raising
-    :class:`~repro.core.errors.DeadlineExceeded`.  Every query call is
+    (``time.monotonic()`` instant): it is checked between query stages and
+    between shards -- a stage already running is never interrupted --
+    raising :class:`~repro.core.errors.DeadlineExceeded`.  Every query call is
     timed; with ``slow_query_threshold`` set (in seconds, or via the
     ``REPRO_SLOW_QUERY_MS`` environment variable) calls at or above the
     threshold land in :attr:`slow_query_log`.  After :meth:`close` every
@@ -188,14 +188,16 @@ class QueryEngine:
     def _gather(
         self, task: Callable[[SequenceIndex], Any], deadline: float | None
     ) -> list[Any]:
-        """``task(shard)`` for every shard, results in shard order.
-
-        Here the tasks run inline in the calling thread, and each shard's
-        query checks ``deadline`` itself; the sharded engine runs them on
-        its fan-out pool.
-        """
+        """``task(shard)`` for every shard in the calling thread, results in
+        shard order.  ``deadline`` is checked before each shard, so one that
+        expires inside shard *i*'s work stops the fan-out before shard *i+1*
+        starts; each shard's query also checks it between its own stages."""
         self._check_open()
-        return [task(shard) for shard in self.shards]
+        results = []
+        for shard in self.shards:
+            check_deadline(deadline)
+            results.append(task(shard))
+        return results
 
     # -- the front half ----------------------------------------------------------------
 

@@ -52,8 +52,8 @@ class IndexStateError(ReproError):
 class DeadlineExceeded(ReproError):
     """A deadline expired before the operation finished.
 
-    Raised by the executor's deadline-aware ``gather`` and surfaced by the
-    query service as a ``deadline`` error response; work still running on
-    other threads is abandoned (pending futures are cancelled) but never
-    leaves shared state inconsistent -- reads are side-effect free.
+    Raised by an engine query, which checks its deadline between query
+    stages and between shards -- a stage already running finishes first --
+    and surfaced by the query service as a ``deadline`` error response.
+    Reads are side-effect free, so stopping one leaves no state behind.
     """

@@ -108,15 +108,10 @@ def _open_engine(path: str, shards: int | None, io: FaultyIO | None = None) -> A
 def _crash_engine(engine: Any) -> None:
     """Process-kill the engine: drop every underlying store's handles.
 
-    Stores are left exactly as their last completed I/O left them; only
-    the coordinator's worker threads are reaped (a real kill takes those
-    with the process, but this harness stays in-process).
+    Stores are left exactly as their last completed I/O left them.
     """
     for shard in engine.shards:
         simulate_crash(shard.store)
-    executor = getattr(engine, "executor", None)
-    if executor is not None and getattr(engine, "_owns_executor", False):
-        executor.close()
 
 
 def _first_divergence(streamed: dict, clean: dict) -> str:

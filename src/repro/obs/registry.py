@@ -160,11 +160,11 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
     "repro_shard_count": ("gauge", "Shards behind the sharded index."),
     "repro_shard_fanout_total": (
         "counter",
-        "Scatter-gather fan-outs issued (one per coordinator query stage).",
+        "Scatter-gather fan-outs issued (one per coordinator query).",
     ),
     "repro_shard_fanout_deadline_total": (
         "counter",
-        "Fan-outs cancelled because the per-request deadline expired.",
+        "Fan-outs stopped because the per-request deadline expired.",
     ),
     # -- query service ------------------------------------------------------
     "repro_service_requests_total": ("counter", "Requests received."),

@@ -5,8 +5,9 @@
 :class:`~repro.shard.index.ShardedSequenceIndex` -- over a small
 length-prefixed JSON protocol (:mod:`repro.service.protocol`).  The server
 (:mod:`repro.service.server`) is a socket + threadpool design with
-admission control (bounded in-flight queries), per-request deadlines that
-cancel shard fan-outs, bounded backpressure on the ingest path, and a
+admission control (bounded in-flight queries), per-request deadlines
+checked between query stages and between shards, bounded backpressure on
+the ingest path, and a
 graceful drain on shutdown.  :mod:`repro.service.client` is the matching
 blocking client and :mod:`repro.service.loadgen` the closed-loop load
 generator behind ``repro loadgen`` and ``benchmarks/bench_sharded_service.py``.

@@ -16,9 +16,9 @@ Control planes:
 * **per-request deadlines** -- ``deadline_ms`` (or the server default) is
   converted to an absolute instant when the request is admitted.  Expired
   deadlines short-circuit before execution; the engine receives the
-  instant, checks it between query stages and cancels a pending shard
-  fan-out (:class:`~repro.core.errors.DeadlineExceeded` maps to the
-  ``deadline`` error code).
+  instant and checks it between query stages and between shards
+  (:class:`~repro.core.errors.DeadlineExceeded` maps to the ``deadline``
+  error code).
 * **ingest backpressure** -- writes take a separate, smaller token pool
   (``max_ingest_inflight``) with a bounded wait (``ingest_wait_s``): a
   write burst slows producers down instead of starving reads, and waits

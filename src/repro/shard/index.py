@@ -9,11 +9,10 @@ The engine surface -- queries, merges, the write split, introspection -- is
 :class:`~repro.core.engine.QueryEngine`'s, written once over the shards.
 This module adds what is really sharded: the placement rule, the manifest
 (``SHARDS.json``) and :meth:`ShardedSequenceIndex.open`, the per-shard shape
-of ``storage_stats()``, and the fan-out pool: a query's shard tasks run
-concurrently on a :class:`~repro.executor.ParallelExecutor`, under the
-request deadline, inside a ``shard.fanout`` span.  The pool serves reads
-only; ``update()`` writes its sub-batches one after another in the caller's
-thread, so a read's shard task never queues behind a write.
+of ``storage_stats()``, and the ``shard.fanout`` span and counters around a
+read's fan-out.  Reads and writes alike run shard after shard in the
+caller's thread: the shards of one process share one GIL, so a thread pool
+would only add hand-offs.  A read checks its deadline between shards.
 
 Cross-shard consistency is per-shard read-committed: a query racing an
 ``update()`` may see the new batch on some shards and not yet on others;
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import json
 import threading
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -113,23 +111,18 @@ class ShardedSequenceIndex(QueryEngine):
     (the single-store engine is the 1-shard case of it), answering every
     query byte-identically on the same data.
 
-    On ``deadline`` expiry the pending shard fan-out is cancelled and
+    On ``deadline`` expiry the fan-out stops before the next shard and
     :class:`~repro.core.errors.DeadlineExceeded` propagates -- the serving
     layer maps it to a ``deadline`` error response.
     """
 
     def __init__(
-        self,
-        shards: Sequence[SequenceIndex],
-        executor: ParallelExecutor | None = None,
-        name: str = "sharded",
+        self, shards: Sequence[SequenceIndex], name: str = "sharded"
     ) -> None:
         if not shards:
             raise ValueError("need at least one shard")
         super().__init__()
         self.shards = list(shards)
-        self._owns_executor = executor is None
-        self.executor = executor or ParallelExecutor(max_workers=len(self.shards))
         self.metrics = _ShardMetrics(len(self.shards))
         self._obs_handle = REGISTRY.register({"index": name}, self.metrics.collect)
 
@@ -154,13 +147,24 @@ class ShardedSequenceIndex(QueryEngine):
         ``num_shards``.
 
         ``query_cache_size`` has one valid value, 0: there is no query-result
-        cache.  It is kept for ``benchmarks/pipeline/workloads/serve_mixed.py``,
-        which passes it; ROADMAP item 1(a)'s harness edit removes it.
+        cache.  ``executor`` has one valid value besides ``None``, an
+        instance of the :class:`~repro.executor.ParallelExecutor` stub, and
+        changes nothing: every fan-out runs in the calling thread.  Both are
+        kept for ``benchmarks/pipeline/workloads/serve_mixed.py``, which
+        passes them; ROADMAP item 1(a)'s harness edit removes them.
+
+        If a shard fails to open, every shard and store opened before it is
+        closed and the error propagates.
         """
         root = Path(root)
         # a bad argument must not leave a manifest behind
         if query_cache_size != 0:
             raise ValueError("query_cache_size must be 0: there is no query cache")
+        if executor is not None and not isinstance(executor, ParallelExecutor):
+            raise TypeError(
+                "executor must be None or ParallelExecutor.serial(): every "
+                "shard fan-out runs in the calling thread"
+            )
         check_cache_bytes(engine_kwargs.get("cache_bytes", 0))
         if is_sharded_store(root):
             manifest = read_manifest(root)
@@ -175,11 +179,20 @@ class ShardedSequenceIndex(QueryEngine):
             if num_shards is None:
                 raise ValueError("num_shards is required to create a new store")
             write_manifest(root, num_shards)
-        shards = [
-            SequenceIndex(store_factory(str(path)), **engine_kwargs)
-            for path in shard_paths(root, num_shards)
-        ]
-        return cls(shards, executor, name=str(root))
+        shards: list[SequenceIndex] = []
+        try:
+            for path in shard_paths(root, num_shards):
+                store = store_factory(str(path))
+                try:
+                    shards.append(SequenceIndex(store, **engine_kwargs))
+                except BaseException:
+                    store.close()
+                    raise
+        except BaseException:
+            for shard in shards:
+                shard.close()
+            raise
+        return cls(shards, name=str(root))
 
     def shard_of(self, trace_id: str) -> int:
         """The shard index owning ``trace_id``."""
@@ -188,29 +201,17 @@ class ShardedSequenceIndex(QueryEngine):
     def _gather(
         self, task: Callable[[SequenceIndex], Any], deadline: float | None
     ) -> list[Any]:
-        """One fan-out: ``task(shard)`` for every shard on the pool."""
-        self._check_open()
+        """:meth:`QueryEngine._gather` inside the ``shard.fanout`` span, counted."""
         self.metrics.bump("fanouts")
         span = current_tracer().span("shard.fanout")
         with span:
             if span.enabled:
                 span.add("shards", len(self.shards))
             try:
-                return self.executor.gather(
-                    [partial(task, shard) for shard in self.shards],
-                    deadline=deadline,
-                )
+                return super()._gather(task, deadline)
             except DeadlineExceeded:
                 self.metrics.bump("deadline_exceeded")
                 raise
-
-    def close(self) -> None:
-        """Close every shard, then the fan-out pool if this engine made it."""
-        try:
-            super().close()
-        finally:
-            if self._owns_executor:
-                self.executor.close()
 
     def storage_stats(self) -> dict[str, Any]:
         """Aggregated storage accounting: per-shard breakdown plus totals."""

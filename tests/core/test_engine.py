@@ -169,7 +169,6 @@ def test_no_method_is_written_twice():
         "open": "only a sharded store has a manifest to open",
         "storage_stats": "a sharded store reports one breakdown per shard",
         "shard_of": "the placement rule: a single store owns every trace",
-        "close": "a sharded engine also shuts the fan-out pool it made",
     }
 
     def methods(cls):

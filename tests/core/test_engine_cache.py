@@ -20,7 +20,6 @@ from repro.core.engine import SequenceIndex
 from repro.core.model import Event, EventLog
 from repro.core.policies import Policy
 from repro.core.tables import IndexTables
-from repro.executor import ParallelExecutor
 from repro.shard.index import ShardedSequenceIndex
 
 ALPHABET = "ABCD"
@@ -50,8 +49,7 @@ def _engine(shards: int, stores=None, **caches):
     if shards == 1:
         return SequenceIndex(stores[0], **caches)
     return ShardedSequenceIndex(
-        [SequenceIndex(store, **caches) for store in stores],
-        executor=ParallelExecutor.serial(),
+        [SequenceIndex(store, **caches) for store in stores]
     )
 
 

@@ -27,7 +27,6 @@ from repro.core.postings import (
     encode_numbered_postings,
 )
 from repro.core.tables import INDEX, TRACE_NUMBER, IndexTables
-from repro.executor import ParallelExecutor
 from repro.ingest.convergence import index_snapshot
 from repro.kvstore import InMemoryStore, LSMStore
 from repro.shard.index import ShardedSequenceIndex
@@ -167,9 +166,7 @@ def test_a_write_that_failed_part_way_changes_no_answer(tmp_path, kept, with_nex
 def test_numbers_are_shard_local_and_two_shards_answer_as_one():
     traces = {f"t{n}": "ABCAB"[n % 3 :] + "CBA"[: n % 4] for n in range(24)}
     single = SequenceIndex()
-    sharded = ShardedSequenceIndex(
-        [SequenceIndex() for _ in range(2)], executor=ParallelExecutor.serial()
-    )
+    sharded = ShardedSequenceIndex([SequenceIndex() for _ in range(2)])
     for batch in (_batch(traces, 1), _batch({t: "BCA" for t in list(traces)[::3]}, 50)):
         single.update(batch)
         sharded.update(batch)

@@ -23,7 +23,6 @@ from repro.core.builder import IndexBuilder
 from repro.core.engine import SequenceIndex
 from repro.core.model import Event, EventLog
 from repro.core.query import _CHARGE, KINDS, SEQUENCE
-from repro.executor import ParallelExecutor
 from repro.ingest import index_snapshot
 from repro.kvstore import InMemoryStore
 from repro.shard.index import ShardedSequenceIndex
@@ -49,8 +48,7 @@ def _engine(shards: int, **caches):
     if shards == 1:
         return SequenceIndex(**caches)
     return ShardedSequenceIndex(
-        [SequenceIndex(**caches) for _ in range(shards)],
-        executor=ParallelExecutor.serial(),
+        [SequenceIndex(**caches) for _ in range(shards)]
     )
 
 

@@ -12,8 +12,11 @@ import json
 
 import pytest
 
+from repro.core.errors import IndexStateError
 from repro.core.model import EventLog
-from repro.kvstore import LSMStore
+from repro.core.policies import Policy
+from repro.executor import ParallelExecutor
+from repro.kvstore import LSMStore, StoreClosedError
 from repro.shard import (
     MANIFEST_NAME,
     ShardedSequenceIndex,
@@ -92,3 +95,34 @@ def test_corrupt_manifest_is_refused(tmp_path):
     manifest_path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
         read_manifest(root)
+
+
+def test_open_accepts_the_serial_executor_stub_and_nothing_else(tmp_path):
+    root = tmp_path / "sx"
+    with ShardedSequenceIndex.open(
+        root, LSMStore, num_shards=2, executor=ParallelExecutor.serial()
+    ) as index:
+        index.update(EventLog.from_dict({"t1": list("AB"), "t2": list("AB")}))
+        assert index.count(["A", "B"]) == 2
+    fresh = tmp_path / "fresh"
+    with pytest.raises(TypeError, match="executor"):
+        ShardedSequenceIndex.open(fresh, LSMStore, num_shards=2, executor=object())
+    assert not is_sharded_store(fresh)
+
+
+def test_a_failed_open_closes_the_stores_it_opened(tmp_path):
+    root = tmp_path / "sx"
+    with _open(root, num_shards=2) as index:  # built with Policy.STNM
+        index.update(EventLog.from_dict({"t1": list("AB"), "t2": list("BA")}))
+    opened = []
+
+    def recording_factory(path):
+        opened.append(LSMStore(path))
+        return opened[-1]
+
+    with pytest.raises(IndexStateError):
+        ShardedSequenceIndex.open(root, recording_factory, policy=Policy.SC)
+    assert opened
+    for store in opened:
+        with pytest.raises(StoreClosedError):
+            store.get("seq", "t1")

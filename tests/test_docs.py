@@ -357,15 +357,15 @@ def test_docscheck_covers_the_executor():
 
     guide = (
         "```python\n"
-        'pool = ParallelExecutor(backend="process")\n'
+        "executor = ParallelExecutor.serial()\n"
         "ParallelExecutor(max_workers=2)\n"
         "```\n"
-        "`ParallelExecutor.map_partitions` is gone; `ParallelExecutor.gather` is not.\n"
+        "`ParallelExecutor.serial` stays; `ParallelExecutor.gather` is gone.\n"
     )
     findings = check_constructor_keywords(
         "G.md", guide, constructor_keywords()
     ) + check_api_references("G.md", guide, api_owners())
     assert findings == [
-        "G.md:2: ParallelExecutor() takes no keyword 'backend'",
-        "G.md:5: `ParallelExecutor.map_partitions` names no live attribute",
+        "G.md:3: ParallelExecutor() takes no keyword 'max_workers'",
+        "G.md:5: `ParallelExecutor.gather` names no live attribute",
     ]

@@ -9,7 +9,6 @@ import time
 
 from repro.core.engine import SequenceIndex
 from repro.core.model import Event
-from repro.executor import ParallelExecutor
 from repro.kvstore import InMemoryStore
 from repro.shard import ShardedSequenceIndex
 from repro.shard.hashing import shard_for_trace
@@ -80,10 +79,7 @@ def test_shards_interleave_while_each_shard_serializes():
     # Each caller writes its sub-batches in its own thread, one shard after
     # the other: both callers can reach a shard at once, so only the shard's
     # own lock keeps them apart, while they overlap on different shards.
-    executor = ParallelExecutor(max_workers=4)
-    with executor, ShardedSequenceIndex(
-        [SequenceIndex(store) for store in stores], executor=executor
-    ) as engine:
+    with ShardedSequenceIndex([SequenceIndex(store) for store in stores]) as engine:
         for store in stores:
             store.batches.clear()
         _update_concurrently(engine, batches)
