@@ -1,32 +1,23 @@
 """Shared configuration of the pytest-benchmark suites.
 
-Every benchmark regenerates one table or figure of the paper (see
-DESIGN.md's experiment index).  Dataset sizes default to a small fraction
-of the paper's (so the whole suite completes in minutes) and honour the
-``REPRO_BENCH_SCALE`` environment variable::
+These suites time the ablations beyond the paper (store backend, cache,
+incremental update, suffix modes, pattern language, sharded service,
+leveled compaction).  The paper's tables and figures have one path, the
+experiment runner::
+
+    python -m repro.bench.runner table6 fig4 --scale 0.1
+
+Dataset sizes default to a small fraction of the paper's (so the whole
+suite completes in minutes) and honour the ``REPRO_BENCH_SCALE``
+environment variable::
 
     pytest benchmarks/ --benchmark-only                    # quick pass
     REPRO_BENCH_SCALE=0.25 pytest benchmarks/ --benchmark-only
-
-The paper-shaped summary tables come from the companion runner::
-
-    python -m repro.bench.runner table6 fig4 --scale 0.1
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.logs.datasets import bench_scale
 
 #: fraction of the paper's dataset sizes used by the benchmark suites
 SCALE = bench_scale(default=0.02)
-
-#: datasets exercised by the per-dataset benchmark matrices (a representative
-#: small / medium / process-like subset; the runner covers all ten)
-CORE_DATASETS = ("max_1000", "min_10000", "bpi_2013", "bpi_2017")
-
-
-@pytest.fixture(scope="session")
-def scale() -> float:
-    return SCALE

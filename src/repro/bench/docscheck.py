@@ -1,7 +1,7 @@
 """Docs lint: dead links, drifted CLI commands, undocumented format tags,
-deleted constructor keywords, deleted methods, dead module paths.
+deleted constructor keywords, deleted methods, dead module and repo paths.
 
-Six classes of documentation rot this catches mechanically:
+Seven classes of documentation rot this catches mechanically:
 
 * **dead relative links** -- every ``[text](target)`` markdown link whose
   target is a repo path must resolve from the linking file's directory;
@@ -30,7 +30,11 @@ Six classes of documentation rot this catches mechanically:
   the design text cannot describe a method that a refactor removed;
 * **dead module paths** -- every backticked dotted path starting
   ``repro.`` must resolve, by import plus ``getattr``, to a live module or
-  attribute, so a deleted module cannot survive in prose.
+  attribute, so a deleted module cannot survive in prose;
+* **dead repo paths** -- every backticked path starting with one of
+  :data:`REPO_DIRS` (``benchmarks/``, ``tests/``, ...) must exist, so a
+  deleted file cannot survive in prose; globs (``bench_*.py``) and
+  ``<placeholder>`` paths are patterns, not paths, and are not checked.
 
 Runs standalone (``python -m repro.bench.docscheck``, exit 1 on findings)
 and inside tier-1 via ``tests/test_docs.py``.
@@ -352,6 +356,25 @@ def check_module_paths(doc: str, text: str) -> list[str]:
     ]
 
 
+#: top-level directories whose backticked paths the docs must keep alive
+REPO_DIRS = ("benchmarks", "tests", "src", "examples", "docs", "results")
+#: a backticked repo path, up to the first space, ``::`` test id or ``:line``
+_REPO_PATH = re.compile(
+    rf"`((?:{'|'.join(REPO_DIRS)})/[^`\s:]*)(?:[\s:][^`]*)?`"
+)
+
+
+def check_repo_paths(root: str, doc: str, text: str) -> list[str]:
+    """Backticked repo paths that name no existing file or directory."""
+    return [
+        f"{doc}:{number}: `{path}` names no file or directory of the repo"
+        for number, line in enumerate(text.splitlines(), start=1)
+        for path in _REPO_PATH.findall(line)
+        if not any(char in path for char in "*?[{<")
+        and not os.path.exists(os.path.join(root, path))
+    ]
+
+
 def run_docscheck(root: str | None = None) -> list[str]:
     """All findings across the documented surface (empty means healthy)."""
     root = root or repo_root()
@@ -368,6 +391,7 @@ def run_docscheck(root: str | None = None) -> list[str]:
         findings.extend(check_links(root, doc, text))
         findings.extend(check_cli_commands(doc, text, subcommands))
         findings.extend(check_module_paths(doc, text))
+        findings.extend(check_repo_paths(root, doc, text))
         if doc == TAG_TABLES[0]:
             findings.extend(check_format_tags(doc, text, format_tags()))
         if doc == KNOBS_DOC:

@@ -11,22 +11,22 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import statistics
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from typing import Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.baselines.elastic import ElasticIndex
 from repro.baselines.sase import SaseEngine
 from repro.baselines.suffix import SuffixArrayMatcher
 from repro.bench.reporting import ExperimentResult
 from repro.bench.workloads import (
+    ROUNDS,
+    best_of_rounds,
     build_index,
     contiguous_patterns,
     prepared_dataset,
     prepared_index,
     stnm_patterns,
-    timed,
 )
 from repro.core.engine import SequenceIndex
 from repro.core.model import EventLog
@@ -41,6 +41,12 @@ from repro.shard.hashing import shard_for_trace
 #: dataset order used by Tables 5/6/7/8
 TABLE_DATASETS: tuple[str, ...] = DATASETS
 
+#: the timing rule every timed experiment states under its table
+_ROUNDS_NOTE = (
+    f"every time: the fastest of {ROUNDS} untraced rounds, columns "
+    "interleaved, after one warm-up call per column"
+)
+
 #: the STNM flavors of §4 that Table 5 and Figure 3 time, by column name
 #: (the index builds with ``indexing``: ``core.pairs.PAIR_CREATORS``)
 _STNM_FLAVORS = {
@@ -50,33 +56,25 @@ _STNM_FLAVORS = {
 }
 
 
-def _mean_time(fn: Callable[[], object], repeats: int) -> float:
-    """Average wall time of ``fn`` over ``repeats`` runs (paper: 5 runs)."""
-    times = []
-    for _ in range(max(1, repeats)):
-        elapsed, _ = timed(fn)
-        times.append(elapsed)
-    return statistics.fmean(times)
+def _each(fn: Callable[[Any], object], items: Iterable[Any]) -> None:
+    """``fn(item)`` for every item, each result dropped as soon as it is
+    made: a column of :func:`best_of_rounds` keeps nothing alive for the
+    garbage collector to walk while it or a later column is timed."""
+    for item in items:
+        fn(item)
 
 
-def _pair_creation_times(log, repeats: int) -> list[float]:
-    """Per STNM flavor, the mean time to create every trace's pairs of
-    ``log`` in the column form the builder consumes.
-
-    Each trace's result is dropped as soon as it is made, as the builder
-    drops it: kept in a list, the results would have every cyclic-GC pass
-    walk their columns, and the timer would measure that too.
-    """
+def _flavor_columns(log: EventLog) -> list[Callable[[], None]]:
+    """Per STNM flavor, a column creating every trace's pairs of ``log`` in
+    the column form the builder consumes, each trace's result dropped as the
+    builder drops it."""
     views = [(trace.activities, trace.timestamps) for trace in log]
 
     def run(flavor) -> None:
         for acts, stamps in views:
             flavor(acts, stamps)
 
-    return [
-        _mean_time(lambda f=flavor: run(f), repeats)
-        for flavor in _STNM_FLAVORS.values()
-    ]
+    return [partial(run, flavor) for flavor in _STNM_FLAVORS.values()]
 
 
 # --- Table 4 / Figure 2 ---------------------------------------------------------
@@ -131,9 +129,7 @@ def exp_fig2(scale: float, datasets: Sequence[str] = TABLE_DATASETS) -> Experime
 
 
 def exp_table5(
-    scale: float,
-    datasets: Sequence[str] = TABLE_DATASETS,
-    repeats: int = 1,
+    scale: float, datasets: Sequence[str] = TABLE_DATASETS
 ) -> ExperimentResult:
     """Pair-creation time of the three STNM flavors per dataset -- the one
     stage in which they differ -- and the whole STNM index build, which
@@ -145,15 +141,17 @@ def exp_table5(
     )
     for name in datasets:
         log = prepared_dataset(name, scale)
-        build = _mean_time(lambda: build_index(log, Policy.STNM), repeats)
-        result.add(name, *_pair_creation_times(log, repeats), build)
+        build = partial(_each, partial(build_index, policy=Policy.STNM), [log])
+        times, _ = best_of_rounds([*_flavor_columns(log), build])
+        result.add(name, *times)
+    result.note(_ROUNDS_NOTE)
     return result
 
 
 # --- Figure 3: flavors on large random logs (three sweeps) --------------------------
 
 
-def exp_fig3(scale: float, repeats: int = 1) -> ExperimentResult:
+def exp_fig3(scale: float) -> ExperimentResult:
     """Pair-creation time of the three flavors across the paper's sweeps.
 
     Sweep axes follow §5.2: events/trace at 1000 traces x 500 activities;
@@ -167,8 +165,8 @@ def exp_fig3(scale: float, repeats: int = 1) -> ExperimentResult:
     )
 
     def run(sweep: str, x_value: int, config: RandomLogConfig) -> None:
-        log = generate_random_log(config)
-        result.add(sweep, x_value, *_pair_creation_times(log, repeats))
+        times, _ = best_of_rounds(_flavor_columns(generate_random_log(config)))
+        result.add(sweep, x_value, *times)
 
     traces_base = max(5, round(1000 * scale))
     for max_events in (100, 500, 1000, 2000, 4000):
@@ -206,6 +204,7 @@ def exp_fig3(scale: float, repeats: int = 1) -> ExperimentResult:
             ),
         )
     result.note("x axes keep the paper's values; trace counts scaled by scale")
+    result.note(_ROUNDS_NOTE)
     return result
 
 
@@ -238,16 +237,9 @@ def _shard_writer(
     return _build_counts(EventLog(mine, name=log.name), policy)
 
 
-def _unkept(build: Callable[[EventLog], object], log: EventLog) -> None:
-    """``build(log)`` with its result freed before the call returns, so a
-    timed column leaves nothing alive for later timed calls' GC passes."""
-    build(log)
-
-
 def exp_table6(
     scale: float,
     datasets: Sequence[str] = TABLE_DATASETS,
-    rounds: int = 3,
     workers: int | None = None,
 ) -> ExperimentResult:
     """Index-construction time: [19], Strict and Indexing (1 thread and
@@ -255,10 +247,10 @@ def exp_table6(
 
     A shard writer is a process indexing the traces
     :func:`~repro.shard.hashing.shard_for_trace` places on its shard into a
-    store of its own.  Every cell is the minimum over ``rounds`` of
-    interleaved columns; the writers' ``(events, pairs)`` totals must equal
-    the 1-thread build's.  Those totals are all a column keeps: the suffix
-    trie and the ES index are dropped inside their timed calls.
+    store of its own.  Every cell comes from :func:`best_of_rounds`; the
+    writers' ``(events, pairs)`` totals in its warm-up calls must equal the
+    1-thread build's.  Those totals are all a column keeps: the suffix trie
+    and the ES index are dropped inside their calls.
     """
     workers = workers or os.cpu_count() or 1
     result = ExperimentResult(
@@ -289,20 +281,16 @@ def exp_table6(
                 job = partial(_shard_writer, name, scale, policy, workers)
                 return tuple(map(sum, zip(*pool.map(job, range(workers)))))
 
-            columns = [
-                partial(_unkept, SuffixArrayMatcher, log),
-                lambda: _build_counts(log, Policy.SC),
-                lambda: writers(Policy.SC),
-                lambda: _build_counts(log, Policy.STNM),
-                lambda: writers(Policy.STNM),
-                partial(_unkept, ElasticIndex.from_log, log),
-            ]
-            best = [float("inf")] * len(columns)
-            totals: list[object] = [None] * len(columns)
-            for _ in range(max(1, rounds)):
-                for i, column in enumerate(columns):
-                    elapsed, totals[i] = timed(column)
-                    best[i] = min(best[i], elapsed)
+            best, totals = best_of_rounds(
+                [
+                    partial(_each, SuffixArrayMatcher, [log]),
+                    partial(_build_counts, log, Policy.SC),
+                    partial(writers, Policy.SC),
+                    partial(_build_counts, log, Policy.STNM),
+                    partial(writers, Policy.STNM),
+                    partial(_each, ElasticIndex.from_log, [log]),
+                ]
+            )
             for serial in (1, 3):
                 if totals[serial + 1] != totals[serial]:
                     raise AssertionError(
@@ -310,10 +298,8 @@ def exp_table6(
                         f"{totals[serial + 1]}, the 1-thread build {totals[serial]}"
                     )
             result.add(name, *best)
-    result.note(
-        f"strict / indexing: {workers} shard writers (processes); "
-        f"min of {rounds} interleaved rounds"
-    )
+    result.note(f"strict / indexing: {workers} shard writers (processes)")
+    result.note(_ROUNDS_NOTE)
     return result
 
 
@@ -337,15 +323,20 @@ def exp_table7(
         index = prepared_index(name, scale, Policy.SC)
         short = contiguous_patterns(log, 2, patterns_per_length, seed=7)
         long = contiguous_patterns(log, 10, patterns_per_length, seed=8)
-        suffix_time, _ = timed(lambda: [matcher.detect(p) for p in short + long])
-        ours_short, _ = timed(lambda: [index.detect(p) for p in short])
-        ours_long, _ = timed(lambda: [index.detect(p) for p in long])
+        (suffix_time, ours_short, ours_long), _ = best_of_rounds(
+            [
+                partial(_each, matcher.detect, short + long),
+                partial(_each, index.detect, short),
+                partial(_each, index.detect, long),
+            ]
+        )
         result.add(
             name,
             suffix_time / max(1, len(short) + len(long)),
             ours_short / max(1, len(short)),
             ours_long / max(1, len(long)),
         )
+    result.note(_ROUNDS_NOTE)
     return result
 
 
@@ -365,8 +356,9 @@ def exp_fig4(
     index = prepared_index(dataset, scale, Policy.STNM)
     for length in lengths:
         patterns = stnm_patterns(log, length, patterns_per_length, seed=length)
-        elapsed, _ = timed(lambda: [index.detect(p) for p in patterns])
+        (elapsed,), _ = best_of_rounds([partial(_each, index.detect, patterns)])
         result.add(length, elapsed / max(1, len(patterns)))
+    result.note(_ROUNDS_NOTE)
     return result
 
 
@@ -385,18 +377,29 @@ def exp_table8(
         "STNM query response times (seconds per query)",
         ["pattern length", "log file", "elasticsearch", "sase", "ours"],
     )
+    engines = {}
+    for name in datasets:
+        log = prepared_dataset(name, scale)
+        engines[name] = (
+            log,
+            ElasticIndex.from_log(log),
+            SaseEngine(log),
+            prepared_index(name, scale, Policy.STNM),
+        )
     for length in lengths:
         for name in datasets:
-            log = prepared_dataset(name, scale)
-            elastic = ElasticIndex.from_log(log)
-            sase = SaseEngine(log)
-            index = prepared_index(name, scale, Policy.STNM)
+            log, elastic, sase, index = engines[name]
             patterns = stnm_patterns(log, length, patterns_per_config, seed=length)
-            es_time, _ = timed(lambda: [elastic.span_search(p) for p in patterns])
-            sase_time, _ = timed(lambda: [sase.query(p) for p in patterns])
-            ours_time, _ = timed(lambda: [index.detect(p) for p in patterns])
+            times, _ = best_of_rounds(
+                [
+                    partial(_each, elastic.span_search, patterns),
+                    partial(_each, sase.query, patterns),
+                    partial(_each, index.detect, patterns),
+                ]
+            )
             count = max(1, len(patterns))
-            result.add(length, name, es_time / count, sase_time / count, ours_time / count)
+            result.add(length, name, *(elapsed / count for elapsed in times))
+    result.note(_ROUNDS_NOTE)
     return result
 
 
@@ -419,12 +422,15 @@ def exp_fig5(
     index = prepared_index(dataset, scale, Policy.STNM)
     for length in lengths:
         patterns = stnm_patterns(log, length, patterns_per_length, seed=50 + length)
-        accurate, _ = timed(
-            lambda: [index.continuations(p, mode="accurate") for p in patterns]
+        times, _ = best_of_rounds(
+            [
+                partial(_each, partial(index.continuations, mode=mode), patterns)
+                for mode in ("accurate", "fast")
+            ]
         )
-        fast, _ = timed(lambda: [index.continuations(p, mode="fast") for p in patterns])
         count = max(1, len(patterns))
-        result.add(length, accurate / count, fast / count)
+        result.add(length, *(elapsed / count for elapsed in times))
+    result.note(_ROUNDS_NOTE)
     return result
 
 
@@ -447,14 +453,15 @@ def exp_fig6(
         ["topK", "hybrid", "accurate", "fast"],
     )
     index, pattern = _fig67_setup(scale, dataset)
-    accurate, _ = timed(lambda: index.continuations(pattern, mode="accurate"))
-    fast, _ = timed(lambda: index.continuations(pattern, mode="fast"))
-    for top_k in top_ks:
-        hybrid, _ = timed(
-            lambda: index.continuations(pattern, mode="hybrid", top_k=top_k)
-        )
-        result.add(top_k, hybrid, accurate, fast)
+    modes = [{"mode": "accurate"}, {"mode": "fast"}]
+    modes += [{"mode": "hybrid", "top_k": top_k} for top_k in top_ks]
+    (accurate, fast, *hybrid), _ = best_of_rounds(
+        [partial(_each, partial(index.continuations, **kw), [pattern]) for kw in modes]
+    )
+    for top_k, elapsed in zip(top_ks, hybrid):
+        result.add(top_k, elapsed, accurate, fast)
     result.note(f"pattern: {pattern}")
+    result.note(_ROUNDS_NOTE)
     return result
 
 
@@ -510,17 +517,16 @@ def exp_ablation_cache(
             store.flush()
             trace_ids = index.trace_ids()
             probes = [trace_ids[i % len(trace_ids)] for i in range(reads)]
-            # Warm-up pass so "cache on" measures hits, not first-touch misses.
-            for trace_id in probes:
-                store.get("seq", trace_id)
-            elapsed, _ = timed(
-                lambda: [store.get("seq", trace_id) for trace_id in probes]
+            # the warm-up call leaves "cache on" measuring hits, not misses
+            (elapsed,), _ = best_of_rounds(
+                [partial(_each, partial(store.get, "seq"), probes)]
             )
             result.add(label, "point read", reads, elapsed, elapsed / reads * 1e6)
             index.close()
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
     result.note("block cache: LSM data blocks")
+    result.note(_ROUNDS_NOTE)
     return result
 
 
@@ -529,7 +535,6 @@ def exp_pattern_language(
     dataset: str = "max_10000",
     patterns_per_kind: int = 8,
     length: int = 4,
-    repeats: int = 3,
 ) -> ExperimentResult:
     """Composite patterns: indexed prune-then-verify vs the SASE oracle.
 
@@ -584,15 +589,11 @@ def exp_pattern_language(
         total_queries = 0
         for kind in COMPOSITE_KINDS:
             patterns = [p for k, p in workload if k == kind]
-            queries = max(1, len(patterns) * repeats)
-            sase_s, _ = timed(
-                lambda: [
-                    oracle.query(p) for _ in range(repeats) for p in patterns
-                ]
-            )
-            indexed_s, _ = timed(
-                lambda: [
-                    index.detect(p) for _ in range(repeats) for p in patterns
+            queries = max(1, len(patterns))
+            (sase_s, indexed_s), _ = best_of_rounds(
+                [
+                    partial(_each, oracle.query, patterns),
+                    partial(_each, index.detect, patterns),
                 ]
             )
             total_sase += sase_s
@@ -630,7 +631,7 @@ def exp_pattern_language(
         "scale": scale,
         "positive_elements": length,
         "patterns_per_kind": patterns_per_kind,
-        "repeats": repeats,
+        "rounds": ROUNDS,
         "sase_seconds_per_query": total_sase / total_queries,
         "indexed_seconds_per_query": total_indexed / total_queries,
         "speedup": total_sase / total_indexed if total_indexed else float("inf"),
@@ -640,6 +641,7 @@ def exp_pattern_language(
         json.dump(snapshot, fh, indent=2)
         fh.write("\n")
     result.note("every match set verified identical to the SASE oracle")
+    result.note(_ROUNDS_NOTE)
     result.note("snapshot: BENCH_pattern_language.json")
     return result
 
@@ -818,7 +820,6 @@ def exp_leveled_compaction(
     days: int = 10,
     traces_per_day: int = 150,
     events_per_trace: int = 8,
-    reopen_repeats: int = 5,
 ) -> ExperimentResult:
     """Write-amplification ablation: size-tiered vs leveled compaction.
 
@@ -851,11 +852,9 @@ def exp_leveled_compaction(
     Writes a ``BENCH_leveled_compaction.json`` perf-trajectory snapshot.
     """
     import json
-    import os
     import random
     import shutil
     import tempfile
-    import time
 
     from repro.core.engine import SequenceIndex
     from repro.core.model import Event
@@ -928,14 +927,11 @@ def exp_leveled_compaction(
                 last = exc
         raise RuntimeError(f"could not snapshot {src}") from last
 
+    def reopen(path: str) -> None:
+        LSMStore(path, auto_compact=False).close()
+
     def reopen_ms(path: str) -> float:
-        best = float("inf")
-        for _ in range(max(1, reopen_repeats)):
-            start = time.perf_counter()
-            store = LSMStore(path, auto_compact=False)
-            elapsed = time.perf_counter() - start
-            store.close()
-            best = min(best, elapsed)
+        (best,), _ = best_of_rounds([partial(reopen, path)])
         return best * 1e3
 
     workdir = tempfile.mkdtemp(prefix="repro-leveled-compaction-")
@@ -1070,8 +1066,9 @@ def exp_leveled_compaction(
         "key-disjoint runs that leveled sinks as manifest-only moves"
     )
     result.note(
-        "reopen latency: min over repeats on a crash-consistent "
-        "day-boundary snapshot of the live store"
+        "reopen latency: a lazy open and its close, the fastest of "
+        f"{ROUNDS} rounds on a crash-consistent day-boundary snapshot of "
+        "the live store"
     )
     result.note(
         "lazy reopen is O(manifest): flat in absolute terms while the "

@@ -7,6 +7,9 @@ Usage::
     REPRO_BENCH_SCALE=0.2 python -m repro.bench.runner table8
 
 Tables print to stdout in the paper's layout; CSVs land in ``results/``.
+Each experiment runs under a tracer whose span profile is written beside
+its CSV; the timed rounds of
+:func:`~repro.bench.workloads.best_of_rounds` switch it off.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import random
-import time
-from typing import Any, Callable
+from time import perf_counter
+from typing import Any, Callable, Sequence
 
 from repro.core.engine import SequenceIndex
 from repro.core.model import EventLog
@@ -12,16 +12,39 @@ from repro.core.pattern import Pattern
 from repro.core.policies import Policy
 from repro.kvstore import InMemoryStore
 from repro.logs.datasets import load_dataset
+from repro.obs.trace import NULL_TRACER, activate
+
+#: timed rounds per experiment cell; the cell is the fastest of them
+ROUNDS = 5
 
 _DATASET_CACHE: dict[tuple[str, float], EventLog] = {}
 _INDEX_CACHE: dict[tuple[str, float, Policy], SequenceIndex] = {}
 
 
-def timed(fn: Callable[[], Any]) -> tuple[float, Any]:
-    """Run ``fn`` once; return (elapsed seconds, return value)."""
-    start = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - start, result
+def best_of_rounds(
+    columns: Sequence[Callable[[], Any]],
+) -> tuple[list[float], list[Any]]:
+    """The one timing rule of the experiments: each column's fastest of
+    :data:`ROUNDS` interleaved rounds.
+
+    Every column is called once first, under the ambient tracer, so a
+    traced run keeps the stage spans of its profile and the timed calls
+    find warm caches.  Then each round calls every column in order under
+    :data:`~repro.obs.trace.NULL_TRACER`.  A timed call's result is dropped
+    before the clock stops, so no timed result is alive for a later call's
+    garbage collection to walk; a column should return ``None`` or a small
+    total.  Returns each column's minimum seconds and the warm-up calls'
+    return values.
+    """
+    warm = [column() for column in columns]
+    best = [float("inf")] * len(columns)
+    with activate(NULL_TRACER):
+        for _ in range(ROUNDS):
+            for i, column in enumerate(columns):
+                start = perf_counter()
+                column()
+                best[i] = min(best[i], perf_counter() - start)
+    return best, warm
 
 
 def prepared_dataset(name: str, scale: float) -> EventLog:

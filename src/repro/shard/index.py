@@ -30,6 +30,7 @@ from typing import Any, Callable, Sequence
 from repro.core.engine import QueryEngine, SequenceIndex, check_cache_bytes
 from repro.core.errors import DeadlineExceeded
 from repro.executor import ParallelExecutor
+from repro.faults.io import REAL_IO
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import current_tracer
 from repro.shard.hashing import HASH_NAME, shard_for_trace
@@ -39,7 +40,8 @@ _MANIFEST_VERSION = 1
 
 
 def write_manifest(root: str | Path, num_shards: int) -> None:
-    """Persist the shard layout of a sharded store directory."""
+    """Persist the shard layout of a sharded store directory, durably: the
+    tmp file is fsynced before its rename and the directory after it."""
     if num_shards <= 0:
         raise ValueError("num_shards must be positive")
     root = Path(root)
@@ -51,14 +53,20 @@ def write_manifest(root: str | Path, num_shards: int) -> None:
     }
     path = root / MANIFEST_NAME
     tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    with REAL_IO.open(str(tmp), "wb") as fh:
+        fh.write((json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+        fh.flush()
+        REAL_IO.fsync(fh)
+    REAL_IO.replace(str(tmp), str(path))
+    REAL_IO.fsync_dir(str(root))
 
 
 def read_manifest(root: str | Path) -> dict[str, Any]:
     """Load and validate a shard manifest; raises on unknown layouts."""
     path = Path(root) / MANIFEST_NAME
     manifest = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"shard manifest is not a JSON object: {manifest!r}")
     if manifest.get("version") != _MANIFEST_VERSION:
         raise ValueError(f"unsupported shard manifest version: {manifest!r}")
     if manifest.get("hash") != HASH_NAME:

@@ -118,9 +118,7 @@ class TestContinuationExperiments:
 class TestPatternLanguageExperiment:
     def test_per_kind_rows_and_snapshot(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the snapshot lands in the cwd
-        result = exp_pattern_language(
-            SCALE, dataset="max_100", patterns_per_kind=2, repeats=1
-        )
+        result = exp_pattern_language(SCALE, dataset="max_100", patterns_per_kind=2)
         kinds = [row[0] for row in result.rows]
         assert kinds == ["windowed", "alternation", "kleene", "negation", "all"]
         assert all(row[1] > 0 for row in result.rows)  # pattern counts

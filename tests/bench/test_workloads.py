@@ -2,22 +2,71 @@
 
 from __future__ import annotations
 
+import weakref
+
+from repro.bench import workloads
 from repro.bench.workloads import (
+    ROUNDS,
+    best_of_rounds,
     build_index,
     contiguous_patterns,
     prepared_dataset,
     prepared_index,
     stnm_patterns,
-    timed,
 )
 from repro.core.policies import Policy
+from repro.obs.trace import NULL_TRACER, Tracer, activate, current_tracer
 
 
-class TestTimed:
-    def test_returns_elapsed_and_value(self):
-        elapsed, value = timed(lambda: 41 + 1)
-        assert value == 42
-        assert elapsed >= 0.0
+class _Result:
+    """Something a weak reference can point at."""
+
+
+class TestBestOfRounds:
+    def test_one_warm_up_call_each_then_interleaved_rounds(self):
+        calls = []
+        columns = [lambda name=name: calls.append(name) for name in "abc"]
+        times, warm = best_of_rounds(columns)
+        assert calls == list("abc") * (1 + ROUNDS)
+        assert len(times) == 3 and all(t >= 0.0 for t in times)
+        assert warm == [None, None, None]
+
+    def test_each_column_gets_its_fastest_round(self, monkeypatch):
+        clock = [0.0]
+        monkeypatch.setattr(workloads, "perf_counter", lambda: clock[0])
+        costs = {"a": iter([9, 5, 7, 3, 8, 6]), "b": iter([1, 4, 2, 6, 9, 5])}
+
+        def column(name):
+            clock[0] += next(costs[name])
+            return name.upper()
+
+        times, warm = best_of_rounds([lambda: column("a"), lambda: column("b")])
+        # the warm-up calls (9 and 1) are not timed
+        assert times == [3, 2]
+        assert warm == ["A", "B"]
+
+    def test_a_timed_result_is_freed_before_the_next_call_starts(self):
+        refs, alive = [], []
+
+        def column():
+            alive.append([ref() is not None for ref in refs])
+            result = _Result()
+            refs.append(weakref.ref(result))
+            return result
+
+        _, (kept,) = best_of_rounds([column])
+        assert refs[0]() is kept  # the warm-up call's value is returned
+        # before each timed call, only the warm-up call's result is alive
+        assert alive == [[]] + [[True] + [False] * n for n in range(ROUNDS)]
+
+    def test_no_timed_round_runs_under_an_active_tracer(self):
+        seen = []
+        tracer = Tracer()
+        with activate(tracer):
+            best_of_rounds([lambda: seen.append(current_tracer())] * 2)
+            assert current_tracer() is tracer
+        assert seen[:2] == [tracer, tracer]
+        assert seen[2:] == [NULL_TRACER] * (2 * ROUNDS)
 
 
 class TestCaches:

@@ -95,6 +95,40 @@ def test_corrupt_manifest_is_refused(tmp_path):
     manifest_path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
         read_manifest(root)
+    for text in ("", "[]", "null", '"x"'):  # empty, or valid JSON but no object
+        manifest_path.write_text(text)
+        with pytest.raises(ValueError):
+            read_manifest(root)
+
+
+def test_manifest_is_synced_before_and_after_its_rename(tmp_path, monkeypatch):
+    from repro.faults.io import RealIO
+    from repro.shard import index as shard_index
+
+    calls = []
+
+    class RecordingIO(RealIO):
+        def fsync(self, fobj):
+            calls.append(("fsync", fobj.name.rsplit("/", 1)[-1]))
+            super().fsync(fobj)
+
+        def replace(self, src, dst):
+            calls.append(("replace", dst.rsplit("/", 1)[-1]))
+            super().replace(src, dst)
+
+        def fsync_dir(self, path):
+            calls.append(("fsync_dir", path))
+            super().fsync_dir(path)
+
+    monkeypatch.setattr(shard_index, "REAL_IO", RecordingIO())
+    root = tmp_path / "sx"
+    write_manifest(root, 3)
+    assert calls == [
+        ("fsync", MANIFEST_NAME + ".tmp"),
+        ("replace", MANIFEST_NAME),
+        ("fsync_dir", str(root)),
+    ]
+    assert read_manifest(root)["num_shards"] == 3
 
 
 def test_open_accepts_the_serial_executor_stub_and_nothing_else(tmp_path):

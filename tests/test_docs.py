@@ -369,3 +369,20 @@ def test_docscheck_covers_the_executor():
         "G.md:3: ParallelExecutor() takes no keyword 'max_workers'",
         "G.md:5: `ParallelExecutor.gather` names no live attribute",
     ]
+
+
+def test_docscheck_fails_on_a_dead_repo_path():
+    from repro.bench.docscheck import check_repo_paths
+
+    doc = (
+        "Run `benchmarks/pipeline/run.py --workload index_bulk`; see\n"
+        "`tests/core/test_engine.py::test_no_method_is_written_twice`, `results/`.\n"
+        "Gone: `benchmarks/bench_table8_stnm_query.py` and `docs/NOPE.md:12`.\n"
+        "Patterns: `benchmarks/bench_*.py`, `results/<experiment>.csv`,\n"
+        "`bench_table{5,6}.py`; not a repo dir: `build/out.txt`.\n"
+    )
+    assert check_repo_paths(REPO_ROOT, "D.md", doc) == [
+        "D.md:3: `benchmarks/bench_table8_stnm_query.py` names no file or "
+        "directory of the repo",
+        "D.md:3: `docs/NOPE.md` names no file or directory of the repo",
+    ]
