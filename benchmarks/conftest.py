@@ -1,8 +1,7 @@
 """Shared configuration of the pytest-benchmark suites.
 
 These suites time the ablations beyond the paper (store backend, cache,
-incremental update, suffix modes, pattern language, sharded service,
-leveled compaction).  The paper's tables and figures have one path, the
+incremental update, suffix modes, pattern language, sharded service).  The paper's tables and figures have one path, the
 experiment runner::
 
     python -m repro.bench.runner table6 fig4 --scale 0.1

@@ -815,270 +815,6 @@ def exp_sharded_service(
     return result
 
 
-def exp_leveled_compaction(
-    scale: float,
-    days: int = 10,
-    traces_per_day: int = 150,
-    events_per_trace: int = 8,
-) -> ExperimentResult:
-    """Write-amplification ablation: size-tiered vs leveled compaction.
-
-    Not a paper experiment.  Sustained streaming ingest through the feed
-    pipeline (``FeedWriter`` -> ``TailIngester`` -> ``EngineSink``) into a
-    single long-lived store session per strategy, with each simulated day
-    indexing into its own period partition (the paper's period-partitioned
-    index tables, §3.1.3) under zero-padded monotonic trace ids.  Once a
-    day closes, its key region goes cold: the leveled strategy parks it
-    in deep key-disjoint runs via manifest-only trivial moves, while
-    size-tiered re-folds cold bytes into every next-generation tier
-    merge.  Measures, per strategy:
-
-    * write amplification = ``compaction_bytes_rewritten`` /
-      ``flush_bytes_written`` over the whole ingest session (background
-      compaction enabled, as deployed);
-    * reopen latency of the grown store after each day (the store always
-      reopens lazy: manifest + footers only), showing reopen staying flat
-      as the store grows.
-
-    The ingest session deliberately never closes mid-run: closing flushes
-    whatever sits in the memtable, and those undersized day-boundary
-    "runt" tables would poison size-tiered's similar-size merge windows,
-    understating its steady-state write amplification.  Day-boundary
-    reopen latencies are instead measured on crash-consistent directory
-    snapshots (immutable SSTables, atomic manifest renames, append-only
-    WAL -- exactly the store's crash model), retried if a concurrent
-    compaction commit retires a file mid-copy.
-
-    Writes a ``BENCH_leveled_compaction.json`` perf-trajectory snapshot.
-    """
-    import json
-    import random
-    import shutil
-    import tempfile
-
-    from repro.core.engine import SequenceIndex
-    from repro.core.model import Event
-    from repro.ingest import EngineSink, FeedWriter, TailIngester
-    from repro.kvstore import LSMStore, LeveledConfig
-
-    result = ExperimentResult(
-        "leveled_compaction",
-        "Write amplification under sustained partition-rotating ingest",
-        [
-            "strategy",
-            "events",
-            "flushed MB",
-            "rewritten MB",
-            "write amp",
-            "compactions",
-            "moves",
-            "levels",
-            "reopen lazy ms",
-        ],
-    )
-    traces = max(10, int(traces_per_day * scale))
-    leveled_config = dict(
-        l0_compact_tables=16,
-        base_level_bytes=64 * 1024,
-        fanout=8,
-        max_output_bytes=16 * 1024,
-        grandparent_limit_factor=2,
-    )
-
-    def day_events(day: int) -> list[Event]:
-        rng = random.Random(f"leveled-bench-day-{day}")
-        activities = [f"a{j:02d}" for j in range(12)]
-        events: list[Event] = []
-        for t in range(traces):
-            trace_id = f"{day:02d}-{t:06d}"
-            clock = float(day * 1_000_000 + t)
-            for _ in range(events_per_trace):
-                clock += rng.randint(1, 3)
-                events.append(Event(trace_id, rng.choice(activities), clock))
-        return events
-
-    def open_store(path: str, strategy: str) -> LSMStore:
-        kwargs = {}
-        if strategy == "leveled":
-            kwargs["leveled"] = LeveledConfig(**leveled_config)
-        return LSMStore(
-            path,
-            memtable_flush_bytes=32 * 1024,
-            compaction=strategy,
-            **kwargs,
-        )
-
-    def snapshot_dir(src: str, dst: str, attempts: int = 8) -> None:
-        # A compaction commit may retire an input file between the copy
-        # of the manifest and the copy of that file; the result is the
-        # same partial state a crash would leave, except the manifest can
-        # name a file the copy missed.  Probe-open once (also absorbing
-        # one-time WAL recovery, so the timed reopens below measure
-        # manifest loading, not replay) and retry the copy on failure.
-        last: Exception | None = None
-        for _ in range(attempts):
-            shutil.rmtree(dst, ignore_errors=True)
-            try:
-                shutil.copytree(src, dst)
-                probe = LSMStore(dst, auto_compact=False)
-                probe.close()
-                return
-            except Exception as exc:  # noqa: BLE001 - retried, then re-raised
-                last = exc
-        raise RuntimeError(f"could not snapshot {src}") from last
-
-    def reopen(path: str) -> None:
-        LSMStore(path, auto_compact=False).close()
-
-    def reopen_ms(path: str) -> float:
-        (best,), _ = best_of_rounds([partial(reopen, path)])
-        return best * 1e3
-
-    workdir = tempfile.mkdtemp(prefix="repro-leveled-compaction-")
-    strategies = ("size_tiered", "leveled")
-    summary: dict[str, dict] = {}
-    try:
-        for strategy in strategies:
-            store_dir = os.path.join(workdir, strategy)
-            store = open_store(store_dir, strategy)
-            engine = SequenceIndex(store)
-            events_total = 0
-            reopen_series = []
-            try:
-                for day in range(days):
-                    feed = os.path.join(
-                        workdir, f"{strategy}-day{day:02d}.jsonl"
-                    )
-                    with FeedWriter(feed) as writer:
-                        writer.append(day_events(day))
-                    ingester = TailIngester(
-                        feed,
-                        EngineSink(engine, partition=f"day-{day:02d}"),
-                        feed + ".ckpt",
-                        batch_events=64,
-                    )
-                    stats = ingester.drain()
-                    ingester.close()
-                    events_total += stats.events_applied
-                    snap = os.path.join(workdir, f"{strategy}-snap")
-                    snapshot_dir(store_dir, snap)
-                    storage = store.storage_stats()
-                    reopen_series.append(
-                        {
-                            "day": day,
-                            "file_bytes": storage["file_bytes"],
-                            "sstables": len(storage["sstables"]),
-                            "lazy_ms": reopen_ms(snap),
-                        }
-                    )
-                    shutil.rmtree(snap, ignore_errors=True)
-                metrics = store.metrics.snapshot()
-                storage = store.storage_stats()
-            finally:
-                store.close()
-            final = reopen_series[-1]
-            write_amp = (
-                metrics["compaction_bytes_rewritten"]
-                / metrics["flush_bytes_written"]
-                if metrics["flush_bytes_written"]
-                else 0.0
-            )
-            summary[strategy] = {
-                "events": events_total,
-                "flush_bytes_written": metrics["flush_bytes_written"],
-                "compaction_bytes_rewritten": metrics[
-                    "compaction_bytes_rewritten"
-                ],
-                "compactions": metrics["compactions"],
-                "compaction_moves": metrics["compaction_moves"],
-                "write_amp": write_amp,
-                "level_count": storage["level_count"],
-                "final_file_bytes": final["file_bytes"],
-                "final_sstables": final["sstables"],
-                "reopen_series": reopen_series,
-            }
-            result.add(
-                strategy,
-                events_total,
-                metrics["flush_bytes_written"] / 1e6,
-                metrics["compaction_bytes_rewritten"] / 1e6,
-                write_amp,
-                metrics["compactions"],
-                metrics["compaction_moves"],
-                storage["level_count"],
-                final["lazy_ms"],
-            )
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-
-    tiered = summary["size_tiered"]
-    leveled = summary["leveled"]
-    # "Reopen flat" is an O(manifest) claim, not an O(bytes) claim: the
-    # size-tiered store keeps a near-constant manifest while its data
-    # grows ~`days`-fold, so its lazy series shows absolute flatness;
-    # the leveled store's manifest grows with its table count, so its
-    # series shows constant cost *per manifest entry* instead.
-    st_first, st_last = (
-        tiered["reopen_series"][0],
-        tiered["reopen_series"][-1],
-    )
-    lv_first, lv_last = (
-        leveled["reopen_series"][0],
-        leveled["reopen_series"][-1],
-    )
-
-    def per_table_us(point: dict) -> float:
-        return point["lazy_ms"] * 1e3 / max(1, point["sstables"])
-
-    snapshot = {
-        "experiment": "leveled_compaction",
-        "scale": scale,
-        "days": days,
-        "traces_per_day": traces,
-        "events_per_trace": events_per_trace,
-        "leveled_config": leveled_config,
-        "size_tiered": tiered,
-        "leveled": leveled,
-        "size_tiered_write_amp": tiered["write_amp"],
-        "leveled_write_amp": leveled["write_amp"],
-        "write_amp_ratio": tiered["write_amp"] / leveled["write_amp"]
-        if leveled["write_amp"]
-        else float("inf"),
-        "leveled_wa_below_size_tiered": leveled["write_amp"]
-        < tiered["write_amp"],
-        "lazy_reopen_growth": st_last["lazy_ms"] / st_first["lazy_ms"]
-        if st_first["lazy_ms"]
-        else float("inf"),
-        "lazy_reopen_bytes_growth": st_last["file_bytes"]
-        / max(1, st_first["file_bytes"]),
-        "leveled_lazy_us_per_table_first": per_table_us(lv_first),
-        "leveled_lazy_us_per_table_last": per_table_us(lv_last),
-    }
-    with open("BENCH_leveled_compaction.json", "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2)
-        fh.write("\n")
-    result.note(
-        "write amp = compaction bytes rewritten / flush bytes written, "
-        "one continuously-ingesting store session per strategy"
-    )
-    result.note(
-        "each day writes its own period partition; cold days become "
-        "key-disjoint runs that leveled sinks as manifest-only moves"
-    )
-    result.note(
-        "reopen latency: a lazy open and its close, the fastest of "
-        f"{ROUNDS} rounds on a crash-consistent day-boundary snapshot of "
-        "the live store"
-    )
-    result.note(
-        "lazy reopen is O(manifest): flat in absolute terms while the "
-        "manifest holds steady (size-tiered series), constant per "
-        "manifest entry while it grows (leveled series)"
-    )
-    result.note("snapshot: BENCH_leveled_compaction.json")
-    return result
-
-
 #: every experiment, keyed by the name used on the runner command line
 ALL_EXPERIMENTS: dict[str, Callable[[float], ExperimentResult]] = {
     "table4": exp_table4,
@@ -1095,5 +831,4 @@ ALL_EXPERIMENTS: dict[str, Callable[[float], ExperimentResult]] = {
     "ablation_cache": exp_ablation_cache,
     "pattern_language": exp_pattern_language,
     "sharded_service": exp_sharded_service,
-    "leveled_compaction": exp_leveled_compaction,
 }

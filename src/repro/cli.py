@@ -67,7 +67,6 @@ def _open_index(args: argparse.Namespace):
             path,
             background_compaction=getattr(args, "background_compaction", False),
             compression=_compression_arg(args),
-            compaction=getattr(args, "compaction", "size_tiered"),
         )
 
     shards = getattr(args, "shards", None)
@@ -489,7 +488,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
                 ops=args.ops,
                 path=workdir,
                 compression=_compression_arg(args),
-                compaction=args.compaction,
             )
         except CrashRecoveryFailure as exc:
             failures += 1
@@ -630,13 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("none", "zlib", "zstd"),
             default="none",
             help="block codec for new SSTable writes (reads auto-detect)",
-        )
-        p.add_argument(
-            "--compaction",
-            choices=("size_tiered", "leveled"),
-            default="size_tiered",
-            help="SSTable compaction strategy (stores written under one "
-            "strategy reopen under the other without migration)",
         )
         if with_build:
             p.add_argument(
@@ -886,12 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("none", "zlib", "zstd"),
         default="none",
         help="run the store under test with this block codec",
-    )
-    flt.add_argument(
-        "--compaction",
-        choices=("size_tiered", "leveled"),
-        default="size_tiered",
-        help="compaction strategy for the store under test",
     )
     flt.set_defaults(fn=cmd_faults)
 

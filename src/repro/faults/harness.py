@@ -49,7 +49,6 @@ from typing import Any
 from repro.faults.io import FaultyIO
 from repro.faults.schedule import CORRUPTING_KINDS, FaultSchedule, SimulatedCrash
 from repro.kvstore.api import CorruptionError
-from repro.kvstore.compaction import LeveledConfig
 from repro.kvstore.lsm import LSMStore
 from repro.obs.registry import REGISTRY
 
@@ -242,7 +241,6 @@ class CrashRecoveryHarness:
         memtable_flush_bytes: int = 2048,
         compaction_min_tables: int = 3,
         compression: str | None = None,
-        compaction: str = "size_tiered",
         schedule: FaultSchedule | None = None,
     ) -> None:
         self.path = path
@@ -253,24 +251,10 @@ class CrashRecoveryHarness:
         #: block codec for the store under test; faults then land inside
         #: compressed v2 blocks, exercising the per-block CRC detection path
         self.compression = compression
-        #: compaction strategy under test; ``"leveled"`` shrinks the level
-        #: budgets so the seeded workload actually drives cascades and
-        #: manifest rewrites through the injected fault
-        self.compaction = compaction
         #: explicit schedule override (default: derived from the seed) --
         #: lets tests aim a fault at a precise protocol point, e.g. the
-        #: crash window around a leveled round's MANIFEST rename
+        #: crash window around a compaction's MANIFEST rename
         self.schedule = schedule
-
-    def _store_kwargs(self) -> dict[str, Any]:
-        kwargs: dict[str, Any] = {"compaction": self.compaction}
-        if self.compaction == "leveled":
-            kwargs["leveled"] = LeveledConfig(
-                l0_compact_tables=max(2, self.compaction_min_tables),
-                base_level_bytes=8 * 1024,
-                fanout=4,
-            )
-        return kwargs
 
     def run(self) -> dict[str, Any]:
         """Execute the cycle; returns a summary dict or raises
@@ -293,7 +277,6 @@ class CrashRecoveryHarness:
                 block_cache_bytes=64 * 1024,
                 compression=self.compression,
                 io=FaultyIO(schedule),
-                **self._store_kwargs(),
             )
             for table, operator in self.TABLES:
                 store.create_table(table, merge_operator=operator)
@@ -368,12 +351,7 @@ class CrashRecoveryHarness:
     ) -> None:
         corruption_planted = fault.kind in CORRUPTING_KINDS
         try:
-            # Reopen under the same strategy: a leveled run must survive
-            # its own manifest (including a torn manifest rewrite, which
-            # demotes to L0 rather than failing).
-            recovered = LSMStore(
-                self.path, auto_compact=False, **self._store_kwargs()
-            )
+            recovered = LSMStore(self.path, auto_compact=False)
         except (CorruptionError, json.JSONDecodeError) as exc:
             if corruption_planted:
                 summary["detected"] = True

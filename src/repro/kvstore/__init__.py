@@ -18,7 +18,6 @@ in :mod:`repro.core` runs unchanged on either.
 
 from repro.kvstore.api import KeyValueStore, StoreClosedError, UnknownTableError
 from repro.kvstore.cache import BlockCache, LRUCache
-from repro.kvstore.compaction import LeveledConfig
 from repro.kvstore.locks import RWLock
 from repro.kvstore.lsm import LSMStore, StoreMetrics
 from repro.kvstore.memory import InMemoryStore
@@ -35,7 +34,6 @@ __all__ = [
     "LSMStore",
     "InMemoryStore",
     "StoreMetrics",
-    "LeveledConfig",
     "LRUCache",
     "BlockCache",
     "RWLock",

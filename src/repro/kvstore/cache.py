@@ -153,8 +153,8 @@ class BlockCache(LRUCache):
     def evict_owners(self, owners) -> None:
         """Drop the blocks of several retired readers in one sweep.
 
-        A leveled cascade retires all of a merge's inputs at once; a single
-        pass over the cache replaces one full scan per closed reader.
+        A compaction retires all of its inputs at once; a single pass over
+        the cache replaces one full scan per closed reader.
         """
         owners = frozenset(owners)
         with self._lock:

@@ -16,9 +16,9 @@ frame, then applied to the memtable; the memtable seals once it reaches
 one-op-at-a-time writer would have flushed -- and sealed memtables flush to
 new SSTables in seal order.  Read path: active memtable, then the sealed
 (flushing) memtables newest first, then SSTables newest-to-oldest, combining
-merge deltas with the table's merge operator.  Compaction (size-tiered or
-leveled, see :mod:`repro.kvstore.compaction`) keeps the SSTable count
-bounded; either strategy only *plans*, and one executor here runs the plan.
+merge deltas with the table's merge operator.  Size-tiered compaction
+(:mod:`repro.kvstore.compaction` plans it, one executor here runs it) keeps
+the SSTable count bounded.
 
 Keys are namespaced by a 2-byte table id so one physical file set serves all
 logical tables, exactly as a Cassandra keyspace does.
@@ -84,10 +84,9 @@ from repro.kvstore.cache import BlockCache
 from repro.kvstore.compaction import (
     BackgroundCompactor,
     CompactionPick,
-    LeveledConfig,
     group_records,
     merge_records,
-    resolve_strategy,
+    plan_size_tiered,
 )
 from repro.kvstore.encoding import (
     Key,
@@ -139,10 +138,7 @@ class StoreMetrics:
 
     ``flush_bytes_written`` / ``compaction_bytes_rewritten`` account every
     data byte a flush persisted and every data byte a compaction merge
-    re-persisted; their ratio is the store's write amplification, which is
-    what the leveled-vs-size-tiered ablation measures.
-    ``compaction_moves`` counts leveled trivial moves (promotions that
-    re-levelled a table in the manifest without rewriting it).
+    re-persisted; their ratio is the store's write amplification.
     ``block_reads`` counts physical data-block loads and
     ``lazy_meta_loads`` counts lazily-opened SSTables that materialized
     their index/bloom metadata -- both stay at zero across a lazy reopen
@@ -191,7 +187,6 @@ class StoreMetrics:
         "planner_reorders",
         "flush_bytes_written",
         "compaction_bytes_rewritten",
-        "compaction_moves",
         "block_reads",
         "lazy_meta_loads",
         "read_operands",
@@ -253,8 +248,6 @@ class LSMStore(KeyValueStore):
         block_cache_bytes: int = 8 * 1024 * 1024,
         compression: str | None = None,
         io=None,
-        compaction: str = "size_tiered",
-        leveled: LeveledConfig | None = None,
     ) -> None:
         self._path = path
         #: filesystem shim for durability-critical I/O; tests inject a
@@ -263,8 +256,7 @@ class LSMStore(KeyValueStore):
         self._memtable_flush_bytes = memtable_flush_bytes
         self._sync_wal = sync_wal
         self._auto_compact = auto_compact
-        #: supplies the planner and the inline cascade rule; the executor is shared
-        self._strategy = resolve_strategy(compaction, compaction_min_tables, leveled)
+        self._compaction_min_tables = compaction_min_tables
         # Fail fast on an unknown/unavailable codec (e.g. zstd without the
         # zstandard package) instead of erroring at first flush.  The knob
         # only affects *writes*: readers dispatch per file on the header
@@ -286,9 +278,7 @@ class LSMStore(KeyValueStore):
         )
         #: catalogue, SSTable list, counters and the MANIFEST, guarded by
         #: ``_state_lock``; the catalogue dicts are bound once for the hot path
-        self._tableset = TableSet(
-            path, self._strategy.name, self._io, self._block_cache, self.metrics
-        )
+        self._tableset = TableSet(path, self._io, self._block_cache, self.metrics)
         self._table_ids = self._tableset.table_ids
         self._merge_ops = self._tableset.merge_ops
         self._memtable = Memtable()
@@ -666,10 +656,9 @@ class LSMStore(KeyValueStore):
             if self._compactor is not None:
                 self._compactor.trigger()
             else:
-                # Inline cascade rule (see the strategy classes): leveled
-                # drains, size-tiered runs a single round.
-                while self._compaction_round() and self._strategy.cascade_inline:
-                    pass
+                # One round only: a second inline round would move SSTable
+                # boundaries (the store's bytes on disk).
+                self._compaction_round()
 
     def _seal_locked(self, upto: int) -> None:
         """Queue the active memtable for flushing with ``upto`` -- the last
@@ -707,13 +696,10 @@ class LSMStore(KeyValueStore):
             compression=self._compression,
         )
 
-    def _seal_table(self, writer: SSTableWriter, level: int) -> SSTableReader:
+    def _seal_table(self, writer: SSTableWriter) -> SSTableReader:
         """The one place an SSTable is finished: seal it (the reader opens
-        eager -- its metadata is in hand) and annotate its placement."""
+        eager -- its metadata is in hand)."""
         reader = writer.finish(cache=self._block_cache, metrics=self.metrics)
-        reader.level = level
-        reader.min_key = writer.first_key
-        reader.max_key = writer.last_key
         if writer.compressed_blocks:
             self.metrics.bump("compressed_blocks", writer.compressed_blocks)
         return reader
@@ -731,7 +717,7 @@ class LSMStore(KeyValueStore):
                     )
                     if record is not None:
                         writer.add(key, *record)
-                reader = self._seal_table(writer, 0)
+                reader = self._seal_table(writer)
                 if span.enabled:
                     span.add("entries", len(sealed))
                     span.add("bytes", reader.data_bytes)
@@ -761,61 +747,38 @@ class LSMStore(KeyValueStore):
         return self._compaction_round()
 
     def compact_all(self) -> None:
-        """Force-merge every SSTable into one run (full major compaction).
-
-        Under size-tiered the result is a single table; under leveled it is
-        a single key-disjoint run at the deepest populated level (split at
-        the configured output size), which is the same full-finalize merge.
-        """
+        """Force-merge every SSTable into one (full major compaction)."""
         self._check_open()
         self.flush()
         self._compaction_round(full=True)
 
-    def _compaction_round(self, soft: bool = False, full: bool = False) -> bool:
-        """Plan and apply one round (``full``: the major compaction);
-        ``True`` if work was done."""
+    def _compaction_round(self, full: bool = False) -> bool:
+        """Plan and apply one round (``full``: the major compaction, every
+        table, finalized); ``True`` if work was done."""
         with self._compaction_lock:
             with self._state_lock.read():
                 if self._closed:
                     return False
-                if full:
-                    pick = self._strategy.plan_full(self._tableset)
+                readers = self._tableset.readers
+                if not full:
+                    pick = plan_size_tiered(readers, self._compaction_min_tables)
+                elif len(readers) > 1:
+                    pick = CompactionPick(list(readers), finalize=True)
                 else:
-                    pick = self._strategy.plan(self._tableset, soft)
-            if pick is None:
-                return False
-            if not pick.trivial_move:
-                return self._run_compaction(pick)
-            # A victim that overlaps nothing below it is promoted by
-            # manifest only: no bytes are rewritten, the table changes its
-            # level label.  Safe against races: we hold ``_compaction_lock``
-            # (no concurrent compaction can repopulate the target level) and
-            # concurrent flushes only ever append to L0.
-            with self._state_lock.write():
-                moved = not self._closed and self._tableset.relevel(
-                    pick.inputs[0], pick.target_level
-                )
-        if moved:
-            self.metrics.bump("compaction_moves")
-        return moved
+                    pick = None
+            return pick is not None and self._run_compaction(pick)
 
     def _run_compaction(self, pick: CompactionPick) -> bool:
         """The one compaction executor: scrub -> merge -> fault point ->
-        verify -> swap -> retire, for either strategy's pick.
+        verify -> swap -> retire.
 
         Caller holds ``_compaction_lock``; concurrent flushes only *append*
         to the table set, so the inputs stay members throughout.  The merge
-        runs with no lock held.  Each candidate output is CRC-verified
-        before the swap: a corrupt output (crash/fault between compaction
-        write and manifest update) is discarded and reads continue from the
-        pre-compaction tables.
-
-        The one data-dependent branch is the split (see
-        :class:`~repro.kvstore.compaction.CompactionPick`): cutting outputs
-        at grandparent boundaries keeps any output's key range from
-        bridging a cold gap in the deeper run, which would drag that deeper
-        data into every future promotion; a pick without a split size gets
-        exactly one output -- this branch decides file bytes.
+        runs with no lock held and writes exactly one output, its bloom
+        filter sized for the sum of the inputs' records.  The output is
+        CRC-verified before the swap: a corrupt output (crash/fault between
+        compaction write and manifest update) is discarded and reads
+        continue from the pre-compaction tables.
         """
         inputs = pick.inputs
         # Scrub the inputs first: merging unverified bytes would stamp a
@@ -828,93 +791,52 @@ class LSMStore(KeyValueStore):
             except CorruptionError:
                 self.metrics.bump("compaction_aborts")
                 return False
-        level, split_bytes = pick.target_level, pick.split_bytes
-        expected = sum(r.record_count for r in inputs)
-        writer: SSTableWriter | None = None
-        outputs: list[SSTableReader] = []
         span = current_tracer().span("lsm.compaction")
-        try:
-            with span:
-                merged_records = merge_records(
+        with span:
+            writer = self._new_writer(sum(r.record_count for r in inputs))
+            try:
+                for kind, key, value in merge_records(
                     inputs, self._operator_for_full_key, pick.finalize
-                )
-                if split_bytes is None:
-                    writer = self._new_writer(expected)  # one output, even if empty
-                    for kind, key, value in merged_records:
-                        writer.add(key, kind, value)
-                else:
-                    # outputs open at their first record, sized for an
-                    # average input
-                    expected = max(1, expected // len(inputs))
-                    gp_run = sorted(
-                        (t for t in pick.grandparents if t.max_key is not None),
-                        key=lambda t: t.max_key,
-                    )
-                    gp_index = gp_crossed = 0
-                    for kind, key, value in merged_records:
-                        while gp_index < len(gp_run) and gp_run[gp_index].max_key < key:
-                            gp_crossed += gp_run[gp_index].data_bytes
-                            gp_index += 1
-                        if (
-                            writer is not None
-                            and writer.raw_data_bytes > 0
-                            and gp_crossed > pick.grandparent_limit
-                        ):
-                            outputs.append(self._seal_table(writer, level))
-                            writer = None
-                        if writer is None:
-                            writer = self._new_writer(expected)
-                            gp_crossed = 0
-                        writer.add(key, kind, value)
-                        if writer.raw_data_bytes >= split_bytes:
-                            outputs.append(self._seal_table(writer, level))
-                            writer = None
-                if writer is not None:
-                    outputs.append(self._seal_table(writer, level))
-                    writer = None
-                if span.enabled:
-                    span.add("inputs", len(inputs))
-                    span.add("input_bytes", sum(r.data_bytes for r in inputs))
-                    span.add("outputs", len(outputs))
-                    span.add("output_bytes", sum(r.data_bytes for r in outputs))
-                    span.add("target_level", level)
-            for merged in outputs:
-                # Named fault point for the protocol's vulnerable window
-                # (outputs sealed, manifest not yet swapped), one per output.
-                self._io.fault_point("compaction.pre_swap", merged.path)
-        except BaseException:
-            # Simulated kill mid-merge or at the fault point: the in-flight
-            # tmp file is dropped, finished outputs stay on disk as orphans
-            # exactly as a crash leaves them (the next open removes them).
-            if writer is not None:
+                ):
+                    writer.add(key, kind, value)
+                merged = self._seal_table(writer)
+            except BaseException:
+                # Simulated kill mid-merge: the in-flight tmp file is dropped.
                 writer.abort()
-            for merged in outputs:
-                merged.close()
+                raise
+            if span.enabled:
+                span.add("inputs", len(inputs))
+                span.add("input_bytes", sum(r.data_bytes for r in inputs))
+                span.add("output_bytes", merged.data_bytes)
+        try:
+            # Named fault point for the protocol's vulnerable window (output
+            # sealed, manifest not yet swapped).
+            self._io.fault_point("compaction.pre_swap", merged.path)
+        except BaseException:
+            # The sealed output stays on disk as an orphan, exactly as a
+            # crash leaves it (the next open removes it).
+            merged.close()
             raise
         try:
-            for merged in outputs:
-                merged.verify()
+            merged.verify()
         except Exception:
-            self._discard(outputs)
+            self._discard(merged)
             return False
         with self._state_lock.write():
-            swapped = not self._closed and self._tableset.swap(inputs, outputs)
+            swapped = not self._closed and self._tableset.swap(inputs, merged)
         if not swapped:
-            # Store closed (or inputs retired) under us: discard the outputs.
-            self._discard(outputs)
+            # Store closed (or inputs retired) under us: discard the output.
+            self._discard(merged)
             return False
         self.metrics.bump("compactions")
-        self.metrics.bump(
-            "compaction_bytes_rewritten", sum(r.data_bytes for r in outputs)
-        )
+        self.metrics.bump("compaction_bytes_rewritten", merged.data_bytes)
         self._retire(inputs)
         return True
 
-    def _discard(self, outputs: list[SSTableReader]) -> None:
-        """Abort a compaction whose outputs must not go live."""
-        for merged in outputs:
-            merged.close()
-            self._io.remove(merged.path)
+    def _discard(self, merged: SSTableReader) -> None:
+        """Abort a compaction whose output must not go live."""
+        merged.close()
+        self._io.remove(merged.path)
         self.metrics.bump("compaction_aborts")
 
     def _retire(self, readers: list[SSTableReader]) -> None:
@@ -976,16 +898,6 @@ class LSMStore(KeyValueStore):
         with self._state_lock.read():
             return len(self._tableset.readers)
 
-    def level_stats(self) -> list[dict[str, int]]:
-        """Per-level table count and data bytes, L0 first.
-
-        Size-tiered stores report everything at L0; the leveled strategy
-        populates deeper levels as promotions run.
-        """
-        with self._state_lock.read():
-            self._check_open()
-            return self._tableset.level_rows()
-
     def verify(self) -> None:
         """Scrub every SSTable's data section against its checksum.
 
@@ -1023,7 +935,6 @@ class LSMStore(KeyValueStore):
             readers = self._tableset.readers
             sstables = len(readers)
             tables = len(self._table_ids)
-            level_count = len({reader.level for reader in readers})
             bytes_on_disk = self._tableset.file_bytes()
         return store_samples(
             self.metrics.snapshot(),
@@ -1031,7 +942,6 @@ class LSMStore(KeyValueStore):
             tables=tables,
             cache_stats=self.cache_stats(),
             bytes_on_disk=bytes_on_disk,
-            level_count=level_count,
         )
 
     def _check_open(self) -> None:

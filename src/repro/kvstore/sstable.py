@@ -111,10 +111,7 @@ class SSTableWriter:
         self._block_buf = bytearray()
         self._count = 0
         self._data_crc = 0
-        #: key-range bounds of the finished table (recorded in manifest v2
-        #: so the leveled planner can reason about overlap without I/O);
-        #: ``last_key`` is the largest key written so far
-        self.first_key: bytes | None = None
+        #: the largest key written so far (``add`` checks the order)
         self.last_key: bytes | None = None
         self.compressed_blocks = 0
         self.raw_data_bytes = 0
@@ -123,8 +120,6 @@ class SSTableWriter:
         """Append one record; keys must arrive in strictly increasing order."""
         if self.last_key is not None and key <= self.last_key:
             raise ValueError("SSTable records must be added in strictly increasing key order")
-        if self.first_key is None:
-            self.first_key = key
         self.last_key = key
         if self._count % INDEX_INTERVAL == 0:
             if self._version == 2:
@@ -228,12 +223,6 @@ class SSTableReader:
         self._cache = cache
         self._metrics = metrics
         self._uid = next(SSTableReader._uids)
-        #: store-level placement metadata (set by the LSM store from the
-        #: manifest or the flush/compaction writer; a bare reader is "L0
-        #: with unknown key range", which every planner treats safely).
-        self.level = 0
-        self.min_key: bytes | None = None
-        self.max_key: bytes | None = None
         self._meta_lock = threading.Lock()
         self._meta_loaded = False
         self._lazy = lazy

@@ -1,20 +1,18 @@
 """The table set: everything the MANIFEST records, and the MANIFEST itself.
 
 A :class:`TableSet` owns the store's durable catalogue -- the logical
-tables and their merge operators, the flat SSTable list with each table's
-level and key bounds, the id counters and the flush watermark -- and is
-the one reader and the one writer of the ``MANIFEST`` file.
+tables and their merge operators, the flat SSTable list, the id counters
+and the flush watermark -- and is the one reader and the one writer of the
+``MANIFEST`` file.
 :class:`~repro.kvstore.lsm.LSMStore` keeps the locks, the WAL, the
 memtables, the read path and the flush/compaction protocols.  A
 ``TableSet`` has no lock of its own: the store's ``RWLock`` guards it
 (mutators under the write side, everything else under at least the read
 side).
 
-Manifest versions: v1 listed SSTables as bare filenames (every table
-reads as L0 with unknown key bounds); v2 -- the only version written --
-records ``level``, ``min_key`` / ``max_key`` (hex), ``records`` and
-``data_bytes`` per table, so the leveled planner can reason about overlap
-without I/O.
+Manifest versions: v1 listed SSTables as bare filenames; v2 -- the only
+version written -- records ``file``, ``records`` and ``data_bytes`` per
+table.  Either way the list is in read order, oldest shadow first.
 """
 
 from __future__ import annotations
@@ -35,12 +33,9 @@ _SST_FILE_RE = re.compile(r"^sst-\d+\.sst(\.tmp)?$")
 class TableSet:
     """Catalogue + SSTable list + counters, persisted as the MANIFEST."""
 
-    def __init__(
-        self, directory: str, strategy_name: str, io, cache=None, metrics=None
-    ) -> None:
+    def __init__(self, directory: str, io, cache=None, metrics=None) -> None:
         self._directory = directory
         self._manifest_path = os.path.join(directory, MANIFEST_NAME)
-        self._strategy_name = strategy_name
         self._io = io
         self._cache = cache  # the store's shared BlockCache, if any
         self._metrics = metrics
@@ -48,8 +43,7 @@ class TableSet:
         self.table_ids: dict[str, int] = {}
         #: table id -> resolved merge operator (``None`` = plain table)
         self.merge_ops: dict[int, MergeOperator | None] = {}
-        #: live SSTables, oldest shadow first: deepest level first and L0
-        #: last (oldest -> newest within L0); the order reads trust
+        #: live SSTables, oldest shadow first: the order reads trust
         self.readers: list[SSTableReader] = []
         self.last_flushed_seq = 0
         self._next_table_id = 1
@@ -81,21 +75,21 @@ class TableSet:
         readers: list[SSTableReader] = []
         try:
             for entry in manifest["sstables"]:
-                if isinstance(entry, str):  # manifest v1: plain filename, L0
-                    entry = {"file": entry}
-                reader = SSTableReader(
-                    os.path.join(self._directory, entry["file"]),
-                    cache=self._cache,
-                    io=self._io,
-                    metrics=self._metrics,
-                    lazy=True,
+                # v1: a bare filename.  A v2 entry written by the retired
+                # leveled strategy also carries ``level`` / ``min_key`` /
+                # ``max_key`` (and the manifest a ``compaction`` name): all
+                # ignored, so such a store opens as one flat list in
+                # manifest order -- the order its reads already trusted.
+                name = entry if isinstance(entry, str) else entry["file"]
+                readers.append(
+                    SSTableReader(
+                        os.path.join(self._directory, name),
+                        cache=self._cache,
+                        io=self._io,
+                        metrics=self._metrics,
+                        lazy=True,
+                    )
                 )
-                readers.append(reader)
-                reader.level = int(entry.get("level", 0))
-                if entry.get("min_key"):
-                    reader.min_key = bytes.fromhex(entry["min_key"])
-                if entry.get("max_key"):
-                    reader.max_key = bytes.fromhex(entry["max_key"])
             referenced = {os.path.basename(reader.path) for reader in readers}
             for name in dir_names:
                 if _SST_FILE_RE.match(name) and name not in referenced:
@@ -105,13 +99,13 @@ class TableSet:
                 reader.close()
             raise
         self.readers = readers
-        self._demote_unsound_levels()
 
     def commit(self) -> None:
-        """Persist the current state as a v2 MANIFEST (tmp + fsync + rename)."""
+        """Persist the current state as a v2 MANIFEST: tmp + fsync + rename
+        + directory fsync, so the rename is durable before the caller goes
+        on (a compaction deletes its inputs right after its commit)."""
         manifest = {
             "version": 2,
-            "compaction": self._strategy_name,
             "next_table_id": self._next_table_id,
             "next_sst_id": self._next_sst_id,
             "last_flushed_seq": self.last_flushed_seq,
@@ -122,9 +116,6 @@ class TableSet:
             "sstables": [
                 {
                     "file": os.path.basename(r.path),
-                    "level": r.level,
-                    "min_key": r.min_key.hex() if r.min_key is not None else None,
-                    "max_key": r.max_key.hex() if r.max_key is not None else None,
                     "records": r.record_count,
                     "data_bytes": r.data_bytes,
                 }
@@ -140,6 +131,7 @@ class TableSet:
         finally:
             fh.close()
         self._io.replace(tmp, self._manifest_path)
+        self._io.fsync_dir(self._directory)
 
     def close(self) -> None:
         """Close every reader; the first error is raised once all are closed."""
@@ -187,20 +179,19 @@ class TableSet:
         return os.path.join(self._directory, filename)
 
     def install_flush(self, reader: SSTableReader, flushed_upto: int) -> None:
-        """A flush output joins as the newest L0 table; the watermark moves
+        """A flush output joins as the newest table; the watermark moves
         with it in the same commit."""
         self.readers.append(reader)
         self.last_flushed_seq = flushed_upto
         self.commit()
 
-    def swap(self, inputs: list[SSTableReader], outputs: list[SSTableReader]) -> bool:
-        """Replace a compaction's ``inputs`` by its ``outputs`` and commit.
+    def swap(self, inputs: list[SSTableReader], output: SSTableReader) -> bool:
+        """Replace a compaction's ``inputs`` by its ``output`` and commit.
 
-        One rule for every pick: the outputs take the flat position of the
-        oldest input (whatever the inputs shadowed, the outputs shadow),
-        the level layout is re-checked, and the list is re-sorted deepest
-        level first.  ``False`` -- nothing changed -- when the pick is
-        stale because an input has already left the set.
+        The output takes the flat position of the oldest input: whatever
+        the inputs shadowed, the output shadows.  ``False`` -- nothing
+        changed -- when the pick is stale because an input has already left
+        the set.
         """
         gone = {id(reader) for reader in inputs}
         positions = [i for i, r in enumerate(self.readers) if id(r) in gone]
@@ -208,89 +199,11 @@ class TableSet:
             return False
         kept = [r for r in self.readers if id(r) not in gone]
         oldest = positions[0]  # nothing before it is an input
-        self.readers = kept[:oldest] + outputs + kept[oldest:]
-        self._demote_unsound_levels()
-        self._sort_deepest_first()
+        self.readers = kept[:oldest] + [output] + kept[oldest:]
         self.commit()
         return True
-
-    def relevel(self, reader: SSTableReader, level: int) -> bool:
-        """Trivial move: ``reader`` changes level, no byte is rewritten.
-        ``False`` if the table has already left the set."""
-        if all(reader is not r for r in self.readers):
-            return False
-        reader.level = level
-        self._sort_deepest_first()
-        self.commit()
-        return True
-
-    def levels(self) -> list[list[SSTableReader]]:
-        """The flat list grouped by level, for the leveled planner.
-
-        ``levels[0]`` keeps flat-list order (oldest -> newest); deeper
-        levels sort by ``min_key`` so the planner sees each run in key
-        order regardless of how the flat list interleaved them.
-        """
-        depth = max((r.level for r in self.readers), default=0)
-        levels: list[list[SSTableReader]] = [[] for _ in range(depth + 1)]
-        for reader in self.readers:
-            levels[reader.level].append(reader)
-        for run in levels[1:]:
-            run.sort(key=lambda r: r.min_key or b"")
-        return levels
-
-    def _sort_deepest_first(self) -> None:
-        """Re-derive the flat read order from per-table levels.
-
-        Deepest level first (oldest shadow), then L0 in its existing
-        relative order (recency; the sort is stable).  Within an L1+ level
-        tables are key-disjoint, so sorting them by ``min_key`` cannot
-        change which record shadows which.
-        """
-        self.readers.sort(
-            key=lambda r: (-r.level, r.min_key or b"") if r.level else (0, b"")
-        )
-
-    def _demote_unsound_levels(self) -> None:
-        """Demote every table to L0 if the level layout is unsound.
-
-        The flat order is what reads trust (oldest shadow first), so
-        interpreting *any* layout as all-L0 is always correct -- L0
-        imposes nothing beyond that order.  Keeping deeper levels, however,
-        lets the planner reorder tables within a level and skip shadow
-        checks between disjoint runs, so levels are kept only when the
-        invariants actually hold: flat order non-increasing in level
-        (deepest first) and every L1+ level a key-disjoint run with known
-        bounds.  Checked when a manifest is loaded (a torn or hand-edited
-        one demotes cleanly) and on every swap: a size-tiered round over a
-        formerly leveled store puts an L0 output where its oldest input
-        stood, possibly in front of deeper tables, and the leveled planner
-        then rebuilds the levels from scratch.
-        """
-        flat = [reader.level for reader in self.readers]
-        sound = min(flat, default=0) >= 0 and flat == sorted(flat, reverse=True)
-        for run in self.levels()[1:] if sound else ():
-            if any(
-                r.min_key is None or r.max_key is None or r.min_key > r.max_key
-                for r in run
-            ) or any(a.max_key >= b.min_key for a, b in zip(run, run[1:])):
-                sound = False
-        if not sound:
-            for reader in self.readers:
-                reader.level = 0  # key bounds stay: they are still true
 
     # -- stats rows ------------------------------------------------------------
-
-    def level_rows(self) -> list[dict[str, int]]:
-        """Per-level table count and data bytes, L0 first."""
-        return [
-            {
-                "level": level,
-                "tables": len(run),
-                "data_bytes": sum(r.data_bytes for r in run),
-            }
-            for level, run in enumerate(self.levels())
-        ]
 
     def file_bytes(self) -> int:
         """Bytes the live SSTable files occupy on disk."""
@@ -308,7 +221,6 @@ class TableSet:
             {
                 "file": os.path.basename(reader.path),
                 "format_version": reader.format_version,
-                "level": reader.level,
                 "records": reader.record_count,
                 "data_bytes": reader.data_bytes,
                 "raw_data_bytes": reader.raw_data_bytes,
@@ -325,8 +237,6 @@ class TableSet:
             "raw_data_bytes": raw_bytes,
             "file_bytes": sum(row["file_bytes"] for row in rows),
             "compression_ratio": (raw_bytes / data_bytes) if data_bytes else 1.0,
-            "compaction": self._strategy_name,
-            "level_count": len({row["level"] for row in rows}),
         }
 
 

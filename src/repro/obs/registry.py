@@ -100,10 +100,6 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
         "counter",
         "Data bytes re-persisted by compaction merges (write amplification).",
     ),
-    "repro_store_compaction_moves_total": (
-        "counter",
-        "Leveled trivial moves: promotions that rewrote zero bytes.",
-    ),
     "repro_store_block_reads_total": (
         "counter",
         "Physical SSTable data-block loads (block-cache hits excluded).",
@@ -118,10 +114,6 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
     ),
     # -- store shape gauges -------------------------------------------------
     "repro_store_sstables": ("gauge", "Live SSTables on disk."),
-    "repro_store_level_count": (
-        "gauge",
-        "Distinct populated LSM levels (1 for a pure-L0 size-tiered store).",
-    ),
     "repro_store_tables": ("gauge", "Logical tables created."),
     "repro_sstable_bytes_on_disk": (
         "gauge",
@@ -367,7 +359,6 @@ def store_samples(
     tables: int | None = None,
     cache_stats: dict[str, int] | None = None,
     bytes_on_disk: int | None = None,
-    level_count: int | None = None,
 ) -> dict[str, float]:
     """Map a :class:`~repro.kvstore.lsm.StoreMetrics` snapshot (plus shape
     gauges and block-cache occupancy) to exposition names."""
@@ -379,8 +370,6 @@ def store_samples(
         samples["repro_store_sstables"] = sstables
     if tables is not None:
         samples["repro_store_tables"] = tables
-    if level_count is not None:
-        samples["repro_store_level_count"] = level_count
     if bytes_on_disk is not None:
         samples["repro_sstable_bytes_on_disk"] = bytes_on_disk
     if cache_stats:

@@ -146,7 +146,6 @@ class TestRegistryCompleteness:
         # so the runner exposes them.
         assert set(ALL_EXPERIMENTS) - paper_artifacts == {
             "ablation_cache",
-            "leveled_compaction",
             "pattern_language",
             "sharded_service",
         }

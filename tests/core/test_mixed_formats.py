@@ -5,8 +5,8 @@ commit that had the varint *encoder* (``tests/data/legacy_store``, see its
 ``make.py``), and in-test writers that merge legacy tuples, varint chunks and
 generic Seq lists into a store through ``IndexTables.write``.  Either way the
 store is then
-appended to with current code (columnar chunks), flushed and compacted under
-both strategies, and every answer is held to an ``InMemoryStore`` engine fed
+appended to with current code (columnar chunks), flushed and compacted, and
+every answer is held to an ``InMemoryStore`` engine fed
 the same events by current code alone.
 """
 
@@ -17,7 +17,6 @@ import json
 import os
 import shutil
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,13 +93,12 @@ def _formats(index) -> dict[str, set[str]]:
     return {table: set(by) for table, by in stats.items() if table != "last_checked"}
 
 
-@pytest.mark.parametrize("compaction", ["size_tiered", "leveled"])
-def test_store_written_by_the_parent_commit(tmp_path, compaction):
+def test_store_written_by_the_parent_commit(tmp_path):
     batches, partitions = _load_fixture()
     path = str(tmp_path / "store")
     shutil.copytree(os.path.join(FIXTURE, "store"), path)
 
-    index = SequenceIndex(LSMStore(path, compaction=compaction, auto_compact=False))
+    index = SequenceIndex(LSMStore(path, auto_compact=False))
     assert index.store.sstable_count == 3
     assert _formats(index) == {
         "seq": {"plain"},
@@ -130,7 +128,7 @@ def test_store_written_by_the_parent_commit(tmp_path, compaction):
     index.store.verify()
     index.close()
 
-    reopened = SequenceIndex(LSMStore(path, compaction=compaction))
+    reopened = SequenceIndex(LSMStore(path))
     assert _answers(reopened) == expected
     reopened.close()
 
@@ -176,7 +174,6 @@ def _batches(log, cuts) -> list[list[Event]]:
     return batches
 
 
-@pytest.mark.parametrize("compaction", ["size_tiered", "leveled"])
 @given(
     log=_logs,
     cuts=st.lists(st.tuples(*[st.integers(0, 10)] * 3), min_size=6, max_size=6),
@@ -185,7 +182,7 @@ def _batches(log, cuts) -> list[list[Event]]:
 )
 @settings(max_examples=25, deadline=None)
 def test_any_mix_of_formats_equals_the_oracle(
-    tmp_path_factory, compaction, log, cuts, formats, float_stamps
+    tmp_path_factory, log, cuts, formats, float_stamps
 ):
     batches = _batches(log, cuts)
     if float_stamps:
@@ -197,7 +194,7 @@ def test_any_mix_of_formats_equals_the_oracle(
     oracle.tables.ensure_partition("p1")
     written = set()
     for batch, fmt in zip(batches, formats):
-        index = SequenceIndex(LSMStore(path, compaction=compaction, auto_compact=False))
+        index = SequenceIndex(LSMStore(path, auto_compact=False))
         index.tables.ensure_partition("p1")
         if fmt != "columnar":
             _write_as(index, fmt)
@@ -207,7 +204,7 @@ def test_any_mix_of_formats_equals_the_oracle(
             written.add({"tuples": "plain"}.get(fmt, fmt))
         assert _answers(index) == _answers(oracle)
         index.close()  # one SSTable per format
-    index = SequenceIndex(LSMStore(path, compaction=compaction))
+    index = SequenceIndex(LSMStore(path))
     expected = _answers(oracle)
     assert _answers(index) == expected
     assert set().union(*_formats(index).values()) <= written | {"plain"}

@@ -27,7 +27,7 @@ from repro.faults.harness import (
     generate_workload,
     simulate_crash,
 )
-from repro.kvstore import LSMStore, LeveledConfig
+from repro.kvstore import LSMStore
 
 # Fixed seeds exercised on every tier-1 run; chosen to cover each fault
 # kind (see test_fixed_seeds_cover_fault_kinds, which pins the mapping).
@@ -102,13 +102,7 @@ class TestFixedSeeds:
         summary = run_seed(seed, path=str(tmp_path / "db"), compression="zlib")
         assert summary["fired"], "fault never fired: widen the workload"
 
-    @pytest.mark.parametrize("seed", TIER1_SEEDS[:10])
-    def test_seed_upholds_contract_leveled(self, seed, tmp_path):
-        # Same durability contract with the leveled strategy driving the
-        # store: cascading promotions, trivial moves and mid-round manifest
-        # rewrites all sit inside the fault window now.
-        summary = run_seed(seed, path=str(tmp_path / "db"), compaction="leveled")
-        assert summary["fired"], "fault never fired: widen the workload"
+    def test_fixed_seeds_cover_fault_kinds(self):
         kinds = {
             FaultSchedule.from_seed(seed)._faults[0].kind for seed in TIER1_SEEDS
         }
@@ -176,32 +170,29 @@ class TestCompactionFaultPoints:
         store.close()
 
 
-class TestLeveledManifestCrashWindow:
-    """Crashes aimed at the MANIFEST rewrite inside a leveled round.
+class TestCompactionManifestCrashWindow:
+    """Crashes aimed at the MANIFEST rewrite inside a compaction round.
 
-    A leveled promotion commits by rewriting the manifest (tmp write +
-    rename) *after* its outputs are verified and *before* its inputs are
-    deleted, so a crash anywhere in that window must leave either the old
-    layout (inputs intact, outputs orphaned) or the new one (outputs
+    A round commits by rewriting the manifest (tmp write + rename +
+    directory fsync) *after* its output is verified and *before* its inputs
+    are deleted, so a crash anywhere in that window must leave either the
+    old table set (inputs intact, output orphaned) or the new one (output
     live, inputs orphaned) -- both fully readable.
     """
 
-    CFG = LeveledConfig(l0_compact_tables=2, base_level_bytes=4096, fanout=2)
+    @staticmethod
+    def _open(path: str, io=None) -> LSMStore:
+        return LSMStore(path, auto_compact=False, compaction_min_tables=4, io=io)
 
     @classmethod
     def _populated(cls, path: str) -> dict:
-        store = LSMStore(
-            path,
-            auto_compact=False,
-            compaction="leveled",
-            leveled=cls.CFG,
-            memtable_flush_bytes=1024,
-        )
+        store = cls._open(path)
         store.create_table("t", merge_operator="list_append")
         for batch in range(4):
             for i in range(25):
                 store.merge("t", i % 10, [batch * 100 + i])
             store.flush()
+        assert store.sstable_count == 4
         before = {k: v for k, v in store.scan("t")}
         store.close()
         return before
@@ -209,16 +200,9 @@ class TestLeveledManifestCrashWindow:
     def _crash_round(self, tmp_path, fault: Fault) -> tuple[str, dict]:
         path = str(tmp_path / "db")
         before = self._populated(path)
-        store = LSMStore(
-            path,
-            auto_compact=False,
-            compaction="leveled",
-            leveled=self.CFG,
-            io=FaultyIO(FaultSchedule([fault])),
-        )
+        store = self._open(path, io=FaultyIO(FaultSchedule([fault])))
         with pytest.raises(SimulatedCrash):
-            while store.compact():
-                pass
+            store.compact()
         simulate_crash(store)
         return path, before
 
@@ -228,20 +212,19 @@ class TestLeveledManifestCrashWindow:
             Fault(CRASH_BEFORE_RENAME, "rename", nth=1, path_part="MANIFEST"),
             Fault(CRASH_AFTER_RENAME, "rename", nth=1, path_part="MANIFEST"),
             Fault(TORN_WRITE, "write", nth=1, path_part="MANIFEST", arg=0.5),
+            Fault("crash", "fsync_dir", nth=2),  # the manifest's, after the output's
         ],
-        ids=["before-rename", "after-rename", "torn-tmp-write"],
+        ids=["before-rename", "after-rename", "torn-tmp-write", "dir-fsync"],
     )
     def test_crash_around_manifest_rewrite_recovers(self, tmp_path, fault):
         path, before = self._crash_round(tmp_path, fault)
-        reopened = LSMStore(
-            path, auto_compact=False, compaction="leveled", leveled=self.CFG
-        )
+        reopened = self._open(path)
         try:
             assert {k: v for k, v in reopened.scan("t")} == before
             reopened.verify()
-            # The survivor layout is sound enough for further rounds.
-            while reopened.compact():
-                pass
+            # The survivor table set is sound enough for further rounds.
+            reopened.compact_all()
+            assert reopened.sstable_count == 1
             assert {k: v for k, v in reopened.scan("t")} == before
         finally:
             reopened.close()
@@ -250,21 +233,15 @@ class TestLeveledManifestCrashWindow:
         fault = Fault(CRASH_AFTER_RENAME, "rename", nth=1, path_part="MANIFEST")
         path, before = self._crash_round(tmp_path, fault)
         # The new manifest is committed: reopening must serve the merged
-        # outputs and remove the not-yet-deleted input tables.
-        reopened = LSMStore(
-            path, auto_compact=False, compaction="leveled", leveled=self.CFG
-        )
+        # output and remove the not-yet-deleted input tables.
+        reopened = self._open(path)
         try:
-            import json as _json
-            import os as _os
-
-            with open(_os.path.join(path, "MANIFEST"), encoding="utf-8") as fh:
-                manifest = _json.load(fh)
+            with open(os.path.join(path, "MANIFEST"), encoding="utf-8") as fh:
+                manifest = json.load(fh)
             listed = {e["file"] for e in manifest["sstables"]}
-            on_disk = {
-                f for f in _os.listdir(path) if f.endswith(".sst")
-            }
+            on_disk = {f for f in os.listdir(path) if f.endswith(".sst")}
             assert listed == on_disk
+            assert reopened.sstable_count == 1
             assert {k: v for k, v in reopened.scan("t")} == before
         finally:
             reopened.close()
@@ -279,8 +256,6 @@ class TestOrphanSweep:
     when the kill lands before they are retired.
     """
 
-    CFG = LeveledConfig(l0_compact_tables=2, base_level_bytes=4096, fanout=2)
-
     @staticmethod
     def _assert_no_orphans(path: str) -> None:
         with open(os.path.join(path, "MANIFEST"), encoding="utf-8") as fh:
@@ -289,7 +264,6 @@ class TestOrphanSweep:
         assert all(name.startswith("wal-") for name in extra), sorted(extra)
         assert listed <= set(os.listdir(path))
 
-    @pytest.mark.parametrize("compaction", ["size_tiered", "leveled"])
     @pytest.mark.parametrize(
         "fault",
         [
@@ -298,13 +272,10 @@ class TestOrphanSweep:
         ],
         ids=["pre-swap", "between-swap-and-retire"],
     )
-    def test_killed_compaction_leaves_no_orphans_after_reopen(
-        self, tmp_path, compaction, fault
-    ):
+    def test_killed_compaction_leaves_no_orphans_after_reopen(self, tmp_path, fault):
         path = str(tmp_path / "db")
-        kwargs = dict(auto_compact=False, compaction=compaction, leveled=self.CFG)
         fault = Fault(fault.kind, fault.op, nth=1, path_part=fault.path_part)
-        store = LSMStore(path, io=FaultyIO(FaultSchedule([fault])), **kwargs)
+        store = LSMStore(path, io=FaultyIO(FaultSchedule([fault])), auto_compact=False)
         store.create_table("t", merge_operator="list_append")
         model: dict = {}
         for batch in range(4):
@@ -316,7 +287,7 @@ class TestOrphanSweep:
             store.compact_all()
         simulate_crash(store)
 
-        reopened = LSMStore(path, **kwargs)
+        reopened = LSMStore(path, auto_compact=False)
         try:
             self._assert_no_orphans(path)
             assert dict(reopened.scan("t")) == model
@@ -332,17 +303,29 @@ class TestOrphanSweep:
 
 
 class TestDirectoryFsyncFaults:
-    """The rename-commit directory fsync added to ``SSTableWriter.finish``."""
+    """The directory fsyncs that make a rename durable: the SSTable's in
+    ``SSTableWriter.finish`` and the MANIFEST's in ``TableSet.commit``.
+
+    Each test arms its fault once the store is open and its table exists
+    (both commit the MANIFEST), so ``nth`` counts from the flush: the
+    first directory fsync is the SSTable's, the second the MANIFEST's.
+    """
+
+    @staticmethod
+    def _store(path: str, fault: Fault) -> LSMStore:
+        io = FaultyIO(FaultSchedule())
+        store = LSMStore(path, io=io)
+        store.create_table("t", merge_operator="list_append")
+        io.schedule = FaultSchedule([fault])
+        return store
 
     def test_crash_at_directory_fsync_recovers(self, tmp_path):
-        # Kill the process at the first directory fsync -- i.e. right after
-        # the SSTable rename commits.  Acknowledged writes must still be
-        # recoverable (from the table if the dentry survived, else from the
-        # retained WAL segment).
+        # Kill the process at the flush's first directory fsync -- i.e.
+        # right after the SSTable rename commits.  Acknowledged writes must
+        # still be recoverable (from the table if the dentry survived, else
+        # from the retained WAL segment).
         path = str(tmp_path / "db")
-        schedule = FaultSchedule([Fault("crash", "fsync_dir", nth=1)])
-        store = LSMStore(path, io=FaultyIO(schedule))
-        store.create_table("t", merge_operator="list_append")
+        store = self._store(path, Fault("crash", "fsync_dir", nth=1))
         for i in range(10):
             store.merge("t", i % 3, [i])
         with pytest.raises(SimulatedCrash):
@@ -361,9 +344,7 @@ class TestDirectoryFsyncFaults:
         # EIO from the directory fsync behaves like a failed file fsync:
         # the flush is unacknowledged and retried, the store stays usable.
         path = str(tmp_path / "db")
-        schedule = FaultSchedule([Fault("fail_fsync", "fsync_dir", nth=1)])
-        store = LSMStore(path, io=FaultyIO(schedule))
-        store.create_table("t", merge_operator="list_append")
+        store = self._store(path, Fault("fail_fsync", "fsync_dir", nth=1))
         store.merge("t", 1, ["a"])
         with pytest.raises(OSError):
             store.flush()
@@ -372,6 +353,24 @@ class TestDirectoryFsyncFaults:
         assert store.get("t", 1) == ["a", "b"]
         store.verify()
         store.close()
+
+    def test_failed_manifest_directory_fsync_raises(self, tmp_path):
+        # The flush's MANIFEST commit cannot be made durable: the flush
+        # raises instead of acknowledging it, and keeps the WAL segment
+        # that still holds the rows until a later commit succeeds.
+        path = str(tmp_path / "db")
+        store = self._store(path, Fault("fail_fsync", "fsync_dir", nth=2))
+        store.merge("t", 1, ["a"])
+        with pytest.raises(OSError):
+            store.flush()
+        assert any(name.startswith("wal-") for name in os.listdir(path))
+        store.merge("t", 1, ["b"])
+        store.flush()
+        assert not any(name.startswith("wal-") for name in os.listdir(path))
+        store.close()
+        with LSMStore(path) as reopened:
+            assert reopened.get("t", 1) == ["a", "b"]
+            reopened.verify()
 
 
 @pytest.mark.faults
@@ -391,27 +390,6 @@ class TestSeedSweep:
             pytest.fail(
                 f"{len(failures)}/{self.SWEEP} seeds violated the durability "
                 "contract:\n" + "\n".join(failures)
-            )
-
-    def test_seed_sweep_leveled(self, tmp_path):
-        # Full sweep under the leveled strategy: every fault kind against
-        # cascading promotions, trivial moves and manifest rewrites.
-        # Reproduce one seed with:
-        #   python -m repro faults --seed N --compaction leveled
-        failures = []
-        for seed in range(self.SWEEP):
-            try:
-                run_seed(
-                    seed,
-                    path=str(tmp_path / f"seed-{seed}"),
-                    compaction="leveled",
-                )
-            except CrashRecoveryFailure as exc:
-                failures.append(str(exc))
-        if failures:
-            pytest.fail(
-                f"{len(failures)}/{self.SWEEP} leveled seeds violated the "
-                "durability contract:\n" + "\n".join(failures)
             )
 
     def test_seed_sweep_compressed(self, tmp_path):

@@ -29,8 +29,6 @@ def _window(sizes, **kwargs):
         return None
     start = tables.index(pick.inputs[0])
     assert pick.inputs == tables[start : start + len(pick.inputs)]  # contiguous
-    # One L0 output, bloom sized for the whole run, nothing to move.
-    assert (pick.target_level, pick.split_bytes, pick.trivial_move) == (0, None, False)
     return start, start + len(pick.inputs), pick.finalize
 
 

@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro.kvstore import InMemoryStore, LSMStore, LeveledConfig
+from repro.kvstore import InMemoryStore, LSMStore
 
 KEYSPACE = 16  # per-writer put/delete key slots
 SHARED = 8  # shared merge-key slots
@@ -167,67 +167,3 @@ def test_hammer_lsm_stress(tmp_path, background_compaction):
     store.close()
     with LSMStore(str(tmp_path / "store")) as reopened:
         assert dict(reopened.scan("kv")) == model
-
-
-def _lsm_leveled(tmp_path, background_compaction: bool) -> LSMStore:
-    # Tiny level budgets so the hammer's flushes constantly trigger
-    # cascading promotions while readers are mid-flight.
-    return LSMStore(
-        str(tmp_path / "store"),
-        memtable_flush_bytes=2000,
-        compaction="leveled",
-        leveled=LeveledConfig(
-            l0_compact_tables=2, base_level_bytes=4096, fanout=2
-        ),
-        background_compaction=background_compaction,
-    )
-
-
-def _check_quiesced_identical(store, model: dict) -> None:
-    """Draining every remaining promotion must not change a single read."""
-    live = dict(store.scan("kv"))
-    live_log = {
-        key: value for key, value in store.scan("log")
-    }
-    while store.compact():
-        pass
-    assert dict(store.scan("kv")) == live == model
-    assert {key: value for key, value in store.scan("log")} == live_log
-
-
-@pytest.mark.parametrize("background_compaction", [False, True])
-def test_hammer_lsm_leveled_quick(tmp_path, background_compaction):
-    store = _lsm_leveled(tmp_path, background_compaction)
-    model, appended = _hammer(
-        store, writers=4, readers=2, ops_per_writer=150, seed=4
-    )
-    _check_final_state(store, model, appended)
-    _check_quiesced_identical(store, model)
-    store.close()
-    with LSMStore(
-        str(tmp_path / "store"), compaction="leveled"
-    ) as reopened:
-        assert dict(reopened.scan("kv")) == model
-
-
-@pytest.mark.stress
-@pytest.mark.parametrize("background_compaction", [False, True])
-def test_hammer_lsm_leveled_stress(tmp_path, background_compaction):
-    store = _lsm_leveled(tmp_path, background_compaction)
-    model, appended = _hammer(
-        store, writers=8, readers=4, ops_per_writer=1200, seed=5
-    )
-    _check_final_state(store, model, appended)
-    # The workload is big enough that promotions must actually have
-    # cascaded past L0 while the readers were running.
-    metrics = store.metrics.snapshot()
-    assert metrics["flushes"] > 0
-    assert metrics["compactions"] + metrics["compaction_moves"] > 0
-    assert max(reader.level for reader in store._tableset.readers) >= 1
-    _check_quiesced_identical(store, model)
-    store.close()
-    with LSMStore(
-        str(tmp_path / "store"), compaction="leveled"
-    ) as reopened:
-        assert dict(reopened.scan("kv")) == model
-        reopened.verify()

@@ -387,14 +387,13 @@ def _assert_equal_to_model(store, model) -> None:
         assert [store.get(table, key) for key in keys] == model.multi_get(table, keys)
 
 
-@pytest.mark.parametrize("compaction", ["size_tiered", "leveled"])
-def test_store_written_by_the_generic_encoder_keeps_working(tmp_path, compaction):
+def test_store_written_by_the_generic_encoder_keeps_working(tmp_path):
     path = str(tmp_path / "store")
     model = InMemoryStore()
     _create(model)
     with legacy_encoding():
         assert encode_value({"t": 1})[0] == encoding._V_DICT
-        store = LSMStore(path, compaction=compaction, auto_compact=False)
+        store = LSMStore(path, auto_compact=False)
         _create(store)
         for n in range(3):
             _round(store, n)
@@ -404,7 +403,7 @@ def test_store_written_by_the_generic_encoder_keeps_working(tmp_path, compaction
         _round(model, 3)
         store.close()
 
-    store = LSMStore(path, compaction=compaction, auto_compact=False)
+    store = LSMStore(path, auto_compact=False)
     _assert_equal_to_model(store, model)  # zero-migration reopen
     for n in range(4, 6):
         _round(store, n)  # packed deltas over legacy bases
@@ -417,7 +416,7 @@ def test_store_written_by_the_generic_encoder_keeps_working(tmp_path, compaction
     _assert_equal_to_model(store, model)
     store.verify()
     store.close()
-    store = LSMStore(path, compaction=compaction)
+    store = LSMStore(path)
     _assert_equal_to_model(store, model)
     store.close()
 

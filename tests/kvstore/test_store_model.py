@@ -7,11 +7,6 @@ and a plain dictionary model, checking full agreement after every step.
 The killed-compaction rule interleaving with reopen property-tests
 recovery-during-compaction: a half-written SSTable the manifest never
 references must be ignored and the pre-compaction tables stay authoritative.
-
-The machine runs once per compaction strategy, and ``reopen_other_strategy``
-switches strategy mid-run: a size-tiered pick then covers L1+ tables of a
-formerly leveled store (and the leveled planner meets a size-tiered layout),
-which is the case the table set's one swap rule has to get right.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.faults import TRUNCATE_CRASH, Fault, FaultSchedule, FaultyIO, SimulatedCrash
-from repro.kvstore import InMemoryStore, LeveledConfig, LSMStore
+from repro.kvstore import InMemoryStore, LSMStore
 from repro.kvstore.merge import ListAppendMerge
 
 KEYS = st.sampled_from(["a", "b", "c", ("pair", 1), ("pair", 2), 42])
@@ -41,18 +36,10 @@ VALUES = st.one_of(
 DELTAS = st.lists(st.integers(0, 9), min_size=1, max_size=4)
 
 _OP = ListAppendMerge()
-# Budgets small enough that 30 steps of ~256-byte flushes build real levels.
-_LEVELED = LeveledConfig(
-    l0_compact_tables=2, base_level_bytes=512, fanout=2, max_output_bytes=256
-)
-_OTHER = {"size_tiered": "leveled", "leveled": "size_tiered"}
 
 
 class StoreModelMachine(RuleBasedStateMachine):
     """Random ops against LSMStore + InMemoryStore + a dict model."""
-
-    #: strategy the machine starts under (one subclass per strategy below)
-    compaction = "size_tiered"
 
     def _open(self) -> LSMStore:
         return LSMStore(
@@ -60,8 +47,6 @@ class StoreModelMachine(RuleBasedStateMachine):
             memtable_flush_bytes=256,
             compaction_min_tables=2,
             io=self.io,
-            compaction=self.compaction,
-            leveled=_LEVELED,
         )
 
     @initialize()
@@ -146,12 +131,6 @@ class StoreModelMachine(RuleBasedStateMachine):
         self.lsm.close()
         self.lsm = self._open()
 
-    @rule()
-    def reopen_other_strategy(self):
-        self.lsm.close()
-        self.compaction = _OTHER[self.compaction]
-        self.lsm = self._open()
-
     @rule(key=KEYS)
     def check_point_reads(self, key):
         expect_plain = self.model_plain.get(_norm(key))
@@ -197,12 +176,6 @@ def _norm(key):
     return key if isinstance(key, tuple) else (key,)
 
 
-class LeveledStoreModelMachine(StoreModelMachine):
-    compaction = "leveled"
-
-
 _SETTINGS = settings(max_examples=40, stateful_step_count=30, deadline=None)
 TestStoreModel = StoreModelMachine.TestCase
 TestStoreModel.settings = _SETTINGS
-TestStoreModelLeveled = LeveledStoreModelMachine.TestCase
-TestStoreModelLeveled.settings = _SETTINGS

@@ -222,6 +222,7 @@ def test_docscheck_fails_on_a_deleted_constructor_keyword():
     )
     assert check_constructor_keywords("G.md", guide, keywords) == [
         "G.md:3: SequenceIndex() takes no keyword 'removed_knob'",
+        "G.md:6: LSMStore() takes no keyword 'leveled'",
         "G.md:7: ShardedSequenceIndex.open() takes no keyword 'other_gone'",
     ]
 
@@ -293,8 +294,8 @@ def test_docscheck_fails_on_a_deleted_cli_flag():
     from repro.bench.docscheck import check_cli_commands, known_subcommands
 
     subcommands = known_subcommands()
-    assert {"--store", "--compaction"} <= subcommands["stats"]
-    assert "--mmap" not in subcommands["stats"]
+    assert {"--store", "--compression"} <= subcommands["stats"]
+    assert not {"--mmap", "--compaction"} & subcommands["stats"]
     guide = (
         "prose `repro stats --mmap` outside a block is not checked\n"
         "```console\n"
@@ -330,6 +331,7 @@ def test_docscheck_fails_on_a_deleted_private_name():
     assert check_api_references("D.md", design, owners) == [
         "D.md:1: `_compact_slice` names no live attribute of the documented modules",
         "D.md:2: `_validate_levels` names no live attribute of the documented modules",
+        "D.md:2: `_demote_unsound_levels` names no live attribute of the documented modules",
     ]
 
 
