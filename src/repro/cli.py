@@ -66,7 +66,6 @@ def _open_index(args: argparse.Namespace):
         return LSMStore(
             path,
             background_compaction=getattr(args, "background_compaction", False),
-            compression=_compression_arg(args),
         )
 
     shards = getattr(args, "shards", None)
@@ -75,11 +74,6 @@ def _open_index(args: argparse.Namespace):
             args.store, make_store, num_shards=shards, policy=policy
         )
     return SequenceIndex(make_store(args.store), policy=policy)
-
-
-def _compression_arg(args: argparse.Namespace) -> str | None:
-    name = getattr(args, "compression", "none")
-    return None if name == "none" else name
 
 
 def _pattern(raw: str) -> list[str]:
@@ -191,7 +185,7 @@ def _store_stats(args: argparse.Namespace) -> int:
     breakdown followed by the totals row."""
     if is_sharded_store(args.store):
         return _sharded_store_stats(args)
-    with LSMStore(args.store, compression=_compression_arg(args)) as store:
+    with LSMStore(args.store) as store:
         print(f"store {args.store}")
         formats = IndexTables(store).format_stats()
         for name in sorted(store.list_tables()):
@@ -483,12 +477,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     for seed in seeds:
         workdir = os.path.join(args.path, f"seed-{seed}") if args.path else None
         try:
-            summary = run_seed(
-                seed,
-                ops=args.ops,
-                path=workdir,
-                compression=_compression_arg(args),
-            )
+            summary = run_seed(seed, ops=args.ops, path=workdir)
         except CrashRecoveryFailure as exc:
             failures += 1
             print(f"FAIL {exc}")
@@ -623,12 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_store_args(p, with_build=False, required=True):
         p.add_argument("--store", required=required, help="index store directory")
         p.add_argument("--policy", choices=sorted(_POLICIES), default="stnm")
-        p.add_argument(
-            "--compression",
-            choices=("none", "zlib", "zstd"),
-            default="none",
-            help="block codec for new SSTable writes (reads auto-detect)",
-        )
         if with_build:
             p.add_argument(
                 "--shards",
@@ -871,12 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--path",
         default=None,
         help="run in this directory and keep it (default: temp dir, removed)",
-    )
-    flt.add_argument(
-        "--compression",
-        choices=("none", "zlib", "zstd"),
-        default="none",
-        help="run the store under test with this block codec",
     )
     flt.set_defaults(fn=cmd_faults)
 

@@ -240,7 +240,6 @@ class CrashRecoveryHarness:
         ops: int = 160,
         memtable_flush_bytes: int = 2048,
         compaction_min_tables: int = 3,
-        compression: str | None = None,
         schedule: FaultSchedule | None = None,
     ) -> None:
         self.path = path
@@ -248,9 +247,6 @@ class CrashRecoveryHarness:
         self.ops = ops
         self.memtable_flush_bytes = memtable_flush_bytes
         self.compaction_min_tables = compaction_min_tables
-        #: block codec for the store under test; faults then land inside
-        #: compressed v2 blocks, exercising the per-block CRC detection path
-        self.compression = compression
         #: explicit schedule override (default: derived from the seed) --
         #: lets tests aim a fault at a precise protocol point, e.g. the
         #: crash window around a compaction's MANIFEST rename
@@ -275,7 +271,6 @@ class CrashRecoveryHarness:
                 auto_compact=True,
                 background_compaction=False,
                 block_cache_bytes=64 * 1024,
-                compression=self.compression,
                 io=FaultyIO(schedule),
             )
             for table, operator in self.TABLES:

@@ -95,7 +95,6 @@ from repro.kvstore.encoding import (
     encode_key,
     encode_value,
 )
-from repro.kvstore import blockcodec
 from repro.kvstore.bloom import hash_pair
 from repro.kvstore.locks import RWLock
 from repro.kvstore.memtable import TOMBSTONE, Memtable
@@ -246,7 +245,6 @@ class LSMStore(KeyValueStore):
         auto_compact: bool = True,
         background_compaction: bool = False,
         block_cache_bytes: int = 8 * 1024 * 1024,
-        compression: str | None = None,
         io=None,
     ) -> None:
         self._path = path
@@ -257,13 +255,6 @@ class LSMStore(KeyValueStore):
         self._sync_wal = sync_wal
         self._auto_compact = auto_compact
         self._compaction_min_tables = compaction_min_tables
-        # Fail fast on an unknown/unavailable codec (e.g. zstd without the
-        # zstandard package) instead of erroring at first flush.  The knob
-        # only affects *writes*: readers dispatch per file on the header
-        # magic, so a store written with compression on reopens (and keeps
-        # compacting) with compression off, and vice versa.
-        blockcodec.resolve_compression(compression)
-        self._compression = compression
         self._state_lock = RWLock()
         self._flush_lock = threading.Lock()
         self._compaction_lock = threading.Lock()
@@ -686,15 +677,10 @@ class LSMStore(KeyValueStore):
         self._frozen[frozen_id] = self._next_seq - 1
 
     def _new_writer(self, expected_records: int) -> SSTableWriter:
-        """The one place an SSTable file is started: next id, store codec."""
+        """The one place an SSTable file is started: the next id."""
         with self._state_lock.write():
             path = self._tableset.allocate()
-        return SSTableWriter(
-            path,
-            expected_records=expected_records,
-            io=self._io,
-            compression=self._compression,
-        )
+        return SSTableWriter(path, expected_records=expected_records, io=self._io)
 
     def _seal_table(self, writer: SSTableWriter) -> SSTableReader:
         """The one place an SSTable is finished: seal it (the reader opens
@@ -770,7 +756,7 @@ class LSMStore(KeyValueStore):
 
     def _run_compaction(self, pick: CompactionPick) -> bool:
         """The one compaction executor: scrub -> merge -> fault point ->
-        verify -> swap -> retire.
+        verify -> swap.
 
         Caller holds ``_compaction_lock``; concurrent flushes only *append*
         to the table set, so the inputs stay members throughout.  The merge
@@ -830,7 +816,6 @@ class LSMStore(KeyValueStore):
             return False
         self.metrics.bump("compactions")
         self.metrics.bump("compaction_bytes_rewritten", merged.data_bytes)
-        self._retire(inputs)
         return True
 
     def _discard(self, merged: SSTableReader) -> None:
@@ -838,14 +823,6 @@ class LSMStore(KeyValueStore):
         merged.close()
         self._io.remove(merged.path)
         self.metrics.bump("compaction_aborts")
-
-    def _retire(self, readers: list[SSTableReader]) -> None:
-        """Close and delete merged-away tables; one cache sweep for all."""
-        if self._block_cache is not None:
-            self._block_cache.evict_owners(r._uid for r in readers)
-        for reader in readers:
-            reader.close(evict_blocks=False)
-            self._io.remove(reader.path)
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -917,15 +894,12 @@ class LSMStore(KeyValueStore):
 
     def storage_stats(self) -> dict:
         """Physical storage accounting, per SSTable and aggregated (see
-        :meth:`TableSet.storage_stats`), plus the write codec in force.
-        Runs under the read lock so a concurrent compaction cannot retire
-        tables mid-walk.
+        :meth:`TableSet.storage_stats`).  Runs under the read lock so a
+        concurrent compaction cannot retire tables mid-walk.
         """
         with self._state_lock.read():
             self._check_open()
-            stats = self._tableset.storage_stats()
-        stats["compression"] = self._compression
-        return stats
+            return self._tableset.storage_stats()
 
     def _collect_obs_metrics(self) -> dict[str, float]:
         """Metrics-registry collector: one consistent store sample."""

@@ -1,37 +1,40 @@
 """Immutable sorted-string-table files.
 
-Two on-disk versions share one reader (dispatch on the header magic).
+One format is written, two are read (the reader dispatches on the header
+magic).
 
-Version 1 -- uncompressed (written when ``compression`` is off)::
-
-    "RSST1\\n"                                   magic
-    data section:    repeated records
-                     [u32 klen][key][u8 kind][u32 vlen][value]
-    index section:   sparse index, one entry per INDEX_INTERVAL records
-                     [u32 klen][key][u64 data offset]
-    bloom section:   serialized BloomFilter
-    footer:          [u64 index_off][u64 bloom_off][u64 record_count]
-                     [u32 crc32(data)] [u32 meta_crc] "RSSTEND\\n"
-
-Version 2 -- block-compressed (written when ``compression`` is set)::
+Version 2 -- block-compressed, the one format :class:`SSTableWriter`
+writes::
 
     "RSST2\\n"                                   magic
     data section:    repeated *blocks*, one per sparse-index entry
                      [u8 codec][u32 raw_len][u32 stored_len]
                      [u32 crc32(stored bytes)][stored bytes]
-                     where the stored bytes decompress to raw v1 records
-    index/bloom/footer: identical to v1 (index offsets point at block
-                     headers; the data CRC covers the data section's
-                     *file* bytes, headers included)
+                     where the stored bytes decompress to raw records
+                     [u32 klen][key][u8 kind][u32 vlen][value]
+    index section:   sparse index, one entry per INDEX_INTERVAL records
+                     [u32 klen][key][u64 offset of the block header]
+    bloom section:   serialized BloomFilter
+    footer:          [u64 index_off][u64 bloom_off][u64 record_count]
+                     [u32 crc32(data)] [u32 meta_crc] "RSSTEND\\n"
 
-The per-block CRC is computed over the **compressed** bytes, so a bit
-flip in a compressed block is caught before decompression ever runs --
-``_load_block`` checks it on every physical read, and :meth:`verify`'s
-streaming CRC covers the headers too, which keeps the PR-5 guarantee
-that compaction scrubbing detects (never launders) silent corruption.
-``codec`` ``0`` is stored verbatim: a block that does not shrink under
-compression is written raw, so pathological data costs 13 bytes of
-header, never a decompression step.
+Version 1 -- uncompressed, read-only (stores written before v2 became the
+one format; any compaction rewrites their tables as v2)::
+
+    "RSST1\\n"                                   magic
+    data section:    the raw records back to back, no block headers
+    index/bloom/footer: identical to v2 (index offsets point at records)
+
+Blocks are zlib-compressed (:mod:`~repro.kvstore.blockcodec`); a block
+that does not shrink is stored verbatim under codec ``0``, so
+pathological data costs 13 bytes of header, never a decompression step.
+The per-block CRC is computed over the **stored** bytes, so a bit flip in
+a compressed block is caught before decompression ever runs --
+``_load_block`` checks it on every physical read -- and the data CRC
+covers the data section's *file* bytes, headers included, so
+:meth:`SSTableReader.verify` scrubs without decompressing.  That keeps
+the guarantee that compaction's pre-merge scrub detects (never launders)
+silent corruption.
 
 ``meta_crc`` covers the index section, the bloom section *and* the other
 footer fields, so any bit flip in the file outside the data section is
@@ -71,8 +74,10 @@ from repro.kvstore.blockcodec import CODEC_NONE
 from repro.kvstore.bloom import BloomFilter
 from repro.kvstore.cache import BlockCache
 
-MAGIC = b"RSST1\n"
-MAGIC_V2 = b"RSST2\n"
+#: the header of every table written (v2)
+MAGIC = b"RSST2\n"
+#: the header of a read-only v1 table
+MAGIC_V1 = b"RSST1\n"
 END_MAGIC = b"RSSTEND\n"
 INDEX_INTERVAL = 16
 
@@ -84,28 +89,19 @@ _BLOCK_HEADER = struct.Struct(">BIII")
 
 
 class SSTableWriter:
-    """Streams sorted records into a new SSTable file.
+    """Streams sorted records into a new v2 SSTable file.
 
-    ``compression`` selects the v2 block codec (``"zlib"``/``"zstd"``);
-    ``None`` keeps the byte-identical v1 format.  After :meth:`finish`,
-    :attr:`compressed_blocks` and :attr:`raw_data_bytes` report how many
-    blocks actually shrank and the pre-compression data size.
+    After :meth:`finish`, :attr:`compressed_blocks` and
+    :attr:`raw_data_bytes` report how many blocks actually shrank and the
+    pre-compression data size.
     """
 
-    def __init__(
-        self,
-        path: str,
-        expected_records: int = 1024,
-        io=None,
-        compression: str | None = None,
-    ) -> None:
+    def __init__(self, path: str, expected_records: int = 1024, io=None) -> None:
         self._path = path
         self._tmp_path = path + ".tmp"
         self._io = io or REAL_IO
-        self._codec = blockcodec.resolve_compression(compression)
-        self._version = 2 if self._codec != CODEC_NONE else 1
         self._file = self._io.open(self._tmp_path, "wb")
-        self._file.write(MAGIC if self._version == 1 else MAGIC_V2)
+        self._file.write(MAGIC)
         self._bloom = BloomFilter.with_capacity(expected_records)
         self._index: list[tuple[bytes, int]] = []
         self._block_buf = bytearray()
@@ -122,35 +118,27 @@ class SSTableWriter:
             raise ValueError("SSTable records must be added in strictly increasing key order")
         self.last_key = key
         if self._count % INDEX_INTERVAL == 0:
-            if self._version == 2:
-                self._flush_block()
+            self._flush_block()
             self._index.append((key, self._file.tell()))
         self._bloom.add(key)
         record = (
             _U32.pack(len(key)) + key + bytes((kind,)) + _U32.pack(len(value)) + value
         )
         self.raw_data_bytes += len(record)
-        if self._version == 2:
-            self._block_buf.extend(record)
-        else:
-            self._data_crc = zlib.crc32(record, self._data_crc)
-            self._file.write(record)
+        self._block_buf.extend(record)
         self._count += 1
 
     def _flush_block(self) -> None:
-        """Seal the buffered records as one v2 block (header + stored bytes)."""
+        """Seal the buffered records as one block (header + stored bytes)."""
         if not self._block_buf:
             return
         raw = bytes(self._block_buf)
         self._block_buf.clear()
-        stored = blockcodec.compress(self._codec, raw)
-        used = self._codec
-        if len(stored) >= len(raw):
-            stored, used = raw, CODEC_NONE  # incompressible: store verbatim
-        else:
+        codec, stored = blockcodec.compress(raw)
+        if codec != CODEC_NONE:
             self.compressed_blocks += 1
         block = (
-            _BLOCK_HEADER.pack(used, len(raw), len(stored), zlib.crc32(stored))
+            _BLOCK_HEADER.pack(codec, len(raw), len(stored), zlib.crc32(stored))
             + stored
         )
         self._data_crc = zlib.crc32(block, self._data_crc)
@@ -158,8 +146,7 @@ class SSTableWriter:
 
     def finish(self, cache: BlockCache | None = None, metrics=None) -> "SSTableReader":
         """Seal the file (atomically renamed into place) and open a reader."""
-        if self._version == 2:
-            self._flush_block()
+        self._flush_block()
         index_off = self._file.tell()
         index_buf = bytearray()
         for key, offset in self._index:
@@ -260,9 +247,9 @@ class SSTableReader:
             )
         header = self._read_at(0, len(MAGIC))
         if header == MAGIC:
-            self._version = 1
-        elif header == MAGIC_V2:
             self._version = 2
+        elif header == MAGIC_V1:
+            self._version = 1
         else:
             raise CorruptSSTableError(f"SSTable {self._path} missing header magic")
         self._data_crc = data_crc
@@ -344,7 +331,8 @@ class SSTableReader:
 
     @property
     def format_version(self) -> int:
-        """On-disk format: 1 (uncompressed) or 2 (block-compressed)."""
+        """On-disk format: 2 (block-compressed, the one written) or 1
+        (uncompressed, read-only)."""
         return self._version
 
     def verify(self) -> None:
@@ -390,25 +378,30 @@ class SSTableReader:
         """Pre-compression size of the data section.
 
         Equals :attr:`data_bytes` for v1 files; for v2 it sums the
-        ``raw_len`` fields of the block headers (one 13-byte read per
-        block, computed lazily and cached).
+        ``raw_len`` fields of the block headers, walked header to header
+        (one 13-byte read per block, computed lazily and cached; the
+        sparse index is not needed, so a lazy reader stays lazy).
         """
         if self._raw_data_bytes is None:
-            if self._version == 1:
-                self._raw_data_bytes = self.data_bytes
-            else:
-                self._ensure_meta()
-                total = 0
-                for slot in range(len(self._index_offsets)):
-                    start, end = self._block_bounds(slot)
-                    header = self._read_at(start, _BLOCK_HEADER.size)
-                    if len(header) != _BLOCK_HEADER.size:
-                        raise CorruptSSTableError(
-                            f"SSTable {self._path} truncated block header"
-                        )
-                    total += _BLOCK_HEADER.unpack(header)[1]
-                self._raw_data_bytes = total
+            self._raw_data_bytes = (
+                self.data_bytes if self._version == 1 else self._sum_raw_lens()
+            )
         return self._raw_data_bytes
+
+    def _sum_raw_lens(self) -> int:
+        total, offset = 0, len(MAGIC)
+        while offset < self._data_end:
+            header = self._read_at(offset, _BLOCK_HEADER.size)
+            if len(header) != _BLOCK_HEADER.size:
+                raise CorruptSSTableError(f"SSTable {self._path} truncated block header")
+            _, raw_len, stored_len, _ = _BLOCK_HEADER.unpack(header)
+            total += raw_len
+            offset += _BLOCK_HEADER.size + stored_len
+        if offset != self._data_end:
+            raise CorruptSSTableError(
+                f"SSTable {self._path} block headers overrun the data section"
+            )
+        return total
 
     def may_contain(self, h1: int, h2: int) -> bool:
         """Bloom-filter pre-check of the key hashed to
@@ -583,10 +576,9 @@ def write_sstable(
     path: str,
     records: Iterable[tuple[bytes, int, bytes]],
     expected_records: int = 1024,
-    compression: str | None = None,
 ) -> SSTableReader:
     """Write ``records`` (sorted by key) to ``path`` and return a reader."""
-    writer = SSTableWriter(path, expected_records, compression=compression)
+    writer = SSTableWriter(path, expected_records)
     try:
         for key, kind, value in records:
             writer.add(key, kind, value)

@@ -48,6 +48,9 @@ class TableSet:
         self.last_flushed_seq = 0
         self._next_table_id = 1
         self._next_sst_id = 1
+        #: files of tables that left the set, deleted by the first commit
+        #: that makes a MANIFEST without them durable
+        self._obsolete: list[str] = []
 
     # -- load and commit ----------------------------------------------------
 
@@ -102,8 +105,9 @@ class TableSet:
 
     def commit(self) -> None:
         """Persist the current state as a v2 MANIFEST: tmp + fsync + rename
-        + directory fsync, so the rename is durable before the caller goes
-        on (a compaction deletes its inputs right after its commit)."""
+        + directory fsync; only then delete the files of tables that have
+        left the set (a MANIFEST that still names them may be the one on
+        disk until this commit is durable)."""
         manifest = {
             "version": 2,
             "next_table_id": self._next_table_id,
@@ -132,6 +136,9 @@ class TableSet:
             fh.close()
         self._io.replace(tmp, self._manifest_path)
         self._io.fsync_dir(self._directory)
+        obsolete, self._obsolete = self._obsolete, []
+        for path in obsolete:
+            self._io.remove(path)
 
     def close(self) -> None:
         """Close every reader; the first error is raised once all are closed."""
@@ -189,7 +196,10 @@ class TableSet:
         """Replace a compaction's ``inputs`` by its ``output`` and commit.
 
         The output takes the flat position of the oldest input: whatever
-        the inputs shadowed, the output shadows.  ``False`` -- nothing
+        the inputs shadowed, the output shadows.  The inputs are closed
+        (one cache sweep for all) before the commit, so they are released
+        even if it raises; their files go with this commit or, if it
+        raises, with the next one that succeeds.  ``False`` -- nothing
         changed -- when the pick is stale because an input has already left
         the set.
         """
@@ -200,6 +210,11 @@ class TableSet:
         kept = [r for r in self.readers if id(r) not in gone]
         oldest = positions[0]  # nothing before it is an input
         self.readers = kept[:oldest] + [output] + kept[oldest:]
+        if self._cache is not None:
+            self._cache.evict_owners(r._uid for r in inputs)
+        for reader in inputs:
+            reader.close(evict_blocks=False)
+        self._obsolete.extend(reader.path for reader in inputs)
         self.commit()
         return True
 

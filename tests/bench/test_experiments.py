@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 
@@ -83,8 +84,31 @@ class TestIndexingExperiments:
 class TestQueryExperiments:
     def test_table7(self):
         result = exp_table7(SCALE, datasets=("max_100",), patterns_per_length=3)
+        assert result.columns[1:] == [
+            "[19] (len 2)",
+            "[19] (len 10)",
+            "ours (len 2)",
+            "ours (len 10)",
+        ]
         (row,) = result.rows
         assert all(cell > 0 for cell in row[1:])
+
+    def test_table7_times_19_per_length(self, monkeypatch):
+        # A stand-in for [19] that takes 1 ms per pattern event: a column
+        # that mixed the lengths would put both near 6 ms a query.
+        class SlowMatcher:
+            def __init__(self, log):
+                pass
+
+            def detect(self, pattern):
+                time.sleep(0.001 * len(pattern))
+
+        monkeypatch.setattr(experiments, "SuffixArrayMatcher", SlowMatcher)
+        result = exp_table7(SCALE, datasets=("max_100",), patterns_per_length=2)
+        (row,) = result.rows
+        suffix_short, suffix_long = row[1], row[2]
+        assert 0.002 <= suffix_short < 0.005
+        assert suffix_long >= 0.010
 
     def test_fig4_lengths(self):
         result = exp_fig4(SCALE, dataset="max_100", lengths=(2, 4), patterns_per_length=3)

@@ -93,13 +93,17 @@ def _formats(index) -> dict[str, set[str]]:
     return {table: set(by) for table, by in stats.items() if table != "last_checked"}
 
 
+def _sstable_versions(index) -> list[int]:
+    return [row["format_version"] for row in index.store.storage_stats()["sstables"]]
+
+
 def test_store_written_by_the_parent_commit(tmp_path):
     batches, partitions = _load_fixture()
     path = str(tmp_path / "store")
     shutil.copytree(os.path.join(FIXTURE, "store"), path)
 
     index = SequenceIndex(LSMStore(path, auto_compact=False))
-    assert index.store.sstable_count == 3
+    assert _sstable_versions(index) == [1, 1, 1]  # uncompressed, read-only
     assert _formats(index) == {
         "seq": {"plain"},
         # raw: a batch mixing the int-stamped traces with the float-stamped ones
@@ -119,9 +123,10 @@ def test_store_written_by_the_parent_commit(tmp_path):
     }
     before = index.tables.format_stats()
     index.flush()
+    assert _sstable_versions(index) == [1, 1, 1, 2]
     assert _answers(index) == expected
     index.store.compact_all()
-    assert index.store.sstable_count == 1
+    assert _sstable_versions(index) == [2]  # compaction writes v2 only
     assert _answers(index) == expected
     # compaction splices list values: it moves no row between formats
     assert index.tables.format_stats() == before

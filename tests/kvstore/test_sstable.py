@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kvstore.api import CorruptionError
-from repro.kvstore.sstable import INDEX_INTERVAL, SSTableWriter, write_sstable
+from repro.kvstore.sstable import (
+    INDEX_INTERVAL,
+    MAGIC_V1,
+    SSTableReader,
+    SSTableWriter,
+    write_sstable,
+)
 from repro.kvstore.wal import KIND_MERGE, KIND_PUT
 
 
@@ -51,8 +60,6 @@ class TestWriteRead:
         reader.close()
 
     def test_reopen_from_disk(self, tmp_path):
-        from repro.kvstore.sstable import SSTableReader
-
         path = str(tmp_path / "t.sst")
         records = _records(40)
         write_sstable(path, records).close()
@@ -107,8 +114,6 @@ class TestCorruptionDetection:
         return path
 
     def test_truncated_file(self, tmp_path):
-        from repro.kvstore.sstable import SSTableReader
-
         path = self._valid(tmp_path)
         with open(path, "r+b") as fh:
             fh.truncate(20)
@@ -116,8 +121,6 @@ class TestCorruptionDetection:
             SSTableReader(path)
 
     def test_flipped_metadata_bit(self, tmp_path):
-        from repro.kvstore.sstable import SSTableReader
-
         path = self._valid(tmp_path)
         with open(path, "r+b") as fh:
             fh.seek(-40, 2)
@@ -126,11 +129,55 @@ class TestCorruptionDetection:
             SSTableReader(path)
 
     def test_missing_end_magic(self, tmp_path):
-        from repro.kvstore.sstable import SSTableReader
-
         path = self._valid(tmp_path)
         with open(path, "r+b") as fh:
             fh.seek(-1, 2)
             fh.write(b"X")
+        with pytest.raises(CorruptionError):
+            SSTableReader(path)
+
+
+class TestV1Reader:
+    """Nothing writes v1 any more; a copy of a table from
+    ``tests/data/legacy_store`` keeps its reader and checks tested."""
+
+    FIXTURE = os.path.join(
+        os.path.dirname(__file__), "..", "data", "legacy_store", "store", "sst-000001.sst"
+    )
+
+    def _copy(self, tmp_path) -> str:
+        path = str(tmp_path / "v1.sst")
+        shutil.copyfile(self.FIXTURE, path)
+        return path
+
+    def test_reads_every_record(self, tmp_path):
+        reader = SSTableReader(self._copy(tmp_path))
+        assert reader.format_version == 1
+        assert reader.raw_data_bytes == reader.data_bytes
+        records = list(reader)
+        assert len(records) == reader.record_count > INDEX_INTERVAL
+        for key, kind, value in records:
+            assert reader.get(key) == (kind, value)
+        assert list(reader.iter_from_key(records[20][0])) == records[20:]
+        reader.verify()
+        reader.close()
+
+    def test_flipped_data_byte_fails_verify(self, tmp_path):
+        path = self._copy(tmp_path)
+        with open(path, "r+b") as fh:
+            fh.seek(len(MAGIC_V1) + 10)  # inside the first record
+            byte = fh.read(1)
+            fh.seek(-1, 1)
+            fh.write(bytes((byte[0] ^ 0x40,)))
+        reader = SSTableReader(path)  # open succeeds: metadata is intact
+        with pytest.raises(CorruptionError):
+            reader.verify()
+        reader.close()
+
+    def test_flipped_footer_fails_open(self, tmp_path):
+        path = self._copy(tmp_path)
+        with open(path, "r+b") as fh:
+            fh.seek(-20, 2)  # inside the footer's record-count field
+            fh.write(b"\xff")
         with pytest.raises(CorruptionError):
             SSTableReader(path)

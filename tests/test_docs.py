@@ -216,6 +216,7 @@ def test_docscheck_fails_on_a_deleted_constructor_keyword():
         "                      cache_bytes=1 << 20,\n"
         "                      removed_knob=True)\n"
         "LSMStore(path, leveled=LeveledConfig(fanout=10), sync_wal=False)\n"
+        "LSMStore(path, compression='zlib')\n"
         "ShardedSequenceIndex.open(root, factory, num_shards=4, other_gone=True)\n"
         "ShardedSequenceIndex(shards, whatever=1)  # not a documented constructor\n"
         "```\n"
@@ -223,7 +224,8 @@ def test_docscheck_fails_on_a_deleted_constructor_keyword():
     assert check_constructor_keywords("G.md", guide, keywords) == [
         "G.md:3: SequenceIndex() takes no keyword 'removed_knob'",
         "G.md:6: LSMStore() takes no keyword 'leveled'",
-        "G.md:7: ShardedSequenceIndex.open() takes no keyword 'other_gone'",
+        "G.md:7: LSMStore() takes no keyword 'compression'",
+        "G.md:8: ShardedSequenceIndex.open() takes no keyword 'other_gone'",
     ]
 
 
@@ -294,8 +296,8 @@ def test_docscheck_fails_on_a_deleted_cli_flag():
     from repro.bench.docscheck import check_cli_commands, known_subcommands
 
     subcommands = known_subcommands()
-    assert {"--store", "--compression"} <= subcommands["stats"]
-    assert not {"--mmap", "--compaction"} & subcommands["stats"]
+    assert {"--store", "--policy"} <= subcommands["stats"]
+    assert not {"--mmap", "--compaction", "--compression"} & subcommands["stats"]
     guide = (
         "prose `repro stats --mmap` outside a block is not checked\n"
         "```console\n"
@@ -306,6 +308,7 @@ def test_docscheck_fails_on_a_deleted_cli_flag():
         "$ repro detect --store ./ix a,b --explain   # fine\n"
         "$ python -m repro.bench.runner table8 --scale 0.05   # not a subcommand\n"
         "$ repro frobnicate --store ./ix\n"
+        "$ repro faults --seeds 0:200 --compression zlib\n"
         "```\n"
     )
     assert check_cli_commands("G.md", guide, subcommands) == [
@@ -313,6 +316,7 @@ def test_docscheck_fails_on_a_deleted_cli_flag():
         "G.md:6: repro index takes no flag '--lazy-open'",
         "G.md:9: unknown repro subcommand 'frobnicate' in: "
         "$ repro frobnicate --store ./ix",
+        "G.md:10: repro faults takes no flag '--compression'",
     ]
 
 
