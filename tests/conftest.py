@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.model import EventLog
-from repro.kvstore import InMemoryStore, LSMStore
+from repro.kvstore import InMemoryStore, LSMStore, blockcodec
 
 try:  # hypothesis drives the differential suite; the rest runs without it
     from hypothesis import HealthCheck, settings
@@ -44,6 +44,21 @@ def any_store(request, tmp_path):
         store = LSMStore(str(tmp_path / "store"))
     yield store
     store.close()
+
+
+@pytest.fixture
+def written_codecs(monkeypatch) -> list[int]:
+    """The codec of every SSTable block written while the test runs."""
+    codecs: list[int] = []
+    compress = blockcodec.compress
+
+    def recording(raw: bytes) -> tuple[int, bytes]:
+        codec, stored = compress(raw)
+        codecs.append(codec)
+        return codec, stored
+
+    monkeypatch.setattr(blockcodec, "compress", recording)
+    return codecs
 
 
 @pytest.fixture
