@@ -8,16 +8,17 @@ each affected trace the builder
    -- and appends the new events (logs are append-only per trace: a new event
    at or before the stored tail violates Definition 2.1 and is rejected --
    or, with ``dedup``, dropped as a replay);
-2. creates the new event pairs -- a full run of the policy's pair creator
-   (:data:`~repro.core.pairs.PAIR_CREATORS`) for a brand-new trace, or, for
-   a known trace, the greedy matches of ``old + new`` that complete after
-   the old tail (greedy matching is prefix-stable, so these are exactly the
+2. folds the new event pairs straight into the update's per-pair rows
+   (:data:`~repro.core.pairs.PAIR_FOLDS`): all of a brand-new trace's, or,
+   for a known trace, the matches of ``old + new`` that complete after the
+   old tail (greedy matching is prefix-stable, so these are exactly the
    pairs a full rebuild would add and ``LastChecked`` never has to be read);
 3. merges the results into ``Seq``, ``Index``, ``Count``, ``ReverseCount``
    and ``LastChecked`` (each pair's latest completion) as blind merge-writes
    -- all of them, with the partition's registration, one atomic store
    write (:meth:`~repro.core.tables.IndexTables.batch`), so a process kill
-   leaves either the whole update or none of it.
+   leaves either the whole update or none of it.  Trace numbers are given
+   inside that write, in first-mention order.
 
 Pair computation is a pure per-trace function, as in the paper's per-trace
 Spark parallelism; here traces are parallelised by shard placement, one
@@ -32,13 +33,7 @@ from typing import Callable, Collection, Iterable, Mapping
 
 from repro.core.errors import TraceOrderError
 from repro.core.model import Event, EventLog
-from repro.core.pairs import (
-    PAIR_CREATORS,
-    Pair,
-    PairColumns,
-    occurrence_lists,
-    pairs_completed_after,
-)
+from repro.core.pairs import PAIR_FOLDS, Pair, UpdatePairs
 from repro.core.policies import Policy
 from repro.core.tables import IndexTables
 from repro.kvstore.api import KeyValueStore
@@ -89,57 +84,11 @@ class UpdateStats:
     written: WrittenKeys = field(default_factory=WrittenKeys, repr=False, compare=False)
 
 
-def _new_pairs(
-    activities: list[str], stamps: list[float], old: int, policy: Policy
-) -> PairColumns:
-    """Pure per-trace pair creation (Algorithm 1 lines 5-13) over a trace's
-    extended columns, the first ``old`` events of which were indexed before."""
-    if not old:
-        return PAIR_CREATORS[policy](activities, stamps)
-    if policy is Policy.SC:
-        # The SC pairs a known trace gains: the boundary pair plus
-        # consecutive new pairs -- adjacency is local.
-        return PAIR_CREATORS[policy](activities[old - 1 :], stamps[old - 1 :])
-    return pairs_completed_after(occurrence_lists(activities, stamps), stamps[old - 1])
-
-
-class _AggregatedBatch:
-    """The Index deltas of a set of traces: per pair, the three columns of
-    its chunk -- ``(trace ids, ts_a, ts_b)`` -- pairs in first-appearance
-    order, rows in trace order.
-
-    Each trace's columns are folded in as they are made; Count, ReverseCount
-    and LastChecked are derived from the finished columns, once per pair.
-    The lists are this object's own: a flavor's columns are copied in, never
-    adopted (:mod:`repro.core.pairs` shares them between pairs).
-    """
-
-    __slots__ = ("index",)
-
-    def __init__(self) -> None:
-        self.index: dict[Pair, tuple[list[str], list[float], list[float]]] = {}
-
-    def add_trace(self, trace_id: str, columns: PairColumns) -> None:
-        index = self.index
-        for pair, (ts_a, ts_b) in columns.items():
-            mine = index.get(pair)
-            if mine is None:
-                mine = index[pair] = ([], [], [])
-            if len(ts_a) == 1:
-                mine[0].append(trace_id)
-                mine[1].append(ts_a[0])
-                mine[2].append(ts_b[0])
-            else:
-                mine[0].extend([trace_id] * len(ts_a))
-                mine[1].extend(ts_a)
-                mine[2].extend(ts_b)
-
-
 class IndexBuilder:
     """Builds/updates the inverted pair index inside a key-value store."""
 
     def __init__(self, store: KeyValueStore, policy: Policy = Policy.STNM) -> None:
-        if policy not in PAIR_CREATORS:
+        if policy not in PAIR_FOLDS:
             raise ValueError(f"policy {policy} cannot be indexed; use SC or STNM")
         self.policy = policy
         self.tables = IndexTables(store)
@@ -171,11 +120,11 @@ class IndexBuilder:
         rows, stats.cached_sequences = (read_sequences or self._stored_sequences)(
             list(batches)
         )
-        appended, extended, aggregated = self._create_pairs(batches, rows, stats, dedup)
+        appended, extended, pairs, paired = self._create_pairs(batches, rows, stats, dedup)
         if not appended:
             return stats
         self.tables.ensure_partition(partition)
-        self._write_results(appended, extended, aggregated, partition, stats)
+        self._write_results(appended, extended, pairs, paired, partition, stats)
         return stats
 
     # -- internals -----------------------------------------------------------------
@@ -222,10 +171,11 @@ class IndexBuilder:
         rows: list[SeqRow],
         stats: UpdateStats,
         dedup: bool,
-    ) -> tuple[dict[str, SeqList], dict[str, SeqRow], _AggregatedBatch]:
-        """Each trace's events to append, the extended rows of the traces
-        that had a stored one, and the pairs the events create, folded into
-        one batch.
+    ) -> tuple[dict[str, SeqList], dict[str, SeqRow], UpdatePairs, list[int]]:
+        """Each trace's events to append (a trace's position in the update
+        is its place in this dict), the extended rows of the traces that had
+        a stored one, the update's per-pair rows, and the positions of the
+        traces that completed a pair.
 
         ``rows`` are the batch's stored rows (Algorithm 1 line 2, the only
         read of an update): each gives the tail to check (or deduplicate)
@@ -234,7 +184,9 @@ class IndexBuilder:
         """
         appended: dict[str, SeqList] = {}
         extended: dict[str, SeqRow] = {}
-        aggregated = _AggregatedBatch()
+        pairs: UpdatePairs = {}
+        paired: list[int] = []
+        fold = PAIR_FOLDS[self.policy]
         for (trace_id, new_seq), (old_activities, old_stamps) in zip(
             batches.items(), rows
         ):
@@ -254,6 +206,7 @@ class IndexBuilder:
                     f"trace {trace_id!r}: new events start at {new_seq[0][1]!r} "
                     f"but the indexed sequence already ends at {old_stamps[-1]!r}"
                 )
+            position = stats.traces_seen
             stats.traces_seen += 1
             stats.events_indexed += len(new_seq)
             appended[trace_id] = new_seq
@@ -265,16 +218,16 @@ class IndexBuilder:
                 extended[trace_id] = (activities, stamps)
             else:
                 stats.new_traces += 1
-            aggregated.add_trace(
-                trace_id, _new_pairs(activities, stamps, len(old_stamps), self.policy)
-            )
-        return appended, extended, aggregated
+            if fold(activities, stamps, old_stamps[-1] if old_stamps else None, position, pairs):
+                paired.append(position)
+        return appended, extended, pairs, paired
 
     def _write_results(
         self,
         appended: dict[str, SeqList],
         extended: dict[str, SeqRow],
-        aggregated: _AggregatedBatch,
+        pairs: UpdatePairs,
+        paired: list[int],
         partition: str,
         stats: UpdateStats,
     ) -> None:
@@ -282,11 +235,14 @@ class IndexBuilder:
         registration, then Seq, Index, Count, ReverseCount, LastChecked.
         ``stats.written`` names the rows written, with the ``extended`` rows.
 
-        Consumes ``aggregated.index``: each pair's columns are dropped as
-        soon as its chunk is encoded, so the batch's columns and its encoded
-        chunks are never all alive at once (~2.8 MB of peak RSS on the
-        ``index_bulk`` benchmark build).
+        In first-appearance order of the pairs, a trace of ``paired`` without
+        a number gets the next one at its first mention.  Consumes ``pairs``:
+        each pair's rows are dropped once its chunk is encoded (~2.8 MB of
+        peak RSS on the ``index_bulk`` benchmark build).
         """
+        trace_ids = list(appended)
+        numbers = self.tables.trace_numbers(trace_ids)
+        unnumbered = sum(numbers[position] is None for position in paired)
         with self.tables.batch():
             self.tables.register_partition(partition)
             for trace_id, new_seq in appended.items():
@@ -296,12 +252,19 @@ class IndexBuilder:
             counts: dict[str, dict[str, list[float]]] = {}
             reverse: dict[str, dict[str, list[float]]] = {}
             checked: dict[str, dict[str, float]] = {}
-            index = aggregated.index
-            pairs = set(index)
-            for pair in list(index):
-                columns = index.pop(pair)
-                self.tables.append_index(pair, columns, partition)
-                (first, second), (_, ts_a, ts_b) = pair, columns
+            written = set(pairs)
+            for pair in list(pairs):
+                rows = pairs.pop(pair)
+                positions, ts_a, ts_b = rows[0::3], rows[1::3], rows[2::3]
+                if unnumbered:
+                    for position in positions:
+                        if numbers[position] is None:
+                            numbers[position] = self.tables.number_trace(trace_ids[position])
+                            unnumbered -= 1
+                self.tables.append_index(
+                    pair, (list(map(numbers.__getitem__, positions)), ts_a, ts_b), partition
+                )
+                first, second = pair
                 stats.pairs_created += len(ts_b)
                 duration = sum(map(sub, ts_b, ts_a), 0.0)
                 counts.setdefault(first, {})[second] = [duration, len(ts_b)]
@@ -314,7 +277,7 @@ class IndexBuilder:
             for first, per_second in checked.items():
                 self.tables.add_last_completions(first, per_second)
         stats.written = WrittenKeys(
-            pairs=pairs,
+            pairs=written,
             partition=partition,
             traces=set(appended),
             extended=extended,

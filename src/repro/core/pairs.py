@@ -14,31 +14,34 @@ under the chosen policy:
 The three STNM flavors (Algorithms 6-8) are distinct computation strategies
 for the *same* output; the test suite enforces that they agree with each
 other and with :func:`reference_stnm_pairs` on arbitrary traces.  The index
-builds with one creator per policy, :data:`PAIR_CREATORS` -- strict for SC,
-Indexing (the paper's recommended flavor) for STNM; Parsing and State are
+builds with Indexing (the paper's recommended flavor); Parsing and State are
 what the Table 5 and Figure 3 experiments time beside it.
 
 Every flavor takes plain parallel lists ``activities`` / ``timestamps`` (what
 :class:`repro.core.model.Trace` exposes) and returns :data:`PairColumns`: per
 pair two parallel time-ordered lists ``(ts_a, ts_b)``, the form the Index
-table stores (:mod:`repro.core.postings`), so no tuple per completion is built
-between here and the chunk.  **A column list may be shared** -- between pairs
-of one result, and with the occurrence lists it was read from: a type that
-occurs once in a trace *is* the ``ts_a`` column of every pair it starts.
-Consumers therefore copy out of a column (``append`` / ``extend``) and never
-adopt or mutate one; :func:`create_pairs`, the public row view, builds fresh
-lists.
+table stores (:mod:`repro.core.postings`).
+
+The builder runs :data:`PAIR_FOLDS`, one routine per index policy: a fold
+appends a trace's completions after its indexed tail straight into the
+update's :data:`UpdatePairs`.  :func:`strict_pairs` and
+:func:`indexing_pairs` are one-trace views over the folds;
+:func:`create_pairs` is the public row view.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core.policies import Policy
 
 Pair = tuple[str, str]
+#: one trace's pairs: per pair its parallel columns ``(ts_a, ts_b)``
 PairColumns = dict[Pair, tuple[list[float], list[float]]]
+#: an update's pairs, in first-appearance order: per pair one flat list of
+#: ``position, ts_a, ts_b`` triples in trace order (columns: ``[0::3]`` ...)
+UpdatePairs = dict[Pair, list[float]]
 
 
 def create_pairs(
@@ -46,23 +49,28 @@ def create_pairs(
     timestamps: Sequence[float],
     policy: Policy = Policy.STNM,
 ) -> dict[Pair, list[tuple[float, float]]]:
-    """Create the event pairs of one trace as the ``policy`` index stores them.
-
-    The public row view over :data:`PAIR_CREATORS` (whose functions the
-    builder calls directly): ``{pair: [(ts_a, ts_b), ...]}``, every list its
-    own.
-    """
+    """Create the event pairs of one trace as the ``policy`` index stores them:
+    the public row view over :data:`PAIR_FOLDS`, ``{pair: [(ts_a, ts_b), ...]}``
+    in the order the index writes the pairs."""
     if len(activities) != len(timestamps):
         raise ValueError("activities and timestamps must have equal length")
-    creator = PAIR_CREATORS.get(policy)
-    if creator is None:
+    fold = PAIR_FOLDS.get(policy)
+    if fold is None:
         raise ValueError(f"policy {policy} has no pair index")
-    columns = creator(activities, timestamps)
+    rows: UpdatePairs = {}
+    fold(activities, timestamps, None, 0, rows)
     return {
         # most pairs of a trace complete once: skip the zip object for those
-        pair: [(ts_a[0], ts_b[0])] if len(ts_a) == 1 else list(zip(ts_a, ts_b))
-        for pair, (ts_a, ts_b) in columns.items()
+        pair: [(row[1], row[2])] if len(row) == 3 else list(zip(row[1::3], row[2::3]))
+        for pair, row in rows.items()
     }
+
+
+def _one_trace(fold: Callable, activities: Sequence[str], timestamps: Sequence[float]) -> dict:
+    """One trace's :data:`PairColumns`, as ``fold`` makes them."""
+    rows: UpdatePairs = {}
+    fold(activities, timestamps, None, 0, rows)
+    return {pair: (row[1::3], row[2::3]) for pair, row in rows.items()}
 
 
 def _emit(pairs: PairColumns, pair: Pair, ts_a: float, ts_b: float) -> None:
@@ -75,30 +83,53 @@ def _emit(pairs: PairColumns, pair: Pair, ts_a: float, ts_b: float) -> None:
         pairs[pair] = ([ts_a], [ts_b])
 
 
+def _append(
+    into: UpdatePairs, pair: Pair, position: int, ts_a: list[float], ts_b: list[float]
+) -> int:
+    """Append a trace's completions of ``pair`` to the update's rows."""
+    triples = [position] * (3 * len(ts_a))
+    triples[1::3] = ts_a
+    triples[2::3] = ts_b
+    rows = into.get(pair)
+    if rows is None:
+        into[pair] = triples
+    else:
+        rows += triples
+    return len(ts_a)
+
+
 # --- §4.1 strict contiguity --------------------------------------------------
+
+
+def fold_strict_pairs(
+    activities: Sequence[str],
+    timestamps: Sequence[float],
+    tail: float | None,
+    position: int,
+    into: UpdatePairs,
+) -> int:
+    """SC pairs, one per adjacent event couple, O(n): the couples ending
+    after ``tail`` (``None`` for a new trace), appended to ``into`` as trace
+    ``position``'s; returns how many."""
+    start = 1 if tail is None else max(bisect_right(timestamps, tail), 1)
+    for i in range(start, len(activities)):
+        pair = (activities[i - 1], activities[i])
+        rows = into.get(pair)
+        if rows is None:
+            into[pair] = [position, timestamps[i - 1], timestamps[i]]
+        else:
+            rows += position, timestamps[i - 1], timestamps[i]
+    return max(len(activities) - start, 0)
 
 
 def strict_pairs(
     activities: Sequence[str], timestamps: Sequence[float]
 ) -> PairColumns:
-    """SC pairs: one pair per adjacent event couple; O(n)."""
-    pairs: PairColumns = {}
-    for i in range(len(activities) - 1):
-        _emit(pairs, (activities[i], activities[i + 1]), timestamps[i], timestamps[i + 1])
-    return pairs
+    """SC pairs of one trace: the one-trace view of :func:`fold_strict_pairs`."""
+    return _one_trace(fold_strict_pairs, activities, timestamps)
 
 
 # --- §4.2 STNM: Indexing method ----------------------------------------------
-
-
-def occurrence_lists(
-    activities: Sequence[str], timestamps: Sequence[float]
-) -> dict[str, list[float]]:
-    """Per-type sorted timestamp lists (the Indexing method's first pass)."""
-    occurrences: dict[str, list[float]] = {}
-    for activity, ts in zip(activities, timestamps):
-        occurrences.setdefault(activity, []).append(ts)
-    return occurrences
 
 
 def greedy_pair_match(
@@ -107,8 +138,8 @@ def greedy_pair_match(
     """Greedy non-overlapping matching of two sorted occurrence lists.
 
     This is the two-pointer merge at the core of the Indexing method --
-    O(len(occ_a) + len(occ_b)) since both cursors only advance -- also
-    reused for incremental updates (:func:`pairs_completed_after`).
+    O(len(occ_a) + len(occ_b)) since both cursors only advance.  The
+    result's lists are fresh.
     """
     if same_type:
         # Consecutive disjoint couples: (o0,o1), (o2,o3), ...; an odd
@@ -134,41 +165,82 @@ def greedy_pair_match(
     return ts_a, ts_b
 
 
+def fold_indexing_pairs(
+    activities: Sequence[str],
+    timestamps: Sequence[float],
+    tail: float | None,
+    position: int,
+    into: UpdatePairs,
+) -> int:
+    """STNM pairs via per-type occurrence lists (the paper's recommended
+    flavor), O(n + l^2 + n*l): the completions after ``tail`` (``None`` for
+    a new trace), appended to ``into`` as trace ``position``'s; returns how
+    many.  Greedy matching is prefix-stable, so a known trace's matches
+    after its tail are exactly what a full rebuild adds.  A type ``a`` that
+    occurs once needs no merge: stamps strictly increase, so every type
+    listed after ``a`` completes ``(a, b)`` at its first occurrence (new iff
+    first seen after the tail), and of those before ``a`` only a repeated
+    one can.  Pairs come in the order the index was always written in: by
+    first, then second type, a new trace's repeated ``(a, a)`` first.
+    """
+    occurrences: dict[str, list[float]] = {}  # per type, its sorted stamps
+    for activity, ts in zip(activities, timestamps):
+        occurrences.setdefault(activity, []).append(ts)
+    types = list(occurrences.items())
+    new = tail is None
+    tail = float("-inf") if new else tail
+    fresh = sum(occ[0] <= tail for _, occ in types)  # the first type seen after the tail
+    seconds = [(b, occ) for b, occ in types if occ[-1] > tail]
+    made = 0
+    get = into.get
+    # the repeated types listed so far that occur after the tail
+    repeated: list[tuple[str, list[float]]] = []
+    for k, (a, occ_a) in enumerate(types):
+        first = occ_a[0]
+        if len(occ_a) == 1:
+            for b, occ_b in repeated + types[max(k + 1, fresh) :]:
+                second = occ_b[0]
+                if second < first:  # listed before a: its first occurrence after a
+                    if occ_b[-1] < first:
+                        continue
+                    second = occ_b[bisect_right(occ_b, first)]
+                    if second <= tail:
+                        continue
+                pair = (a, b)
+                rows = get(pair)
+                if rows is None:
+                    into[pair] = [position, first, second]
+                else:
+                    rows += position, first, second
+                made += 1
+            continue
+        if occ_a[-1] > tail:
+            repeated.append((a, occ_a))
+        if new:  # a new trace lists (a, a) first
+            ts_a, ts_b = greedy_pair_match(occ_a, occ_a, same_type=True)
+            made += _append(into, (a, a), position, ts_a, ts_b)
+        for b, occ_b in seconds:
+            if b == a:
+                if new:
+                    continue
+                ts_a, ts_b = greedy_pair_match(occ_a, occ_a, same_type=True)
+            elif occ_b[-1] > first:  # else no b follows the first a
+                ts_a, ts_b = greedy_pair_match(occ_a, occ_b, same_type=False)
+            else:
+                continue
+            if not new:
+                keep = bisect_right(ts_b, tail)  # completions are time-ordered
+                ts_a, ts_b = ts_a[keep:], ts_b[keep:]
+            if ts_b:
+                made += _append(into, (a, b), position, ts_a, ts_b)
+    return made
+
+
 def indexing_pairs(
     activities: Sequence[str], timestamps: Sequence[float]
 ) -> PairColumns:
-    """STNM pairs via per-type occurrence lists (the paper's recommended flavor).
-
-    One O(n) pass builds the occurrence lists; every ordered type
-    combination is matched with the two-pointer greedy merge.  Enumerating
-    combinations is O(l^2) but each occurrence participates in at most l
-    merges, giving O(n + l^2 + n*l) per trace -- the lowest constants of
-    the three flavors, which is why the paper recommends it for periodic
-    batch indexing.
-
-    A type that occurs once needs no merge: with a single ``a``, ``(a, b)``
-    completes iff some ``b`` comes later -- once, at the first such ``b`` --
-    and its columns are the occurrence lists themselves (the sharing rule of
-    the module docstring).  Most pairs of a process-like trace, which repeats
-    few activities, therefore cost a comparison and no allocation.
-    """
-    occurrences = occurrence_lists(activities, timestamps)
-    pairs: PairColumns = {}
-    for a, occ_a in occurrences.items():
-        first = occ_a[0]
-        if len(occ_a) == 1:
-            # b == a fails the test below by itself: its last stamp is `first`.
-            for b, occ_b in occurrences.items():
-                if occ_b[-1] > first:
-                    if len(occ_b) > 1:
-                        occ_b = [occ_b[bisect_right(occ_b, first)]]
-                    pairs[a, b] = (occ_a, occ_b)
-            continue
-        pairs[a, a] = greedy_pair_match(occ_a, occ_a, same_type=True)
-        for b, occ_b in occurrences.items():
-            if occ_b[-1] > first and b != a:  # else no b follows the first a
-                pairs[a, b] = greedy_pair_match(occ_a, occ_b, same_type=False)
-    return pairs
+    """STNM pairs of one trace: the one-trace view of :func:`fold_indexing_pairs`."""
+    return _one_trace(fold_indexing_pairs, activities, timestamps)
 
 
 # --- §4.2 STNM: Parsing method -----------------------------------------------
@@ -274,11 +346,11 @@ def state_pairs(
     }
 
 
-#: the one pair creator of each indexable policy,
-#: ``(activities, timestamps) -> PairColumns``
-PAIR_CREATORS = {
-    Policy.SC: strict_pairs,
-    Policy.STNM: indexing_pairs,
+#: the one pair routine of each indexable policy, ``(activities, timestamps,
+#: tail, position, into) -> completions appended``
+PAIR_FOLDS = {
+    Policy.SC: fold_strict_pairs,
+    Policy.STNM: fold_indexing_pairs,
 }
 
 
@@ -316,41 +388,4 @@ def reference_stnm_pairs(
                 i = j + 1
             if matched:
                 pairs[(a, b)] = matched
-    return pairs
-
-
-def pairs_completed_after(
-    occurrences: dict[str, list[float]], tail: float
-) -> PairColumns:
-    """STNM pairs of one trace that complete strictly after ``tail``.
-
-    The incremental-update primitive of Algorithm 1, given the occurrence
-    lists of ``old + new`` events and the old sequence's last timestamp.
-    Greedy non-overlapping matching is prefix-stable -- what it emits up to
-    a point of the trace never depends on later events -- so the matches
-    completing at or before ``tail`` are exactly the ones already indexed
-    and the rest are exactly what a full rebuild would add.  Only a pair
-    whose *second* type occurs after ``tail`` can complete there.
-
-    A first type that occurs once takes :func:`indexing_pairs`' shortcut:
-    ``(a, b)`` completes at most once, at the first ``b`` after it, so one
-    ``bisect`` replaces the merge, and ``occ_a`` is the ``ts_a`` column.
-    """
-    second_types = [b for b, occ in occurrences.items() if occ[-1] > tail]
-    pairs: PairColumns = {}
-    for a, occ_a in occurrences.items():
-        if len(occ_a) == 1:
-            # b == a never completes: its one stamp is not after itself.
-            first = occ_a[0]
-            for b in second_types:
-                occ_b = occurrences[b]
-                j = bisect_right(occ_b, first)
-                if j < len(occ_b) and occ_b[j] > tail:
-                    pairs[a, b] = (occ_a, [occ_b[j]])
-            continue
-        for b in second_types:
-            ts_a, ts_b = greedy_pair_match(occ_a, occurrences[b], same_type=(a == b))
-            keep = bisect_right(ts_b, tail)  # completions are time-ordered
-            if keep < len(ts_b):
-                pairs[a, b] = (ts_a[keep:], ts_b[keep:])
     return pairs

@@ -17,7 +17,7 @@ class Policy(enum.Enum):
       and by index-assisted verification, not by the pair index itself.
 
     The policies the pair index can be built under are the keys of
-    :data:`repro.core.pairs.PAIR_CREATORS`.
+    :data:`repro.core.pairs.PAIR_FOLDS`.
     """
 
     SC = "strict-contiguity"

@@ -15,14 +15,14 @@ TraceNumber    trace_id                    trace_no (put once, never deleted)
 =============  ==========================  =========================================
 
 An Index chunk names a trace by its *trace number*: a dense per-store int,
-0 upwards, given the first time a trace's postings are written.  The
-TraceNumber row of a new trace is staged in the same atomic write as the
-postings that first use its number, before them, so any prefix of a write
-that holds a chunk holds the rows naming its numbers.  :class:`IndexTables`
-loads the table once, maps ids to numbers on append and numbers to names on
-read: nothing above this module sees a number.  Older Index items (and the
-RAW chunks of rows whose timestamps fit no chunk) hold the trace ids
-themselves.
+0 upwards, given inside the update that first writes the trace's postings,
+in the order its pairs first mention the traces.  The TraceNumber row of a
+new trace is staged in the same atomic write as the postings that first
+use its number, before them, so any prefix of a write that holds a chunk
+holds the rows naming its numbers.  :class:`IndexTables` loads the table
+once, gives numbers (:meth:`IndexTables.number_trace`) and maps numbers to
+names on read: nothing above the builder's write sees a number.  Older
+Index items (and RAW chunks) hold the trace ids themselves.
 
 Stores written before the engine took a policy only also carry a ``method``
 key in Meta; it is kept as written and never read.
@@ -122,25 +122,26 @@ class IndexTables:
         except Exception:  # the store is failing too: retry before the next number
             self._numbers = None
 
-    def _trace_numbers(self, trace_ids: list) -> list[int]:
-        """The numbers of ``trace_ids``, a new trace numbered ``len(names)``:
-        its name is appended before its row is staged (so before any write
-        holding the number), and the row before the caller's postings."""
-        numbers = self._numbers
-        if numbers is None:
+    def trace_numbers(self, trace_ids: list[str]) -> list[int | None]:
+        """The number of each of ``trace_ids``, ``None`` for a trace that has
+        none yet (:meth:`number_trace` gives it one)."""
+        if self._numbers is None:
             self._load_trace_numbers()
-            numbers = self._numbers
-        try:
-            return list(map(numbers.__getitem__, trace_ids))
-        except KeyError:
-            pass
+        return list(map(self._numbers.get, trace_ids))
+
+    def number_trace(self, trace_id: str) -> int:
+        """Give ``trace_id`` the next number, ``len(names)``: its name is
+        appended before its row is staged, and the row before the postings
+        that use it."""
+        number = self._numbers[trace_id] = len(self._names)
+        self._names.append(trace_id)
+        self.write("put", TRACE_NUMBER, trace_id, number)
+        return number
+
+    def trace_names(self, numbers: list[int]) -> list[str]:
+        """The trace id of each of ``numbers``."""
         names = self._names
-        for trace_id in dict.fromkeys(trace_ids):
-            if trace_id not in numbers:
-                numbers[trace_id] = len(names)
-                names.append(trace_id)
-                self.write("put", TRACE_NUMBER, trace_id, numbers[trace_id])
-        return list(map(numbers.__getitem__, trace_ids))
+        return [names[number] for number in numbers]
 
     # -- writes ------------------------------------------------------------
 
@@ -282,20 +283,20 @@ class IndexTables:
     def append_index(
         self,
         pair: tuple[str, str],
-        columns: tuple[list[str], list[float], list[float]],
+        columns: tuple[list[int], list[float], list[float]],
         partition: str = _DEFAULT_PARTITION,
     ) -> None:
         """Append one batch of ``pair``'s completions, given as the parallel
-        columns ``(trace ids, ts_a, ts_b)`` (read, not kept); the chunk
-        stores the traces' numbers."""
+        columns ``(trace numbers, ts_a, ts_b)`` (read, not kept), every
+        number given by :meth:`number_trace` or earlier."""
         # One chunk per append batch: the list_append merge makes the stored
         # value a list of chunks (possibly after items of older formats).
-        trace_ids, ts_a, ts_b = columns
-        if not trace_ids:
+        numbers, ts_a, ts_b = columns
+        if not numbers:
             return
-        chunk = encode_numbered_postings(self._trace_numbers(trace_ids), ts_a, ts_b)
+        chunk = encode_numbered_postings(numbers, ts_a, ts_b)
         if chunk is None:  # timestamps no chunk holds: a RAW chunk of the ids
-            chunk = encode_posting_columns(trace_ids, ts_a, ts_b)
+            chunk = encode_posting_columns(self.trace_names(numbers), ts_a, ts_b)
         self.write("merge", _index_table(partition), pair, [chunk])
 
     def _index_tables_for(self, partition: str | None) -> list[str]:

@@ -55,7 +55,8 @@ def test_columnar_rows_are_no_larger_than_what_they_replace(batching):
     append_sequence = index.tables.append_sequence
 
     def record_index(pair, columns, partition=""):
-        postings_batches.append(list(zip(*columns)))
+        numbers, ts_a, ts_b = columns
+        postings_batches.append(list(zip(index.tables.trace_names(numbers), ts_a, ts_b)))
         append_index(pair, columns, partition)
 
     def record_sequence(trace_id, events):
@@ -88,7 +89,8 @@ def test_numbered_index_chunks_are_at_most_55_percent_of_the_string_layout(batch
     append_index = index.tables.append_index
 
     def record_index(pair, columns, partition=""):
-        postings_batches.append(list(zip(*columns)))
+        numbers, ts_a, ts_b = columns
+        postings_batches.append(list(zip(index.tables.trace_names(numbers), ts_a, ts_b)))
         append_index(pair, columns, partition)
 
     index.tables.append_index = record_index

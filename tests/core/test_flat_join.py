@@ -94,7 +94,8 @@ def _write_as(index: SequenceIndex, fmt: str) -> None:
     store = index.store
 
     def append_index(pair, columns, partition=""):
-        entries = list(zip(*columns))
+        numbers, ts_a, ts_b = columns
+        entries = list(zip(index.tables.trace_names(numbers), ts_a, ts_b))
         kinds = {type(ts) for entry in entries for ts in entry[1:]}
         if fmt == "varint" and len(kinds) == 1:  # a varint chunk holds one kind
             delta = [encode_varint_postings(entries)]

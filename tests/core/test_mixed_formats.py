@@ -147,7 +147,8 @@ def _write_as(index: SequenceIndex, fmt: str) -> None:
     tables = index.tables
 
     def append_index(pair, columns, partition=""):
-        entries = list(zip(*columns))
+        numbers, ts_a, ts_b = columns
+        entries = list(zip(tables.trace_names(numbers), ts_a, ts_b))
         if fmt == "tuples":
             delta = entries
         else:

@@ -1,6 +1,6 @@
 """Pair-creation semantics (§4): the Table 3 example, flavor equivalence,
-the incremental-matching primitive -- all on the column form the flavors
-return -- and the rule that lets those columns be shared."""
+the incremental matching of a known trace -- all on the column form the
+flavors return -- and the folds' rows, which share no list with the trace."""
 
 from __future__ import annotations
 
@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.builder import _AggregatedBatch
 from repro.core.pairs import (
-    PAIR_CREATORS,
+    PAIR_FOLDS,
     create_pairs,
+    fold_indexing_pairs,
+    fold_strict_pairs,
     greedy_pair_match,
     indexing_pairs,
-    occurrence_lists,
-    pairs_completed_after,
     parsing_pairs,
     reference_stnm_pairs,
     state_pairs,
@@ -30,6 +29,14 @@ FLAVORS = (strict_pairs, *STNM_FLAVORS)
 def columns_of(rows: dict) -> dict:
     """``{pair: [(ts_a, ts_b), ...]}`` as ``{pair: ([ts_a, ...], [ts_b, ...])}``."""
     return {pair: ([a for a, _ in matches], [b for _, b in matches]) for pair, matches in rows.items()}
+
+
+def completed_after(acts, stamps, tail) -> dict:
+    """The STNM completions of a known trace, indexed up to ``tail``, that
+    the fold appends: as one-trace columns."""
+    rows: dict = {}
+    fold_indexing_pairs(acts, stamps, tail, 0, rows)
+    return {pair: (row[1::3], row[2::3]) for pair, row in rows.items()}
 
 
 def assert_well_formed(columns: dict) -> None:
@@ -108,7 +115,7 @@ class TestFlavorEquivalence:
         columns = flavor(acts, stamps)
         rows = create_pairs(acts, stamps, policy)
         assert rows == {pair: list(zip(ts_a, ts_b)) for pair, (ts_a, ts_b) in columns.items()}
-        if flavor is PAIR_CREATORS[policy]:
+        if flavor in (strict_pairs, indexing_pairs):  # views of the folds
             assert list(rows) == list(columns)  # same emission order
 
     @given(traces)
@@ -140,7 +147,7 @@ class TestFlavorEquivalence:
 class TestCreatePairsDispatch:
     def test_dispatch(self, table3_trace):
         acts, stamps = table3_trace
-        assert PAIR_CREATORS == {Policy.SC: strict_pairs, Policy.STNM: indexing_pairs}
+        assert PAIR_FOLDS == {Policy.SC: fold_strict_pairs, Policy.STNM: fold_indexing_pairs}
         assert create_pairs(acts, stamps, Policy.SC)[("A", "B")] == [(2, 3), (4, 5)]
         assert create_pairs(acts, stamps) == TestTable3Example.STNM_EXPECTED
         with pytest.raises(ValueError):
@@ -184,30 +191,38 @@ class TestGreedyMatch:
 
 
 class TestPairsAfter:
-    """``pairs_completed_after``: the matches of ``old + new`` past the old tail."""
+    """A known trace: the matches of ``old + new`` past the old tail."""
 
     def test_matches_full_when_unbounded(self):
-        occ = occurrence_lists(list("ABAB"), [1, 2, 3, 4])
-        assert pairs_completed_after(occ, 0) == indexing_pairs(list("ABAB"), [1, 2, 3, 4])
+        assert completed_after(list("ABAB"), [1, 2, 3, 4], 0) == indexing_pairs(
+            list("ABAB"), [1, 2, 3, 4]
+        )
 
     def test_filters_by_timestamp(self):
-        occ = occurrence_lists(list("ABAB"), [1, 2, 3, 4])
-        assert pairs_completed_after(occ, 2)[("A", "B")] == ([3], [4])
-        assert pairs_completed_after(occ, 4) == {}
+        assert completed_after(list("ABAB"), [1, 2, 3, 4], 2)[("A", "B")] == ([3], [4])
+        assert completed_after(list("ABAB"), [1, 2, 3, 4], 4) == {}
 
     def test_same_type_after(self):
-        occ = occurrence_lists(list("AAAA"), [1, 2, 3, 4])
-        assert pairs_completed_after(occ, 0) == {("A", "A"): ([1, 3], [2, 4])}
-        assert pairs_completed_after(occ, 2) == {("A", "A"): ([3], [4])}
+        acts, stamps = list("AAAA"), [1, 2, 3, 4]
+        assert completed_after(acts, stamps, 0) == {("A", "A"): ([1, 3], [2, 4])}
+        assert completed_after(acts, stamps, 2) == {("A", "A"): ([3], [4])}
         # An odd old prefix leaves an open A that the first new A closes.
-        assert pairs_completed_after(occ, 3) == {("A", "A"): ([3], [4])}
+        assert completed_after(acts, stamps, 3) == {("A", "A"): ([3], [4])}
 
     def test_missing_types(self):
         # A type with no occurrence after the tail is never a second type,
         # and a first type with no occurrence before the completion no match.
-        occ = occurrence_lists(list("ABC"), [1, 2, 3])
-        assert pairs_completed_after(occ, 2) == {("A", "C"): ([1], [3]), ("B", "C"): ([2], [3])}
-        assert pairs_completed_after(occurrence_lists(list("A"), [1]), 0) == {}
+        assert completed_after(list("ABC"), [1, 2, 3], 2) == {
+            ("A", "C"): ([1], [3]),
+            ("B", "C"): ([2], [3]),
+        }
+        assert completed_after(list("A"), [1], 0) == {}
+        assert completed_after(list("ABBCB"), [1, 2, 3, 4, 5], 2) == {
+            ("A", "C"): ([1], [4]),
+            ("B", "B"): ([2], [3]),
+            ("B", "C"): ([2], [4]),
+            ("C", "B"): ([4], [5]),
+        }
 
     @given(traces, st.integers(0, 60))
     @settings(max_examples=150, deadline=None)
@@ -223,7 +238,7 @@ class TestPairsAfter:
         if cut == 0:
             return
         before = reference_stnm_pairs(acts[:cut], stamps[:cut])
-        gained = pairs_completed_after(occurrence_lists(acts, stamps), stamps[cut - 1])
+        gained = completed_after(acts, stamps, stamps[cut - 1])
         assert_well_formed(gained)
         merged = {pair: list(matches) for pair, matches in before.items()}
         for pair, (ts_a, ts_b) in gained.items():
@@ -232,26 +247,15 @@ class TestPairsAfter:
 
 
 class TestColumnSharing:
-    """A flavor may hand out one list as a column of several pairs (and its
-    occurrence lists as columns); whoever consumes a result copies."""
+    """A fold copies every stamp into the update's own rows, so no result
+    shares a list with another or with the trace it was computed from."""
 
-    def test_single_occurrence_columns_are_shared(self):
-        columns = indexing_pairs(list("ABC"), [1, 2, 3])
-        assert columns[("A", "B")][0] is columns[("A", "C")][0]
-        assert columns[("A", "C")][1] is columns[("B", "C")][1]
-
-    def test_single_occurrence_in_an_update_shares_its_occurrence_list(self):
-        occurrences = occurrence_lists(list("ABBCB"), [1, 2, 3, 4, 5])
-        columns = pairs_completed_after(occurrences, 2)
-        assert columns == {
-            ("A", "C"): ([1], [4]),
-            ("B", "B"): ([2], [3]),
-            ("B", "C"): ([2], [4]),
-            ("C", "B"): ([4], [5]),
-        }
-        # A and C occur once: each one's occurrence list is its ts_a column
-        assert columns[("A", "C")][0] is occurrences["A"]
-        assert columns[("C", "B")][0] is occurrences["C"]
+    def test_no_column_is_shared(self):
+        acts, stamps = list("ABCBD"), [1, 2, 3, 4, 5]
+        columns = indexing_pairs(acts, stamps)
+        lists = [column for pair in columns.values() for column in pair]
+        assert len({id(column) for column in lists}) == len(lists)
+        assert not any(column is stamps for column in lists)
 
     def test_row_view_builds_fresh_lists(self):
         rows = create_pairs(list("ABC"), [1, 2, 3])
@@ -261,22 +265,24 @@ class TestColumnSharing:
     @given(traces, st.sampled_from(FLAVORS))
     @settings(max_examples=150, deadline=None)
     def test_aggregation_copies_out_of_the_columns(self, trace, flavor):
+        """Folding one trace as three traces of an update: per pair, its
+        completions once per position, and the trace's lists unmoved."""
         acts, stamps = trace
-        pristine_stamps = list(stamps)
+        pristine_acts, pristine_stamps = list(acts), list(stamps)
         columns = flavor(acts, stamps)
-        pristine = {pair: (list(ts_a), list(ts_b)) for pair, (ts_a, ts_b) in columns.items()}
+        policy = Policy.SC if flavor is strict_pairs else Policy.STNM
 
-        batch = _AggregatedBatch()
-        ids = ["t1", "t2", "t3"]
-        for trace_id in ids:
-            batch.add_trace(trace_id, columns)
-        assert list(batch.index) == list(pristine)
-        for pair, (ts_a, ts_b) in pristine.items():
-            assert batch.index[pair] == (
-                [trace_id for trace_id in ids for _ in ts_a],
-                ts_a * len(ids),
-                ts_b * len(ids),
-            )
-        # neither the flavor's result nor the trace it was computed from moved
-        assert columns == pristine
+        rows: dict = {}
+        for position in range(3):
+            PAIR_FOLDS[policy](acts, stamps, None, position, rows)
+        assert list(rows) == list(create_pairs(acts, stamps, policy))  # first-appearance order
+        assert rows.keys() == columns.keys()
+        for pair, (ts_a, ts_b) in columns.items():
+            assert rows[pair] == [
+                value
+                for position in range(3)
+                for triple in zip([position] * len(ts_a), ts_a, ts_b)
+                for value in triple
+            ]
+        assert acts == pristine_acts
         assert stamps == pristine_stamps

@@ -66,10 +66,19 @@ class TestSeq:
         assert tables.get_sequence("t") == ([], [])
 
 
+def _numbered(tables, trace_ids: list[str]) -> list[int]:
+    """The trace numbers of ``trace_ids``, a trace without one numbered."""
+    numbers = dict(zip(trace_ids, tables.trace_numbers(trace_ids)))
+    for trace_id, number in numbers.items():
+        if number is None:
+            numbers[trace_id] = tables.number_trace(trace_id)
+    return [numbers[trace_id] for trace_id in trace_ids]
+
+
 class TestIndex:
     def test_append_and_group(self, tables):
-        tables.append_index(("A", "B"), (["t1", "t2"], [1.0, 5.0], [2.0, 6.0]))
-        tables.append_index(("A", "B"), (["t1"], [3.0], [4.0]))
+        tables.append_index(("A", "B"), (_numbered(tables, ["t1", "t2"]), [1.0, 5.0], [2.0, 6.0]))
+        tables.append_index(("A", "B"), (_numbered(tables, ["t1"]), [3.0], [4.0]))
         postings = tables.get_index_many([("A", "B")])[("A", "B")]
         assert postings.entries == 3
         assert postings.trace_ids() == {"t1", "t2"}
@@ -89,8 +98,8 @@ class TestIndex:
         tables.register_partition("p1")
         tables.ensure_partition("p2")
         tables.register_partition("p2")
-        tables.append_index(("A", "B"), (["t1"], [1.0], [2.0]), partition="p1")
-        tables.append_index(("A", "B"), (["t2"], [3.0], [4.0]), partition="p2")
+        tables.append_index(("A", "B"), (_numbered(tables, ["t1"]), [1.0], [2.0]), partition="p1")
+        tables.append_index(("A", "B"), (_numbered(tables, ["t2"]), [3.0], [4.0]), partition="p2")
         assert tables.get_index(("A", "B"), partition="p1") == [("t1", 1.0, 2.0)]
         assert tables.get_index(("A", "B"), partition="p2") == [("t2", 3.0, 4.0)]
         assert tables.get_index(("A", "B"), partition="") == []

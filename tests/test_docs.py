@@ -280,15 +280,17 @@ def test_docscheck_fails_on_a_deleted_pair_function():
     assert "core.pairs" in owners and "repro.core.pairs" in owners
     assert "pairs" not in owners  # a bare last component names no module
     design = (
-        "`core.pairs.pairs_completed_after` derives a known trace's new pairs and\n"
-        "`core.pairs.PAIR_CREATORS[policy](activities, timestamps)` a new trace's;\n"
-        "`core.pairs.create_pairs` is the row view.  `core.pairs.pairs_after_cut`\n"
+        "`core.pairs.fold_indexing_pairs` folds a trace's new pairs and\n"
+        "`core.pairs.PAIR_FOLDS[policy](activities, timestamps, tail, position, rows)`\n"
+        "is the builder's call; `core.pairs.create_pairs` is the row view.\n"
+        "`core.pairs.pairs_after_cut`, `core.pairs.pairs_completed_after`\n"
         "and `repro.core.pairs.PairDict` are gone; `_emit` resolves, `_unpair` not.\n"
     )
     assert check_api_references("D.md", design, owners) == [
-        "D.md:3: `core.pairs.pairs_after_cut` names no live attribute",
-        "D.md:4: `repro.core.pairs.PairDict` names no live attribute",
-        "D.md:4: `_unpair` names no live attribute of the documented modules",
+        "D.md:4: `core.pairs.pairs_after_cut` names no live attribute",
+        "D.md:4: `core.pairs.pairs_completed_after` names no live attribute",
+        "D.md:5: `repro.core.pairs.PairDict` names no live attribute",
+        "D.md:5: `_unpair` names no live attribute of the documented modules",
     ]
 
 
