@@ -248,28 +248,42 @@ class IndexBuilder:
             for trace_id, new_seq in appended.items():
                 self.tables.append_sequence(trace_id, new_seq)
             # One Count / ReverseCount slot and one last completion per pair
-            # of the batch, read off its finished columns.
+            # of the batch, read off its finished columns.  A pair's slot is
+            # one list in both rows: every op is encoded (or copied) as the
+            # store takes it.
             counts: dict[str, dict[str, list[float]]] = {}
             reverse: dict[str, dict[str, list[float]]] = {}
             checked: dict[str, dict[str, float]] = {}
             written = set(pairs)
             for pair in list(pairs):
                 rows = pairs.pop(pair)
-                positions, ts_a, ts_b = rows[0::3], rows[1::3], rows[2::3]
+                if len(rows) == 3:  # one completion: most rows, every served write's
+                    position, a, b = rows
+                    positions, ts_a, ts_b = (position,), (a,), (b,)
+                    slot, last = [0.0 + (b - a), 1], b
+                else:
+                    positions, ts_a, ts_b = rows[0::3], rows[1::3], rows[2::3]
+                    slot, last = [sum(map(sub, ts_b, ts_a), 0.0), len(ts_b)], max(ts_b)
                 if unnumbered:
                     for position in positions:
                         if numbers[position] is None:
                             numbers[position] = self.tables.number_trace(trace_ids[position])
                             unnumbered -= 1
                 self.tables.append_index(
-                    pair, (list(map(numbers.__getitem__, positions)), ts_a, ts_b), partition
+                    pair, ([numbers[position] for position in positions], ts_a, ts_b), partition
                 )
+                stats.pairs_created += slot[1]
                 first, second = pair
-                stats.pairs_created += len(ts_b)
-                duration = sum(map(sub, ts_b, ts_a), 0.0)
-                counts.setdefault(first, {})[second] = [duration, len(ts_b)]
-                reverse.setdefault(second, {})[first] = [duration, len(ts_b)]
-                checked.setdefault(first, {})[second] = max(ts_b)
+                row = counts.get(first)
+                if row is None:
+                    row = counts[first] = {}
+                    checked[first] = {}
+                row[second] = slot
+                checked[first][second] = last
+                row = reverse.get(second)
+                if row is None:
+                    row = reverse[second] = {}
+                row[first] = slot
             for first, per_second in counts.items():
                 self.tables.add_counts(first, per_second)
             for second, per_first in reverse.items():

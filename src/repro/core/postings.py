@@ -306,8 +306,51 @@ def encode_numbered_postings(
 ) -> bytes | None:
     """Encode one batch whose trace ids are trace numbers (non-negative
     ints) into a NUMBERED chunk; ``None`` when its timestamps fit no chunk
-    (the caller stores those rows under their names, in a RAW chunk)."""
+    (the caller stores those rows under their names, in a RAW chunk).
+
+    A one-row batch of INT or INTFLOAT stamps -- every served write's Index
+    rows -- is packed directly, into the bytes :func:`_encode_chunk` makes:
+    a u8 number column and a u8 ``ts_a`` column, each holding a zero
+    offset, then the one delta."""
+    if len(numbers) == 1:
+        chunk = _one_numbered_row(numbers[0], ts_a[0], ts_b[0])
+        if chunk is not None:
+            return chunk
     return _encode_chunk(TAG_NUMBERED, numbers, ts_a, ts_b)
+
+
+def _one_numbered_row(number, first, second) -> bytes | None:
+    """The NUMBERED chunk of one row with INT or INTFLOAT stamps; ``None``
+    for any other row, which :func:`_encode_chunk` then decides."""
+    stamp = type(first)
+    if type(number) is not int or number < 0 or type(second) is not stamp:
+        return None
+    if stamp is float:
+        if not (
+            first.is_integer()
+            and second.is_integer()
+            and -_MAX_EXACT_FLOAT <= first <= _MAX_EXACT_FLOAT
+            and -_MAX_EXACT_FLOAT <= second <= _MAX_EXACT_FLOAT
+        ):
+            return None
+        kind = KIND_INTFLOAT
+        first, second = int(first), int(second)
+    elif stamp is int:
+        if not -(1 << 63) <= first < 1 << 63:
+            return None
+        kind = KIND_INT
+    else:
+        return None
+    delta = second - first
+    code = _signed_code(delta, delta)
+    if code is None:
+        return None
+    return (
+        bytes((TAG_NUMBERED, code << 4 | kind << 6))
+        + _uvarints(1, number, (first << 1) if first >= 0 else ((-first << 1) - 1))
+        + b"\x00\x00"  # the number and ts_a offsets, both 0
+        + delta.to_bytes(1 << code, "little", signed=True)
+    )
 
 
 def encode_postings(entries: list) -> bytes:

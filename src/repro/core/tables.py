@@ -51,7 +51,7 @@ or fan out over all of them.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.errors import IndexStateError
 from repro.core.policies import Policy
@@ -283,11 +283,12 @@ class IndexTables:
     def append_index(
         self,
         pair: tuple[str, str],
-        columns: tuple[list[int], list[float], list[float]],
+        columns: tuple[Sequence[int], Sequence[float], Sequence[float]],
         partition: str = _DEFAULT_PARTITION,
     ) -> None:
         """Append one batch of ``pair``'s completions, given as the parallel
-        columns ``(trace numbers, ts_a, ts_b)`` (read, not kept), every
+        columns ``(trace numbers, ts_a, ts_b)`` (read, not kept; the two
+        stamp columns both lists or both tuples), every
         number given by :meth:`number_trace` or earlier."""
         # One chunk per append batch: the list_append merge makes the stored
         # value a list of chunks (possibly after items of older formats).

@@ -33,6 +33,7 @@ section 11 has the layouts).
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Any, Iterable
 
 KeyPart = None | bool | int | float | str | bytes
@@ -115,29 +116,45 @@ def _encode_float(out: bytearray, value: float) -> None:
     out.extend(raw.to_bytes(8, "big"))
 
 
+#: a ``str`` part: tag, utf-8 escaped as :func:`_encode_escaped` does, terminator
+_STR_PART = bytes((_TAG_STR,)) + b"%b\x00\x00"
+
+
 def encode_key(parts: Iterable[KeyPart]) -> bytes:
     """Encode a tuple of primitives into an order-preserving byte string."""
-    out = bytearray()
+    out = b""
     for part in parts:
-        if part is None:
-            out.append(_TAG_NONE)
-        elif part is True:
-            out.append(_TAG_TRUE)
-        elif part is False:
-            out.append(_TAG_FALSE)
-        elif isinstance(part, int):
-            _encode_int(out, part)
-        elif isinstance(part, float):
-            _encode_float(out, part)
-        elif isinstance(part, str):
-            out.append(_TAG_STR)
-            _encode_escaped(out, part.encode("utf-8"))
-        elif isinstance(part, bytes):
-            out.append(_TAG_BYTES)
-            _encode_escaped(out, part)
+        if type(part) is str:  # the common part: an activity or a trace id
+            raw = part.encode("utf-8")
+            if b"\x00" in raw:
+                raw = raw.replace(b"\x00", b"\x00\xff")
+            out += _STR_PART % raw
         else:
-            raise KeyEncodingError(f"unsupported key element type: {type(part)!r}")
-    return bytes(out)
+            out += _encode_key_part(part)
+    return out
+
+
+def _encode_key_part(part: KeyPart) -> bytearray:
+    out = bytearray()
+    if part is None:
+        out.append(_TAG_NONE)
+    elif part is True:
+        out.append(_TAG_TRUE)
+    elif part is False:
+        out.append(_TAG_FALSE)
+    elif isinstance(part, int):
+        _encode_int(out, part)
+    elif isinstance(part, float):
+        _encode_float(out, part)
+    elif isinstance(part, str):
+        out.append(_TAG_STR)
+        _encode_escaped(out, part.encode("utf-8"))
+    elif isinstance(part, bytes):
+        out.append(_TAG_BYTES)
+        _encode_escaped(out, part)
+    else:
+        raise KeyEncodingError(f"unsupported key element type: {type(part)!r}")
+    return out
 
 
 def decode_key(buf: bytes) -> Key:
@@ -221,8 +238,11 @@ _U32 = struct.Struct(">I")
 _SEQ_HEAD = struct.Struct(">BI")  # list / tuple / bytes tag + u32 count or length
 _STR_PAIR_HEAD = struct.Struct(">BIBI")  # tuple of 2, then a str's tag and length
 _STR_PAIR_PREFIX = _STR_PAIR_HEAD.pack(_V_TUPLE, 2, _V_STR, 0)[:6]
+_ONE_CHUNK_HEAD = struct.Struct(">BIBI")  # list of 1, then a bytes item's tag and length
 _FLOAT_ITEM = struct.Struct(">Bd")
 _U32_PAIR = struct.Struct(">II")
+_MAP_HEAD = struct.Struct(">BII")  # packed-map tag, count, key-blob length
+_ONLY_STR, _ONLY_FLOAT, _ONLY_INT, _ONLY_TWO = {str}, {float}, {int}, {2}
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 
@@ -235,7 +255,10 @@ class ValueEncodingError(ValueError):
 
 
 def _encode_value_into(out: bytearray, obj: Any) -> None:
-    if obj is None:
+    kind = type(obj)
+    if kind is list or kind is tuple:  # first: every Seq and Index value
+        _encode_items_into(out, obj, _V_LIST if kind is list else _V_TUPLE)
+    elif obj is None:
         out.append(_V_NONE)
     elif obj is True:
         out.append(_V_TRUE)
@@ -265,24 +288,7 @@ def _encode_value_into(out: bytearray, obj: Any) -> None:
         out.extend(_U32.pack(len(obj)))
         out.extend(obj)
     elif isinstance(obj, (list, tuple)):
-        out.extend(_SEQ_HEAD.pack(_V_LIST if isinstance(obj, list) else _V_TUPLE, len(obj)))
-        for item in obj:
-            # The two item shapes of the list tables, written inline: a chunk
-            # (Index, Seq) and a plain ``(activity, ts)`` Seq item.
-            kind = type(item)
-            if kind is bytes:
-                out += _SEQ_HEAD.pack(_V_BYTES, len(item))
-                out += item
-            elif kind is tuple and len(item) == 2 and type(item[0]) is str:
-                raw = item[0].encode("utf-8")
-                out += _STR_PAIR_HEAD.pack(_V_TUPLE, 2, _V_STR, len(raw))
-                out += raw
-                if type(item[1]) is float:
-                    out += _FLOAT_ITEM.pack(_V_FLOAT, item[1])
-                else:
-                    _encode_value_into(out, item[1])
-            else:
-                _encode_value_into(out, item)
+        _encode_items_into(out, obj, _V_LIST if isinstance(obj, list) else _V_TUPLE)
     elif isinstance(obj, dict):
         if obj and _encode_packed_map_into(out, obj):
             return
@@ -295,49 +301,81 @@ def _encode_value_into(out: bytearray, obj: Any) -> None:
         raise ValueEncodingError(f"unsupported value type: {type(obj)!r}")
 
 
+def _encode_items_into(out: bytearray, obj: list | tuple, tag: int) -> None:
+    out.extend(_SEQ_HEAD.pack(tag, len(obj)))
+    for item in obj:
+        # The two item shapes of the list tables, written inline: a chunk
+        # (Index, Seq) and a plain ``(activity, ts)`` Seq item.
+        kind = type(item)
+        if kind is bytes:
+            out += _SEQ_HEAD.pack(_V_BYTES, len(item))
+            out += item
+        elif kind is tuple and len(item) == 2 and type(item[0]) is str:
+            raw = item[0].encode("utf-8")
+            out += _STR_PAIR_HEAD.pack(_V_TUPLE, 2, _V_STR, len(raw))
+            out += raw
+            if type(item[1]) is float:
+                out += _FLOAT_ITEM.pack(_V_FLOAT, item[1])
+            else:
+                _encode_value_into(out, item[1])
+        else:
+            _encode_value_into(out, item)
+
+
 def _encode_packed_map_into(out: bytearray, obj: dict) -> bool:
     """Append ``obj`` under a packed tag; ``False`` when it does not qualify."""
     value_types = set(map(type, obj.values()))
-    if len(value_types) != 1 or set(map(type, obj)) != {str}:
+    if len(value_types) != 1 or set(map(type, obj)) != _ONLY_STR:
         return False
     value_type = value_types.pop()
-    tag = _V_MAP_STR_COUNTER if value_type is list else _PACKED_TAGS.get(value_type)
-    if tag is None:
-        return False
+    if value_type is list:
+        tag = _V_MAP_STR_COUNTER
+        values = _counter_columns(obj.values())
+        if values is None:
+            return False
+    else:
+        tag = _PACKED_TAGS.get(value_type)
+        if tag is None:
+            return False
+        values = obj.values()
     try:
-        if tag == _V_MAP_STR_COUNTER:
-            packed = _pack_counter_slots(obj.values())
-            if packed is None:
-                return False
-        else:
-            packed = struct.pack(f">{len(obj)}{_PACKED_FORMATS[tag]}", *obj.values())
+        packed = _packed_values(tag, len(obj)).pack(*values)
     except struct.error:
         return False  # an int outside int64
     joined = _KEY_JOIN.join(obj)
     if joined.count(_KEY_JOIN) != len(obj) - 1:
         return False  # a key holds the join character
     keys = joined.encode("utf-8")
-    out.append(tag)
-    out.extend(_U32_PAIR.pack(len(obj), len(keys)))
-    out.extend(keys)
-    out.extend(packed)
+    out += _MAP_HEAD.pack(tag, len(obj), len(keys))
+    out += keys
+    out += packed
     return True
 
 
-def _pack_counter_slots(slots: Iterable[list]) -> bytes | None:
+def _counter_columns(slots: Iterable[list]) -> tuple | None:
     """``[float, int]`` lists as every sum then every count; ``None`` when
     a slot is not exactly that (the caller then keeps the generic layout)."""
-    slots = list(slots)
-    if set(map(len, slots)) != {2}:
+    if set(map(len, slots)) != _ONLY_TWO:
         return None
     sums, counts = zip(*slots)
-    if set(map(type, sums)) != {float} or set(map(type, counts)) != {int}:
+    if set(map(type, sums)) != _ONLY_FLOAT or set(map(type, counts)) != _ONLY_INT:
         return None
-    return struct.pack(f">{len(slots)}d{len(slots)}q", *sums, *counts)
+    return sums + counts
+
+
+@lru_cache(maxsize=1024)
+def _packed_values(tag: int, count: int) -> struct.Struct:
+    """The packer of the ``count`` values of a packed map of ``tag``."""
+    if tag == _V_MAP_STR_COUNTER:
+        return struct.Struct(f">{count}d{count}q")
+    return struct.Struct(f">{count}{_PACKED_FORMATS[tag]}")
 
 
 def encode_value(obj: Any) -> bytes:
     """Serialize a Python value into the store's binary format."""
+    if type(obj) is list and len(obj) == 1 and type(obj[0]) is bytes:
+        chunk = obj[0]  # a one-chunk merge delta: every Index write
+        return _ONE_CHUNK_HEAD.pack(_V_LIST, 1, _V_BYTES, len(chunk)) + chunk
     out = bytearray()
     _encode_value_into(out, obj)
     return bytes(out)

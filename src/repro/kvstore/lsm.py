@@ -66,7 +66,6 @@ import os
 import re
 import struct
 import threading
-from collections import Counter
 from typing import Any, Iterable, Iterator
 
 from repro.faults.io import REAL_IO
@@ -76,6 +75,7 @@ from repro.kvstore.api import (
     MergeUnsupportedError,
     StoreClosedError,
     UnknownTableError,
+    WRITE_OP_COUNTERS,
     WriteOp,
     normalize_key,
     write_op_counter,
@@ -387,24 +387,36 @@ class LSMStore(KeyValueStore):
         one WAL frame, apply them to the memtable, then flush whatever
         memtables the batch sealed (see the module docstring)."""
         records: list[tuple[int, bytes, bytes]] = []
-        counts: Counter[str] = Counter()
+        append = records.append
+        tally = dict.fromkeys(_OP_KINDS, 0)
+        #: table -> (its key prefix, whether it has a merge operator), for
+        #: the tables this batch has named so far
+        tables: dict[str, tuple[bytes, bool]] = {}
         for op, table, key, value in ops:
-            counts[write_op_counter(op)] += 1
-            kind = _OP_KINDS[op]
-            full_key = self._full_key(table, key)
-            if kind == KIND_MERGE and self._operator_for_full_key(full_key) is None:
+            kind = _OP_KINDS.get(op)
+            if kind is None:
+                write_op_counter(op)  # raises: not a write op
+            tally[op] += 1
+            known = tables.get(table)
+            if known is None:
+                table_id = self._table_id(table)
+                known = tables[table] = (
+                    _TABLE_PREFIX.pack(table_id),
+                    self._merge_ops.get(table_id) is not None,
+                )
+            if kind == KIND_MERGE and not known[1]:
                 raise MergeUnsupportedError(f"table {table!r} has no merge operator")
-            records.append(
-                (kind, full_key, b"" if kind == KIND_DELETE else encode_value(value))
-            )
+            full_key = known[0] + encode_key(normalize_key(key))
+            append((kind, full_key, b"" if kind == KIND_DELETE else encode_value(value)))
         span = current_tracer().span("lsm.write")
         with span:
             with self._flush_lock:
                 self._check_open()
                 if not records:
                     return
-                for counter, count in counts.items():
-                    self.metrics.bump(counter, count)
+                for op, count in tally.items():
+                    if count:
+                        self.metrics.bump(WRITE_OP_COUNTERS[op], count)
                 self.metrics.bump("write_batches")
                 first = self._next_seq
                 self._next_seq += len(records)
@@ -436,8 +448,7 @@ class LSMStore(KeyValueStore):
         memtable = self._memtable
         sealed = False
         for seqno, (kind, key, value) in numbered:
-            memtable.apply(kind, key, value)
-            if memtable.approximate_bytes >= limit:
+            if memtable.apply(kind, key, value) >= limit:
                 self._seal_locked(seqno)
                 memtable = self._memtable
                 sealed = True

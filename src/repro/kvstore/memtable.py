@@ -34,11 +34,9 @@ class MemEntry:
         self.base_value: bytes | None = None
         self.deltas: list[bytes] = []
 
-    def apply(self, kind: int, value: bytes) -> int:
-        """Fold one WAL-kind operation in; return the net byte delta."""
-        if kind == KIND_MERGE:
-            self.deltas.append(value)
-            return len(value)
+    def replace(self, kind: int, value: bytes) -> int:
+        """Fold a put or a delete in (a merge appends to :attr:`deltas`);
+        return the net byte delta."""
         freed = (len(self.base_value) if self.base_value is not None else 0) + sum(
             len(d) for d in self.deltas
         )
@@ -97,8 +95,9 @@ class Memtable:
         """Freeze the memtable for immutable handoff to a flush."""
         self._sealed = True
 
-    def apply(self, kind: int, key: bytes, value: bytes) -> None:
-        """Apply one operation (same kinds as the WAL)."""
+    def apply(self, kind: int, key: bytes, value: bytes) -> int:
+        """Apply one operation (same kinds as the WAL); returns
+        :attr:`approximate_bytes` after it."""
         if self._sealed:
             raise ValueError("cannot write to a sealed memtable")
         entry = self._entries.get(key)
@@ -106,7 +105,12 @@ class Memtable:
             entry = MemEntry()
             self._entries[key] = entry
             self._approx_bytes += len(key)
-        self._approx_bytes += entry.apply(kind, value)
+        if kind == KIND_MERGE:
+            entry.deltas.append(value)
+            self._approx_bytes += len(value)
+        else:
+            self._approx_bytes += entry.replace(kind, value)
+        return self._approx_bytes
 
     def lookup(self, key: bytes) -> MemEntry | None:
         """Return the entry for ``key`` (or ``None`` if never touched here)."""

@@ -43,8 +43,7 @@ KIND_MERGE = 3
 _FRAME = struct.Struct(">II")
 _PAYLOAD_HEAD = struct.Struct(">QBI")
 _VLEN = struct.Struct(">I")
-#: a frame reaches the file in writes of about this size, so streaming a
-#: large batch never holds a joined copy of it
+#: a frame reaches the file in writes of at most this size
 _WRITE_CHUNK = 64 * 1024
 
 
@@ -83,31 +82,26 @@ class WriteAheadLog:
         ``first_seqno``, as one frame; flushes to the OS (and optionally
         fsyncs).  Returns the frame's size in bytes.
 
-        The frame is streamed: the CRC is taken part by part, then header
-        and payload go out in chunks of about 64 KiB through the ``io``
-        shim (so a fault schedule can tear a frame anywhere).  A write that
-        fails with ``OSError`` is cut back off the file -- a failed frame
-        is not logged, and no later frame lands behind a broken one.
+        The payload is built in one buffer, behind room for the frame
+        header, and checksummed in one pass; the frame then goes out in
+        writes of at most 64 KiB through the ``io`` shim (so a fault
+        schedule can tear a frame anywhere).  A write that fails with
+        ``OSError`` is cut back off the file -- a failed frame is not
+        logged, and no later frame lands behind a broken one.
         """
-        heads = [
-            _PAYLOAD_HEAD.pack(seqno, kind, len(key)) + key + _VLEN.pack(len(value))
-            for seqno, (kind, key, value) in enumerate(records, first_seqno)
-        ]
-        crc = length = 0
-        for head, record in zip(heads, records):
-            crc = zlib.crc32(record[2], zlib.crc32(head, crc))
-            length += len(head) + len(record[2])
+        frame = bytearray(_FRAME.size)
+        for seqno, (kind, key, value) in enumerate(records, first_seqno):
+            frame += _PAYLOAD_HEAD.pack(seqno, kind, len(key))
+            frame += key
+            frame += _VLEN.pack(len(value))
+            frame += value
+        view = memoryview(frame)
+        length = len(frame) - _FRAME.size
+        _FRAME.pack_into(frame, 0, zlib.crc32(view[_FRAME.size :]), length)
         start = self._file.tell()
-        chunk = bytearray(_FRAME.pack(crc, length))
         try:
-            for head, record in zip(heads, records):
-                chunk += head
-                chunk += record[2]
-                if len(chunk) >= _WRITE_CHUNK:
-                    self._file.write(chunk)
-                    chunk = bytearray()
-            if chunk:
-                self._file.write(chunk)
+            for offset in range(0, len(frame), _WRITE_CHUNK):
+                self._file.write(view[offset : offset + _WRITE_CHUNK])
             self._file.flush()
             if self._sync:
                 self._io.fsync(self._file)
@@ -115,7 +109,7 @@ class WriteAheadLog:
             self._file.truncate(start)
             self._file.seek(start)
             raise
-        return _FRAME.size + length
+        return len(frame)
 
     def close(self) -> None:
         self._file.close()

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.kvstore import InMemoryStore, LSMStore
-from repro.kvstore.api import WRITE_OP_COUNTERS
+from repro.kvstore.api import WRITE_OP_COUNTERS, MergeUnsupportedError, UnknownTableError
+from repro.kvstore.encoding import KeyEncodingError, ValueEncodingError
 
 
 def test_counters_track_operations(tmp_path):
@@ -45,17 +46,88 @@ def test_a_batch_is_one_write_with_per_op_counters_and_a_span(tmp_path):
     assert counters["bytes"] == wal_bytes  # one frame: the whole log
 
 
+def _valid_ops() -> list[tuple]:
+    """A batch of every op kind over the list, counter and plain tables."""
+    return [
+        ("merge", "seq", "trace-1", [("act_000", 1.0)]),
+        ("merge", "index", ("act_000", "act_001"), [b"\x06chunk"]),
+        ("merge", "count", "act_000", {"act_001": [1.0, 1]}),
+        ("put", "meta", "registered", True),
+        ("delete", "meta", "stale", None),
+    ]
+
+
+def _schema(store) -> None:
+    store.create_table("seq", merge_operator="list_append")
+    store.create_table("index", merge_operator="list_append")
+    store.create_table("count", merge_operator="counter_map")
+    store.create_table("meta")
+
+
+#: one invalid op per validation the write loop makes, what it raises, and
+#: a part of the message
+_INVALID = {
+    "unknown_op": (("upsert", "meta", "k", 1), ValueError, "unknown write op 'upsert'"),
+    "unknown_table": (("put", "nope", "k", 1), UnknownTableError, "nope"),
+    "merge_without_operator": (("merge", "meta", "k", 1), MergeUnsupportedError, "meta"),
+    "unencodable_value": (("put", "meta", "k", object()), ValueEncodingError, "object"),
+    "unencodable_key": (
+        ("merge", "count", ("act", object()), {"a": [1.0, 1]}), KeyEncodingError, "object"
+    ),
+}
+#: what the in-memory store validates (it keeps values as they are given)
+_CATALOGUE = ("unknown_op", "unknown_table", "merge_without_operator")
+
+
 @pytest.mark.parametrize("backend", ["lsm", "memory"])
 def test_an_unknown_op_fails_the_whole_batch_on_both_backends(tmp_path, backend):
+    """Each invalid op -- first, in the middle or last of a batch of every
+    op kind -- fails the whole batch: no WAL byte, no memtable entry, no
+    readable row, zero counters."""
+    for failure in _INVALID if backend == "lsm" else _CATALOGUE:
+        bad, error, message = _INVALID[failure]
+        for position in (0, 2, 5):  # first, middle, last of five valid ops
+            ops = _valid_ops()
+            ops.insert(position, bad)
+            path = tmp_path / f"{failure}-{position}"
+            store = LSMStore(str(path)) if backend == "lsm" else InMemoryStore()
+            with store:
+                _schema(store)
+                with pytest.raises(error, match=message):
+                    store.write(ops)
+                snapshot = store.metrics.snapshot()
+                if backend == "lsm":
+                    assert (path / "wal.log").stat().st_size == 0
+                    assert len(store._memtable) == 0 and not store._sealed
+                assert store.get("seq", "trace-1") is None
+                assert store.get("index", ("act_000", "act_001")) is None
+                assert store.get("count", "act_000") is None
+                assert store.get("meta", "registered") is None
+            assert all(snapshot[name] == 0 for name in WRITE_OP_COUNTERS.values())
+            assert snapshot["write_batches"] == 0
+
+
+@pytest.mark.parametrize("backend", ["lsm", "memory"])
+def test_a_mixed_batch_reads_back_table_by_table(tmp_path, backend):
     store = LSMStore(str(tmp_path / "db")) if backend == "lsm" else InMemoryStore()
     with store:
-        store.create_table("t", merge_operator="list_append")
-        with pytest.raises(ValueError, match="unknown write op 'upsert'"):
-            store.write([("put", "t", "a", [1]), ("upsert", "t", "b", [2])])
+        _schema(store)
+        store.put("meta", "stale", 1)
+        store.write(_valid_ops() + [
+            ("merge", "seq", "trace-1", [("act_001", 2.0)]),
+            ("merge", "index", ("act_000", "act_001"), [b"\x06more"]),
+            ("merge", "count", "act_000", {"act_001": [2.5, 2], "act_002": [0.5, 1]}),
+            ("merge", "count", "act_001", {"act_002": [1.0, 1]}),
+        ])
+        assert store.get("seq", "trace-1") == [("act_000", 1.0), ("act_001", 2.0)]
+        assert store.get("index", ("act_000", "act_001")) == [b"\x06chunk", b"\x06more"]
+        assert store.get("count", "act_000") == {"act_001": [3.5, 3], "act_002": [0.5, 1]}
+        assert store.get("count", "act_001") == {"act_002": [1.0, 1]}
+        assert store.get("meta", "registered") is True
+        assert store.get("meta", "stale") is None
         snapshot = store.metrics.snapshot()
-        assert store.get("t", "a") is None
-    assert all(snapshot[name] == 0 for name in WRITE_OP_COUNTERS.values())
-    assert snapshot["write_batches"] == 0
+    assert (snapshot["merges"], snapshot["puts"], snapshot["deletes"]) == (7, 2, 1)
+    assert snapshot["write_batches"] == 2
 
 
 def test_bloom_skips_counted(tmp_path):
