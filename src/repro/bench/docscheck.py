@@ -12,7 +12,7 @@ Seven classes of documentation rot this catches mechanically:
   parser, so renaming or removing a subcommand or a flag without sweeping
   the docs fails CI;
 * **undocumented format tags** -- every chunk-tag constant of
-  :mod:`repro.core.postings` and value-tag constant of
+  :mod:`repro.core.postings` and :mod:`repro.upgrade` and value-tag constant of
   :mod:`repro.kvstore.encoding` must appear (as ``0xNN``) in the tag tables
   of DESIGN.md's on-disk-layout section, so a new on-disk byte cannot ship
   without its layout being written down;
@@ -162,11 +162,12 @@ TAG_TABLES = ("DESIGN.md", "## 11.")
 
 def format_tags() -> dict[str, int]:
     """Every on-disk tag constant: ``{"module.NAME": byte}``."""
+    from repro import upgrade
     from repro.core import postings
     from repro.kvstore import encoding
 
     tags = {}
-    for module, prefix in ((postings, "TAG_"), (encoding, "_V_")):
+    for module, prefix in ((postings, "TAG_"), (upgrade, "TAG_"), (encoding, "_V_")):
         for name, value in vars(module).items():
             if name.startswith(prefix) and isinstance(value, int):
                 tags[f"{module.__name__}.{name}"] = value
@@ -263,6 +264,7 @@ API_MODULES = (
     "repro.kvstore.compaction",
     "repro.kvstore.sstable",
     "repro.kvstore.merge",
+    "repro.upgrade",
 )
 _API_DOCS = ("DESIGN.md", "docs/")
 _REFERENCE = re.compile(r"`([A-Za-z_][\w.]*)\.([A-Za-z_]\w*)\b[^`]*`")

@@ -10,6 +10,7 @@ Examples::
     python -m repro stats  --store ./ix A,B,C
     python -m repro continue --store ./ix A,B --mode hybrid --top-k 5
     python -m repro profile --log log.csv --store ./ix
+    python -m repro upgrade --store ./old-ix
     python -m repro metrics --store ./ix
     python -m repro serve --store ./sx --port 7700
     python -m repro loadgen --port 7700 --pattern a,b --clients 4 --duration 5
@@ -24,6 +25,10 @@ Stores created with ``--shards N`` carry a ``SHARDS.json`` manifest; every
 other subcommand auto-detects it and opens the store through the
 scatter-gather coordinator, so ``detect``/``stats``/``serve`` work
 identically on single-store and sharded layouts.
+
+A store written by older code does not open: every subcommand exits with a
+message naming ``repro upgrade --store PATH``, which rewrites it once into
+the current on-disk format (a sharded root shard by shard).
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from repro.core.errors import PatternSyntaxError
 from repro.core.pattern import parse_pattern
 from repro.core.policies import Policy
 from repro.core.tables import IndexTables
-from repro.kvstore import LSMStore
+from repro.kvstore import LSMStore, StoreFormatError
 from repro.logs.csv_log import read_csv_log, write_csv_log
 from repro.logs.datasets import DATASETS, load_dataset
 from repro.logs.stats import format_distributions, format_profile_table, profile_log
@@ -213,7 +218,8 @@ def _store_stats(args: argparse.Namespace) -> int:
 
 def _format_summary(formats: dict[str, dict[str, int]] | None) -> str:
     """``" [columnar: 12 chunks/340 entries; plain: 7 entries]"`` for a table
-    in ``format_stats()`` -- its migration state -- and ``""`` for any other."""
+    in ``format_stats()`` -- the chunks and entries of each row layout -- and
+    ``""`` for any other."""
     if not formats:
         return ""
     parts = [
@@ -597,6 +603,14 @@ def _profile_store(path: str) -> None:
             ))
 
 
+def cmd_upgrade(args: argparse.Namespace) -> int:
+    from repro.upgrade import upgrade
+
+    for report in upgrade(args.store):
+        print(report.summary())
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Sequence detection in event log files"
@@ -869,12 +883,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true", help="print passing seeds too"
     )
     dif.set_defaults(fn=cmd_diffcheck)
+
+    upg = sub.add_parser(
+        "upgrade",
+        help="rewrite a store written by older code into the current on-disk "
+        "format, once (a sharded root shard by shard)",
+    )
+    upg.add_argument("--store", required=True, help="index store directory")
+    upg.set_defaults(fn=cmd_upgrade)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except StoreFormatError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

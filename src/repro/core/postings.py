@@ -1,44 +1,43 @@
 """Columnar chunk codec for the two list tables: Index postings and Seq rows.
 
 Both tables hold ``list_append``-merged values, and both are regular: an
-Index row is ``(trace_id, ts_a, ts_b)`` with few distinct trace ids and
-``ts_b`` near ``ts_a``; a Seq row is ``(activity, ts)`` with few distinct
-activities.  One append batch becomes one *chunk*, a ``bytes`` item of the
-stored list: an id dictionary plus fixed-width columns, so a chunk decodes
-with one ``str.split`` and a ``struct.unpack_from`` per column -- no
-Python-level loop per byte or per field -- and its dictionary alone answers
-"which traces does this chunk mention".
+Index row is ``(trace, ts_a, ts_b)`` with ``ts_b`` near ``ts_a``; a Seq row
+is ``(activity, ts)`` with few distinct activities.  One append batch becomes
+one *chunk*, a ``bytes`` item of the stored list: fixed-width columns behind
+a short header, so a chunk decodes with a ``struct.unpack_from`` per column
+-- no Python-level loop per byte or per field.
 
-Chunk layout (tags ``0x04`` POSTINGS and ``0x05`` SEQUENCE)::
+A Seq chunk (tag ``0x05`` SEQUENCE) names its activities through a
+dictionary::
 
-    u8       tag
+    u8       tag 0x05
     u8       packed: bits 0-1 index mode (0 = identity: row i uses id i,
              no index column; 1/2/3 = u8/u16/u32 index column),
-             bits 2-3 width code of column 1, bits 4-5 width code of
-             column 2 (codes 0-3 = 1/2/4/8 bytes; 0 when absent),
+             bits 2-3 width code of the ``ts`` column (codes 0-3 = 1/2/4/8
+             bytes), bits 4-5 zero,
              bits 6-7 timestamp kind (0 INT, 1 INTFLOAT, 2 FLOAT)
     uvarint  n, the number of rows
     uvarint  byte length of the id dictionary
-    uvarint  zigzag(base), base = min of column 1     (kinds INT, INTFLOAT)
+    uvarint  zigzag(base), base = min of ``ts``        (kinds INT, INTFLOAT)
     ids              the distinct ids in first-appearance order, utf-8,
                      joined by ``0x00``
     n x u8/u16/u32   index column          (index mode != 0 only)
-    n x column 1     ``ts_a`` / ``ts`` minus base, unsigned little-endian
-    n x column 2     ``ts_b - ts_a``, signed little-endian  (POSTINGS only)
+    n x column 1     ``ts`` minus base, unsigned little-endian
 
-The Index table stores the ``0x06`` NUMBERED layout instead: its trace ids
-are the store's dense trace numbers (:mod:`repro.core.tables` keeps the
-table that names them), so the dictionary and index column give way to one
-fixed-width number column::
+An Index chunk (tag ``0x06`` NUMBERED) names a trace by the store's dense
+trace number (:mod:`repro.core.tables` keeps the table that names them), so
+one fixed-width number column takes the dictionary's place::
 
     u8       tag 0x06
-    u8       packed: bits 0-1 width code of the number column, bits 2-7
-             as above
+    u8       packed: bits 0-1 width code of the number column, bits 2-3
+             width code of column 1, bits 4-5 width code of column 2, bits
+             6-7 timestamp kind, as above
     uvarint  n, the number of rows
     uvarint  number base, the smallest number of the chunk
     uvarint  zigzag(base), base = min of column 1     (kinds INT, INTFLOAT)
     n x u8/u16/u32/u64   number minus number base
-    n x column 1, n x column 2   as above
+    n x column 1     ``ts_a`` minus base, unsigned little-endian
+    n x column 2     ``ts_b - ts_a``, signed little-endian
 
 The header fixes the length of everything after it, and a decoder accepts a
 chunk only at exactly that length.
@@ -46,19 +45,21 @@ chunk only at exactly that length.
 Kind FLOAT stores raw little-endian doubles (``ts_b`` itself in column 2,
 width codes 0): exact for every double, non-finite included.  INTFLOAT is
 for integral floats with ``|v| <= 2**53``, stored as ints and decoded back
-to ``float``.  Rows that fit no kind -- non-``str`` ids, ids holding
-``U+0000``, bool or mixed timestamps, ints whose offsets leave 64 bits --
-are never altered: a postings batch falls back to a ``0x00`` RAW chunk (the
-generic value encoding of the rows) and a Seq batch to plain ``(activity,
-ts)`` items.
+to ``float``.  Rows that fit no kind -- bool or mixed timestamps, ints whose
+offsets leave 64 bits, and for Seq non-``str`` activities or ones holding
+``U+0000`` -- are never altered: an Index batch falls back to a ``0x00``
+RAW chunk (the generic value encoding of its ``(trace_id, ts_a, ts_b)``
+rows, the ids spelled out) and a Seq batch to plain ``(activity, ts)``
+items.
 
-Read compatibility: the varint chunk tags ``0x01``-``0x03`` written before
-the columnar layouts, POSTINGS chunks (the Index layout before NUMBERED),
-RAW chunks, legacy tuple entries and plain Seq items all keep decoding, in
-any mix inside one stored value.  Decoding is strict: a truncated chunk, a
-bad width or kind, an index past the dictionary, a number past the name
-table or trailing bytes raise :class:`CorruptPostingsError`, never a wrong
-row.
+These are the only layouts the engine writes, and the only ones read here:
+an Index value is a list of NUMBERED and RAW chunks, a Seq value a list of
+SEQUENCE chunks and plain items.  Layouts older code wrote (the varint tags
+``0x01``-``0x03``, the dictionary Index chunk ``0x04``, bare Index tuples)
+are read by ``repro upgrade`` alone (:mod:`repro.upgrade`), which rewrites
+them once.  Decoding is strict: an unknown tag, a truncated chunk, a bad
+width or kind, an index past the dictionary, a number past the name table
+or trailing bytes raise :class:`CorruptPostingsError`, never a wrong row.
 """
 
 from __future__ import annotations
@@ -73,20 +74,13 @@ from repro.kvstore.encoding import decode_value, encode_value
 __all__ = [
     "CorruptPostingsError",
     "Postings",
-    "encode_postings",
-    "encode_posting_columns",
     "encode_numbered_postings",
-    "decode_postings",
     "encode_sequence",
     "decode_sequence",
     "item_formats",
 ]
 
 TAG_RAW = 0x00
-TAG_INT = 0x01  # varint layouts: read-only
-TAG_INTFLOAT = 0x02
-TAG_FLOAT = 0x03
-TAG_POSTINGS = 0x04  # Index rows: read-only, the engine writes NUMBERED
 TAG_SEQUENCE = 0x05
 TAG_NUMBERED = 0x06
 
@@ -114,13 +108,12 @@ Completions = list[tuple[float, float]]
 # Resident bytes of a decoded Postings, as CPython 3.11 lays it out
 # (tracemalloc; tests/core/test_row_cache.py holds the estimate to 0.5-2x):
 # the object with its chunk list; per chunk its 6-tuple, the bytes header and
-# the id list; per dictionary id a pointer and a short str, per NUMBERED row
-# a pointer; per older-format row three pointers, two floats and an id.
+# the id list; per NUMBERED row a pointer; per RAW row three pointers, two
+# floats and an id.
 _POSTINGS_BYTES = 200
 _CHUNK_BYTES = 240
-_ID_BYTES = 66
 _NAME_BYTES = 8
-_OLDER_ROW_BYTES = 136
+_RAW_ROW_BYTES = 136
 
 #: what a chunk arrives as (the store hands out ``bytes``)
 _CHUNK_TYPES = (bytes, bytearray, memoryview)
@@ -289,16 +282,10 @@ def _columns(rows: list, width: int) -> tuple | None:
     return columns if len(columns) == width else None
 
 
-def _raw_chunk(rows: Iterable) -> bytes:
+def raw_chunk(rows: Iterable) -> bytes:
+    """The RAW chunk of ``(trace_id, ts_a, ts_b)`` rows: the Index layout
+    of a batch whose stamps fit no NUMBERED chunk."""
     return bytes((TAG_RAW,)) + encode_value([list(row) for row in rows])
-
-
-def encode_posting_columns(ids: Sequence, ts_a: Sequence, ts_b: Sequence) -> bytes:
-    """Encode one batch given as its three equal-length, non-empty columns
-    (what the builder holds); same chunk as :func:`encode_postings` of the
-    zipped rows."""
-    chunk = _encode_chunk(TAG_POSTINGS, ids, ts_a, ts_b)
-    return chunk if chunk is not None else _raw_chunk(zip(ids, ts_a, ts_b))
 
 
 def encode_numbered_postings(
@@ -351,16 +338,6 @@ def _one_numbered_row(number, first, second) -> bytes | None:
         + b"\x00\x00"  # the number and ts_a offsets, both 0
         + delta.to_bytes(1 << code, "little", signed=True)
     )
-
-
-def encode_postings(entries: list) -> bytes:
-    """Encode one batch of ``(trace_id, ts_a, ts_b)`` rows into a chunk.
-
-    Row order and every field's type survive the round trip; rows the
-    columnar layout cannot hold exactly go into a RAW chunk instead.
-    """
-    columns = _columns(entries, 3)
-    return encode_posting_columns(*columns) if columns is not None else _raw_chunk(entries)
 
 
 def encode_sequence(events: list) -> list:
@@ -491,133 +468,82 @@ def _read_columns(chunk, n: int, packed: int, base: int, pos: int, n_ids: int):
     return index, first, second
 
 
-def _decode_older_rows(chunk) -> list[tuple]:
-    """Rows of a chunk in one of the read-only layouts (tags ``0x00``-``0x03``)."""
-    if not len(chunk):
-        raise CorruptPostingsError("empty postings chunk")
-    tag = chunk[0]
-    if tag == TAG_RAW:
-        try:
-            rows = decode_value(bytes(chunk[1:]))
-        except Exception as exc:
-            raise CorruptPostingsError(f"corrupt raw postings chunk: {exc}") from None
-        if not isinstance(rows, list):
-            raise CorruptPostingsError("raw postings chunk is not a list")
-        try:
-            return [tuple(row) for row in rows]
-        except TypeError:  # a row that is no sequence at all
-            raise CorruptPostingsError("raw postings chunk row is not a row") from None
-    if tag not in (TAG_INT, TAG_INTFLOAT, TAG_FLOAT):
-        raise CorruptPostingsError(f"unknown postings chunk tag 0x{tag:02x}")
-    pos = 1
-    n_entries, pos = _read_uvarint(chunk, pos)
-    n_traces, pos = _read_uvarint(chunk, pos)
-    total = len(chunk)
-    trace_ids: list[str] = []
-    for _ in range(n_traces):
-        length, pos = _read_uvarint(chunk, pos)
-        if pos + length > total:
-            raise CorruptPostingsError("truncated trace id in postings chunk")
-        try:
-            trace_ids.append(bytes(chunk[pos : pos + length]).decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise CorruptPostingsError(f"corrupt trace id: {exc}") from None
-        pos += length
-    entries: list[tuple] = []
-    if tag == TAG_FLOAT:
-        unpack = struct.Struct(">d").unpack_from
-        for _ in range(n_entries):
-            idx, pos = _read_uvarint(chunk, pos)
-            if idx >= n_traces:
-                raise CorruptPostingsError("trace index out of range in postings chunk")
-            if pos + 16 > total:
-                raise CorruptPostingsError("truncated float entry in postings chunk")
-            (ts_a,) = unpack(chunk, pos)
-            (ts_b,) = unpack(chunk, pos + 8)
-            pos += 16
-            entries.append((trace_ids[idx], ts_a, ts_b))
-    else:
-        as_float = tag == TAG_INTFLOAT
-        prev_a = [0] * n_traces
-        for _ in range(n_entries):
-            idx, pos = _read_uvarint(chunk, pos)
-            if idx >= n_traces:
-                raise CorruptPostingsError("trace index out of range in postings chunk")
-            delta_a, pos = _read_uvarint(chunk, pos)
-            delta_b, pos = _read_uvarint(chunk, pos)
-            ts_a = prev_a[idx] + _unzigzag(delta_a)
-            ts_b = ts_a + _unzigzag(delta_b)
-            prev_a[idx] = ts_a
-            if as_float:
-                entries.append((trace_ids[idx], float(ts_a), float(ts_b)))
-            else:
-                entries.append((trace_ids[idx], ts_a, ts_b))
-    if pos != total:
-        raise CorruptPostingsError("trailing bytes after postings chunk")
-    return entries
+def _raw_rows(chunk) -> list[tuple]:
+    """Rows of a RAW chunk, the one other Index layout."""
+    if chunk[0] != TAG_RAW:
+        raise CorruptPostingsError(f"unknown index chunk tag 0x{chunk[0]:02x}")
+    try:
+        rows = decode_value(bytes(chunk[1:]))
+    except Exception as exc:
+        raise CorruptPostingsError(f"corrupt raw postings chunk: {exc}") from None
+    if not isinstance(rows, list):
+        raise CorruptPostingsError("raw postings chunk is not a list")
+    try:
+        return [tuple(row) for row in rows]
+    except TypeError:  # a row that is no sequence at all
+        raise CorruptPostingsError("raw postings chunk row is not a row") from None
 
 
 class Postings:
     """One pair's stored Index value, decoded on demand.
 
     ``items`` is the ``list_append``-merged value as stored (several
-    partitions' values concatenated when a read unions them): columnar
-    chunks, and whatever older formats the row still holds.  ``names`` is
-    the store's trace-name table, indexed by trace number: opening maps each
-    NUMBERED chunk's number column through it (without it, the ids are the
-    numbers), and parses the other chunks' headers and dictionaries only.
-    :meth:`trace_ids` answers from those ids, and :meth:`columns` unpacks
-    just the timestamps of the chunks that mention a wanted trace, as whole
-    columns.  The engine's row cache holds these objects, so a hot pair pays
-    the store read and the id decode once.
+    partitions' values concatenated when a read unions them): NUMBERED
+    chunks, and RAW chunks for batches no NUMBERED chunk holds.  ``names``
+    is the store's trace-name table, indexed by trace number: opening maps
+    each NUMBERED chunk's number column through it (without it, the ids are
+    the numbers) and decodes the RAW chunks' rows.  :meth:`trace_ids`
+    answers from those ids, and :meth:`columns` unpacks just the timestamps
+    of the chunks that mention a wanted trace, as whole columns.  The
+    engine's row cache holds these objects, so a hot pair pays the store
+    read and the id decode once.
     """
 
-    __slots__ = ("entries", "nbytes", "_chunks", "_older")
+    __slots__ = ("entries", "nbytes", "_chunks", "_raw")
 
     def __init__(self, items: Iterable, names: Sequence | None = None) -> None:
         #: number of ``(trace_id, ts_a, ts_b)`` rows in the value
         self.entries = 0
         #: estimated resident size of this object: what the row cache charges
         self.nbytes = _POSTINGS_BYTES
-        # (dictionary ids in order -- a NUMBERED chunk's one per row --,
-        # chunk, n, packed, base, column offset)
+        # (the ids, one per row, chunk, n, packed, base, column offset)
         self._chunks: list[tuple] = []
-        # rows of every older format, transposed once: (ids, ts_a, ts_b)
-        older: list[tuple] = []
+        # rows of every RAW chunk, transposed once: (ids, ts_a, ts_b)
+        raw: list[tuple] = []
         for item in items:
-            if not isinstance(item, _CHUNK_TYPES):
-                older.append(item)
-            elif not len(item) or item[0] not in (TAG_NUMBERED, TAG_POSTINGS):
-                older.extend(_decode_older_rows(item))
-            else:
+            if not isinstance(item, _CHUNK_TYPES) or not len(item):
+                raise CorruptPostingsError("index item is not a chunk")
+            if item[0] == TAG_NUMBERED:
                 ids, n, packed, base, pos = _open_chunk(item, names)
                 self._chunks.append((ids, item, n, packed, base, pos))
                 self.entries += n
-                # a NUMBERED chunk's names are the name table's own objects
-                per_id = _NAME_BYTES if item[0] == TAG_NUMBERED else _ID_BYTES
-                self.nbytes += _CHUNK_BYTES + len(item) + per_id * len(ids)
+                # the names are the name table's own objects: a pointer each
+                self.nbytes += _CHUNK_BYTES + len(item) + _NAME_BYTES * n
+            else:
+                raw.extend(_raw_rows(item))
         try:
-            columns = _columns(older, 3) if older else ((), (), ())
+            columns = _columns(raw, 3) if raw else ((), (), ())
             if columns is not None:
                 hash(columns[0])  # every trace id: the stages put them in sets
-        except TypeError:  # a legacy item that is no sequence at all, or a list id
+        except TypeError:  # a list id
             columns = None
         if columns is None:
-            raise CorruptPostingsError("index entry is not a 3-tuple with a hashable id")
-        self._older = columns
-        self.entries += len(older)
-        self.nbytes += _OLDER_ROW_BYTES * len(older)
+            raise CorruptPostingsError("raw index row is not a 3-tuple with a hashable id")
+        self._raw = columns
+        self.entries += len(raw)
+        self.nbytes += _RAW_ROW_BYTES * len(raw)
 
     def trace_ids(self) -> set[str]:
         """Every trace with at least one completion, from chunk ids alone."""
-        traces = set(self._older[0])
+        traces = set(self._raw[0])
         for chunk in self._chunks:
             traces.update(chunk[0])
         return traces
 
     def columns(self, restrict: set[str] | None = None) -> Iterator[tuple]:
-        """``(trace ids, ts_a, ts_b)`` parallel columns, one triple per chunk
-        in stored order, then one for the rows of every older format.
+        """``(trace ids, ts_a, ts_b)`` parallel columns, one triple per
+        NUMBERED chunk in stored order, then one for the rows of every RAW
+        chunk.
 
         With ``restrict``, a triple mentioning none of those traces is
         skipped -- a chunk by its ids, without touching its columns --
@@ -627,13 +553,11 @@ class Postings:
         for ids, chunk, n, packed, base, pos in self._chunks:
             if restrict is not None and restrict.isdisjoint(ids):
                 continue
-            index, ts_a, ts_b = _read_columns(chunk, n, packed, base, pos, len(ids))
-            if index is not None:
-                ids = map(ids.__getitem__, index)
+            _, ts_a, ts_b = _read_columns(chunk, n, packed, base, pos, n)
             yield ids, ts_a, ts_b
-        older = self._older
-        if older[0] and (restrict is None or not restrict.isdisjoint(older[0])):
-            yield older
+        raw = self._raw
+        if raw[0] and (restrict is None or not restrict.isdisjoint(raw[0])):
+            yield raw
 
     def rows(self) -> list[tuple[str, float, float]]:
         """Flat ``(trace_id, ts_a, ts_b)`` rows, grouped per trace (first
@@ -658,17 +582,11 @@ def _grouped(triples: Iterable[tuple]) -> dict[str, Completions]:
     return grouped
 
 
-def decode_postings(chunk) -> dict[str, Completions]:
-    """One chunk of any layout, decoded to the per-trace grouped form (a
-    NUMBERED chunk's traces are its numbers: no name table here)."""
-    return _grouped(Postings((chunk,)).columns())
-
-
 def decode_sequence(items: Iterable) -> tuple[list[str], list[float]]:
     """A stored Seq value as ``(activities, timestamps)`` columns.
 
-    ``items`` mixes SEQUENCE chunks with plain ``(activity, ts)`` items (rows
-    written before the chunk layout, or batches that fit no chunk).
+    ``items`` mixes SEQUENCE chunks with plain ``(activity, ts)`` items
+    (single events, and batches that fit no chunk).
     """
     activities: list[str] = []
     stamps: list[float] = []
@@ -693,16 +611,26 @@ def decode_sequence(items: Iterable) -> tuple[list[str], list[float]]:
 def item_formats(items: Iterable) -> Iterator[tuple[str, int]]:
     """``(format name, rows held)`` of every item of a stored list value.
 
-    Names: ``columnar`` (POSTINGS, SEQUENCE and NUMBERED chunks),
-    ``varint``, ``raw`` for chunks, ``plain`` for an item that is itself one
-    row (a legacy Index tuple, a generic Seq event).
+    Names: ``columnar`` (SEQUENCE and NUMBERED chunks), ``raw`` (RAW
+    chunks), ``plain`` for a Seq item that is itself one event.
     """
     for item in items:
         if not isinstance(item, _CHUNK_TYPES):
             yield "plain", 1
-        elif len(item) and item[0] in (TAG_POSTINGS, TAG_SEQUENCE, TAG_NUMBERED):
+        elif len(item) and item[0] in (TAG_SEQUENCE, TAG_NUMBERED):
             yield "columnar", _open_chunk(item)[1]
-        elif len(item) and item[0] == TAG_RAW:
-            yield "raw", len(_decode_older_rows(item))
+        elif len(item):
+            yield "raw", len(_raw_rows(item))
         else:
-            yield "varint", len(_decode_older_rows(item))
+            raise CorruptPostingsError("empty chunk")
+
+
+def __getattr__(name: str):
+    # The codec of the retired dictionary Index chunk (tag 0x04) lives with
+    # the upgrade, its one reader; the pipeline benchmark's codec probe
+    # still imports it from here (ROADMAP item 1(a) retires that probe).
+    if name in ("encode_postings", "decode_postings"):
+        from repro import upgrade
+
+        return getattr(upgrade, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

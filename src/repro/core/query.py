@@ -710,7 +710,7 @@ class QueryProcessor:
         non-overlapping pairs make both endpoints of a completion unique
         within a trace, which is also why every order produces exactly the
         left-to-right result; should a stored row repeat a key (a replayed
-        legacy entry), the completion later in :meth:`Postings.columns`
+        batch), the completion later in :meth:`Postings.columns`
         order wins, in the start pair too.  ``within`` drops a chain the
         moment its span exceeds the window -- a chain only grows outwards,
         so no kept match is lost.

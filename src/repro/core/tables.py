@@ -21,11 +21,9 @@ new trace is staged in the same atomic write as the postings that first
 use its number, before them, so any prefix of a write that holds a chunk
 holds the rows naming its numbers.  :class:`IndexTables` loads the table
 once, gives numbers (:meth:`IndexTables.number_trace`) and maps numbers to
-names on read: nothing above the builder's write sees a number.  Older
-Index items (and RAW chunks) hold the trace ids themselves.
-
-Stores written before the engine took a policy only also carry a ``method``
-key in Meta; it is kept as written and never read.
+names on read: nothing above the builder's write sees a number.  A RAW
+chunk, written for a batch whose stamps fit no NUMBERED chunk, holds the
+trace ids themselves.
 
 Values are written exclusively through merge operators, so index batches are
 blind appends -- the Cassandra pattern the paper's scalability rests on --
@@ -35,8 +33,10 @@ as one atomic :meth:`~repro.kvstore.api.KeyValueStore.write` (the builder
 puts a whole ``update()`` in one), outside one each is its own.
 ``LastChecked`` holds what the Statistics query reads, one number per pair
 (the paper's per-trace map fed Algorithm 1 line 3, which the builder derives:
-DESIGN.md section 4); its readers also accept the ``(ev_a, ev_b) ->
-{trace_id: ts}`` rows of older stores.  The two list tables store each
+DESIGN.md section 4).  Each table has one layout: a store written by older
+code -- pair-keyed ``LastChecked`` rows, retired Index chunks, a ``method``
+key in Meta -- is rewritten once by ``repro upgrade`` (:mod:`repro.upgrade`),
+and the engine does not open it before.  The two list tables store each
 appended batch as one columnar chunk (:mod:`repro.core.postings`); this module
 is the only place outside that codec that sees a stored list value, and
 everything above it works on the decoded forms: ``(activities, timestamps)``
@@ -59,9 +59,9 @@ from repro.core.postings import (
     Postings,
     decode_sequence,
     encode_numbered_postings,
-    encode_posting_columns,
     encode_sequence,
     item_formats,
+    raw_chunk,
 )
 from repro.kvstore.api import KeyValueStore, WriteOp
 
@@ -291,13 +291,13 @@ class IndexTables:
         stamp columns both lists or both tuples), every
         number given by :meth:`number_trace` or earlier."""
         # One chunk per append batch: the list_append merge makes the stored
-        # value a list of chunks (possibly after items of older formats).
+        # value a list of chunks.
         numbers, ts_a, ts_b = columns
         if not numbers:
             return
         chunk = encode_numbered_postings(numbers, ts_a, ts_b)
         if chunk is None:  # timestamps no chunk holds: a RAW chunk of the ids
-            chunk = encode_posting_columns(self.trace_names(numbers), ts_a, ts_b)
+            chunk = raw_chunk(zip(self.trace_names(numbers), ts_a, ts_b))
         self.write("merge", _index_table(partition), pair, [chunk])
 
     def _index_tables_for(self, partition: str | None) -> list[str]:
@@ -365,12 +365,8 @@ class IndexTables:
 
         ``{table: {format: {"chunks": c, "entries": e}}}`` with the format
         names of :func:`repro.core.postings.item_formats`; a ``plain`` item
-        is one row outside any chunk (a legacy Index tuple, a generic Seq
-        event, a single-event Seq append).  ``last_checked`` reports its
-        slots by key shape: ``per_pair`` (one per pair) and ``per_trace``
-        (one per pair and trace; rows written by older code, never rewritten).
-        A full scan: the migration state of a store written by older code,
-        for an operator report.
+        is one Seq event outside any chunk (a single-event append, or a
+        batch no chunk holds).  A full scan, for an operator report.
         """
         stats: dict[str, dict[str, dict[str, int]]] = {}
         seq = [SEQ] if self.store.has_table(SEQ) else []
@@ -381,12 +377,6 @@ class IndexTables:
                     slot = formats.setdefault(name, {"chunks": 0, "entries": 0})
                     slot["chunks"] += name != "plain"
                     slot["entries"] += entries
-        if self.store.has_table(LAST_CHECKED):
-            shapes = stats[LAST_CHECKED] = {
-                name: {"chunks": 0, "entries": 0} for name in ("per_pair", "per_trace")
-            }
-            for key, row in self.store.scan(LAST_CHECKED):
-                shapes["per_trace" if len(key) == 2 else "per_pair"]["entries"] += len(row)
         return stats
 
     # -- Count / ReverseCount ------------------------------------------------------
@@ -447,29 +437,15 @@ class IndexTables:
         self, pairs: list[tuple[str, str]]
     ) -> dict[tuple[str, str], float | None]:
         """``{pair: most recent completion in any trace}`` for many pairs, in
-        one batched read; ``None`` for a pair that never completed.
-
-        A row is keyed by the first event.  Stores written by older code hold
-        rows keyed by the pair instead, ``{trace_id: ts}`` each: those keys
-        are read in the same batch and their values feed the maximum.
-        """
+        one batched read of one row per first event; ``None`` for a pair that
+        never completed."""
         unique = list(dict.fromkeys(pairs))
         firsts = list(dict.fromkeys(first for first, _ in unique))
-        rows = self.store.multi_get(LAST_CHECKED, firsts + unique, {})
-        per_first = dict(zip(firsts, rows))
-        latest: dict[tuple[str, str], float | None] = {}
-        for (first, second), per_trace in zip(unique, rows[len(firsts) :]):
-            stamps = [*per_trace.values(), per_first[first].get(second)]
-            latest[first, second] = max((ts for ts in stamps if ts is not None), default=None)
-        return latest
+        per_first = dict(zip(firsts, self.store.multi_get(LAST_CHECKED, firsts, {})))
+        return {(first, second): per_first[first].get(second) for first, second in unique}
 
     def iter_last_completions(self) -> Iterator[tuple[tuple[str, str], float]]:
-        """``(pair, most recent completion)`` of every pair that completed,
-        rows of either key shape (see :meth:`get_last_completions`) folded."""
-        latest: dict[tuple[str, str], float] = {}
+        """``(pair, most recent completion)`` of every pair that completed."""
         for key, row in self.store.scan(LAST_CHECKED):
-            for name, ts in row.items():  # a second event, or (older code) a trace
-                pair = tuple(key) if len(key) == 2 else (key[0], name)
-                if pair not in latest or ts > latest[pair]:
-                    latest[pair] = ts
-        return iter(latest.items())
+            for second, ts in row.items():
+                yield (key[0], second), ts

@@ -16,7 +16,12 @@ Both satisfy the :class:`KeyValueStore` interface, so every index structure
 in :mod:`repro.core` runs unchanged on either.
 """
 
-from repro.kvstore.api import KeyValueStore, StoreClosedError, UnknownTableError
+from repro.kvstore.api import (
+    KeyValueStore,
+    StoreClosedError,
+    StoreFormatError,
+    UnknownTableError,
+)
 from repro.kvstore.cache import BlockCache, LRUCache
 from repro.kvstore.locks import RWLock
 from repro.kvstore.lsm import LSMStore, StoreMetrics
@@ -43,5 +48,6 @@ __all__ = [
     "LastWriteWins",
     "resolve_merge_operator",
     "StoreClosedError",
+    "StoreFormatError",
     "UnknownTableError",
 ]

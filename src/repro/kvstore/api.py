@@ -53,6 +53,15 @@ class MergeUnsupportedError(StoreError):
     """``merge`` was called on a table created without a merge operator."""
 
 
+class StoreFormatError(StoreError):
+    """A store on disk predates the one layout this code reads.
+
+    Raised at open, before anything in the store directory is swept or
+    written; the message names the command that rewrites the store once
+    (``repro upgrade``).
+    """
+
+
 class CorruptionError(StoreError):
     """A persisted file failed a checksum or structural validation."""
 

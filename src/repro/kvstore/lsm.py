@@ -236,6 +236,10 @@ class StoreMetrics:
 class LSMStore(KeyValueStore):
     """File-backed LSM store; see the module docstring for the design."""
 
+    #: what reads and writes the MANIFEST (``repro upgrade`` opens older
+    #: stores through its own)
+    tableset_type = TableSet
+
     def __init__(
         self,
         path: str,
@@ -269,7 +273,7 @@ class LSMStore(KeyValueStore):
         )
         #: catalogue, SSTable list, counters and the MANIFEST, guarded by
         #: ``_state_lock``; the catalogue dicts are bound once for the hot path
-        self._tableset = TableSet(path, self._io, self._block_cache, self.metrics)
+        self._tableset = self.tableset_type(path, self._io, self._block_cache, self.metrics)
         self._table_ids = self._tableset.table_ids
         self._merge_ops = self._tableset.merge_ops
         self._memtable = Memtable()

@@ -1,10 +1,6 @@
 """Immutable sorted-string-table files.
 
-One format is written, two are read (the reader dispatches on the header
-magic).
-
-Version 2 -- block-compressed, the one format :class:`SSTableWriter`
-writes::
+One format, version 2 -- block-compressed -- is written and read::
 
     "RSST2\\n"                                   magic
     data section:    repeated *blocks*, one per sparse-index entry
@@ -17,13 +13,6 @@ writes::
     bloom section:   serialized BloomFilter
     footer:          [u64 index_off][u64 bloom_off][u64 record_count]
                      [u32 crc32(data)] [u32 meta_crc] "RSSTEND\\n"
-
-Version 1 -- uncompressed, read-only (stores written before v2 became the
-one format; any compaction rewrites their tables as v2)::
-
-    "RSST1\\n"                                   magic
-    data section:    the raw records back to back, no block headers
-    index/bloom/footer: identical to v2 (index offsets point at records)
 
 Blocks are zlib-compressed (:mod:`~repro.kvstore.blockcodec`); a block
 that does not shrink is stored verbatim under codec ``0``, so
@@ -74,10 +63,8 @@ from repro.kvstore.blockcodec import CODEC_NONE
 from repro.kvstore.bloom import BloomFilter
 from repro.kvstore.cache import BlockCache
 
-#: the header of every table written (v2)
+#: the header of every table (v2)
 MAGIC = b"RSST2\n"
-#: the header of a read-only v1 table
-MAGIC_V1 = b"RSST1\n"
 END_MAGIC = b"RSSTEND\n"
 INDEX_INTERVAL = 16
 
@@ -194,6 +181,8 @@ class SSTableReader:
     """
 
     _uids = itertools.count(1)
+    #: on-disk format of the table (the one written)
+    format_version = 2
 
     def __init__(
         self,
@@ -245,13 +234,7 @@ class SSTableReader:
             raise CorruptSSTableError(
                 f"SSTable {self._path} has implausible offsets"
             )
-        header = self._read_at(0, len(MAGIC))
-        if header == MAGIC:
-            self._version = 2
-        elif header == MAGIC_V1:
-            self._version = 1
-        else:
-            raise CorruptSSTableError(f"SSTable {self._path} missing header magic")
+        self._check_magic(self._read_at(0, len(MAGIC)))
         self._data_crc = data_crc
         self._meta_crc = meta_crc
         self._footer_fields = footer[: struct.calcsize(">QQQI")]
@@ -261,6 +244,10 @@ class SSTableReader:
         self._count = count
         self._data_end = index_off
         self._raw_data_bytes: int | None = None
+
+    def _check_magic(self, header: bytes) -> None:
+        if header != MAGIC:
+            raise CorruptSSTableError(f"SSTable {self._path} missing header magic")
 
     def _ensure_meta(self) -> None:
         """Materialize (and CRC-check) the sparse index + bloom filter.
@@ -329,12 +316,6 @@ class SSTableReader:
     def path(self) -> str:
         return self._path
 
-    @property
-    def format_version(self) -> int:
-        """On-disk format: 2 (block-compressed, the one written) or 1
-        (uncompressed, read-only)."""
-        return self._version
-
     def verify(self) -> None:
         """Full integrity check: metadata CRC, then the data-section CRC.
 
@@ -375,17 +356,13 @@ class SSTableReader:
 
     @property
     def raw_data_bytes(self) -> int:
-        """Pre-compression size of the data section.
-
-        Equals :attr:`data_bytes` for v1 files; for v2 it sums the
+        """Pre-compression size of the data section: the sum of the
         ``raw_len`` fields of the block headers, walked header to header
         (one 13-byte read per block, computed lazily and cached; the
         sparse index is not needed, so a lazy reader stays lazy).
         """
         if self._raw_data_bytes is None:
-            self._raw_data_bytes = (
-                self.data_bytes if self._version == 1 else self._sum_raw_lens()
-            )
+            self._raw_data_bytes = self._sum_raw_lens()
         return self._raw_data_bytes
 
     def _sum_raw_lens(self) -> int:
@@ -489,15 +466,14 @@ class SSTableReader:
             # not): the lazy-reopen regression test asserts this stays 0
             # across a reopen until the first read arrives.
             self._metrics.bump("block_reads")
-        if self._version == 2:
-            buf = self._decode_block(buf)
+        buf = self._decode_block(buf)
         records = self._parse_block(buf)
         if self._cache is not None and fill_cache:
             self._cache.put((self._uid, slot), records, weight=max(1, len(buf)))
         return records
 
     def _decode_block(self, buf: bytes) -> bytes:
-        """Check a v2 block's CRC (over the stored bytes) and decompress it."""
+        """Check a block's CRC (over the stored bytes) and decompress it."""
         if len(buf) < _BLOCK_HEADER.size:
             raise CorruptSSTableError(f"SSTable {self._path} truncated block header")
         codec, raw_len, stored_len, crc = _BLOCK_HEADER.unpack_from(buf, 0)
@@ -512,11 +488,13 @@ class SSTableReader:
                 f"SSTable {self._path} block CRC mismatch (compressed bytes)"
             )
         try:
-            return blockcodec.decompress(codec, stored, raw_len)
+            return self._decompress(codec, stored, raw_len)
         except ValueError as exc:
             raise CorruptSSTableError(
                 f"SSTable {self._path} block failed to decompress: {exc}"
             ) from None
+
+    _decompress = staticmethod(blockcodec.decompress)
 
     def _parse_block(self, buf: bytes) -> list[tuple[bytes, int, bytes]]:
         records: list[tuple[bytes, int, bytes]] = []

@@ -10,9 +10,14 @@ memtables, the read path and the flush/compaction protocols.  A
 (mutators under the write side, everything else under at least the read
 side).
 
-Manifest versions: v1 listed SSTables as bare filenames; v2 -- the only
-version written -- records ``file``, ``records`` and ``data_bytes`` per
-table.  Either way the list is in read order, oldest shadow first.
+The MANIFEST lists one entry per SSTable -- ``file``, ``records`` and
+``data_bytes`` -- in read order, oldest shadow first, and records the store's
+on-disk ``format`` (:data:`STORE_FORMAT`).  Every store this code creates
+carries that field; a MANIFEST without it belongs to a store written by older
+code, whose rows, tables or MANIFEST may hold a retired layout, and
+:meth:`TableSet.load` refuses it with
+:class:`~repro.kvstore.api.StoreFormatError` before anything is swept or
+written.  ``repro upgrade`` (:mod:`repro.upgrade`) rewrites such a store once.
 """
 
 from __future__ import annotations
@@ -22,16 +27,23 @@ import os
 import re
 from typing import Iterable
 
+from repro.kvstore.api import StoreFormatError
 from repro.kvstore.merge import MergeOperator, resolve_merge_operator
 from repro.kvstore.sstable import SSTableReader
 
 MANIFEST_NAME = "MANIFEST"
+#: the on-disk format of every store this code writes: the one layout of
+#: each row, table and MANIFEST entry (DESIGN.md, "One layout per structure")
+STORE_FORMAT = 1
 #: an SSTable or the temporary file of one still being written
 _SST_FILE_RE = re.compile(r"^sst-\d+\.sst(\.tmp)?$")
 
 
 class TableSet:
     """Catalogue + SSTable list + counters, persisted as the MANIFEST."""
+
+    #: what opens a listed table
+    reader_type = SSTableReader
 
     def __init__(self, directory: str, io, cache=None, metrics=None) -> None:
         self._directory = directory
@@ -68,8 +80,7 @@ class TableSet:
         if not os.path.exists(self._manifest_path):
             self.commit()
             return
-        with open(self._manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = self._read_manifest()
         self._next_table_id = manifest["next_table_id"]
         self._next_sst_id = manifest["next_sst_id"]
         self.last_flushed_seq = manifest["last_flushed_seq"]
@@ -78,15 +89,9 @@ class TableSet:
         readers: list[SSTableReader] = []
         try:
             for entry in manifest["sstables"]:
-                # v1: a bare filename.  A v2 entry written by the retired
-                # leveled strategy also carries ``level`` / ``min_key`` /
-                # ``max_key`` (and the manifest a ``compaction`` name): all
-                # ignored, so such a store opens as one flat list in
-                # manifest order -- the order its reads already trusted.
-                name = entry if isinstance(entry, str) else entry["file"]
                 readers.append(
-                    SSTableReader(
-                        os.path.join(self._directory, name),
+                    self.reader_type(
+                        os.path.join(self._directory, entry["file"]),
                         cache=self._cache,
                         io=self._io,
                         metrics=self._metrics,
@@ -103,13 +108,25 @@ class TableSet:
             raise
         self.readers = readers
 
-    def commit(self) -> None:
-        """Persist the current state as a v2 MANIFEST: tmp + fsync + rename
-        + directory fsync; only then delete the files of tables that have
-        left the set (a MANIFEST that still names them may be the one on
-        disk until this commit is durable)."""
-        manifest = {
+    def _read_manifest(self) -> dict:
+        """The MANIFEST on disk; :class:`StoreFormatError` unless it is in
+        :data:`STORE_FORMAT`."""
+        with open(self._manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        if manifest.get("format") != STORE_FORMAT:
+            raise StoreFormatError(
+                f"store {self._directory} is not in on-disk format {STORE_FORMAT} "
+                f"(its MANIFEST says {manifest.get('format')!r}): it was written "
+                f"by older code; run `repro upgrade --store {self._directory}` "
+                "once to rewrite it"
+            )
+        return manifest
+
+    def _manifest(self) -> dict:
+        """The current state as the MANIFEST document."""
+        return {
             "version": 2,
+            "format": STORE_FORMAT,
             "next_table_id": self._next_table_id,
             "next_sst_id": self._next_sst_id,
             "last_flushed_seq": self.last_flushed_seq,
@@ -126,6 +143,13 @@ class TableSet:
                 for r in self.readers
             ],
         }
+
+    def commit(self) -> None:
+        """Persist the current state as the MANIFEST: tmp + fsync + rename
+        + directory fsync; only then delete the files of tables that have
+        left the set (a MANIFEST that still names them may be the one on
+        disk until this commit is durable)."""
+        manifest = self._manifest()
         tmp = self._manifest_path + ".tmp"
         fh = self._io.open(tmp, "wb")
         try:
@@ -227,8 +251,7 @@ class TableSet:
     def storage_stats(self) -> dict:
         """Physical storage accounting, per SSTable and aggregated.
 
-        ``raw_data_bytes`` is the pre-compression data size (equal to
-        ``data_bytes`` for uncompressed v1 files), so
+        ``raw_data_bytes`` is the pre-compression data size, so
         ``compression_ratio`` = raw / on-disk measures what the block
         codec actually saved.
         """

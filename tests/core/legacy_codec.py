@@ -1,8 +1,8 @@
 """The varint postings *encoder* this repo shipped before the columnar layout.
 
-The library only reads tags ``0x01``-``0x03`` now; tests need a writer for
-them to build mixed-format rows and to hold the columnar layout to the
-varint layout's size.  Kept byte-identical to the retired encoder (the
+Only ``repro upgrade`` reads tags ``0x01``-``0x03`` now; tests need a
+writer for them to build stores older code wrote and to hold the columnar
+layout to the varint layout's size.  Kept byte-identical to the retired encoder (the
 committed ``tests/data/legacy_store`` was written by the original).
 """
 

@@ -7,7 +7,9 @@ bytes: bits flipped, a tail cut off, bytes appended.  Whatever comes out,
 either decode it or raise :class:`CorruptPostingsError`; nothing else (an
 ``IndexError``, a ``struct.error``, a ``TypeError``) may escape.  The name
 table handed to ``Postings`` is sometimes shorter than the numbers a
-NUMBERED chunk holds.
+NUMBERED chunk holds.  A retired layout (``0x01``-``0x04``) is, to the read
+path, an unknown tag: the same typed error, damaged or not; the upgrade's
+``decode_postings``, its one reader, holds the same rule.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from repro.core.postings import (
     Postings,
     decode_sequence,
     encode_numbered_postings,
-    encode_postings,
     encode_sequence,
     item_formats,
 )
+from repro.upgrade import TAG_POSTINGS, decode_postings, encode_postings
 
 from .legacy_codec import encode_varint_postings
 
@@ -47,12 +49,12 @@ CHUNKS = st.one_of(
     # 0x00 RAW: ids the string layout cannot hold, or mixed timestamps
     _triples(st.integers(0, 5), _ints).map(encode_postings),
     _triples(_ids, st.one_of(_ints, _floats, st.booleans())).map(encode_postings),
-    # 0x01-0x03 varint (read-only): INT, INTFLOAT, FLOAT
+    # 0x01-0x03 varint (the upgrade's only): INT, INTFLOAT, FLOAT
     _triples(_ids, _ints).map(encode_varint_postings),
     _triples(_ids, st.integers(-1000, 1000).map(float)).map(encode_varint_postings),
     _triples(_ids, st.floats(allow_nan=False, allow_infinity=True).filter(
         lambda v: not v.is_integer())).map(encode_varint_postings),
-    # 0x04 POSTINGS, 0x05 SEQUENCE
+    # 0x04 POSTINGS (the upgrade's only), 0x05 SEQUENCE
     _triples(_ids, st.one_of(_ints, _floats)).map(encode_postings),
     st.lists(st.tuples(_ids, _ints), min_size=2, max_size=12).map(
         lambda events: encode_sequence(events)[0]
@@ -109,11 +111,19 @@ def test_a_damaged_chunk_decodes_or_raises_the_typed_error(chunk, mutations, nam
     _decodes_or_raises_corrupt(lambda: _postings(item, None))
     _decodes_or_raises_corrupt(lambda: decode_sequence([item]))
     _decodes_or_raises_corrupt(lambda: list(item_formats([item])))
+    _decodes_or_raises_corrupt(lambda: decode_postings(item))
 
 
 @settings(max_examples=200, deadline=None)
 @given(CHUNKS)
 def test_every_undamaged_chunk_decodes(chunk):
+    if chunk[0] <= TAG_POSTINGS and chunk[0]:  # a retired layout
+        with pytest.raises(CorruptPostingsError, match="unknown index chunk tag"):
+            Postings([chunk])
+        with pytest.raises(CorruptPostingsError):
+            list(item_formats([chunk]))
+        assert sum(map(len, decode_postings(chunk).values())) > 0
+        return
     ((_, rows),) = item_formats([chunk])
     if chunk[0] == TAG_SEQUENCE:
         decoded = decode_sequence([chunk])[0]

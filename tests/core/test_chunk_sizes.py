@@ -17,7 +17,8 @@ import pytest
 
 from repro.core.engine import SequenceIndex
 from repro.core.model import Event, EventLog
-from repro.core.postings import encode_postings, encode_sequence
+from repro.core.postings import encode_sequence
+from repro.upgrade import encode_postings
 from repro.kvstore.encoding import encode_value
 from repro.logs.datasets import load_dataset
 

@@ -6,8 +6,9 @@ completion's endpoints are unique inside a trace, so the logs here are built
 to break a flat key if anything could: every trace shares the same small
 timestamps, the alphabet is small enough that ``(A, A)`` pairs and repeated
 activities are the norm, stamps come as ints, integral floats and fractional
-floats (and as a mix, which lands in RAW chunks), rows mix every stored
-format, and batches land in two partitions that a query unions.  Every join
+floats (and as a mix, which lands in RAW chunks), rows mix NUMBERED and RAW
+chunks -- some written in a retired format and then rewritten by the
+upgrade -- and batches land in two partitions that a query unions.  Every join
 order a plan could pick is run and held equal to the left-to-right reference
 (``detect_with_prefixes``) and to a brute-force chain oracle computed from
 the log alone.
@@ -31,7 +32,9 @@ from repro.core.engine import SequenceIndex
 from repro.core.model import Event
 from repro.core.pairs import reference_stnm_pairs
 from repro.core.pattern import Pattern, PatternElement, find_matches
+from repro.core.postings import raw_chunk
 from repro.core.tables import _index_table
+from repro.upgrade import UpgradeReport, rewrite_rows
 
 from .legacy_codec import encode_varint_postings
 
@@ -108,7 +111,8 @@ def _write_as(index: SequenceIndex, fmt: str) -> None:
 
 def _build(traces, kinds, cuts, formats, partitions):
     """The log as two batches (trace ``i`` cut at ``cuts[i]``), each written
-    in its own format into its own partition; returns ``(index, log)``."""
+    in its own format into its own partition, then upgraded; returns
+    ``(index, log)``."""
     log = {
         f"t{i}": [(activity, _STAMPS[kind](pos)) for pos, activity in enumerate(trace)]
         for i, (trace, kind) in enumerate(zip(traces, kinds))
@@ -128,7 +132,8 @@ def _build(traces, kinds, cuts, formats, partitions):
             _write_as(index, fmt)
         if batch:
             index.update(batch, partition=partition)
-    return index, log
+    rewrite_rows(index.store, UpgradeReport("log"))
+    return SequenceIndex(index.store, cache_bytes=0), log
 
 
 def _spans(matches) -> list[tuple]:
@@ -183,10 +188,10 @@ def test_every_join_order_equals_the_reference_and_the_oracle(
 
 
 def _replay_index_rows(index: SequenceIndex) -> None:
-    """Append every stored completion once more, as legacy tuple entries --
-    what a crashed-and-replayed batch left behind before appends were fenced."""
+    """Append every stored completion once more, as one RAW chunk -- what a
+    crashed-and-replayed batch left behind before appends were fenced."""
     for partition, pair, postings in list(index.tables.iter_index()):
-        index.store.merge(_index_table(partition), pair, postings.rows())
+        index.store.merge(_index_table(partition), pair, [raw_chunk(postings.rows())])
 
 
 @given(traces=_traces, pattern=_patterns)
@@ -209,11 +214,12 @@ def test_a_replayed_completion_counts_once_in_every_order(traces, pattern):
 def test_of_two_completions_with_one_start_the_last_column_row_wins():
     """No builder writes two completions of one pair starting at one event;
     if a row holds them anyway, the one later in ``Postings.columns`` order
-    (chunks as stored, then the older-format rows) is the pair's completion."""
+    (NUMBERED chunks as stored, then the RAW chunks' rows) is the pair's
+    completion."""
     index = SequenceIndex()
     index.update([Event("t", "A", 1), Event("t", "B", 2), Event("t", "B", 5)])
     assert _spans(index.detect(["A", "B"])) == [("t", (1, 2))]
-    index.store.merge(_index_table(""), ("A", "B"), [("t", 1, 5)])
+    index.store.merge(_index_table(""), ("A", "B"), [raw_chunk([("t", 1, 5)])])
     # written behind the engine's back: read it through a fresh engine
     reopened = SequenceIndex(index.store)
     assert _spans(reopened.detect(["A", "B"])) == [("t", (1, 5))]

@@ -1,13 +1,14 @@
-"""Stores holding every list-table format at once: zero-migration reopen.
+"""Stores older code wrote, holding every retired layout: ``repro upgrade``
+rewrites them once, and only then do they open.
 
 Two sources of older-format rows: a store directory written by the last
 commit that had the varint *encoder* (``tests/data/legacy_store``, see its
-``make.py``), and in-test writers that merge legacy tuples, varint chunks and
-generic Seq lists into a store through ``IndexTables.write``.  Either way the
-store is then
-appended to with current code (columnar chunks), flushed and compacted, and
-every answer is held to an ``InMemoryStore`` engine fed
-the same events by current code alone.
+``make.py``), and in-test writers that merge legacy tuples, varint and
+dictionary chunks, generic Seq lists and pair-keyed LastChecked rows into a
+store whose MANIFEST records no format.  Either way the store is upgraded,
+then appended to with current code, flushed and compacted, and every answer
+is held to an ``InMemoryStore`` engine fed the same events by current code
+alone.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import os
 import shutil
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,10 +27,11 @@ import repro.kvstore.merge as merge_module
 from repro.core.engine import SequenceIndex
 from repro.core.model import Event
 from repro.core.pattern import Pattern
-from repro.core.tables import IndexTables, _index_table
+from repro.core.tables import LAST_CHECKED, IndexTables, _index_table
 from repro.ingest.convergence import index_snapshot
-from repro.kvstore import InMemoryStore, LSMStore
+from repro.kvstore import InMemoryStore, LSMStore, StoreFormatError
 from repro.kvstore.encoding import decode_value
+from repro.upgrade import LegacyTableSet, encode_postings, upgrade_store
 
 from .legacy_codec import encode_varint_postings
 
@@ -89,44 +92,52 @@ def _oracle(batches, partitions, upto: int) -> SequenceIndex:
 
 def _formats(index) -> dict[str, set[str]]:
     """Storage formats present in each list table."""
-    stats = index.tables.format_stats()
-    return {table: set(by) for table, by in stats.items() if table != "last_checked"}
+    return {table: set(by) for table, by in index.tables.format_stats().items()}
 
 
 def _sstable_versions(index) -> list[int]:
     return [row["format_version"] for row in index.store.storage_stats()["sstables"]]
 
 
+def _upgraded_fixture(tmp_path) -> str:
+    """A copy of the legacy store, upgraded."""
+    path = str(tmp_path / "store")
+    shutil.copytree(os.path.join(FIXTURE, "store"), path)
+    upgrade_store(path)
+    return path
+
+
 def test_store_written_by_the_parent_commit(tmp_path):
     batches, partitions = _load_fixture()
     path = str(tmp_path / "store")
     shutil.copytree(os.path.join(FIXTURE, "store"), path)
+    with pytest.raises(StoreFormatError, match="repro upgrade"):
+        LSMStore(path)
 
+    report = upgrade_store(path)
+    assert (report.index_rows, report.traces_numbered, report.last_checked_folded) == (32, 10, 25)
     index = SequenceIndex(LSMStore(path, auto_compact=False))
-    assert _sstable_versions(index) == [1, 1, 1]  # uncompressed, read-only
+    assert _sstable_versions(index) == [2]  # one table, rewritten as v2
     assert _formats(index) == {
         "seq": {"plain"},
         # raw: a batch mixing the int-stamped traces with the float-stamped ones
-        "index": {"plain", "varint", "raw"},
-        "index:p1": {"varint", "raw"},
+        "index": {"columnar", "raw"},
+        "index:p1": {"columnar", "raw"},
     }
     assert _answers(index) == _answers(_oracle(batches, partitions, 3))
+    index.store.verify()
 
-    # append with current code: columnar chunks land beside the old formats
+    # append with current code
     index.update(batches[3], partition=partitions[3])
     expected = _answers(_oracle(batches, partitions, 4))
     assert _answers(index) == expected
-    assert _formats(index) == {
-        "seq": {"plain", "columnar"},
-        "index": {"plain", "varint", "raw", "columnar"},
-        "index:p1": {"varint", "raw"},
-    }
+    assert _formats(index)["seq"] == {"plain", "columnar"}
     before = index.tables.format_stats()
     index.flush()
-    assert _sstable_versions(index) == [1, 1, 1, 2]
+    assert _sstable_versions(index) == [2, 2]
     assert _answers(index) == expected
     index.store.compact_all()
-    assert _sstable_versions(index) == [2]  # compaction writes v2 only
+    assert _sstable_versions(index) == [2]
     assert _answers(index) == expected
     # compaction splices list values: it moves no row between formats
     assert index.tables.format_stats() == before
@@ -141,9 +152,16 @@ def test_store_written_by_the_parent_commit(tmp_path):
 # -- in-test writers of the older formats ----------------------------------------
 
 
+class _OldStore(LSMStore):
+    """A store whose MANIFEST records no format: one older code wrote."""
+
+    tableset_type = LegacyTableSet
+
+
 def _write_as(index: SequenceIndex, fmt: str) -> None:
-    """Make ``index`` write Index rows as ``fmt`` and Seq rows as generic
-    lists -- through the tables' one write, so still one batch per update."""
+    """Make ``index`` write Index rows as ``fmt``, Seq rows as generic lists
+    and LastChecked rows keyed by the pair -- through the tables' one
+    write, so still one batch per update."""
     tables = index.tables
 
     def append_index(pair, columns, partition=""):
@@ -151,14 +169,21 @@ def _write_as(index: SequenceIndex, fmt: str) -> None:
         entries = list(zip(tables.trace_names(numbers), ts_a, ts_b))
         if fmt == "tuples":
             delta = entries
-        else:
+        elif fmt == "varint":
             delta = [encode_varint_postings(entries)]
+        else:
+            delta = [encode_postings(entries)]
         tables.write("merge", _index_table(partition), pair, delta)
+
+    def add_last_completions(first, completions):
+        for second, ts in completions.items():
+            tables.write("merge", LAST_CHECKED, (first, second), {"a-trace": ts})
 
     tables.append_index = append_index
     tables.append_sequence = lambda trace_id, events: tables.write(
         "merge", "seq", trace_id, events
     )
+    tables.add_last_completions = add_last_completions
 
 
 _trace_events = st.lists(
@@ -183,7 +208,7 @@ def _batches(log, cuts) -> list[list[Event]]:
 @given(
     log=_logs,
     cuts=st.lists(st.tuples(*[st.integers(0, 10)] * 3), min_size=6, max_size=6),
-    formats=st.permutations(["tuples", "varint", "columnar", "columnar"]),
+    formats=st.permutations(["tuples", "varint", "dictionary", "columnar"]),
     float_stamps=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
@@ -198,24 +223,22 @@ def test_any_mix_of_formats_equals_the_oracle(
     path = str(tmp_path_factory.mktemp("mixed"))
     oracle = SequenceIndex(InMemoryStore())
     oracle.tables.ensure_partition("p1")
-    written = set()
     for batch, fmt in zip(batches, formats):
-        index = SequenceIndex(LSMStore(path, auto_compact=False))
+        index = SequenceIndex(_OldStore(path, auto_compact=False))
         index.tables.ensure_partition("p1")
         if fmt != "columnar":
             _write_as(index, fmt)
         index.update(batch)
         oracle.update(batch)
-        if batch:
-            written.add({"tuples": "plain"}.get(fmt, fmt))
-        assert _answers(index) == _answers(oracle)
         index.close()  # one SSTable per format
+    with pytest.raises(StoreFormatError):
+        LSMStore(path)
+    upgrade_store(path)
     index = SequenceIndex(LSMStore(path))
     expected = _answers(oracle)
     assert _answers(index) == expected
-    assert set().union(*_formats(index).values()) <= written | {"plain"}
-    index.store.compact_all()
-    assert _answers(index) == expected
+    assert set().union(*_formats(index).values()) <= {"columnar", "raw", "plain"}
+    assert all(len(key) == 1 for key, _ in index.store.scan(LAST_CHECKED))
     index.close()
     shutil.rmtree(path)
 
@@ -285,12 +308,10 @@ def test_composite_detect_decodes_no_element_and_reads_seq_once(tmp_path, monkey
 
 
 def test_tables_are_the_only_seam(tmp_path):
-    """``iter_index``/``iter_sequences``/``iter_last_completions`` give
-    format-independent views."""
+    """``iter_index``/``iter_sequences``/``iter_last_completions`` of an
+    upgraded store equal those of one current code wrote."""
     batches, partitions = _load_fixture()
-    path = str(tmp_path / "store")
-    shutil.copytree(os.path.join(FIXTURE, "store"), path)
-    old = IndexTables(LSMStore(path))
+    old = IndexTables(LSMStore(_upgraded_fixture(tmp_path)))
     new = _oracle(batches, partitions, 3).tables
     assert dict(old.iter_sequences()) == dict(new.iter_sequences())
     assert {
@@ -300,8 +321,5 @@ def test_tables_are_the_only_seam(tmp_path):
         (partition, pair): sorted(postings.rows())
         for partition, pair, postings in new.iter_index()
     }
-    # per-pair-and-trace rows on one side, per-pair rows on the other
-    assert old.format_stats()["last_checked"]["per_pair"]["entries"] == 0
-    assert new.format_stats()["last_checked"]["per_trace"]["entries"] == 0
     assert dict(old.iter_last_completions()) == dict(new.iter_last_completions())
     old.store.close()

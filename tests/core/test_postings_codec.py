@@ -1,4 +1,5 @@
-"""Columnar chunk codec: exact round-trips, older-format interop, strict decode."""
+"""Columnar chunk codec: exact round-trips, strict decode, and the retired
+Index layouts, which ``repro upgrade`` alone reads and rewrites."""
 
 from __future__ import annotations
 
@@ -15,18 +16,24 @@ from repro.core.postings import (
     KIND_INT,
     KIND_INTFLOAT,
     TAG_NUMBERED,
-    TAG_POSTINGS,
     TAG_RAW,
     TAG_SEQUENCE,
     Postings,
-    decode_postings,
     decode_sequence,
     encode_numbered_postings,
-    encode_postings,
     encode_sequence,
     item_formats,
 )
+from repro.core.tables import TRACE_NUMBER, IndexTables
+from repro.kvstore import InMemoryStore
 from repro.kvstore.encoding import encode_value
+from repro.upgrade import (
+    TAG_POSTINGS,
+    UpgradeReport,
+    _rewritten_row,
+    decode_postings,
+    encode_postings,
+)
 
 from .legacy_codec import encode_varint_postings
 
@@ -99,9 +106,10 @@ class TestPostingsRoundTrip:
     def test_any_rows_round_trip_type_exact(self, rows):
         chunk = encode_postings(rows)
         assert _typed(decode_postings(chunk)) == _typed(_grouped(rows))
-        postings = Postings([chunk])
-        assert postings.entries == len(rows)
-        assert postings.trace_ids() == {row[0] for row in rows}
+        if chunk[0] == TAG_RAW:  # the one of the two layouts still written
+            postings = Postings([chunk])
+            assert postings.entries == len(rows)
+            assert postings.trace_ids() == {row[0] for row in rows}
 
     @given(_rows(_small_ids, st.integers(0, 200), min_size=2), st.sets(_small_ids))
     @settings(max_examples=100, deadline=None)
@@ -109,8 +117,19 @@ class TestPostingsRoundTrip:
         self, rows, restrict
     ):
         half = len(rows) // 2
-        batches = [rows[:half], rows[half:]]  # two columnar chunks
-        postings = Postings([encode_postings(batch) for batch in batches])
+        batches = [rows[:half], rows[half:]]  # two NUMBERED chunks
+        names = sorted({row[0] for row in rows})
+        postings = Postings(
+            [
+                encode_numbered_postings(
+                    [names.index(row[0]) for row in batch],
+                    [row[1] for row in batch],
+                    [row[2] for row in batch],
+                )
+                for batch in batches
+            ],
+            names,
+        )
         assert [list(zip(*triple)) for triple in postings.columns()] == batches
         assert [list(zip(*triple)) for triple in postings.columns(restrict)] == [
             batch for batch in batches if restrict & {row[0] for row in batch}
@@ -359,6 +378,17 @@ class TestStrictDecode:
                 pass
 
 
+def _upgraded(value: list) -> tuple[list, list]:
+    """``value`` rewritten by the upgrade over a fresh name table, and the
+    table."""
+    store = InMemoryStore()
+    store.create_table(TRACE_NUMBER)
+    tables = IndexTables(store)
+    report = UpgradeReport("test")
+    row = _rewritten_row(tables, value, report)
+    return row, tables.trace_names(list(range(report.traces_numbered)))
+
+
 class TestOlderFormats:
     def test_every_format_in_one_value(self):
         value = [
@@ -370,7 +400,11 @@ class TestOlderFormats:
             encode_postings([(9, 1, 2)]),  # RAW
             encode_postings([("t1", 0, 1), ("t5", 2, 3)]),
         ]
-        postings = Postings(value)
+        with pytest.raises(CorruptPostingsError):
+            Postings(value)  # the read path knows the current layouts only
+        row, names = _upgraded(value)
+        assert names == ["t1", "t2", "t3", "t4", "t5"]  # first-mention order
+        postings = Postings(row, names)
         assert postings.entries == 9
         assert postings.trace_ids() == {"t1", "t2", "t3", "t4", "t5", 9}
         assert _grouped(postings.rows()) == {
@@ -381,25 +415,22 @@ class TestOlderFormats:
             "t5": [(2, 3)],
             9: [(1, 2)],
         }
-        # the chunks mentioning a wanted trace, then the older-format rows
-        # -- one more column triple -- when they mention one
-        chunk = [("t1", 0, 1), ("t5", 2, 3)]
-        older = [("t1", 1, 2), ("t2", 3, 4), ("t3", 5, 6), ("t1", 7, 8),
-                 ("t4", 1.0, 2.0), ("t4", 0.5, math.inf), (9, 1, 2)]
+        # one chunk per old item -- the two bare tuples are one -- in place,
+        # the RAW chunk's rows last
+        tuples = [("t1", 1, 2), ("t2", 3, 4)]
+        varint = [("t3", 5, 6), ("t1", 7, 8)]
+        dictionary = [("t1", 0, 1), ("t5", 2, 3)]
         for restrict, expected in (
-            ({"t5"}, [chunk]), ({"t1"}, [chunk, older]), ({9}, [older]), ({"t6"}, [])
+            ({"t5"}, [dictionary]),
+            ({"t1"}, [tuples, varint, dictionary]),
+            ({"t4"}, [[("t4", 1.0, 2.0)], [("t4", 0.5, math.inf)]]),
+            ({9}, [[(9, 1, 2)]]),
+            ({"t6"}, []),
         ):
             columns = postings.columns(restrict)
             assert [list(zip(*triple)) for triple in columns] == expected
-        assert sorted(item_formats(value)) == [
-            ("columnar", 2),
-            ("plain", 1),
-            ("plain", 1),
-            ("raw", 1),
-            ("varint", 1),
-            ("varint", 1),
-            ("varint", 2),
-        ]
+        assert [name for name, _ in item_formats(row)] == ["columnar"] * 4 + ["raw", "columnar"]
+        assert _upgraded(row)[0] is None  # nothing left to rewrite
 
     @given(_rows(_small_ids, st.one_of(st.integers(-(2**70), 2**70))))
     @settings(max_examples=100, deadline=None)
@@ -417,8 +448,10 @@ class TestOlderFormats:
             decode_postings(b"\x01" + b"\xff" * 11)
 
     def test_malformed_legacy_entry_raises(self):
+        with pytest.raises(CorruptPostingsError, match="not a chunk"):
+            Postings([("t", 1, 2)])
         with pytest.raises(CorruptPostingsError, match="3-tuple"):
-            Postings([("t", 1)])
+            _upgraded([("t", 1)])
         with pytest.raises(CorruptPostingsError, match="pair"):
             decode_sequence([("A", 1, 2)])
 

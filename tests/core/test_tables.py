@@ -9,6 +9,7 @@ from repro.core.errors import IndexStateError
 from repro.core.model import EventLog
 from repro.core.policies import Policy
 from repro.core.tables import IndexTables
+from repro.upgrade import UpgradeReport, rewrite_rows
 
 
 @pytest.fixture
@@ -29,9 +30,8 @@ class TestSchema:
         tables.check_configuration(Policy.STNM)
         with pytest.raises(IndexStateError):
             tables.check_configuration(Policy.SC)
-        # A row as `repro index --method state` wrote it, before the engine
-        # took a policy only: it reopens and updates under its policy, and
-        # the key stays as written, never read.
+        # A key Meta does not define is kept as written and never read
+        # (`repro upgrade` drops the `method` key older code wrote).
         legacy = {"policy": Policy.STNM.value, "method": "state", "partitions": []}
         tables.put_meta(legacy)
         builder = IndexBuilder(tables.store, Policy.STNM)
@@ -87,6 +87,26 @@ class TestIndex:
             (["t1", "t2"], [1.0, 5.0], [2.0, 6.0])
         ]
         assert postings.rows() == [("t1", 1.0, 2.0), ("t1", 3.0, 4.0), ("t2", 5.0, 6.0)]
+
+    @pytest.mark.parametrize(
+        "ts_a, ts_b, stored",
+        [
+            # bool stamps: [["t1", True, 1], ["t2", False, 2]]
+            ([True, False], [1, 2],
+             "00dd00000002dd00000003d9000000027431c301dd00000003d9000000027432c202"),
+            # int and float stamps in one batch: [["t1", 1, 3], ["t2", 2.5, 4]]
+            ([1, 2.5], [3, 4],
+             "00dd00000002dd00000003d90000000274310103dd00000003d9000000027432cb40"
+             "0400000000000004"),
+        ],
+    )
+    def test_a_batch_no_numbered_chunk_holds_is_one_raw_chunk(self, tables, ts_a, ts_b, stored):
+        # the RAW fallback spells the ids out: the engine writes no other
+        # chunk of names (the dictionary chunk 0x04 is the upgrade's alone)
+        tables.append_index(("A", "B"), (_numbered(tables, ["t1", "t2"]), ts_a, ts_b))
+        (chunk,) = tables.store.get("index", ("A", "B"))
+        assert chunk.hex() == stored
+        assert tables.get_index(("A", "B")) == [("t1", ts_a[0], ts_b[0]), ("t2", ts_a[1], ts_b[1])]
 
     def test_missing_pair_empty(self, tables):
         assert tables.get_index(("X", "Y")) == []
@@ -147,20 +167,24 @@ class TestLastChecked:
         assert tables.get_last_completions([]) == {}
 
     def test_rows_written_per_pair_and_trace_feed_the_maximum(self, tables):
-        # what code before the per-pair shape wrote: (ev_a, ev_b) -> {trace: ts}
+        # what code before the per-pair shape wrote: (ev_a, ev_b) -> {trace: ts};
+        # the readers key on the first event only, and the upgrade folds them
         tables.store.merge("last_checked", ("A", "B"), {"t1": 5.0, "t2": 9.0})
         tables.store.merge("last_checked", ("C", "A"), {"t1": 2.0})
         tables.add_last_completions("A", {"B": 7.0, "C": 1.0})
         pairs = [("A", "B"), ("A", "C"), ("C", "A"), ("B", "A")]
+        assert tables.get_last_completions(pairs) == {
+            ("A", "B"): 7.0, ("A", "C"): 1.0, ("C", "A"): None, ("B", "A"): None
+        }
+        report = UpgradeReport("tables")
+        rewrite_rows(tables.store, report)
+        assert report.last_checked_folded == 2
         expected = {("A", "B"): 9.0, ("A", "C"): 1.0, ("C", "A"): 2.0}
         assert tables.get_last_completions(pairs) == {**expected, ("B", "A"): None}
         assert sorted(tables.iter_last_completions()) == sorted(expected.items())
+        assert [key for key, _ in tables.store.scan("last_checked")] == [("A",), ("C",)]
 
         tables.add_last_completions("A", {"B": 11.0})
         expected[("A", "B")] = 11.0
         assert tables.get_last_completions(pairs) == {**expected, ("B", "A"): None}
         assert sorted(tables.iter_last_completions()) == sorted(expected.items())
-        assert tables.format_stats()["last_checked"] == {
-            "per_pair": {"chunks": 0, "entries": 2},
-            "per_trace": {"chunks": 0, "entries": 3},
-        }

@@ -23,6 +23,7 @@ from repro.core.engine import SequenceIndex
 from repro.core.model import Event, EventLog
 from repro.core.postings import (
     TAG_NUMBERED,
+    TAG_RAW,
     CorruptPostingsError,
     encode_numbered_postings,
 )
@@ -30,6 +31,7 @@ from repro.core.tables import INDEX, TRACE_NUMBER, IndexTables
 from repro.ingest.convergence import index_snapshot
 from repro.kvstore import InMemoryStore, LSMStore
 from repro.shard.index import ShardedSequenceIndex
+from repro.upgrade import upgrade_store
 
 from .test_mixed_formats import FIXTURE, _load_fixture, _oracle
 
@@ -181,22 +183,20 @@ def test_numbers_are_shard_local_and_two_shards_answer_as_one():
     assert _answers(sharded) == _answers(single)
 
 
-def test_the_legacy_store_grows_numbered_chunks_beside_its_old_formats(tmp_path):
+def test_the_upgrade_numbers_the_legacy_stores_traces(tmp_path):
     batches, partitions = _load_fixture()
     path = str(tmp_path / "store")
     shutil.copytree(os.path.join(FIXTURE, "store"), path)
+    report = upgrade_store(path)  # a store written before the table
     index = SequenceIndex(LSMStore(path))
-    assert _numbers(index.store) == {}  # a store written before the table
+    numbers = _numbers(index.store)
+    assert sorted(numbers.values()) == list(range(report.traces_numbered))
     index.update(batches[3], partition=partitions[3])
 
-    grown = 0
     for _, row in index.store.scan(INDEX):
-        tags = {item[0] if isinstance(item, bytes) else "plain" for item in row}
-        grown += TAG_NUMBERED in tags and len(tags) > 1
-    assert grown  # rows holding an old format and a numbered chunk
+        assert {item[0] for item in row} <= {TAG_NUMBERED, TAG_RAW}
     numbers = _numbers(index.store)
     assert sorted(numbers.values()) == list(range(len(numbers)))
-    assert set(numbers) <= {event.trace_id for event in batches[3]}
     expected = _oracle(batches, partitions, 4)
     for pattern in PATTERNS:
         for partition in ("", None):

@@ -6,8 +6,9 @@
   ``lazy_meta_loads`` counters).
 * **A leveled store** -- ``tests/data/leveled_store`` (see its ``make.py``)
   was written by the retired leveled compaction strategy: L1+ tables, a
-  trivial move, and level fields in its MANIFEST.  It opens as one flat
-  list in manifest order and keeps its data through a full compaction.
+  trivial move, and level fields in its MANIFEST.  It does not open; the
+  upgrade reads it as one flat list in manifest order and keeps its data
+  through the full compaction that rewrites it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ import json
 import os
 import shutil
 
-from repro.kvstore import LSMStore
+import pytest
+
+from repro.kvstore import LSMStore, StoreFormatError
 from repro.kvstore.sstable import SSTableReader
+from repro.upgrade import LegacyTableSet, upgrade_store
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "data", "leveled_store")
 
@@ -114,14 +118,20 @@ def _manifest(path: str) -> dict:
         return json.load(fh)
 
 
+class _OldStore(LSMStore):
+    tableset_type = LegacyTableSet
+
+
 def test_store_written_by_the_leveled_strategy(tmp_path):
     path = str(tmp_path / "store")
     shutil.copytree(os.path.join(FIXTURE, "store"), path)
     written = _manifest(path)
     assert {entry["level"] for entry in written["sstables"]} >= {0, 1, 2}
     expected = _recorded()
+    with pytest.raises(StoreFormatError):
+        LSMStore(path)
 
-    store = LSMStore(path, auto_compact=False)
+    store = _OldStore(path, auto_compact=False)
     try:
         # one flat list, in the manifest's order
         assert [os.path.basename(r.path) for r in store._tableset.readers] == [
@@ -129,15 +139,14 @@ def test_store_written_by_the_leveled_strategy(tmp_path):
         ]
         assert _scans(store) == expected
         store.verify()
-        store.compact_all()
-        assert store.sstable_count == 1
-        assert _scans(store) == expected
-        store.verify()
     finally:
         store.close()
 
+    upgrade_store(path)
     rewritten = _manifest(path)
     assert "compaction" not in rewritten
     assert not any({"level", "min_key", "max_key"} & set(e) for e in rewritten["sstables"])
     with LSMStore(path) as reopened:
+        assert reopened.sstable_count == 1
         assert _scans(reopened) == expected
+        reopened.verify()

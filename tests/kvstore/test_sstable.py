@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from repro.kvstore.api import CorruptionError
 from repro.kvstore.sstable import (
     INDEX_INTERVAL,
-    MAGIC_V1,
     SSTableReader,
     SSTableWriter,
     write_sstable,
 )
 from repro.kvstore.wal import KIND_MERGE, KIND_PUT
+from repro.upgrade import MAGIC_V1, LegacySSTableReader
 
 
 def _records(count):
@@ -138,8 +138,9 @@ class TestCorruptionDetection:
 
 
 class TestV1Reader:
-    """Nothing writes v1 any more; a copy of a table from
-    ``tests/data/legacy_store`` keeps its reader and checks tested."""
+    """Nothing writes v1 any more, and only the upgrade reads it; a copy of a
+    table from ``tests/data/legacy_store`` keeps that reader and its checks
+    tested."""
 
     FIXTURE = os.path.join(
         os.path.dirname(__file__), "..", "data", "legacy_store", "store", "sst-000001.sst"
@@ -151,7 +152,9 @@ class TestV1Reader:
         return path
 
     def test_reads_every_record(self, tmp_path):
-        reader = SSTableReader(self._copy(tmp_path))
+        with pytest.raises(CorruptionError, match="header magic"):
+            SSTableReader(self._copy(tmp_path))  # the store's reader: v2 only
+        reader = LegacySSTableReader(self._copy(tmp_path))
         assert reader.format_version == 1
         assert reader.raw_data_bytes == reader.data_bytes
         records = list(reader)
@@ -169,7 +172,7 @@ class TestV1Reader:
             byte = fh.read(1)
             fh.seek(-1, 1)
             fh.write(bytes((byte[0] ^ 0x40,)))
-        reader = SSTableReader(path)  # open succeeds: metadata is intact
+        reader = LegacySSTableReader(path)  # open succeeds: metadata is intact
         with pytest.raises(CorruptionError):
             reader.verify()
         reader.close()
@@ -180,4 +183,4 @@ class TestV1Reader:
             fh.seek(-20, 2)  # inside the footer's record-count field
             fh.write(b"\xff")
         with pytest.raises(CorruptionError):
-            SSTableReader(path)
+            LegacySSTableReader(path)

@@ -7,9 +7,8 @@ import shutil
 
 import pytest
 
-from repro.kvstore import LSMStore, blockcodec
+from repro.kvstore import LSMStore, StoreFormatError
 from repro.kvstore.api import CorruptSSTableError
-from repro.kvstore.blockcodec import CODEC_ZSTD
 from repro.kvstore.sstable import (
     INDEX_INTERVAL,
     MAGIC,
@@ -18,6 +17,7 @@ from repro.kvstore.sstable import (
     write_sstable,
 )
 from repro.kvstore.wal import KIND_PUT
+from repro.upgrade import CODEC_ZSTD, LegacySSTableReader, LegacyTableSet, upgrade_store
 
 LEGACY_STORE = os.path.join(
     os.path.dirname(__file__), "..", "data", "legacy_store", "store"
@@ -45,15 +45,15 @@ class TestCompressedRoundTrip:
         reader.close()
 
     def test_zstd_block_decodes(self):
-        # Decode-only codec: blocks an older writer stored under zstd.
+        # Blocks an older writer stored under zstd: the upgrade's reader only.
         zstd = pytest.importorskip("zstandard")
         raw = b"".join(record[0] for record in _records(50))
         stored = zstd.ZstdCompressor().compress(raw)
-        assert blockcodec.decompress(CODEC_ZSTD, stored, len(raw)) == raw
+        assert LegacySSTableReader._decompress(None, CODEC_ZSTD, stored, len(raw)) == raw
 
     def test_zstd_unavailable_fails_fast(self, tmp_path):
-        # zstd blocks are decode-only; without the package a read of one
-        # fails with a typed error naming it, never a wrong answer.
+        # The store's reader knows no zstd block; the upgrade's reader, without
+        # the package, fails with a typed error naming it, never a wrong answer.
         try:
             import zstandard  # noqa: F401
         except ImportError:
@@ -66,6 +66,10 @@ class TestCompressedRoundTrip:
             fh.seek(len(MAGIC))
             fh.write(bytes((CODEC_ZSTD,)))
         reader = SSTableReader(path)
+        with pytest.raises(CorruptSSTableError, match="unknown block codec"):
+            list(reader)
+        reader.close()
+        reader = LegacySSTableReader(path)
         with pytest.raises(CorruptSSTableError, match="zstandard"):
             list(reader)
         reader.close()
@@ -121,28 +125,38 @@ class TestCorruptCompressedBlock:
         reader.close()
 
 
+class _OldStore(LSMStore):
+    """A store opened through the upgrade's table set: older layouts read."""
+
+    tableset_type = LegacyTableSet
+
+
 class TestStoreFormatInterop:
-    """A store of v1 tables (written before v2 became the one format) reads
-    beside the v2 tables new flushes write, and converts on compaction."""
+    """A store of v1 tables (written before v2 became the one format) does
+    not open; the upgrade reads it beside the v2 table its own writes flush,
+    and rewrites every table as v2."""
+
+    #: the tables whose rows the upgrade does not rewrite
+    KEPT = ("seq", "count", "reverse_count", "t")
 
     def test_uncompressed_store_reopens_compressed(self, tmp_path):
         path = str(tmp_path / "db")
         shutil.copytree(LEGACY_STORE, path)
-        with LSMStore(path, auto_compact=False) as store:
+        with pytest.raises(StoreFormatError, match="repro upgrade"):
+            LSMStore(path)
+        with _OldStore(path, auto_compact=False) as store:
             assert _versions(store) == [1, 1, 1]
-            expected = {t: list(store.scan(t)) for t in store.list_tables()}
             store.create_table("t", merge_operator="list_append")
             store.merge("t", 999, ["new"])
             store.flush()
             assert _versions(store) == [1, 1, 1, 2]
             assert store.get("t", 999) == ["new"]
             store.verify()
-            store.compact_all()
-            assert _versions(store) == [2]
-            assert store.metrics.snapshot()["compressed_blocks"] > 0
+            expected = {t: list(store.scan(t)) for t in self.KEPT}
+        upgrade_store(path)
         with LSMStore(path) as reopened:
-            expected["t"] = [((999,), ["new"])]
-            assert {t: list(reopened.scan(t)) for t in reopened.list_tables()} == expected
+            assert _versions(reopened) == [2]
+            assert {t: list(reopened.scan(t)) for t in self.KEPT} == expected
             reopened.verify()
 
 

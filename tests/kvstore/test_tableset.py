@@ -5,16 +5,20 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
 from repro.faults.io import REAL_IO
 from repro.kvstore.encoding import encode_value
 from repro.kvstore.sstable import SSTableWriter
-from repro.kvstore.tableset import MANIFEST_NAME, TableSet
+from repro.kvstore.api import StoreFormatError
+from repro.kvstore.tableset import MANIFEST_NAME, STORE_FORMAT, TableSet
 from repro.kvstore.wal import KIND_PUT
+from repro.upgrade import LegacyTableSet
 
 
-def _open(path) -> TableSet:
+def _open(path, kind=TableSet) -> TableSet:
     os.makedirs(path, exist_ok=True)
-    tables = TableSet(str(path), REAL_IO)
+    tables = kind(str(path), REAL_IO)
     tables.load(os.listdir(path))
     return tables
 
@@ -89,18 +93,24 @@ class TestLoad:
         tables.close()
         manifest = _manifest(tmp_path)
         manifest["sstables"] = [entry["file"] for entry in manifest["sstables"]]
-        del manifest["version"]
+        del manifest["version"], manifest["format"]
         _write_manifest(tmp_path, manifest)
+        with pytest.raises(StoreFormatError, match="repro upgrade"):
+            _open(tmp_path)  # the store's table set reads the one layout
 
-        again = _open(tmp_path)
+        again = _open(tmp_path, LegacyTableSet)  # the upgrade's reads them all
         try:
             assert _names(again.readers) == _names(readers)  # flat order kept
-            again.commit()  # the one writer upgrades the entries to v2 dicts
+            again.commit()  # entries become v2 dicts, the format not yet
+            assert "format" not in _manifest(tmp_path)
+            again.upgraded = True
+            again.commit()
         finally:
             again.close()
         upgraded = _manifest(tmp_path)
-        assert upgraded["version"] == 2
+        assert upgraded["version"] == 2 and upgraded["format"] == STORE_FORMAT
         assert all(isinstance(entry, dict) for entry in upgraded["sstables"])
+        _open(tmp_path).close()
 
     def test_level_fields_of_a_leveled_manifest_are_ignored(self, tmp_path):
         # A v2 manifest of the retired leveled strategy: deepest level
@@ -116,9 +126,10 @@ class TestLoad:
             manifest["sstables"], [(2, "a", "f"), (1, "a", "c"), (1, "h", "k"), (0, "a", "z")]
         ):
             entry.update(level=level, min_key=lo.encode().hex(), max_key=hi.encode().hex())
+        del manifest["format"]
         _write_manifest(tmp_path, manifest)
 
-        again = _open(tmp_path)
+        again = _open(tmp_path, LegacyTableSet)
         try:
             assert _names(again.readers) == _names(readers)
             again.commit()

@@ -269,16 +269,22 @@ class TestStoreStats:
         fixture = os.path.join(os.path.dirname(__file__), "data", "legacy_store", "store")
         store = str(tmp_path / "ix")
         shutil.copytree(fixture, store)
+        # an old store is not read: the message names the one command
+        with pytest.raises(SystemExit, match=f"run `repro upgrade --store {store}`"):
+            main(["stats", "--store", store])
+        assert main(["upgrade", "--store", store]) == 0
+        out = capsys.readouterr().out
+        assert "32 index rows rewritten, 10 traces numbered" in out
         assert main(["stats", "--store", store]) == 0
         out = capsys.readouterr().out
+        # the old Index rows became NUMBERED chunks, RAW where stamps were mixed
         index_line = next(l for l in out.splitlines() if l.startswith("  index:"))
-        assert "plain: " in index_line and "varint: " in index_line
-        assert "columnar" not in out
+        assert "[columnar: " in index_line and "; raw: " in index_line
+        assert "varint" not in out and "plain: " not in index_line
         assert "  seq: " in out and "[plain: " in out
-        # every LastChecked row predates the per-pair shape and is kept as is
-        checked_line = next(l for l in out.splitlines() if l.startswith("  last_checked:"))
-        assert "[per_pair: 0 entries; per_trace: " in checked_line
-        assert "per_trace: 0 entries" not in checked_line
+        assert "  last_checked: 5 records\n" in out  # one row per first event
+        assert main(["upgrade", "--store", store]) == 0
+        assert capsys.readouterr().out == f"{store}: already in format 1\n"
 
     def test_stats_with_pattern_still_works(self, store_dir, capsys):
         assert main(["stats", "A,C", "--store", store_dir]) == 0
@@ -346,9 +352,7 @@ class TestSharded:
         assert "compression ratio:" in out
         assert "index formats: [columnar: " in out
         assert "seq formats: [columnar: " in out
-        checked_line = next(l for l in out.splitlines() if "last_checked formats:" in l)
-        assert checked_line.endswith("; per_trace: 0 entries]")
-        assert "[per_pair: 0 entries" not in checked_line
+        assert "last_checked formats" not in out  # not a list table
 
     def test_pattern_stats_on_sharded_store(self, sharded_store, capsys):
         assert main(["stats", "A,B", "--store", sharded_store]) == 0

@@ -182,7 +182,7 @@ def test_docscheck_fails_on_an_undocumented_format_tag():
     from repro.bench.docscheck import check_format_tags, format_tags
 
     tags = format_tags()
-    assert tags["repro.core.postings.TAG_POSTINGS"] == 0x04
+    assert tags["repro.upgrade.TAG_POSTINGS"] == 0x04
     assert tags["repro.kvstore.encoding._V_MAP_STR_I64"] == 0xE0
     with open(os.path.join(REPO_ROOT, "DESIGN.md"), encoding="utf-8") as fh:
         design = fh.read()
