@@ -66,19 +66,12 @@ def _open_index(args: argparse.Namespace):
     surface, so the subcommands don't care which they got.
     """
     policy = _POLICIES[getattr(args, "policy", "stnm")]
-
-    def make_store(path: str) -> LSMStore:
-        return LSMStore(
-            path,
-            background_compaction=getattr(args, "background_compaction", False),
-        )
-
     shards = getattr(args, "shards", None)
     if shards or is_sharded_store(args.store):
         return ShardedSequenceIndex.open(
-            args.store, make_store, num_shards=shards, policy=policy
+            args.store, LSMStore, num_shards=shards, policy=policy
         )
-    return SequenceIndex(make_store(args.store), policy=policy)
+    return SequenceIndex(LSMStore(args.store), policy=policy)
 
 
 def _pattern(raw: str) -> list[str]:
@@ -636,11 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "supported)",
             )
             p.add_argument("--partition", default="", help="index partition name")
-            p.add_argument(
-                "--background-compaction",
-                action="store_true",
-                help="compact SSTables on a background thread while indexing",
-            )
 
     idx = sub.add_parser("index", help="index a log file into a store")
     idx.add_argument("--log", required=True, help=".csv or .xes log file")

@@ -4,7 +4,7 @@ The subsystem has three layers:
 
 * :mod:`repro.faults.schedule` -- :class:`FaultSchedule`: seeded, one-shot
   fault points (torn writes, failed fsyncs, ``ENOSPC``, bit flips, crashes
-  around renames), fully reproducible from a single integer seed.
+  around renames, a power cut that loses unsynced renames), fully reproducible from a single integer seed.
 * :mod:`repro.faults.io` -- :class:`FaultyIO`: the filesystem shim the
   store, WAL and SSTable code route their durability-critical I/O through
   (production uses the pass-through :data:`REAL_IO`).
@@ -32,6 +32,7 @@ from repro.faults.schedule import (
     CRASH_BEFORE_RENAME,
     ENOSPC,
     FAIL_FSYNC,
+    LOST_RENAME,
     TORN_WRITE,
     TRUNCATE_CRASH,
     Fault,
@@ -55,6 +56,7 @@ __all__ = [
     "CRASH",
     "CRASH_BEFORE_RENAME",
     "CRASH_AFTER_RENAME",
+    "LOST_RENAME",
     "TRUNCATE_CRASH",
     "CORRUPT",
     # lazily re-exported from repro.faults.harness (see __getattr__)

@@ -47,7 +47,7 @@ import tempfile
 from typing import Any
 
 from repro.faults.io import FaultyIO
-from repro.faults.schedule import CORRUPTING_KINDS, FaultSchedule, SimulatedCrash
+from repro.faults.schedule import CORRUPTING_KINDS, LOST_RENAME, FaultSchedule, SimulatedCrash
 from repro.kvstore.api import CorruptionError
 from repro.kvstore.lsm import LSMStore
 from repro.obs.registry import REGISTRY
@@ -146,9 +146,6 @@ def simulate_crash(store: LSMStore) -> None:
     object is poisoned (marked closed) so accidental reuse fails loudly.
     """
     REGISTRY.unregister(store._obs_handle)
-    compactor, store._compactor = store._compactor, None
-    if compactor is not None:
-        compactor.stop()
     try:
         store._wal._file.close()
     except Exception:
@@ -269,7 +266,8 @@ class CrashRecoveryHarness:
                 memtable_flush_bytes=self.memtable_flush_bytes,
                 compaction_min_tables=self.compaction_min_tables,
                 auto_compact=True,
-                background_compaction=False,
+                # a power cut keeps only what was fsynced: the WAL must be
+                sync_wal=any(f.kind == LOST_RENAME for f in schedule._faults),
                 block_cache_bytes=64 * 1024,
                 io=FaultyIO(schedule),
             )

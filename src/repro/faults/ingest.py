@@ -18,6 +18,12 @@ One :func:`run_ingest_replay` seed is a complete streaming crash cycle:
    (:func:`~repro.ingest.convergence.index_snapshot`) -- same sequences,
    same decoded pair entries, same statistics, same tails.
 
+The stores and the checkpoint share one :class:`~repro.faults.io.FaultyIO`:
+a pre-checkpoint kill is a crash at the checkpoint's first I/O operation,
+and a :class:`~repro.faults.schedule.Fault` given as ``phase`` is armed
+there from the start instead of the seeded kill (``sync_wal=True`` stores
+under ``lost_rename``).
+
 A pre-checkpoint kill forces the replay to re-read an already-applied
 batch, so this harness exercises exactly the dedup filter that makes the
 checkpoint protocol at-least-once-safe; a pre-apply kill exercises the
@@ -47,7 +53,8 @@ from repro.core.engine import SequenceIndex
 from repro.core.model import Event
 from repro.faults.harness import simulate_crash
 from repro.faults.io import FaultyIO
-from repro.faults.schedule import TORN_WRITE, Fault, FaultSchedule, SimulatedCrash
+from repro.faults.schedule import CRASH, LOST_RENAME, TORN_WRITE, Fault, FaultSchedule
+from repro.faults.schedule import SimulatedCrash
 from repro.ingest.convergence import index_snapshot
 from repro.ingest.feed import FeedWriter
 from repro.ingest.ingester import EngineSink, TailIngester
@@ -70,7 +77,7 @@ class IngestReplayFailure(AssertionError):
         reproducer = (
             f"python -m repro faults --ingest --seed {seed}"
             if forced_phase is None  # the seed's own phase: reachable from the CLI
-            else f"repro.faults.run_ingest_replay({seed}, phase={forced_phase!r})"
+            else f"repro.faults.run_ingest_replay({seed}, phase={forced_phase})"
         )
         super().__init__(f"seed {seed}: {message}\n  reproduce with: {reproducer}")
 
@@ -98,11 +105,16 @@ def generate_feed_events(seed: int, total: int | None = None) -> list[Event]:
     return events
 
 
-def _open_engine(path: str, shards: int | None, io: FaultyIO | None = None) -> Any:
-    store_factory = partial(LSMStore, io=io)
+def _open_engine(path: str, shards: int | None, **store_kwargs: Any) -> Any:
+    store_factory = partial(LSMStore, **store_kwargs)
     if shards:
         return ShardedSequenceIndex.open(path, store_factory, num_shards=shards)
-    return SequenceIndex(store_factory(path))
+    store = store_factory(path)
+    try:
+        return SequenceIndex(store)
+    except SimulatedCrash:
+        simulate_crash(store)
+        raise
 
 
 def _crash_engine(engine: Any) -> None:
@@ -148,16 +160,17 @@ def run_ingest_replay(
     seed: int,
     path: str | None = None,
     total_events: int | None = None,
-    phase: str | None = None,
+    phase: str | Fault | None = None,
 ) -> dict[str, Any]:
     """Run one seed's kill/replay/converge cycle; returns a summary dict.
 
-    ``phase`` is ``"pre_apply"``, ``"mid_apply"``, ``"pre_checkpoint"`` or
-    ``None`` for the seed's own choice.  Raises
-    :class:`IngestReplayFailure` when the replayed streaming index differs
-    from the clean batch build.
+    ``phase`` is ``"pre_apply"``, ``"mid_apply"``, ``"pre_checkpoint"``, a
+    :class:`Fault` (the summary's ``kill`` is ``None`` if it never fired;
+    its ``renames`` counts the killed run's renames) or ``None`` for the
+    seed's own choice.  Raises :class:`IngestReplayFailure` when the
+    replayed streaming index differs from the clean batch build.
     """
-    if phase is not None and phase not in _PHASES:
+    if phase is not None and not isinstance(phase, Fault) and phase not in _PHASES:
         raise ValueError(f"unknown ingest kill phase {phase!r}")
     workdir = path or tempfile.mkdtemp(prefix=f"repro-ingest-{seed}-")
     try:
@@ -168,7 +181,7 @@ def run_ingest_replay(
 
 
 def _run(
-    seed: int, workdir: Path, total_events: int | None, phase: str | None
+    seed: int, workdir: Path, total_events: int | None, phase: str | Fault | None
 ) -> dict[str, Any]:
     rng = random.Random(f"ingest-replay-{seed}")
     events = generate_feed_events(seed, total_events)
@@ -178,11 +191,16 @@ def _run(
     total_batches = -(-len(events) // batch_events)
     crash_batch = rng.randrange(total_batches)
     seeded_phase = rng.choice(_PHASES)  # drawn even when overridden: same sweep
-    forced_phase = phase if phase not in (None, seeded_phase) else None
-    phase = phase or seeded_phase
     mid_apply_kill = rng.choice(_MID_APPLY_KILLS)
     kill_at = rng.random()  # torn-write keep fraction / share of records applied
-    kill = f"{phase}/{mid_apply_kill}" if phase == "mid_apply" else phase
+    fault = phase if isinstance(phase, Fault) else None
+    if fault is not None:
+        forced_phase: str | None = f"Fault({fault.kind!r}, {fault.op!r}, nth={fault.nth})"
+        kill = f"{fault.kind} at {fault.op}#{fault.nth}"
+    else:
+        forced_phase = repr(phase) if phase not in (None, seeded_phase) else None
+        phase = phase or seeded_phase
+        kill = f"{phase}/{mid_apply_kill}" if phase == "mid_apply" else phase
 
     feed_path = str(workdir / "events.jsonl")
     checkpoint_path = str(workdir / "ingest.checkpoint")
@@ -192,15 +210,17 @@ def _run(
     with FeedWriter(feed_path) as writer:
         writer.append(events)
 
-    # one shim for every shard: the first WAL write after arming is torn
-    io = FaultyIO(FaultSchedule())
+    # one shim for every shard and the checkpoint
+    io = FaultyIO(FaultSchedule([fault] if fault is not None else []))
 
     def crash_hook(batch_no: int) -> None:
         if batch_no != crash_batch:
             return
-        if phase != "mid_apply":
+        if phase == "pre_apply":
             raise SimulatedCrash(f"ingest kill at {phase} of batch {batch_no}")
-        if mid_apply_kill == "torn_frame":
+        if phase == "pre_checkpoint":
+            io.schedule = FaultSchedule([Fault(CRASH, "open", path_part="checkpoint")])
+        elif mid_apply_kill == "torn_frame":
             io.schedule = FaultSchedule(
                 [Fault(TORN_WRITE, "write", path_part=WAL_NAME, arg=kill_at)]
             )
@@ -208,28 +228,35 @@ def _run(
             for shard in engine.shards:
                 _kill_mid_memtable_apply(shard.store, kill_at)
 
-    # -- phase 1: stream until the seeded kill ------------------------------------
-    engine = _open_engine(stream_path, shards, io)
-    ingester = TailIngester(
-        feed_path,
-        EngineSink(engine, partition=partition),
-        checkpoint_path,
-        batch_events=batch_events,
-        name=f"ingest-replay-{seed}",
-        pre_apply_hook=crash_hook if phase != "pre_checkpoint" else None,
-        pre_checkpoint_hook=crash_hook if phase == "pre_checkpoint" else None,
-    )
-    try:
-        ingester.drain()
+    # -- phase 1: stream until the kill -------------------------------------------
+    power_loss = fault is not None and fault.kind == LOST_RENAME
+    engine = None
+    try:  # an explicit fault may fire while the stores open
+        engine = _open_engine(stream_path, shards, io=io, sync_wal=power_loss)
+        ingester = TailIngester(
+            feed_path,
+            EngineSink(engine, partition=partition),
+            checkpoint_path,
+            batch_events=batch_events,
+            name=f"ingest-replay-{seed}",
+            pre_apply_hook=crash_hook if fault is None else None,
+            io=io,
+        )
+        try:
+            ingester.drain()
+        finally:
+            ingester.close()
     except SimulatedCrash:
         pass
     else:
-        raise IngestReplayFailure(
-            seed, f"scheduled kill at batch {crash_batch} never fired", forced_phase
-        )
-    finally:
-        ingester.close()
-    _crash_engine(engine)
+        if fault is None:
+            raise IngestReplayFailure(
+                seed, f"scheduled kill at batch {crash_batch} never fired", forced_phase
+            )
+        kill = None
+    renames = io.schedule.op_counts.get("rename", 0)
+    if engine is not None:
+        _crash_engine(engine)
 
     # -- phase 2: reopen and replay from the durable checkpoint -------------------
     engine = _open_engine(stream_path, shards)
@@ -285,4 +312,5 @@ def _run(
         "events": len(events),
         "replayed": stats.events_read,
         "deduped": stats.events_deduped,
+        "renames": renames,
     }

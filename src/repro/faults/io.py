@@ -14,12 +14,17 @@ tests swap in ``FaultyIO(schedule)`` without monkeypatching.
 ``compaction.pre_swap``): a no-op on :class:`RealIO`, a schedule lookup
 under ``point:<name>`` on :class:`FaultyIO` -- a first-class,
 seed-reproducible way to hit one instant of a protocol.
+
+:func:`durable_replace` and its rename half :func:`durable_rename` are how
+every file is renamed into place: a crash or power cut leaves the old file
+or the new one, and the new one survives both once they return.
 """
 
 from __future__ import annotations
 
 import errno
 import os
+from pathlib import Path
 from typing import IO, Any
 
 from repro.faults.schedule import (
@@ -30,6 +35,7 @@ from repro.faults.schedule import (
     CRASH_BEFORE_RENAME,
     ENOSPC,
     FAIL_FSYNC,
+    LOST_RENAME,
     TORN_WRITE,
     TRUNCATE_CRASH,
     Fault,
@@ -37,7 +43,7 @@ from repro.faults.schedule import (
     SimulatedCrash,
 )
 
-__all__ = ["RealIO", "REAL_IO", "FaultyIO"]
+__all__ = ["RealIO", "REAL_IO", "FaultyIO", "durable_rename", "durable_replace"]
 
 
 class RealIO:
@@ -80,16 +86,52 @@ class RealIO:
 REAL_IO = RealIO()
 
 
+def durable_replace(io: RealIO, path: str, data: bytes) -> None:
+    """Replace ``path`` by a file holding ``data``: write and fsync
+    ``<path>.tmp``, then :func:`durable_rename` it over ``path``."""
+    tmp = path + ".tmp"
+    with io.open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        io.fsync(fh)
+    durable_rename(io, tmp, path)
+
+
+def durable_rename(io: RealIO, src: str, dst: str) -> None:
+    """Rename a synced file into place and fsync the directory, so that
+    the rename itself survives a power cut."""
+    io.replace(src, dst)
+    io.fsync_dir(os.path.dirname(dst) or ".")
+
+
 class FaultyIO(RealIO):
-    """Schedule-driven fault injector over the :class:`RealIO` surface."""
+    """Schedule-driven fault injector over the :class:`RealIO` surface; it
+    tracks the renames a ``lost_rename`` power cut would undo."""
 
     def __init__(self, schedule: FaultSchedule) -> None:
         self.schedule = schedule
+        #: ``(src, dst, bytes dst held before)`` of each rename whose
+        #: directory has not been fsynced since, oldest first
+        self._unsynced_renames: list[tuple[str, str, bytes | None]] = []
+
+    def _take(self, op: str, path: str) -> Fault | None:
+        """Count ``op`` against the schedule; a due ``lost_rename`` cuts the
+        power here instead of returning."""
+        fault = self.schedule.take(op, path)
+        if fault is not None and fault.kind == LOST_RENAME:
+            for src, dst, before in reversed(self._unsynced_renames):
+                if os.path.exists(dst):
+                    os.replace(dst, src)  # whatever was made at src since goes
+                    if before is not None:
+                        Path(dst).write_bytes(before)
+            self._unsynced_renames.clear()
+            raise SimulatedCrash(fault)
+        return fault
 
     # -- file operations ---------------------------------------------------
 
     def open(self, path: str, mode: str = "rb") -> IO[Any]:
-        fault = self.schedule.take("open", path)
+        fault = self._take("open", path)
         if fault is not None and fault.kind in (CRASH, TORN_WRITE):
             raise SimulatedCrash(fault)
         if fault is not None and fault.kind == ENOSPC:
@@ -101,7 +143,7 @@ class FaultyIO(RealIO):
 
     def fsync(self, fobj: Any) -> None:
         path = getattr(fobj, "path", None) or getattr(fobj, "name", "") or ""
-        fault = self.schedule.take("fsync", str(path))
+        fault = self._take("fsync", str(path))
         if fault is not None:
             if fault.kind == FAIL_FSYNC:
                 raise OSError(errno.EIO, f"injected fsync failure on {path}")
@@ -110,16 +152,18 @@ class FaultyIO(RealIO):
         os.fsync(fobj.fileno())
 
     def fsync_dir(self, path: str) -> None:
-        fault = self.schedule.take("fsync_dir", path)
+        fault = self._take("fsync_dir", path)
         if fault is not None:
             if fault.kind == FAIL_FSYNC:
                 raise OSError(errno.EIO, f"injected fsync failure on dir {path}")
             if fault.kind in (CRASH, TORN_WRITE):
                 raise SimulatedCrash(fault)
         super().fsync_dir(path)
+        synced, unsynced = os.path.abspath(path), self._unsynced_renames
+        unsynced[:] = [r for r in unsynced if os.path.dirname(os.path.abspath(r[1])) != synced]
 
     def replace(self, src: str, dst: str) -> None:
-        fault = self.schedule.take("rename", dst)
+        fault = self._take("rename", dst)
         if fault is not None:
             if fault.kind in (CRASH, CRASH_BEFORE_RENAME):
                 raise SimulatedCrash(fault)
@@ -128,10 +172,12 @@ class FaultyIO(RealIO):
                 raise SimulatedCrash(fault)
             if fault.kind == ENOSPC:
                 raise OSError(errno.ENOSPC, f"injected ENOSPC renaming {dst}")
+        before = Path(dst).read_bytes() if os.path.exists(dst) else None
         os.replace(src, dst)
+        self._unsynced_renames.append((src, dst, before))
 
     def remove(self, path: str) -> None:
-        fault = self.schedule.take("remove", path)
+        fault = self._take("remove", path)
         if fault is not None and fault.kind == CRASH:
             raise SimulatedCrash(fault)
         os.remove(path)
@@ -139,7 +185,7 @@ class FaultyIO(RealIO):
     # -- named protocol points ---------------------------------------------
 
     def fault_point(self, name: str, path: str | None = None) -> None:
-        fault = self.schedule.take(f"point:{name}", path or "")
+        fault = self._take(f"point:{name}", path or "")
         if fault is None:
             return
         if fault.kind == TRUNCATE_CRASH and path is not None:
@@ -168,7 +214,7 @@ class _FaultyFile:
         self.path = path
 
     def write(self, data: Any) -> int:
-        fault = self._io.schedule.take("write", self.path)
+        fault = self._io._take("write", self.path)
         if fault is None or not isinstance(data, (bytes, bytearray, memoryview)):
             return self._file.write(data)
         buf = bytes(data)
@@ -193,7 +239,7 @@ class _FaultyFile:
         return self._file.write(buf)
 
     def close(self) -> None:
-        fault = self._io.schedule.take("close", self.path)
+        fault = self._io._take("close", self.path)
         if fault is not None and fault.kind == CRASH:
             self._file.flush()
             raise SimulatedCrash(fault)

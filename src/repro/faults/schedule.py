@@ -35,6 +35,11 @@ Fault kinds
     Kill immediately before / after an atomic ``os.replace``, exercising
     both sides of every rename-based commit point (manifest swap, SSTable
     seal, WAL rotation).
+``lost_rename``
+    A power cut instead of the operation: every rename no fsync of its
+    directory has covered is undone, newest first (a file made since at a
+    renamed path goes with it).  Never drawn by :meth:`FaultSchedule.from_seed`;
+    stores under it run with ``sync_wal=True``.
 ``truncate_crash`` / ``corrupt``
     Named-point faults: truncate the target file to half its size and
     crash, or silently overwrite four bytes mid-file.
@@ -61,6 +66,7 @@ __all__ = [
     "CRASH",
     "CRASH_BEFORE_RENAME",
     "CRASH_AFTER_RENAME",
+    "LOST_RENAME",
     "TRUNCATE_CRASH",
     "CORRUPT",
 ]
@@ -72,12 +78,13 @@ BIT_FLIP = "bit_flip"
 CRASH = "crash"
 CRASH_BEFORE_RENAME = "crash_before_rename"
 CRASH_AFTER_RENAME = "crash_after_rename"
+LOST_RENAME = "lost_rename"
 TRUNCATE_CRASH = "truncate_crash"
 CORRUPT = "corrupt"
 
 #: kinds that kill the simulated process when they fire
 CRASH_KINDS = frozenset(
-    {TORN_WRITE, CRASH, CRASH_BEFORE_RENAME, CRASH_AFTER_RENAME, TRUNCATE_CRASH}
+    {TORN_WRITE, CRASH, CRASH_BEFORE_RENAME, CRASH_AFTER_RENAME, LOST_RENAME, TRUNCATE_CRASH}
 )
 #: kinds that plant silent corruption (recovery must *detect*, not serve)
 CORRUPTING_KINDS = frozenset({BIT_FLIP, CORRUPT})

@@ -1,8 +1,9 @@
 """Durable ingest checkpoints: how far into the feed the index has consumed.
 
-A checkpoint is one small JSON document, written atomically (temp file,
-fsync, ``os.replace``) *after* the micro-batch it describes has been
-applied to the index.  Crash ordering therefore only ever loses the
+A checkpoint is one small JSON document, written atomically and durably
+(:func:`~repro.faults.io.durable_replace`: temp file, fsync, rename,
+directory fsync) *after* the micro-batch it describes has been applied to
+the index.  Crash ordering therefore only ever loses the
 checkpoint, never runs ahead of the index: on restart the ingester re-reads
 from the last persisted offset and the replay filter (``update(dedup=True)``
 on the engine) discards the events the index already holds.  See
@@ -12,8 +13,9 @@ docs/INGEST.md for the full recovery argument.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
+
+from repro.faults.io import REAL_IO, RealIO, durable_replace
 
 __all__ = ["Checkpoint", "load_checkpoint", "store_checkpoint"]
 
@@ -47,18 +49,13 @@ def load_checkpoint(path: str) -> Checkpoint:
     raise ValueError(f"unsupported ingest checkpoint: {record!r}")
 
 
-def store_checkpoint(path: str, checkpoint: Checkpoint) -> None:
-    """Persist ``checkpoint`` atomically (readers see old or new, never torn)."""
+def store_checkpoint(path: str, checkpoint: Checkpoint, io: RealIO = REAL_IO) -> None:
+    """Persist ``checkpoint`` through ``io``, atomically (readers see old or
+    new, never torn) and durably (it survives a power cut once stored)."""
     record = {
         "version": _VERSION,
         "offset": checkpoint.offset,
         "batches": checkpoint.batches,
         "events": checkpoint.events,
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(record, fh)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    durable_replace(io, path, (json.dumps(record) + "\n").encode("utf-8"))

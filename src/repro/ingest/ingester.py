@@ -38,6 +38,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.faults.io import REAL_IO, RealIO
 from repro.ingest.checkpoint import Checkpoint, load_checkpoint, store_checkpoint
 from repro.ingest.feed import FeedEvent, feed_size, read_feed
 from repro.ingest.freshness import FreshnessTracker
@@ -146,7 +147,7 @@ class TailIngester:
         poll_interval_s: float = 0.05,
         name: str | None = None,
         pre_apply_hook: Callable[[int], None] | None = None,
-        pre_checkpoint_hook: Callable[[int], None] | None = None,
+        io: RealIO = REAL_IO,
     ) -> None:
         if batch_events <= 0:
             raise ValueError("batch_events must be positive")
@@ -155,10 +156,11 @@ class TailIngester:
         self.checkpoint_path = checkpoint_path
         self.batch_events = batch_events
         self.poll_interval_s = poll_interval_s
-        #: fault-injection seams for the crash-replay harness: called with
-        #: the batch ordinal just before apply / just before checkpoint
+        #: fault-injection seams for the crash-replay harness: a hook called
+        #: with the batch ordinal just before apply, and the filesystem shim
+        #: the checkpoint is stored through
         self.pre_apply_hook = pre_apply_hook
-        self.pre_checkpoint_hook = pre_checkpoint_hook
+        self.io = io
         self.freshness = FreshnessTracker()
         self._lock = threading.Lock()
         self._checkpoint = load_checkpoint(checkpoint_path)
@@ -214,10 +216,9 @@ class TailIngester:
         )
         if new_offset == checkpoint.offset:
             return 0
-        batch_no = checkpoint.batches
         if events:
             if self.pre_apply_hook is not None:
-                self.pre_apply_hook(batch_no)
+                self.pre_apply_hook(checkpoint.batches)
             applied, dropped = self.sink.apply(events)
             visible_at = time.time()
             if applied and not dropped:
@@ -229,14 +230,12 @@ class TailIngester:
                         self.freshness.observe(visible_at - event.appended_at)
         else:
             applied = dropped = 0  # only blank lines: just advance
-        if self.pre_checkpoint_hook is not None:
-            self.pre_checkpoint_hook(batch_no)
         advanced = Checkpoint(
             offset=new_offset,
             batches=checkpoint.batches + 1,
             events=checkpoint.events + applied,
         )
-        store_checkpoint(self.checkpoint_path, advanced)
+        store_checkpoint(self.checkpoint_path, advanced, self.io)
         with self._lock:
             self._checkpoint = advanced
             self._events_read += len(events)

@@ -12,9 +12,8 @@ file might still hold the base value the deltas apply to.
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.kvstore.merge import MergeOperator, collapse_records
 
@@ -111,61 +110,3 @@ def merge_records(
             kind, value = resolved
             yield kind, key, value
 
-
-class BackgroundCompactor:
-    """Daemon thread driving a store's compaction rounds off the write path.
-
-    The store signals :meth:`trigger` after every flush; the worker then
-    drains qualifying compaction runs (``store._compaction_round()`` until
-    it reports no plan).  All coordination with foreground reads/writes
-    happens inside the store's own locking: the worker merges tables with
-    no lock held and swaps the SSTable set atomically under the store's
-    write lock, so a crash (or :meth:`stop`) between output and swap leaves
-    the pre-compaction tables authoritative.
-
-    Unexpected exceptions are recorded on :attr:`last_error` and counted in
-    the store's ``compaction_aborts`` metric instead of killing the thread.
-    """
-
-    def __init__(self, store: Any, idle_wait: float = 1.0) -> None:
-        self._store = store
-        self._idle_wait = idle_wait
-        self._wake = threading.Event()
-        self._stopped = threading.Event()
-        self.last_error: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._run, name="lsm-compactor", daemon=True
-        )
-        self._thread.start()
-
-    def trigger(self) -> None:
-        """Wake the worker (called by the store after a flush)."""
-        self._wake.set()
-
-    def stop(self) -> None:
-        """Ask the worker to exit and join it (idempotent)."""
-        self._stopped.set()
-        self._wake.set()
-        if self._thread.is_alive():
-            self._thread.join()
-
-    def _run(self) -> None:
-        from repro.faults.schedule import SimulatedCrash
-
-        while not self._stopped.is_set():
-            self._wake.wait(timeout=self._idle_wait)
-            self._wake.clear()
-            if self._stopped.is_set():
-                return
-            try:
-                while self._store._compaction_round():
-                    if self._stopped.is_set():
-                        return
-            except SimulatedCrash as exc:
-                # An injected crash means "the process died here": record it
-                # and stop compacting -- retrying would mask the crash.
-                self.last_error = exc
-                return
-            except Exception as exc:  # noqa: BLE001 - worker must survive
-                self.last_error = exc
-                self._store.metrics.bump("compaction_aborts")

@@ -43,8 +43,7 @@ Concurrency model (thread-safe since the serving-layer rework):
   the head of the queue: it stays readable, its frozen WAL segment stays on
   disk, and the next flush retries it first -- an acknowledged write is
   never dropped by a failed flush.
-* **Compaction** (inline after a flush, or on a
-  :class:`~repro.kvstore.compaction.BackgroundCompactor` thread) merges a
+* **Compaction** (one round inline after each flush) merges a
   snapshot of the run lock-free, CRC-verifies the candidate outputs, and
   atomically swaps the SSTable set + manifest under the write lock.  A
   corrupt candidate aborts the swap (``compaction_aborts`` metric) and
@@ -52,10 +51,13 @@ Concurrency model (thread-safe since the serving-layer rework):
   output and swap leaves an orphan file the manifest never references,
   which the next open removes.
 * WAL rotation means flushes delete fully-persisted frozen segments
-  instead of truncating a shared file.  A segment is deleted once the flush
-  watermark covers the last seqno logged into it -- not when the memtable
-  sealed beside it flushes: a batch frame that straddles a seal keeps its
-  segment until the memtable holding the batch's tail is persisted too.
+  instead of truncating a shared file.  A rotation fsyncs the directory
+  before the new log takes a write, so a power cut cannot undo the rename
+  under writes acknowledged from the new log.  A segment is deleted once
+  the flush watermark covers the last seqno logged into it -- not when the
+  memtable sealed beside it flushes: a batch frame that straddles a seal
+  keeps its segment until the memtable holding the batch's tail is
+  persisted too.
   Replay applies every segment, filtered by the manifest's flush watermark,
   and cuts a torn tail off the active log before appending to it.
 """
@@ -82,7 +84,6 @@ from repro.kvstore.api import (
 )
 from repro.kvstore.cache import BlockCache
 from repro.kvstore.compaction import (
-    BackgroundCompactor,
     CompactionPick,
     group_records,
     merge_records,
@@ -247,7 +248,6 @@ class LSMStore(KeyValueStore):
         sync_wal: bool = False,
         compaction_min_tables: int = 4,
         auto_compact: bool = True,
-        background_compaction: bool = False,
         block_cache_bytes: int = 8 * 1024 * 1024,
         io=None,
     ) -> None:
@@ -296,7 +296,6 @@ class LSMStore(KeyValueStore):
         self._wal = WriteAheadLog(
             os.path.join(path, WAL_NAME), sync=sync_wal, io=self._io
         )
-        self._compactor = BackgroundCompactor(self) if background_compaction else None
         #: identity used in metrics exposition labels
         self.obs_name = path
         self._obs_handle = REGISTRY.register(
@@ -657,12 +656,8 @@ class LSMStore(KeyValueStore):
                 if self._closed or not self._sealed:
                     return
                 self._flush_sealed(*self._sealed[0])
-            if not self._auto_compact:
-                continue
-            if self._compactor is not None:
-                self._compactor.trigger()
-            else:
-                # One round only: a second inline round would move SSTable
+            if self._auto_compact:
+                # One round only: a second round would move SSTable
                 # boundaries (the store's bytes on disk).
                 self._compaction_round()
 
@@ -682,14 +677,17 @@ class LSMStore(KeyValueStore):
         """Freeze the active WAL as the next ``wal-<n>.log`` and start a new
         one; caller holds the flush lock.  The segment is deleted once the
         flush watermark reaches the last seqno logged so far, whichever
-        memtable those records were applied to."""
+        memtable those records were applied to.  It is a
+        :func:`~repro.faults.io.durable_rename` whose one directory fsync
+        also covers the new log, before any write reaches it."""
         frozen_id = self._next_wal_id
         self._next_wal_id += 1
         self._wal.close()
         active = os.path.join(self._path, WAL_NAME)
         self._io.replace(active, self._segment_path(frozen_id))
-        self._wal = WriteAheadLog(active, sync=self._sync_wal, io=self._io)
         self._frozen[frozen_id] = self._next_seq - 1
+        self._wal = WriteAheadLog(active, sync=self._sync_wal, io=self._io)
+        self._io.fsync_dir(self._path)
 
     def _new_writer(self, expected_records: int) -> SSTableWriter:
         """The one place an SSTable file is started: the next id."""
@@ -855,9 +853,6 @@ class LSMStore(KeyValueStore):
             if self._closed:
                 return
         REGISTRY.unregister(self._obs_handle)
-        compactor, self._compactor = self._compactor, None
-        if compactor is not None:
-            compactor.stop()
         flush_error: BaseException | None = None
         try:
             self.flush()

@@ -56,7 +56,7 @@ import zlib
 from bisect import bisect_right
 from typing import Iterable, Iterator
 
-from repro.faults.io import REAL_IO
+from repro.faults.io import REAL_IO, durable_rename
 from repro.kvstore import blockcodec
 from repro.kvstore.api import CorruptSSTableError
 from repro.kvstore.blockcodec import CODEC_NONE
@@ -152,11 +152,7 @@ class SSTableWriter:
         self._file.flush()
         self._io.fsync(self._file)
         self._file.close()
-        self._io.replace(self._tmp_path, self._path)
-        # Durably commit the rename itself: without the directory fsync an
-        # ext4-style journal replay can resurrect the pre-rename dentry and
-        # lose a fully-synced table.
-        self._io.fsync_dir(os.path.dirname(self._path) or ".")
+        durable_rename(self._io, self._tmp_path, self._path)
         return SSTableReader(self._path, cache=cache, io=self._io, metrics=metrics)
 
     def abort(self) -> None:

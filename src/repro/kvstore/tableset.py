@@ -27,6 +27,7 @@ import os
 import re
 from typing import Iterable
 
+from repro.faults.io import durable_replace
 from repro.kvstore.api import StoreFormatError
 from repro.kvstore.merge import MergeOperator, resolve_merge_operator
 from repro.kvstore.sstable import SSTableReader
@@ -145,21 +146,12 @@ class TableSet:
         }
 
     def commit(self) -> None:
-        """Persist the current state as the MANIFEST: tmp + fsync + rename
-        + directory fsync; only then delete the files of tables that have
-        left the set (a MANIFEST that still names them may be the one on
-        disk until this commit is durable)."""
-        manifest = self._manifest()
-        tmp = self._manifest_path + ".tmp"
-        fh = self._io.open(tmp, "wb")
-        try:
-            fh.write(json.dumps(manifest).encode("utf-8"))
-            fh.flush()
-            self._io.fsync(fh)
-        finally:
-            fh.close()
-        self._io.replace(tmp, self._manifest_path)
-        self._io.fsync_dir(self._directory)
+        """Persist the current state as the MANIFEST (:func:`durable_replace`);
+        only then delete the files of tables that have left the set (a
+        MANIFEST that still names them may be the one on disk until this
+        commit is durable)."""
+        manifest = json.dumps(self._manifest()).encode("utf-8")
+        durable_replace(self._io, self._manifest_path, manifest)
         obsolete, self._obsolete = self._obsolete, []
         for path in obsolete:
             self._io.remove(path)

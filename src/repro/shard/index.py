@@ -30,7 +30,7 @@ from typing import Any, Callable, Sequence
 from repro.core.engine import QueryEngine, SequenceIndex, check_cache_bytes
 from repro.core.errors import DeadlineExceeded
 from repro.executor import ParallelExecutor
-from repro.faults.io import REAL_IO
+from repro.faults.io import REAL_IO, RealIO, durable_replace
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import current_tracer
 from repro.shard.hashing import HASH_NAME, shard_for_trace
@@ -39,9 +39,9 @@ MANIFEST_NAME = "SHARDS.json"
 _MANIFEST_VERSION = 1
 
 
-def write_manifest(root: str | Path, num_shards: int) -> None:
-    """Persist the shard layout of a sharded store directory, durably: the
-    tmp file is fsynced before its rename and the directory after it."""
+def write_manifest(root: str | Path, num_shards: int, io: RealIO = REAL_IO) -> None:
+    """Persist the shard layout of a sharded store directory
+    (:func:`~repro.faults.io.durable_replace` through ``io``)."""
     if num_shards <= 0:
         raise ValueError("num_shards must be positive")
     root = Path(root)
@@ -51,14 +51,8 @@ def write_manifest(root: str | Path, num_shards: int) -> None:
         "num_shards": int(num_shards),
         "hash": HASH_NAME,
     }
-    path = root / MANIFEST_NAME
-    tmp = path.with_suffix(".json.tmp")
-    with REAL_IO.open(str(tmp), "wb") as fh:
-        fh.write((json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
-        fh.flush()
-        REAL_IO.fsync(fh)
-    REAL_IO.replace(str(tmp), str(path))
-    REAL_IO.fsync_dir(str(root))
+    data = (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
+    durable_replace(io, str(root / MANIFEST_NAME), data)
 
 
 def read_manifest(root: str | Path) -> dict[str, Any]:

@@ -15,6 +15,7 @@ from repro.faults import (
     CRASH_BEFORE_RENAME,
     ENOSPC,
     FAIL_FSYNC,
+    LOST_RENAME,
     TORN_WRITE,
     TRUNCATE_CRASH,
     Fault,
@@ -23,6 +24,7 @@ from repro.faults import (
     SimulatedCrash,
     faults_injected_total,
 )
+from repro.faults.io import durable_replace
 
 
 def _io(*faults: Fault) -> FaultyIO:
@@ -105,6 +107,38 @@ class TestRenameFaults:
         with pytest.raises(SimulatedCrash):
             io.replace(src, dst)
         assert os.path.exists(dst) and not os.path.exists(src)
+
+    def test_lost_rename_undoes_every_unsynced_rename_newest_first(self, tmp_path):
+        def put(name, data):
+            with open(tmp_path / name, "wb") as fh:
+                fh.write(data)
+
+        def files():
+            return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        put("log", b"old log")
+        put("M", b"M0")
+        io = _io(Fault(LOST_RENAME, "write", nth=1))
+        io.replace(str(tmp_path / "log"), str(tmp_path / "seg"))
+        put("log", b"new log")  # made at a renamed path: goes with the rename
+        put("M.tmp", b"M1")
+        io.replace(str(tmp_path / "M.tmp"), str(tmp_path / "M"))
+        put("M.tmp", b"M2")
+        io.replace(str(tmp_path / "M.tmp"), str(tmp_path / "M"))
+        fh = io.open(str(tmp_path / "x"), "wb")
+        with pytest.raises(SimulatedCrash):
+            fh.write(b"never written")
+        fh.close()
+        assert files() == {"log": b"old log", "M": b"M0", "M.tmp": b"M1", "x": b""}
+
+    def test_a_rename_its_directory_fsync_covers_survives(self, tmp_path):
+        io = _io(Fault(LOST_RENAME, "rename", nth=2))
+        durable_replace(io, str(tmp_path / "a"), b"kept")
+        with pytest.raises(SimulatedCrash):
+            durable_replace(io, str(tmp_path / "b"), b"lost")
+        assert (tmp_path / "a").read_bytes() == b"kept"
+        assert not (tmp_path / "b").exists()
+        assert (tmp_path / "b.tmp").read_bytes() == b"lost"
 
 
 class TestNamedPoints:

@@ -11,6 +11,8 @@ from repro.faults import (
     CORRUPT,
     CRASH_AFTER_RENAME,
     CRASH_BEFORE_RENAME,
+    ENOSPC,
+    LOST_RENAME,
     TORN_WRITE,
     TRUNCATE_CRASH,
     CrashRecoveryFailure,
@@ -359,12 +361,14 @@ class TestOrphanSweep:
 
 
 class TestDirectoryFsyncFaults:
-    """The directory fsyncs that make a rename durable: the SSTable's in
-    ``SSTableWriter.finish`` and the MANIFEST's in ``TableSet.commit``.
+    """The directory fsyncs that make a rename durable: the WAL rotation's
+    in ``LSMStore._rotate_wal``, the SSTable's in ``SSTableWriter.finish``
+    and the MANIFEST's in ``TableSet.commit``.
 
     Each test arms its fault once the store is open and its table exists
     (both commit the MANIFEST), so ``nth`` counts from the flush: the
-    first directory fsync is the SSTable's, the second the MANIFEST's.
+    first directory fsync is the rotation's, the second the SSTable's, the
+    third the MANIFEST's.
     """
 
     @staticmethod
@@ -381,7 +385,7 @@ class TestDirectoryFsyncFaults:
         # still be recoverable (from the table if the dentry survived, else
         # from the retained WAL segment).
         path = str(tmp_path / "db")
-        store = self._store(path, Fault("crash", "fsync_dir", nth=1))
+        store = self._store(path, Fault("crash", "fsync_dir", nth=2))
         for i in range(10):
             store.merge("t", i % 3, [i])
         with pytest.raises(SimulatedCrash):
@@ -400,7 +404,7 @@ class TestDirectoryFsyncFaults:
         # EIO from the directory fsync behaves like a failed file fsync:
         # the flush is unacknowledged and retried, the store stays usable.
         path = str(tmp_path / "db")
-        store = self._store(path, Fault("fail_fsync", "fsync_dir", nth=1))
+        store = self._store(path, Fault("fail_fsync", "fsync_dir", nth=2))
         store.merge("t", 1, ["a"])
         with pytest.raises(OSError):
             store.flush()
@@ -415,7 +419,7 @@ class TestDirectoryFsyncFaults:
         # raises instead of acknowledging it, and keeps the WAL segment
         # that still holds the rows until a later commit succeeds.
         path = str(tmp_path / "db")
-        store = self._store(path, Fault("fail_fsync", "fsync_dir", nth=2))
+        store = self._store(path, Fault("fail_fsync", "fsync_dir", nth=3))
         store.merge("t", 1, ["a"])
         with pytest.raises(OSError):
             store.flush()
@@ -449,3 +453,47 @@ class TestSeedSweep:
                 f"{len(failures)}/{self.SWEEP} seeds violated the durability "
                 "contract:\n" + "\n".join(failures)
             )
+
+
+class TestLostRename:
+    """A power cut loses every rename no directory fsync has covered yet
+    (``lost_rename``); on a ``sync_wal=True`` store no acknowledged write
+    may go with it."""
+
+    def test_a_lost_wal_rotation_loses_no_acknowledged_write(self, tmp_path):
+        # The first flush fails after its WAL rotation, so no SSTable or
+        # MANIFEST directory fsync follows the rotation's rename; writes
+        # acknowledged from the new log must survive the cut at the next one.
+        path = str(tmp_path / "db")
+        schedule = FaultSchedule(
+            [
+                Fault(ENOSPC, "write", path_part=".sst"),
+                Fault(LOST_RENAME, "rename", nth=2, path_part="wal-"),
+            ]
+        )
+        store = LSMStore(path, sync_wal=True, io=FaultyIO(schedule))
+        store.create_table("t")
+        acked = {}
+        for i in range(12):
+            if i == 9:
+                with pytest.raises(OSError):
+                    store.flush()
+            store.put("t", i, f"v{i}")
+            acked[(i,)] = f"v{i}"
+        with pytest.raises(SimulatedCrash):
+            store.flush()
+        simulate_crash(store)
+        with LSMStore(path) as reopened:
+            assert dict(reopened.scan("t")) == acked
+            reopened.verify()
+
+    def test_every_rename_of_the_workload_survives_a_lost_rename(self, tmp_path):
+        seed, ops = 1, 160
+        counting = FaultSchedule([Fault(LOST_RENAME, "rename", nth=10**9)])  # never fires
+        run_seed(seed, ops=ops, path=str(tmp_path / "count"), schedule=counting)
+        renames = counting.op_counts["rename"]
+        assert renames > 40 and counting.op_counts["point:compaction.pre_swap"] > 0
+        for nth in range(1, renames + 1):
+            schedule = FaultSchedule([Fault(LOST_RENAME, "rename", nth=nth)])
+            summary = run_seed(seed, ops=ops, path=str(tmp_path / str(nth)), schedule=schedule)
+            assert summary["crashed"]

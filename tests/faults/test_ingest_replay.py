@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import run_ingest_replay
+from repro.faults import LOST_RENAME, Fault, run_ingest_replay
 from repro.faults.ingest import generate_feed_events
 
 # Fixed seeds exercised on every tier-1 run; chosen to cover every kill
@@ -81,6 +81,20 @@ def test_mid_apply_kill_converges(tmp_path):
         for seed in TIER1_SEEDS
     }
     assert kills == {"mid_apply/torn_frame", "mid_apply/memtable_apply"}
+
+
+@pytest.mark.parametrize("seed", (0, 1), ids=("1-shard", "2-shards"))
+def test_a_lost_rename_anywhere_converges(seed, tmp_path):
+    """A power cut at each rename the run makes -- MANIFEST commits and
+    checkpoints, on ``sync_wal=True`` stores -- still replays to the clean
+    build."""
+    never = Fault(LOST_RENAME, "rename", nth=10**9)
+    counted = run_ingest_replay(seed, path=str(tmp_path / "count"), phase=never)
+    assert counted["kill"] is None and counted["shards"] == seed + 1
+    for nth in range(1, counted["renames"] + 1):
+        fault = Fault(LOST_RENAME, "rename", nth=nth)
+        summary = run_ingest_replay(seed, path=str(tmp_path / str(nth)), phase=fault)
+        assert summary["kill"] == f"lost_rename at rename#{nth}"
 
 
 def test_unknown_phase_is_rejected():

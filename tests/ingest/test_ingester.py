@@ -11,7 +11,7 @@ import pytest
 from repro.core.engine import SequenceIndex
 from repro.core.model import Event
 from repro.core.policies import Policy
-from repro.faults import SimulatedCrash
+from repro.faults import CRASH, Fault, FaultSchedule, FaultyIO, RealIO, SimulatedCrash
 from repro.ingest import (
     EngineSink,
     FeedEvent,
@@ -180,12 +180,16 @@ class TestTailIngester:
             writer.append(early)
             read_end = writer.tell()
 
-            def producer_appends(batch_no):
-                if batch_no == 0:
-                    writer.append(late)
+            class ProducerAppends(RealIO):
+                """The producer appends as the first checkpoint is stored."""
+
+                def open(self, path, mode="rb"):
+                    if writer.tell() == read_end:
+                        writer.append(late)
+                    return super().open(path, mode)
 
             with TailIngester(
-                feed, EngineSink(engine), checkpoint, pre_checkpoint_hook=producer_appends
+                feed, EngineSink(engine), checkpoint, io=ProducerAppends()
             ) as ingester:
                 assert ingester.step() == 4
                 assert load_checkpoint(checkpoint).offset == read_end < writer.tell()
@@ -279,15 +283,12 @@ class TestRoutingSink:
         checkpoint = str(tmp_path / "cp")
         _write_feed(feed, events)
 
-        def kill(batch_no):
-            if batch_no == 1:
-                raise SimulatedCrash("applied, not checkpointed")
+        # batch 1 is applied, not checkpointed: its checkpoint's first I/O dies
+        kill = FaultyIO(FaultSchedule([Fault(CRASH, "open", nth=2)]))
 
         with SequenceIndex(LSMStore(str(tmp_path / "ix"))) as engine:
             sink = MonthlySink(engine)
-            with TailIngester(
-                feed, sink, checkpoint, batch_events=4, pre_checkpoint_hook=kill
-            ) as ingester:
+            with TailIngester(feed, sink, checkpoint, batch_events=4, io=kill) as ingester:
                 with pytest.raises(SimulatedCrash):
                     ingester.drain()
             with TailIngester(feed, sink, checkpoint, batch_events=4) as ingester:

@@ -4,7 +4,7 @@ N writer threads mutate disjoint put/delete keys plus overlapping merge
 keys while M reader threads continuously get/scan and check invariants
 (torn values, out-of-order merge deltas, inconsistent scans).  At the end
 the store must agree exactly with a dict model maintained alongside the
-writes, with and without background compaction.
+writes.
 
 The quick variants run in the default suite; the big ones are gated behind
 ``pytest -m stress``.
@@ -119,20 +119,16 @@ def _check_final_state(store, model: dict, appended: dict) -> None:
     assert sorted(merged_tags) == expected
 
 
-def _lsm(tmp_path, background_compaction: bool) -> LSMStore:
+def _lsm(tmp_path) -> LSMStore:
     # Tiny flush threshold + eager compaction so the hammer constantly
     # exercises seal/flush/compact interleavings, not just the memtable.
     return LSMStore(
-        str(tmp_path / "store"),
-        memtable_flush_bytes=2000,
-        compaction_min_tables=2,
-        background_compaction=background_compaction,
+        str(tmp_path / "store"), memtable_flush_bytes=2000, compaction_min_tables=2
     )
 
 
-@pytest.mark.parametrize("background_compaction", [False, True])
-def test_hammer_lsm_quick(tmp_path, background_compaction):
-    store = _lsm(tmp_path, background_compaction)
+def test_hammer_lsm_quick(tmp_path):
+    store = _lsm(tmp_path)
     model, appended = _hammer(
         store, writers=4, readers=2, ops_per_writer=150, seed=1
     )
@@ -155,9 +151,8 @@ def test_hammer_in_memory_parity(tmp_path):
 
 
 @pytest.mark.stress
-@pytest.mark.parametrize("background_compaction", [False, True])
-def test_hammer_lsm_stress(tmp_path, background_compaction):
-    store = _lsm(tmp_path, background_compaction)
+def test_hammer_lsm_stress(tmp_path):
+    store = _lsm(tmp_path)
     model, appended = _hammer(
         store, writers=8, readers=4, ops_per_writer=1200, seed=3
     )

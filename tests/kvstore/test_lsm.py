@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.faults import FaultSchedule, FaultyIO
 from repro.kvstore import LSMStore
 from repro.kvstore.api import (
     MergeUnsupportedError,
@@ -178,6 +179,19 @@ class TestDurability:
         store.merge("t", "e", {"x": [1.5, 1]})
         store.merge("t", "e", {"x": [0.5, 1]})
         assert store.get("t", "e") == {"x": [2.0, 2]}
+        store.close()
+
+
+    @pytest.mark.parametrize("sync_wal", [True, False])
+    def test_sync_wal_fsyncs_the_wal_once_per_write(self, store_path, sync_wal):
+        schedule = FaultSchedule([])
+        store = _open(store_path, sync_wal=sync_wal, io=FaultyIO(schedule))
+        store.create_table("t")
+        before = schedule.op_counts["fsync"]  # the MANIFEST commits'
+        for i in range(5):
+            store.put("t", i, i)
+        store.write([("put", "t", 9, 9), ("delete", "t", 0, None)])  # one frame
+        assert schedule.op_counts["fsync"] - before == (6 if sync_wal else 0)
         store.close()
 
 

@@ -101,9 +101,8 @@ def test_corrupt_manifest_is_refused(tmp_path):
             read_manifest(root)
 
 
-def test_manifest_is_synced_before_and_after_its_rename(tmp_path, monkeypatch):
+def test_manifest_is_synced_before_and_after_its_rename(tmp_path):
     from repro.faults.io import RealIO
-    from repro.shard import index as shard_index
 
     calls = []
 
@@ -120,9 +119,8 @@ def test_manifest_is_synced_before_and_after_its_rename(tmp_path, monkeypatch):
             calls.append(("fsync_dir", path))
             super().fsync_dir(path)
 
-    monkeypatch.setattr(shard_index, "REAL_IO", RecordingIO())
     root = tmp_path / "sx"
-    write_manifest(root, 3)
+    write_manifest(root, 3, io=RecordingIO())
     assert calls == [
         ("fsync", MANIFEST_NAME + ".tmp"),
         ("replace", MANIFEST_NAME),

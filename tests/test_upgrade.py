@@ -6,8 +6,8 @@ tuple Index rows, pair-keyed LastChecked rows, v1 SSTables),
 ``tests/data/leveled_store`` (a plain key-value store of the retired
 leveled strategy) and ``tests/data/parent_store`` (current rows, a table
 and a WAL, but no ``format`` in its MANIFEST).  Opening any of them writes
-nothing; the upgrade is idempotent and survives a crash at any fsync or
-rename it makes.
+nothing; the upgrade is idempotent and survives a crash, or a power cut, at
+any fsync or rename it makes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,13 @@ from repro.cli import main
 from repro.core.engine import SequenceIndex
 from repro.core.model import Event
 from repro.faults import FaultyIO, FaultSchedule
-from repro.faults.schedule import CRASH, CRASH_AFTER_RENAME, Fault, SimulatedCrash
+from repro.faults.schedule import (
+    CRASH,
+    CRASH_AFTER_RENAME,
+    LOST_RENAME,
+    Fault,
+    SimulatedCrash,
+)
 from repro.kvstore import InMemoryStore, LSMStore, StoreFormatError
 from repro.shard.index import ShardedSequenceIndex, write_manifest
 from repro.upgrade import upgrade_store
@@ -139,8 +145,9 @@ def test_a_sharded_root_is_upgraded_shard_by_shard(tmp_path, capsys):
 
 
 def _crash_points(name: str, tmp_path) -> list[Fault]:
-    """A crash at every fsync and rename the fixture's upgrade makes, and
-    one right after every rename."""
+    """A crash at every fsync and rename the fixture's upgrade makes, one
+    right after every rename, and a power cut that loses the renames no
+    directory fsync has covered yet at every rename."""
     path = _copy(tmp_path / "count", name)
     schedule = FaultSchedule([])
     upgrade_store(path, io=FaultyIO(schedule))
@@ -150,7 +157,7 @@ def _crash_points(name: str, tmp_path) -> list[Fault]:
         for op, kinds in (
             ("fsync", [CRASH]),
             ("fsync_dir", [CRASH]),
-            ("rename", [CRASH, CRASH_AFTER_RENAME]),
+            ("rename", [CRASH, CRASH_AFTER_RENAME, LOST_RENAME]),
         )
         for kind in kinds
         for nth in range(1, counts[op] + 1)
