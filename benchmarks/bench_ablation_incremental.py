@@ -31,7 +31,8 @@ def _base_and_batch():
 
 def test_incremental_batch_append(benchmark):
     log, batch = _base_and_batch()
-    base_index = build_index(log, Policy.STNM)
+    base_index = SequenceIndex(policy=Policy.STNM)
+    base_index.update(log)
     store = base_index.store
 
     # Appending the same batch repeatedly keeps timestamps increasing per

@@ -1,6 +1,6 @@
 """Shared configuration of the pytest-benchmark suites.
 
-These suites time the ablations beyond the paper (store backend, cache,
+These suites time the ablations beyond the paper (merge writes, cache,
 incremental update, suffix modes, pattern language, sharded service).  The paper's tables and figures have one path, the
 experiment runner::
 

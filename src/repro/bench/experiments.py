@@ -28,11 +28,9 @@ from repro.bench.workloads import (
     prepared_index,
     stnm_patterns,
 )
-from repro.core.engine import SequenceIndex
 from repro.core.model import EventLog
 from repro.core.pairs import fold_indexing_pairs, parsing_pairs, state_pairs
 from repro.core.policies import Policy
-from repro.kvstore import InMemoryStore
 from repro.logs.datasets import DATASETS
 from repro.logs.generator import RandomLogConfig, generate_random_log
 from repro.logs.stats import profile_log
@@ -221,10 +219,9 @@ def exp_fig3(scale: float) -> ExperimentResult:
 
 
 def _build_counts(log: EventLog, policy: Policy) -> tuple[int, int]:
-    """One fresh in-memory index build over ``log``:
+    """One :func:`~repro.bench.workloads.build_index` over ``log``:
     ``(events indexed, pairs created)``."""
-    with SequenceIndex(InMemoryStore(), policy) as index:
-        stats = index.update(log)
+    stats = build_index(log, policy)
     return stats.events_indexed, stats.pairs_created
 
 

@@ -9,7 +9,10 @@ Usage::
 Tables print to stdout in the paper's layout; CSVs land in ``results/``.
 Each experiment runs under a tracer whose span profile is written beside
 its CSV; the timed rounds of
-:func:`~repro.bench.workloads.best_of_rounds` switch it off.
+:func:`~repro.bench.workloads.best_of_rounds` switch it off.  Every index
+is built on an :class:`~repro.kvstore.lsm.LSMStore` in a temporary
+directory; the cached ones are closed, and their directories removed,
+before the runner returns.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import time
 
 from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.bench.reporting import format_table, write_csv, write_profile
+from repro.bench.workloads import close_indexes
 from repro.logs.datasets import bench_scale
 from repro.obs.trace import Tracer, activate
 
@@ -51,20 +55,23 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     scale = args.scale if args.scale is not None else bench_scale(DEFAULT_SCALE)
     names = args.experiments or list(ALL_EXPERIMENTS)
-    for name in names:
-        tracer = Tracer(max_spans=50_000)
-        started = time.perf_counter()
-        with activate(tracer):
-            result = ALL_EXPERIMENTS[name](scale)
-        elapsed = time.perf_counter() - started
-        print(format_table(result))
-        path = write_csv(result, args.results_dir)
-        profile_path = write_profile(name, tracer, args.results_dir)
-        print(
-            f"[{name} finished in {elapsed:.1f}s; csv: {path}; "
-            f"profile: {profile_path}]"
-        )
-        print()
+    try:
+        for name in names:
+            tracer = Tracer(max_spans=50_000)
+            started = time.perf_counter()
+            with activate(tracer):
+                result = ALL_EXPERIMENTS[name](scale)
+            elapsed = time.perf_counter() - started
+            print(format_table(result))
+            path = write_csv(result, args.results_dir)
+            profile_path = write_profile(name, tracer, args.results_dir)
+            print(
+                f"[{name} finished in {elapsed:.1f}s; csv: {path}; "
+                f"profile: {profile_path}]"
+            )
+            print()
+    finally:
+        close_indexes()
     return 0
 
 

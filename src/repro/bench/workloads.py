@@ -6,11 +6,11 @@ import random
 from time import perf_counter
 from typing import Any, Callable, Sequence
 
+from repro.core.builder import UpdateStats
 from repro.core.engine import SequenceIndex
 from repro.core.model import EventLog
 from repro.core.pattern import Pattern
 from repro.core.policies import Policy
-from repro.kvstore import InMemoryStore
 from repro.logs.datasets import load_dataset
 from repro.obs.trace import NULL_TRACER, activate
 
@@ -55,19 +55,30 @@ def prepared_dataset(name: str, scale: float) -> EventLog:
     return _DATASET_CACHE[key]
 
 
-def build_index(log: EventLog, policy: Policy = Policy.STNM) -> SequenceIndex:
-    """Build a fresh in-memory index over ``log`` (the timed operation)."""
-    index = SequenceIndex(InMemoryStore(), policy=policy)
-    index.update(log)
-    return index
+def build_index(log: EventLog, policy: Policy = Policy.STNM) -> UpdateStats:
+    """The timed index build: ``log`` into a fresh engine on its own
+    temporary :class:`~repro.kvstore.lsm.LSMStore`, closed before it
+    returns, so the flush at close is part of the build."""
+    with SequenceIndex(policy=policy) as index:
+        return index.update(log)
 
 
 def prepared_index(name: str, scale: float, policy: Policy) -> SequenceIndex:
-    """Cached index over a registry dataset (for query benchmarks)."""
+    """Cached index over a registry dataset (for query benchmarks), flushed
+    so that its queries read SSTables; :func:`close_indexes` closes it."""
     key = (name, scale, policy)
     if key not in _INDEX_CACHE:
-        _INDEX_CACHE[key] = build_index(prepared_dataset(name, scale), policy)
+        index = SequenceIndex(policy=policy)
+        index.update(prepared_dataset(name, scale))
+        index.flush()
+        _INDEX_CACHE[key] = index
     return _INDEX_CACHE[key]
+
+
+def close_indexes() -> None:
+    """Close every cached index, which removes its store's directory."""
+    while _INDEX_CACHE:
+        _INDEX_CACHE.popitem()[1].close()
 
 
 def stnm_patterns(

@@ -12,7 +12,9 @@ This is the class downstream users interact with::
     index.continuations(["a", "b"], mode="hybrid", top_k=5)
 
 The store argument accepts any :class:`~repro.kvstore.api.KeyValueStore`;
-omitting it uses an in-memory store (useful for exploration and tests).
+omitting it opens an :class:`~repro.kvstore.lsm.LSMStore` in a fresh
+temporary directory that the engine owns and :meth:`QueryEngine.close`
+removes (useful for exploration and tests).
 
 The engine surface lives in :class:`QueryEngine`, written once over a list
 of shards: a :class:`SequenceIndex` is one shard core and the engine whose
@@ -24,8 +26,11 @@ only its placement rule and the shard manifest.
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 import threading
 import time
+import weakref
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.builder import IndexBuilder, UpdateStats, WrittenKeys
@@ -50,7 +55,7 @@ from repro.core.query import (
     check_deadline,
     check_limits,
 )
-from repro.kvstore import InMemoryStore
+from repro.kvstore import LSMStore
 from repro.kvstore.cache import LRUCache
 from repro.kvstore.api import KeyValueStore, StoreClosedError
 from repro.obs.profile import QueryProfile, profile_from_tracer
@@ -542,7 +547,7 @@ class QueryEngine:
     # -- lifecycle --------------------------------------------------------------------
 
     def flush(self) -> None:
-        """Flush every shard's store (durable backends)."""
+        """Flush every shard's store."""
         for shard in self.shards:
             shard.store.flush()
 
@@ -561,6 +566,8 @@ class QueryEngine:
                 shard.store.close()
             except Exception as exc:  # close every shard before re-raising
                 errors.append(exc)
+            if shard._remove_owned_dir is not None:
+                shard._remove_owned_dir()
         if errors:
             raise errors[0]
 
@@ -689,7 +696,14 @@ class SequenceIndex(QueryEngine):
         check_cache_bytes(cache_bytes)
         row_cache = LRUCache(cache_bytes) if cache_bytes else None
         self.shards = (self,)
-        self.store = store if store is not None else InMemoryStore()
+        #: removes the temporary directory of a store the engine opened
+        #: itself -- at :meth:`close`, or when the engine is collected
+        self._remove_owned_dir: weakref.finalize | None = None
+        if store is None:
+            path = tempfile.mkdtemp(prefix="repro-index-")
+            self._remove_owned_dir = weakref.finalize(self, shutil.rmtree, path, True)
+            store = LSMStore(path)
+        self.store = store
         self.builder = IndexBuilder(self.store, policy)
         self.tables = self.builder.tables
         self.query = QueryProcessor(self.tables, row_cache)
@@ -719,7 +733,7 @@ class SequenceIndex(QueryEngine):
         return self.query.kind_stats(SEQUENCE)
 
     def storage_stats(self) -> dict[str, Any]:
-        """The store's storage accounting (empty for in-memory backends)."""
+        """The store's storage accounting."""
         self._check_open()
         return self.store.storage_stats()
 

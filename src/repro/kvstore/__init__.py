@@ -7,13 +7,9 @@ bloom-filtered SSTables, size-tiered compaction and -- crucially for the
 paper's write pattern -- *merge operators* that implement Cassandra-style
 "append to a collection column" writes without read-modify-write cycles.
 
-Two interchangeable implementations are exposed:
-
-* :class:`LSMStore` -- durable, file-backed, crash-recoverable.
-* :class:`InMemoryStore` -- dictionary-backed, for tests and small jobs.
-
-Both satisfy the :class:`KeyValueStore` interface, so every index structure
-in :mod:`repro.core` runs unchanged on either.
+:class:`LSMStore` -- durable, file-backed, crash-recoverable -- is the one
+implementation of the :class:`KeyValueStore` interface that every index
+structure in :mod:`repro.core` is written against.
 """
 
 from repro.kvstore.api import (
@@ -25,7 +21,6 @@ from repro.kvstore.api import (
 from repro.kvstore.cache import BlockCache, LRUCache
 from repro.kvstore.locks import RWLock
 from repro.kvstore.lsm import LSMStore, StoreMetrics
-from repro.kvstore.memory import InMemoryStore
 from repro.kvstore.merge import (
     CounterMapMerge,
     LastWriteWins,
@@ -37,7 +32,6 @@ from repro.kvstore.merge import (
 __all__ = [
     "KeyValueStore",
     "LSMStore",
-    "InMemoryStore",
     "StoreMetrics",
     "LRUCache",
     "BlockCache",

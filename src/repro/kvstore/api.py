@@ -1,10 +1,10 @@
-"""Public interface of the key-value store backends.
+"""Public interface of the key-value store.
 
 Tables are cheap namespaces (like Cassandra column families).  Each table is
 created with an optional :class:`~repro.kvstore.merge.MergeOperator`; only
 tables with an operator accept :meth:`KeyValueStore.merge` writes.
 
-:meth:`KeyValueStore.write` is every backend's one write path: an ordered
+:meth:`KeyValueStore.write` is the store's one write path: an ordered
 batch of put / merge / delete ops applied as one unit.  ``put``, ``merge``
 and ``delete`` are one-op batches.
 
@@ -85,7 +85,8 @@ def normalize_key(key: KeyPart | Key) -> Key:
 
 
 class KeyValueStore:
-    """Abstract store API shared by :class:`LSMStore` and :class:`InMemoryStore`."""
+    """The store API the index is written against; :class:`LSMStore` is its
+    one implementation."""
 
     def create_table(self, name: str, merge_operator: str | None = None) -> None:
         """Create table ``name`` if absent.
@@ -99,6 +100,10 @@ class KeyValueStore:
 
     def has_table(self, name: str) -> bool:
         """Return whether table ``name`` exists."""
+        raise NotImplementedError
+
+    def list_tables(self) -> list[str]:
+        """Every table's name, sorted."""
         raise NotImplementedError
 
     def write(self, ops: Iterable[WriteOp]) -> None:
@@ -137,8 +142,8 @@ class KeyValueStore:
 
         Semantically identical to ``[self.get(table, k, default) for k in
         keys]`` -- merge operators, tombstones and defaults included -- but
-        executed as one atomic batch: backends resolve every key against a
-        single consistent snapshot of their state and may share per-batch
+        executed as one atomic batch: the store resolves every key against a
+        single consistent snapshot of its state and may share per-batch
         work (lock acquisition, bloom probes, block reads).  Duplicate keys
         are allowed and each position gets its answer.
         """
@@ -170,43 +175,18 @@ class KeyValueStore:
         raise NotImplementedError
 
     def flush(self) -> None:
-        """Persist buffered writes (no-op for in-memory backends)."""
+        """Persist buffered writes."""
         raise NotImplementedError
 
     def close(self) -> None:
         """Release resources; further operations raise :class:`StoreClosedError`."""
         raise NotImplementedError
 
-    # -- maintenance hooks ----------------------------------------------------
-    #
-    # Backends without background structure (e.g. the dict-backed store)
-    # inherit these defaults, keeping the two implementations API-identical
-    # so callers can tune compaction/caching without branching on type.
-
-    def compact(self) -> bool:
-        """Run one compaction round; return whether anything was compacted."""
-        return False
-
-    def compact_all(self) -> None:
-        """Force-merge all on-disk structure (no-op without one)."""
-
-    def verify(self) -> None:
-        """Scrub persisted data against checksums; raises on corruption."""
-
-    @property
-    def sstable_count(self) -> int:
-        """Number of on-disk sorted tables (0 for in-memory backends)."""
-        return 0
-
-    def cache_stats(self) -> dict[str, int]:
-        """Block-cache counters, empty when the backend has no cache."""
-        return {}
-
     def storage_stats(self) -> dict[str, Any]:
-        """On-disk storage accounting, empty when nothing is on disk."""
-        return {}
+        """On-disk storage accounting."""
+        raise NotImplementedError
 
-    # -- conveniences shared by both backends --------------------------------
+    # -- conveniences over the methods above ------------------------------------
 
     def __enter__(self) -> "KeyValueStore":
         return self

@@ -287,6 +287,9 @@ class LSMStore(KeyValueStore):
         #: frozen WAL segment id -> last seqno logged into it (deletable once
         #: the flush watermark reaches it); guarded by ``_flush_lock``
         self._frozen: dict[int, int] = {}
+        #: a WAL rotation's directory fsync failed: until one succeeds, every
+        #: write fsyncs the directory before it appends (``_flush_lock``)
+        self._owes_dir_fsync = False
         self._next_wal_id = 1
         self._next_seq = 1
 
@@ -417,6 +420,9 @@ class LSMStore(KeyValueStore):
                 self._check_open()
                 if not records:
                     return
+                if self._owes_dir_fsync:
+                    self._io.fsync_dir(self._path)
+                    self._owes_dir_fsync = False
                 for op, count in tally.items():
                     if count:
                         self.metrics.bump(WRITE_OP_COUNTERS[op], count)
@@ -679,7 +685,9 @@ class LSMStore(KeyValueStore):
         flush watermark reaches the last seqno logged so far, whichever
         memtable those records were applied to.  It is a
         :func:`~repro.faults.io.durable_rename` whose one directory fsync
-        also covers the new log, before any write reaches it."""
+        also covers the new log, before any write reaches it: if that fsync
+        fails, the next write retries it and is not acknowledged unless it
+        succeeds."""
         frozen_id = self._next_wal_id
         self._next_wal_id += 1
         self._wal.close()
@@ -687,7 +695,9 @@ class LSMStore(KeyValueStore):
         self._io.replace(active, self._segment_path(frozen_id))
         self._frozen[frozen_id] = self._next_seq - 1
         self._wal = WriteAheadLog(active, sync=self._sync_wal, io=self._io)
+        self._owes_dir_fsync = True
         self._io.fsync_dir(self._path)
+        self._owes_dir_fsync = False
 
     def _new_writer(self, expected_records: int) -> SSTableWriter:
         """The one place an SSTable file is started: the next id."""

@@ -44,15 +44,6 @@ class MergeOperator:
         """Collapse consecutive deltas (oldest first) into a single delta."""
         raise NotImplementedError
 
-    def merge_in_place(self, base: Any, delta: Any) -> bool:
-        """Mutate ``base`` by one delta; return False if unsupported.
-
-        In-memory backends use this to avoid rebuilding large collection
-        values on every blind write (the LSM backend never needs it -- its
-        deltas stay encoded until read or compaction).
-        """
-        return False
-
     def full_merge_encoded(self, base: bytes | None, deltas: list[bytes]) -> bytes:
         """:meth:`full_merge` over encoded operands (``None`` = no base).
 
@@ -90,10 +81,6 @@ class ListAppendMerge(MergeOperator):
             merged.extend(delta)
         return merged
 
-    def merge_in_place(self, base: Any, delta: Any) -> bool:
-        base.extend(delta)
-        return True
-
     def full_merge_encoded(self, base: bytes | None, deltas: list[bytes]) -> bytes:
         spliced = concat_encoded_lists(deltas if base is None else [base, *deltas])
         if spliced is None:  # an operand that is no list: let full_merge judge it
@@ -126,10 +113,6 @@ class CounterMapMerge(MergeOperator):
         for delta in deltas:
             self._accumulate(merged, delta)
         return merged
-
-    def merge_in_place(self, base: Any, delta: Any) -> bool:
-        self._accumulate(base, delta)
-        return True
 
     @staticmethod
     def _accumulate(target: dict[Any, list[float]], delta: dict[Any, Any]) -> None:
@@ -166,12 +149,6 @@ class MaxMapMerge(MergeOperator):
                 if key not in merged or val > merged[key]:
                     merged[key] = val
         return merged
-
-    def merge_in_place(self, base: Any, delta: Any) -> bool:
-        for key, val in delta.items():
-            if key not in base or val > base[key]:
-                base[key] = val
-        return True
 
 
 class LastWriteWins(MergeOperator):

@@ -88,7 +88,11 @@ class SSTableWriter:
         self._tmp_path = path + ".tmp"
         self._io = io or REAL_IO
         self._file = self._io.open(self._tmp_path, "wb")
-        self._file.write(MAGIC)
+        try:
+            self._file.write(MAGIC)
+        except BaseException:
+            self.abort()
+            raise
         self._bloom = BloomFilter.with_capacity(expected_records)
         self._index: list[tuple[bytes, int]] = []
         self._block_buf = bytearray()

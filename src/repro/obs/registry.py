@@ -355,10 +355,10 @@ def _format_value(value: float) -> str:
 
 def store_samples(
     metrics_snapshot: dict[str, int],
-    sstables: int | None = None,
-    tables: int | None = None,
-    cache_stats: dict[str, int] | None = None,
-    bytes_on_disk: int | None = None,
+    sstables: int,
+    tables: int,
+    cache_stats: dict[str, int],
+    bytes_on_disk: int,
 ) -> dict[str, float]:
     """Map a :class:`~repro.kvstore.lsm.StoreMetrics` snapshot (plus shape
     gauges and block-cache occupancy) to exposition names."""
@@ -366,12 +366,9 @@ def store_samples(
         f"repro_store_{name}_total": value
         for name, value in metrics_snapshot.items()
     }
-    if sstables is not None:
-        samples["repro_store_sstables"] = sstables
-    if tables is not None:
-        samples["repro_store_tables"] = tables
-    if bytes_on_disk is not None:
-        samples["repro_sstable_bytes_on_disk"] = bytes_on_disk
+    samples["repro_store_sstables"] = sstables
+    samples["repro_store_tables"] = tables
+    samples["repro_sstable_bytes_on_disk"] = bytes_on_disk
     if cache_stats:
         samples["repro_block_cache_entries"] = cache_stats.get("entries", 0)
         samples["repro_block_cache_bytes"] = cache_stats.get("weight", 0)

@@ -114,7 +114,10 @@ class TestPatternSampling:
 class TestBuildIndex:
     def test_build_index_queries_work(self):
         log = prepared_dataset("bpi_2013", 0.01)
-        index = build_index(log, Policy.STNM)
+        stats = build_index(log, Policy.STNM)  # built, flushed and closed
+        assert stats.events_indexed == log.num_events
+        index = prepared_index("bpi_2013", 0.01, Policy.STNM)
+        assert index.store.sstable_count > 0  # queries read what was flushed
         patterns = stnm_patterns(log, 2, 3, seed=4)
         assert any(index.detect(p) for p in patterns)
 

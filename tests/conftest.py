@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.model import EventLog
-from repro.kvstore import InMemoryStore, LSMStore, blockcodec
+from repro.kvstore import LSMStore, blockcodec
 
 try:  # hypothesis drives the differential suite; the rest runs without it
     from hypothesis import HealthCheck, settings
@@ -22,26 +22,8 @@ except ImportError:  # pragma: no cover
 
 
 @pytest.fixture
-def memory_store():
-    store = InMemoryStore()
-    yield store
-    store.close()
-
-
-@pytest.fixture
 def lsm_store(tmp_path):
     store = LSMStore(str(tmp_path / "store"))
-    yield store
-    store.close()
-
-
-@pytest.fixture(params=["memory", "lsm"])
-def any_store(request, tmp_path):
-    """Both backends behind the same API; tests run once per backend."""
-    if request.param == "memory":
-        store = InMemoryStore()
-    else:
-        store = LSMStore(str(tmp_path / "store"))
     yield store
     store.close()
 

@@ -12,11 +12,11 @@ from repro.core.engine import SequenceIndex
 from repro.core.errors import TraceOrderError
 from repro.core.model import Event, EventLog
 from repro.core.policies import Policy
-from repro.kvstore import InMemoryStore
+from tests.temp_store import TempStore
 
 
 def _build(log, policy=Policy.STNM):
-    store = InMemoryStore()
+    store = TempStore()
     builder = IndexBuilder(store, policy)
     stats = builder.update(log)
     return builder, stats
@@ -64,7 +64,7 @@ class TestFullBuild:
 class TestConfigurationValidation:
     def test_stam_not_indexable(self):
         with pytest.raises(ValueError):
-            IndexBuilder(InMemoryStore(), Policy.STAM)
+            IndexBuilder(TempStore(), Policy.STAM)
 
 
 class TestIncremental:
@@ -82,11 +82,11 @@ class TestIncremental:
     @pytest.mark.parametrize("policy", (Policy.STNM, Policy.SC))
     def test_incremental_equals_batch(self, policy):
         activities = list("ABCABDBACBAD")
-        full_store = InMemoryStore()
+        full_store = TempStore()
         IndexBuilder(full_store, policy).update(
             EventLog.from_dict({"t": activities})
         )
-        inc_store = InMemoryStore()
+        inc_store = TempStore()
         inc_builder = IndexBuilder(inc_store, policy)
         for batch in self._batches(activities, [3, 5, 9]):
             if batch:
@@ -160,7 +160,7 @@ class TestIncremental:
         assert postings.trace_ids() == {"t1", "t2"}
 
 
-class _CountingStore(InMemoryStore):
+class _CountingStore(TempStore):
     """Counts point ``get`` and batched ``multi_get`` calls and store writes;
     lists the ops written."""
 

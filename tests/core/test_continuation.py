@@ -11,7 +11,7 @@ from repro.core.errors import EmptyPatternError
 from repro.core.matches import ContinuationProposal
 from repro.core.model import Event, EventLog
 from repro.core.policies import Policy
-from repro.kvstore import InMemoryStore
+from tests.temp_store import TempStore
 
 
 @pytest.fixture
@@ -197,7 +197,7 @@ class TestCountRowReads:
     per-generation cache: a row is fetched and decoded once per write
     generation, whoever asks (planner, Fast ranking, insertion candidates)."""
 
-    class _RowReads(InMemoryStore):
+    class _RowReads(TempStore):
         def __init__(self):
             super().__init__()
             self.rows_read: list[tuple[str, str]] = []

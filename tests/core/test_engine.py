@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import pytest
 
+from repro.bench import runner, workloads
+from repro.bench.experiments import ALL_EXPERIMENTS, exp_table5
 from repro.core.engine import QueryEngine, SequenceIndex
 from repro.core.errors import IndexStateError
 from repro.core.model import Event, EventLog
@@ -45,11 +50,31 @@ def _check_prune_changes_no_answer(index, log) -> None:
 
 
 class TestFacade:
-    def test_default_store_is_memory(self, paper_log):
-        index = SequenceIndex()
+    def test_the_default_store_is_an_lsm_store_the_engine_owns(
+        self, paper_log, tmp_path, monkeypatch
+    ):
+        temp = tmp_path / "tmp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        index, other = SequenceIndex(), SequenceIndex()
         index.update(paper_log)
         assert index.detect(["A", "B"])
         assert index.policy is Policy.STNM
+        assert isinstance(index.store, LSMStore)
+        sharded = ShardedSequenceIndex([SequenceIndex(), SequenceIndex()])
+        dirs = {engine.store._path for engine in (index, other, *sharded.shards)}
+        assert len(dirs) == 4 and {os.path.dirname(d) for d in dirs} == {str(temp)}
+        for engine in (index, other, sharded):
+            engine.close()  # the sharded one closes shard.store, not shard
+        assert os.listdir(temp) == []
+        # a paper runner closes every index it built or cached
+        monkeypatch.setitem(
+            ALL_EXPERIMENTS, "table5", lambda scale: exp_table5(scale, ("max_100",))
+        )
+        argv = ["table5", "fig7", "--scale", "0.002", "--results-dir", str(tmp_path / "r")]
+        assert runner.main(argv) == 0
+        assert workloads._INDEX_CACHE == {}
+        assert os.listdir(temp) == []
 
     def test_trace_ids_and_activities(self, paper_log):
         index = SequenceIndex()

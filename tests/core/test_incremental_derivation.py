@@ -25,6 +25,7 @@ from repro.core.pairs import create_pairs
 from repro.core.policies import Policy
 from repro.ingest import index_snapshot
 from repro.shard import ShardedSequenceIndex
+from tests.model_store import ModelStore
 
 #: each indexable policy, by the pair creator its index builds with
 POLICIES = {"indexing": Policy.STNM, "strict": Policy.SC}
@@ -66,7 +67,7 @@ def _batches(events, cuts):
 
 def _engine(policy: Policy, shards: int):
     def single():
-        return SequenceIndex(policy=policy)
+        return SequenceIndex(ModelStore(), policy=policy)
 
     return single() if shards == 1 else ShardedSequenceIndex([single() for _ in range(shards)])
 

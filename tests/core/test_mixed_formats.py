@@ -7,7 +7,7 @@ commit that had the varint *encoder* (``tests/data/legacy_store``, see its
 dictionary chunks, generic Seq lists and pair-keyed LastChecked rows into a
 store whose MANIFEST records no format.  Either way the store is upgraded,
 then appended to with current code, flushed and compacted, and every answer
-is held to an ``InMemoryStore`` engine fed the same events by current code
+is held to a default engine fed the same events by current code
 alone.
 """
 
@@ -29,7 +29,7 @@ from repro.core.model import Event
 from repro.core.pattern import Pattern
 from repro.core.tables import LAST_CHECKED, IndexTables, _index_table
 from repro.ingest.convergence import index_snapshot
-from repro.kvstore import InMemoryStore, LSMStore, StoreFormatError
+from repro.kvstore import LSMStore, StoreFormatError
 from repro.kvstore.encoding import decode_value
 from repro.upgrade import LegacyTableSet, encode_postings, upgrade_store
 
@@ -83,7 +83,7 @@ def _load_fixture():
 
 
 def _oracle(batches, partitions, upto: int) -> SequenceIndex:
-    oracle = SequenceIndex(InMemoryStore())
+    oracle = SequenceIndex()
     oracle.tables.ensure_partition("p1")  # queried even before a batch lands in it
     for batch, partition in zip(batches[:upto], partitions):
         oracle.update(batch, partition=partition)
@@ -221,7 +221,7 @@ def test_any_mix_of_formats_equals_the_oracle(
             for event in batch:
                 event.timestamp = float(event.timestamp)
     path = str(tmp_path_factory.mktemp("mixed"))
-    oracle = SequenceIndex(InMemoryStore())
+    oracle = SequenceIndex()
     oracle.tables.ensure_partition("p1")
     for batch, fmt in zip(batches, formats):
         index = SequenceIndex(_OldStore(path, auto_compact=False))

@@ -6,7 +6,9 @@ planner-ordered detection returns byte-identical matches to naive
 left-to-right evaluation (the explicit plan behind ``detect_with_prefixes``)
 and to a brute-force per-trace oracle.  These
 properties pin that down, alongside sanity checks of the plan object and
-its metrics/CLI surface.
+its metrics/CLI surface.  The engines build on the test model
+(``tests/model_store.py``) -- the store is not what these properties test --
+but for the checks of the store's own counters.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.core.model import Event, EventLog
 from repro.core.pairs import create_pairs, reference_stnm_pairs
 from repro.core.pattern import Pattern
 from repro.core.policies import Policy
-from repro.kvstore import InMemoryStore
+from tests.model_store import ModelStore
 
 ACTIVITIES = "ABCD"
 
@@ -53,7 +55,7 @@ def _oracle_matches(log_dict, pattern, policy):
 
 
 def _build(log_dict, policy=Policy.STNM, **knobs):
-    index = SequenceIndex(policy=policy, **knobs)
+    index = SequenceIndex(ModelStore(), policy=policy, **knobs)
     index.update(EventLog.from_dict(log_dict))
     return index
 
@@ -111,8 +113,8 @@ class TestPlannerEquivalence:
                     partition=parts[i % 3],
                 )
 
-        planned = SequenceIndex()
-        naive = SequenceIndex(cache_bytes=0)
+        planned = SequenceIndex(ModelStore())
+        naive = SequenceIndex(ModelStore(), cache_bytes=0)
         spread(planned)
         spread(naive)
         n = len(pattern)
@@ -158,7 +160,7 @@ class TestPlanObject:
         assert plan.cardinalities == completions
         assert plan.estimated_cost == min(completions)
 
-        spread = SequenceIndex(policy=policy)
+        spread = SequenceIndex(ModelStore(), policy=policy)
         for i, trace_id in enumerate(sorted(log)):
             spread.update(
                 EventLog.from_dict({trace_id: log[trace_id]}), partition=["", "p1"][i % 2]
@@ -250,7 +252,8 @@ class TestExplainSurface:
         assert matches == index.detect(["A", "B", "C"])
 
     def test_zero_cardinality_short_circuits(self):
-        index = _build({"t1": list("ABC")})
+        index = SequenceIndex()  # the store's read counters
+        index.update(EventLog.from_dict({"t1": list("ABC")}))
         store_metrics = index.store.metrics
         before = store_metrics.snapshot()
         assert index.detect(["A", "Z"]) == []
@@ -265,7 +268,7 @@ class TestExplainSurface:
         """The plan comes from the posting lists the query fetches anyway:
         no query of the detection family reads ``Count`` or ``ReverseCount``."""
 
-        class TableReads(InMemoryStore):
+        class TableReads(ModelStore):
             def __init__(self):
                 super().__init__()
                 self.tables: list[str] = []
@@ -294,7 +297,8 @@ class TestExplainSurface:
         assert not {"count", "reverse_count"} & set(store.tables)
 
     def test_planner_reorders_metric(self):
-        index = _build({"t1": list("ABCABC"), "t2": list("ABAB")})
+        index = SequenceIndex()
+        index.update(EventLog.from_dict({"t1": list("ABCABC"), "t2": list("ABAB")}))
         plan = index.explain(["A", "B", "C"])
         before = index.store.metrics.snapshot().get("planner_reorders", 0)
         index.detect(["A", "B", "C"])
@@ -302,7 +306,8 @@ class TestExplainSurface:
         assert after - before == (1 if plan.reordered else 0)
 
     def test_postings_cache_metrics_accumulate(self):
-        index = _build({"t1": list("ABCABC")})
+        index = SequenceIndex()
+        index.update(EventLog.from_dict({"t1": list("ABCABC")}))
         index.detect(["A", "B", "C"])
         index.detect(["A", "B", "C"])
         snap = index.store.metrics.snapshot()

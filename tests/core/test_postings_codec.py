@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import struct
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from repro.core.postings import (
     item_formats,
 )
 from repro.core.tables import TRACE_NUMBER, IndexTables
-from repro.kvstore import InMemoryStore
+from repro.kvstore import LSMStore
 from repro.kvstore.encoding import encode_value
 from repro.upgrade import (
     TAG_POSTINGS,
@@ -381,12 +382,12 @@ class TestStrictDecode:
 def _upgraded(value: list) -> tuple[list, list]:
     """``value`` rewritten by the upgrade over a fresh name table, and the
     table."""
-    store = InMemoryStore()
-    store.create_table(TRACE_NUMBER)
-    tables = IndexTables(store)
-    report = UpgradeReport("test")
-    row = _rewritten_row(tables, value, report)
-    return row, tables.trace_names(list(range(report.traces_numbered)))
+    with tempfile.TemporaryDirectory() as path, LSMStore(path) as store:
+        store.create_table(TRACE_NUMBER)
+        tables = IndexTables(store)
+        report = UpgradeReport("test")
+        row = _rewritten_row(tables, value, report)
+        return row, tables.trace_names(list(range(report.traces_numbered)))
 
 
 class TestOlderFormats:

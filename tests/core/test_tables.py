@@ -1,4 +1,4 @@
-"""Index tables (§3.1.2) over both store backends."""
+"""Index tables (§3.1.2) over the store."""
 
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from repro.upgrade import UpgradeReport, rewrite_rows
 
 
 @pytest.fixture
-def tables(any_store):
-    tables = IndexTables(any_store)
+def tables(lsm_store):
+    tables = IndexTables(lsm_store)
     tables.ensure_schema()
     return tables
 

@@ -29,7 +29,7 @@ from repro.core.postings import (
 )
 from repro.core.tables import INDEX, TRACE_NUMBER, IndexTables
 from repro.ingest.convergence import index_snapshot
-from repro.kvstore import InMemoryStore, LSMStore
+from repro.kvstore import LSMStore
 from repro.shard.index import ShardedSequenceIndex
 from repro.upgrade import upgrade_store
 
@@ -73,34 +73,34 @@ def _batch(traces: dict[str, str], start: int) -> list[Event]:
     ]
 
 
-def test_traces_are_numbered_in_first_write_order(any_store):
-    index = SequenceIndex(any_store)
+def test_traces_are_numbered_in_first_write_order(lsm_store):
+    index = SequenceIndex(lsm_store)
     index.update(EventLog.from_dict({"t2": "AB", "t1": "BA", "t3": "C"}))
     # t3 has no pair yet: it is numbered when its first postings are written
-    assert _numbers(any_store) == {"t2": 0, "t1": 1}
+    assert _numbers(lsm_store) == {"t2": 0, "t1": 1}
     index.update([Event("t3", "A", 5), Event("t4", "A", 1), Event("t4", "B", 2)])
-    assert _numbers(any_store) == {"t2": 0, "t1": 1, "t3": 2, "t4": 3}
-    chunks = [item for _, row in any_store.scan(INDEX) for item in row]
+    assert _numbers(lsm_store) == {"t2": 0, "t1": 1, "t3": 2, "t4": 3}
+    chunks = [item for _, row in lsm_store.scan(INDEX) for item in row]
     assert chunks and all(chunk[0] == TAG_NUMBERED for chunk in chunks)
 
 
-def test_a_pruned_and_re_added_trace_keeps_its_number(any_store):
-    index = SequenceIndex(any_store)
-    oracle = SequenceIndex(InMemoryStore())
+def test_a_pruned_and_re_added_trace_keeps_its_number(lsm_store):
+    index = SequenceIndex(lsm_store)
+    oracle = SequenceIndex()
     first = _batch({"t1": "ABAB", "t2": "BAB"}, 1)
     index.update(first)
     _update_oracle(oracle, first)
-    before = _numbers(any_store)
+    before = _numbers(lsm_store)
 
     for engine in (index, oracle):
         engine.prune_trace("t1")
-    assert _numbers(any_store) == before  # a prune leaves the table
+    assert _numbers(lsm_store) == before  # a prune leaves the table
     assert _answers(index) == _answers(oracle)
 
     again = _batch({"t1": "BCA", "t3": "AB"}, 100)
     index.update(again)
     _update_oracle(oracle, again)
-    assert _numbers(any_store) == {**before, "t3": 2}
+    assert _numbers(lsm_store) == {**before, "t3": 2}
     assert _answers(index) == _answers(oracle)
 
 
@@ -138,7 +138,7 @@ def _fail_after(engine, events, kept: int, with_next_numbers: bool) -> None:
 def test_a_write_that_failed_part_way_changes_no_answer(tmp_path, kept, with_next_numbers):
     path = str(tmp_path / "store")
     index = SequenceIndex(LSMStore(path))
-    oracle = SequenceIndex(InMemoryStore())
+    oracle = SequenceIndex()
     first = _batch({"t1": "ABC", "t2": "BA"}, 1)
     failed = _batch({"t1": "CA", "t3": "ABAB", "t4": "CB"}, 10)
     later = _batch({"t3": "C", "t4": "A", "t5": "BCA"}, 20)
@@ -206,21 +206,21 @@ def test_the_upgrade_numbers_the_legacy_stores_traces(tmp_path):
     index.close()
 
 
-def test_a_number_past_the_name_table_is_corrupt(any_store):
-    index = SequenceIndex(any_store)
+def test_a_number_past_the_name_table_is_corrupt(lsm_store):
+    index = SequenceIndex(lsm_store)
     index.update([Event("t1", "A", 1), Event("t1", "B", 2)])
-    assert _numbers(any_store) == {"t1": 0}
+    assert _numbers(lsm_store) == {"t1": 0}
     # a chunk naming trace number 1, which the table does not hold
     index.tables.write("merge", INDEX, ("A", "B"), [encode_numbered_postings([1], [3], [4])])
     with pytest.raises(CorruptPostingsError, match="name table"):
-        IndexTables(any_store).get_index(("A", "B"))
+        IndexTables(lsm_store).get_index(("A", "B"))
     with pytest.raises(CorruptPostingsError, match="name table"):
-        SequenceIndex(any_store).detect(["A", "B"])
+        SequenceIndex(lsm_store).detect(["A", "B"])
 
 
 def test_a_reload_that_fails_too_is_retried_before_the_next_number():
-    index = SequenceIndex(InMemoryStore())
-    oracle = SequenceIndex(InMemoryStore())
+    index = SequenceIndex()
+    oracle = SequenceIndex()
     first = _batch({"t1": "ABC", "t2": "BA"}, 1)
     failed = _batch({"t3": "ABAB", "t4": "CB"}, 10)
     later = _batch({"t4": "A", "t5": "BCA"}, 20)

@@ -18,6 +18,7 @@ from repro.core.errors import TraceOrderError
 from repro.core.model import Event, EventLog
 from repro.ingest import index_snapshot
 from repro.shard import ShardedSequenceIndex
+from tests.model_store import ModelStore
 
 
 def drop_indexed(events, tail_of):
@@ -40,8 +41,8 @@ def drop_indexed(events, tail_of):
 
 def _engine(shards: int):
     if shards == 1:
-        return SequenceIndex()
-    return ShardedSequenceIndex([SequenceIndex() for _ in range(shards)])
+        return SequenceIndex(ModelStore())
+    return ShardedSequenceIndex([SequenceIndex(ModelStore()) for _ in range(shards)])
 
 
 def _events(draw, max_size):

@@ -24,7 +24,7 @@ from repro.core.engine import SequenceIndex
 from repro.core.model import Event, EventLog
 from repro.core.query import _CHARGE, KINDS, SEQUENCE
 from repro.ingest import index_snapshot
-from repro.kvstore import InMemoryStore
+from repro.kvstore import LSMStore
 from repro.shard.index import ShardedSequenceIndex
 
 ALPHABET = "ABC"
@@ -204,9 +204,9 @@ def test_a_failed_update_leaves_the_cache_empty():
     _assert_cached_rows_are_stored(index)
 
 
-def test_without_a_row_cache_the_writer_reads_the_store():
+def test_without_a_row_cache_the_writer_reads_the_store(tmp_path):
     index = SequenceIndex(cache_bytes=0)
-    builder = IndexBuilder(InMemoryStore())
+    builder = IndexBuilder(LSMStore(str(tmp_path / "builder")))
     for writer, store in ((index, index.store), (builder, builder.tables.store)):
         for n in range(3):
             before = store.metrics.snapshot()["multi_get_batches"]

@@ -12,6 +12,7 @@ from repro.faults import (
     CRASH_AFTER_RENAME,
     CRASH_BEFORE_RENAME,
     ENOSPC,
+    FAIL_FSYNC,
     LOST_RENAME,
     TORN_WRITE,
     TRUNCATE_CRASH,
@@ -482,6 +483,34 @@ class TestLostRename:
             acked[(i,)] = f"v{i}"
         with pytest.raises(SimulatedCrash):
             store.flush()
+        simulate_crash(store)
+        with LSMStore(path) as reopened:
+            assert dict(reopened.scan("t")) == acked
+            reopened.verify()
+
+    def test_a_failed_rotation_fsync_is_paid_before_the_next_write(self, tmp_path):
+        # The flush's WAL rotation renames wal.log, then its directory fsync
+        # (the third) fails.  The writes that follow append to the new log;
+        # the cut comes at the 13th append to it, and the rename must be
+        # durable by then for every write acknowledged from it.
+        path = str(tmp_path / "db")
+        schedule = FaultSchedule(
+            [
+                Fault(FAIL_FSYNC, "fsync_dir", nth=3),
+                Fault(LOST_RENAME, "write", nth=13, path_part="wal.log"),
+            ]
+        )
+        store = LSMStore(path, sync_wal=True, io=FaultyIO(schedule))
+        store.create_table("t")
+        acked = {}
+        with pytest.raises(SimulatedCrash):
+            for i in range(100):
+                if i == 5:
+                    with pytest.raises(OSError):
+                        store.flush()
+                store.put("t", i, f"v{i}")
+                acked[(i,)] = f"v{i}"
+        assert len(acked) == 12
         simulate_crash(store)
         with LSMStore(path) as reopened:
             assert dict(reopened.scan("t")) == acked

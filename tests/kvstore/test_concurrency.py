@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro.kvstore import InMemoryStore, LSMStore
+from repro.kvstore import LSMStore
 
 KEYSPACE = 16  # per-writer put/delete key slots
 SHARED = 8  # shared merge-key slots
@@ -137,17 +137,6 @@ def test_hammer_lsm_quick(tmp_path):
     # Durability: a reopen must replay to exactly the same state.
     with LSMStore(str(tmp_path / "store")) as reopened:
         assert dict(reopened.scan("kv")) == model
-
-
-def test_hammer_in_memory_parity(tmp_path):
-    # Same harness against the reference backend: the API contract under
-    # concurrency is backend-independent.
-    store = InMemoryStore()
-    model, appended = _hammer(
-        store, writers=4, readers=2, ops_per_writer=150, seed=2
-    )
-    _check_final_state(store, model, appended)
-    store.close()
 
 
 @pytest.mark.stress

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import warnings
 
 import pytest
 
 from repro.faults import (
     CORRUPT,
+    ENOSPC,
     TRUNCATE_CRASH,
     Fault,
     FaultSchedule,
@@ -202,6 +205,28 @@ class TestFlushFaults:
         assert reopened.get("t", "a") == 1
         assert reopened.get("t", "b") == 2
         reopened.close()
+
+    def test_a_failed_first_sstable_write_closes_and_removes_the_tmp_file(
+        self, tmp_path
+    ):
+        # ENOSPC on the magic bytes, the writer's first write.
+        path = str(tmp_path / "db")
+        schedule = FaultSchedule([Fault(ENOSPC, "write", path_part=".sst")])
+        store = LSMStore(path, io=FaultyIO(schedule))
+        store.create_table("t")
+        store.put("t", "a", 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(OSError):
+                store.flush()
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not [name for name in os.listdir(path) if name.endswith(".sst.tmp")]
+        store.flush()
+        assert store.sstable_count == 1
+        store.close()
+        with LSMStore(path) as reopened:
+            assert reopened.get("t", "a") == 1
 
     def test_crash_after_failed_flush_replays_wal(self, tmp_path, monkeypatch):
         path = str(tmp_path / "db")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvstore import InMemoryStore, LSMStore, encoding
+from repro.kvstore import LSMStore, encoding
 from repro.kvstore import lsm as lsm_module
 from repro.kvstore import merge as merge_module
 from repro.kvstore.encoding import decode_value, encode_value
@@ -24,6 +24,7 @@ from repro.kvstore.merge import (
     resolve_merge_operator,
 )
 from repro.kvstore.wal import KIND_DELETE, KIND_MERGE, KIND_PUT
+from tests.model_store import ModelStore
 
 
 class TestListAppend:
@@ -37,11 +38,6 @@ class TestListAppend:
 
     def test_partial_merge(self):
         assert self.op.partial_merge([[1], [2, 3]]) == [1, 2, 3]
-
-    def test_merge_in_place(self):
-        base = [1]
-        assert self.op.merge_in_place(base, [2, 3])
-        assert base == [1, 2, 3]
 
     @given(
         st.lists(st.integers(), max_size=5),
@@ -121,9 +117,6 @@ class TestLastWriteWins:
 
     def test_partial(self):
         assert self.op.partial_merge(["a", "b"]) == "b"
-
-    def test_in_place_unsupported(self):
-        assert not self.op.merge_in_place("x", "y")
 
 
 class TestRegistry:
@@ -389,7 +382,7 @@ def _assert_equal_to_model(store, model) -> None:
 
 def test_store_written_by_the_generic_encoder_keeps_working(tmp_path):
     path = str(tmp_path / "store")
-    model = InMemoryStore()
+    model = ModelStore()
     _create(model)
     with legacy_encoding():
         assert encode_value({"t": 1})[0] == encoding._V_DICT

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.kvstore import InMemoryStore, LSMStore
+from repro.kvstore import LSMStore
 from repro.kvstore.api import WRITE_OP_COUNTERS, MergeUnsupportedError, UnknownTableError
 from repro.kvstore.encoding import KeyEncodingError, ValueEncodingError
 
@@ -75,30 +75,23 @@ _INVALID = {
         ("merge", "count", ("act", object()), {"a": [1.0, 1]}), KeyEncodingError, "object"
     ),
 }
-#: what the in-memory store validates (it keeps values as they are given)
-_CATALOGUE = ("unknown_op", "unknown_table", "merge_without_operator")
-
-
-@pytest.mark.parametrize("backend", ["lsm", "memory"])
-def test_an_unknown_op_fails_the_whole_batch_on_both_backends(tmp_path, backend):
+def test_an_unknown_op_fails_the_whole_batch(tmp_path):
     """Each invalid op -- first, in the middle or last of a batch of every
     op kind -- fails the whole batch: no WAL byte, no memtable entry, no
     readable row, zero counters."""
-    for failure in _INVALID if backend == "lsm" else _CATALOGUE:
+    for failure in _INVALID:
         bad, error, message = _INVALID[failure]
         for position in (0, 2, 5):  # first, middle, last of five valid ops
             ops = _valid_ops()
             ops.insert(position, bad)
             path = tmp_path / f"{failure}-{position}"
-            store = LSMStore(str(path)) if backend == "lsm" else InMemoryStore()
-            with store:
+            with LSMStore(str(path)) as store:
                 _schema(store)
                 with pytest.raises(error, match=message):
                     store.write(ops)
                 snapshot = store.metrics.snapshot()
-                if backend == "lsm":
-                    assert (path / "wal.log").stat().st_size == 0
-                    assert len(store._memtable) == 0 and not store._sealed
+                assert (path / "wal.log").stat().st_size == 0
+                assert len(store._memtable) == 0 and not store._sealed
                 assert store.get("seq", "trace-1") is None
                 assert store.get("index", ("act_000", "act_001")) is None
                 assert store.get("count", "act_000") is None
@@ -107,10 +100,8 @@ def test_an_unknown_op_fails_the_whole_batch_on_both_backends(tmp_path, backend)
             assert snapshot["write_batches"] == 0
 
 
-@pytest.mark.parametrize("backend", ["lsm", "memory"])
-def test_a_mixed_batch_reads_back_table_by_table(tmp_path, backend):
-    store = LSMStore(str(tmp_path / "db")) if backend == "lsm" else InMemoryStore()
-    with store:
+def test_a_mixed_batch_reads_back_table_by_table(tmp_path):
+    with LSMStore(str(tmp_path / "db")) as store:
         _schema(store)
         store.put("meta", "stale", 1)
         store.write(_valid_ops() + [

@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.kvstore import InMemoryStore, LSMStore
+from repro.kvstore import LSMStore
 from repro.kvstore.api import UnknownTableError
 
 
-@pytest.fixture(params=["lsm", "memory"])
-def store(request, tmp_path):
-    if request.param == "lsm":
-        s = LSMStore(tmp_path / "store", memtable_flush_bytes=128)
-    else:
-        s = InMemoryStore()
+@pytest.fixture
+def store(tmp_path):
+    s = LSMStore(tmp_path / "store", memtable_flush_bytes=128)
     yield s
     s.close()
 

@@ -1,4 +1,4 @@
-"""Range scans on both store backends."""
+"""Range scans on the store."""
 
 from __future__ import annotations
 
@@ -6,15 +6,15 @@ import pytest
 
 
 @pytest.fixture
-def populated(any_store):
-    any_store.create_table("t")
+def populated(lsm_store):
+    lsm_store.create_table("t")
     for i in range(10):
-        any_store.put("t", i, i * 10)
-    any_store.create_table("pairs")
+        lsm_store.put("t", i, i * 10)
+    lsm_store.create_table("pairs")
     for a in "abc":
         for b in "xy":
-            any_store.put("pairs", (a, b), a + b)
-    return any_store
+            lsm_store.put("pairs", (a, b), a + b)
+    return lsm_store
 
 
 class TestScanRange:

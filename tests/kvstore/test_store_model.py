@@ -1,4 +1,4 @@
-"""Property-based equivalence: LSM store == dict model == InMemoryStore.
+"""Property-based equivalence: LSM store == dict model == ModelStore.
 
 A stateful hypothesis test drives random operation sequences (puts, merges,
 deletes, flushes, compactions, compactions *killed* between writing their
@@ -11,6 +11,7 @@ references must be ignored and the pre-compaction tables stay authoritative.
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 
 from hypothesis import settings
@@ -24,8 +25,9 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.faults import TRUNCATE_CRASH, Fault, FaultSchedule, FaultyIO, SimulatedCrash
-from repro.kvstore import InMemoryStore, LSMStore
+from repro.kvstore import LSMStore
 from repro.kvstore.merge import ListAppendMerge
+from tests.model_store import ModelStore
 
 KEYS = st.sampled_from(["a", "b", "c", ("pair", 1), ("pair", 2), 42])
 VALUES = st.one_of(
@@ -39,7 +41,7 @@ _OP = ListAppendMerge()
 
 
 class StoreModelMachine(RuleBasedStateMachine):
-    """Random ops against LSMStore + InMemoryStore + a dict model."""
+    """Random ops against LSMStore + ModelStore + a dict model."""
 
     def _open(self) -> LSMStore:
         return LSMStore(
@@ -57,7 +59,7 @@ class StoreModelMachine(RuleBasedStateMachine):
         # No fault is scheduled until the killed-compaction rule arms one.
         self.io = FaultyIO(FaultSchedule())
         self.lsm = self._open()
-        self.mem = InMemoryStore()
+        self.mem = ModelStore()
         for store in (self.lsm, self.mem):
             store.create_table("plain")
             store.create_table("idx", merge_operator="list_append")
@@ -67,6 +69,7 @@ class StoreModelMachine(RuleBasedStateMachine):
     def teardown(self) -> None:
         self.lsm.close()
         self.mem.close()
+        shutil.rmtree(self.dir, ignore_errors=True)
 
     @rule(key=KEYS, value=VALUES)
     def put(self, key, value):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import gc
 
-from repro.kvstore import InMemoryStore, LSMStore
+from repro.kvstore import LSMStore
 from repro.obs.registry import METRIC_CATALOG, REGISTRY, MetricsRegistry, store_samples
 
 
@@ -93,15 +93,6 @@ class TestStoreIntegration:
             assert "repro_store_gets_total" in body
         assert f'store="{path}"' not in REGISTRY.render()
 
-    def test_memory_store_registers_and_unregisters(self):
-        store = InMemoryStore()
-        name = store.obs_name
-        try:
-            assert f'store="{name}"' in REGISTRY.render()
-        finally:
-            store.close()
-        assert f'store="{name}"' not in REGISTRY.render()
-
     def test_store_samples_covers_all_counters(self):
         from repro.kvstore.lsm import StoreMetrics
 
@@ -111,6 +102,7 @@ class TestStoreIntegration:
             sstables=1,
             tables=2,
             cache_stats={"entries": 1, "weight": 10, "evictions": 0},
+            bytes_on_disk=100,
         )
         for name in samples:
             assert name in METRIC_CATALOG, f"{name} missing from METRIC_CATALOG"

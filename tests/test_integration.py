@@ -102,11 +102,3 @@ class TestDurableEndToEnd:
                 index.continuations(patterns[0][:2], mode="hybrid", top_k=3)
                 == continuations
             )
-
-    def test_memory_and_lsm_backends_agree(self, tmp_path, process_log):
-        memory_index = SequenceIndex(policy=Policy.STNM)
-        memory_index.update(process_log)
-        with SequenceIndex(LSMStore(str(tmp_path / "ix2"))) as durable_index:
-            durable_index.update(process_log)
-            for pattern in random_patterns(process_log, 3, 10, seed=7):
-                assert durable_index.detect(pattern) == memory_index.detect(pattern)

@@ -29,7 +29,7 @@ from repro.faults.schedule import (
     Fault,
     SimulatedCrash,
 )
-from repro.kvstore import InMemoryStore, LSMStore, StoreFormatError
+from repro.kvstore import LSMStore, StoreFormatError
 from repro.shard.index import ShardedSequenceIndex, write_manifest
 from repro.upgrade import upgrade_store
 
@@ -76,7 +76,7 @@ def _expected(name: str) -> dict:
     doc = _recorded(name)
     if name == "leveled_store":
         return {table: {tuple(key): value for key, value in rows} for table, rows in doc.items()}
-    oracle = SequenceIndex(InMemoryStore())
+    oracle = SequenceIndex()
     oracle.tables.ensure_partition("p1")
     partitions = doc.get("partitions", [""] * 3)
     for batch, partition in zip(doc["batches"][:3], partitions):

@@ -9,12 +9,12 @@ import time
 
 from repro.core.engine import SequenceIndex
 from repro.core.model import Event
-from repro.kvstore import InMemoryStore
 from repro.shard import ShardedSequenceIndex
 from repro.shard.hashing import shard_for_trace
+from tests.temp_store import TempStore
 
 
-class _WindowStore(InMemoryStore):
+class _WindowStore(TempStore):
     """Records, per calling thread, when each slowed-down ``write`` ran."""
 
     def __init__(self):
